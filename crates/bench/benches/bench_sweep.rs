@@ -10,7 +10,7 @@ use mp_core::partition::Partitioning;
 use mp_grid::{ArrayD, FieldDef, TileGrid};
 use mp_runtime::comm::Communicator;
 use mp_runtime::sim::SimNet;
-use mp_runtime::threaded::{run_threaded, run_threaded_with, Transport};
+use mp_runtime::threaded::run_threaded;
 use mp_sweep::executor::{
     allocate_rank_store, multipart_sweep, multipart_sweep_opts, SweepOptions,
 };
@@ -99,11 +99,9 @@ fn bench_sweep(c: &mut Criterion) {
     }
     group.finish();
 
-    // Aggregated vs pipelined carries at γ = 4: a slab-thin grid with a
-    // four-value carry per line, so the per-phase carry stream is large
-    // relative to block compute. Pipelined mode relays received chunk
-    // buffers by ownership instead of copying the full aggregated message,
-    // which is where the win comes from on a single host.
+    // One vs several carry chunks per phase at γ = 4: a slab-thin grid
+    // with a four-value carry per line, so the per-phase carry stream is
+    // large relative to block compute.
     {
         let p = 4u64;
         let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![4, 2, 2]));
@@ -197,101 +195,6 @@ fn bench_sweep(c: &mut Criterion) {
                 })
             })
         });
-        group.finish();
-    }
-
-    // Transport A/B: the identical engine-driven sweep sequence over the
-    // SPSC ring transport (default) vs the legacy mpsc channels. The wire
-    // schedule is byte-identical; only the mechanics of moving a message
-    // differ (slot publish + doorbell vs channel send + inbox scan).
-    {
-        const SWEEPS: usize = 10;
-        let p = 4u64;
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![4, 2, 2]));
-        let peta = [8usize, 64, 64];
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&peta, &gam);
-        let opts = SweepOptions::new(16, 1).with_pipeline_chunks(4);
-        let mut group = c.benchmark_group("transport");
-        group.throughput(Throughput::Elements(
-            (peta.iter().product::<usize>() * SWEEPS) as u64,
-        ));
-        for (label, transport) in [("ring", Transport::Ring), ("mpsc", Transport::Mpsc)] {
-            group.bench_with_input(
-                BenchmarkId::new("engine_pipelined4_p4", label),
-                &label,
-                |b, _| {
-                    b.iter(|| {
-                        run_threaded_with(p, transport, |comm| {
-                            let mut store = allocate_rank_store(
-                                comm.rank(),
-                                &mp,
-                                &grid,
-                                &[FieldDef::new("u", 0)],
-                            );
-                            store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                            let mut engine = SweepEngine::new(opts.clone());
-                            for _ in 0..SWEEPS {
-                                engine.sweep(
-                                    comm,
-                                    &mut store,
-                                    &mp,
-                                    0,
-                                    Direction::Forward,
-                                    &kernel,
-                                    100,
-                                );
-                            }
-                            black_box(comm.sent_messages)
-                        })
-                    })
-                },
-            );
-        }
-        group.finish();
-    }
-
-    // Pool A/B at threads = 4: the persistent worker pool (parked workers,
-    // condvar dispatch) vs spawning a fresh thread scope for every phase of
-    // every sweep. Same spans, same kernels, same schedule — the gap is
-    // pure thread-lifecycle overhead.
-    {
-        const SWEEPS: usize = 10;
-        let p = 2u64;
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![2, 2, 1]));
-        let peta = [48usize, 48, 48];
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&peta, &gam);
-        let mut group = c.benchmark_group("pool_reuse");
-        group.throughput(Throughput::Elements(
-            (peta.iter().product::<usize>() * SWEEPS) as u64,
-        ));
-        group.sample_size(20);
-        for (label, pool) in [("pool", true), ("spawn_per_phase", false)] {
-            let opts = SweepOptions::new(8, 4).with_pool(pool);
-            group.bench_with_input(BenchmarkId::new("engine_t4_p2", label), &label, |b, _| {
-                b.iter(|| {
-                    run_threaded(p, |comm| {
-                        let mut store =
-                            allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
-                        store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                        let mut engine = SweepEngine::new(opts.clone());
-                        for _ in 0..SWEEPS {
-                            engine.sweep(
-                                comm,
-                                &mut store,
-                                &mp,
-                                0,
-                                Direction::Forward,
-                                &kernel,
-                                100,
-                            );
-                        }
-                        black_box(engine.pool_dispatches())
-                    })
-                })
-            });
-        }
         group.finish();
     }
 

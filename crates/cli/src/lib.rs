@@ -477,7 +477,7 @@ struct ProfileConfig {
 fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     const PROFILE_USAGE: &str = "usage: mpart profile <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--iters N] [--block W] [--threads T] \
-         [--chunks K] [--simd auto|avx2|scalar] [--inplace auto|on|off] \
+         [--chunks K] [--simd auto|scalar] [--inplace auto|on|off] \
          [--out FILE] [--calibration FILE]\n\
          (--block/--threads/--chunks/--simd/--inplace default from \
          MP_SWEEP_BLOCK / MP_SWEEP_THREADS / MP_SWEEP_PIPELINE / \
@@ -526,12 +526,9 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
                     // Unlike the forgiving env knob, an explicit flag with a
                     // bogus value is an error.
                     "--simd" => {
-                        simd = match v.trim().to_ascii_lowercase().as_str() {
-                            "auto" => mp_sweep::SimdMode::Auto,
-                            "avx2" => mp_sweep::SimdMode::Avx2,
-                            "scalar" => mp_sweep::SimdMode::Scalar,
-                            _ => return err(format!("unknown simd mode '{v}' (auto|avx2|scalar)")),
-                        };
+                        simd = mp_sweep::SimdMode::parse(v).ok_or_else(|| {
+                            CliError(format!("unknown simd mode '{v}' (auto|scalar)"))
+                        })?;
                     }
                     "--inplace" => {
                         inplace = mp_sweep::InplaceMode::parse(v).ok_or_else(|| {
@@ -753,8 +750,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     }
 
     // Per-plan resolved execution modes (the zero-copy decision is made
-    // once at build time) plus what packing actually cost: in-place phases
-    // record no pack spans, so the fraction is the direct A/B evidence.
+    // once at build time) plus what packing cost. Sweeps relay carries by
+    // move and record no pack spans, so this is halo face packing.
     rep.push_str("\nexecution modes (resolved at plan build):\n");
     for (dim, dir, phases) in &plan_modes {
         let zc = phases.iter().filter(|&&b| b).count();
@@ -957,7 +954,7 @@ fn silence_panics_during_soak() {
 
 fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     use mp_runtime::comm::Communicator as _;
-    use mp_runtime::threaded::{run_threaded_result, RankFailure, RunOpts, Transport};
+    use mp_runtime::threaded::{run_threaded_result, RankFailure, RunOpts};
     use mp_runtime::FaultPlan;
 
     let cfg = parse_chaos_args(args)?;
@@ -975,7 +972,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         .map_err(|e| CliError(e.to_string()))?;
     let mp = Multipartitioning::optimal(p, &eta_u64, &cal_profile.cost_model());
     let prob = mp_nassp::SpProblem::new(eta, cfg.dt);
-    let transport = Transport::from_env();
 
     // One soak run: SP under `fault`, every blocking receive bounded by
     // `timeout`. Per rank: (u checksum, schedule counters) on success, a
@@ -986,7 +982,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         run_threaded_result(
             p,
             RunOpts {
-                transport,
                 deadline: Some(timeout),
                 fault,
             },
@@ -1033,7 +1028,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let mut out = format!(
         "chaos soak: SP {}×{}×{} on p = {p}, {iters} iteration(s)/run, \
          deadline {} ms, base seed {seed:#x}\n\
-         γ = {:?} (cost model: {model_source}), transport {transport:?}, \
+         γ = {:?} (cost model: {model_source}), \
          block_width {}, threads {}, chunks {}\n\
          fault-free shim: checksums and counters identical to bare transport \
          on {p}/{p} ranks ✓\n\n",

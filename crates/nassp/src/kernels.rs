@@ -46,10 +46,6 @@ impl LineSweepKernel for SpPentaForwardKernel {
         6
     }
 
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0; 6]
-    }
-
     fn sweep_segment(
         &self,
         dir: Direction,
@@ -154,10 +150,6 @@ impl LineSweepKernel for SpTriForwardKernel {
 
     fn carry_len(&self) -> usize {
         2
-    }
-
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0, 0.0]
     }
 
     fn sweep_segment(

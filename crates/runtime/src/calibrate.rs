@@ -24,7 +24,7 @@
 //! with `p` the way the paper's scalable-interconnect footnote assumes.
 
 use crate::comm::Communicator;
-use crate::threaded::{run_threaded_with, Transport};
+use crate::threaded::run_threaded;
 use mp_core::cost::BandwidthScaling;
 use mp_core::machine::{MachineProfile, Provenance, K1_DEFAULT};
 use mp_trace::json::{self, JsonValue};
@@ -149,7 +149,7 @@ pub struct TransportFit {
 pub fn calibrate_transport(opts: &CalibrationOpts) -> TransportFit {
     let sizes = opts.sizes.clone();
     let (rounds, reps, warmup) = (opts.rounds.max(1), opts.reps, opts.warmup);
-    let mut results = run_threaded_with(2, Transport::Ring, move |comm| {
+    let mut results = run_threaded(2, move |comm| {
         let me = comm.rank();
         let peer = 1 - me;
         let mut samples = Vec::with_capacity(sizes.len());

@@ -4,8 +4,7 @@
 //! that the per-rank endpoints replay while a run executes: receive
 //! delays, swallowed doorbells, injected rank panics, and truncated
 //! payloads. The shim sits *inside* [`crate::threaded::ThreadedComm`], in
-//! front of whichever transport carries the messages, so the same plan
-//! exercises both the SPSC-ring and the mpsc wire. With no plan installed
+//! front of the SPSC rings that carry the messages. With no plan installed
 //! the hooks compile down to one `Option` branch per operation.
 //!
 //! Plans come from three places:
@@ -32,8 +31,7 @@ pub enum FaultKind {
         pops: u32,
     },
     /// The rank's *nth* send publishes its payload but never rings the
-    /// receiver's doorbell (ring transport only; the mpsc channel has no
-    /// doorbell to lose). The receiver must recover via its bounded
+    /// receiver's doorbell. The receiver must recover via its bounded
     /// `park_timeout` — this is the lost-wakeup drill.
     SwallowDoorbell,
     /// The rank panics at its *nth* communication operation (sends and

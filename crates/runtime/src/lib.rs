@@ -4,9 +4,8 @@
 //! point-to-point messages between `p` ranks):
 //!
 //! * [`threaded`] — real execution, one OS thread per rank over lock-free
-//!   per-(sender, receiver) SPSC rings (with the original `std::sync::mpsc`
-//!   channels kept as an A/B baseline, see [`threaded::Transport`]); proves
-//!   functional correctness of the sweep engines.
+//!   per-(sender, receiver) SPSC rings; proves functional correctness of
+//!   the sweep engines.
 //! * [`sim`] — a discrete-event simulator that charges virtual time for the
 //!   exact same schedules, using the Hockney-style constants of an
 //!   [`mp_core::cost::CostModel`]; produces the performance curves (the
@@ -58,6 +57,6 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use sim::{RankTimes, SimEvent, SimNet, SimStats};
 pub use state::RunState;
 pub use threaded::{
-    deadline_from_env, panic_payload_message, run_threaded, run_threaded_result, run_threaded_with,
-    RankFailure, RunOpts, ThreadedComm, Transport,
+    deadline_from_env, panic_payload_message, run_threaded, run_threaded_result, RankFailure,
+    RunOpts, ThreadedComm,
 };

@@ -5,21 +5,12 @@
 //! the wall-clock side a single machine is not 81 CPUs; performance curves
 //! come from the discrete-event [`crate::sim`] backend instead.)
 //!
-//! Two transports carry the messages ([`Transport`]):
-//!
-//! * [`Transport::Ring`] (the default) — one lock-free SPSC ring per
-//!   `(sender, receiver)` pair (the `ring` module): a send publishes the
-//!   payload `Vec` into a pre-allocated slot (no lock, no copy, no
-//!   allocation), and a blocking receive spins for [`ThreadedComm`]'s
-//!   `MP_COMM_SPIN` budget before parking on a doorbell the sender rings.
-//! * [`Transport::Mpsc`] — the original global `std::sync::mpsc` channels,
-//!   kept as the reference implementation and A/B baseline (the
-//!   `transport` bench group and the schedule-identity property tests
-//!   compare the two).
-//!
-//! Both transports implement the same [`Communicator`] contract (FIFO per
-//! `(sender, receiver, tag)`), so every schedule is byte-identical across
-//! them.
+//! Messages travel over one lock-free SPSC ring per `(sender, receiver)`
+//! pair (the `ring` module): a send publishes the payload `Vec` into a
+//! pre-allocated slot (no lock, no copy, no allocation), and a blocking
+//! receive spins for [`ThreadedComm`]'s `MP_COMM_SPIN` budget before
+//! parking on a doorbell the sender rings. Delivery is FIFO per
+//! `(sender, receiver, tag)`, the [`Communicator`] contract.
 
 use crate::comm::{CommError, CommErrorKind, Communicator, Tag};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
@@ -28,17 +19,8 @@ use crate::state::RunState;
 use mp_trace::SweepRecorder;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A tagged message in flight (mpsc transport).
-#[derive(Debug)]
-struct Envelope {
-    from: u64,
-    tag: Tag,
-    payload: Vec<f64>,
-}
 
 /// Most buffers a rank keeps around for payload reuse. One steady-state
 /// sweep holds at most a couple of messages in flight per rank, so a small
@@ -54,8 +36,7 @@ const DEFAULT_SPIN: u32 = 200;
 /// a bet that the sender is running *right now* on another core; with the
 /// host oversubscribed the bet always loses — the receiver burns the very
 /// timeslice the sender needs to publish the message, and every spin pass
-/// delays it further. (This is what made the ring transport measurably
-/// slower than the always-blocking mpsc baseline on small hosts.)
+/// delays it further.
 const OVERSUBSCRIBED_SPIN: u32 = 0;
 
 /// The spin budget for a `p`-rank run: `MP_COMM_SPIN` if set and
@@ -75,28 +56,6 @@ fn spin_for(p: u64) -> u32 {
         .unwrap_or(default)
 }
 
-/// Which wire [`run_threaded_with`] moves messages over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Transport {
-    /// Per-(sender, receiver) lock-free SPSC rings with spin-then-park
-    /// blocking receives (the default; see the `ring` module).
-    Ring,
-    /// Global `std::sync::mpsc` channels — the original transport, kept as
-    /// a reference implementation and A/B measurement baseline.
-    Mpsc,
-}
-
-impl Transport {
-    /// `MP_COMM_TRANSPORT=mpsc` selects [`Transport::Mpsc`]; anything else
-    /// (unset, empty, or malformed) selects the default [`Transport::Ring`].
-    pub fn from_env() -> Self {
-        match std::env::var("MP_COMM_TRANSPORT") {
-            Ok(v) if v.trim().eq_ignore_ascii_case("mpsc") => Transport::Mpsc,
-            _ => Transport::Ring,
-        }
-    }
-}
-
 /// `MP_COMM_TIMEOUT_MS` as a receive deadline: a positive integer bounds
 /// every blocking receive to that many milliseconds; unset, `0`, or
 /// malformed means no deadline (the historical block-forever behavior —
@@ -109,42 +68,27 @@ pub fn deadline_from_env() -> Option<Duration> {
         .map(Duration::from_millis)
 }
 
-/// Configuration of a threaded run beyond the rank closure itself: which
-/// wire, how long a blocking receive may wait, and which faults to inject.
+/// Configuration of a threaded run beyond the rank closure itself: how
+/// long a blocking receive may wait, and which faults to inject.
 ///
-/// [`RunOpts::from_env`] reads all three knobs (`MP_COMM_TRANSPORT`,
-/// `MP_COMM_TIMEOUT_MS`, `MP_FAULT`), which is what [`run_threaded`] and
-/// [`run_threaded_with`] do; [`run_threaded_result`] takes the options
-/// explicitly.
-#[derive(Debug, Clone)]
+/// [`RunOpts::from_env`] reads both knobs (`MP_COMM_TIMEOUT_MS`,
+/// `MP_FAULT`), which is what [`run_threaded`] does;
+/// [`run_threaded_result`] takes the options explicitly.
+#[derive(Debug, Clone, Default)]
 pub struct RunOpts {
-    /// Wire to carry the messages.
-    pub transport: Transport,
     /// Bound on every blocking receive (`None` = wait forever).
     pub deadline: Option<Duration>,
     /// Fault-injection plan (`None` = bare transport, not even the shim).
     pub fault: Option<FaultPlan>,
 }
 
-impl Default for RunOpts {
-    fn default() -> Self {
-        RunOpts {
-            transport: Transport::Ring,
-            deadline: None,
-            fault: None,
-        }
-    }
-}
-
 impl RunOpts {
-    /// Everything from the environment: transport (`MP_COMM_TRANSPORT`),
-    /// deadline (`MP_COMM_TIMEOUT_MS`), fault plan (`MP_FAULT`, randomized
-    /// plans drawn over `p` ranks). `Err` when `MP_FAULT` is set but
+    /// Everything from the environment: deadline (`MP_COMM_TIMEOUT_MS`)
+    /// and fault plan (`MP_FAULT`, randomized plans drawn over `p` ranks). `Err` when `MP_FAULT` is set but
     /// malformed — silently dropping requested faults would make a chaos
     /// soak vacuous.
     pub fn from_env(p: u64) -> Result<RunOpts, String> {
         Ok(RunOpts {
-            transport: Transport::from_env(),
             deadline: deadline_from_env(),
             fault: FaultPlan::from_env(p)?,
         })
@@ -173,23 +117,7 @@ impl std::fmt::Display for RankFailure {
 
 impl std::error::Error for RankFailure {}
 
-/// The per-rank endpoint's view of the transport.
-enum Channel {
-    Mpsc {
-        senders: Vec<Sender<Envelope>>,
-        inbox: Receiver<Envelope>,
-    },
-    Ring {
-        net: Arc<RingNet>,
-    },
-}
-
 type Stash = HashMap<(u64, Tag), VecDeque<Vec<f64>>>;
-
-/// How long one bounded wait slice lasts. Blocked receives re-check run
-/// health and their deadline at this granularity, so a poisoned run or an
-/// expired deadline is observed within ~1 ms even if every wakeup is lost.
-const WAIT_SLICE: Duration = Duration::from_millis(1);
 
 /// Whether a blocked receive must give up now: the run is poisoned
 /// (checked first — a failure is a better answer than a timeout), or the
@@ -239,14 +167,15 @@ fn ring_take(ring: &SpscRing, from: u64, tag: Tag, stash: &mut Stash) -> Option<
 pub struct ThreadedComm {
     rank: u64,
     size: u64,
-    channel: Channel,
+    /// The ring network shared by every rank of the run.
+    net: Arc<RingNet>,
     /// Messages that arrived before anyone asked for them.
     stash: Stash,
     /// Consumed payloads waiting to back a future send
     /// ([`Communicator::take_send_buffer`]).
     pool: Vec<Vec<f64>>,
     /// Ring-pop attempts a blocking receive makes before parking
-    /// (`MP_COMM_SPIN`; only the ring transport blocks in two stages).
+    /// (`MP_COMM_SPIN`).
     spin_limit: u32,
     /// Bound on every blocking receive (`MP_COMM_TIMEOUT_MS`; `None` waits
     /// forever). [`Communicator::recv`] raises the typed [`CommError`] as
@@ -266,9 +195,9 @@ pub struct ThreadedComm {
     /// empty and had to allocate. Zero across a steady-state window means
     /// the transport path performed zero allocations in that window.
     pub pool_misses: u64,
-    /// Retry rounds sends spent yielding on a full ring (ring transport
-    /// only; a correctly sized ring never fills, so nonzero values flag an
-    /// unexpected in-flight pile-up rather than an error).
+    /// Retry rounds sends spent yielding on a full ring (a correctly
+    /// sized ring never fills, so nonzero values flag an unexpected
+    /// in-flight pile-up rather than an error).
     pub send_backpressure: u64,
     /// Telemetry recorder; `None` (the default) disables tracing with no
     /// cost beyond one branch per instrumentation site. Install one with
@@ -311,46 +240,26 @@ impl Communicator for ThreadedComm {
             tr.record_send(to, payload.len() as u64);
         }
         let run_state = &self.run_state;
-        match &mut self.channel {
-            Channel::Mpsc { senders, .. } => {
-                let env = Envelope {
-                    from: self.rank,
-                    tag,
-                    payload,
-                };
-                if senders[to as usize].send(env).is_err() {
-                    // The receiver's endpoint was dropped: its thread is
-                    // gone. Unwind with the typed error instead of
-                    // poisoning the whole process with an expect.
+        self.net.send(
+            self.rank as usize,
+            to as usize,
+            (tag, payload),
+            &mut self.send_backpressure,
+            ring_bell,
+            // A full ring normally clears as the receiver drains; once the
+            // run is poisoned it never will, so abort the retry loop
+            // instead of yielding forever against a dead rank.
+            &mut || {
+                if let Some(r) = run_state.failed() {
                     std::panic::panic_any(CommError {
                         from: to,
                         tag,
                         waited: Duration::ZERO,
-                        kind: CommErrorKind::RankFailed(run_state.failed().unwrap_or(to)),
+                        kind: CommErrorKind::RankFailed(r),
                     });
                 }
-            }
-            Channel::Ring { net } => net.send(
-                self.rank as usize,
-                to as usize,
-                (tag, payload),
-                &mut self.send_backpressure,
-                ring_bell,
-                // A full ring normally clears as the receiver drains; once
-                // the run is poisoned it never will, so abort the retry
-                // loop instead of yielding forever against a dead rank.
-                &mut || {
-                    if let Some(r) = run_state.failed() {
-                        std::panic::panic_any(CommError {
-                            from: to,
-                            tag,
-                            waited: Duration::ZERO,
-                            kind: CommErrorKind::RankFailed(r),
-                        });
-                    }
-                },
-            ),
-        }
+            },
+        );
     }
 
     fn recv(&mut self, from: u64, tag: Tag) -> Vec<f64> {
@@ -392,7 +301,7 @@ impl Communicator for ThreadedComm {
         let run_state = Arc::clone(&self.run_state);
         let ThreadedComm {
             rank,
-            channel,
+            net,
             stash,
             spin_limit,
             trace,
@@ -400,90 +309,54 @@ impl Communicator for ThreadedComm {
         } = self;
         let t_start = Instant::now();
         let t0 = trace.is_some().then_some(t_start);
-        match channel {
-            Channel::Mpsc { inbox, .. } => loop {
-                // Bounded slices instead of a bare recv(): a dead peer does
-                // not drop the other ranks' sender clones, so poison and
-                // deadline must be re-checked on every lap.
-                if let Some(err) = wait_failed(&run_state, deadline, t_start, from, tag) {
-                    return Err(err);
-                }
-                match inbox.recv_timeout(WAIT_SLICE) {
-                    Ok(env) => {
-                        if env.from == from && env.tag == tag {
-                            if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
-                                tr.comm_wait(t0, from, tag);
-                            }
-                            return Ok(env.payload);
-                        }
-                        stash
-                            .entry((env.from, env.tag))
-                            .or_default()
-                            .push_back(env.payload);
-                    }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(CommError {
-                            from,
-                            tag,
-                            waited: t_start.elapsed(),
-                            kind: CommErrorKind::RankFailed(run_state.failed().unwrap_or(from)),
-                        })
-                    }
-                }
-            },
-            Channel::Ring { net } => {
-                let ring = net.ring(from as usize, *rank as usize);
-                // Stage 0: already published.
-                if let Some(p) = ring_take(ring, from, tag, stash) {
-                    if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
-                        tr.comm_wait(t0, from, tag);
-                    }
-                    return Ok(p);
-                }
-                // Stage 1: spin — cheap pops, no syscall, no yield. The
-                // budget is small and bounded, so poison/deadline checks
-                // wait for stage 2.
-                for _ in 0..*spin_limit {
-                    std::hint::spin_loop();
-                    if let Some(p) = ring_take(ring, from, tag, stash) {
-                        if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
-                            tr.comm_spin(t0, from, tag);
-                            tr.comm_wait(t0, from, tag);
-                        }
-                        return Ok(p);
-                    }
-                }
-                // Stage 2: park until the sender rings the doorbell, the
-                // run poisons (RunState unparks us), or the deadline
-                // elapses (the bounded park_timeout re-checks every slice).
-                let t_park = trace.is_some().then(Instant::now);
+        let ring = net.ring(from as usize, *rank as usize);
+        // Stage 0: already published.
+        if let Some(p) = ring_take(ring, from, tag, stash) {
+            if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
+                tr.comm_wait(t0, from, tag);
+            }
+            return Ok(p);
+        }
+        // Stage 1: spin — cheap pops, no syscall, no yield. The budget is
+        // small and bounded, so poison/deadline checks wait for stage 2.
+        for _ in 0..*spin_limit {
+            std::hint::spin_loop();
+            if let Some(p) = ring_take(ring, from, tag, stash) {
                 if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
-                    if *spin_limit > 0 {
-                        tr.comm_spin(t0, from, tag);
-                    }
-                }
-                let mut got = None;
-                let mut err = None;
-                net.park_until(*rank as usize, || {
-                    got = ring_take(ring, from, tag, stash);
-                    if got.is_some() {
-                        return true;
-                    }
-                    err = wait_failed(&run_state, deadline, t_start, from, tag);
-                    err.is_some()
-                });
-                if let (Some(tp), Some(tr)) = (t_park, trace.as_mut()) {
-                    tr.comm_park(tp, from, tag);
-                }
-                if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
+                    tr.comm_spin(t0, from, tag);
                     tr.comm_wait(t0, from, tag);
                 }
-                match got {
-                    Some(p) => Ok(p),
-                    None => Err(err.expect("park_until returned without message or error")),
-                }
+                return Ok(p);
             }
+        }
+        // Stage 2: park until the sender rings the doorbell, the run
+        // poisons (RunState unparks us), or the deadline elapses (the
+        // bounded park_timeout re-checks every slice).
+        let t_park = trace.is_some().then(Instant::now);
+        if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
+            if *spin_limit > 0 {
+                tr.comm_spin(t0, from, tag);
+            }
+        }
+        let mut got = None;
+        let mut err = None;
+        net.park_until(*rank as usize, || {
+            got = ring_take(ring, from, tag, stash);
+            if got.is_some() {
+                return true;
+            }
+            err = wait_failed(&run_state, deadline, t_start, from, tag);
+            err.is_some()
+        });
+        if let (Some(tp), Some(tr)) = (t_park, trace.as_mut()) {
+            tr.comm_park(tp, from, tag);
+        }
+        if let (Some(t0), Some(tr)) = (t0, trace.as_mut()) {
+            tr.comm_wait(t0, from, tag);
+        }
+        match got {
+            Some(p) => Ok(p),
+            None => Err(err.expect("park_until returned without message or error")),
         }
     }
 
@@ -493,35 +366,11 @@ impl Communicator for ThreadedComm {
                 return Some(p);
             }
         }
-        let ThreadedComm {
-            rank,
-            channel,
-            stash,
-            ..
-        } = self;
-        match channel {
-            Channel::Mpsc { inbox, .. } => {
-                // Drain whatever already sits in the channel; stash
-                // mismatches so FIFO order per (from, tag) is preserved for
-                // later receives.
-                while let Ok(env) = inbox.try_recv() {
-                    if env.from == from && env.tag == tag {
-                        return Some(env.payload);
-                    }
-                    stash
-                        .entry((env.from, env.tag))
-                        .or_default()
-                        .push_back(env.payload);
-                }
-                None
-            }
-            // One pass over the sender's ring — a nonblocking probe never
-            // spins: callers (the pipelined drain) treat `None` as "not
-            // yet" and go back to useful work or a blocking receive.
-            Channel::Ring { net } => {
-                ring_take(net.ring(from as usize, *rank as usize), from, tag, stash)
-            }
-        }
+        // One pass over the sender's ring — a nonblocking probe never
+        // spins: callers (the pipelined drain) treat `None` as "not yet"
+        // and go back to useful work or a blocking receive.
+        let ring = self.net.ring(from as usize, self.rank as usize);
+        ring_take(ring, from, tag, &mut self.stash)
     }
 
     fn tracer(&mut self) -> Option<&mut SweepRecorder> {
@@ -580,36 +429,6 @@ impl Communicator for ThreadedComm {
     }
 }
 
-/// Build the per-rank transport endpoints for a `p`-rank world.
-fn make_channels(p: u64, transport: Transport) -> Vec<Channel> {
-    match transport {
-        Transport::Mpsc => {
-            let mut senders = Vec::with_capacity(p as usize);
-            let mut receivers = Vec::with_capacity(p as usize);
-            for _ in 0..p {
-                let (s, r) = channel();
-                senders.push(s);
-                receivers.push(r);
-            }
-            receivers
-                .into_iter()
-                .map(|inbox| Channel::Mpsc {
-                    senders: senders.clone(),
-                    inbox,
-                })
-                .collect()
-        }
-        Transport::Ring => {
-            let net = Arc::new(RingNet::new(p as usize));
-            (0..p)
-                .map(|_| Channel::Ring {
-                    net: Arc::clone(&net),
-                })
-                .collect()
-        }
-    }
-}
-
 /// Secondary panics carrying a typed [`CommError`] payload are controlled
 /// unwinds (the poison/deadline path): when one rank dies, the remaining
 /// `p − 1` unwind through [`Communicator::recv`] by design. Printing p − 1
@@ -660,27 +479,24 @@ where
     assert!(p >= 1);
     silence_comm_panics();
     let spin_limit = spin_for(p);
-    let channels = make_channels(p, opts.transport);
+    let net = Arc::new(RingNet::new(p as usize));
     let run_state = Arc::new(RunState::new());
     let mut results: Vec<Option<RankOutcome<R>>> = (0..p).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let handles: Vec<_> = channels
-            .into_iter()
-            .enumerate()
-            .map(|(rank, channel)| {
+        let handles: Vec<_> = (0..p as usize)
+            .map(|rank| {
                 let f = &f;
+                let net = Arc::clone(&net);
                 let run_state = Arc::clone(&run_state);
                 let fault = opts.fault.as_ref().map(|pl| pl.state_for(rank as u64));
                 let deadline = opts.deadline;
                 scope.spawn(move || {
-                    if let Channel::Ring { net } = &channel {
-                        net.register(rank);
-                    }
+                    net.register(rank);
                     run_state.register();
                     let mut comm = ThreadedComm {
                         rank: rank as u64,
                         size: p,
-                        channel,
+                        net,
                         stash: HashMap::new(),
                         pool: Vec::new(),
                         spin_limit,
@@ -766,24 +582,36 @@ where
         .collect()
 }
 
-/// Run `f` on `p` ranks, each on its own thread, over an explicit
-/// [`Transport`], and collect the per-rank return values (index = rank).
-/// [`run_threaded`] is the env-selected convenience wrapper;
-/// [`run_threaded_result`] is the non-panicking variant. The deadline and
-/// fault knobs still come from the environment (`MP_COMM_TIMEOUT_MS`,
-/// `MP_FAULT`), so every entry point honors them.
+/// Run `f` on `p` ranks, each on its own thread, and collect the per-rank
+/// return values (index = rank). [`run_threaded_result`] is the
+/// non-panicking variant. The deadline and fault knobs come from the
+/// environment (`MP_COMM_TIMEOUT_MS`, `MP_FAULT`), so every entry point
+/// honors them.
+///
+/// ```
+/// use mp_runtime::{run_threaded, Communicator};
+/// // Each rank sends its id to rank 0, which sums them.
+/// let result = run_threaded(4, |comm| {
+///     if comm.rank() == 0 {
+///         (1..4).map(|r| comm.recv(r, 9)[0]).sum::<f64>()
+///     } else {
+///         comm.send(0, 9, vec![comm.rank() as f64]);
+///         0.0
+///     }
+/// });
+/// assert_eq!(result[0], 6.0);
+/// ```
 ///
 /// # Panics
 /// Propagates the root-cause rank's panic (the rank that poisoned the run
 /// first — secondary [`CommError`] unwinds on other ranks are not the
 /// story), or panics if `MP_FAULT` is set but malformed.
-pub fn run_threaded_with<R, F>(p: u64, transport: Transport, f: F) -> Vec<R>
+pub fn run_threaded<R, F>(p: u64, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(&mut ThreadedComm) -> R + Send + Sync,
 {
-    let mut opts = RunOpts::from_env(p).expect("malformed MP_FAULT");
-    opts.transport = transport;
+    let opts = RunOpts::from_env(p).expect("malformed MP_FAULT");
     let (results, first_failed) = run_ranks(p, opts, f);
     let mut out: Vec<Option<R>> = Vec::with_capacity(results.len());
     let mut primary: Option<Box<dyn std::any::Any + Send>> = None;
@@ -805,33 +633,6 @@ where
         resume_unwind(payload);
     }
     out.into_iter().map(|r| r.unwrap()).collect()
-}
-
-/// Run `f` on `p` ranks over the env-selected transport
-/// ([`Transport::from_env`]; rings unless `MP_COMM_TRANSPORT=mpsc`).
-///
-/// ```
-/// use mp_runtime::{run_threaded, Communicator};
-/// // Each rank sends its id to rank 0, which sums them.
-/// let result = run_threaded(4, |comm| {
-///     if comm.rank() == 0 {
-///         (1..4).map(|r| comm.recv(r, 9)[0]).sum::<f64>()
-///     } else {
-///         comm.send(0, 9, vec![comm.rank() as f64]);
-///         0.0
-///     }
-/// });
-/// assert_eq!(result[0], 6.0);
-/// ```
-///
-/// # Panics
-/// Propagates any rank's panic.
-pub fn run_threaded<R, F>(p: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut ThreadedComm) -> R + Send + Sync,
-{
-    run_threaded_with(p, Transport::from_env(), f)
 }
 
 #[cfg(test)]
@@ -858,66 +659,43 @@ mod tests {
     }
 
     #[test]
-    fn mpsc_transport_still_works() {
-        // The A/B baseline transport must keep the full contract.
-        let p = 4u64;
-        let sums = run_threaded_with(p, Transport::Mpsc, |comm| {
-            let me = comm.rank();
-            let next = (me + 1) % p;
-            let prev = (me + p - 1) % p;
-            let mut val = me as f64;
-            for hop in 0..p {
-                comm.send(next, hop, vec![val]);
-                val = comm.recv(prev, hop)[0];
-            }
-            comm.barrier();
-            val
-        });
-        assert_eq!(sums, vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn out_of_order_tags() {
         // Rank 0 sends tags 2,1,0; rank 1 receives 0,1,2 — stash must hold
         // the early arrivals.
-        for transport in [Transport::Ring, Transport::Mpsc] {
-            let res = run_threaded_with(2, transport, |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 2, vec![2.0]);
-                    comm.send(1, 1, vec![1.0]);
-                    comm.send(1, 0, vec![0.0]);
-                    0.0
-                } else {
-                    let a = comm.recv(0, 0)[0];
-                    let b = comm.recv(0, 1)[0];
-                    let c = comm.recv(0, 2)[0];
-                    a * 100.0 + b * 10.0 + c
-                }
-            });
-            assert_eq!(res[1], 12.0, "{transport:?}");
-        }
+        let res = run_threaded(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 2, vec![2.0]);
+                comm.send(1, 1, vec![1.0]);
+                comm.send(1, 0, vec![0.0]);
+                0.0
+            } else {
+                let a = comm.recv(0, 0)[0];
+                let b = comm.recv(0, 1)[0];
+                let c = comm.recv(0, 2)[0];
+                a * 100.0 + b * 10.0 + c
+            }
+        });
+        assert_eq!(res[1], 12.0);
     }
 
     #[test]
     fn fifo_per_tag() {
-        for transport in [Transport::Ring, Transport::Mpsc] {
-            let res = run_threaded_with(2, transport, |comm| {
-                if comm.rank() == 0 {
-                    for k in 0..5 {
-                        comm.send(1, 7, vec![k as f64]);
-                    }
-                    0.0
-                } else {
-                    let mut order = Vec::new();
-                    for _ in 0..5 {
-                        order.push(comm.recv(0, 7)[0]);
-                    }
-                    assert_eq!(order, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-                    1.0
+        let res = run_threaded(2, |comm| {
+            if comm.rank() == 0 {
+                for k in 0..5 {
+                    comm.send(1, 7, vec![k as f64]);
                 }
-            });
-            assert_eq!(res[1], 1.0, "{transport:?}");
-        }
+                0.0
+            } else {
+                let mut order = Vec::new();
+                for _ in 0..5 {
+                    order.push(comm.recv(0, 7)[0]);
+                }
+                assert_eq!(order, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
+                1.0
+            }
+        });
+        assert_eq!(res[1], 1.0);
     }
 
     #[test]
@@ -1075,31 +853,29 @@ mod tests {
 
     #[test]
     fn try_recv_stashes_mismatches_in_order() {
-        for transport in [Transport::Ring, Transport::Mpsc] {
-            let res = run_threaded_with(2, transport, |comm| {
-                if comm.rank() == 0 {
-                    comm.send(1, 8, vec![1.0]);
-                    comm.send(1, 8, vec![2.0]);
-                    comm.send(1, 9, vec![3.0]);
-                    0.0
-                } else {
-                    // Wait for the tag-9 message via try_recv; the two tag-8
-                    // messages arrive first and must be stashed FIFO.
-                    let nine = loop {
-                        if let Some(p) = comm.try_recv(0, 9) {
-                            break p;
-                        }
-                        std::thread::yield_now();
-                    };
-                    assert_eq!(nine, vec![3.0]);
-                    assert_eq!(comm.try_recv(0, 8), Some(vec![1.0]));
-                    assert_eq!(comm.recv(0, 8), vec![2.0]);
-                    assert_eq!(comm.try_recv(0, 8), None);
-                    1.0
-                }
-            });
-            assert_eq!(res[1], 1.0, "{transport:?}");
-        }
+        let res = run_threaded(2, |comm| {
+            if comm.rank() == 0 {
+                comm.send(1, 8, vec![1.0]);
+                comm.send(1, 8, vec![2.0]);
+                comm.send(1, 9, vec![3.0]);
+                0.0
+            } else {
+                // Wait for the tag-9 message via try_recv; the two tag-8
+                // messages arrive first and must be stashed FIFO.
+                let nine = loop {
+                    if let Some(p) = comm.try_recv(0, 9) {
+                        break p;
+                    }
+                    std::thread::yield_now();
+                };
+                assert_eq!(nine, vec![3.0]);
+                assert_eq!(comm.try_recv(0, 8), Some(vec![1.0]));
+                assert_eq!(comm.recv(0, 8), vec![2.0]);
+                assert_eq!(comm.try_recv(0, 8), None);
+                1.0
+            }
+        });
+        assert_eq!(res[1], 1.0);
     }
 
     #[test]
@@ -1193,7 +969,7 @@ mod tests {
         // must show the split: a spin span, a park span, and the enclosing
         // comm-wait covering the whole blocked interval.
         let epoch = Instant::now();
-        let res = run_threaded_with(2, Transport::Ring, move |comm| {
+        let res = run_threaded(2, move |comm| {
             if comm.rank() == 0 {
                 comm.trace = Some(SweepRecorder::with_epoch(0, epoch));
                 let got = comm.recv(1, 3);
@@ -1219,7 +995,7 @@ mod tests {
         // the overflow sends must spin (counted) and every message must
         // still arrive in order.
         let n = crate::ring::RING_CAP as u64 + 16;
-        let res = run_threaded_with(2, Transport::Ring, move |comm| {
+        let res = run_threaded(2, move |comm| {
             if comm.rank() == 0 {
                 for k in 0..n {
                     comm.send(1, 0, vec![k as f64]);
@@ -1266,29 +1042,23 @@ mod tests {
 
     #[test]
     fn recv_deadline_times_out_with_typed_error() {
-        for transport in [Transport::Ring, Transport::Mpsc] {
-            let opts = RunOpts {
-                transport,
-                ..RunOpts::default()
-            };
-            let res = run_threaded_result(2, opts, |comm| {
-                if comm.rank() == 0 {
-                    // Nobody ever sends tag 9: the bounded receive must
-                    // give up, not hang.
-                    comm.recv_deadline(1, 9, Some(Duration::from_millis(40)))
-                } else {
-                    Ok(Vec::new())
-                }
-            });
-            let err = res[0].as_ref().unwrap().as_ref().unwrap_err();
-            assert_eq!(err.kind, CommErrorKind::Timeout, "{transport:?}");
-            assert_eq!((err.from, err.tag), (1, 9), "{transport:?}");
-            assert!(
-                err.waited >= Duration::from_millis(40),
-                "{transport:?}: gave up after only {:?}",
-                err.waited
-            );
-        }
+        let res = run_threaded_result(2, RunOpts::default(), |comm| {
+            if comm.rank() == 0 {
+                // Nobody ever sends tag 9: the bounded receive must
+                // give up, not hang.
+                comm.recv_deadline(1, 9, Some(Duration::from_millis(40)))
+            } else {
+                Ok(Vec::new())
+            }
+        });
+        let err = res[0].as_ref().unwrap().as_ref().unwrap_err();
+        assert_eq!(err.kind, CommErrorKind::Timeout);
+        assert_eq!((err.from, err.tag), (1, 9));
+        assert!(
+            err.waited >= Duration::from_millis(40),
+            "gave up after only {:?}",
+            err.waited
+        );
     }
 
     #[test]
@@ -1316,37 +1086,31 @@ mod tests {
         // Rank 2 dies before sending anything; every other rank is blocked
         // on it (directly or transitively) with NO deadline configured.
         // Poison propagation alone must unwind them all, promptly.
-        for transport in [Transport::Ring, Transport::Mpsc] {
-            let opts = RunOpts {
-                transport,
-                ..RunOpts::default()
-            };
-            let t0 = Instant::now();
-            let res = run_threaded_result(4, opts, |comm| {
-                if comm.rank() == 2 {
-                    panic!("boom");
-                }
-                let _ = comm.recv(2, 5);
-            });
-            assert!(
-                t0.elapsed() < Duration::from_secs(30),
-                "{transport:?}: poison propagation took {:?}",
-                t0.elapsed()
-            );
-            for (rank, r) in res.iter().enumerate() {
-                let failure = r.as_ref().unwrap_err();
-                assert_eq!(failure.rank, rank as u64);
-                if rank == 2 {
-                    assert!(failure.message.contains("boom"));
-                    assert!(failure.comm.is_none());
-                } else {
-                    assert_eq!(
-                        failure.comm.as_ref().map(|e| e.kind),
-                        Some(CommErrorKind::RankFailed(2)),
-                        "{transport:?} rank {rank}: {}",
-                        failure.message
-                    );
-                }
+        let t0 = Instant::now();
+        let res = run_threaded_result(4, RunOpts::default(), |comm| {
+            if comm.rank() == 2 {
+                panic!("boom");
+            }
+            let _ = comm.recv(2, 5);
+        });
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "poison propagation took {:?}",
+            t0.elapsed()
+        );
+        for (rank, r) in res.iter().enumerate() {
+            let failure = r.as_ref().unwrap_err();
+            assert_eq!(failure.rank, rank as u64);
+            if rank == 2 {
+                assert!(failure.message.contains("boom"));
+                assert!(failure.comm.is_none());
+            } else {
+                assert_eq!(
+                    failure.comm.as_ref().map(|e| e.kind),
+                    Some(CommErrorKind::RankFailed(2)),
+                    "rank {rank}: {}",
+                    failure.message
+                );
             }
         }
     }
@@ -1487,21 +1251,12 @@ mod tests {
     }
 
     #[test]
-    fn transport_from_env_parses() {
-        // Set-and-unset in one test to avoid env races across parallel
-        // tests (both transports are functionally interchangeable, so a
-        // racing run_threaded stays correct either way).
-        std::env::set_var("MP_COMM_TRANSPORT", "mpsc");
-        assert_eq!(Transport::from_env(), Transport::Mpsc);
-        std::env::set_var("MP_COMM_TRANSPORT", "MPSC");
-        assert_eq!(Transport::from_env(), Transport::Mpsc);
-        std::env::set_var("MP_COMM_TRANSPORT", "banana");
-        assert_eq!(Transport::from_env(), Transport::Ring);
-        std::env::remove_var("MP_COMM_TRANSPORT");
-        assert_eq!(Transport::from_env(), Transport::Ring);
+    fn spin_budget_from_env_parses() {
         // Spin budget: explicit values always win, 0 is a valid "park at
         // once", and the default is core-aware — full spin when every rank
         // can have a core, park-immediately when ranks oversubscribe.
+        // (Set-and-unset in one test; the spin budget never changes what
+        // a racing run_threaded computes.)
         std::env::set_var("MP_COMM_SPIN", "0");
         assert_eq!(spin_for(1), 0);
         std::env::set_var("MP_COMM_SPIN", "5000");

@@ -56,11 +56,13 @@ impl<K: LineSweepKernel> LineSweepKernel for BatchedKernel<K> {
         self.members.iter().map(|k| k.carry_len()).sum()
     }
 
-    fn initial_carry(&self, dir: Direction) -> Vec<f64> {
-        self.members
-            .iter()
-            .flat_map(|k| k.initial_carry(dir))
-            .collect()
+    fn fill_initial_carry(&self, dir: Direction, carry: &mut [f64]) {
+        let mut rest = carry;
+        for k in &self.members {
+            let (c, r) = rest.split_at_mut(k.carry_len());
+            k.fill_initial_carry(dir, c);
+            rest = r;
+        }
     }
 
     fn sweep_segment(

@@ -244,10 +244,6 @@ impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKerne
         N * N + N
     }
 
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0; N * N + N]
-    }
-
     fn sweep_segment(
         &self,
         dir: Direction,
@@ -396,10 +392,6 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
 
     fn carry_len(&self) -> usize {
         N + 1
-    }
-
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0; N + 1]
     }
 
     fn sweep_segment(

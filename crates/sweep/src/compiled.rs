@@ -149,15 +149,11 @@ struct PhasePlan {
     stride_dims: Vec<usize>,
     /// Block jobs covering the phase's carry stream contiguously.
     jobs: Vec<BlockJob>,
-    /// Lines in the slab (carry stream length = `total_lines · carry_len`).
-    total_lines: usize,
     /// Pipelined chunk spans (`pipeline_chunks = 1` → one chunk).
     chunks: Vec<ChunkSpan>,
-    /// Per-worker job spans for the whole phase (aggregated mode),
-    /// width-balanced by line count at build time so steady-state dispatch
-    /// does no span arithmetic and no allocation.
-    wspans: Vec<(usize, usize)>,
-    /// Per-chunk per-worker job spans (pipelined mode), same balancing.
+    /// Per-chunk per-worker job spans, width-balanced by line count at
+    /// build time so steady-state dispatch does no span arithmetic and no
+    /// allocation.
     chunk_wspans: Vec<Vec<(usize, usize)>>,
     /// Resolved execution mode: run this phase's jobs in place on tile
     /// storage (zero-copy) instead of gather/scatter through block
@@ -232,19 +228,21 @@ pub struct CompiledSweep {
     fms: Vec<FieldMeta>,
     /// Per-worker block buffers, reused across phases and executes.
     workers: Vec<WorkerScratch>,
-    /// Persistent worker pool for phase dispatch (`None` = single-threaded
-    /// or pool disabled → spawn-per-phase baseline). Shared across an
-    /// engine's plans via [`CompiledSweep::build_with_pool`].
+    /// Persistent worker pool for phase dispatch (`None` when running
+    /// single-threaded). Shared across an engine's plans via
+    /// [`CompiledSweep::build_on_pool`].
     pool: Option<Arc<WorkerPool>>,
-    /// What `opts.pool` was at build time (compared by `matches`).
-    pool_enabled: bool,
     /// SIMD level resolved once at build time from `key.simd` and the
     /// hardware — steady-state execution never re-detects features.
     simd: SimdLevel,
-    /// Locally recycled message buffers (self-neighbor path / pool-less comms).
-    spare: Vec<Vec<f64>>,
-    /// Local carry hand-off buffer for self-neighbor schedules.
-    local_carry: Vec<f64>,
+    /// Received carry chunks of the current phase (see `execute`).
+    cur: VecDeque<Vec<f64>>,
+    /// Eagerly drained carry chunks of the next phase.
+    next: VecDeque<Vec<f64>>,
+    /// Self-neighbor hand-off chunks of the current phase.
+    local_cur: VecDeque<Vec<f64>>,
+    /// Self-neighbor hand-off chunks produced for the next phase.
+    local_next: VecDeque<Vec<f64>>,
 }
 
 impl CompiledSweep {
@@ -271,17 +269,16 @@ impl CompiledSweep {
         tag_base: Tag,
         opts: &SweepOptions,
     ) -> Self {
-        let pool = (opts.pool && opts.threads.max(1) > 1)
-            .then(|| Arc::new(WorkerPool::new(opts.threads.max(1) - 1)));
-        Self::build_with_pool(mp, rank, store, dim, dir, kernel, tag_base, opts, pool)
+        let pool = new_pool(opts.threads);
+        Self::build_on_pool(mp, rank, store, dim, dir, kernel, tag_base, opts, pool)
     }
 
     /// [`CompiledSweep::build`] with an explicit (possibly shared) worker
     /// pool — [`SweepEngine`] uses this so all of its plans dispatch onto
-    /// one pool instead of spawning `threads − 1` workers per plan. `None`
-    /// with `threads > 1` selects the spawn-per-phase baseline.
+    /// one pool instead of spawning `threads − 1` workers per plan. The
+    /// pool must be `Some` whenever `opts.threads > 1`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_with_pool<K: LineSweepKernel + ?Sized>(
+    pub(crate) fn build_on_pool<K: LineSweepKernel + ?Sized>(
         mp: &Multipartitioning,
         rank: u64,
         store: &RankStore,
@@ -316,9 +313,7 @@ impl CompiledSweep {
                 base_offs: Vec::new(),
                 stride_dims: Vec::new(),
                 jobs: Vec::new(),
-                total_lines: 0,
                 chunks: Vec::new(),
-                wspans: Vec::new(),
                 chunk_wspans: Vec::new(),
                 inplace: false,
             };
@@ -334,7 +329,6 @@ impl CompiledSweep {
                     let ro = pp.red_exts.len();
                     pp.red_exts.extend_from_slice(ext);
                     pp.red_exts[ro + dim] = 1;
-                    pp.total_lines += pp.red_exts[ro..].iter().product::<usize>();
                 }
                 for &f in kernel.fields() {
                     let arr = tile.field(f);
@@ -388,7 +382,6 @@ impl CompiledSweep {
             // Precompute the per-worker job spans (line-weight balanced) so
             // steady-state phases dispatch with zero span arithmetic.
             let threads = opts.threads.max(1);
-            pp.wspans = balanced_spans(&pp.jobs, 0, njobs, threads);
             pp.chunk_wspans = pp
                 .chunks
                 .iter()
@@ -409,6 +402,9 @@ impl CompiledSweep {
             phases.push(pp);
         }
 
+        // Carry queues hold at most one phase's chunks; sizing them now
+        // means no execute ever grows them, however the arrivals race.
+        let max_chunks = phases.iter().map(|pp| pp.chunks.len()).max().unwrap_or(0);
         let cs = CompiledSweep {
             key: PlanKey {
                 p: mp.p,
@@ -432,10 +428,11 @@ impl CompiledSweep {
             fms: Vec::with_capacity(mp.tiles_per_proc_per_slab(dim) as usize * nfields),
             workers: make_workers(opts.threads, nfields),
             pool,
-            pool_enabled: opts.pool,
             simd: simd_level,
-            spare: Vec::new(),
-            local_carry: Vec::new(),
+            cur: VecDeque::with_capacity(max_chunks),
+            next: VecDeque::with_capacity(max_chunks),
+            local_cur: VecDeque::with_capacity(max_chunks),
+            local_next: VecDeque::with_capacity(max_chunks),
         };
         #[cfg(debug_assertions)]
         cs.validate_against(mp, store)
@@ -487,7 +484,6 @@ impl CompiledSweep {
             && self.key.simd == opts.simd
             && self.key.inplace == opts.inplace
             && self.threads == opts.threads.max(1)
-            && self.pool_enabled == opts.pool
     }
 
     /// The distinct message lengths (in elements) this plan sends, for
@@ -497,11 +493,7 @@ impl CompiledSweep {
         let mut lens = Vec::new();
         let nphases = self.phases.len();
         for pp in self.phases.iter().take(nphases.saturating_sub(1)) {
-            if self.key.pipeline_chunks <= 1 {
-                lens.push(pp.total_lines * self.key.carry_len);
-            } else {
-                lens.extend(pp.chunks.iter().map(|c| c.ehi - c.elo));
-            }
+            lens.extend(pp.chunks.iter().map(|c| c.ehi - c.elo));
         }
         lens.sort_unstable();
         lens.dedup();
@@ -585,6 +577,13 @@ impl CompiledSweep {
     /// `store` and run the phase loop. Bitwise-identical results and a
     /// byte-identical communication schedule to the per-call executor.
     ///
+    /// One loop serves every `pipeline_chunks` value: each phase's
+    /// precompiled chunk spans ship eagerly (see [`crate::pipeline`]), and
+    /// `pipeline_chunks = 1` — one chunk per phase — is the paper's
+    /// aggregated schedule. A chunk's carry buffer is received, evolved in
+    /// place by the chunk's jobs and sent on by move, so no carry is ever
+    /// copied; only first-phase buffers are drawn from the communicator.
+    ///
     /// # Panics
     /// Panics if `comm`'s rank or the kernel's shape differ from what the
     /// plan was built for.
@@ -599,39 +598,6 @@ impl CompiledSweep {
             kernel.fields() == self.key.fields && kernel.carry_len() == self.key.carry_len,
             "kernel shape differs from the one the sweep was compiled for"
         );
-        if self.key.pipeline_chunks > 1 {
-            self.execute_pipelined(comm, store, kernel);
-        } else {
-            self.execute_aggregated(comm, store, kernel);
-        }
-    }
-
-    /// Like [`CompiledSweep::execute`], but any unwind inside the sweep —
-    /// a kernel assertion, a worker-pool panic, a receive deadline, or a
-    /// peer rank's failure — comes back as a typed [`SweepError`] after
-    /// aborting the surrounding run ([`Communicator::abort`]), so the
-    /// other ranks unwind with `RankFailed` instead of deadlocking on the
-    /// messages this sweep will never send.
-    pub fn try_execute<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) -> Result<(), SweepError> {
-        match catch_unwind(AssertUnwindSafe(|| self.execute(comm, store, kernel))) {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(SweepError::from_unwind(comm, payload)),
-        }
-    }
-
-    /// Aggregated mode: one carry message per phase boundary (the phase
-    /// loop of the per-call executor, minus all metadata recomputation).
-    fn execute_aggregated<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) {
         let (rank, upstream, downstream) = (self.rank, self.upstream, self.downstream);
         let CompiledSweep {
             key,
@@ -641,146 +607,21 @@ impl CompiledSweep {
             workers,
             pool,
             simd,
-            spare,
-            local_carry,
+            cur,
+            next,
+            local_cur,
+            local_next,
             ..
         } = self;
         let clen = key.carry_len;
         let dir = key.direction;
         let tag_base = key.tag_base;
         let nphases = phases.len();
-
-        for (phase, pp) in phases.iter().enumerate() {
-            // 1. Obtain incoming carries for this phase.
-            let incoming: Option<Vec<f64>> = if phase == 0 {
-                None
-            } else if upstream == rank {
-                Some(std::mem::take(local_carry))
-            } else {
-                Some(comm.recv(upstream, tag_base + phase as u64))
-            };
-
-            // 2. Refresh the raw field views (storage may have moved since
-            //    the last execute; everything else is precompiled).
-            refresh_fms(fms, pp, store, &key.fields);
-
-            // 3. Prepare the outgoing message: the incoming carries (or
-            //    initial ones at the domain boundary), evolved in place.
-            //    In-place phases go **direct to wire**: the received
-            //    message buffer itself becomes the outgoing one (the jobs
-            //    evolve its carries where they lie and it ships by move),
-            //    so steady-state in-place phases copy nothing and record
-            //    no pack span. Packed phases keep the staging copy.
-            let mut outgoing: Vec<f64> = match incoming {
-                Some(buf) if pp.inplace => {
-                    assert_eq!(
-                        buf.len(),
-                        pp.total_lines * clen,
-                        "carry message not fully consumed"
-                    );
-                    buf
-                }
-                incoming => {
-                    let t_pack = (!pp.inplace && comm.tracer().is_some()).then(Instant::now);
-                    let mut outgoing = comm.take_send_buffer();
-                    if outgoing.capacity() == 0 {
-                        if let Some(buf) = spare.pop() {
-                            outgoing = buf;
-                        }
-                    }
-                    outgoing.clear();
-                    outgoing.resize(pp.total_lines * clen, 0.0);
-                    match incoming {
-                        None => {
-                            if clen > 0 {
-                                let init = kernel.initial_carry(dir);
-                                assert_eq!(init.len(), clen, "initial carry length mismatch");
-                                for c in outgoing.chunks_exact_mut(clen) {
-                                    c.copy_from_slice(&init);
-                                }
-                            }
-                        }
-                        Some(buf) => {
-                            assert_eq!(
-                                buf.len(),
-                                outgoing.len(),
-                                "carry message not fully consumed"
-                            );
-                            outgoing.copy_from_slice(&buf);
-                            if upstream == rank {
-                                spare.push(buf);
-                            } else {
-                                comm.recycle(buf);
-                            }
-                        }
-                    }
-                    if let (Some(t0), Some(tr)) = (t_pack, comm.tracer()) {
-                        tr.pack(t0);
-                    }
-                    outgoing
-                }
-            };
-
-            // 4. Run the jobs — inline, or spread over worker threads.
-            let t_run = comm.tracer().is_some().then(Instant::now);
-            let njobs = pp.jobs.len();
-            let shared = shared_phase(pp, fms, kernel, key, *d, *simd);
-            crate::executor::run_jobs(
-                &shared,
-                &pp.wspans,
-                RawParts::of(&mut outgoing),
-                0,
-                workers,
-                pool.as_deref(),
-            );
-            if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
-                tr.compute(t0, phase as u64, njobs as u64, pp.total_lines as u64);
-            }
-
-            // 5. Ship carries downstream (unless this was the last phase).
-            if phase + 1 < nphases {
-                if downstream == rank {
-                    *local_carry = outgoing;
-                } else {
-                    comm.send(downstream, tag_base + phase as u64 + 1, outgoing);
-                }
-            } else {
-                comm.recycle(outgoing);
-            }
+        // An execute that unwound mid-sweep (see `try_execute`) may have
+        // left chunks queued; they belong to no later sweep.
+        for q in [&mut *cur, &mut *next, &mut *local_cur, &mut *local_next] {
+            q.clear();
         }
-    }
-
-    /// Pipelined mode: each phase's precompiled chunk spans ship eagerly
-    /// (the phase loop of [`crate::pipeline`], chunk layout precompiled).
-    fn execute_pipelined<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) {
-        let (rank, upstream, downstream) = (self.rank, self.upstream, self.downstream);
-        let CompiledSweep {
-            key,
-            d,
-            phases,
-            fms,
-            workers,
-            pool,
-            simd,
-            ..
-        } = self;
-        let clen = key.carry_len;
-        let dir = key.direction;
-        let tag_base = key.tag_base;
-        let nphases = phases.len();
-
-        // Double-buffered carry store (see [`crate::pipeline`] for the
-        // protocol): sub-messages for the current phase pop from `cur`;
-        // eager next-phase arrivals drain into `next`.
-        let mut cur: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut next: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut local_cur: VecDeque<Vec<f64>> = VecDeque::new();
-        let mut local_next: VecDeque<Vec<f64>> = VecDeque::new();
 
         for phase in 0..nphases {
             let pp = &phases[phase];
@@ -799,8 +640,12 @@ impl CompiledSweep {
                 phases[phase + 1].chunks.len()
             };
 
-            std::mem::swap(&mut cur, &mut next);
-            std::mem::swap(&mut local_cur, &mut local_next);
+            // Double-buffered carry store: sub-messages for the current
+            // phase pop from `cur`; eager next-phase arrivals drain into
+            // `next`. The queues live in the plan, so steady-state
+            // executes reuse their capacity.
+            std::mem::swap(cur, next);
+            std::mem::swap(local_cur, local_next);
             debug_assert!(next.is_empty() && local_next.is_empty());
 
             refresh_fms(fms, pp, store, &key.fields);
@@ -815,10 +660,8 @@ impl CompiledSweep {
                     b.clear();
                     b.resize(ehi - elo, 0.0);
                     if clen > 0 {
-                        let init = kernel.initial_carry(dir);
-                        assert_eq!(init.len(), clen, "initial carry length mismatch");
                         for c in b.chunks_exact_mut(clen) {
-                            c.copy_from_slice(&init);
+                            kernel.fill_initial_carry(dir, c);
                         }
                     }
                     b
@@ -838,7 +681,8 @@ impl CompiledSweep {
                      ranks must run the same block_width and pipeline_chunks"
                 );
 
-                // 2. Evolve the chunk's carries in place through its jobs.
+                // 2. Evolve the chunk's carries in place through its jobs —
+                //    inline, or spread over the worker pool.
                 let t_run = comm.tracer().is_some().then(Instant::now);
                 crate::executor::run_jobs(
                     &shared,
@@ -866,8 +710,10 @@ impl CompiledSweep {
                     comm.send(downstream, tag_out, cbuf);
                 }
 
-                // 4. Opportunistically drain next-phase arrivals.
-                if !last_phase && upstream != rank {
+                // 4. Opportunistically drain next-phase arrivals while
+                //    chunks of this phase remain to compute. After the
+                //    last chunk the next phase's receive does the same.
+                if j + 1 < k_eff && !last_phase && upstream != rank {
                     while next.len() < next_k_eff {
                         match comm.try_recv(upstream, tag_out) {
                             Some(m) => next.push_back(m),
@@ -883,6 +729,55 @@ impl CompiledSweep {
             );
         }
     }
+
+    /// Like [`CompiledSweep::execute`], but any unwind inside the sweep —
+    /// a kernel assertion, a worker-pool panic, a receive deadline, or a
+    /// peer rank's failure — comes back as a typed [`SweepError`] after
+    /// aborting the surrounding run ([`Communicator::abort`]), so the
+    /// other ranks unwind with `RankFailed` instead of deadlocking on the
+    /// messages this sweep will never send.
+    ///
+    /// ```
+    /// use mp_core::cost::CostModel;
+    /// use mp_core::multipart::{Direction, Multipartitioning};
+    /// use mp_grid::{FieldDef, TileGrid};
+    /// use mp_runtime::{run_threaded, Communicator};
+    /// use mp_sweep::{allocate_rank_store, CompiledSweep, PrefixSumKernel, SweepOptions};
+    ///
+    /// let mp = Multipartitioning::optimal(2, &[4, 4], &CostModel::origin2000_like());
+    /// let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
+    /// let results = run_threaded(2, |comm| {
+    ///     let grid = TileGrid::new(&[4, 4], &gammas);
+    ///     let fields = [FieldDef::new("u", 0)];
+    ///     let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+    ///     store.init_field(0, |_| 1.0);
+    ///     let kernel = PrefixSumKernel::new(0);
+    ///     let mut plan = CompiledSweep::build(
+    ///         &mp, comm.rank(), &store, 0, Direction::Forward,
+    ///         &kernel, 77, &SweepOptions::default(),
+    ///     );
+    ///     plan.try_execute(comm, &mut store, &kernel)
+    /// });
+    /// assert!(results.iter().all(|r| r.is_ok()));
+    /// ```
+    pub fn try_execute<C: Communicator, K: LineSweepKernel + ?Sized>(
+        &mut self,
+        comm: &mut C,
+        store: &mut RankStore,
+        kernel: &K,
+    ) -> Result<(), SweepError> {
+        match catch_unwind(AssertUnwindSafe(|| self.execute(comm, store, kernel))) {
+            Ok(()) => Ok(()),
+            Err(payload) => Err(SweepError::from_unwind(comm, payload)),
+        }
+    }
+}
+
+/// The persistent worker pool `threads`-way execution dispatches onto:
+/// `threads − 1` parked workers (the calling rank thread is worker 0), or
+/// `None` when running single-threaded.
+fn new_pool(threads: usize) -> Option<Arc<WorkerPool>> {
+    (threads > 1).then(|| Arc::new(WorkerPool::new(threads - 1)))
 }
 
 /// Refresh the raw per-(tile, field) views from the store — the only part
@@ -965,7 +860,7 @@ impl SweepEngine {
     }
 
     /// Worker threads the engine's persistent pool holds (0 when running
-    /// single-threaded or with the pool disabled). Flat across steady
+    /// single-threaded). Flat across steady
     /// state: sweeps after warm-up spawn no threads.
     pub fn pool_threads_spawned(&self) -> usize {
         self.pool.as_ref().map_or(0, |p| p.threads_spawned())
@@ -1038,10 +933,10 @@ impl SweepEngine {
             // the zero-overhead telemetry contract (clock never read in
             // steady state when tracing is off) is preserved.
             let t0 = Instant::now();
-            if self.pool.is_none() && self.opts.pool && self.opts.threads.max(1) > 1 {
-                self.pool = Some(Arc::new(WorkerPool::new(self.opts.threads.max(1) - 1)));
+            if self.pool.is_none() {
+                self.pool = new_pool(self.opts.threads);
             }
-            let cs = CompiledSweep::build_with_pool(
+            let cs = CompiledSweep::build_on_pool(
                 mp,
                 comm.rank(),
                 store,
@@ -1371,6 +1266,9 @@ mod tests {
         engine.sweep(&mut comm, &mut store2, &mp, 0, Direction::Forward, &k3, 7);
         assert_eq!(engine.builds(), 4);
         assert!(engine.build_ns() > 0);
+        // threads = 1 → no worker pool at all.
+        assert_eq!(engine.pool_threads_spawned(), 0);
+        assert_eq!(engine.pool_dispatches(), 0);
     }
 
     #[test]
@@ -1500,10 +1398,9 @@ mod tests {
         assert_eq!(balanced_spans(&jobs, 3, 3, 2), Vec::<(usize, usize)>::new());
     }
 
-    /// The tentpole assertion: after warm-up, sweeping through an engine
-    /// spawns zero threads (pool dispatch only) and allocates zero
-    /// transport buffers (recycle pool always hits), in both aggregated
-    /// and pipelined modes.
+    /// After warm-up, sweeping through an engine spawns zero threads (pool
+    /// dispatch only) and allocates zero transport buffers (recycle pool
+    /// always hits), with one chunk per phase and with three.
     #[test]
     fn steady_state_spawns_and_allocates_nothing() {
         let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
@@ -1556,81 +1453,6 @@ mod tests {
                 assert_eq!(engine.builds(), 6, "steady state rebuilt plans");
             });
         }
-    }
-
-    /// Pool on vs pool off: bitwise-identical results and an identical
-    /// wire schedule (the pool changes thread orchestration only).
-    #[test]
-    fn pool_matches_spawn_per_phase_exactly() {
-        let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
-        let eta = [12usize, 13, 11];
-        let k = FirstOrderKernel::new(0, 0.8);
-        let fields = [FieldDef::new("u", 0)];
-        let grid = grid_for(&mp, &eta);
-        let run = |opts: SweepOptions| {
-            let (mp, grid, k, fields) = (&mp, &grid, &k, &fields);
-            run_threaded(mp.p, move |comm| {
-                let mut store = allocate_rank_store(comm.rank(), mp, grid, fields);
-                store.init_field(0, init_value);
-                let mut engine = SweepEngine::new(opts.clone());
-                for _ in 0..5 {
-                    for dim in 0..3 {
-                        engine.sweep(comm, &mut store, mp, dim, Direction::Forward, k, 1000);
-                    }
-                }
-                (store, comm.sent_messages, comm.sent_elements)
-            })
-        };
-        let pooled = run(SweepOptions::new(8, 3).with_pipeline_chunks(2));
-        let spawned = run(SweepOptions::new(8, 3)
-            .with_pipeline_chunks(2)
-            .with_pool(false));
-        let mut a = ArrayD::zeros(&eta);
-        let mut b = ArrayD::zeros(&eta);
-        for ((ps, m1, e1), (ss, m2, e2)) in pooled.iter().zip(spawned.iter()) {
-            ps.gather_into(0, &mut a);
-            ss.gather_into(0, &mut b);
-            assert_eq!((m1, e1), (m2, e2), "pool changed the wire schedule");
-        }
-        assert_eq!(a.max_abs_diff(&b), 0.0, "pool changed results");
-    }
-
-    /// Toggling the pool option re-keys the engine's plans (the dispatch
-    /// path is part of what a plan was built for), like `threads` does.
-    #[test]
-    fn engine_rebuilds_on_pool_toggle() {
-        let mp = Multipartitioning::from_partitioning(1, Partitioning::new(vec![2, 2, 1]));
-        let grid = grid_for(&mp, &[4, 4, 2]);
-        let k = PrefixSumKernel::new(0);
-        let mut comm = mp_runtime::comm::SerialComm;
-        let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
-        store.init_field(0, init_value);
-        let cs = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &SweepOptions::new(4, 1),
-        );
-        assert!(cs.matches(&mp, 0, Direction::Forward, 0, &k, &SweepOptions::new(4, 1)));
-        assert!(!cs.matches(
-            &mp,
-            0,
-            Direction::Forward,
-            0,
-            &k,
-            &SweepOptions::new(4, 1).with_pool(false)
-        ));
-        // And through the engine: same sweep, toggled pool → rebuild.
-        let mut engine = SweepEngine::new(SweepOptions::new(4, 1));
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
-        assert_eq!(engine.builds(), 1);
-        // threads = 1 → no pool threads regardless of the option.
-        assert_eq!(engine.pool_threads_spawned(), 0);
-        assert_eq!(engine.pool_dispatches(), 0);
     }
 
     #[test]

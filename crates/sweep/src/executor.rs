@@ -18,13 +18,13 @@
 //! in blocks of [`SweepOptions::block_width`], gathered into contiguous
 //! line-minor buffers so kernels can run an auto-vectorizable inner loop
 //! across lines ([`LineSweepKernel::sweep_block`]). Because the line-major
-//! carry layout *is* the wire layout, the incoming message is copied into
-//! the outgoing buffer once and evolved in place — the communication
-//! schedule (message count, payload sizes, byte order) is identical to
-//! per-line execution. Blocks are independent, so they can additionally be
-//! spread over [`SweepOptions::threads`] worker threads; all scratch
-//! buffers are reused across the γ phases, so steady-state phases allocate
-//! nothing.
+//! carry layout *is* the wire layout, the incoming message is evolved in
+//! place and sent on by move — the communication schedule (message count,
+//! payload sizes, byte order) is identical to per-line execution. Blocks
+//! are independent, so they can additionally be spread over
+//! [`SweepOptions::threads`] workers of a persistent
+//! [`crate::pool::WorkerPool`]; all scratch buffers are reused across the
+//! γ phases, so steady-state phases allocate nothing.
 //!
 //! Also provides the halo exchange used by stencil phases (e.g. SP's
 //! `compute_rhs`), with the same per-direction aggregation.
@@ -52,28 +52,20 @@ pub struct SweepOptions {
     /// Worker threads per rank for block execution within a phase. `1`
     /// runs inline on the calling thread.
     pub threads: usize,
-    /// Carry sub-messages per phase boundary. `1` reproduces the aggregated
-    /// one-message-per-phase schedule; `k > 1` switches to **pipelined**
-    /// execution ([`crate::pipeline`]): each phase's block jobs are split
-    /// into `k` contiguous chunks whose carries ship eagerly as soon as
-    /// they are final, overlapping carry communication with the remaining
-    /// chunks' computation. Results are bitwise identical in every mode;
-    /// only the message granularity changes (`k` sub-messages carrying the
-    /// same total payload). All ranks of one sweep must use the same value.
+    /// Carry sub-messages per phase boundary (**pipelined** execution,
+    /// [`crate::pipeline`]): each phase's block jobs are split into `k`
+    /// contiguous chunks whose carries ship eagerly as soon as they are
+    /// final, overlapping carry communication with the remaining chunks'
+    /// computation. `1` is the paper's aggregated one-message-per-phase
+    /// schedule. Results are bitwise identical for every value; only the
+    /// message granularity changes (`k` sub-messages carrying the same
+    /// total payload). All ranks of one sweep must use the same value.
     pub pipeline_chunks: usize,
-    /// Execute phases on a persistent [`crate::pool::WorkerPool`] (the
-    /// default) instead of spawning a fresh thread scope per phase. Only
-    /// meaningful with `threads > 1`; results and the wire schedule are
-    /// identical either way — `false` keeps the spawn-per-phase path as an
-    /// A/B baseline.
-    pub pool: bool,
     /// Which kernel vectorization level to use (see [`crate::simd`]):
     /// [`SimdMode::Auto`] (the default) resolves to the widest path the CPU
-    /// supports at plan-build time, [`SimdMode::Avx2`] forces the AVX2 path
-    /// (panics at plan build if the CPU lacks it), [`SimdMode::Scalar`]
-    /// forces the portable scalar path. Results are bitwise identical in
-    /// every mode; the knob exists for A/B measurement and as an escape
-    /// hatch.
+    /// supports at plan-build time, [`SimdMode::Scalar`] forces the
+    /// portable scalar path. Results are bitwise identical in every mode;
+    /// the knob exists for A/B measurement and as an escape hatch.
     pub simd: SimdMode,
     /// Zero-copy execution policy (see [`crate::inplace`]):
     /// [`InplaceMode::Auto`] (the default) runs eligible phases in place
@@ -93,7 +85,6 @@ impl SweepOptions {
             block_width: block_width.max(1),
             threads: threads.max(1),
             pipeline_chunks: 1,
-            pool: true,
             simd: SimdMode::Auto,
             inplace: InplaceMode::Auto,
         }
@@ -103,12 +94,6 @@ impl SweepOptions {
     /// boundary (clamped to ≥ 1).
     pub fn with_pipeline_chunks(mut self, pipeline_chunks: usize) -> Self {
         self.pipeline_chunks = pipeline_chunks.max(1);
-        self
-    }
-
-    /// Same options with the persistent worker pool enabled or disabled.
-    pub fn with_pool(mut self, pool: bool) -> Self {
-        self.pool = pool;
         self
     }
 
@@ -132,31 +117,21 @@ impl SweepOptions {
     /// | `MP_SWEEP_BLOCK`    | lines per block                   | 32      |
     /// | `MP_SWEEP_THREADS`  | worker threads per rank           | 1       |
     /// | `MP_SWEEP_PIPELINE` | carry sub-messages per boundary   | 1       |
-    /// | `MP_SWEEP_POOL`     | persistent worker pool on/off     | on      |
-    /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`avx2`/`scalar` | auto  |
+    /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`scalar`      | auto    |
     /// | `MP_SWEEP_INPLACE`  | zero-copy policy: `auto`/`on`/`off` | auto  |
     ///
     /// Malformed or out-of-range values (empty, non-numeric, `0` for the
-    /// numeric knobs, an unknown `MP_SWEEP_SIMD` word) fall back to the
-    /// default rather than panicking — env knobs must never abort a run —
-    /// but each such variable earns one stderr warning per process naming
-    /// the rejected value and the fallback used, so a typo is visible
-    /// instead of silently running untuned. `MP_SWEEP_POOL` is a switch:
-    /// `0`, `false`, or `off` (any case) disable the pool; everything
-    /// else — including unset or malformed — keeps it on.
+    /// numeric knobs, an unknown mode word) fall back to the default rather
+    /// than panicking — env knobs must never abort a run — but each such
+    /// variable earns one stderr warning per process naming the rejected
+    /// value and the fallback used, so a typo is visible instead of
+    /// silently running untuned.
     pub fn from_env() -> Self {
-        if let Ok(s) = std::env::var("MP_SWEEP_SIMD") {
-            let t = s.trim().to_ascii_lowercase();
-            if !matches!(t.as_str(), "auto" | "avx2" | "scalar") {
-                warn_invalid_env("MP_SWEEP_SIMD", &s, "auto");
-            }
-        }
         SweepOptions::new(
             env_usize("MP_SWEEP_BLOCK", 32),
             env_usize("MP_SWEEP_THREADS", 1),
         )
         .with_pipeline_chunks(env_usize("MP_SWEEP_PIPELINE", 1))
-        .with_pool(env_switch("MP_SWEEP_POOL"))
         .with_simd(SimdMode::from_env())
         .with_inplace(InplaceMode::from_env())
     }
@@ -208,15 +183,6 @@ pub(crate) fn env_usize_opt(name: &str, fallback: &str) -> Option<usize> {
 /// invalid value warns once via [`warn_invalid_env`].
 pub(crate) fn env_usize(name: &str, default: usize) -> usize {
     env_usize_opt(name, &format!("default {default}")).unwrap_or(default)
-}
-
-/// On/off switch defaulting to on: only an explicit `0` / `false` / `off`
-/// turns it off (see [`SweepOptions::from_env`]).
-pub(crate) fn env_switch(name: &str) -> bool {
-    !std::env::var(name).is_ok_and(|s| {
-        let v = s.trim().to_ascii_lowercase();
-        v == "0" || v == "false" || v == "off"
-    })
 }
 
 impl Default for SweepOptions {
@@ -273,8 +239,8 @@ pub(crate) struct BlockJob {
     /// Lines in this block.
     pub(crate) nlines: usize,
     /// Start of the block's carries, in elements from the start of the
-    /// *phase's* carry stream (the pipelined mode subtracts its chunk's
-    /// base to address within a sub-message buffer).
+    /// *phase's* carry stream (runners subtract their chunk's base to
+    /// address within a chunk's message buffer).
     pub(crate) carry_off: usize,
 }
 
@@ -426,9 +392,8 @@ fn decode_lines<K: LineSweepKernel + ?Sized>(
 
 /// Run one block job: decode its line bases, gather the lines into the
 /// worker's block buffers, sweep, and scatter back. The block's carries
-/// live in `out` — the phase's outgoing message (aggregated mode,
-/// `carry_base = 0`) or one chunk's sub-message (pipelined mode,
-/// `carry_base` = the chunk's first carry element).
+/// live in `out` — one chunk's carry message, whose first element is the
+/// phase-global carry element `carry_base`.
 fn run_block<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
@@ -631,8 +596,8 @@ unsafe impl Sync for ScratchPtr {}
 /// `sh.jobs`, precomputed load-balanced at plan-build time) against the
 /// carry buffer `out`, whose first element is the phase-global carry
 /// element `carry_base`. A single span runs inline on the caller; multiple
-/// spans run one per worker — on the persistent `pool` when given (zero
-/// thread spawns), else on a fresh thread scope (the A/B baseline). Jobs
+/// spans run one per worker of the persistent `pool` (zero thread spawns),
+/// which must be `Some` whenever the plan has more than one worker. Jobs
 /// touch disjoint lines and disjoint carry ranges, so spans are
 /// independent.
 pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
@@ -656,30 +621,19 @@ pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
         return;
     }
     debug_assert!(workers.len() >= nw, "fewer scratch sets than spans");
-    if let Some(pool) = pool {
-        let base = ScratchPtr(workers.as_mut_ptr());
-        let task = move |wi: usize| {
-            let base = &base;
-            let (lo, hi) = spans[wi];
-            // SAFETY: the pool dispatches each worker index exactly once
-            // per run, so scratch slot `wi` is exclusively this worker's.
-            let w = unsafe { &mut *base.0.add(wi) };
-            for job in &sh.jobs[lo..hi] {
-                run_one(sh, job, out, carry_base, w);
-            }
-        };
-        pool.run(nw, &task);
-    } else {
-        std::thread::scope(|s| {
-            for ((lo, hi), w) in spans.iter().copied().zip(workers.iter_mut()) {
-                s.spawn(move || {
-                    for job in &sh.jobs[lo..hi] {
-                        run_one(sh, job, out, carry_base, w);
-                    }
-                });
-            }
-        });
-    }
+    let pool = pool.expect("multi-worker phase without a worker pool");
+    let base = ScratchPtr(workers.as_mut_ptr());
+    let task = move |wi: usize| {
+        let base = &base;
+        let (lo, hi) = spans[wi];
+        // SAFETY: the pool dispatches each worker index exactly once per
+        // run, so scratch slot `wi` is exclusively this worker's.
+        let w = unsafe { &mut *base.0.add(wi) };
+        for job in &sh.jobs[lo..hi] {
+            run_one(sh, job, out, carry_base, w);
+        }
+    };
+    pool.run(nw, &task);
 }
 
 /// Execute one multipartitioned line sweep with default [`SweepOptions`].
@@ -718,10 +672,9 @@ pub fn multipart_sweep<C: Communicator, K: LineSweepKernel>(
 /// [`multipart_sweep`] with explicit execution options. Results are
 /// identical for every option setting; `block_width` and `threads` trade
 /// only intra-rank execution strategy (the communication schedule stays
-/// byte-identical), while `pipeline_chunks > 1` selects the **pipelined**
-/// mode (see [`crate::pipeline`]), which ships each phase's carries as
-/// that many eagerly sent sub-messages (same total payload, same byte
-/// order).
+/// byte-identical), while `pipeline_chunks` ships each phase's carries as
+/// that many eagerly sent sub-messages (see [`crate::pipeline`]; same
+/// total payload, same byte order).
 ///
 /// This is now a thin build-then-execute wrapper over
 /// [`crate::compiled::CompiledSweep`]: callers that run the same sweep
@@ -749,57 +702,6 @@ pub fn multipart_sweep_opts<C: Communicator, K: LineSweepKernel>(
         opts,
     );
     cs.execute(comm, store, kernel);
-}
-
-/// [`multipart_sweep_opts`] with error plumbing: any unwind inside the
-/// sweep (kernel assertion, worker panic, receive deadline, peer failure)
-/// comes back as a typed [`crate::compiled::SweepError`] after aborting
-/// the surrounding run — see [`crate::compiled::CompiledSweep::try_execute`].
-///
-/// ```
-/// use mp_core::cost::CostModel;
-/// use mp_core::multipart::{Direction, Multipartitioning};
-/// use mp_grid::{FieldDef, TileGrid};
-/// use mp_runtime::{run_threaded, Communicator};
-/// use mp_sweep::{allocate_rank_store, multipart_sweep_try};
-/// use mp_sweep::{PrefixSumKernel, SweepOptions};
-///
-/// let mp = Multipartitioning::optimal(2, &[4, 4], &CostModel::origin2000_like());
-/// let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-/// let results = run_threaded(2, |comm| {
-///     let grid = TileGrid::new(&[4, 4], &gammas);
-///     let fields = [FieldDef::new("u", 0)];
-///     let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-///     store.init_field(0, |_| 1.0);
-///     multipart_sweep_try(
-///         comm, &mut store, &mp, 0, Direction::Forward,
-///         &PrefixSumKernel::new(0), 77, &SweepOptions::default(),
-///     )
-/// });
-/// assert!(results.iter().all(|r| r.is_ok()));
-/// ```
-#[allow(clippy::too_many_arguments)]
-pub fn multipart_sweep_try<C: Communicator, K: LineSweepKernel>(
-    comm: &mut C,
-    store: &mut RankStore,
-    mp: &Multipartitioning,
-    dim: usize,
-    dir: Direction,
-    kernel: &K,
-    tag_base: Tag,
-    opts: &SweepOptions,
-) -> Result<(), crate::compiled::SweepError> {
-    let mut cs = crate::compiled::CompiledSweep::build(
-        mp,
-        comm.rank(),
-        store,
-        dim,
-        dir,
-        kernel,
-        tag_base,
-        opts,
-    );
-    cs.try_execute(comm, store, kernel)
 }
 
 /// Exchange `width` ghost layers of `field` across all tile faces, in both

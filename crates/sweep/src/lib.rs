@@ -8,14 +8,15 @@
 //! * [`thomas`] — tridiagonal solvers: serial Thomas plus the forward
 //!   elimination / back substitution kernels that turn a distributed
 //!   tridiagonal solve into two directional sweeps;
-//! * [`executor`] — the functional multipartitioned sweep executor (phase
-//!   loop, aggregated carry messages, halo exchange);
-//! * [`compiled`] — build-once / execute-many sweep plans:
-//!   [`compiled::CompiledSweep`], the per-`(dim, direction)` cache
-//!   [`compiled::SweepEngine`], and the driver-level
+//! * [`executor`] — the functional multipartitioned sweep executor
+//!   (options, blocked job runners, halo exchange);
+//! * [`compiled`] — build-once / execute-many sweep plans and the one
+//!   phase loop: [`compiled::CompiledSweep`], the per-`(dim, direction)`
+//!   cache [`compiled::SweepEngine`], and the driver-level
 //!   [`compiled::SolverPlan`];
-//! * [`pipeline`] — the pipelined execution mode: per-phase carries split
-//!   into eagerly sent sub-messages that overlap with block computation;
+//! * [`pipeline`] — the chunked carry protocol: per-phase carries split
+//!   into eagerly sent sub-messages that overlap with block computation
+//!   (one chunk is the aggregated schedule);
 //! * [`pool`] — the persistent per-rank [`pool::WorkerPool`] that executes
 //!   phases without per-phase thread spawns;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
@@ -61,7 +62,7 @@ pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTr
 pub use compiled::{CompiledSweep, PlanKey, SolverPlan, SweepEngine, SweepError};
 pub use executor::{
     allocate_rank_store, exchange_halos, exchange_halos_planned, multipart_sweep,
-    multipart_sweep_opts, multipart_sweep_try, SweepOptions,
+    multipart_sweep_opts, SweepOptions,
 };
 pub use inplace::{k1_strided_key, InplaceMode};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};

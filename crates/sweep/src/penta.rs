@@ -155,10 +155,6 @@ impl LineSweepKernel for PentaForwardKernel {
         6
     }
 
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0; 6]
-    }
-
     fn sweep_segment(
         &self,
         dir: Direction,
@@ -374,10 +370,6 @@ impl LineSweepKernel for PentaBackwardKernel {
 
     fn carry_len(&self) -> usize {
         3
-    }
-
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0, 0.0, 0.0]
     }
 
     fn sweep_segment(

@@ -1,21 +1,22 @@
 //! Pipelined sweep execution: overlap carry communication with block
 //! computation.
 //!
-//! The aggregated executor ([`crate::executor::multipart_sweep_opts`] with
-//! `pipeline_chunks = 1`) finishes a phase's *entire* tile cross-section
-//! before shipping one carry message, so the paper's §3.1 serialization
-//! term `(γ_i − 1)(K2 + K3(p)·η/η_i)` sits on the critical path with zero
-//! overlap. This module trades message granularity against that
-//! serialization: each phase's block jobs are split into
-//! [`crate::executor::SweepOptions::pipeline_chunks`] contiguous **chunks**, and a chunk's
-//! carry sub-message is sent the moment its jobs finish — while the
-//! remaining chunks are still computing, and while the *downstream* rank
-//! can already start on the slab lines the early sub-messages cover.
+//! The paper's §3.1 schedule finishes a phase's *entire* tile
+//! cross-section before shipping one aggregated carry message, so the
+//! serialization term `(γ_i − 1)(K2 + K3(p)·η/η_i)` sits on the critical
+//! path with zero overlap. Pipelining trades message granularity against
+//! that serialization: each phase's block jobs are split into
+//! [`crate::executor::SweepOptions::pipeline_chunks`] contiguous
+//! **chunks**, and a chunk's carry sub-message is sent the moment its jobs
+//! finish — while the remaining chunks are still computing, and while the
+//! *downstream* rank can already start on the slab lines the early
+//! sub-messages cover. `pipeline_chunks = 1` is the aggregated schedule,
+//! run by the same loop: one chunk per phase, one message per boundary.
 //!
-//! **Chunking rule.** A phase's jobs (identical to the aggregated mode's,
-//! carved at plan-build time by [`crate::compiled::CompiledSweep`]) are
-//! split into `k_eff = min(pipeline_chunks, njobs)` chunks; chunk `j`
-//! holds the job range `[j·njobs/k_eff, (j+1)·njobs/k_eff)`. Because jobs cover the
+//! **Chunking rule.** A phase's jobs (carved at plan-build time by
+//! [`crate::compiled::CompiledSweep`]) are split into
+//! `k_eff = min(pipeline_chunks, njobs)` chunks; chunk `j` holds the job
+//! range `[j·njobs/k_eff, (j+1)·njobs/k_eff)`. Because jobs cover the
 //! phase's carry stream contiguously and in order, chunk `j`'s carries are
 //! the contiguous element span from its first job's `carry_off` to its
 //! last job's end — the concatenation of the sub-messages is byte-for-byte
@@ -31,28 +32,25 @@
 //! per-chunk addressing is needed on the wire. Sub-message lengths are
 //! asserted on receipt.
 //!
-//! **Tag layout.** Sub-messages reuse the phase tags of the aggregated
-//! schedule (`tag_base + phase + 1` on the way out, `tag_base + phase`
-//! on the way in): per-`(sender, receiver, tag)` FIFO delivery is part of
-//! the [`mp_runtime::comm::Communicator`] contract, so chunk order needs no extra tag bits,
-//! and eager arrivals for the *next* phase live under the next phase's
-//! tag, where [`mp_runtime::comm::Communicator::try_recv`] can drain them without touching
-//! the current phase's stream. The drain is bounded by the next phase's
-//! exact chunk count (known from the compiled plan): solvers re-execute
-//! the same plan every timestep on the same tags, so an over-eager drain
-//! would swallow the *next sweep's* chunks a sweep early.
+//! **Tag layout.** Sub-messages use the phase tags (`tag_base + phase + 1`
+//! on the way out, `tag_base + phase` on the way in): per-`(sender,
+//! receiver, tag)` FIFO delivery is part of the
+//! [`mp_runtime::comm::Communicator`] contract, so chunk order needs no
+//! extra tag bits, and eager arrivals for the *next* phase live under the
+//! next phase's tag, where [`mp_runtime::comm::Communicator::try_recv`] can
+//! drain them without touching the current phase's stream. The drain is
+//! bounded by the next phase's exact chunk count (known from the compiled
+//! plan): solvers re-execute the same plan every timestep on the same
+//! tags, so an over-eager drain would swallow the *next sweep's* chunks a
+//! sweep early.
 //!
-//! **Copy-free carry relay.** The aggregated mode copies each incoming
-//! message wholesale into a fresh outgoing buffer before evolving it. Here
-//! a chunk's buffer is *relayed by ownership*: received (or swapped in via
-//! [`mp_runtime::comm::Communicator::recv_into`]), evolved in place by the
-//! chunk's jobs, and sent onward by move — eliminating one full
-//! carry-stream copy per phase.
+//! **Copy-free carry relay.** A chunk's buffer is *relayed by ownership*:
+//! received, evolved in place by the chunk's jobs, and sent onward by
+//! move. No carry stream is ever copied, whatever the chunk count.
 //!
-//! The phase loop itself lives in [`crate::compiled::CompiledSweep`]
-//! (`execute` with `pipeline_chunks > 1`), where the chunk spans are
-//! precomputed at plan-build time; this module documents the protocol and
-//! holds its conformance tests.
+//! The phase loop itself is [`crate::compiled::CompiledSweep::execute`],
+//! where the chunk spans are precomputed at plan-build time; this module
+//! documents the protocol and holds its conformance tests.
 
 #[cfg(test)]
 mod tests {
@@ -297,24 +295,12 @@ mod tests {
         let o = SweepOptions::from_env();
         assert_eq!(o.pipeline_chunks, 4);
         assert_eq!(o.block_width, 16);
-        // MP_SWEEP_POOL is a switch defaulting to on: only an explicit
-        // 0/false/off disables it; garbage keeps the default.
-        for (val, want) in [
-            ("0", false),
-            ("false", false),
-            ("OFF", false),
-            ("1", true),
-            ("banana", true),
-            ("", true),
-        ] {
-            std::env::set_var("MP_SWEEP_POOL", val);
-            assert_eq!(SweepOptions::from_env().pool, want, "value {val:?}");
-        }
         // MP_SWEEP_SIMD picks the dispatch mode; anything unrecognized
-        // (including garbage) falls back to auto rather than erroring.
+        // (including garbage and the level name `avx2`) falls back to auto
+        // rather than erroring.
         for (val, want) in [
             ("scalar", crate::SimdMode::Scalar),
-            ("AVX2", crate::SimdMode::Avx2),
+            ("AVX2", crate::SimdMode::Auto),
             (" auto ", crate::SimdMode::Auto),
             ("banana", crate::SimdMode::Auto),
             ("", crate::SimdMode::Auto),
@@ -325,11 +311,9 @@ mod tests {
         std::env::remove_var("MP_SWEEP_PIPELINE");
         std::env::remove_var("MP_SWEEP_THREADS");
         std::env::remove_var("MP_SWEEP_BLOCK");
-        std::env::remove_var("MP_SWEEP_POOL");
         std::env::remove_var("MP_SWEEP_SIMD");
         let o = SweepOptions::default(); // Default == from_env
         assert_eq!((o.block_width, o.threads, o.pipeline_chunks), (32, 1, 1));
-        assert!(o.pool, "pool defaults to on");
         assert_eq!(o.simd, crate::SimdMode::Auto, "simd defaults to auto");
     }
 }

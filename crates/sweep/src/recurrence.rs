@@ -93,8 +93,22 @@ pub trait LineSweepKernel: Sync {
     /// Number of `f64` values carried across a segment boundary per line.
     fn carry_len(&self) -> usize;
 
-    /// The carry entering the first segment of a line (domain boundary).
-    fn initial_carry(&self, dir: Direction) -> Vec<f64>;
+    /// Write the carry entering the first segment of a line (domain
+    /// boundary) into `carry`, which holds [`Self::carry_len`] values.
+    /// The compiled executor calls this for every first-phase line, so it
+    /// must not allocate. Default: all zeros, the boundary state of every
+    /// kernel in this workspace.
+    fn fill_initial_carry(&self, _dir: Direction, carry: &mut [f64]) {
+        carry.fill(0.0);
+    }
+
+    /// The initial carry as a fresh vector (see
+    /// [`Self::fill_initial_carry`], which is what kernels override).
+    fn initial_carry(&self, dir: Direction) -> Vec<f64> {
+        let mut carry = vec![0.0; self.carry_len()];
+        self.fill_initial_carry(dir, &mut carry);
+        carry
+    }
 
     /// Process one segment: consume/update `carry`, mutate the field
     /// buffers. `seg[k]` corresponds to `fields()[k]`; all buffers have the
@@ -303,10 +317,6 @@ impl LineSweepKernel for PrefixSumKernel {
         1
     }
 
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0]
-    }
-
     fn sweep_segment(
         &self,
         _dir: Direction,
@@ -436,10 +446,6 @@ impl LineSweepKernel for FirstOrderKernel {
 
     fn carry_len(&self) -> usize {
         1
-    }
-
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        vec![0.0]
     }
 
     fn sweep_segment(
@@ -611,9 +617,6 @@ mod tests {
         }
         fn carry_len(&self) -> usize {
             1
-        }
-        fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-            vec![0.0]
         }
         fn sweep_segment(
             &self,

@@ -41,34 +41,37 @@ use std::fmt;
 /// Requested vectorization mode — the `SweepOptions::simd` knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdMode {
-    /// Use the widest path the CPU supports (the default).
+    /// Use the widest path the CPU supports (the default; `mpart profile`
+    /// reports the path actually dispatched).
     Auto,
-    /// Prefer the AVX2 path. Falls back to scalar when the CPU lacks
-    /// AVX2+FMA — env knobs must never abort a run; `mpart profile` reports
-    /// the path actually dispatched.
-    Avx2,
-    /// Force the portable scalar path (A/B baseline, escape hatch).
+    /// Force the portable scalar path (the path hosts without AVX2+FMA
+    /// take; also an A/B reference and escape hatch).
     Scalar,
 }
 
 impl SimdMode {
-    /// Parse a knob value: `auto`, `avx2`, or `scalar` (any case,
-    /// surrounding whitespace ignored). Anything else — including the empty
-    /// string — is `Auto`, per the repo's env-knobs-never-abort contract.
-    pub fn parse(s: &str) -> SimdMode {
+    /// Parse a knob value: `auto` or `scalar` (any case, surrounding
+    /// whitespace ignored); anything else is `None`.
+    pub fn parse(s: &str) -> Option<SimdMode> {
         match s.trim().to_ascii_lowercase().as_str() {
-            "avx2" => SimdMode::Avx2,
-            "scalar" => SimdMode::Scalar,
-            _ => SimdMode::Auto,
+            "auto" => Some(SimdMode::Auto),
+            "scalar" => Some(SimdMode::Scalar),
+            _ => None,
         }
     }
 
-    /// Mode from the `MP_SWEEP_SIMD` environment variable (unset or
-    /// malformed → [`SimdMode::Auto`]).
+    /// Mode from `MP_SWEEP_SIMD`, defaulting to [`SimdMode::Auto`]. A
+    /// set-but-invalid value warns once per process (the
+    /// [`crate::SweepOptions::from_env`] contract: env knobs never abort)
+    /// and falls back to `Auto`.
     pub fn from_env() -> SimdMode {
-        std::env::var("MP_SWEEP_SIMD")
-            .map(|s| SimdMode::parse(&s))
-            .unwrap_or(SimdMode::Auto)
+        match std::env::var("MP_SWEEP_SIMD") {
+            Err(_) => SimdMode::Auto,
+            Ok(s) => SimdMode::parse(&s).unwrap_or_else(|| {
+                crate::executor::warn_invalid_env("MP_SWEEP_SIMD", &s, "auto");
+                SimdMode::Auto
+            }),
+        }
     }
 
     /// Resolve the mode against the running CPU — the **single** feature
@@ -77,7 +80,7 @@ impl SimdMode {
     pub fn resolve(self) -> SimdLevel {
         match self {
             SimdMode::Scalar => SimdLevel::Scalar,
-            SimdMode::Auto | SimdMode::Avx2 => {
+            SimdMode::Auto => {
                 if avx2_available() {
                     SimdLevel::Avx2
                 } else {
@@ -91,7 +94,6 @@ impl SimdMode {
     pub fn name(self) -> &'static str {
         match self {
             SimdMode::Auto => "auto",
-            SimdMode::Avx2 => "avx2",
             SimdMode::Scalar => "scalar",
         }
     }
@@ -572,13 +574,12 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(SimdMode::parse("auto"), SimdMode::Auto);
-        assert_eq!(SimdMode::parse("AVX2"), SimdMode::Avx2);
-        assert_eq!(SimdMode::parse("  scalar "), SimdMode::Scalar);
-        // Invalid values fall back to Auto — never abort.
-        assert_eq!(SimdMode::parse(""), SimdMode::Auto);
-        assert_eq!(SimdMode::parse("sse9"), SimdMode::Auto);
-        assert_eq!(SimdMode::parse("42"), SimdMode::Auto);
+        assert_eq!(SimdMode::parse("AUTO"), Some(SimdMode::Auto));
+        assert_eq!(SimdMode::parse("  scalar "), Some(SimdMode::Scalar));
+        // `avx2` names a level, not a mode: `auto` already picks it.
+        for bad in ["avx2", "", "sse9", "42"] {
+            assert_eq!(SimdMode::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -587,18 +588,15 @@ mod tests {
         let auto = SimdMode::Auto.resolve();
         if avx2_available() {
             assert_eq!(auto, SimdLevel::Avx2);
-            assert_eq!(SimdMode::Avx2.resolve(), SimdLevel::Avx2);
         } else {
-            // Forced AVX2 without the hardware degrades, not aborts.
             assert_eq!(auto, SimdLevel::Scalar);
-            assert_eq!(SimdMode::Avx2.resolve(), SimdLevel::Scalar);
         }
     }
 
     #[test]
     fn names_round_trip() {
-        for m in [SimdMode::Auto, SimdMode::Avx2, SimdMode::Scalar] {
-            assert_eq!(SimdMode::parse(m.name()), m);
+        for m in [SimdMode::Auto, SimdMode::Scalar] {
+            assert_eq!(SimdMode::parse(m.name()), Some(m));
             assert_eq!(format!("{m}"), m.name());
         }
         assert_eq!(SimdLevel::Avx2.name(), "avx2");

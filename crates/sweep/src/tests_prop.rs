@@ -719,101 +719,6 @@ fn random_engine_reuse_sends_identical_counts() {
 }
 
 #[test]
-fn random_pool_ring_matches_spawn_mpsc() {
-    // Tentpole invariant: the persistent-pool + SPSC-ring execution path is
-    // bitwise-identical to the spawn-per-phase + mpsc baseline — same field
-    // contents, same message count, same element count — across random
-    // shapes, block widths, thread counts, and pipeline depths.
-    use crate::compiled::SweepEngine;
-    use crate::executor::{allocate_rank_store, SweepOptions};
-    use crate::recurrence::FirstOrderKernel;
-    use mp_core::multipart::Multipartitioning;
-    use mp_core::partition::Partitioning;
-    use mp_grid::{ArrayD, FieldDef, TileGrid};
-    use mp_runtime::comm::Communicator;
-    use mp_runtime::threaded::{run_threaded_with, Transport};
-
-    cases(0x750A, 8, |rng| {
-        let (p, gammas): (u64, Vec<u64>) = match rng.usize_in(0, 4) {
-            0 => (2, vec![2, 2, 1]),
-            1 => (4, vec![2, 2, 2]),
-            2 => (4, vec![4, 2, 2]),
-            3 => (3, vec![3, 3, 1]),
-            _ => (6, vec![6, 3, 2]),
-        };
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas));
-        let eta: Vec<usize> = mp
-            .gammas()
-            .iter()
-            .map(|&g| {
-                let g = g as usize;
-                g * rng.usize_in(2, 4) + rng.usize_in(0, g.max(2) - 1)
-            })
-            .collect();
-        let grid = TileGrid::new(
-            &eta,
-            &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
-        );
-        let base = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(2, 4))
-            .with_pipeline_chunks(rng.usize_in(1, 4));
-        let a = rng.f64_in(-0.9, 0.9);
-        let k = FirstOrderKernel::new(0, a);
-        let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
-        let fields = [FieldDef::new("u", 0)];
-        let schedule: Vec<(usize, Direction, u64)> = (0..8)
-            .map(|s| {
-                let dim = s % 3;
-                let (dir, d) = if (s / 3) % 2 == 0 {
-                    (Direction::Forward, 0)
-                } else {
-                    (Direction::Backward, 1)
-                };
-                (dim, dir, (dim as u64 * 2 + d) * 1_000)
-            })
-            .collect();
-
-        let run = |transport: Transport, opts: SweepOptions| {
-            let (mp, grid, k, fields, schedule) = (&mp, &grid, &k, &fields, &schedule);
-            run_threaded_with(p, transport, move |comm| {
-                let mut store = allocate_rank_store(comm.rank(), mp, grid, fields);
-                store.init_field(0, init);
-                let mut eng = SweepEngine::new(opts.clone());
-                for &(dim, dir, tag) in schedule {
-                    eng.sweep(comm, &mut store, mp, dim, dir, k, tag);
-                }
-                (store, comm.sent_messages, comm.sent_elements)
-            })
-        };
-        let pooled = run(Transport::Ring, base.clone());
-        let spawned = run(Transport::Mpsc, base.clone().with_pool(false));
-
-        let mut want = ArrayD::zeros(&eta);
-        let mut got = ArrayD::zeros(&eta);
-        let (mut pm, mut pe, mut sm, mut se) = (0u64, 0u64, 0u64, 0u64);
-        for ((ps, m_p, e_p), (ss, m_s, e_s)) in pooled.iter().zip(spawned.iter()) {
-            ps.gather_into(0, &mut got);
-            ss.gather_into(0, &mut want);
-            pm += m_p;
-            pe += e_p;
-            sm += m_s;
-            se += e_s;
-            // The schedule identity holds per rank, not just in aggregate.
-            assert_eq!(
-                (m_p, e_p),
-                (m_s, e_s),
-                "p={p} eta={eta:?} {base:?}: per-rank schedule diverged"
-            );
-        }
-        assert_eq!(
-            got.max_abs_diff(&want),
-            0.0,
-            "p={p} eta={eta:?} {base:?}: pool+ring not bitwise equal to spawn+mpsc"
-        );
-        assert_eq!((pm, pe), (sm, se), "aggregate schedule diverged: {base:?}");
-    });
-}
-
-#[test]
 fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
     // The robustness property (seed 0x750C): a *fault-free* FaultPlan shim
     // threaded through full multipartitioned sweeps must be invisible —
@@ -828,7 +733,7 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
     use mp_core::partition::Partitioning;
     use mp_grid::{ArrayD, FieldDef, TileGrid};
     use mp_runtime::comm::Communicator;
-    use mp_runtime::threaded::{run_threaded_result, RunOpts, Transport};
+    use mp_runtime::threaded::{run_threaded_result, RunOpts};
     use mp_runtime::{CommErrorKind, FaultPlan};
     use std::time::Duration;
 
@@ -857,11 +762,6 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
         let k = PrefixSumKernel::new(0);
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
-        let transport = if rng.bool() {
-            Transport::Ring
-        } else {
-            Transport::Mpsc
-        };
         let schedule: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| {
                 let dim = s % 3;
@@ -898,12 +798,10 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
         // Fault-free shim: the hooks are armed but never fire, so nothing —
         // not the data, not a single counter — may differ from bare.
         let bare = run(RunOpts {
-            transport,
             deadline: Some(Duration::from_secs(30)),
             fault: None,
         });
         let shimmed = run(RunOpts {
-            transport,
             deadline: Some(Duration::from_secs(30)),
             fault: Some(FaultPlan::fault_free(0x750C)),
         });
@@ -931,7 +829,6 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
         let plan = FaultPlan::parse(&format!("panic:{victim}:{op}")).unwrap();
         let t0 = std::time::Instant::now();
         let failed = run(RunOpts {
-            transport,
             deadline: Some(Duration::from_secs(10)),
             fault: Some(plan),
         });

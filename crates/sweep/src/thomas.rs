@@ -110,12 +110,9 @@ impl LineSweepKernel for ThomasForwardKernel {
     }
 
     fn carry_len(&self) -> usize {
+        // [c', d'] of the previous row; the default all-zero initial carry
+        // is c'_{-1} = d'_{-1} = 0 (no row before the first).
         2
-    }
-
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        // Before the first row there is no previous row: c'_{-1} = d'_{-1} = 0.
-        vec![0.0, 0.0]
     }
 
     fn sweep_segment(
@@ -294,13 +291,9 @@ impl LineSweepKernel for ThomasBackwardKernel {
     }
 
     fn carry_len(&self) -> usize {
+        // [x_next, valid]; the default all-zero initial carry marks the
+        // x_n term at the high boundary absent (valid = 0).
         2
-    }
-
-    fn initial_carry(&self, _dir: Direction) -> Vec<f64> {
-        // [x_next, valid]: at the high boundary there is no x_{n}: x_n term
-        // is absent, marked by valid = 0.
-        vec![0.0, 0.0]
     }
 
     fn sweep_segment(

@@ -19,7 +19,7 @@
 //! concrete [`SweepOptions`]: block width, worker threads, and pipeline
 //! chunks picked analytically from the measured constants. Explicit
 //! environment knobs (`MP_SWEEP_BLOCK` / `MP_SWEEP_THREADS` /
-//! `MP_SWEEP_PIPELINE` / `MP_SWEEP_POOL` / `MP_SWEEP_SIMD`) always win
+//! `MP_SWEEP_PIPELINE` / `MP_SWEEP_SIMD`) always win
 //! over derived values — tuning fills in what the user left unspecified,
 //! never overrides what they said.
 //!
@@ -28,7 +28,7 @@
 //! is purely a performance decision: `tuned_vs_default` property tests
 //! assert the results cannot differ.
 
-use crate::executor::{env_switch, env_usize_opt, warn_invalid_env, SweepOptions};
+use crate::executor::{env_usize_opt, SweepOptions};
 use crate::penta::{PentaBackwardKernel, PentaForwardKernel};
 use crate::recurrence::{FirstOrderKernel, LineSweepKernel, PrefixSumKernel, SegmentCtx};
 use crate::simd::{SimdLevel, SimdMode};
@@ -370,22 +370,13 @@ impl TunedOptions {
         notes.push(knob_note("threads", threads, threads_env));
         notes.push(knob_note("pipeline", chunks, chunks_env));
 
-        let pool = env_switch("MP_SWEEP_POOL");
-        if !pool {
-            notes.push("pool: off (MP_SWEEP_POOL)".to_string());
-        }
-        if let Ok(s) = std::env::var("MP_SWEEP_SIMD") {
-            let t = s.trim().to_ascii_lowercase();
-            if !matches!(t.as_str(), "auto" | "avx2" | "scalar") {
-                warn_invalid_env("MP_SWEEP_SIMD", &s, "auto");
-            } else {
-                notes.push(format!("simd: {t} (MP_SWEEP_SIMD)"));
-            }
+        let simd = SimdMode::from_env();
+        if std::env::var_os("MP_SWEEP_SIMD").is_some() {
+            notes.push(format!("simd: {simd} (MP_SWEEP_SIMD)"));
         }
         let options = SweepOptions::new(block_env.unwrap_or(block), threads_env.unwrap_or(threads))
             .with_pipeline_chunks(chunks_env.unwrap_or(chunks))
-            .with_pool(pool)
-            .with_simd(SimdMode::from_env());
+            .with_simd(simd);
 
         TunedOptions {
             derived,

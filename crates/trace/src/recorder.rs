@@ -23,8 +23,8 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanKind {
     /// Block-job execution: one `run_jobs` invocation of the sweep
-    /// executor (aggregated mode: a whole phase; pipelined mode: one
-    /// chunk of a phase).
+    /// executor — one carry chunk of a phase (the whole phase when the
+    /// sweep runs one chunk per phase).
     Compute {
         /// Sweep phase index (slab ordinal in sweep order).
         phase: u64,
@@ -62,12 +62,8 @@ pub enum SpanKind {
         /// Message tag.
         tag: u64,
     },
-    /// Assembling an outgoing payload (halo face packing, or the
-    /// aggregated executor's wholesale carry copy — the copy the
-    /// pipelined mode eliminates). Phases the compiled plan resolved to
-    /// zero-copy execution write carries directly into the send buffer
-    /// and record **no** pack spans in steady state — a zero pack-time
-    /// fraction in `mpart profile` is the in-place mode working.
+    /// Assembling an outgoing payload: halo face packing. Sweeps relay
+    /// carry messages by move and record no pack spans.
     Pack,
     /// Scattering a received payload (halo ghost unpacking).
     Unpack,
