@@ -198,62 +198,6 @@ fn bench_sweep(c: &mut Criterion) {
         group.finish();
     }
 
-    // Zero-copy A/B: the identical engine-driven sweep along dim 0 (whose
-    // lines are unit-stride in the lane dimension, so every phase is
-    // eligible) forced in-place vs forced packed. Same kernels, same jobs,
-    // byte-identical wire schedule — the gap is exactly the gather/scatter
-    // round trip every packed phase pays and the in-place mode skips. The
-    // 48³ grid gives 48·48 = 2304 lines per slab (≥ 64 everywhere), the
-    // regime where the issue targets ≥ 1.3×.
-    {
-        use mp_sweep::InplaceMode;
-        const SWEEPS: usize = 10;
-        let p = 2u64;
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![2, 2, 1]));
-        let peta = [48usize, 48, 48];
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&peta, &gam);
-        let mut group = c.benchmark_group("inplace_vs_packed");
-        group.throughput(Throughput::Elements(
-            (peta.iter().product::<usize>() * SWEEPS) as u64,
-        ));
-        group.sample_size(20);
-        for (label, mode) in [("inplace", InplaceMode::On), ("packed", InplaceMode::Off)] {
-            let opts = SweepOptions::new(32, 1).with_inplace(mode);
-            group.bench_with_input(
-                BenchmarkId::new("engine_48_p2_dim0", label),
-                &label,
-                |b, _| {
-                    b.iter(|| {
-                        run_threaded(p, |comm| {
-                            let mut store = allocate_rank_store(
-                                comm.rank(),
-                                &mp,
-                                &grid,
-                                &[FieldDef::new("u", 0)],
-                            );
-                            store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                            let mut engine = SweepEngine::new(opts.clone());
-                            for _ in 0..SWEEPS {
-                                engine.sweep(
-                                    comm,
-                                    &mut store,
-                                    &mp,
-                                    0,
-                                    Direction::Forward,
-                                    &kernel,
-                                    100,
-                                );
-                            }
-                            black_box(comm.sent_elements)
-                        })
-                    })
-                },
-            );
-        }
-        group.finish();
-    }
-
     // Tuned vs default A/B: the options `TunedOptions::derive` picks for
     // this shape from a preset profile against the untuned per-line
     // baseline, on an identical schedule. The derived knobs only change
@@ -347,14 +291,14 @@ fn bench_sweep(c: &mut Criterion) {
         group.finish();
     }
 
-    // Vectorized vs scalar sweep microkernels on identical line-minor
-    // blocks, per kernel and per line count. nlines = 1 is the degenerate
+    // Vectorized vs scalar sweep microkernels on identical packed
+    // line-minor blocks, per kernel and per line count. nlines = 1 is the degenerate
     // all-tail case (pure scalar either way), 4 is one full lane group, 64
     // and 256 are the steady-state shapes the blocked executor feeds. On
     // hosts without AVX2+FMA only the scalar rows are emitted.
     {
         use mp_core::multipart::Direction;
-        use mp_grid::AlignedVec;
+        use mp_grid::{AlignedVec, Lanes};
         use mp_sweep::recurrence::{LineSweepKernel, SegmentCtx};
         use mp_sweep::simd::{avx2_available, SimdLevel};
         use mp_sweep::{
@@ -478,18 +422,12 @@ fn bench_sweep(c: &mut Criterion) {
                         BenchmarkId::new(format!("{name}_nl{nl}"), level),
                         &nl,
                         |b, _| {
+                            let mut table = Vec::new();
                             b.iter(|| {
                                 let mut block = block0.clone();
                                 let mut carries = carries0.clone();
-                                kern.sweep_block_simd(
-                                    level,
-                                    *dir,
-                                    nl,
-                                    seg_len,
-                                    &mut carries,
-                                    &mut block,
-                                    ctxs,
-                                );
+                                let mut lanes = Lanes::packed(&mut block, nl, seg_len, &mut table);
+                                kern.sweep_lanes(level, *dir, &mut carries, &mut lanes, ctxs);
                                 black_box(carries[0])
                             })
                         },

@@ -3,8 +3,9 @@
 
 use mp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
-use mp_sweep::recurrence::{per_line_sweep_block, LineSweepKernel, SegmentCtx};
+use mp_grid::{AlignedVec, Lanes};
+use mp_sweep::recurrence::{per_line_sweep_lanes, LineSweepKernel, SegmentCtx};
+use mp_sweep::simd::SimdLevel;
 use mp_sweep::thomas::{thomas_solve_in_place, ThomasBackwardKernel, ThomasForwardKernel};
 use std::hint::black_box;
 
@@ -80,7 +81,7 @@ fn bench_thomas(c: &mut Criterion) {
     group.finish();
 }
 
-/// Blocked multi-line elimination vs the per-line scalar path on the same
+/// Scalar lane-loop elimination vs the per-line reference on the same
 /// line-minor block buffers — the speedup the blocked executor banks on for
 /// wide tile cross-sections.
 fn bench_thomas_blocked(c: &mut Criterion) {
@@ -106,26 +107,23 @@ fn bench_thomas_blocked(c: &mut Criterion) {
             .collect();
         group.throughput(Throughput::Elements((nl * n) as u64));
         group.bench_with_input(BenchmarkId::new("per_line", n), &n, |bench, _| {
+            let mut table = Vec::new();
             bench.iter(|| {
                 let mut block = block0.clone();
                 let mut carries = vec![0.0; nl * 2];
-                per_line_sweep_block(
-                    &fwd,
-                    Direction::Forward,
-                    nl,
-                    n,
-                    &mut carries,
-                    &mut block,
-                    &ctxs,
-                );
+                let mut lanes = Lanes::packed(&mut block, nl, n, &mut table);
+                per_line_sweep_lanes(&fwd, Direction::Forward, &mut carries, &mut lanes, &ctxs);
                 black_box(carries[0])
             })
         });
         group.bench_with_input(BenchmarkId::new("blocked", n), &n, |bench, _| {
+            let mut table = Vec::new();
             bench.iter(|| {
                 let mut block = block0.clone();
                 let mut carries = vec![0.0; nl * 2];
-                fwd.sweep_block(Direction::Forward, nl, n, &mut carries, &mut block, &ctxs);
+                let mut lanes = Lanes::packed(&mut block, nl, n, &mut table);
+                let level = SimdLevel::Scalar;
+                fwd.sweep_lanes(level, Direction::Forward, &mut carries, &mut lanes, &ctxs);
                 black_box(carries[0])
             })
         });

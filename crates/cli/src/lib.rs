@@ -400,34 +400,6 @@ fn cmd_calibrate(args: &[String]) -> Result<String, CliError> {
         rep.push_str(&format!("  {key:<32} {k1:.3e}\n"));
     }
 
-    // The zero-copy decision table: for every kernel measured through both
-    // entry points, what a packed phase really costs (kernel + K4 pack
-    // round trip) against the in-place strided rate — the exact comparison
-    // MP_SWEEP_INPLACE=auto makes at plan build.
-    rep.push_str(&format!(
-        "\npack round trip (gather + scatter through the line packers):\n\
-         \x20 K4 = {:.3e} s/element\n\npacked vs strided (auto picks the cheaper side):\n",
-        profile.k4
-    ));
-    for (key, &k1s) in &profile.k1 {
-        let Some(base) = key.strip_suffix("+strided") else {
-            continue;
-        };
-        let Some(&k1p) = profile.k1.get(base) else {
-            continue;
-        };
-        let packed_total = k1p + profile.k4;
-        let choice = if k1s < packed_total {
-            "in-place"
-        } else {
-            "packed"
-        };
-        rep.push_str(&format!(
-            "  {base:<24} packed {k1p:.3e} + K4 = {packed_total:.3e}   \
-             strided {k1s:.3e}   ×{:.2} → {choice}\n",
-            packed_total / k1s.max(1e-300)
-        ));
-    }
     rep.push_str(&format!(
         "\ntransport fit (Hockney, 2-rank ring ping-pong):\n\
          \x20 K2 (per-message latency)  = {:.3e} s\n\
@@ -477,11 +449,10 @@ struct ProfileConfig {
 fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     const PROFILE_USAGE: &str = "usage: mpart profile <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--iters N] [--block W] [--threads T] \
-         [--chunks K] [--simd auto|scalar] [--inplace auto|on|off] \
-         [--out FILE] [--calibration FILE]\n\
-         (--block/--threads/--chunks/--simd/--inplace default from \
+         [--chunks K] [--simd auto|scalar] [--out FILE] [--calibration FILE]\n\
+         (--block/--threads/--chunks/--simd default from \
          MP_SWEEP_BLOCK / MP_SWEEP_THREADS / MP_SWEEP_PIPELINE / \
-         MP_SWEEP_SIMD / MP_SWEEP_INPLACE; the cost \
+         MP_SWEEP_SIMD; the cost \
          model from --calibration, else MP_CALIBRATION, else the preset)";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
@@ -493,14 +464,13 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     let mut threads = env_opts.threads;
     let mut chunks = env_opts.pipeline_chunks;
     let mut simd = env_opts.simd;
-    let mut inplace = env_opts.inplace;
     let mut out = String::from("mpart_trace.json");
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--class" | "--eta" | "--iters" | "--block" | "--threads" | "--chunks" | "--simd"
-            | "--inplace" | "--out" | "--calibration" => {
+            | "--out" | "--calibration" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError(format!("{a} needs a value\n{PROFILE_USAGE}")))?;
@@ -528,11 +498,6 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
                     "--simd" => {
                         simd = mp_sweep::SimdMode::parse(v).ok_or_else(|| {
                             CliError(format!("unknown simd mode '{v}' (auto|scalar)"))
-                        })?;
-                    }
-                    "--inplace" => {
-                        inplace = mp_sweep::InplaceMode::parse(v).ok_or_else(|| {
-                            CliError(format!("unknown inplace mode '{v}' (auto|on|off)"))
                         })?;
                     }
                     "--out" => out = v.clone(),
@@ -563,8 +528,7 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
         iters,
         opts: mp_sweep::SweepOptions::new(block, threads)
             .with_pipeline_chunks(chunks)
-            .with_simd(simd)
-            .with_inplace(inplace),
+            .with_simd(simd),
         out,
         calibration,
     })
@@ -607,7 +571,7 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
             let rebuilds = sp.plan.builds() - builds_first;
             let pool_grew = sp.pool_threads_spawned() - pool_spawned_first;
             // Per-plan resolved execution modes (identical on every rank:
-            // the decision depends only on geometry, kernel, and profile).
+            // the decision depends only on geometry).
             let plan_modes: Vec<(usize, &'static str, Vec<bool>)> = sp
                 .plan
                 .plans()
@@ -706,16 +670,14 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         .with_meta("block_width", cfg.opts.block_width.to_string())
         .with_meta("threads", cfg.opts.threads.to_string())
         .with_meta("pipeline_chunks", cfg.opts.pipeline_chunks.to_string())
-        .with_meta("simd", simd.name())
-        .with_meta("inplace", cfg.opts.inplace.name());
+        .with_meta("simd", simd.name());
     std::fs::write(out, tf.to_chrome_json())
         .map_err(|e| CliError(format!("cannot write '{out}': {e}")))?;
 
     let part = &mp.partitioning;
     let mut rep = format!(
         "SP {}×{}×{} on p = {p}, {iters} iteration(s), {mode} sweeps \
-         (block_width {}, threads {}, chunks {}, simd {} [requested {}], \
-         inplace {})\n\
+         (block_width {}, threads {}, chunks {}, simd {} [requested {}])\n\
          γ = {:?}, modulus vector m̄ = {:?}\n\n",
         eta[0],
         eta[1],
@@ -725,7 +687,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         cfg.opts.pipeline_chunks,
         simd,
         cfg.opts.simd,
-        cfg.opts.inplace,
         part.gammas,
         mp.mapping.m
     );
@@ -749,16 +710,16 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         ));
     }
 
-    // Per-plan resolved execution modes (the zero-copy decision is made
-    // once at build time) plus what packing cost. Sweeps relay carries by
+    // Per-plan execution modes (decided from the geometry at build time:
+    // every dim but the last runs in place) plus what packing cost. Sweeps relay carries by
     // move and record no pack spans, so this is halo face packing.
     rep.push_str("\nexecution modes (resolved at plan build):\n");
     for (dim, dir, phases) in &plan_modes {
         let zc = phases.iter().filter(|&&b| b).count();
         let marks: String = phases.iter().map(|&b| if b { 'z' } else { 'p' }).collect();
         rep.push_str(&format!(
-            "  sweep dim {dim} {dir:<8} {zc}/{} phases zero-copy  [{marks}]  \
-             (z = in-place strided, p = packed gather/scatter)\n",
+            "  sweep dim {dim} {dir:<8} {zc}/{} phases in place  [{marks}]  \
+             (z = in place on tile storage, p = packed gather/scatter)\n",
             phases.len()
         ));
     }
@@ -1311,24 +1272,10 @@ mod tests {
         assert!(out.contains("kernel K1"), "{out}");
         assert!(out.contains("K2 (per-message latency)"), "{out}");
         assert!(out.contains("measured/preset"), "{out}");
-        // The zero-copy decision table: K4 plus one packed-vs-strided row
-        // per kernel, each resolving to one of the two modes.
-        assert!(out.contains("K4 ="), "{out}");
-        assert!(out.contains("packed vs strided"), "{out}");
-        for name in ["thomas_forward", "penta_backward", "prefix_sum"] {
-            let row = out
-                .lines()
-                .find(|l| l.trim_start().starts_with(name) && l.contains("→"))
-                .unwrap_or_else(|| panic!("no decision row for {name}:\n{out}"));
-            assert!(row.contains("in-place") || row.contains("packed"), "{row}");
-        }
-        // The file must load back as a measured-on-this-host profile, K4
-        // and strided rates included (they round-trip through the JSON).
+        // The file must load back as a measured-on-this-host profile.
         let profile = mp_runtime::read_profile(cal.to_str().unwrap()).unwrap();
         assert!(profile.k1_default() > 0.0);
         assert!(profile.k2 > 0.0);
-        assert!(profile.k4 > 0.0);
-        assert!(profile.k1.keys().any(|k| k.ends_with("+strided")));
 
         let trace = dir.join("profile_calibrated.json");
         let prof_out = runv(&[
@@ -1438,69 +1385,47 @@ mod tests {
         assert!(e.0.contains("unknown flag"));
         let e = runv(&["profile", "4", "--simd", "sse9"]).unwrap_err();
         assert!(e.0.contains("unknown simd mode"));
-        // The forgiving env knob warns and falls back; the explicit flag
-        // with a bogus value is a hard error.
-        let e = runv(&["profile", "4", "--inplace", "sideways"]).unwrap_err();
-        assert!(e.0.contains("unknown inplace mode"));
+        // In place is decided by geometry; there is no flag to force it.
+        let e = runv(&["profile", "4", "--inplace", "on"]).unwrap_err();
+        assert!(e.0.contains("unknown flag"));
     }
 
     #[test]
     fn profile_reports_execution_modes_and_pack_fraction() {
         let dir = std::env::temp_dir().join("mpart_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let run = |mode: &str, file: &str| {
-            let path = dir.join(file);
-            runv(&[
-                "profile",
-                "4",
-                "--eta",
-                "8x8x8",
-                "--iters",
-                "2",
-                "--inplace",
-                mode,
-                "--out",
-                path.to_str().unwrap(),
-            ])
-            .unwrap()
-        };
-        let on = run("on", "profile_inplace_on.json");
-        assert!(on.contains("inplace on"), "{on}");
+        let path = dir.join("profile_modes.json");
+        let out = runv(&[
+            "profile",
+            "4",
+            "--eta",
+            "8x8x8",
+            "--iters",
+            "2",
+            "--out",
+            path.to_str().unwrap(),
+        ])
+        .unwrap();
         assert!(
-            on.contains("execution modes (resolved at plan build)"),
-            "{on}"
+            out.contains("execution modes (resolved at plan build)"),
+            "{out}"
         );
+        assert!(out.contains("sweep dim 0 forward"), "{out}");
         // Dims 0 and 1 sweep across the unit-stride axis: every phase of
-        // those plans runs zero-copy when forced on. Dim 2 sweeps along
-        // it and always falls back to packed.
-        assert!(on.contains("sweep dim 0 forward"), "{on}");
-        for line in on.lines().filter(|l| l.contains("phases zero-copy")) {
+        // those plans runs in place. Dim 2 sweeps along it and packs.
+        let lines: Vec<&str> = out
+            .lines()
+            .filter(|l| l.contains("phases in place"))
+            .collect();
+        assert_eq!(lines.len(), 6, "{out}");
+        for line in lines {
             if line.contains("dim 2") {
-                assert!(line.contains("0/"), "{line}");
+                assert!(line.contains(" 0/"), "{line}");
             } else {
-                assert!(!line.contains("0/"), "{line}");
+                assert!(!line.contains(" 0/"), "{line}");
             }
         }
-        let off = run("off", "profile_inplace_off.json");
-        assert!(off.contains("inplace off"), "{off}");
-        for line in off.lines().filter(|l| l.contains("phases zero-copy")) {
-            assert!(line.contains("0/"), "{line}");
-        }
-        assert!(off.contains("pack time:"), "{off}");
-        // Byte-identical wire schedule either way: the recorder↔runtime
-        // cross-check inside cmd_profile already enforces it per rank;
-        // here the two reports must agree on the total message count.
-        let grab = |rep: &str| {
-            let i = rep.find(" messages × K2").unwrap();
-            let start = rep[..i].rfind('(').unwrap() + 1;
-            rep[start..i].to_string()
-        };
-        assert_eq!(grab(&on), grab(&off), "wire schedule changed");
-        let tf = mp_trace::TraceFile::parse_chrome_json(
-            &std::fs::read_to_string(dir.join("profile_inplace_on.json")).unwrap(),
-        )
-        .unwrap();
-        assert!(tf.meta.contains(&("inplace".to_string(), "on".to_string())));
+        assert!(out.contains("pack time:"), "{out}");
     }
 
     #[test]

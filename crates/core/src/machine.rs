@@ -78,12 +78,6 @@ pub struct MachineProfile {
     /// Per-element transfer time at the reference point `p = 1`
     /// (the paper's K3 / Hockney β, in seconds).
     pub k3: f64,
-    /// Per-element gather + scatter (pack) cost in seconds — the price of
-    /// one round trip through the line packers that the in-place execution
-    /// mode avoids. `0.0` means "unknown / not measured": consumers must
-    /// then fall back to a heuristic rather than a comparison. Not a §3.1
-    /// term; the executor uses it to pick packed vs in-place per phase.
-    pub k4: f64,
     /// How aggregate bandwidth scales with processor count
     /// (footnote 1 of the paper).
     pub scaling: BandwidthScaling,
@@ -100,10 +94,6 @@ impl MachineProfile {
             k1: map,
             k2,
             k3,
-            // Presets assume pack traffic costs about as much as shipping
-            // the same elements over a link: one read + one write per
-            // element through the packers.
-            k4: 2.0e-8,
             scaling,
             provenance: Provenance::Preset,
         }
@@ -158,12 +148,6 @@ impl MachineProfile {
     /// Same profile with a different [`Provenance`] stamp (chainable).
     pub fn with_provenance(mut self, provenance: Provenance) -> Self {
         self.provenance = provenance;
-        self
-    }
-
-    /// Same profile with a different pack constant `K4` (chainable).
-    pub fn with_k4(mut self, k4: f64) -> Self {
-        self.k4 = k4;
         self
     }
 
@@ -249,14 +233,6 @@ mod tests {
         assert!((prof.k1_default() - 3.0e-9).abs() < 1e-20);
         prof.k1.clear();
         assert_eq!(prof.k1_default(), 5.0e-8); // total even when empty
-    }
-
-    #[test]
-    fn presets_carry_positive_k4_and_with_k4_overrides() {
-        assert!(MachineProfile::origin2000_like().k4 > 0.0);
-        assert!(MachineProfile::sp_origin2000().k4 > 0.0);
-        let p = MachineProfile::origin2000_like().with_k4(7.5e-9);
-        assert_eq!(p.k4, 7.5e-9);
     }
 
     #[test]

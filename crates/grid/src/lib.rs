@@ -20,14 +20,12 @@ pub mod halo;
 pub mod lines;
 pub mod shape;
 pub mod tile;
-pub mod view;
 
 pub use aligned::AlignedVec;
 pub use array::ArrayD;
 pub use codec::{decode_rank_store, encode_rank_store, CodecError};
 pub use dist::{FieldDef, RankStore, TileData};
 pub use halo::{HaloArray, HaloDirPlan, HaloPlan};
-pub use lines::{gather_line, scatter_line, LaneView};
+pub use lines::{LaneField, Lanes};
 pub use shape::{Region, Shape, Side};
 pub use tile::TileGrid;
-pub use view::{ArrayView, ArrayViewMut};

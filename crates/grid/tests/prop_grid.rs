@@ -1,11 +1,10 @@
 //! Randomized property tests for the storage substrate: codec round trips
-//! and fuzzed corruption, tile-grid coverage, view/pack agreement, halo line
-//! access.
+//! and fuzzed corruption, tile-grid coverage, halo line access.
 
 use mp_grid::codec::{
     decode_array, decode_rank_store, encode_array, encode_rank_store, ByteReader,
 };
-use mp_grid::{ArrayD, FieldDef, HaloArray, RankStore, Region, TileGrid};
+use mp_grid::{ArrayD, FieldDef, HaloArray, RankStore, TileGrid};
 use mp_testkit::{cases, Rng};
 
 fn small_dims(rng: &mut Rng) -> Vec<usize> {
@@ -69,23 +68,6 @@ fn rank_store_codec_bitflip_never_panics() {
                 assert_eq!(t.fields.len(), back.field_defs.len());
             }
         }
-    });
-}
-
-#[test]
-fn view_matches_pack() {
-    cases(0x51ce, 64, |rng| {
-        let (e0, e1) = (rng.usize_in(3, 7), rng.usize_in(3, 7));
-        let (o0, o1) = (rng.usize_in(0, 1), rng.usize_in(0, 1));
-        let (w0, w1) = (rng.usize_in(1, 2), rng.usize_in(1, 2));
-        if o0 + w0 > e0 || o1 + w1 > e1 {
-            return;
-        }
-        let a = ArrayD::from_fn(&[e0, e1], |g| (g[0] * 31 + g[1] * 7) as f64);
-        let region = Region::new(vec![o0, o1], vec![w0, w1]);
-        let via_view = a.slice(&region).to_owned();
-        let via_pack = a.pack(&region);
-        assert_eq!(via_view.as_slice(), &via_pack[..]);
     });
 }
 

@@ -10,9 +10,10 @@
 
 use crate::problem::SpProblem;
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::Lanes;
 use mp_sweep::penta::eliminate_row;
-use mp_sweep::recurrence::{debug_assert_block_aligned, LineSweepKernel, SegmentCtx};
+use mp_sweep::recurrence::{LineSweepKernel, SegmentCtx, MAX_DIMS};
+use mp_sweep::simd::SimdLevel;
 
 /// Pentadiagonal forward elimination with coefficients generated from
 /// [`SpProblem::penta_coefficients`].
@@ -57,10 +58,11 @@ impl LineSweepKernel for SpPentaForwardKernel {
         let mut p1 = (carry[0], carry[1], carry[2]);
         let mut p2 = (carry[3], carry[4], carry[5]);
         let n = seg[2].len();
-        let mut g = ctx.global_start.clone();
+        let mut pos = [0; MAX_DIMS];
+        let g = ctx.start_in(&mut pos);
         for k in 0..n {
             g[ctx.axis] = ctx.axis_coord(k);
-            let (e, a, d, c, f) = self.prob.penta_coefficients(&g, ctx.axis);
+            let (e, a, d, c, f) = self.prob.penta_coefficients(g, ctx.axis);
             let row = eliminate_row((e, a, d, c, f, seg[2][k]), p1, p2);
             seg[0][k] = row.0;
             seg[1][k] = row.1;
@@ -76,50 +78,35 @@ impl LineSweepKernel for SpPentaForwardKernel {
         carry[5] = p2.2;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        _level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         ctxs: &[SegmentCtx],
     ) {
         assert_eq!(dir, Direction::Forward);
-        debug_assert_eq!(carries.len(), 6 * nlines);
-        debug_assert_block_aligned(block);
-        if nlines == 0 {
-            return;
-        }
-        // Coefficient generation dominates, so iterate line-outer over the
-        // line-minor layout: one reusable position vector per block instead
-        // of the fallback's per-line buffer copies.
-        let (cf, bb) = block.split_at_mut(2);
-        let bb = &mut bb[0];
-        let mut g = vec![0usize; ctxs[0].global_start.len()];
-        for l in 0..nlines {
-            let ctx = &ctxs[l];
+        debug_assert_eq!(carries.len(), 6 * lanes.nlanes());
+        // Coefficient generation dominates, so iterate lane-outer, walking
+        // one stack position per lane.
+        let mut pos = [0; MAX_DIMS];
+        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()) {
             let cl = &mut carries[6 * l..6 * l + 6];
             let mut p1 = (cl[0], cl[1], cl[2]);
             let mut p2 = (cl[3], cl[4], cl[5]);
-            g.copy_from_slice(&ctx.global_start);
-            for k in 0..seg_len {
-                let r = k * nlines + l;
+            let g = ctx.start_in(&mut pos);
+            for k in 0..lanes.seg_len() {
                 g[ctx.axis] = ctx.axis_coord(k);
-                let (e, a, d, c, f) = self.prob.penta_coefficients(&g, ctx.axis);
-                let row = eliminate_row((e, a, d, c, f, bb[r]), p1, p2);
-                cf[0][r] = row.0;
-                cf[1][r] = row.1;
-                bb[r] = row.2;
+                let (e, a, d, c, f) = self.prob.penta_coefficients(g, ctx.axis);
+                let row = eliminate_row((e, a, d, c, f, lanes.get(2, k, l)), p1, p2);
+                lanes.set(0, k, l, row.0);
+                lanes.set(1, k, l, row.1);
+                lanes.set(2, k, l, row.2);
                 p2 = p1;
                 p1 = row;
             }
-            cl[0] = p1.0;
-            cl[1] = p1.1;
-            cl[2] = p1.2;
-            cl[3] = p2.0;
-            cl[4] = p2.1;
-            cl[5] = p2.2;
+            cl.copy_from_slice(&[p1.0, p1.1, p1.2, p2.0, p2.1, p2.2]);
         }
     }
 }
@@ -162,10 +149,11 @@ impl LineSweepKernel for SpTriForwardKernel {
         assert_eq!(dir, Direction::Forward);
         let (mut cp, mut dp) = (carry[0], carry[1]);
         let n = seg[1].len();
-        let mut g = ctx.global_start.clone();
+        let mut pos = [0; MAX_DIMS];
+        let g = ctx.start_in(&mut pos);
         for k in 0..n {
             g[ctx.axis] = ctx.axis_coord(k);
-            let (a, b, c) = self.prob.coefficients(&g, ctx.axis);
+            let (a, b, c) = self.prob.coefficients(g, ctx.axis);
             let denom = b - a * cp;
             assert!(denom != 0.0, "zero pivot");
             cp = c / denom;
@@ -177,38 +165,29 @@ impl LineSweepKernel for SpTriForwardKernel {
         carry[1] = dp;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        _level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         ctxs: &[SegmentCtx],
     ) {
         assert_eq!(dir, Direction::Forward);
-        debug_assert_eq!(carries.len(), 2 * nlines);
-        debug_assert_block_aligned(block);
-        if nlines == 0 {
-            return;
-        }
-        let (cc, dd) = block.split_at_mut(1);
-        let (cc, dd) = (&mut cc[0], &mut dd[0]);
-        let mut g = vec![0usize; ctxs[0].global_start.len()];
-        for l in 0..nlines {
-            let ctx = &ctxs[l];
+        debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
+        let mut pos = [0; MAX_DIMS];
+        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()) {
             let (mut cp, mut dp) = (carries[2 * l], carries[2 * l + 1]);
-            g.copy_from_slice(&ctx.global_start);
-            for k in 0..seg_len {
-                let r = k * nlines + l;
+            let g = ctx.start_in(&mut pos);
+            for k in 0..lanes.seg_len() {
                 g[ctx.axis] = ctx.axis_coord(k);
-                let (a, b, c) = self.prob.coefficients(&g, ctx.axis);
+                let (a, b, c) = self.prob.coefficients(g, ctx.axis);
                 let denom = b - a * cp;
                 assert!(denom != 0.0, "zero pivot");
                 cp = c / denom;
-                dp = (dd[r] - a * dp) / denom;
-                cc[r] = cp;
-                dd[r] = dp;
+                dp = (lanes.get(1, k, l) - a * dp) / denom;
+                lanes.set(0, k, l, cp);
+                lanes.set(1, k, l, dp);
             }
             carries[2 * l] = cp;
             carries[2 * l + 1] = dp;
@@ -329,75 +308,49 @@ mod tests {
 
     #[test]
     fn blocked_sp_kernels_match_per_line_bitwise() {
-        // Position-dependent kernels: every line of a block has a different
-        // SegmentCtx, so the blocked path must thread per-line coefficients
-        // exactly like the per-line fallback does.
-        use mp_sweep::recurrence::{per_line_sweep_block, SegmentCtx};
-        let prob = SpProblem::pentadiagonal([6, 11, 7], 0.01);
+        // Position-dependent kernels: every lane has a different
+        // SegmentCtx, so the lane bodies must thread per-line coefficients
+        // exactly like the per-line reference does.
+        use mp_grid::AlignedVec;
+        use mp_sweep::recurrence::{per_line_sweep_lanes, SegmentCtx};
         let nlines = 5;
         let seg_len = 8;
         let axis = 1;
         let ctxs: Vec<SegmentCtx> = (0..nlines)
             .map(|l| SegmentCtx::new(vec![l, 2, l + 1], axis, Direction::Forward))
             .collect();
-        let vals = |s: usize| {
+        let vals = |s: usize| -> AlignedVec {
             (0..seg_len * nlines)
                 .map(|k| ((k * 17 + s * 31) % 13) as f64 * 0.4 - 2.0)
-                .collect::<Vec<f64>>()
+                .collect()
         };
-
-        let penta = SpPentaForwardKernel::new(prob, 0, 1, 2);
-        let blk0: Vec<AlignedVec> = vec![vals(0).into(), vals(1).into(), vals(2).into()];
-        let carry0 = vec![0.0; nlines * penta.carry_len()];
-        let mut got_blk = blk0.clone();
-        let mut got_carry = carry0.clone();
-        penta.sweep_block(
-            Direction::Forward,
-            nlines,
-            seg_len,
-            &mut got_carry,
-            &mut got_blk,
-            &ctxs,
-        );
-        let mut want_blk = blk0;
-        let mut want_carry = carry0;
-        per_line_sweep_block(
-            &penta,
-            Direction::Forward,
-            nlines,
-            seg_len,
-            &mut want_carry,
-            &mut want_blk,
-            &ctxs,
-        );
-        assert_eq!(got_carry, want_carry);
-        assert_eq!(got_blk, want_blk);
-
+        let penta = SpPentaForwardKernel::new(SpProblem::pentadiagonal([6, 11, 7], 0.01), 0, 1, 2);
         let tri = SpTriForwardKernel::new(SpProblem::new([6, 11, 7], 0.01), 0, 1);
-        let blk0: Vec<AlignedVec> = vec![vals(3).into(), vals(4).into()];
-        let carry0 = vec![0.0; nlines * tri.carry_len()];
-        let mut got_blk = blk0.clone();
-        let mut got_carry = carry0.clone();
-        tri.sweep_block(
-            Direction::Forward,
-            nlines,
-            seg_len,
-            &mut got_carry,
-            &mut got_blk,
-            &ctxs,
-        );
-        let mut want_blk = blk0;
-        let mut want_carry = carry0;
-        per_line_sweep_block(
-            &tri,
-            Direction::Forward,
-            nlines,
-            seg_len,
-            &mut want_carry,
-            &mut want_blk,
-            &ctxs,
-        );
-        assert_eq!(got_carry, want_carry);
-        assert_eq!(got_blk, want_blk);
+        let cases: [(&dyn LineSweepKernel, Vec<AlignedVec>); 2] = [
+            (&penta, vec![vals(0), vals(1), vals(2)]),
+            (&tri, vec![vals(3), vals(4)]),
+        ];
+        for (k, blk0) in cases {
+            let (mut got, mut want) = (blk0.clone(), blk0);
+            let mut got_c = vec![0.0; nlines * k.carry_len()];
+            let mut want_c = got_c.clone();
+            let (mut t1, mut t2) = (Vec::new(), Vec::new());
+            k.sweep_lanes(
+                SimdLevel::Scalar,
+                Direction::Forward,
+                &mut got_c,
+                &mut Lanes::packed(&mut got, nlines, seg_len, &mut t1),
+                &ctxs,
+            );
+            per_line_sweep_lanes(
+                k,
+                Direction::Forward,
+                &mut want_c,
+                &mut Lanes::packed(&mut want, nlines, seg_len, &mut t2),
+                &ctxs,
+            );
+            assert_eq!(got_c, want_c);
+            assert_eq!(got, want);
+        }
     }
 }

@@ -8,7 +8,7 @@
 //!   `mp-sweep` (which depends on this crate), so the harness is generic:
 //!   a [`Calibrator`] accepts named closures and times them with a
 //!   min-of-repetitions rule ([`measure_min_secs`]); `mp-sweep`'s `tune`
-//!   module registers the real `sweep_block` kernels.
+//!   module registers the real `sweep_lanes` kernels.
 //! * **K2 / K3** — a ping-pong over the threaded ring transport across a
 //!   range of message sizes, least-squares fitted to the Hockney model
 //!   `t(n) = K2 + n·K3` ([`calibrate_transport`], [`fit_linear`]).
@@ -196,7 +196,6 @@ pub fn calibrate_transport(opts: &CalibrationOpts) -> TransportFit {
 pub struct Calibrator {
     opts: CalibrationOpts,
     k1: BTreeMap<String, f64>,
-    k4: f64,
 }
 
 impl Calibrator {
@@ -205,7 +204,6 @@ impl Calibrator {
         Calibrator {
             opts,
             k1: BTreeMap::new(),
-            k4: 0.0,
         }
     }
 
@@ -222,16 +220,6 @@ impl Calibrator {
         let per_elem = (secs / elements_per_call as f64).max(1e-12);
         self.k1.insert(key.to_string(), per_elem);
         per_elem
-    }
-
-    /// Time one call of `f` (which must gather + scatter
-    /// `elements_per_call` elements through the line packers), record
-    /// `seconds/element` as the profile's `K4`, and return it.
-    pub fn measure_pack(&mut self, elements_per_call: u64, f: impl FnMut()) -> f64 {
-        assert!(elements_per_call > 0, "pack benchmark moves no elements");
-        let secs = measure_min_secs(self.opts.warmup, self.opts.reps, f);
-        self.k4 = (secs / elements_per_call as f64).max(1e-12);
-        self.k4
     }
 
     /// Set the [`K1_DEFAULT`] entry to the mean of the named entries
@@ -266,7 +254,6 @@ impl Calibrator {
             k1: self.k1,
             k2,
             k3,
-            k4: self.k4,
             scaling: BandwidthScaling::Fixed,
             provenance: Provenance::Measured,
         }
@@ -283,8 +270,8 @@ pub fn profile_to_json(p: &MachineProfile) -> String {
     json::escape_into(&mut out, p.provenance.name());
     let _ = write!(
         out,
-        ",\n  \"k2\": {},\n  \"k3\": {},\n  \"k4\": {},\n  \"scaling\": ",
-        p.k2, p.k3, p.k4
+        ",\n  \"k2\": {},\n  \"k3\": {},\n  \"scaling\": ",
+        p.k2, p.k3
     );
     json::escape_into(
         &mut out,
@@ -310,6 +297,12 @@ fn field_f64(doc: &JsonValue, key: &str) -> Result<f64, CalibrationError> {
 }
 
 /// Parse a document written by [`profile_to_json`].
+///
+/// Older files may also carry a `"k4"` field and
+/// `"<kernel>@<simd>+strided"` K1 entries. The field is ignored; the
+/// entries are kept as ordinary K1 entries that no kernel looks up (the
+/// `"default"` entry every written profile has is what the cost model
+/// uses), so K1/K2/K3 read back unchanged for every key.
 pub fn profile_from_json(text: &str) -> Result<MachineProfile, CalibrationError> {
     let doc = json::parse(text).map_err(|e| CalibrationError(e.to_string()))?;
     let provenance = match doc.get("provenance").and_then(|v| v.as_str()) {
@@ -333,9 +326,6 @@ pub fn profile_from_json(text: &str) -> Result<MachineProfile, CalibrationError>
     };
     let k2 = field_f64(&doc, "k2")?;
     let k3 = field_f64(&doc, "k3")?;
-    // K4 arrived after the first calibration files were written; a missing
-    // field reads as 0.0 ("unknown"), never as a parse error.
-    let k4 = doc.get("k4").and_then(|v| v.as_f64()).unwrap_or(0.0);
     let mut k1 = BTreeMap::new();
     match doc.get("k1") {
         Some(JsonValue::Object(map)) => {
@@ -352,7 +342,6 @@ pub fn profile_from_json(text: &str) -> Result<MachineProfile, CalibrationError>
         k1,
         k2,
         k3,
-        k4,
         scaling,
         provenance,
     })
@@ -437,7 +426,6 @@ mod tests {
         prof.k1.insert("penta_backward@scalar".into(), 7.73e-9);
         prof.k2 = 3.141592653589793e-6;
         prof.k3 = 0.1234567890123456e-9;
-        prof.k4 = 1.9876543210987654e-8;
         let text = profile_to_json(&prof);
         let back = profile_from_json(&text).unwrap();
         assert_eq!(back, prof);
@@ -446,13 +434,30 @@ mod tests {
     }
 
     #[test]
-    fn json_missing_k4_reads_as_unknown() {
-        // Pre-K4 calibration files must keep loading; k4 = 0.0 marks the
-        // constant as unmeasured.
-        let legacy = r#"{"provenance":"measured","k2":1e-6,"k3":2e-9,
-            "scaling":"fixed","k1":{"default":5e-8}}"#;
-        let prof = profile_from_json(legacy).unwrap();
-        assert_eq!(prof.k4, 0.0);
+    fn older_calibration_files_still_load() {
+        // An older file: a "k4" field and "+strided" K1 entries.
+        let older = r#"{
+  "provenance": "measured",
+  "k2": 1.34e-6,
+  "k3": 0,
+  "k4": 5.07e-9,
+  "scaling": "fixed",
+  "k1": {
+    "default": 3.1e-9,
+    "first_order@avx2": 5.07e-10,
+    "first_order@avx2+strided": 6.29e-10,
+    "thomas_forward@avx2": 2.25e-9,
+    "thomas_forward@avx2+strided": 2.5e-9
+  }
+}"#;
+        let prof = profile_from_json(older).unwrap();
+        assert_eq!((prof.k2, prof.k3), (1.34e-6, 0.0));
+        assert_eq!(prof.k1_default(), 3.1e-9);
+        assert_eq!(prof.k1_for("first_order@avx2"), 5.07e-10);
+        assert_eq!(prof.k1_for("thomas_forward@avx2"), 2.25e-9);
+        assert_eq!(prof.k1.len(), 5, "strided entries are kept");
+        // Written back, the profile carries no K4.
+        assert!(!profile_to_json(&prof).contains("k4"));
     }
 
     #[test]
@@ -507,12 +512,7 @@ mod tests {
         c.measure_kernel("k_b", 1_000_000, || {
             std::hint::black_box((0..1000).sum::<u64>());
         });
-        let k4 = c.measure_pack(1_000_000, || {
-            std::hint::black_box((0..1000).sum::<u64>());
-        });
-        assert!(k4 > 0.0);
         let prof = c.finish(2.0e-6, 1.0e-9);
-        assert_eq!(prof.k4, k4);
         assert_eq!(prof.provenance, Provenance::Measured);
         assert_eq!(prof.scaling, BandwidthScaling::Fixed);
         assert!(prof.k1.contains_key(K1_DEFAULT));

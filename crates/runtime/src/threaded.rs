@@ -1139,15 +1139,27 @@ mod tests {
 
     #[test]
     fn injected_panic_fault_fails_all_ranks() {
+        use std::sync::atomic::{AtomicBool, Ordering};
         let opts = RunOpts {
             fault: Some(FaultPlan::parse("panic:1:1").unwrap()),
             ..RunOpts::default()
         };
+        // Rank 1 reaches its fatal op only once rank 2 has published its
+        // send to rank 0, whatever order the threads are scheduled in.
+        let rank2_sent = AtomicBool::new(false);
         let res = run_threaded_result(3, opts, |comm| {
             let me = comm.rank();
             let next = (me + 1) % 3;
             let prev = (me + 2) % 3;
+            if me == 1 {
+                while !rank2_sent.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
             comm.send(next, 0, vec![me as f64]);
+            if me == 2 {
+                rank2_sent.store(true, Ordering::Release);
+            }
             comm.recv(prev, 0)[0]
         });
         let f1 = res[1].as_ref().unwrap_err();

@@ -11,7 +11,7 @@
 use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::SimdLevel;
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::Lanes;
 
 /// A batch of kernels executed within a single sweep.
 ///
@@ -83,62 +83,45 @@ impl<K: LineSweepKernel> LineSweepKernel for BatchedKernel<K> {
         }
     }
 
-    fn sweep_block(
-        &self,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        self.sweep_block_simd(
-            SimdLevel::Scalar,
-            dir,
-            nlines,
-            seg_len,
-            carries,
-            block,
-            ctxs,
-        );
-    }
-
-    fn sweep_block_simd(
+    fn sweep_lanes(
         &self,
         level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         ctxs: &[SegmentCtx],
     ) {
         // The batch's line-major carry interleaves the members' carries per
-        // line; each member's blocked path wants its own carries contiguous.
+        // lane; each member's lane body wants its own carries contiguous.
         // De-interleave into one scratch buffer, reused across members. The
         // resolved SIMD level is forwarded to each member so a batch of
         // Thomas/penta solves vectorizes exactly like the standalone kernels.
+        let nl = lanes.nlanes();
         let total = self.carry_len();
-        debug_assert_eq!(carries.len(), nlines * total);
+        debug_assert_eq!(carries.len(), nl * total);
         let max_clen = self.members.iter().map(|k| k.carry_len()).max().unwrap();
-        let mut scratch = vec![0.0; nlines * max_clen];
-        let mut off = 0;
-        let mut block_rest = block;
+        let mut scratch = vec![0.0; nl * max_clen];
+        let (mut coff, mut foff) = (0, 0);
         for k in &self.members {
-            let clen = k.carry_len();
-            let (b, br) = block_rest.split_at_mut(k.fields().len());
-            let sc = &mut scratch[..nlines * clen];
-            for l in 0..nlines {
+            let (clen, nf) = (k.carry_len(), k.fields().len());
+            let sc = &mut scratch[..nl * clen];
+            for l in 0..nl {
                 sc[l * clen..(l + 1) * clen]
-                    .copy_from_slice(&carries[l * total + off..l * total + off + clen]);
+                    .copy_from_slice(&carries[l * total + coff..l * total + coff + clen]);
             }
-            k.sweep_block_simd(level, dir, nlines, seg_len, sc, b, ctxs);
-            for l in 0..nlines {
-                carries[l * total + off..l * total + off + clen]
+            k.sweep_lanes(
+                level,
+                dir,
+                sc,
+                &mut lanes.field_range(foff..foff + nf),
+                ctxs,
+            );
+            for l in 0..nl {
+                carries[l * total + coff..l * total + coff + clen]
                     .copy_from_slice(&sc[l * clen..(l + 1) * clen]);
             }
-            off += clen;
-            block_rest = br;
+            coff += clen;
+            foff += nf;
         }
     }
 }

@@ -22,9 +22,10 @@
 // iterator zips would obscure the stencil structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::recurrence::{debug_assert_block_aligned, LineSweepKernel, SegmentCtx};
+use crate::recurrence::{LineSweepKernel, SegmentCtx, MAX_DIMS};
+use crate::simd::SimdLevel;
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::Lanes;
 
 /// An N×N block (row-major).
 pub type Mat<const N: usize> = [[f64; N]; N];
@@ -233,6 +234,46 @@ impl<const N: usize, S: BlockCoeffs<N>> BlockTriForwardKernel<N, S> {
         fields.extend_from_slice(rhs);
         BlockTriForwardKernel { coeffs, fields }
     }
+
+    /// One elimination row at global position `g`: the new `(C', d')` from
+    /// the previous row's and this row's right-hand side `d` (the line's
+    /// first row has no previous one).
+    fn eliminate(
+        &self,
+        g: &[usize],
+        axis: usize,
+        line_start: bool,
+        d: VecN<N>,
+        (cp, dp): (&Mat<N>, &VecN<N>),
+    ) -> (Mat<N>, VecN<N>) {
+        let (a, b, c) = self.coeffs.blocks(g, axis);
+        let (denom, rhs) = if line_start {
+            (b, d)
+        } else {
+            (mat_sub(&b, &mat_mul(&a, cp)), vec_sub(&d, &mat_vec(&a, dp)))
+        };
+        let inv = mat_inv(&denom);
+        (mat_mul(&inv, &c), mat_vec(&inv, &rhs))
+    }
+}
+
+/// Unpack a forward carry `[C' row-major, d']`.
+fn load_forward_carry<const N: usize>(carry: &[f64]) -> (Mat<N>, VecN<N>) {
+    let mut cp: Mat<N> = [[0.0; N]; N];
+    let mut dp: VecN<N> = [0.0; N];
+    for i in 0..N {
+        cp[i].copy_from_slice(&carry[i * N..(i + 1) * N]);
+        dp[i] = carry[N * N + i];
+    }
+    (cp, dp)
+}
+
+/// Inverse of [`load_forward_carry`].
+fn store_forward_carry<const N: usize>(carry: &mut [f64], cp: &Mat<N>, dp: &VecN<N>) {
+    for i in 0..N {
+        carry[i * N..(i + 1) * N].copy_from_slice(&cp[i]);
+        carry[N * N + i] = dp[i];
+    }
 }
 
 impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKernel<N, S> {
@@ -252,39 +293,14 @@ impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKerne
         ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Forward);
-        // Unpack carry.
-        let mut cp: Mat<N> = [[0.0; N]; N];
-        let mut dp: VecN<N> = [0.0; N];
-        for i in 0..N {
-            for j in 0..N {
-                cp[i][j] = carry[i * N + j];
-            }
-            dp[i] = carry[N * N + i];
-        }
+        let (mut cp, mut dp) = load_forward_carry::<N>(carry);
         let first_global = ctx.global_start[ctx.axis] == 0;
-        let n = seg[N * N].len();
-        let mut g = ctx.global_start.clone();
-        for k in 0..n {
+        let mut pos = [0; MAX_DIMS];
+        let g = ctx.start_in(&mut pos);
+        for k in 0..seg[N * N].len() {
             g[ctx.axis] = ctx.axis_coord(k);
-            let (a, b, c) = self.coeffs.blocks(&g, ctx.axis);
-            let at_line_start = first_global && k == 0;
-            let (denom, rhs) = {
-                let mut d: VecN<N> = [0.0; N];
-                for comp in 0..N {
-                    d[comp] = seg[N * N + comp][k];
-                }
-                if at_line_start {
-                    (b, d)
-                } else {
-                    (
-                        mat_sub(&b, &mat_mul(&a, &cp)),
-                        vec_sub(&d, &mat_vec(&a, &dp)),
-                    )
-                }
-            };
-            let inv = mat_inv(&denom);
-            cp = mat_mul(&inv, &c);
-            dp = mat_vec(&inv, &rhs);
+            let d: VecN<N> = std::array::from_fn(|comp| seg[N * N + comp][k]);
+            (cp, dp) = self.eliminate(g, ctx.axis, first_global && k == 0, d, (&cp, &dp));
             for i in 0..N {
                 for j in 0..N {
                     seg[i * N + j][k] = cp[i][j];
@@ -292,78 +308,40 @@ impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKerne
                 seg[N * N + i][k] = dp[i];
             }
         }
-        for i in 0..N {
-            for j in 0..N {
-                carry[i * N + j] = cp[i][j];
-            }
-            carry[N * N + i] = dp[i];
-        }
+        store_forward_carry(carry, &cp, &dp);
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        _level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         ctxs: &[SegmentCtx],
     ) {
         assert_eq!(dir, Direction::Forward);
         let clen = N * N + N;
-        debug_assert_eq!(carries.len(), nlines * clen);
-        debug_assert_block_aligned(block);
-        // Per-element work here is a 5×5 inverse — lanes can't be usefully
-        // vectorized, so iterate line-outer over the line-minor layout
-        // (stride `nlines`), which still skips the fallback's copies.
-        for l in 0..nlines {
-            let ctx = &ctxs[l];
+        debug_assert_eq!(carries.len(), lanes.nlanes() * clen);
+        // Per-element work here is an N×N inverse — lanes can't be usefully
+        // vectorized, so iterate lane-outer, one stack position per lane.
+        let mut pos = [0; MAX_DIMS];
+        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()) {
             let carry = &mut carries[l * clen..(l + 1) * clen];
-            let mut cp: Mat<N> = [[0.0; N]; N];
-            let mut dp: VecN<N> = [0.0; N];
-            for i in 0..N {
-                for j in 0..N {
-                    cp[i][j] = carry[i * N + j];
-                }
-                dp[i] = carry[N * N + i];
-            }
+            let (mut cp, mut dp) = load_forward_carry::<N>(carry);
             let first_global = ctx.global_start[ctx.axis] == 0;
-            let mut g = ctx.global_start.clone();
-            for k in 0..seg_len {
-                let r = k * nlines + l;
+            let g = ctx.start_in(&mut pos);
+            for k in 0..lanes.seg_len() {
                 g[ctx.axis] = ctx.axis_coord(k);
-                let (a, b, c) = self.coeffs.blocks(&g, ctx.axis);
-                let at_line_start = first_global && k == 0;
-                let (denom, rhs) = {
-                    let mut d: VecN<N> = [0.0; N];
-                    for comp in 0..N {
-                        d[comp] = block[N * N + comp][r];
-                    }
-                    if at_line_start {
-                        (b, d)
-                    } else {
-                        (
-                            mat_sub(&b, &mat_mul(&a, &cp)),
-                            vec_sub(&d, &mat_vec(&a, &dp)),
-                        )
-                    }
-                };
-                let inv = mat_inv(&denom);
-                cp = mat_mul(&inv, &c);
-                dp = mat_vec(&inv, &rhs);
+                let d: VecN<N> = std::array::from_fn(|comp| lanes.get(N * N + comp, k, l));
+                (cp, dp) = self.eliminate(g, ctx.axis, first_global && k == 0, d, (&cp, &dp));
                 for i in 0..N {
                     for j in 0..N {
-                        block[i * N + j][r] = cp[i][j];
+                        lanes.set(i * N + j, k, l, cp[i][j]);
                     }
-                    block[N * N + i][r] = dp[i];
+                    lanes.set(N * N + i, k, l, dp[i]);
                 }
             }
-            for i in 0..N {
-                for j in 0..N {
-                    carry[i * N + j] = cp[i][j];
-                }
-                carry[N * N + i] = dp[i];
-            }
+            store_forward_carry(carry, &cp, &dp);
         }
     }
 }
@@ -407,14 +385,8 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
         let mut valid = carry[N] != 0.0;
         let n = seg[N * N].len();
         for k in 0..n {
-            let mut cp: Mat<N> = [[0.0; N]; N];
-            let mut dp: VecN<N> = [0.0; N];
-            for i in 0..N {
-                for j in 0..N {
-                    cp[i][j] = seg[i * N + j][k];
-                }
-                dp[i] = seg[N * N + i][k];
-            }
+            let cp: Mat<N> = std::array::from_fn(|i| std::array::from_fn(|j| seg[i * N + j][k]));
+            let dp: VecN<N> = std::array::from_fn(|i| seg[N * N + i][k]);
             let x = if valid {
                 vec_sub(&dp, &mat_vec(&cp, &x_next))
             } else {
@@ -430,41 +402,33 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
         carry[N] = 1.0;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        _level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
         assert_eq!(dir, Direction::Backward);
         let clen = N + 1;
-        debug_assert_eq!(carries.len(), nlines * clen);
-        debug_assert_block_aligned(block);
-        for l in 0..nlines {
+        debug_assert_eq!(carries.len(), lanes.nlanes() * clen);
+        for l in 0..lanes.nlanes() {
             let carry = &mut carries[l * clen..(l + 1) * clen];
             let mut x_next: VecN<N> = [0.0; N];
             x_next[..N].copy_from_slice(&carry[..N]);
             let mut valid = carry[N] != 0.0;
-            for k in 0..seg_len {
-                let r = k * nlines + l;
-                let mut cp: Mat<N> = [[0.0; N]; N];
-                let mut dp: VecN<N> = [0.0; N];
-                for i in 0..N {
-                    for j in 0..N {
-                        cp[i][j] = block[i * N + j][r];
-                    }
-                    dp[i] = block[N * N + i][r];
-                }
+            for k in 0..lanes.seg_len() {
+                let cp: Mat<N> =
+                    std::array::from_fn(|i| std::array::from_fn(|j| lanes.get(i * N + j, k, l)));
+                let dp: VecN<N> = std::array::from_fn(|i| lanes.get(N * N + i, k, l));
                 let x = if valid {
                     vec_sub(&dp, &mat_vec(&cp, &x_next))
                 } else {
                     dp
                 };
                 for i in 0..N {
-                    block[N * N + i][r] = x[i];
+                    lanes.set(N * N + i, k, l, x[i]);
                 }
                 x_next = x;
                 valid = true;
@@ -476,7 +440,7 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn rng(seed: u64) -> impl FnMut() -> f64 {
@@ -618,7 +582,7 @@ mod tests {
     }
 
     /// Coefficients from a deterministic position rule, for kernel tests.
-    struct TestCoeffs;
+    pub(crate) struct TestCoeffs;
     impl BlockCoeffs<3> for TestCoeffs {
         fn blocks(&self, g: &[usize], axis: usize) -> (Mat<3>, Mat<3>, Mat<3>) {
             let i = g[axis];
@@ -717,83 +681,50 @@ mod tests {
 
     #[test]
     fn blocked_block_tri_matches_per_line_bitwise() {
-        // The custom sweep_block paths must equal the per-line fallback
-        // bit-for-bit, with per-line contexts at different global positions.
-        use crate::recurrence::per_line_sweep_block;
+        // The lane bodies must equal the per-line reference bit-for-bit,
+        // with per-line contexts at different global positions.
+        use crate::recurrence::per_line_sweep_lanes;
+        use mp_grid::AlignedVec;
         let nlines = 4;
         let seg_len = 6;
         let scratch_idx: Vec<usize> = (0..9).collect();
         let rhs_idx: Vec<usize> = (9..12).collect();
         let fwd = BlockTriForwardKernel::<3, _>::new(TestCoeffs, &scratch_idx, &rhs_idx);
         let bwd = BlockTriBackwardKernel::<3>::new(&scratch_idx, &rhs_idx);
-
         let mut next = rng(17);
-        let mk_block = |next: &mut dyn FnMut() -> f64| -> Vec<AlignedVec> {
-            (0..12)
-                .map(|_| (0..seg_len * nlines).map(|_| next()).collect())
-                .collect()
-        };
-
-        // Forward: lines start at different cross-section positions.
-        let fctxs: Vec<SegmentCtx> = (0..nlines)
-            .map(|l| SegmentCtx::new(vec![0, l, l + 1], 0, Direction::Forward))
+        let blk0: Vec<AlignedVec> = (0..12)
+            .map(|_| (0..seg_len * nlines).map(|_| next()).collect())
             .collect();
-        let blk0 = mk_block(&mut next);
-        let carry0: Vec<f64> = (0..nlines * fwd.carry_len())
-            .map(|_| next() * 0.1)
-            .collect();
-        let mut got_blk = blk0.clone();
-        let mut got_carry = carry0.clone();
-        fwd.sweep_block(
-            Direction::Forward,
-            nlines,
-            seg_len,
-            &mut got_carry,
-            &mut got_blk,
-            &fctxs,
-        );
-        let mut want_blk = blk0.clone();
-        let mut want_carry = carry0.clone();
-        per_line_sweep_block(
-            &fwd,
-            Direction::Forward,
-            nlines,
-            seg_len,
-            &mut want_carry,
-            &mut want_blk,
-            &fctxs,
-        );
-        assert_eq!(got_carry, want_carry);
-        assert_eq!(got_blk, want_blk);
-
-        // Backward over the forward result.
-        let bctxs: Vec<SegmentCtx> = (0..nlines)
-            .map(|l| SegmentCtx::new(vec![seg_len - 1, l, l + 1], 0, Direction::Backward))
-            .collect();
-        let bcarry0: Vec<f64> = (0..nlines * bwd.carry_len())
-            .map(|_| next() * 0.1)
-            .collect();
-        let mut got_carry = bcarry0.clone();
-        let mut want_blk = got_blk.clone();
-        bwd.sweep_block(
-            Direction::Backward,
-            nlines,
-            seg_len,
-            &mut got_carry,
-            &mut got_blk,
-            &bctxs,
-        );
-        let mut want_carry = bcarry0;
-        per_line_sweep_block(
-            &bwd,
-            Direction::Backward,
-            nlines,
-            seg_len,
-            &mut want_carry,
-            &mut want_blk,
-            &bctxs,
-        );
-        assert_eq!(got_carry, want_carry);
-        assert_eq!(got_blk, want_blk);
+        // Forward then backward over its result; lines start at different
+        // cross-section positions.
+        let kernels: [(&dyn LineSweepKernel, Direction, usize); 2] = [
+            (&fwd, Direction::Forward, 0),
+            (&bwd, Direction::Backward, seg_len - 1),
+        ];
+        let (mut got, mut want) = (blk0.clone(), blk0);
+        for (k, dir, start) in kernels {
+            let ctxs: Vec<SegmentCtx> = (0..nlines)
+                .map(|l| SegmentCtx::new(vec![start, l, l + 1], 0, dir))
+                .collect();
+            let carry0: Vec<f64> = (0..nlines * k.carry_len()).map(|_| next() * 0.1).collect();
+            let (mut got_c, mut want_c) = (carry0.clone(), carry0);
+            let (mut t1, mut t2) = (Vec::new(), Vec::new());
+            k.sweep_lanes(
+                SimdLevel::Scalar,
+                dir,
+                &mut got_c,
+                &mut Lanes::packed(&mut got, nlines, seg_len, &mut t1),
+                &ctxs,
+            );
+            per_line_sweep_lanes(
+                k,
+                dir,
+                &mut want_c,
+                &mut Lanes::packed(&mut want, nlines, seg_len, &mut t2),
+                &ctxs,
+            );
+            assert_eq!(got_c, want_c, "{dir:?} carries");
+            assert_eq!(got, want, "{dir:?} fields");
+        }
     }
 }

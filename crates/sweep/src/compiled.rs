@@ -31,7 +31,6 @@ use crate::executor::{
     exchange_halos_planned, make_workers, BlockJob, FieldMeta, RawParts, SharedPhase, SweepOptions,
     WorkerScratch,
 };
-use crate::inplace::{decide_inplace, InplaceMode};
 use crate::pool::WorkerPool;
 use crate::recurrence::LineSweepKernel;
 use crate::simd::{SimdLevel, SimdMode};
@@ -107,9 +106,6 @@ pub struct PlanKey {
     /// Requested SIMD dispatch mode (resolved to a concrete level once at
     /// build time — see [`CompiledSweep::simd_level`]).
     pub simd: SimdMode,
-    /// Requested zero-copy policy (resolved to a concrete per-phase choice
-    /// at build time — see [`CompiledSweep::phase_inplace`]).
-    pub inplace: InplaceMode,
 }
 
 /// One pipelined chunk: a contiguous job range and its carry element span
@@ -155,11 +151,9 @@ struct PhasePlan {
     /// build time so steady-state dispatch does no span arithmetic and no
     /// allocation.
     chunk_wspans: Vec<Vec<(usize, usize)>>,
-    /// Resolved execution mode: run this phase's jobs in place on tile
-    /// storage (zero-copy) instead of gather/scatter through block
-    /// scratch. Decided once at build time from [`SweepOptions::inplace`],
-    /// the phase geometry, and the calibrated cost model
-    /// (see [`crate::inplace`]).
+    /// Run this phase's jobs in place on tile storage instead of
+    /// gather/scatter through block scratch. Decided once at build time
+    /// from the phase geometry.
     inplace: bool,
 }
 
@@ -388,17 +382,18 @@ impl CompiledSweep {
                 .map(|c| balanced_spans(&pp.jobs, c.jlo, c.jhi, threads))
                 .collect();
 
-            // Resolve the phase's execution mode. Geometric precondition
-            // for zero-copy: the swept dimension is not the tile's last
-            // (unit-stride) axis — lines contiguous along the last axis
-            // then form unit-lane strided views of tile storage — and
+            // The phase runs in place when its swept dimension is not the
+            // tile's last (unit-stride) axis — lines contiguous along the
+            // last axis then form unit-lane views of tile storage — and
             // every field's last-axis stride really is 1 (row-major
-            // storage; checked, not assumed). The job/chunk tables above
-            // are mode-independent, so the wire schedule cannot change.
+            // storage; checked, not assumed). Along the last axis the
+            // lines *are* the unit-stride axis, and gathering them is the
+            // transpose that gives the kernels unit-stride lanes. The
+            // job/chunk tables above are mode-independent, so the wire
+            // schedule cannot change.
             let lane_unit =
                 (0..pp.tiles.len() * nfields).all(|s| pp.fm_strides[s * d + (d - 1)] == 1);
-            let eligible = d >= 2 && dim + 1 != d && kernel.supports_strided() && lane_unit;
-            pp.inplace = decide_inplace(opts.inplace, eligible, kernel.kernel_name(), simd_level);
+            pp.inplace = dim + 1 < d && lane_unit;
             phases.push(pp);
         }
 
@@ -417,7 +412,6 @@ impl CompiledSweep {
                 block_width: bw,
                 pipeline_chunks: kmax,
                 simd: opts.simd,
-                inplace: opts.inplace,
             },
             rank,
             d,
@@ -451,11 +445,11 @@ impl CompiledSweep {
         self.simd
     }
 
-    /// The resolved per-phase execution mode, in phase order: `true` means
-    /// the phase runs zero-copy (in-place strided kernels, carries written
-    /// directly into the send buffer), `false` means it gathers through
-    /// packed line-minor scratch. Decided once at build time; `mpart
-    /// profile` reports these.
+    /// The per-phase execution mode, in phase order: `true` means the
+    /// phase runs in place on tile storage (carries written directly into
+    /// the send buffer), `false` means it gathers through packed
+    /// line-minor scratch. Decided once at build time from the geometry;
+    /// `mpart profile` reports these.
     pub fn phase_inplace(&self) -> Vec<bool> {
         self.phases.iter().map(|pp| pp.inplace).collect()
     }
@@ -482,7 +476,6 @@ impl CompiledSweep {
             && self.key.block_width == opts.block_width.max(1)
             && self.key.pipeline_chunks == opts.pipeline_chunks.max(1)
             && self.key.simd == opts.simd
-            && self.key.inplace == opts.inplace
             && self.threads == opts.threads.max(1)
     }
 
@@ -1456,66 +1449,35 @@ mod tests {
     }
 
     #[test]
-    fn engine_rebuilds_on_inplace_toggle() {
+    fn geometry_alone_decides_in_place() {
+        // Every dimension but the last runs in place; the last (its lines
+        // are the unit-stride axis) packs — for a hot kernel and a
+        // generated-coefficient one alike.
+        use crate::block::tests::TestCoeffs;
+        use crate::block::BlockTriForwardKernel;
+        use crate::thomas::ThomasForwardKernel;
         let mp = Multipartitioning::from_partitioning(1, Partitioning::new(vec![2, 2, 1]));
         let grid = grid_for(&mp, &[4, 4, 2]);
-        let k = PrefixSumKernel::new(0);
-        let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
-        store.init_field(0, init_value);
+        let fields: Vec<FieldDef> = (0..12)
+            .map(|f| FieldDef::new(&format!("f{f}"), 0))
+            .collect();
+        let store = allocate_rank_store(0, &mp, &grid, &fields);
+        let scratch: Vec<usize> = (0..9).collect();
+        let rhs: Vec<usize> = (9..12).collect();
+        let hot = ThomasForwardKernel::new(0, 1, 2, 3);
+        let generated = BlockTriForwardKernel::<3, _>::new(TestCoeffs, &scratch, &rhs);
         let opts = SweepOptions::new(1, 1);
-        let cs = CompiledSweep::build(&mp, 0, &store, 0, Direction::Forward, &k, 0, &opts);
-        // The requested policy is part of the cache key even when the
-        // resolved per-phase choices happen to coincide.
-        assert!(cs.matches(&mp, 0, Direction::Forward, 0, &k, &opts));
-        assert!(!cs.matches(
-            &mp,
-            0,
-            Direction::Forward,
-            0,
-            &k,
-            &opts.clone().with_inplace(InplaceMode::Off)
-        ));
-        // Sweeping dim 0 of a 3-d grid is eligible, so On resolves every
-        // phase to in-place and Off to packed.
-        let on = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &opts.clone().with_inplace(InplaceMode::On),
-        );
-        assert!(
-            on.phase_inplace().iter().all(|&b| b),
-            "{:?}",
-            on.phase_inplace()
-        );
-        let off = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &opts.clone().with_inplace(InplaceMode::Off),
-        );
-        assert!(off.phase_inplace().iter().all(|&b| !b));
-        // The last dimension sweeps along the unit-stride axis: never
-        // eligible, even when forced On.
-        let last = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            2,
-            Direction::Forward,
-            &k,
-            0,
-            &opts.with_inplace(InplaceMode::On),
-        );
-        assert!(last.phase_inplace().iter().all(|&b| !b));
+        for k in [&hot as &dyn LineSweepKernel, &generated] {
+            for dim in 0..3 {
+                let cs = CompiledSweep::build(&mp, 0, &store, dim, Direction::Forward, k, 0, &opts);
+                let modes = cs.phase_inplace();
+                assert!(
+                    modes.iter().all(|&inplace| inplace == (dim < 2)),
+                    "{} dim {dim}: {modes:?}",
+                    k.kernel_name()
+                );
+            }
+        }
     }
 
     #[test]

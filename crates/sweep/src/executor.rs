@@ -15,9 +15,13 @@
 //! is needed on the wire.
 //!
 //! Execution within a phase is **blocked**: each tile's lines are processed
-//! in blocks of [`SweepOptions::block_width`], gathered into contiguous
-//! line-minor buffers so kernels can run an auto-vectorizable inner loop
-//! across lines ([`LineSweepKernel::sweep_block`]). Because the line-major
+//! in blocks of [`SweepOptions::block_width`], each block handed to the
+//! kernel as a lane view ([`LineSweepKernel::sweep_lanes`]) whose lanes are
+//! unit-stride, so kernels run a vectorizable inner loop across lines. A
+//! phase whose swept dimension is not the tile's last axis sweeps tile
+//! storage in place (its lines already form such views); a phase along the
+//! last axis gathers each block into contiguous line-minor buffers first
+//! and scatters it back after. Because the line-major
 //! carry layout *is* the wire layout, the incoming message is evolved in
 //! place and sent on by move — the communication schedule (message count,
 //! payload sizes, byte order) is identical to per-line execution. Blocks
@@ -29,12 +33,11 @@
 //! Also provides the halo exchange used by stencil phases (e.g. SP's
 //! `compute_rhs`), with the same per-direction aggregation.
 
-use crate::inplace::InplaceMode;
 use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::{SimdLevel, SimdMode};
 use mp_core::multipart::{Direction, Multipartitioning};
 use mp_grid::lines::{gather_line_raw, scatter_line_raw};
-use mp_grid::{AlignedVec, HaloPlan, RankStore, TileGrid};
+use mp_grid::{AlignedVec, HaloPlan, LaneField, Lanes, RankStore, TileGrid};
 use mp_runtime::comm::{Communicator, Tag};
 use std::time::Instant;
 
@@ -67,14 +70,6 @@ pub struct SweepOptions {
     /// portable scalar path. Results are bitwise identical in every mode;
     /// the knob exists for A/B measurement and as an escape hatch.
     pub simd: SimdMode,
-    /// Zero-copy execution policy (see [`crate::inplace`]):
-    /// [`InplaceMode::Auto`] (the default) runs eligible phases in place
-    /// on tile storage — no gather/scatter, carries written directly into
-    /// the send buffer — exactly when the calibrated cost model says the
-    /// strided kernel beats packed-plus-pack-cost; [`InplaceMode::On`] /
-    /// [`InplaceMode::Off`] force the choice. Results and the wire
-    /// schedule are bitwise identical in every mode.
-    pub inplace: InplaceMode,
 }
 
 impl SweepOptions {
@@ -86,7 +81,6 @@ impl SweepOptions {
             threads: threads.max(1),
             pipeline_chunks: 1,
             simd: SimdMode::Auto,
-            inplace: InplaceMode::Auto,
         }
     }
 
@@ -103,12 +97,6 @@ impl SweepOptions {
         self
     }
 
-    /// Same options with an explicit zero-copy execution policy.
-    pub fn with_inplace(mut self, inplace: InplaceMode) -> Self {
-        self.inplace = inplace;
-        self
-    }
-
     /// Options from the environment — the single documented place every
     /// entry point (CLI, examples, benches) reads the sweep knobs from:
     ///
@@ -118,7 +106,6 @@ impl SweepOptions {
     /// | `MP_SWEEP_THREADS`  | worker threads per rank           | 1       |
     /// | `MP_SWEEP_PIPELINE` | carry sub-messages per boundary   | 1       |
     /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`scalar`      | auto    |
-    /// | `MP_SWEEP_INPLACE`  | zero-copy policy: `auto`/`on`/`off` | auto  |
     ///
     /// Malformed or out-of-range values (empty, non-numeric, `0` for the
     /// numeric knobs, an unknown mode word) fall back to the default rather
@@ -133,7 +120,6 @@ impl SweepOptions {
         )
         .with_pipeline_chunks(env_usize("MP_SWEEP_PIPELINE", 1))
         .with_simd(SimdMode::from_env())
-        .with_inplace(InplaceMode::from_env())
     }
 }
 
@@ -212,10 +198,10 @@ impl RawParts {
     }
 }
 
-// SAFETY: all access goes through `gather_line_raw` / `scatter_line_raw` /
-// per-job carry ranges, which touch element sets that are disjoint between
-// concurrently running jobs (lines partition a tile's interior; carry
-// ranges are disjoint by construction).
+// SAFETY: all access goes through `gather_line_raw` / `scatter_line_raw`,
+// in-place lane views and per-job carry ranges, which touch element sets
+// that are disjoint between concurrently running jobs (lines partition a
+// tile's interior; carry ranges are disjoint by construction).
 unsafe impl Send for RawParts {}
 unsafe impl Sync for RawParts {}
 
@@ -257,20 +243,9 @@ pub(crate) struct WorkerScratch {
     offsets: Vec<usize>,
     /// Mixed-radix odometer over the reduced cross-section extents.
     base: Vec<usize>,
-    /// Per-field lane-run base pointers for in-place execution.
-    ptrs: PtrVec,
-    /// Per-field element strides matching `ptrs`.
-    estrides: Vec<isize>,
+    /// The per-field table of the lane view each kernel call runs on.
+    lane_fields: Vec<LaneField>,
 }
-
-/// Per-field base pointers of one in-place lane run. Reused scratch so
-/// steady-state phases allocate nothing.
-struct PtrVec(Vec<*mut f64>);
-
-// SAFETY: the pointers are transient per-run scratch, written and
-// dereferenced only by the worker that owns this scratch slot (see
-// `RawParts` for the element-disjointness argument).
-unsafe impl Send for PtrVec {}
 
 impl WorkerScratch {
     fn new(nfields: usize) -> Self {
@@ -279,8 +254,7 @@ impl WorkerScratch {
             ctxs: Vec::new(),
             offsets: Vec::new(),
             base: Vec::new(),
-            ptrs: PtrVec(Vec::new()),
-            estrides: Vec::new(),
+            lane_fields: Vec::with_capacity(nfields),
         }
     }
 }
@@ -314,9 +288,9 @@ pub(crate) struct SharedPhase<'a, K: ?Sized> {
     /// Vectorization level resolved once at plan-build time — steady-state
     /// execution never re-detects CPU features.
     pub(crate) simd: SimdLevel,
-    /// Run block jobs in place on tile storage (resolved per phase at
-    /// plan-build time; see [`crate::inplace`]). The job and chunk tables
-    /// are identical either way, so the wire schedule cannot change.
+    /// Run block jobs in place on tile storage (decided per phase from its
+    /// geometry at plan-build time). The job and chunk tables are identical
+    /// either way, so the wire schedule cannot change.
     pub(crate) inplace: bool,
 }
 
@@ -390,22 +364,46 @@ fn decode_lines<K: LineSweepKernel + ?Sized>(
     }
 }
 
-/// Run one block job: decode its line bases, gather the lines into the
-/// worker's block buffers, sweep, and scatter back. The block's carries
-/// live in `out` — one chunk's carry message, whose first element is the
-/// phase-global carry element `carry_base`.
-fn run_block<K: LineSweepKernel + ?Sized>(
+/// Run one block job in its phase's mode. The job's carries are a
+/// sub-range of `out` — one chunk's carry message, whose first element is
+/// the phase-global carry element `carry_base` — line-major, `clen` per
+/// line.
+#[inline]
+fn run_one<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
     out: RawParts,
     carry_base: usize,
     w: &mut WorkerScratch,
 ) {
+    let off = job.carry_off - carry_base;
+    let len = job.nlines * sh.clen;
+    debug_assert!(off + len <= out.len);
+    // SAFETY: jobs' carry ranges are disjoint and `out` is not resized
+    // while jobs run.
+    let carries = unsafe { std::slice::from_raw_parts_mut(out.ptr.add(off), len) };
+    decode_lines(sh, job, &mut w.ctxs, &mut w.offsets, &mut w.base);
+    if sh.inplace {
+        run_block_inplace(sh, job, carries, w);
+    } else {
+        run_block(sh, job, carries, w);
+    }
+}
+
+/// Run one block job packed: gather its lines into the worker's
+/// line-minor block buffers, sweep them as lanes of stride `nlines`, and
+/// scatter back.
+fn run_block<K: LineSweepKernel + ?Sized>(
+    sh: &SharedPhase<'_, K>,
+    job: &BlockJob,
+    carries: &mut [f64],
+    w: &mut WorkerScratch,
+) {
     let WorkerScratch {
         bufs,
         ctxs,
         offsets,
-        base,
+        lane_fields,
         ..
     } = w;
     let nf = sh.nfields;
@@ -414,9 +412,6 @@ fn run_block<K: LineSweepKernel + ?Sized>(
     let seg_len = sh.seg_lens[t];
     let reversed = sh.dir == Direction::Backward;
 
-    decode_lines(sh, job, ctxs, offsets, base);
-
-    // Gather lines into line-minor block buffers.
     for (f, buf) in bufs.iter_mut().enumerate() {
         buf.resize(seg_len * nl, 0.0);
         let fm = &sh.fms[t * nf + f];
@@ -438,15 +433,9 @@ fn run_block<K: LineSweepKernel + ?Sized>(
         }
     }
 
-    // The block's carries are a sub-range of the outgoing buffer.
-    let off = job.carry_off - carry_base;
-    debug_assert!(off + nl * sh.clen <= out.len);
-    // SAFETY: jobs' carry ranges are disjoint and `out` is not resized
-    // while jobs run.
-    let carries = unsafe { std::slice::from_raw_parts_mut(out.ptr.add(off), nl * sh.clen) };
-
+    let mut lanes = Lanes::packed(bufs, nl, seg_len, lane_fields);
     sh.kernel
-        .sweep_block_simd(sh.simd, sh.dir, nl, seg_len, carries, bufs, &ctxs[..nl]);
+        .sweep_lanes(sh.simd, sh.dir, carries, &mut lanes, &ctxs[..nl]);
 
     for (f, buf) in bufs.iter().enumerate() {
         let fm = &sh.fms[t * nf + f];
@@ -469,35 +458,30 @@ fn run_block<K: LineSweepKernel + ?Sized>(
 }
 
 /// Run one block job **in place**: sweep the lines where they live in tile
-/// storage through [`LineSweepKernel::sweep_block_strided`], with the
-/// carries evolved directly in the outgoing message buffer. No gather, no
-/// scatter, no block scratch.
+/// storage, with the carries evolved directly in the outgoing message
+/// buffer. No gather, no scatter, no block scratch.
 ///
 /// The job's lines are processed as maximal runs contiguous along the
-/// tile's last (unit-stride) axis: within a run, lane `l` of the strided
-/// view is exactly `base + l`, so the kernels see the same unit-lane
-/// addressing as the packed line-minor layout — with `row_stride` set to
-/// the tile's stride along the swept dimension instead of `nlines` — and
-/// produce bitwise-identical results. Runs never cross a last-axis row
-/// (ghost layers break contiguity there), but the job/carry tables are the
-/// packed ones, so the wire schedule is untouched.
+/// tile's last (unit-stride) axis: within a run, lane `l` is exactly
+/// `base + l`, so each run is a lane view with the tile's stride along the
+/// swept dimension in place of the packed `nlines` — the kernels run the
+/// same arithmetic either way. Runs never cross a last-axis row (ghost
+/// layers break contiguity there), but the job/carry tables are the packed
+/// ones, so the wire schedule is untouched.
 ///
 /// Plan-build preconditions (checked there, debug-asserted here): the
-/// swept dimension is not the last axis, every field's last-axis stride is
-/// 1, and the kernel supports the strided entry point.
+/// swept dimension is not the last axis and every field's last-axis stride
+/// is 1.
 fn run_block_inplace<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
-    out: RawParts,
-    carry_base: usize,
+    carries: &mut [f64],
     w: &mut WorkerScratch,
 ) {
     let WorkerScratch {
         ctxs,
         offsets,
-        base,
-        ptrs,
-        estrides,
+        lane_fields,
         ..
     } = w;
     let d = sh.d;
@@ -505,83 +489,44 @@ fn run_block_inplace<K: LineSweepKernel + ?Sized>(
     let t = job.tile;
     let nl = job.nlines;
     let seg_len = sh.seg_lens[t];
-    let red = &sh.red_exts[t * d..(t + 1) * d];
     let reversed = sh.dir == Direction::Backward;
     debug_assert!(sh.dim + 1 < d, "in-place needs a non-unit-stride sweep dim");
-
-    decode_lines(sh, job, ctxs, offsets, base);
-
-    // The job's carries are a sub-range of the outgoing buffer (line-major:
-    // line l's carries at [l*clen .. (l+1)*clen]).
-    let off = job.carry_off - carry_base;
-    debug_assert!(off + nl * sh.clen <= out.len);
-    // SAFETY: jobs' carry ranges are disjoint and `out` is not resized
-    // while jobs run.
-    let carries = unsafe { std::slice::from_raw_parts_mut(out.ptr.add(off), nl * sh.clen) };
 
     // Walk maximal unit-stride lane runs along the last axis. Row-major
     // line order means the last-axis coordinate of line `line0 + r` is
     // `(line0 + r) mod red[d-1]`.
-    let last = red[d - 1];
+    let last = sh.red_exts[(t + 1) * d - 1];
     let mut r0 = 0usize;
     while r0 < nl {
-        let lane0 = (job.line0 + r0) % last;
-        let run = (last - lane0).min(nl - r0);
-        ptrs.0.clear();
-        estrides.clear();
-        for f in 0..nf {
+        let run = (last - (job.line0 + r0) % last).min(nl - r0);
+        let parts = (0..nf).map(|f| {
             let fm = &sh.fms[t * nf + f];
-            let strides = &sh.fm_strides[(t * nf + f) * d..(t * nf + f + 1) * d];
-            debug_assert_eq!(strides[d - 1], 1, "lane axis must be unit stride");
-            let fwd = offsets[r0 * nf + f];
-            let (origin_off, es) = if reversed {
-                (
-                    fwd + (seg_len - 1) * fm.stride_dim,
-                    -(fm.stride_dim as isize),
-                )
-            } else {
-                (fwd, fm.stride_dim as isize)
-            };
-            let view = mp_grid::LaneView::new(origin_off, run, 1, seg_len, es, fm.parts.len);
-            // SAFETY: `LaneView::new` asserted the extreme corners of the
-            // run stay inside the field's buffer.
-            ptrs.0.push(unsafe { fm.parts.ptr.add(view.offset) });
-            estrides.push(es);
-        }
-        let run_carries = &mut carries[r0 * sh.clen..(r0 + run) * sh.clen];
-        // SAFETY: pointers/strides address `run × seg_len` in-bounds
-        // elements per field (checked above); concurrently running jobs
-        // touch disjoint lines and disjoint carry ranges.
-        unsafe {
-            sh.kernel.sweep_block_strided(
-                sh.simd,
-                sh.dir,
-                run,
-                seg_len,
-                run_carries,
-                &ptrs.0,
-                estrides,
-                &ctxs[r0..r0 + run],
+            debug_assert_eq!(
+                sh.fm_strides[(t * nf + f) * d + d - 1],
+                1,
+                "lane axis must be unit stride"
             );
-        }
+            let fwd = offsets[r0 * nf + f];
+            let sd = fm.stride_dim as isize;
+            if reversed {
+                let far = fwd + (seg_len - 1) * fm.stride_dim;
+                (fm.parts.ptr, fm.parts.len, far, -sd)
+            } else {
+                (fm.parts.ptr, fm.parts.len, fwd, sd)
+            }
+        });
+        // SAFETY: each field's storage is live for the whole phase, and
+        // concurrently running jobs touch disjoint lines (see `RawParts`);
+        // `from_raw` checks the run's corners against each buffer.
+        let mut lanes = unsafe { Lanes::from_raw(parts, run, seg_len, lane_fields) };
+        sh.kernel.sweep_lanes(
+            sh.simd,
+            sh.dir,
+            &mut carries[r0 * sh.clen..(r0 + run) * sh.clen],
+            &mut lanes,
+            &ctxs[r0..r0 + run],
+        );
         r0 += run;
-    }
-}
-
-/// Dispatch one job to the packed or in-place runner per the phase's
-/// resolved mode.
-#[inline]
-fn run_one<K: LineSweepKernel + ?Sized>(
-    sh: &SharedPhase<'_, K>,
-    job: &BlockJob,
-    out: RawParts,
-    carry_base: usize,
-    w: &mut WorkerScratch,
-) {
-    if sh.inplace {
-        run_block_inplace(sh, job, out, carry_base, w);
-    } else {
-        run_block(sh, job, out, carry_base, w);
     }
 }
 

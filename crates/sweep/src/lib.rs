@@ -4,7 +4,10 @@
 //! multipartitionings of `mp-core`:
 //!
 //! * [`recurrence`] — segmented sweep kernels (prefix sums, first-order
-//!   recurrences) and the [`recurrence::LineSweepKernel`] trait;
+//!   recurrences) and the [`recurrence::LineSweepKernel`] trait, whose one
+//!   blocked method sweeps a [`mp_grid::Lanes`] view: packed line-minor
+//!   scratch, or tile storage in place for every phase whose swept
+//!   dimension is not the tile's last axis;
 //! * [`thomas`] — tridiagonal solvers: serial Thomas plus the forward
 //!   elimination / back substitution kernels that turn a distributed
 //!   tridiagonal solve into two directional sweeps;
@@ -21,9 +24,6 @@
 //!   phases without per-phase thread spawns;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
 //!   plan-time runtime dispatch, bitwise identical to the scalar paths;
-//! * [`inplace`] — the zero-copy execution policy: strided in-place
-//!   kernels over tile storage with direct-to-wire carries, chosen per
-//!   phase by the calibrated cost model ([`inplace::InplaceMode`]);
 //! * [`baselines`] — the two classical alternatives the paper positions
 //!   against: static block unipartitioning with wavefront pipelining, and
 //!   dynamic block partitioning with transposes;
@@ -41,7 +41,6 @@ pub mod batch;
 pub mod block;
 pub mod compiled;
 pub mod executor;
-pub mod inplace;
 pub mod penta;
 pub mod pipeline;
 pub mod pool;
@@ -64,11 +63,10 @@ pub use executor::{
     allocate_rank_store, exchange_halos, exchange_halos_planned, multipart_sweep,
     multipart_sweep_opts, SweepOptions,
 };
-pub use inplace::{k1_strided_key, InplaceMode};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
 pub use pool::WorkerPool;
 pub use recurrence::{
-    per_line_sweep_block, FirstOrderKernel, LineSweepKernel, PrefixSumKernel, SegmentCtx,
+    per_line_sweep_lanes, FirstOrderKernel, LineSweepKernel, PrefixSumKernel, SegmentCtx,
 };
 pub use simd::{SimdLevel, SimdMode};
 pub use thomas::{thomas_solve, ThomasBackwardKernel, ThomasForwardKernel};

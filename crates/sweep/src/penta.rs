@@ -21,10 +21,10 @@
 // iterator zips would obscure the stencil structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::recurrence::{debug_assert_block_aligned, LineSweepKernel, SegmentCtx};
+use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::SimdLevel;
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::Lanes;
 
 /// Eliminate one row given the two previous eliminated rows.
 ///
@@ -188,162 +188,43 @@ impl LineSweepKernel for PentaForwardKernel {
         carry[5] = p2.2;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
-        assert_eq!(dir, Direction::Forward);
-        debug_assert_eq!(carries.len(), 6 * nlines);
-        debug_assert_block_aligned(block);
-        let (ead, cfb) = block.split_at_mut(3);
-        for k in 0..seg_len {
-            let r = k * nlines;
-            for l in 0..nlines {
+        assert_eq!(dir, Direction::Forward, "elimination runs forward");
+        debug_assert_eq!(carries.len(), 6 * lanes.nlanes());
+        let l0 = crate::simd::penta_forward(level, carries, lanes);
+        for k in 0..lanes.seg_len() {
+            for l in l0..lanes.nlanes() {
                 let cl = &mut carries[6 * l..6 * l + 6];
                 let row = eliminate_row(
                     (
-                        ead[0][r + l],
-                        ead[1][r + l],
-                        ead[2][r + l],
-                        cfb[0][r + l],
-                        cfb[1][r + l],
-                        cfb[2][r + l],
+                        lanes.get(0, k, l),
+                        lanes.get(1, k, l),
+                        lanes.get(2, k, l),
+                        lanes.get(3, k, l),
+                        lanes.get(4, k, l),
+                        lanes.get(5, k, l),
                     ),
                     (cl[0], cl[1], cl[2]),
                     (cl[3], cl[4], cl[5]),
                 );
-                cfb[0][r + l] = row.0;
-                cfb[1][r + l] = row.1;
-                cfb[2][r + l] = row.2;
-                cl[3] = cl[0];
-                cl[4] = cl[1];
-                cl[5] = cl[2];
-                cl[0] = row.0;
-                cl[1] = row.1;
-                cl[2] = row.2;
+                lanes.set(3, k, l, row.0);
+                lanes.set(4, k, l, row.1);
+                lanes.set(5, k, l, row.2);
+                cl.copy_within(0..3, 3);
+                [cl[0], cl[1], cl[2]] = [row.0, row.1, row.2];
             }
         }
-    }
-
-    fn sweep_block_simd(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 {
-            assert_eq!(dir, Direction::Forward);
-            debug_assert_eq!(carries.len(), 6 * nlines);
-            debug_assert_block_aligned(block);
-            let (ead, cfb) = block.split_at_mut(3);
-            let (cc, fb) = cfb.split_at_mut(1);
-            let (ff, bb) = fb.split_at_mut(1);
-            // SAFETY: `SimdLevel::Avx2` implies detected avx2+fma; the
-            // line-minor block is a unit-lane view with row stride nlines.
-            unsafe {
-                crate::simd::avx2::penta_forward(
-                    nlines,
-                    seg_len,
-                    carries,
-                    [ead[0].as_ptr(), ead[1].as_ptr(), ead[2].as_ptr()],
-                    cc[0].as_mut_ptr(),
-                    ff[0].as_mut_ptr(),
-                    bb[0].as_mut_ptr(),
-                    nlines as isize,
-                );
-            }
-            return;
-        }
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
     fn kernel_name(&self) -> &'static str {
         "penta_forward"
-    }
-
-    fn supports_strided(&self) -> bool {
-        true
-    }
-
-    unsafe fn sweep_block_strided(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        _ctxs: &[SegmentCtx],
-    ) {
-        assert_eq!(dir, Direction::Forward, "elimination runs forward");
-        debug_assert_eq!(carries.len(), 6 * nlines);
-        let es = elem_strides[0];
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 && elem_strides.iter().all(|&s| s == es) {
-            // SAFETY: caller guarantees the strided range; same kernel body
-            // as the packed path, so bitwise identity holds by construction.
-            crate::simd::avx2::penta_forward(
-                nlines,
-                seg_len,
-                carries,
-                [
-                    ptrs[0] as *const f64,
-                    ptrs[1] as *const f64,
-                    ptrs[2] as *const f64,
-                ],
-                ptrs[3],
-                ptrs[4],
-                ptrs[5],
-                es,
-            );
-            return;
-        }
-        let _ = level;
-        let (ee, aa, dd) = (
-            ptrs[0] as *const f64,
-            ptrs[1] as *const f64,
-            ptrs[2] as *const f64,
-        );
-        let (cc, ff, bb) = (ptrs[3], ptrs[4], ptrs[5]);
-        for k in 0..seg_len {
-            let k = k as isize;
-            for l in 0..nlines {
-                let li = l as isize;
-                let cl = &mut carries[6 * l..6 * l + 6];
-                let row = eliminate_row(
-                    (
-                        *ee.offset(k * elem_strides[0] + li),
-                        *aa.offset(k * elem_strides[1] + li),
-                        *dd.offset(k * elem_strides[2] + li),
-                        *cc.offset(k * elem_strides[3] + li),
-                        *ff.offset(k * elem_strides[4] + li),
-                        *bb.offset(k * elem_strides[5] + li),
-                    ),
-                    (cl[0], cl[1], cl[2]),
-                    (cl[3], cl[4], cl[5]),
-                );
-                *cc.offset(k * elem_strides[3] + li) = row.0;
-                *ff.offset(k * elem_strides[4] + li) = row.1;
-                *bb.offset(k * elem_strides[5] + li) = row.2;
-                cl[3] = cl[0];
-                cl[4] = cl[1];
-                cl[5] = cl[2];
-                cl[0] = row.0;
-                cl[1] = row.1;
-                cl[2] = row.2;
-            }
-        }
     }
 }
 
@@ -401,31 +282,27 @@ impl LineSweepKernel for PentaBackwardKernel {
         carry[2] = count;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
-        assert_eq!(dir, Direction::Backward);
-        debug_assert_eq!(carries.len(), 3 * nlines);
-        debug_assert_block_aligned(block);
-        let (cf, bb) = block.split_at_mut(2);
-        let bb = &mut bb[0];
-        for k in 0..seg_len {
-            let r = k * nlines;
-            for l in 0..nlines {
+        assert_eq!(dir, Direction::Backward, "substitution runs backward");
+        debug_assert_eq!(carries.len(), 3 * lanes.nlanes());
+        let l0 = crate::simd::penta_backward(level, carries, lanes);
+        for k in 0..lanes.seg_len() {
+            for l in l0..lanes.nlanes() {
                 let cl = &mut carries[3 * l..3 * l + 3];
-                let b = bb[r + l];
+                let b = lanes.get(2, k, l);
                 let x = match cl[2] as u32 {
                     0 => b,
-                    1 => b - cf[0][r + l] * cl[0],
-                    _ => b - cf[0][r + l] * cl[0] - cf[1][r + l] * cl[1],
+                    1 => b - lanes.get(0, k, l) * cl[0],
+                    _ => b - lanes.get(0, k, l) * cl[0] - lanes.get(1, k, l) * cl[1],
                 };
-                bb[r + l] = x;
+                lanes.set(2, k, l, x);
                 cl[1] = cl[0];
                 cl[0] = x;
                 if cl[2] < 2.0 {
@@ -433,102 +310,10 @@ impl LineSweepKernel for PentaBackwardKernel {
                 }
             }
         }
-    }
-
-    fn sweep_block_simd(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 {
-            assert_eq!(dir, Direction::Backward);
-            debug_assert_eq!(carries.len(), 3 * nlines);
-            debug_assert_block_aligned(block);
-            let (cf, bb) = block.split_at_mut(2);
-            // SAFETY: `SimdLevel::Avx2` implies detected avx2+fma; the
-            // line-minor block is a unit-lane view with row stride nlines.
-            unsafe {
-                crate::simd::avx2::penta_backward(
-                    nlines,
-                    seg_len,
-                    carries,
-                    cf[0].as_ptr(),
-                    cf[1].as_ptr(),
-                    bb[0].as_mut_ptr(),
-                    nlines as isize,
-                );
-            }
-            return;
-        }
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
     fn kernel_name(&self) -> &'static str {
         "penta_backward"
-    }
-
-    fn supports_strided(&self) -> bool {
-        true
-    }
-
-    unsafe fn sweep_block_strided(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        _ctxs: &[SegmentCtx],
-    ) {
-        assert_eq!(dir, Direction::Backward, "substitution runs backward");
-        debug_assert_eq!(carries.len(), 3 * nlines);
-        let es = elem_strides[0];
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 && elem_strides.iter().all(|&s| s == es) {
-            // SAFETY: caller guarantees the strided range; same kernel body
-            // as the packed path, so bitwise identity holds by construction.
-            crate::simd::avx2::penta_backward(
-                nlines,
-                seg_len,
-                carries,
-                ptrs[0] as *const f64,
-                ptrs[1] as *const f64,
-                ptrs[2],
-                es,
-            );
-            return;
-        }
-        let _ = level;
-        let (cc, ff) = (ptrs[0] as *const f64, ptrs[1] as *const f64);
-        let bb = ptrs[2];
-        let (sc, sf, sb) = (elem_strides[0], elem_strides[1], elem_strides[2]);
-        for k in 0..seg_len {
-            let k = k as isize;
-            for l in 0..nlines {
-                let li = l as isize;
-                let cl = &mut carries[3 * l..3 * l + 3];
-                let b = *bb.offset(k * sb + li);
-                let x = match cl[2] as u32 {
-                    0 => b,
-                    1 => b - *cc.offset(k * sc + li) * cl[0],
-                    _ => b - *cc.offset(k * sc + li) * cl[0] - *ff.offset(k * sf + li) * cl[1],
-                };
-                *bb.offset(k * sb + li) = x;
-                cl[1] = cl[0];
-                cl[0] = x;
-                if cl[2] < 2.0 {
-                    cl[2] += 1.0;
-                }
-            }
-        }
     }
 }
 

@@ -11,27 +11,13 @@
 //! line at once, so distributed results are bit-identical to serial ones —
 //! the property the verification tests lean on.
 
+use crate::simd::SimdLevel;
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::Lanes;
 
-/// Debug-build check of the blocked-kernel alignment contract: every field
-/// buffer handed to [`LineSweepKernel::sweep_block`] starts on a 64-byte
-/// boundary ([`mp_grid::aligned::ALIGN`]). [`AlignedVec`] guarantees this by
-/// construction; the assert pins the contract at every kernel entry so a
-/// future caller that fabricates buffers some other way fails loudly in
-/// debug builds instead of silently running the vector path on unaligned
-/// memory.
-#[inline]
-pub fn debug_assert_block_aligned(block: &[AlignedVec]) {
-    if cfg!(debug_assertions) {
-        for (f, b) in block.iter().enumerate() {
-            debug_assert!(
-                b.is_empty() || (b.as_ptr() as usize).is_multiple_of(mp_grid::aligned::ALIGN),
-                "sweep_block field {f} buffer is not 64-byte aligned"
-            );
-        }
-    }
-}
+/// Largest array rank a kernel can walk without allocating through
+/// [`SegmentCtx::start_in`].
+pub const MAX_DIMS: usize = 8;
 
 /// Where a segment sits in the global domain — lets kernels compute
 /// position-dependent coefficients on the fly instead of storing them in
@@ -65,10 +51,15 @@ impl SegmentCtx {
         Self::new(vec![0; d], axis, dir)
     }
 
-    /// Global coordinates of buffer element `k`.
-    pub fn global_of(&self, k: usize) -> Vec<usize> {
-        let mut g = self.global_start.clone();
-        g[self.axis] = (g[self.axis] as i64 + self.step * k as i64) as usize;
+    /// Copy the segment's start position into `buf` and return it as a
+    /// `d`-long slice, on which a kernel sets `g[axis]` per element
+    /// ([`SegmentCtx::axis_coord`]) without allocating.
+    ///
+    /// # Panics
+    /// Panics if the domain has more than [`MAX_DIMS`] dimensions.
+    pub fn start_in<'b>(&self, buf: &'b mut [usize; MAX_DIMS]) -> &'b mut [usize] {
+        let g = &mut buf[..self.global_start.len()];
+        g.copy_from_slice(&self.global_start);
         g
     }
 
@@ -115,6 +106,8 @@ pub trait LineSweepKernel: Sync {
     /// segment's length, **already ordered in sweep direction** (element 0
     /// first). `ctx` locates the segment in the global domain for kernels
     /// with position-dependent coefficients; simple kernels ignore it.
+    /// This per-line form is the reference the serial solvers run and the
+    /// blocked form is tested against.
     fn sweep_segment(
         &self,
         dir: Direction,
@@ -123,58 +116,35 @@ pub trait LineSweepKernel: Sync {
         ctx: &SegmentCtx,
     );
 
-    /// Process a **block** of `nlines` same-length segments at once.
+    /// Process `lanes.nlanes()` parallel segments of `lanes.seg_len()`
+    /// elements at once — the one blocked entry point the executor calls.
     ///
-    /// Layouts:
-    /// * `block[f]` holds field `fields()[f]` for all lines, **line-minor**:
-    ///   element `k` of line `l` at `block[f][k·nlines + l]` (each buffer has
-    ///   `seg_len·nlines` elements, every line already in sweep order);
-    /// * `carries` is **line-major**: line `l`'s carry at
-    ///   `carries[l·carry_len() .. (l+1)·carry_len()]` — exactly the order in
-    ///   which the executor packs carries onto the wire, so blocked execution
-    ///   can evolve the outgoing message in place;
-    /// * `ctxs[l]` locates line `l` (lines of one block generally start at
-    ///   different global positions).
+    /// * Field `f` of `lanes` is `fields()[f]`; element `k` of lane `l` is
+    ///   `lanes.get(f, k, l)`, every lane already in sweep order. Lanes are
+    ///   unit-stride and elements a signed stride apart: `nlanes` for the
+    ///   executor's packed line-minor scratch, `±` the tile's stride along
+    ///   the swept dimension when a phase runs in place on tile storage.
+    /// * `carries` is **line-major**: lane `l`'s carry at
+    ///   `carries[l·carry_len() .. (l+1)·carry_len()]` — exactly the order
+    ///   in which carries travel on the wire, so the executor evolves the
+    ///   received message in place.
+    /// * `ctxs[l]` locates lane `l` (lanes generally start at different
+    ///   global positions).
+    /// * `level` is the vectorization level the plan resolved at build
+    ///   time; kernels without a vector body ignore it.
     ///
-    /// Implementations must perform, per line, the *same arithmetic in the
-    /// same order* as `sweep_segment` would — blocked results are required
-    /// to be bit-identical to per-line ones at any block width. The default
-    /// implementation guarantees this by gathering each line and delegating
-    /// to [`LineSweepKernel::sweep_segment`]; override it with an inner loop
-    /// across lines (unit stride in the line-minor layout) to vectorize.
-    fn sweep_block(
+    /// Implementations must perform, per lane, the *same arithmetic in the
+    /// same order* as `sweep_segment`: results are required to be bitwise
+    /// identical to [`per_line_sweep_lanes`] at every lane count, stride
+    /// and level.
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         ctxs: &[SegmentCtx],
-    ) {
-        per_line_sweep_block(self, dir, nlines, seg_len, carries, block, ctxs);
-    }
-
-    /// Like [`LineSweepKernel::sweep_block`], but with the vectorization
-    /// level the plan resolved at build time. Kernels with a SIMD fast path
-    /// (Thomas, penta, prefix/first-order — see [`crate::simd`]) override
-    /// this and branch once on `level`; every other kernel inherits this
-    /// default and ignores it, so the scalar blocked paths stay the single
-    /// source of truth for the arithmetic. Overrides must remain **bitwise
-    /// identical** to `sweep_block` for every input.
-    #[allow(clippy::too_many_arguments)]
-    fn sweep_block_simd(
-        &self,
-        level: crate::simd::SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        let _ = level;
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
-    }
+    );
 
     /// Stable name for calibration lookups (the `"<kernel>@<simd>"` K1 keys
     /// of a [`mp_core::machine::MachineProfile`]) and reports. Kernels
@@ -182,102 +152,28 @@ pub trait LineSweepKernel: Sync {
     fn kernel_name(&self) -> &'static str {
         "custom"
     }
-
-    /// Whether [`LineSweepKernel::sweep_block_strided`] is overridden with a
-    /// fast path. The executor only elects in-place execution for kernels
-    /// that opt in; everything else keeps the packed gather/scatter path
-    /// (the default `sweep_block_strided` below stays correct regardless,
-    /// it is just never faster than packing).
-    fn supports_strided(&self) -> bool {
-        false
-    }
-
-    /// Process a block of `nlines` parallel segments **in place** over
-    /// strided tile storage — the zero-copy alternative to
-    /// [`LineSweepKernel::sweep_block_simd`].
-    ///
-    /// Addressing: element `k` of lane `l` of field `fields()[f]` lives at
-    /// `ptrs[f].offset(k·elem_strides[f] + l)` — lanes are **unit-stride**
-    /// in storage (the caller only builds such views; see
-    /// [`mp_grid::LaneView`]), elements walk the swept dimension, and a
-    /// negative stride walks a backward sweep from its far end. `carries`
-    /// and `ctxs` are laid out exactly as in `sweep_block`.
-    ///
-    /// Implementations must perform, per lane, the *same arithmetic in the
-    /// same order* as the packed path — in-place results are required to be
-    /// bitwise identical to gather/sweep/scatter at any lane count.
-    ///
-    /// # Safety
-    /// Every `ptrs[f]` must be valid for reads and writes over the full
-    /// `(seg_len, nlines, elem_strides[f])` affine range, and no other
-    /// thread may access any of those elements during the call.
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn sweep_block_strided(
-        &self,
-        level: crate::simd::SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        ctxs: &[SegmentCtx],
-    ) {
-        // Default: peel each lane into temporary segments and delegate to
-        // `sweep_segment` — correct for every kernel, never fast. Kernels
-        // that return `supports_strided() == true` override this with a
-        // direct strided loop (plus the AVX2 path where available).
-        let _ = level;
-        let clen = self.carry_len();
-        debug_assert_eq!(carries.len(), nlines * clen);
-        debug_assert_eq!(ctxs.len(), nlines);
-        debug_assert_eq!(ptrs.len(), elem_strides.len());
-        let mut seg: Vec<Vec<f64>> = vec![vec![0.0; seg_len]; ptrs.len()];
-        for l in 0..nlines {
-            for (f, s) in seg.iter_mut().enumerate() {
-                let base = ptrs[f].add(l);
-                for (k, v) in s.iter_mut().enumerate() {
-                    *v = *base.offset(k as isize * elem_strides[f]);
-                }
-            }
-            self.sweep_segment(
-                dir,
-                &mut carries[l * clen..(l + 1) * clen],
-                &mut seg,
-                &ctxs[l],
-            );
-            for (f, s) in seg.iter().enumerate() {
-                let base = ptrs[f].add(l);
-                for (k, v) in s.iter().enumerate() {
-                    *base.offset(k as isize * elem_strides[f]) = *v;
-                }
-            }
-        }
-    }
 }
 
-/// Reference implementation of [`LineSweepKernel::sweep_block`]: peel each
-/// line out of the line-minor block, run `sweep_segment`, and write it back.
-/// Kernels with custom blocked paths are tested against this.
-pub fn per_line_sweep_block<K: LineSweepKernel + ?Sized>(
+/// The reference for [`LineSweepKernel::sweep_lanes`]: peel each lane into
+/// per-field segments, run [`LineSweepKernel::sweep_segment`], and write
+/// the results back. Every kernel's blocked body is tested bitwise against
+/// it; it allocates, so it is a test reference, not an execution path.
+pub fn per_line_sweep_lanes<K: LineSweepKernel + ?Sized>(
     kernel: &K,
     dir: Direction,
-    nlines: usize,
-    seg_len: usize,
     carries: &mut [f64],
-    block: &mut [AlignedVec],
+    lanes: &mut Lanes<'_>,
     ctxs: &[SegmentCtx],
 ) {
     let clen = kernel.carry_len();
-    debug_assert_eq!(carries.len(), nlines * clen);
-    debug_assert_eq!(ctxs.len(), nlines);
-    debug_assert_block_aligned(block);
-    let mut seg: Vec<Vec<f64>> = vec![vec![0.0; seg_len]; block.len()];
-    for l in 0..nlines {
-        for (s, b) in seg.iter_mut().zip(block.iter()) {
-            debug_assert_eq!(b.len(), seg_len * nlines);
+    let (nl, n) = (lanes.nlanes(), lanes.seg_len());
+    assert_eq!(carries.len(), nl * clen);
+    assert_eq!(ctxs.len(), nl);
+    let mut seg: Vec<Vec<f64>> = vec![vec![0.0; n]; lanes.nfields()];
+    for l in 0..nl {
+        for (f, s) in seg.iter_mut().enumerate() {
             for (k, v) in s.iter_mut().enumerate() {
-                *v = b[k * nlines + l];
+                *v = lanes.get(f, k, l);
             }
         }
         kernel.sweep_segment(
@@ -286,9 +182,9 @@ pub fn per_line_sweep_block<K: LineSweepKernel + ?Sized>(
             &mut seg,
             &ctxs[l],
         );
-        for (s, b) in seg.iter().zip(block.iter_mut()) {
-            for (k, v) in s.iter().enumerate() {
-                b[k * nlines + l] = *v;
+        for (f, s) in seg.iter().enumerate() {
+            for (k, &v) in s.iter().enumerate() {
+                lanes.set(f, k, l, v);
             }
         }
     }
@@ -332,94 +228,26 @@ impl LineSweepKernel for PrefixSumKernel {
         carry[0] = acc;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         _dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
-        debug_assert_eq!(carries.len(), nlines);
-        debug_assert_block_aligned(block);
-        let buf = &mut block[0];
-        for k in 0..seg_len {
-            let row = &mut buf[k * nlines..(k + 1) * nlines];
-            for (acc, v) in carries.iter_mut().zip(row.iter_mut()) {
-                *acc += *v;
-                *v = *acc;
+        debug_assert_eq!(carries.len(), lanes.nlanes());
+        let l0 = crate::simd::prefix_sum(level, carries, lanes);
+        for k in 0..lanes.seg_len() {
+            for (l, acc) in carries.iter_mut().enumerate().skip(l0) {
+                *acc += lanes.get(0, k, l);
+                lanes.set(0, k, l, *acc);
             }
         }
-    }
-
-    fn sweep_block_simd(
-        &self,
-        level: crate::simd::SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if level == crate::simd::SimdLevel::Avx2 {
-            debug_assert_eq!(carries.len(), nlines);
-            debug_assert_block_aligned(block);
-            // SAFETY: `SimdLevel::Avx2` implies detected avx2+fma; the
-            // line-minor block is a unit-lane view with row stride nlines.
-            unsafe {
-                crate::simd::avx2::prefix_sum(
-                    nlines,
-                    seg_len,
-                    carries,
-                    block[0].as_mut_ptr(),
-                    nlines as isize,
-                )
-            };
-            return;
-        }
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
     fn kernel_name(&self) -> &'static str {
         "prefix_sum"
-    }
-
-    fn supports_strided(&self) -> bool {
-        true
-    }
-
-    unsafe fn sweep_block_strided(
-        &self,
-        level: crate::simd::SimdLevel,
-        _dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        _ctxs: &[SegmentCtx],
-    ) {
-        debug_assert_eq!(carries.len(), nlines);
-        let (buf, es) = (ptrs[0], elem_strides[0]);
-        #[cfg(target_arch = "x86_64")]
-        if level == crate::simd::SimdLevel::Avx2 {
-            // SAFETY: caller guarantees the strided range; same kernel body
-            // as the packed path, so bitwise identity holds by construction.
-            crate::simd::avx2::prefix_sum(nlines, seg_len, carries, buf, es);
-            return;
-        }
-        let _ = level;
-        for k in 0..seg_len {
-            let row = buf.offset(k as isize * es);
-            for (l, acc) in carries.iter_mut().enumerate() {
-                let v = row.add(l);
-                *acc += *v;
-                *v = *acc;
-            }
-        }
     }
 }
 
@@ -463,101 +291,33 @@ impl LineSweepKernel for FirstOrderKernel {
         carry[0] = prev;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         _dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
-        debug_assert_eq!(carries.len(), nlines);
-        debug_assert_block_aligned(block);
-        let buf = &mut block[0];
-        for k in 0..seg_len {
-            let row = &mut buf[k * nlines..(k + 1) * nlines];
-            for (prev, v) in carries.iter_mut().zip(row.iter_mut()) {
-                *v += self.a * *prev;
-                *prev = *v;
+        debug_assert_eq!(carries.len(), lanes.nlanes());
+        let l0 = crate::simd::first_order(level, self.a, carries, lanes);
+        for k in 0..lanes.seg_len() {
+            for (l, prev) in carries.iter_mut().enumerate().skip(l0) {
+                *prev = lanes.get(0, k, l) + self.a * *prev;
+                lanes.set(0, k, l, *prev);
             }
         }
-    }
-
-    fn sweep_block_simd(
-        &self,
-        level: crate::simd::SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if level == crate::simd::SimdLevel::Avx2 {
-            debug_assert_eq!(carries.len(), nlines);
-            debug_assert_block_aligned(block);
-            // SAFETY: `SimdLevel::Avx2` implies detected avx2+fma; the
-            // line-minor block is a unit-lane view with row stride nlines.
-            unsafe {
-                crate::simd::avx2::first_order(
-                    self.a,
-                    nlines,
-                    seg_len,
-                    carries,
-                    block[0].as_mut_ptr(),
-                    nlines as isize,
-                );
-            }
-            return;
-        }
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
     fn kernel_name(&self) -> &'static str {
         "first_order"
-    }
-
-    fn supports_strided(&self) -> bool {
-        true
-    }
-
-    unsafe fn sweep_block_strided(
-        &self,
-        level: crate::simd::SimdLevel,
-        _dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        _ctxs: &[SegmentCtx],
-    ) {
-        debug_assert_eq!(carries.len(), nlines);
-        let (buf, es) = (ptrs[0], elem_strides[0]);
-        #[cfg(target_arch = "x86_64")]
-        if level == crate::simd::SimdLevel::Avx2 {
-            // SAFETY: caller guarantees the strided range; same kernel body
-            // as the packed path, so bitwise identity holds by construction.
-            crate::simd::avx2::first_order(self.a, nlines, seg_len, carries, buf, es);
-            return;
-        }
-        let _ = level;
-        for k in 0..seg_len {
-            let row = buf.offset(k as isize * es);
-            for (l, prev) in carries.iter_mut().enumerate() {
-                let v = row.add(l);
-                *v += self.a * *prev;
-                *prev = *v;
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_grid::AlignedVec;
 
     fn ctx0() -> SegmentCtx {
         SegmentCtx::origin(1, 0, Direction::Forward)
@@ -609,7 +369,7 @@ mod tests {
         assert_eq!(carry, vec![0.25]);
     }
 
-    /// A kernel with no `sweep_block` override, to pin the default fallback.
+    /// A kernel whose blocked body is the per-line reference.
     struct FallbackPrefix;
     impl LineSweepKernel for FallbackPrefix {
         fn fields(&self) -> &[usize] {
@@ -626,6 +386,16 @@ mod tests {
             ctx: &SegmentCtx,
         ) {
             PrefixSumKernel::new(0).sweep_segment(dir, carry, seg, ctx);
+        }
+        fn sweep_lanes(
+            &self,
+            _level: SimdLevel,
+            dir: Direction,
+            carries: &mut [f64],
+            lanes: &mut Lanes<'_>,
+            ctxs: &[SegmentCtx],
+        ) {
+            per_line_sweep_lanes(self, dir, carries, lanes, ctxs);
         }
     }
 
@@ -645,8 +415,8 @@ mod tests {
 
     #[test]
     fn blocked_overrides_match_default_fallback_bitwise() {
-        // Both the default per-line fallback and the hand-blocked overrides
-        // must equal sequential per-line sweeps exactly.
+        // The per-line reference and the hand-blocked bodies must all
+        // equal sequential per-line sweeps exactly.
         let nl = 5;
         let n = 9;
         let lines: Vec<Vec<f64>> = (0..nl)
@@ -656,43 +426,32 @@ mod tests {
                     .collect()
             })
             .collect();
-        let ctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-            .collect();
-
-        for use_fallback in [false, true] {
-            let prefix = PrefixSumKernel::new(0);
-            let mut carries = vec![0.25; nl];
+        let ctxs: Vec<SegmentCtx> = (0..nl).map(|_| ctx0()).collect();
+        let kernels: [(&dyn LineSweepKernel, f64); 3] = [
+            (&FallbackPrefix, 0.25),
+            (&PrefixSumKernel::new(0), 0.25),
+            (&FirstOrderKernel::new(0, 0.75), 1.5),
+        ];
+        for (k, c0) in kernels {
+            let mut carries = vec![c0; nl];
             let mut block = vec![pack_block(&lines)];
-            if use_fallback {
-                let k = FallbackPrefix;
-                k.sweep_block(Direction::Forward, nl, n, &mut carries, &mut block, &ctxs);
-            } else {
-                prefix.sweep_block(Direction::Forward, nl, n, &mut carries, &mut block, &ctxs);
-            }
+            let mut table = Vec::new();
+            let mut lanes = Lanes::packed(&mut block, nl, n, &mut table);
+            k.sweep_lanes(
+                SimdLevel::Scalar,
+                Direction::Forward,
+                &mut carries,
+                &mut lanes,
+                &ctxs,
+            );
             for l in 0..nl {
-                let mut carry = vec![0.25];
+                let mut carry = vec![c0];
                 let mut seg = vec![lines[l].clone()];
-                prefix.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctxs[l]);
+                k.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctxs[l]);
                 assert_eq!(carries[l], carry[0], "carry, line {l}");
-                for k in 0..n {
-                    assert_eq!(block[0][k * nl + l], seg[0][k], "line {l} elem {k}");
+                for (kk, &want) in seg[0].iter().enumerate() {
+                    assert_eq!(lanes.get(0, kk, l), want, "line {l} elem {kk}");
                 }
-            }
-        }
-
-        // Same check for the first-order kernel's override.
-        let fo = FirstOrderKernel::new(0, 0.75);
-        let mut carries = vec![1.5; nl];
-        let mut block = vec![pack_block(&lines)];
-        fo.sweep_block(Direction::Forward, nl, n, &mut carries, &mut block, &ctxs);
-        for l in 0..nl {
-            let mut carry = vec![1.5];
-            let mut seg = vec![lines[l].clone()];
-            fo.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctxs[l]);
-            assert_eq!(carries[l], carry[0], "carry, line {l}");
-            for k in 0..n {
-                assert_eq!(block[0][k * nl + l], seg[0][k], "line {l} elem {k}");
             }
         }
     }

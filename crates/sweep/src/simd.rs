@@ -1,14 +1,14 @@
 //! Lane-vectorized sweep microkernels with runtime dispatch.
 //!
-//! The blocked kernels operate on **line-minor** buffers (element `k` of
-//! line `l` at `buf[k·nlines + l]`), so consecutive lanes of a 256-bit
-//! vector are consecutive *lines* — independent recurrences. Vectorizing
-//! across lines therefore performs, per line, exactly the arithmetic of the
-//! scalar blocked loop: same operations, same order, each individually
-//! IEEE-rounded. That makes the AVX2 paths here **bitwise identical** to
-//! the scalar kernels (asserted exhaustively by the property tests), which
-//! in turn keeps every distributed-equals-serial guarantee of the repo
-//! intact regardless of which path a rank happens to dispatch to.
+//! The kernels sweep [`Lanes`] views: consecutive lanes are adjacent in
+//! memory, so the four lanes of a 256-bit vector are four *lines* —
+//! independent recurrences. Vectorizing across lines therefore performs,
+//! per line, exactly the arithmetic of the kernel's scalar lane loop: same
+//! operations, same order, each individually IEEE-rounded. That makes the
+//! AVX2 bodies here **bitwise identical** to the scalar loops (asserted by
+//! the property tests), which in turn keeps every distributed-equals-serial
+//! guarantee of the repo intact regardless of which path a rank happens to
+//! dispatch to.
 //!
 //! Two deliberate consequences of the bitwise contract:
 //!
@@ -28,14 +28,17 @@
 //! `SweepOptions::simd` knob / `MP_SWEEP_SIMD` env var) resolves to a
 //! [`SimdLevel`] via `is_x86_feature_detected!`, and the level is recorded
 //! in the compiled plan — steady-state execution is branch-free and never
-//! re-detects CPU features. Lane groups of 4 lines run vectorized; the
-//! `nlines % 4` tail lines run the scalar recurrence per line (identical
-//! arithmetic, just unrolled by lane), so any block width works.
+//! re-detects CPU features. The crate-level entry points below
+//! (`thomas_forward` and friends) sweep the leading whole groups of four
+//! lanes and return how many lanes they swept; the calling kernel's scalar
+//! lane loop sweeps the `nlanes % 4` rest, so any lane count works and
+//! every recurrence has one scalar body.
 
-// Scalar tail loops index `carries[l]` alongside `buf[k·nlines + l]`; the
-// raw index mirrors the lane code above each tail.
-#![allow(clippy::needless_range_loop)]
+// Hosts without x86-64 compile the entry points down to `0`, leaving
+// their arguments unused.
+#![cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 
+use mp_grid::Lanes;
 use std::fmt;
 
 /// Requested vectorization mode — the `SweepOptions::simd` knob.
@@ -111,9 +114,9 @@ impl fmt::Display for SimdMode {
 /// when handed this level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimdLevel {
-    /// Portable scalar blocked kernels.
+    /// Portable scalar lane loops.
     Scalar,
-    /// 4-lane AVX2 kernels (with scalar tail lines).
+    /// 4-lane AVX2 bodies (with the scalar loop on the tail lanes).
     Avx2,
 }
 
@@ -146,26 +149,120 @@ pub fn avx2_available() -> bool {
     }
 }
 
+/// The element stride the AVX2 bodies sweep `lanes` at: `Some` only at
+/// [`SimdLevel::Avx2`] and when every field shares one stride (the bodies
+/// address all fields with one row stride). `None` leaves every lane to
+/// the caller's scalar loop.
+fn avx2_stride(level: SimdLevel, lanes: &Lanes<'_>) -> Option<isize> {
+    if level == SimdLevel::Avx2 {
+        lanes.uniform_stride()
+    } else {
+        None
+    }
+}
+
+/// Thomas forward elimination (fields `[a, b, c, d]`, carries `[c', d']`)
+/// over the leading whole lane groups; returns the lanes swept.
+pub(crate) fn thomas_forward(
+    level: SimdLevel,
+    carries: &mut [f64],
+    lanes: &mut Lanes<'_>,
+) -> usize {
+    match avx2_stride(level, lanes) {
+        // SAFETY: `SimdLevel::Avx2` is only constructed after avx2+fma
+        // detection (`SimdMode::resolve`); the view's constructor checked
+        // every lane × element address.
+        #[cfg(target_arch = "x86_64")]
+        Some(rs) => unsafe { avx2::thomas_forward(carries, lanes, rs) },
+        _ => 0,
+    }
+}
+
+/// Thomas back substitution (fields `[c, d]`, carries `[x, valid]`) over
+/// the leading whole lane groups; returns the lanes swept.
+pub(crate) fn thomas_backward(
+    level: SimdLevel,
+    carries: &mut [f64],
+    lanes: &mut Lanes<'_>,
+) -> usize {
+    match avx2_stride(level, lanes) {
+        // SAFETY: as for `thomas_forward`.
+        #[cfg(target_arch = "x86_64")]
+        Some(rs) => unsafe { avx2::thomas_backward(carries, lanes, rs) },
+        _ => 0,
+    }
+}
+
+/// Pentadiagonal forward elimination (fields `[e, a, d, c, f, b]`, 6
+/// carries) over the leading whole lane groups; returns the lanes swept.
+pub(crate) fn penta_forward(level: SimdLevel, carries: &mut [f64], lanes: &mut Lanes<'_>) -> usize {
+    match avx2_stride(level, lanes) {
+        // SAFETY: as for `thomas_forward`.
+        #[cfg(target_arch = "x86_64")]
+        Some(rs) => unsafe { avx2::penta_forward(carries, lanes, rs) },
+        _ => 0,
+    }
+}
+
+/// Pentadiagonal back substitution (fields `[c, f, b]`, carries
+/// `[x1, x2, count]`) over the leading whole lane groups; returns the
+/// lanes swept.
+pub(crate) fn penta_backward(
+    level: SimdLevel,
+    carries: &mut [f64],
+    lanes: &mut Lanes<'_>,
+) -> usize {
+    match avx2_stride(level, lanes) {
+        // SAFETY: as for `thomas_forward`.
+        #[cfg(target_arch = "x86_64")]
+        Some(rs) => unsafe { avx2::penta_backward(carries, lanes, rs) },
+        _ => 0,
+    }
+}
+
+/// Running prefix sum over the leading whole lane groups; returns the
+/// lanes swept.
+pub(crate) fn prefix_sum(level: SimdLevel, carries: &mut [f64], lanes: &mut Lanes<'_>) -> usize {
+    match avx2_stride(level, lanes) {
+        // SAFETY: as for `thomas_forward`.
+        #[cfg(target_arch = "x86_64")]
+        Some(rs) => unsafe { avx2::prefix_sum(carries, lanes, rs) },
+        _ => 0,
+    }
+}
+
+/// First-order recurrence `x[k] += a·x[k−1]` over the leading whole lane
+/// groups; returns the lanes swept.
+pub(crate) fn first_order(
+    level: SimdLevel,
+    a: f64,
+    carries: &mut [f64],
+    lanes: &mut Lanes<'_>,
+) -> usize {
+    match avx2_stride(level, lanes) {
+        // SAFETY: as for `thomas_forward`.
+        #[cfg(target_arch = "x86_64")]
+        Some(rs) => unsafe { avx2::first_order(a, carries, lanes, rs) },
+        _ => 0,
+    }
+}
+
 /// The AVX2 kernel bodies. Every function is `unsafe` with the same
 /// contract: the caller must have verified AVX2+FMA support (guaranteed by
-/// only reaching these through [`SimdLevel::Avx2`]), and every field
-/// pointer must be valid for the full `(seg_len, nlines, row_stride)`
-/// addressing range with no other thread touching those elements.
-///
-/// Each kernel addresses element `k` of lane `l` at
-/// `ptr.offset(k·row_stride + l)` — lanes are always unit-stride. The
-/// packed executor passes the block buffer with `row_stride = nlines`
-/// (the line-minor layout); the in-place executor passes tile storage
-/// directly with `row_stride = ±strides[dim]`. Both callers run the same
-/// instruction sequence, so the two modes are bitwise identical by
-/// construction.
+/// only reaching these through [`SimdLevel::Avx2`]), every field of `lanes`
+/// must have element stride `row_stride`, and the view must address only
+/// valid elements no other thread touches (its constructors guarantee
+/// that). Each body sweeps lanes `0..nlanes / 4 * 4` and returns that
+/// count: element `k` of lane `l` is `lanes.base(f).offset(k·row_stride +
+/// l)`, whether the view is packed scratch (`row_stride = nlanes`) or tile
+/// storage (`row_stride = ±strides[dim]`).
 #[cfg(target_arch = "x86_64")]
-#[allow(clippy::too_many_arguments)]
-pub(crate) mod avx2 {
+mod avx2 {
+    use mp_grid::Lanes;
     use std::arch::x86_64::*;
 
     /// Lanes per vector iteration (`__m256d` holds 4 `f64`).
-    pub(crate) const LANES: usize = 4;
+    const LANES: usize = 4;
 
     /// Transpose the line-major carries of lanes `l0..l0+4` (carry length
     /// `C` per line) into `C` lane vectors. Done once per lane group, so
@@ -207,29 +304,25 @@ pub(crate) mod avx2 {
         }
     }
 
-    /// Thomas forward elimination, 4 lines per iteration. Mirrors
-    /// `ThomasForwardKernel::sweep_block`: per line
+    /// Thomas forward elimination, 4 lines per iteration. Mirrors the
+    /// scalar lane loop of `ThomasForwardKernel`: per line
     /// `c' = c/(b − a·c'_prev)`, `d' = (d − a·d'_prev)/(b − a·c'_prev)`,
     /// with the multiply and subtract rounded separately (no FMA) and the
     /// quotient by vector division — all three correctly rounded, hence
     /// lane-wise bitwise equal to the scalar loop.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn thomas_forward(
-        nlines: usize,
-        seg_len: usize,
+    pub(super) unsafe fn thomas_forward(
         carries: &mut [f64],
-        aa: *const f64,
-        bb: *const f64,
-        cc: *mut f64,
-        dd: *mut f64,
+        lanes: &Lanes<'_>,
         row_stride: isize,
-    ) {
+    ) -> usize {
+        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
+        let (aa, bb, cc, dd) = (lanes.base(0), lanes.base(1), lanes.base(2), lanes.base(3));
         // Two lane groups (8 lines) advance together through the segment:
         // each group's recurrence is a serial multiply–subtract–divide
         // dependency chain, so a lone group leaves the divider idle most of
         // the time. Interleaving a second, independent chain roughly doubles
         // throughput. Lanes still see the exact per-line operation sequence.
-        let full = nlines / LANES * LANES;
         let paired = full / (2 * LANES) * (2 * LANES);
         for l0 in (0..paired).step_by(2 * LANES) {
             let l1 = l0 + LANES;
@@ -279,25 +372,7 @@ pub(crate) mod avx2 {
             }
             store_carries::<2>(carries, l0, &[cp, dp]);
         }
-        // Scalar tail: the remaining `nlines % 4` lines, one at a time with
-        // the carry in registers (same arithmetic as the blocked scalar
-        // kernel, reordered only across independent lines).
-        for l in full..nlines {
-            let mut cp = carries[2 * l];
-            let mut dp = carries[2 * l + 1];
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l as isize;
-                let ak = *aa.offset(r);
-                let denom = *bb.offset(r) - ak * cp;
-                assert!(denom != 0.0, "zero pivot");
-                cp = *cc.offset(r) / denom;
-                dp = (*dd.offset(r) - ak * dp) / denom;
-                *cc.offset(r) = cp;
-                *dd.offset(r) = dp;
-            }
-            carries[2 * l] = cp;
-            carries[2 * l + 1] = dp;
-        }
+        full
     }
 
     /// Thomas back substitution, 4 lines per iteration. The scalar kernel's
@@ -305,17 +380,15 @@ pub(crate) mod avx2 {
     /// else `x = d`) becomes a compare + blend; after the first element
     /// every lane is valid, exactly as in the scalar loop.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn thomas_backward(
-        nlines: usize,
-        seg_len: usize,
+    pub(super) unsafe fn thomas_backward(
         carries: &mut [f64],
-        cc: *const f64,
-        dd: *mut f64,
+        lanes: &Lanes<'_>,
         row_stride: isize,
-    ) {
+    ) -> usize {
+        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
+        let (cc, dd) = (lanes.base(0), lanes.base(1));
         let zero = _mm256_setzero_pd();
         let one = _mm256_set1_pd(1.0);
-        let full = nlines / LANES * LANES;
         for l0 in (0..full).step_by(LANES) {
             let [mut xv, mut validv] = load_carries::<2>(carries, l0);
             for k in 0..seg_len {
@@ -331,24 +404,7 @@ pub(crate) mod avx2 {
             }
             store_carries::<2>(carries, l0, &[xv, validv]);
         }
-        for l in full..nlines {
-            let mut x_next = carries[2 * l];
-            let mut valid = carries[2 * l + 1];
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l as isize;
-                let dk = *dd.offset(r);
-                let xk = if valid != 0.0 {
-                    dk - *cc.offset(r) * x_next
-                } else {
-                    dk
-                };
-                *dd.offset(r) = xk;
-                x_next = xk;
-                valid = 1.0;
-            }
-            carries[2 * l] = x_next;
-            carries[2 * l + 1] = valid;
-        }
+        full
     }
 
     /// Pentadiagonal forward elimination, 4 lines per iteration. Mirrors
@@ -356,18 +412,14 @@ pub(crate) mod avx2 {
     /// carrying the two previous eliminated rows (6 values per line) in six
     /// lane vectors across the whole segment.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn penta_forward(
-        nlines: usize,
-        seg_len: usize,
+    pub(super) unsafe fn penta_forward(
         carries: &mut [f64],
-        ead: [*const f64; 3],
-        cc: *mut f64,
-        ff: *mut f64,
-        bb: *mut f64,
+        lanes: &Lanes<'_>,
         row_stride: isize,
-    ) {
-        let [ee, aa, dd] = ead;
-        let full = nlines / LANES * LANES;
+    ) -> usize {
+        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
+        let (ee, aa, dd) = (lanes.base(0), lanes.base(1), lanes.base(2));
+        let (cc, ff, bb) = (lanes.base(3), lanes.base(4), lanes.base(5));
         for l0 in (0..full).step_by(LANES) {
             // Carry layout per line: [C1, F1, B1, C2, F2, B2] — row i−1
             // then row i−2, exactly as the scalar kernel stores them.
@@ -405,37 +457,7 @@ pub(crate) mod avx2 {
             }
             store_carries::<6>(carries, l0, &[p1c, p1f, p1b, p2c, p2f, p2b]);
         }
-        for l in full..nlines {
-            let cl = &mut carries[6 * l..6 * l + 6];
-            let mut p1 = (cl[0], cl[1], cl[2]);
-            let mut p2 = (cl[3], cl[4], cl[5]);
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l as isize;
-                let row = crate::penta::eliminate_row(
-                    (
-                        *ee.offset(r),
-                        *aa.offset(r),
-                        *dd.offset(r),
-                        *cc.offset(r),
-                        *ff.offset(r),
-                        *bb.offset(r),
-                    ),
-                    p1,
-                    p2,
-                );
-                *cc.offset(r) = row.0;
-                *ff.offset(r) = row.1;
-                *bb.offset(r) = row.2;
-                p2 = p1;
-                p1 = row;
-            }
-            cl[0] = p1.0;
-            cl[1] = p1.1;
-            cl[2] = p1.2;
-            cl[3] = p2.0;
-            cl[4] = p2.1;
-            cl[5] = p2.2;
-        }
+        full
     }
 
     /// Pentadiagonal back substitution, 4 lines per iteration. The scalar
@@ -443,18 +465,15 @@ pub(crate) mod avx2 {
     /// exist yet: 0, 1, or 2) becomes two `≥` masks and a blend chain that
     /// keeps the scalar's left-associated `b − C·x₁ − F·x₂` rounding order.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn penta_backward(
-        nlines: usize,
-        seg_len: usize,
+    pub(super) unsafe fn penta_backward(
         carries: &mut [f64],
-        cc: *const f64,
-        ff: *const f64,
-        bb: *mut f64,
+        lanes: &Lanes<'_>,
         row_stride: isize,
-    ) {
+    ) -> usize {
+        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
+        let (cc, ff, bb) = (lanes.base(0), lanes.base(1), lanes.base(2));
         let one = _mm256_set1_pd(1.0);
         let two = _mm256_set1_pd(2.0);
-        let full = nlines / LANES * LANES;
         for l0 in (0..full).step_by(LANES) {
             let [mut x1, mut x2, mut count] = load_carries::<3>(carries, l0);
             for k in 0..seg_len {
@@ -477,41 +496,19 @@ pub(crate) mod avx2 {
             }
             store_carries::<3>(carries, l0, &[x1, x2, count]);
         }
-        for l in full..nlines {
-            let cl = &mut carries[3 * l..3 * l + 3];
-            let (mut x1, mut x2, mut count) = (cl[0], cl[1], cl[2]);
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l as isize;
-                let b = *bb.offset(r);
-                let x = match count as u32 {
-                    0 => b,
-                    1 => b - *cc.offset(r) * x1,
-                    _ => b - *cc.offset(r) * x1 - *ff.offset(r) * x2,
-                };
-                *bb.offset(r) = x;
-                x2 = x1;
-                x1 = x;
-                if count < 2.0 {
-                    count += 1.0;
-                }
-            }
-            cl[0] = x1;
-            cl[1] = x2;
-            cl[2] = count;
-        }
+        full
     }
 
     /// Running prefix sum, 4 lines per iteration (`carry_len == 1`, so the
     /// line-major carries for a lane group are already contiguous).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn prefix_sum(
-        nlines: usize,
-        seg_len: usize,
+    pub(super) unsafe fn prefix_sum(
         carries: &mut [f64],
-        buf: *mut f64,
+        lanes: &Lanes<'_>,
         row_stride: isize,
-    ) {
-        let full = nlines / LANES * LANES;
+    ) -> usize {
+        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
+        let buf = lanes.base(0);
         for l0 in (0..full).step_by(LANES) {
             let mut acc = _mm256_loadu_pd(carries.as_ptr().add(l0));
             for k in 0..seg_len {
@@ -522,30 +519,21 @@ pub(crate) mod avx2 {
             }
             _mm256_storeu_pd(carries.as_mut_ptr().add(l0), acc);
         }
-        for l in full..nlines {
-            let mut acc = carries[l];
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l as isize;
-                acc += *buf.offset(r);
-                *buf.offset(r) = acc;
-            }
-            carries[l] = acc;
-        }
+        full
     }
 
     /// First-order recurrence `x[k] = x[k] + a·x[k−1]`, 4 lines per
     /// iteration.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn first_order(
+    pub(super) unsafe fn first_order(
         a: f64,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        buf: *mut f64,
+        lanes: &Lanes<'_>,
         row_stride: isize,
-    ) {
+    ) -> usize {
+        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
+        let buf = lanes.base(0);
         let av = _mm256_set1_pd(a);
-        let full = nlines / LANES * LANES;
         for l0 in (0..full).step_by(LANES) {
             let mut prev = _mm256_loadu_pd(carries.as_ptr().add(l0));
             for k in 0..seg_len {
@@ -556,15 +544,7 @@ pub(crate) mod avx2 {
             }
             _mm256_storeu_pd(carries.as_mut_ptr().add(l0), prev);
         }
-        for l in full..nlines {
-            let mut prev = carries[l];
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l as isize;
-                prev = *buf.offset(r) + a * prev;
-                *buf.offset(r) = prev;
-            }
-            carries[l] = prev;
-        }
+        full
     }
 }
 

@@ -3,10 +3,11 @@
 //! segmentations — the invariant that makes distributed sweeps bit-exact.
 
 use crate::penta::{penta_matvec, penta_solve, PentaBackwardKernel, PentaForwardKernel};
-use crate::recurrence::{LineSweepKernel, SegmentCtx};
+use crate::recurrence::{per_line_sweep_lanes, LineSweepKernel, SegmentCtx};
+use crate::simd::{SimdLevel, SimdMode};
 use crate::thomas::{thomas_solve, tridiag_matvec, ThomasBackwardKernel, ThomasForwardKernel};
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::{AlignedVec, Lanes};
 use mp_testkit::{cases, Rng};
 
 /// Split `n` into segment bounds at random interior cut points.
@@ -171,8 +172,28 @@ fn pack_lines(lines: &[Vec<f64>]) -> Vec<f64> {
     out
 }
 
-/// Run `kernel.sweep_block` and the per-line reference on identical copies
-/// of random data; results must be bitwise equal.
+/// Run `kernel.sweep_lanes` at `level` on packed line-minor copies of
+/// `block`; returns the evolved carries and fields.
+fn sweep_packed<K: LineSweepKernel>(
+    kernel: &K,
+    level: SimdLevel,
+    dir: Direction,
+    (nlines, seg_len): (usize, usize),
+    carries: &[f64],
+    block: &[Vec<f64>],
+    ctxs: &[SegmentCtx],
+) -> (Vec<f64>, Vec<AlignedVec>) {
+    let mut c = carries.to_vec();
+    let mut b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
+    let mut table = Vec::new();
+    let mut lanes = Lanes::packed(&mut b, nlines, seg_len, &mut table);
+    kernel.sweep_lanes(level, dir, &mut c, &mut lanes, ctxs);
+    (c, b)
+}
+
+/// Run `kernel.sweep_lanes` (at the host's level) and the per-line
+/// reference on identical packed copies of random data; results must be
+/// bitwise equal.
 fn assert_blocked_matches_reference<K: LineSweepKernel>(
     kernel: &K,
     dir: Direction,
@@ -182,20 +203,14 @@ fn assert_blocked_matches_reference<K: LineSweepKernel>(
     block: &[Vec<f64>],
     ctxs: &[SegmentCtx],
 ) {
-    let mut got_c = carries.to_vec();
-    let mut got_b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
-    kernel.sweep_block(dir, nlines, seg_len, &mut got_c, &mut got_b, ctxs);
+    let level = SimdMode::Auto.resolve();
+    let shape = (nlines, seg_len);
+    let (got_c, got_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
     let mut want_c = carries.to_vec();
     let mut want_b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
-    crate::recurrence::per_line_sweep_block(
-        kernel,
-        dir,
-        nlines,
-        seg_len,
-        &mut want_c,
-        &mut want_b,
-        ctxs,
-    );
+    let mut table = Vec::new();
+    let mut lanes = Lanes::packed(&mut want_b, nlines, seg_len, &mut table);
+    per_line_sweep_lanes(kernel, dir, &mut want_c, &mut lanes, ctxs);
     assert_eq!(
         got_c, want_c,
         "carries diverge at nlines={nlines} n={seg_len}"
@@ -345,6 +360,155 @@ fn blocked_batched_kernel_matches_per_line_reference() {
             &block,
             &ctxs,
         );
+    });
+}
+
+/// Run `kernel.sweep_lanes` at the level Auto resolves to on this host and
+/// at the forced scalar level on identical packed copies of random data;
+/// the results must be bitwise equal. On AVX2+FMA hardware this pits the
+/// vectorized kernels against the portable ones; elsewhere it degenerates
+/// to scalar-vs-scalar (still a valid, if trivial, check).
+fn assert_simd_matches_scalar<K: LineSweepKernel>(
+    kernel: &K,
+    dir: Direction,
+    nlines: usize,
+    seg_len: usize,
+    carries: &[f64],
+    block: &[Vec<f64>],
+    ctxs: &[SegmentCtx],
+) {
+    let level = SimdMode::Auto.resolve();
+    let shape = (nlines, seg_len);
+    let (sc_c, sc_b) = sweep_packed(kernel, SimdLevel::Scalar, dir, shape, carries, block, ctxs);
+    let (v_c, v_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
+    assert_eq!(
+        v_c, sc_c,
+        "{level} carries diverge from scalar at nlines={nlines} n={seg_len}"
+    );
+    assert_eq!(
+        v_b, sc_b,
+        "{level} block diverges from scalar at nlines={nlines} n={seg_len}"
+    );
+}
+
+#[test]
+fn simd_kernels_match_scalar_bitwise() {
+    // Every vectorized kernel — Thomas forward/backward, penta
+    // forward/backward, prefix sum, first-order recurrence — is bitwise
+    // equal to its scalar path across random line counts (including the
+    // nlines % 4 ≠ 0 tail cases), segment lengths, carries, and data.
+    cases(0x750B, 48, |rng| {
+        use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
+        let nl = rng.usize_in(1, 13);
+        let n = rng.usize_in(1, 24);
+        let ctxs: Vec<SegmentCtx> = (0..nl)
+            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
+            .collect();
+        let bctxs: Vec<SegmentCtx> = (0..nl)
+            .map(|_| SegmentCtx::origin(1, 0, Direction::Backward))
+            .collect();
+
+        // Thomas forward: diagonally dominant per-line systems.
+        let (mut la, mut lb, mut lc, mut ld) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..nl {
+            let nvals = rng.usize_in(8, 19);
+            let vals = rng.f64_vec(nvals, -1.0, 1.0);
+            let (a, b, c, d) = tridiag(n, &vals);
+            la.push(a);
+            lb.push(b);
+            lc.push(c);
+            ld.push(d);
+        }
+        let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
+        let mut carries = Vec::with_capacity(nl * 2);
+        for _ in 0..nl {
+            carries.push(rng.f64_in(-0.4, 0.4));
+            carries.push(rng.f64_in(-2.0, 2.0));
+        }
+        let block = vec![
+            pack_lines(&la),
+            pack_lines(&lb),
+            pack_lines(&lc),
+            pack_lines(&ld),
+        ];
+        assert_simd_matches_scalar(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
+
+        // Thomas backward, mixing boundary (valid = 0) and interior carries.
+        let bwd = ThomasBackwardKernel::new(0, 1);
+        let mut carries = Vec::with_capacity(nl * 2);
+        for _ in 0..nl {
+            carries.push(rng.f64_in(-2.0, 2.0));
+            carries.push(if rng.bool() { 1.0 } else { 0.0 });
+        }
+        let block = vec![pack_lines(&lc), pack_lines(&ld)];
+        assert_simd_matches_scalar(&bwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
+
+        // Penta forward.
+        let mut lines: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 6];
+        for _ in 0..nl {
+            let e = rng.f64_vec(n, -0.3, 0.3);
+            let a = rng.f64_vec(n, -0.3, 0.3);
+            let c = rng.f64_vec(n, -0.3, 0.3);
+            let f = rng.f64_vec(n, -0.3, 0.3);
+            let d: Vec<f64> = (0..n)
+                .map(|k| 1.5 + e[k].abs() + a[k].abs() + c[k].abs() + f[k].abs())
+                .collect();
+            let b = rng.f64_vec(n, -3.0, 3.0);
+            for (slot, v) in lines.iter_mut().zip([e, a, d, c, f, b]) {
+                slot.push(v);
+            }
+        }
+        let pfwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
+        let mut carries = Vec::with_capacity(nl * 6);
+        for _ in 0..nl {
+            for _ in 0..2 {
+                carries.push(rng.f64_in(-0.3, 0.3));
+                carries.push(rng.f64_in(-0.3, 0.3));
+                carries.push(rng.f64_in(-2.0, 2.0));
+            }
+        }
+        let block: Vec<Vec<f64>> = lines.iter().map(|ls| pack_lines(ls)).collect();
+        assert_simd_matches_scalar(&pfwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
+
+        // Penta backward, covering all three back-substitution warm-up
+        // states (count 0, 1, ≥ 2).
+        let pbwd = PentaBackwardKernel::new(0, 1, 2);
+        let mut carries = Vec::with_capacity(nl * 3);
+        for _ in 0..nl {
+            carries.push(rng.f64_in(-2.0, 2.0));
+            carries.push(rng.f64_in(-2.0, 2.0));
+            carries.push(rng.usize_in(0, 2) as f64);
+        }
+        let block = vec![
+            pack_lines(&lines[3]),
+            pack_lines(&lines[4]),
+            pack_lines(&lines[5]),
+        ];
+        assert_simd_matches_scalar(&pbwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
+
+        // Prefix sum and first-order recurrence (clen = 1).
+        let psum = PrefixSumKernel::new(0);
+        let carries = rng.f64_vec(nl, -5.0, 5.0);
+        let block = vec![rng.f64_vec(n * nl, -10.0, 10.0)];
+        assert_simd_matches_scalar(&psum, Direction::Forward, nl, n, &carries, &block, &ctxs);
+
+        let fo = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
+        let carries = rng.f64_vec(nl, -5.0, 5.0);
+        let block = vec![rng.f64_vec(n * nl, -10.0, 10.0)];
+        assert_simd_matches_scalar(&fo, Direction::Forward, nl, n, &carries, &block, &ctxs);
+
+        // A batch forwards the level to its members: a batched pair of
+        // first-order kernels must match its own scalar path too.
+        let batch = crate::batch::BatchedKernel::new(vec![
+            FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9)),
+            FirstOrderKernel::new(1, rng.f64_in(-0.9, 0.9)),
+        ]);
+        let carries = rng.f64_vec(nl * 2, -5.0, 5.0);
+        let block = vec![
+            rng.f64_vec(n * nl, -10.0, 10.0),
+            rng.f64_vec(n * nl, -10.0, 10.0),
+        ];
+        assert_simd_matches_scalar(&batch, Direction::Forward, nl, n, &carries, &block, &ctxs);
     });
 }
 
@@ -886,213 +1050,6 @@ fn prefix_sum_any_split_bitwise() {
     });
 }
 
-/// Run `kernel.sweep_block_simd` at the level Auto resolves to on this host
-/// and at the forced scalar level on identical copies of random data; the
-/// results must be bitwise equal. On AVX2+FMA hardware this pits the
-/// vectorized kernels against the portable ones; elsewhere it degenerates
-/// to scalar-vs-scalar (still a valid, if trivial, check).
-fn assert_simd_matches_scalar<K: LineSweepKernel>(
-    kernel: &K,
-    dir: Direction,
-    nlines: usize,
-    seg_len: usize,
-    carries: &[f64],
-    block: &[Vec<f64>],
-    ctxs: &[SegmentCtx],
-) {
-    use crate::simd::{SimdLevel, SimdMode};
-    let level = SimdMode::Auto.resolve();
-    let mut sc_c = carries.to_vec();
-    let mut sc_b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
-    kernel.sweep_block_simd(
-        SimdLevel::Scalar,
-        dir,
-        nlines,
-        seg_len,
-        &mut sc_c,
-        &mut sc_b,
-        ctxs,
-    );
-    let mut v_c = carries.to_vec();
-    let mut v_b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
-    kernel.sweep_block_simd(level, dir, nlines, seg_len, &mut v_c, &mut v_b, ctxs);
-    assert_eq!(
-        v_c, sc_c,
-        "{level} carries diverge from scalar at nlines={nlines} n={seg_len}"
-    );
-    assert_eq!(
-        v_b, sc_b,
-        "{level} block diverges from scalar at nlines={nlines} n={seg_len}"
-    );
-
-    // The strided entry point over a padded tile-like layout (element k of
-    // lane l at `k·(nlines+pad) + l`) must reproduce the packed result
-    // bitwise at every level — the in-place executor depends on it.
-    if kernel.supports_strided() {
-        for lvl in [SimdLevel::Scalar, level] {
-            for pad in [0usize, 3] {
-                let row = nlines + pad;
-                let mut tiles: Vec<Vec<f64>> = block
-                    .iter()
-                    .map(|b| {
-                        let mut t = vec![0.0f64; seg_len * row];
-                        for k in 0..seg_len {
-                            t[k * row..k * row + nlines]
-                                .copy_from_slice(&b[k * nlines..(k + 1) * nlines]);
-                        }
-                        t
-                    })
-                    .collect();
-                let ptrs: Vec<*mut f64> = tiles.iter_mut().map(|t| t.as_mut_ptr()).collect();
-                let estrides = vec![row as isize; ptrs.len()];
-                let mut st_c = carries.to_vec();
-                // SAFETY: each tile spans the full (seg_len, nlines, row)
-                // affine range and is touched by this thread alone.
-                unsafe {
-                    kernel.sweep_block_strided(
-                        lvl, dir, nlines, seg_len, &mut st_c, &ptrs, &estrides, ctxs,
-                    );
-                }
-                assert_eq!(
-                    st_c, sc_c,
-                    "{lvl} strided carries diverge at nlines={nlines} n={seg_len} pad={pad}"
-                );
-                for (f, (tile, want)) in tiles.iter().zip(sc_b.iter()).enumerate() {
-                    for k in 0..seg_len {
-                        assert_eq!(
-                            &tile[k * row..k * row + nlines],
-                            &want[k * nlines..(k + 1) * nlines],
-                            "{lvl} strided field {f} diverges at row {k} \
-                             (nlines={nlines} n={seg_len} pad={pad})"
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn simd_kernels_match_scalar_bitwise() {
-    // Every vectorized kernel — Thomas forward/backward, penta
-    // forward/backward, prefix sum, first-order recurrence — is bitwise
-    // equal to its scalar path across random line counts (including the
-    // nlines % 4 ≠ 0 tail cases), segment lengths, carries, and data.
-    cases(0x750B, 48, |rng| {
-        use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
-        let nl = rng.usize_in(1, 13);
-        let n = rng.usize_in(1, 24);
-        let ctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-            .collect();
-        let bctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Backward))
-            .collect();
-
-        // Thomas forward: diagonally dominant per-line systems.
-        let (mut la, mut lb, mut lc, mut ld) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..nl {
-            let nvals = rng.usize_in(8, 19);
-            let vals = rng.f64_vec(nvals, -1.0, 1.0);
-            let (a, b, c, d) = tridiag(n, &vals);
-            la.push(a);
-            lb.push(b);
-            lc.push(c);
-            ld.push(d);
-        }
-        let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
-        let mut carries = Vec::with_capacity(nl * 2);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-0.4, 0.4));
-            carries.push(rng.f64_in(-2.0, 2.0));
-        }
-        let block = vec![
-            pack_lines(&la),
-            pack_lines(&lb),
-            pack_lines(&lc),
-            pack_lines(&ld),
-        ];
-        assert_simd_matches_scalar(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        // Thomas backward, mixing boundary (valid = 0) and interior carries.
-        let bwd = ThomasBackwardKernel::new(0, 1);
-        let mut carries = Vec::with_capacity(nl * 2);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(if rng.bool() { 1.0 } else { 0.0 });
-        }
-        let block = vec![pack_lines(&lc), pack_lines(&ld)];
-        assert_simd_matches_scalar(&bwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
-
-        // Penta forward.
-        let mut lines: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 6];
-        for _ in 0..nl {
-            let e = rng.f64_vec(n, -0.3, 0.3);
-            let a = rng.f64_vec(n, -0.3, 0.3);
-            let c = rng.f64_vec(n, -0.3, 0.3);
-            let f = rng.f64_vec(n, -0.3, 0.3);
-            let d: Vec<f64> = (0..n)
-                .map(|k| 1.5 + e[k].abs() + a[k].abs() + c[k].abs() + f[k].abs())
-                .collect();
-            let b = rng.f64_vec(n, -3.0, 3.0);
-            for (slot, v) in lines.iter_mut().zip([e, a, d, c, f, b]) {
-                slot.push(v);
-            }
-        }
-        let pfwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
-        let mut carries = Vec::with_capacity(nl * 6);
-        for _ in 0..nl {
-            for _ in 0..2 {
-                carries.push(rng.f64_in(-0.3, 0.3));
-                carries.push(rng.f64_in(-0.3, 0.3));
-                carries.push(rng.f64_in(-2.0, 2.0));
-            }
-        }
-        let block: Vec<Vec<f64>> = lines.iter().map(|ls| pack_lines(ls)).collect();
-        assert_simd_matches_scalar(&pfwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        // Penta backward, covering all three back-substitution warm-up
-        // states (count 0, 1, ≥ 2).
-        let pbwd = PentaBackwardKernel::new(0, 1, 2);
-        let mut carries = Vec::with_capacity(nl * 3);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(rng.usize_in(0, 2) as f64);
-        }
-        let block = vec![
-            pack_lines(&lines[3]),
-            pack_lines(&lines[4]),
-            pack_lines(&lines[5]),
-        ];
-        assert_simd_matches_scalar(&pbwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
-
-        // Prefix sum and first-order recurrence (clen = 1).
-        let psum = PrefixSumKernel::new(0);
-        let carries = rng.f64_vec(nl, -5.0, 5.0);
-        let block = vec![rng.f64_vec(n * nl, -10.0, 10.0)];
-        assert_simd_matches_scalar(&psum, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        let fo = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
-        let carries = rng.f64_vec(nl, -5.0, 5.0);
-        let block = vec![rng.f64_vec(n * nl, -10.0, 10.0)];
-        assert_simd_matches_scalar(&fo, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        // A batch forwards the level to its members: a batched pair of
-        // first-order kernels must match its own scalar path too.
-        let batch = crate::batch::BatchedKernel::new(vec![
-            FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9)),
-            FirstOrderKernel::new(1, rng.f64_in(-0.9, 0.9)),
-        ]);
-        let carries = rng.f64_vec(nl * 2, -5.0, 5.0);
-        let block = vec![
-            rng.f64_vec(n * nl, -10.0, 10.0),
-            rng.f64_vec(n * nl, -10.0, 10.0),
-        ];
-        assert_simd_matches_scalar(&batch, Direction::Forward, nl, n, &carries, &block, &ctxs);
-    });
-}
-
 #[test]
 fn random_simd_executor_configs_match_scalar_bitwise() {
     // End-to-end: a full multipartitioned sweep with simd = auto is bitwise
@@ -1288,20 +1245,22 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
 }
 
 #[test]
-fn random_inplace_configs_match_packed_bitwise() {
-    // The zero-copy invariant: in-place execution changes *where* the
-    // kernel reads and writes, never the results or the wire. Across
-    // random shapes, block widths, thread counts, pipeline depths, SIMD
-    // levels, and kernels, a sweep with MP_SWEEP_INPLACE ∈ {auto, on} is
-    // bitwise equal to the packed (off) sweep — same field contents, same
-    // per-rank message and element counts. Schedules deliberately include
-    // the last dimension, whose sweep runs along the unit-stride axis and
-    // must silently fall back to packed even when forced on.
+fn random_inplace_configs_match_serial_bitwise() {
+    // The in-place invariant: running a phase on tile storage changes
+    // *where* the kernel reads and writes, never the results. Across random
+    // ragged shapes (lane runs that wrap mid-block, block tails), block
+    // widths, thread counts, pipeline depths, SIMD levels, and kernels —
+    // including the block-tridiagonal pair, whose 12 fields and 12-float
+    // carries run in place too — every sweep is bitwise equal to the serial
+    // reference. Schedules include the last dimension, whose sweep runs
+    // along the unit-stride axis and therefore packs.
+    use crate::block::tests::TestCoeffs;
+    use crate::block::{BlockTriBackwardKernel, BlockTriForwardKernel};
     use crate::compiled::SweepEngine;
     use crate::executor::{allocate_rank_store, SweepOptions};
-    use crate::inplace::InplaceMode;
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use crate::simd::SimdMode;
+    use crate::verify::serial_sweep;
     use mp_core::multipart::Multipartitioning;
     use mp_grid::{ArrayD, FieldDef, TileGrid};
     use mp_runtime::comm::Communicator;
@@ -1317,58 +1276,54 @@ fn random_inplace_configs_match_packed_bitwise() {
         ((g[0] * 11 + g[1] * 4 + g[2] * 2) % 17) as f64 - 8.0
     }
 
+    /// Run `schedule` distributed (`fwd` on forward sweeps, `bwd` on
+    /// backward ones) and serially; every field must agree bitwise.
     #[allow(clippy::too_many_arguments)]
-    fn check<K: LineSweepKernel + Sync>(
+    fn check<F: LineSweepKernel, B: LineSweepKernel>(
         p: u64,
         mp: &Multipartitioning,
         grid: &TileGrid,
         eta: &[usize],
-        fields: &[FieldDef],
         inits: &[fn(&[usize]) -> f64],
-        k: &K,
-        base: &SweepOptions,
+        (fwd, bwd): (&F, &B),
+        opts: &SweepOptions,
         schedule: &[(usize, Direction, u64)],
     ) {
-        let run = |opts: SweepOptions| {
-            run_threaded(p, move |comm| {
-                let mut store = allocate_rank_store(comm.rank(), mp, grid, fields);
-                for (f, init) in inits.iter().enumerate() {
-                    store.init_field(f, init);
+        let fields: Vec<FieldDef> = (0..inits.len())
+            .map(|f| FieldDef::new(&format!("f{f}"), 0))
+            .collect();
+        let stores = run_threaded(p, |comm| {
+            let mut store = allocate_rank_store(comm.rank(), mp, grid, &fields);
+            for (f, init) in inits.iter().enumerate() {
+                store.init_field(f, init);
+            }
+            let mut eng = SweepEngine::new(opts.clone());
+            for &(dim, dir, tag) in schedule {
+                match dir {
+                    Direction::Forward => eng.sweep(comm, &mut store, mp, dim, dir, fwd, tag),
+                    Direction::Backward => eng.sweep(comm, &mut store, mp, dim, dir, bwd, tag),
                 }
-                let mut eng = SweepEngine::new(opts.clone());
-                for &(dim, dir, tag) in schedule {
-                    eng.sweep(comm, &mut store, mp, dim, dir, k, tag);
-                }
-                (store, comm.sent_messages, comm.sent_elements)
-            })
-        };
-        let packed = run(base.clone().with_inplace(InplaceMode::Off));
-        let mut want = ArrayD::zeros(eta);
+            }
+            store
+        });
+        let mut want: Vec<ArrayD<f64>> = inits.iter().map(|i| ArrayD::from_fn(eta, i)).collect();
+        for &(dim, dir, _) in schedule {
+            let mut refs: Vec<&mut ArrayD<f64>> = want.iter_mut().collect();
+            match dir {
+                Direction::Forward => serial_sweep(&mut refs, dim, dir, fwd),
+                Direction::Backward => serial_sweep(&mut refs, dim, dir, bwd),
+            }
+        }
         let mut got = ArrayD::zeros(eta);
-        for mode in [InplaceMode::On, InplaceMode::Auto] {
-            let inplace = run(base.clone().with_inplace(mode));
-            for (rank, ((_, m_i, e_i), (_, m_p, e_p))) in
-                inplace.iter().zip(packed.iter()).enumerate()
-            {
-                assert_eq!(
-                    (m_i, e_i),
-                    (m_p, e_p),
-                    "p={p} eta={eta:?} rank {rank} {base:?}: \
-                     inplace={mode} changed the per-rank schedule"
-                );
+        for (f, want) in want.iter().enumerate() {
+            for store in &stores {
+                store.gather_into(f, &mut got);
             }
-            for f in 0..fields.len() {
-                for ((is, _, _), (ps, _, _)) in inplace.iter().zip(packed.iter()) {
-                    is.gather_into(f, &mut got);
-                    ps.gather_into(f, &mut want);
-                }
-                assert_eq!(
-                    got.max_abs_diff(&want),
-                    0.0,
-                    "p={p} eta={eta:?} field {f} {base:?}: \
-                     inplace={mode} not bitwise equal to packed"
-                );
-            }
+            assert_eq!(
+                got.max_abs_diff(want),
+                0.0,
+                "p={p} eta={eta:?} field {f} {opts:?}: not bitwise equal to serial"
+            );
         }
     }
 
@@ -1401,10 +1356,10 @@ fn random_inplace_configs_match_packed_bitwise() {
         } else {
             SimdMode::Scalar
         };
-        let base = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4))
+        let opts = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4))
             .with_pipeline_chunks(rng.usize_in(1, 4))
             .with_simd(simd);
-        // Every dim, including the last (ineligible → packed fallback).
+        // Every dim, including the last (packed).
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
             .collect();
@@ -1419,79 +1374,35 @@ fn random_inplace_configs_match_packed_bitwise() {
                 (dim, dir, (dim as u64 * 2 + d) * 1_000)
             })
             .collect();
+        let (grid, eta) = (&grid, &eta);
 
-        match rng.usize_in(0, 3) {
+        match rng.usize_in(0, 4) {
             0 => {
                 let k = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
-                let fields = [FieldDef::new("u", 0)];
-                check(
-                    p,
-                    &mp,
-                    &grid,
-                    &eta,
-                    &fields,
-                    &[rhsv],
-                    &k,
-                    &base,
-                    &both_sched,
-                );
+                check(p, &mp, grid, eta, &[rhsv], (&k, &k), &opts, &both_sched);
             }
             1 => {
                 let k = PrefixSumKernel::new(0);
-                let fields = [FieldDef::new("u", 0)];
-                check(
-                    p,
-                    &mp,
-                    &grid,
-                    &eta,
-                    &fields,
-                    &[rhsv],
-                    &k,
-                    &base,
-                    &both_sched,
-                );
+                check(p, &mp, grid, eta, &[rhsv], (&k, &k), &opts, &both_sched);
             }
             2 => {
                 let k = ThomasForwardKernel::new(0, 1, 2, 3);
-                let fields = [
-                    FieldDef::new("a", 0),
-                    FieldDef::new("b", 0),
-                    FieldDef::new("c", 0),
-                    FieldDef::new("d", 0),
-                ];
-                check(
-                    p,
-                    &mp,
-                    &grid,
-                    &eta,
-                    &fields,
-                    &[small, diagv, small, rhsv],
-                    &k,
-                    &base,
-                    &fwd_sched,
-                );
+                let inits = [small, diagv, small, rhsv];
+                check(p, &mp, grid, eta, &inits, (&k, &k), &opts, &fwd_sched);
+            }
+            3 => {
+                let k = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
+                let inits = [small, small, diagv, small, small, rhsv];
+                check(p, &mp, grid, eta, &inits, (&k, &k), &opts, &fwd_sched);
             }
             _ => {
-                let k = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
-                let fields = [
-                    FieldDef::new("e", 0),
-                    FieldDef::new("a", 0),
-                    FieldDef::new("d", 0),
-                    FieldDef::new("c", 0),
-                    FieldDef::new("f", 0),
-                    FieldDef::new("b", 0),
-                ];
-                check(
-                    p,
-                    &mp,
-                    &grid,
-                    &eta,
-                    &fields,
-                    &[small, small, diagv, small, small, rhsv],
-                    &k,
-                    &base,
-                    &fwd_sched,
-                );
+                let scratch: Vec<usize> = (0..9).collect();
+                let rhs: Vec<usize> = (9..12).collect();
+                let fwd = BlockTriForwardKernel::<3, _>::new(TestCoeffs, &scratch, &rhs);
+                let bwd = BlockTriBackwardKernel::<3>::new(&scratch, &rhs);
+                let mut inits: Vec<fn(&[usize]) -> f64> = vec![small; 9];
+                inits.extend([rhsv, diagv, rhsv]);
+                check(p, &mp, grid, eta, &inits, (&fwd, &bwd), &opts, &both_sched);
             }
         }
     });
@@ -1655,7 +1566,6 @@ fn machine_profile_json_round_trips_exactly() {
             k1,
             k2: rng.f64_in(0.0, 1e-2),
             k3: rng.f64_in(0.0, 1e-5),
-            k4: rng.f64_in(0.0, 1e-6),
             scaling: if rng.bool() {
                 BandwidthScaling::Scalable
             } else {

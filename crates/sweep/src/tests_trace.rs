@@ -63,27 +63,25 @@ fn run_traced(
 
 #[test]
 fn aggregated_recorder_counters_match_comm() {
-    use crate::inplace::InplaceMode;
     let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
     let eta = [12usize, 13, 11];
     let k = FirstOrderKernel::new(0, 0.8);
+    // Dims 0 and 1 run in place, dim 2 packed.
     for dim in 0..3 {
         let gamma = mp.gammas()[dim];
-        for inplace in [InplaceMode::Auto, InplaceMode::Off] {
-            let opts = SweepOptions::new(4, 1).with_inplace(inplace);
-            let (_, per_rank) = run_traced(&mp, &eta, dim, Direction::Forward, &k, &opts);
-            for (rank, (stats, msgs, elems)) in per_rank.iter().enumerate() {
-                let at = format!("rank {rank} dim {dim} {inplace}");
-                assert_eq!(stats.sent_messages(), *msgs, "{at}");
-                assert_eq!(stats.sent_elements(), *elems, "{at}");
-                // One compute span per phase → per-phase compute slots
-                // cover exactly the γ phases of this sweep.
-                assert_eq!(stats.phase_compute_ns.len(), gamma as usize, "{at}");
-                assert!(stats.compute_ns > 0, "{at}");
-                // Carries are relayed by move in every mode: a sweep
-                // never stages a copy, so it records no pack time.
-                assert_eq!(stats.pack_ns, 0, "{at}");
-            }
+        let opts = SweepOptions::new(4, 1);
+        let (_, per_rank) = run_traced(&mp, &eta, dim, Direction::Forward, &k, &opts);
+        for (rank, (stats, msgs, elems)) in per_rank.iter().enumerate() {
+            let at = format!("rank {rank} dim {dim}");
+            assert_eq!(stats.sent_messages(), *msgs, "{at}");
+            assert_eq!(stats.sent_elements(), *elems, "{at}");
+            // One compute span per phase → per-phase compute slots
+            // cover exactly the γ phases of this sweep.
+            assert_eq!(stats.phase_compute_ns.len(), gamma as usize, "{at}");
+            assert!(stats.compute_ns > 0, "{at}");
+            // Carries are relayed by move in both modes: a sweep never
+            // stages a copy, so it records no pack time.
+            assert_eq!(stats.pack_ns, 0, "{at}");
         }
     }
 }

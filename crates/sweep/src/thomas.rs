@@ -17,10 +17,10 @@
 // iterator zips would obscure the stencil structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::recurrence::{debug_assert_block_aligned, LineSweepKernel, SegmentCtx};
+use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::SimdLevel;
 use mp_core::multipart::Direction;
-use mp_grid::AlignedVec;
+use mp_grid::Lanes;
 
 /// Solve one tridiagonal system in place (serial reference).
 ///
@@ -139,133 +139,34 @@ impl LineSweepKernel for ThomasForwardKernel {
         carry[1] = dp;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
         assert_eq!(dir, Direction::Forward, "elimination runs forward");
-        debug_assert_eq!(carries.len(), 2 * nlines);
-        debug_assert_block_aligned(block);
-        let (ab, cd) = block.split_at_mut(2);
-        let (aa, bb) = (&ab[0], &ab[1]);
-        let (cc, dd) = cd.split_at_mut(1);
-        let (cc, dd) = (&mut cc[0], &mut dd[0]);
-        for k in 0..seg_len {
-            let r = k * nlines;
-            for l in 0..nlines {
-                let ak = aa[r + l];
-                let denom = bb[r + l] - ak * carries[2 * l];
+        debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
+        let l0 = crate::simd::thomas_forward(level, carries, lanes);
+        for k in 0..lanes.seg_len() {
+            for l in l0..lanes.nlanes() {
+                let ak = lanes.get(0, k, l);
+                let denom = lanes.get(1, k, l) - ak * carries[2 * l];
                 assert!(denom != 0.0, "zero pivot");
-                let cp = cc[r + l] / denom;
-                let dp = (dd[r + l] - ak * carries[2 * l + 1]) / denom;
-                cc[r + l] = cp;
-                dd[r + l] = dp;
+                let cp = lanes.get(2, k, l) / denom;
+                let dp = (lanes.get(3, k, l) - ak * carries[2 * l + 1]) / denom;
+                lanes.set(2, k, l, cp);
+                lanes.set(3, k, l, dp);
                 carries[2 * l] = cp;
                 carries[2 * l + 1] = dp;
             }
         }
-    }
-
-    fn sweep_block_simd(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 {
-            assert_eq!(dir, Direction::Forward, "elimination runs forward");
-            debug_assert_eq!(carries.len(), 2 * nlines);
-            debug_assert_block_aligned(block);
-            let (ab, cd) = block.split_at_mut(2);
-            let (cc, dd) = cd.split_at_mut(1);
-            // SAFETY: `SimdLevel::Avx2` is only ever constructed after
-            // `is_x86_feature_detected!` confirmed avx2+fma (see
-            // `crate::simd::SimdMode::resolve`); the line-minor block is a
-            // unit-lane view with row stride nlines.
-            unsafe {
-                crate::simd::avx2::thomas_forward(
-                    nlines,
-                    seg_len,
-                    carries,
-                    ab[0].as_ptr(),
-                    ab[1].as_ptr(),
-                    cc[0].as_mut_ptr(),
-                    dd[0].as_mut_ptr(),
-                    nlines as isize,
-                );
-            }
-            return;
-        }
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
     fn kernel_name(&self) -> &'static str {
         "thomas_forward"
-    }
-
-    fn supports_strided(&self) -> bool {
-        true
-    }
-
-    unsafe fn sweep_block_strided(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        _ctxs: &[SegmentCtx],
-    ) {
-        assert_eq!(dir, Direction::Forward, "elimination runs forward");
-        debug_assert_eq!(carries.len(), 2 * nlines);
-        let (aa, bb, cc, dd) = (
-            ptrs[0] as *const f64,
-            ptrs[1] as *const f64,
-            ptrs[2],
-            ptrs[3],
-        );
-        let es = elem_strides[0];
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 && elem_strides.iter().all(|&s| s == es) {
-            // SAFETY: caller guarantees the strided range; same kernel body
-            // as the packed path, so bitwise identity holds by construction.
-            crate::simd::avx2::thomas_forward(nlines, seg_len, carries, aa, bb, cc, dd, es);
-            return;
-        }
-        let _ = level;
-        let (sa, sb, sc, sd) = (
-            elem_strides[0],
-            elem_strides[1],
-            elem_strides[2],
-            elem_strides[3],
-        );
-        for k in 0..seg_len {
-            let k = k as isize;
-            for l in 0..nlines {
-                let li = l as isize;
-                let ak = *aa.offset(k * sa + li);
-                let denom = *bb.offset(k * sb + li) - ak * carries[2 * l];
-                assert!(denom != 0.0, "zero pivot");
-                let cp = *cc.offset(k * sc + li) / denom;
-                let dp = (*dd.offset(k * sd + li) - ak * carries[2 * l + 1]) / denom;
-                *cc.offset(k * sc + li) = cp;
-                *dd.offset(k * sd + li) = dp;
-                carries[2 * l] = cp;
-                carries[2 * l + 1] = dp;
-            }
-        }
     }
 }
 
@@ -323,116 +224,34 @@ impl LineSweepKernel for ThomasBackwardKernel {
         carry[1] = valid;
     }
 
-    fn sweep_block(
+    fn sweep_lanes(
         &self,
+        level: SimdLevel,
         dir: Direction,
-        nlines: usize,
-        seg_len: usize,
         carries: &mut [f64],
-        block: &mut [AlignedVec],
+        lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
         assert_eq!(dir, Direction::Backward, "substitution runs backward");
-        debug_assert_eq!(carries.len(), 2 * nlines);
-        debug_assert_block_aligned(block);
-        let (cc, dd) = block.split_at_mut(1);
-        let (cc, dd) = (&cc[0], &mut dd[0]);
-        for k in 0..seg_len {
-            let r = k * nlines;
-            for l in 0..nlines {
-                let dk = dd[r + l];
+        debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
+        let l0 = crate::simd::thomas_backward(level, carries, lanes);
+        for k in 0..lanes.seg_len() {
+            for l in l0..lanes.nlanes() {
+                let dk = lanes.get(1, k, l);
                 let xk = if carries[2 * l + 1] != 0.0 {
-                    dk - cc[r + l] * carries[2 * l]
+                    dk - lanes.get(0, k, l) * carries[2 * l]
                 } else {
                     dk
                 };
-                dd[r + l] = xk;
+                lanes.set(1, k, l, xk);
                 carries[2 * l] = xk;
                 carries[2 * l + 1] = 1.0;
             }
         }
-    }
-
-    fn sweep_block_simd(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        block: &mut [AlignedVec],
-        ctxs: &[SegmentCtx],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 {
-            assert_eq!(dir, Direction::Backward, "substitution runs backward");
-            debug_assert_eq!(carries.len(), 2 * nlines);
-            debug_assert_block_aligned(block);
-            let (cc, dd) = block.split_at_mut(1);
-            // SAFETY: `SimdLevel::Avx2` implies detected avx2+fma; the
-            // line-minor block is a unit-lane view with row stride nlines.
-            unsafe {
-                crate::simd::avx2::thomas_backward(
-                    nlines,
-                    seg_len,
-                    carries,
-                    cc[0].as_ptr(),
-                    dd[0].as_mut_ptr(),
-                    nlines as isize,
-                );
-            }
-            return;
-        }
-        self.sweep_block(dir, nlines, seg_len, carries, block, ctxs);
     }
 
     fn kernel_name(&self) -> &'static str {
         "thomas_backward"
-    }
-
-    fn supports_strided(&self) -> bool {
-        true
-    }
-
-    unsafe fn sweep_block_strided(
-        &self,
-        level: SimdLevel,
-        dir: Direction,
-        nlines: usize,
-        seg_len: usize,
-        carries: &mut [f64],
-        ptrs: &[*mut f64],
-        elem_strides: &[isize],
-        _ctxs: &[SegmentCtx],
-    ) {
-        assert_eq!(dir, Direction::Backward, "substitution runs backward");
-        debug_assert_eq!(carries.len(), 2 * nlines);
-        let (cc, dd) = (ptrs[0] as *const f64, ptrs[1]);
-        let es = elem_strides[0];
-        #[cfg(target_arch = "x86_64")]
-        if level == SimdLevel::Avx2 && elem_strides.iter().all(|&s| s == es) {
-            // SAFETY: caller guarantees the strided range; same kernel body
-            // as the packed path, so bitwise identity holds by construction.
-            crate::simd::avx2::thomas_backward(nlines, seg_len, carries, cc, dd, es);
-            return;
-        }
-        let _ = level;
-        let (sc, sd) = (elem_strides[0], elem_strides[1]);
-        for k in 0..seg_len {
-            let k = k as isize;
-            for l in 0..nlines {
-                let li = l as isize;
-                let dk = *dd.offset(k * sd + li);
-                let xk = if carries[2 * l + 1] != 0.0 {
-                    dk - *cc.offset(k * sc + li) * carries[2 * l]
-                } else {
-                    dk
-                };
-                *dd.offset(k * sd + li) = xk;
-                carries[2 * l] = xk;
-                carries[2 * l + 1] = 1.0;
-            }
-        }
     }
 }
 

@@ -13,7 +13,11 @@ use mp_core::multipart::{Direction, Multipartitioning};
 use mp_core::partition::Partitioning;
 use mp_grid::{FieldDef, TileGrid};
 use mp_runtime::{run_threaded, Communicator};
-use mp_sweep::{allocate_rank_store, FirstOrderKernel, InplaceMode, SweepEngine, SweepOptions};
+use mp_sweep::block::{BlockCoeffs, Mat};
+use mp_sweep::{
+    allocate_rank_store, BlockTriBackwardKernel, BlockTriForwardKernel, FirstOrderKernel,
+    LineSweepKernel, SweepEngine, SweepOptions,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -58,34 +62,36 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Per-rank allocation counts across 10 steady-state sweeps of `dim`.
-fn steady_state_allocs(
+/// Per-rank allocation counts across 10 steady-state `dir` sweeps of
+/// `dim` by `kernel`, whose fields are numbered from 0. Every dim but the
+/// last runs in place on tile storage; the last gathers through packed
+/// scratch — both modes are covered.
+fn steady_state_allocs<K: LineSweepKernel>(
     p: u64,
     gammas: &[u64],
     eta: &[usize],
-    dim: usize,
+    (dim, dir): (usize, Direction),
     chunks: usize,
+    kernel: &K,
 ) -> Vec<u64> {
     let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas.to_vec()));
     let grid = TileGrid::new(eta, &gammas.iter().map(|&g| g as usize).collect::<Vec<_>>());
-    let fields = [FieldDef::new("u", 0)];
-    let kernel = FirstOrderKernel::new(0, 0.8);
-    // In-place forced on: dims other than the last run zero-copy, the last
-    // dim always gathers through packed scratch — both modes are covered.
-    let opts = SweepOptions::new(4, 1)
-        .with_pipeline_chunks(chunks)
-        .with_inplace(InplaceMode::On);
+    let fields: Vec<FieldDef> = (0..kernel.fields().len())
+        .map(|f| FieldDef::new(&format!("f{f}"), 0))
+        .collect();
+    let opts = SweepOptions::new(4, 1).with_pipeline_chunks(chunks);
     run_threaded(p, |comm| {
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-        store.init_field(0, |g| (g[0] * 7 + g[1] * 3 + g[2]) as f64 * 0.01);
+        for f in 0..fields.len() {
+            store.init_field(f, |g| (g[0] * 7 + g[1] * 3 + g[2] + f) as f64 * 0.01);
+        }
         let mut engine = SweepEngine::new(opts.clone());
-        let fwd = Direction::Forward;
         let mut before = 0;
         for i in 0..12 {
             if i == 2 {
                 before = allocs(); // after two warm-up sweeps
             }
-            engine.sweep(comm, &mut store, &mp, dim, fwd, &kernel, 1000);
+            engine.sweep(comm, &mut store, &mp, dim, dir, kernel, 1000);
         }
         let n = allocs() - before;
         assert_eq!(engine.builds(), 1, "steady state rebuilt the plan");
@@ -96,9 +102,11 @@ fn steady_state_allocs(
 #[test]
 fn self_neighbor_sweeps_allocate_nothing() {
     // p = 1: every phase boundary is a local hand-off on the rank thread.
+    let kernel = FirstOrderKernel::new(0, 0.8);
     for chunks in [1, 3] {
         for dim in [0, 2] {
-            let counts = steady_state_allocs(1, &[3, 2, 2], &[9, 8, 8], dim, chunks);
+            let at = (dim, Direction::Forward);
+            let counts = steady_state_allocs(1, &[3, 2, 2], &[9, 8, 8], at, chunks, &kernel);
             assert_eq!(counts, vec![0], "dim {dim}, {chunks} chunk(s) per phase");
         }
     }
@@ -107,10 +115,45 @@ fn self_neighbor_sweeps_allocate_nothing() {
 #[test]
 fn two_rank_sweeps_allocate_nothing() {
     // p = 2: carries cross the ring transport at every phase boundary.
+    let kernel = FirstOrderKernel::new(0, 0.8);
     for chunks in [1, 3] {
         for dim in [0, 2] {
-            let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], dim, chunks);
+            let at = (dim, Direction::Forward);
+            let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, chunks, &kernel);
             assert_eq!(counts, vec![0, 0], "dim {dim}, {chunks} chunk(s) per phase");
         }
+    }
+}
+
+/// Position-dependent 3×3 blocks, diagonally dominant: BT's kernel shape
+/// at N = 3.
+struct Coeffs;
+
+impl BlockCoeffs<3> for Coeffs {
+    fn blocks(&self, g: &[usize], axis: usize) -> (Mat<3>, Mat<3>, Mat<3>) {
+        let w = 0.01 * (g.iter().sum::<usize>() % 5) as f64;
+        let mut b = [[w; 3]; 3];
+        for (r, row) in b.iter_mut().enumerate() {
+            row[r] = 3.0 + g[axis] as f64 * 0.01;
+        }
+        ([[-0.1 - w; 3]; 3], b, [[-0.2 + w; 3]; 3])
+    }
+}
+
+#[test]
+fn block_tridiagonal_sweeps_allocate_nothing() {
+    // The block kernels generate their coefficients per element from the
+    // global position: dim 0 runs in place, dim 2 packed.
+    let scratch: Vec<usize> = (0..9).collect();
+    let rhs: Vec<usize> = (9..12).collect();
+    let fwd = BlockTriForwardKernel::<3, _>::new(Coeffs, &scratch, &rhs);
+    let bwd = BlockTriBackwardKernel::<3>::new(&scratch, &rhs);
+    for dim in [0, 2] {
+        let at = (dim, Direction::Forward);
+        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, 1, &fwd);
+        assert_eq!(counts, vec![0, 0], "forward, dim {dim}");
+        let at = (dim, Direction::Backward);
+        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, 1, &bwd);
+        assert_eq!(counts, vec![0, 0], "backward, dim {dim}");
     }
 }
