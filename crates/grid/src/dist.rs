@@ -5,7 +5,7 @@
 //! `mp-core`'s job); it just materializes storage for a given list of tile
 //! coordinates over a [`TileGrid`].
 
-use crate::halo::HaloArray;
+use crate::halo::{HaloArray, MAX_DIMS};
 use crate::shape::Region;
 use crate::tile::TileGrid;
 
@@ -119,37 +119,41 @@ impl RankStore {
 
     /// Initialize a field on all tiles from a global function of the element
     /// index.
+    ///
+    /// # Panics
+    /// Panics if the domain has more than 8 dimensions.
     pub fn init_field(&mut self, f: usize, init: impl Fn(&[usize]) -> f64) {
         for tile in &mut self.tiles {
-            let region = tile.region.clone();
-            let origin = region.origin.clone();
-            let arr = tile.field_mut(f);
-            let extent = arr.interior().to_vec();
-            let mut idx_local = vec![0usize; extent.len()];
-            region.for_each_index(|global| {
-                for (k, (g, o)) in global.iter().zip(origin.iter()).enumerate() {
-                    idx_local[k] = g - o;
+            let origin = &tile.region.origin;
+            let d = origin.len();
+            let mut g = [0usize; MAX_DIMS];
+            tile.fields[f].for_each_interior_row_mut(|idx, row| {
+                for k in 0..d {
+                    g[k] = origin[k] + idx[k];
                 }
-                arr.set_i(&idx_local, init(global));
+                for v in row {
+                    *v = init(&g[..d]);
+                    g[d - 1] += 1;
+                }
             });
         }
     }
 
     /// Scatter every tile's interior of field `f` into a global array
     /// (used by verification against serial runs).
+    ///
+    /// # Panics
+    /// Panics if the domain has more than 8 dimensions.
     pub fn gather_into(&self, f: usize, global: &mut crate::array::ArrayD<f64>) {
+        let d = global.dims().len();
+        let mut strides = [0usize; MAX_DIMS];
+        strides[..d].copy_from_slice(global.shape().strides());
+        let out = global.as_mut_slice();
         for tile in &self.tiles {
-            let origin = tile.region.origin.clone();
-            let arr = tile.field(f);
-            let extent = arr.interior().to_vec();
-            let shape = crate::shape::Shape::new(&extent);
-            shape.for_each_index(|local| {
-                let global_idx: Vec<usize> = local
-                    .iter()
-                    .zip(origin.iter())
-                    .map(|(&l, &o)| l + o)
-                    .collect();
-                global.set(&global_idx, arr.get_i(local));
+            let origin = &tile.region.origin;
+            tile.field(f).for_each_interior_row(|idx, row| {
+                let at: usize = (0..d).map(|k| (origin[k] + idx[k]) * strides[k]).sum();
+                out[at..at + row.len()].copy_from_slice(row);
             });
         }
     }

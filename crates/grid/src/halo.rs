@@ -5,9 +5,61 @@
 //! interior plus `w` ghost planes on each side and exposes *logical* signed
 //! indexing: interior indices are `0..extent`, ghosts live at `-w..0` and
 //! `extent..extent+w`.
+//!
+//! Every accessor and face copy is allocation-free: element access folds
+//! the index against the storage strides, and faces, ghost layers and the
+//! interior are walked row by row (runs contiguous along the last
+//! dimension) with a stack index.
 
 use crate::array::ArrayD;
-use crate::shape::{Region, Side};
+use crate::shape::Side;
+
+/// Largest rank the row walkers handle (their index lives on the stack).
+pub(crate) const MAX_DIMS: usize = 8;
+
+/// A box of a padded storage array, walked row by row without allocating:
+/// `lo..lo + ext` per dimension, in storage coordinates.
+#[derive(Clone, Copy)]
+struct StorageBox {
+    d: usize,
+    strides: [usize; MAX_DIMS],
+    lo: [usize; MAX_DIMS],
+    ext: [usize; MAX_DIMS],
+}
+
+impl StorageBox {
+    /// Elements per row (the box's extent along the last dimension).
+    fn row_len(&self) -> usize {
+        self.ext[self.d - 1]
+    }
+
+    /// Call `f(idx, off)` for every row in row-major order: `idx` is the
+    /// box-relative index of the row's first element (last component 0),
+    /// `off` its storage offset.
+    fn for_each_row(&self, mut f: impl FnMut(&[usize], usize)) {
+        assert!(self.ext[..self.d].iter().all(|&e| e > 0), "empty box");
+        let mut idx = [0usize; MAX_DIMS];
+        loop {
+            let off = (0..self.d)
+                .map(|k| (self.lo[k] + idx[k]) * self.strides[k])
+                .sum();
+            f(&idx[..self.d], off);
+            // Advance the leading dimensions like an odometer.
+            let mut k = self.d - 1;
+            loop {
+                if k == 0 {
+                    return;
+                }
+                k -= 1;
+                idx[k] += 1;
+                if idx[k] < self.ext[k] {
+                    break;
+                }
+                idx[k] = 0;
+            }
+        }
+    }
+}
 
 /// A dense array with `halo` ghost layers on every side of every dimension.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,107 +106,201 @@ impl HaloArray {
         self.interior.len()
     }
 
-    fn storage_index(&self, idx: &[isize]) -> Vec<usize> {
+    /// Storage offset of a logical (possibly ghost) index.
+    #[inline]
+    fn offset(&self, idx: &[isize]) -> usize {
         debug_assert_eq!(idx.len(), self.ndim());
+        let h = self.halo as isize;
         idx.iter()
-            .zip(self.interior.iter())
-            .map(|(&i, &e)| {
-                let h = self.halo as isize;
+            .zip(&self.interior)
+            .zip(self.strides())
+            .fold(0, |off, ((&i, &e), &s)| {
                 debug_assert!(
                     i >= -h && i < e as isize + h,
                     "logical index {i} outside [-{h}, {e}+{h})"
                 );
-                (i + h) as usize
+                off + (i + h) as usize * s
             })
-            .collect()
+    }
+
+    /// Storage offset of an unsigned logical index.
+    #[inline]
+    fn offset_i(&self, idx: &[usize]) -> usize {
+        debug_assert_eq!(idx.len(), self.ndim());
+        let h = self.halo;
+        idx.iter()
+            .zip(&self.interior)
+            .zip(self.strides())
+            .fold(0, |off, ((&i, &e), &s)| {
+                debug_assert!(
+                    i < e + h,
+                    "index {i} outside the storage of extent {e}+2·{h}"
+                );
+                off + (i + h) * s
+            })
     }
 
     /// Read at a logical (possibly ghost) index.
     #[inline]
     pub fn get(&self, idx: &[isize]) -> f64 {
-        self.data.get(&self.storage_index(idx))
+        self.raw()[self.offset(idx)]
     }
 
     /// Write at a logical (possibly ghost) index.
     #[inline]
     pub fn set(&mut self, idx: &[isize], value: f64) {
-        let s = self.storage_index(idx);
-        self.data.set(&s, value);
+        let off = self.offset(idx);
+        self.raw_mut()[off] = value;
     }
 
     /// Interior-only convenience accessors (unsigned indices).
     #[inline]
     pub fn get_i(&self, idx: &[usize]) -> f64 {
-        let s: Vec<usize> = idx.iter().map(|&i| i + self.halo).collect();
-        self.data.get(&s)
+        self.raw()[self.offset_i(idx)]
     }
 
     /// Interior-only write.
     #[inline]
     pub fn set_i(&mut self, idx: &[usize], value: f64) {
-        let s: Vec<usize> = idx.iter().map(|&i| i + self.halo).collect();
-        self.data.set(&s, value);
+        let off = self.offset_i(idx);
+        self.raw_mut()[off] = value;
     }
 
-    /// Region (in storage coordinates) of the interior face to *send* when a
-    /// neighbor on `side` of dimension `dim` needs `width` ghost layers.
-    fn send_region(&self, dim: usize, side: Side, width: usize) -> Region {
-        let h = self.halo;
-        let origin: Vec<usize> = (0..self.ndim())
-            .map(|k| {
-                if k == dim && side == Side::High {
-                    h + self.interior[k] - width
-                } else {
-                    h
-                }
-            })
-            .collect();
-        let extent: Vec<usize> = (0..self.ndim())
-            .map(|k| if k == dim { width } else { self.interior[k] })
-            .collect();
-        Region::new(origin, extent)
+    /// A box of this array's storage: `lo(k)..lo(k) + ext(k)` along each
+    /// dimension `k`.
+    fn storage_box(&self, lo: impl Fn(usize) -> usize, ext: impl Fn(usize) -> usize) -> StorageBox {
+        let d = self.ndim();
+        assert!(
+            d <= MAX_DIMS,
+            "{d} dimensions exceed the row walker's {MAX_DIMS}"
+        );
+        let mut b = StorageBox {
+            d,
+            strides: [0; MAX_DIMS],
+            lo: [0; MAX_DIMS],
+            ext: [0; MAX_DIMS],
+        };
+        b.strides[..d].copy_from_slice(self.strides());
+        for k in 0..d {
+            b.lo[k] = lo(k);
+            b.ext[k] = ext(k);
+        }
+        b
     }
 
-    /// Region (in storage coordinates) of the ghost layer to *fill* with
-    /// data received from the neighbor on `side` of dimension `dim`.
-    fn recv_region(&self, dim: usize, side: Side, width: usize) -> Region {
+    /// The interior, as a storage box.
+    fn interior_box(&self) -> StorageBox {
+        self.storage_box(|_| self.halo, |k| self.interior[k])
+    }
+
+    /// The `width`-deep slab on `side` of `dim`, as a storage box: the
+    /// interior face a neighbor on that side needs (`ghost == false`), or
+    /// the ghost layer a message from that neighbor fills (`ghost ==
+    /// true`).
+    fn face_box(&self, dim: usize, side: Side, width: usize, ghost: bool) -> StorageBox {
         let h = self.halo;
-        assert!(width <= h);
-        let origin: Vec<usize> = (0..self.ndim())
-            .map(|k| {
-                if k == dim {
-                    match side {
-                        Side::Low => h - width,
-                        Side::High => h + self.interior[k],
-                    }
-                } else {
-                    h
-                }
-            })
-            .collect();
-        let extent: Vec<usize> = (0..self.ndim())
-            .map(|k| if k == dim { width } else { self.interior[k] })
-            .collect();
-        Region::new(origin, extent)
+        assert!(width <= h || !ghost);
+        let e = self.interior[dim];
+        let at = match (side, ghost) {
+            (Side::Low, false) => h,
+            (Side::High, false) => h + e - width,
+            (Side::Low, true) => h - width,
+            (Side::High, true) => h + e,
+        };
+        self.storage_box(
+            |k| if k == dim { at } else { h },
+            |k| if k == dim { width } else { self.interior[k] },
+        )
     }
 
     /// Pack the `width`-wide interior face on `side` of `dim` for sending.
     pub fn pack_face(&self, dim: usize, side: Side, width: usize) -> Vec<f64> {
-        self.data.pack(&self.send_region(dim, side, width))
+        let mut out = Vec::with_capacity(self.face_len(dim, width));
+        self.pack_face_into(dim, side, width, &mut out);
+        out
     }
 
     /// [`HaloArray::pack_face`] without the allocation: append the face to
     /// `out`, so multi-tile halo messages can be assembled in one reused
     /// buffer.
     pub fn pack_face_into(&self, dim: usize, side: Side, width: usize, out: &mut Vec<f64>) {
-        self.data
-            .pack_into(&self.send_region(dim, side, width), out);
+        let b = self.face_box(dim, side, width, false);
+        let (raw, n) = (self.raw(), b.row_len());
+        out.reserve(self.face_len(dim, width));
+        b.for_each_row(|_, off| out.extend_from_slice(&raw[off..off + n]));
     }
 
     /// Unpack a received face into the ghost layer on `side` of `dim`.
+    ///
+    /// # Panics
+    /// Panics if `buf` is not exactly one face long.
     pub fn unpack_ghost(&mut self, dim: usize, side: Side, width: usize, buf: &[f64]) {
-        let r = self.recv_region(dim, side, width);
-        self.data.unpack(&r, buf);
+        assert_eq!(
+            buf.len(),
+            self.face_len(dim, width),
+            "buffer/face size mismatch"
+        );
+        let b = self.face_box(dim, side, width, true);
+        let n = b.row_len();
+        let raw = self.raw_mut();
+        let mut rows = buf.chunks_exact(n);
+        b.for_each_row(|_, off| {
+            raw[off..off + n].copy_from_slice(rows.next().expect("face rows"));
+        });
+    }
+
+    /// Visit the interior row by row in row-major order: `f(idx, row)` for
+    /// every run of `interior()[d−1]` elements contiguous along the last
+    /// dimension, `idx` being the interior index of the row's first
+    /// element.
+    ///
+    /// # Panics
+    /// Panics if the array has more than 8 dimensions.
+    pub fn for_each_interior_row(&self, mut f: impl FnMut(&[usize], &[f64])) {
+        let b = self.interior_box();
+        let (raw, n) = (self.raw(), b.row_len());
+        b.for_each_row(|idx, off| f(idx, &raw[off..off + n]));
+    }
+
+    /// [`HaloArray::for_each_interior_row`] with mutable rows.
+    pub fn for_each_interior_row_mut(&mut self, mut f: impl FnMut(&[usize], &mut [f64])) {
+        let b = self.interior_box();
+        let n = b.row_len();
+        let raw = self.raw_mut();
+        b.for_each_row(|idx, off| f(idx, &mut raw[off..off + n]));
+    }
+
+    /// The rows a 7-point stencil reads at interior row `(i, j)` of a 3-D
+    /// array with ghost width ≥ 1, as slices of [`HaloArray::raw`]:
+    /// `[x−, x+, y−, y+, z]`. The first four are the neighbor rows along
+    /// dimensions 0 and 1 (`interior()[2]` elements each); `z` is the row
+    /// itself with one ghost on each end (`interior()[2] + 2` elements), so
+    /// element `k` has its centre at `z[k + 1]` and its dimension-2
+    /// neighbors at `z[k]` and `z[k + 2]`.
+    ///
+    /// # Panics
+    /// Panics if the array is not 3-D with a halo, or `(i, j)` lies
+    /// outside the interior.
+    pub fn stencil_rows(&self, i: usize, j: usize) -> [&[f64]; 5] {
+        assert!(
+            self.ndim() == 3 && self.halo >= 1,
+            "needs a 3-D array with a halo"
+        );
+        assert!(
+            i < self.interior[0] && j < self.interior[1],
+            "row ({i}, {j}) outside the interior"
+        );
+        let (s0, s1, n) = (self.strides()[0], self.strides()[1], self.interior[2]);
+        let base = self.interior_origin_offset() + i * s0 + j * s1;
+        let raw = self.raw();
+        let row = |off: usize| &raw[off..off + n];
+        [
+            row(base - s0),
+            row(base + s0),
+            row(base - s1),
+            row(base + s1),
+            &raw[base - 1..base + n + 1],
+        ]
     }
 
     /// Number of elements in a face message.
@@ -175,17 +321,21 @@ impl HaloArray {
     /// elements with one multiplication each instead of a full index
     /// computation per element.
     pub fn interior_line(&self, axis: usize, base: &[usize]) -> (usize, usize, usize) {
-        let mut idx: Vec<usize> = base.iter().map(|&i| i + self.halo).collect();
-        idx[axis] = self.halo;
-        let offset = self.data.shape().offset(&idx);
-        let stride = self.data.shape().strides()[axis];
-        (offset, stride, self.interior[axis])
+        let strides = self.strides();
+        let offset = base
+            .iter()
+            .zip(strides)
+            .enumerate()
+            .filter(|&(k, _)| k != axis)
+            .fold(self.interior_origin_offset(), |off, (_, (&b, &s))| {
+                off + b * s
+            });
+        (offset, strides[axis], self.interior[axis])
     }
 
     /// Row-major strides of the padded backing storage (one per dimension).
     /// Together with [`HaloArray::interior_origin_offset`] this lets callers
-    /// compute line offsets without the per-call allocation of
-    /// [`HaloArray::interior_line`].
+    /// compute line and row offsets directly.
     pub fn strides(&self) -> &[usize] {
         self.data.shape().strides()
     }
@@ -197,7 +347,7 @@ impl HaloArray {
     }
 
     /// Raw backing storage (row-major over the padded extents); use with
-    /// [`HaloArray::interior_line`].
+    /// [`HaloArray::strides`] and [`HaloArray::interior_origin_offset`].
     pub fn raw(&self) -> &[f64] {
         self.data.as_slice()
     }
@@ -209,14 +359,17 @@ impl HaloArray {
 
     /// Copy interior values out into a plain array.
     pub fn to_interior_array(&self) -> ArrayD<f64> {
-        ArrayD::from_fn(&self.interior, |idx| self.get_i(idx))
+        let mut data = Vec::with_capacity(self.interior.iter().product());
+        self.for_each_interior_row(|_, row| data.extend_from_slice(row));
+        ArrayD::from_vec(&self.interior, data)
     }
 
     /// Overwrite interior values from a plain array of matching shape.
     pub fn set_interior_from(&mut self, src: &ArrayD<f64>) {
         assert_eq!(src.dims(), self.interior.as_slice());
-        src.shape().clone().for_each_index(|idx| {
-            self.set_i(idx, src.get(idx));
+        let mut rows = src.as_slice().chunks_exact(self.interior[self.ndim() - 1]);
+        self.for_each_interior_row_mut(|_, row| {
+            row.copy_from_slice(rows.next().expect("interior rows"));
         });
     }
 }
@@ -455,6 +608,30 @@ mod tests {
             }
             assert_eq!(off, manual, "axis {axis}");
             assert_eq!(stride, a.strides()[axis]);
+        }
+    }
+
+    #[test]
+    fn stencil_rows_match_signed_indexing() {
+        let mut a = HaloArray::zeros(&[3, 4, 5], 1);
+        for (v, x) in a.raw_mut().iter_mut().zip(1..) {
+            *v = x as f64;
+        }
+        for i in 0..3isize {
+            for j in 0..4isize {
+                let [xlo, xhi, ylo, yhi, z] = a.stencil_rows(i as usize, j as usize);
+                assert_eq!(z.len(), 7);
+                for k in 0..5isize {
+                    let u = k as usize;
+                    assert_eq!(xlo[u], a.get(&[i - 1, j, k]));
+                    assert_eq!(xhi[u], a.get(&[i + 1, j, k]));
+                    assert_eq!(ylo[u], a.get(&[i, j - 1, k]));
+                    assert_eq!(yhi[u], a.get(&[i, j + 1, k]));
+                    assert_eq!(z[u], a.get(&[i, j, k - 1]));
+                    assert_eq!(z[u + 1], a.get(&[i, j, k]));
+                    assert_eq!(z[u + 2], a.get(&[i, j, k + 1]));
+                }
+            }
         }
     }
 

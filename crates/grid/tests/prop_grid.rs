@@ -1,10 +1,12 @@
 //! Randomized property tests for the storage substrate: codec round trips
-//! and fuzzed corruption, tile-grid coverage, halo line access.
+//! and fuzzed corruption, tile-grid coverage, halo line access, and the
+//! row-walking face, ghost and interior copies against per-element
+//! indexing.
 
 use mp_grid::codec::{
     decode_array, decode_rank_store, encode_array, encode_rank_store, ByteReader,
 };
-use mp_grid::{ArrayD, FieldDef, HaloArray, RankStore, TileGrid};
+use mp_grid::{ArrayD, FieldDef, HaloArray, RankStore, Shape, Side, TileGrid};
 use mp_testkit::{cases, Rng};
 
 fn small_dims(rng: &mut Rng) -> Vec<usize> {
@@ -123,5 +125,69 @@ fn halo_line_accessor_agrees() {
             idx[axis] = k;
             assert_eq!(h.raw()[off + k * stride], h.get_i(&idx));
         }
+    });
+}
+
+#[test]
+fn halo_row_walks_match_per_element_indexing() {
+    cases(0x4a11, 64, |rng| {
+        let d = rng.usize_in(1, 4);
+        let ext: Vec<usize> = (0..d).map(|_| rng.usize_in(1, 5)).collect();
+        let halo = rng.usize_in(1, 2);
+        let mut h = HaloArray::zeros(&ext, halo);
+        for (i, v) in h.raw_mut().iter_mut().enumerate() {
+            *v = i as f64;
+        }
+        let interior = Shape::new(&ext);
+
+        // Interior rows arrive in row-major order, each starting at the
+        // index it reports.
+        let mut seen = Vec::new();
+        h.for_each_interior_row(|idx, row| {
+            assert_eq!(idx[d - 1], 0);
+            assert_eq!(row[0], h.get_i(idx));
+            seen.extend_from_slice(row);
+        });
+        let mut want = Vec::new();
+        interior.for_each_index(|idx| want.push(h.get_i(idx)));
+        assert_eq!(seen, want);
+
+        let dim = rng.usize_in(0, d - 1);
+        let width = rng.usize_in(1, halo.min(ext[dim]));
+        let side = if rng.bool() { Side::Low } else { Side::High };
+        // The packed face is the slab of `width` interior planes on `side`.
+        let mut face_shape = ext.clone();
+        face_shape[dim] = width;
+        let at = |rel: &[usize], ghost: bool| -> Vec<isize> {
+            let mut idx: Vec<isize> = rel.iter().map(|&i| i as isize).collect();
+            let (e, w) = (ext[dim] as isize, width as isize);
+            idx[dim] += match (side, ghost) {
+                (Side::Low, false) => 0,
+                (Side::High, false) => e - w,
+                (Side::Low, true) => -w,
+                (Side::High, true) => e,
+            };
+            idx
+        };
+        let mut face = Vec::new();
+        Shape::new(&face_shape).for_each_index(|rel| face.push(h.get(&at(rel, false))));
+        assert_eq!(h.pack_face(dim, side, width), face);
+
+        // Unpacking fills exactly the ghost slab, in the same order.
+        let msg: Vec<f64> = (0..face.len()).map(|i| -1.0 - i as f64).collect();
+        let before = h.clone();
+        h.unpack_ghost(dim, side, width, &msg);
+        let mut k = 0;
+        let mut written = 0;
+        Shape::new(&face_shape).for_each_index(|rel| {
+            assert_eq!(h.get(&at(rel, true)), msg[k]);
+            k += 1;
+        });
+        for (a, b) in h.raw().iter().zip(before.raw()) {
+            if a != b {
+                written += 1;
+            }
+        }
+        assert_eq!(written, msg.len(), "unpack wrote outside the ghost slab");
     });
 }

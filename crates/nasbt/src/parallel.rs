@@ -3,6 +3,12 @@
 //! Field layout: components `u_c` at `c` (halo 1, c in 0..5), right-hand
 //! sides at `5 + c`, the 25 block-elimination scratch fields at `10..35`,
 //! forcings at `35 + c`.
+//!
+//! Each iteration halo-exchanges every component, runs `compute_rhs` and
+//! `add` row by row over tile storage, and between them a forward and a
+//! backward block sweep per dimension. The sweep kernels are built once
+//! per solver, so a steady-state iteration allocates nothing on the rank
+//! thread.
 
 use crate::problem::{BtProblem, NCOMP};
 use crate::serial::bt_rhs_at;
@@ -71,6 +77,10 @@ pub struct ParallelBt {
     pub plan: SolverPlan,
     /// Completed iterations.
     pub iters_done: usize,
+    /// Block elimination and back substitution over the scratch and
+    /// right-hand-side fields, built once.
+    fwd: BlockTriForwardKernel<NCOMP, BtProblem>,
+    bwd: BlockTriBackwardKernel<NCOMP>,
 }
 
 impl ParallelBt {
@@ -116,6 +126,8 @@ impl ParallelBt {
             store.init_field(fields::u(c), |g| prob.initial(g, c));
             store.init_field(fields::forcing(c), |g| prob.forcing(g, c));
         }
+        let scratch: Vec<usize> = (0..NCOMP * NCOMP).map(fields::scratch).collect();
+        let rhs: Vec<usize> = (0..NCOMP).map(fields::rhs).collect();
         ParallelBt {
             prob,
             mp,
@@ -123,13 +135,13 @@ impl ParallelBt {
             store,
             plan: SolverPlan::new(sweep_opts),
             iters_done: 0,
+            fwd: BlockTriForwardKernel::new(prob, &scratch, &rhs),
+            bwd: BlockTriBackwardKernel::new(&scratch, &rhs),
         }
     }
 
     /// One distributed BT iteration.
     pub fn iterate<C: Communicator>(&mut self, comm: &mut C) {
-        let prob = self.prob;
-
         // 1. Halo exchange of every component. All components share one
         // compiled halo plan (the schedule depends only on the width).
         for c in 0..NCOMP {
@@ -145,64 +157,29 @@ impl ParallelBt {
 
         // 2. compute_rhs. (Stage spans when telemetry is on, mirroring SP.)
         let t_rhs = comm.tracer().is_some().then(std::time::Instant::now);
-        for tile in &mut self.store.tiles {
-            let ext = tile.field(0).interior().to_vec();
-            for c in 0..NCOMP {
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let sidx = [i as isize, j as isize, k as isize];
-                            let uc = &tile.fields[fields::u(c)];
-                            let mut nb = [[0.0f64; 2]; 3];
-                            for dim in 0..3 {
-                                let mut lo = sidx;
-                                lo[dim] -= 1;
-                                let mut hi = sidx;
-                                hi[dim] += 1;
-                                nb[dim][0] = uc.get(&lo);
-                                nb[dim][1] = uc.get(&hi);
-                            }
-                            let center = uc.get(&sidx);
-                            let next = tile.fields[fields::u((c + 1) % NCOMP)].get(&sidx);
-                            let f = tile.fields[fields::forcing(c)].get_i(&idx);
-                            let v = bt_rhs_at(&prob, center, &nb, next, f);
-                            tile.fields[fields::rhs(c)].set_i(&idx, v);
-                        }
-                    }
-                }
-            }
-        }
-
+        self.compute_rhs();
         if let (Some(t0), Some(tr)) = (t_rhs, comm.tracer()) {
             tr.stage(t0, "compute_rhs");
         }
 
         // 3. Block solves: forward + backward per dimension.
-        let scratch_idx: Vec<usize> = (0..NCOMP * NCOMP).map(fields::scratch).collect();
-        let rhs_idx: Vec<usize> = (0..NCOMP).map(fields::rhs).collect();
         for dim in 0..3 {
-            let fwd = BlockTriForwardKernel::<NCOMP, _>::new(prob, &scratch_idx, &rhs_idx);
             self.plan.sweep(
                 comm,
                 &mut self.store,
                 &self.mp,
                 dim,
                 Direction::Forward,
-                &fwd,
+                &self.fwd,
                 20_000 + dim as u64 * 1_000,
             );
-            let bwd = BlockTriBackwardKernel::<NCOMP>::new(&scratch_idx, &rhs_idx);
             self.plan.sweep(
                 comm,
                 &mut self.store,
                 &self.mp,
                 dim,
                 Direction::Backward,
-                &bwd,
+                &self.bwd,
                 30_000 + dim as u64 * 1_000,
             );
         }
@@ -210,27 +187,54 @@ impl ParallelBt {
         // 4. add.
         let t_add = comm.tracer().is_some().then(std::time::Instant::now);
         for tile in &mut self.store.tiles {
-            let ext = tile.field(0).interior().to_vec();
-            for c in 0..NCOMP {
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let v = tile.fields[fields::u(c)].get_i(&idx)
-                                + tile.fields[fields::rhs(c)].get_i(&idx);
-                            tile.fields[fields::u(c)].set_i(&idx, v);
-                        }
+            let (u, rest) = tile.fields.split_at_mut(NCOMP);
+            for (uc, rhs) in u.iter_mut().zip(&rest[..NCOMP]) {
+                // `rhs` has no halo: its storage is the interior, row-major.
+                let mut rhs_rows = rhs.raw().chunks_exact(uc.interior()[2]);
+                uc.for_each_interior_row_mut(|_, row| {
+                    for (x, r) in row.iter_mut().zip(rhs_rows.next().expect("rhs row")) {
+                        *x += r;
                     }
-                }
+                });
             }
         }
         if let (Some(t0), Some(tr)) = (t_add, comm.tracer()) {
             tr.stage(t0, "add");
         }
         self.iters_done += 1;
+    }
+
+    /// Every component's stencil into its `rhs`, one interior row of each
+    /// tile at a time.
+    fn compute_rhs(&mut self) {
+        let prob = self.prob;
+        let h2 = prob.h2();
+        for tile in &mut self.store.tiles {
+            let (u, rest) = tile.fields.split_at_mut(NCOMP);
+            let (rhs, rest) = rest.split_at_mut(NCOMP);
+            let forcing = &rest[NCOMP * NCOMP..];
+            let [n0, n1, n2]: [usize; 3] = u[0].interior().try_into().expect("3-D tile");
+            for c in 0..NCOMP {
+                let (uc, next) = (&u[c], &u[(c + 1) % NCOMP]);
+                // `rhs` and `forcing` have no halo: their storage is the
+                // interior, row-major.
+                let mut rows = rhs[c]
+                    .raw_mut()
+                    .chunks_exact_mut(n2)
+                    .zip(forcing[c].raw().chunks_exact(n2));
+                for i in 0..n0 {
+                    for j in 0..n1 {
+                        let [xlo, xhi, ylo, yhi, z] = uc.stencil_rows(i, j);
+                        let next_row = &next.stencil_rows(i, j)[4][1..n2 + 1];
+                        let (out, f) = rows.next().expect("rhs row");
+                        for (k, v) in out.iter_mut().enumerate() {
+                            let nb = [[xlo[k], xhi[k]], [ylo[k], yhi[k]], [z[k], z[k + 2]]];
+                            *v = bt_rhs_at(&prob, &h2, z[k + 1], &nb, next_row[k], f[k]);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Run several iterations.
@@ -256,21 +260,12 @@ impl ParallelBt {
     pub fn norm<C: Communicator>(&mut self, comm: &mut C) -> f64 {
         let mut local = 0.0;
         for tile in &self.store.tiles {
-            let ext = tile.field(0).interior().to_vec();
             for c in 0..NCOMP {
-                let arr = tile.field(fields::u(c));
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let v = arr.get_i(&idx);
-                            local += v * v;
-                        }
+                tile.field(fields::u(c)).for_each_interior_row(|_, row| {
+                    for v in row {
+                        local += v * v;
                     }
-                }
+                });
             }
         }
         comm.allreduce_sum(&[local])[0].sqrt()

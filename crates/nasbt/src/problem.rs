@@ -36,6 +36,15 @@ impl BtProblem {
         0.5 * self.dt / (h * h)
     }
 
+    /// `h²` per axis (`h = 1/(η_d+1)`): the Laplacian's divisors in
+    /// `compute_rhs`.
+    pub fn h2(&self) -> [f64; 3] {
+        self.eta.map(|e| {
+            let h = 1.0 / (e as f64 + 1.0);
+            h * h
+        })
+    }
+
     /// Initial condition of component `comp`.
     pub fn initial(&self, g: &[usize], comp: usize) -> f64 {
         let f = |k: usize| {

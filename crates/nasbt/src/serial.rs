@@ -14,18 +14,20 @@ use mp_sweep::verify::serial_sweep;
 /// Explicit right-hand side of one component at one point: diffusion of the
 /// component itself plus a weak coupling to the *next* component (cyclic),
 /// plus forcing. `nb` holds the component's 6 neighbor values (0 outside);
-/// `next_center` is the next component's value at the point.
+/// `next_center` is the next component's value at the point; `h2` is
+/// [`BtProblem::h2`], which callers compute once per stage.
+#[inline]
 pub fn bt_rhs_at(
     prob: &BtProblem,
+    h2: &[f64; 3],
     center: f64,
     nb: &[[f64; 2]; 3],
     next_center: f64,
     forcing: f64,
 ) -> f64 {
     let mut lap = 0.0;
-    for (dim, pair) in nb.iter().enumerate() {
-        let h = 1.0 / (prob.eta[dim] as f64 + 1.0);
-        lap += (pair[0] + pair[1] - 2.0 * center) / (h * h);
+    for (pair, hh) in nb.iter().zip(h2) {
+        lap += (pair[0] + pair[1] - 2.0 * center) / hh;
     }
     prob.dt * (lap + prob.coupling() * (next_center - center) + forcing)
 }
@@ -65,6 +67,7 @@ impl SerialBt {
     pub fn iterate(&mut self) {
         let prob = self.prob;
         let eta = prob.eta;
+        let h2 = prob.h2();
 
         // compute_rhs for all components.
         let mut rhs: Vec<ArrayD<f64>> = (0..NCOMP)
@@ -86,7 +89,7 @@ impl SerialBt {
                             pair[1] = uc.get(&gg);
                         }
                     }
-                    bt_rhs_at(&prob, uc.get(g), &nb, un.get(g), fc.get(g))
+                    bt_rhs_at(&prob, &h2, uc.get(g), &nb, un.get(g), fc.get(g))
                 })
             })
             .collect();

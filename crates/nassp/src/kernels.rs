@@ -1,14 +1,19 @@
 //! SP-specific sweep kernels that *generate* their system coefficients from
 //! the global element position (via [`SegmentCtx`]) instead of reading them
-//! from stored fields — exactly how the real SP builds its pentadiagonal
-//! systems from local state, and a demonstration of the context-aware kernel
-//! interface.
+//! from stored fields — exactly how the real SP builds its systems from
+//! local state, and a demonstration of the context-aware kernel interface.
+//!
+//! The per-line reference (`sweep_segment`) evaluates
+//! [`SpProblem::coefficients`]/[`SpProblem::penta_coefficients`]; the
+//! blocked body (`sweep_lanes`) the executor runs generates the same bits
+//! from per-axis tables the kernel builds once, element-outer and
+//! lane-inner, so the divisions of independent lanes overlap.
 
 // Kernel inner loops index several parallel buffers at the same row;
 // iterator zips would obscure the stencil structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::problem::SpProblem;
+use crate::problem::{penta_row, tri_row, SpProblem, SpTables};
 use mp_core::multipart::Direction;
 use mp_grid::Lanes;
 use mp_sweep::penta::eliminate_row;
@@ -24,6 +29,7 @@ use mp_sweep::simd::SimdLevel;
 #[derive(Debug, Clone)]
 pub struct SpPentaForwardKernel {
     prob: SpProblem,
+    tables: SpTables,
     fields: [usize; 3],
 }
 
@@ -33,6 +39,7 @@ impl SpPentaForwardKernel {
     pub fn new(prob: SpProblem, c_scratch: usize, f_scratch: usize, rhs: usize) -> Self {
         SpPentaForwardKernel {
             prob,
+            tables: SpTables::new(&prob),
             fields: [c_scratch, f_scratch, rhs],
         }
     }
@@ -88,26 +95,23 @@ impl LineSweepKernel for SpPentaForwardKernel {
     ) {
         assert_eq!(dir, Direction::Forward);
         debug_assert_eq!(carries.len(), 6 * lanes.nlanes());
-        // Coefficient generation dominates, so iterate lane-outer, walking
-        // one stack position per lane.
-        let mut pos = [0; MAX_DIMS];
-        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()) {
-            let cl = &mut carries[6 * l..6 * l + 6];
-            let mut p1 = (cl[0], cl[1], cl[2]);
-            let mut p2 = (cl[3], cl[4], cl[5]);
-            let g = ctx.start_in(&mut pos);
-            for k in 0..lanes.seg_len() {
-                g[ctx.axis] = ctx.axis_coord(k);
-                let (e, a, d, c, f) = self.prob.penta_coefficients(g, ctx.axis);
-                let row = eliminate_row((e, a, d, c, f, lanes.get(2, k, l)), p1, p2);
+        let (nl, seg_len) = (lanes.nlanes(), lanes.seg_len());
+        let n = self.prob.eta[ctxs[0].axis];
+        self.tables
+            .for_each_lane_element(nl, seg_len, ctxs, |k, l, i, lam| {
+                let (e, a, d, c, f) = penta_row(lam, i, n);
+                let cl = &mut carries[6 * l..6 * l + 6];
+                let p1 = (cl[0], cl[1], cl[2]);
+                let row = eliminate_row(
+                    (e, a, d, c, f, lanes.get(2, k, l)),
+                    p1,
+                    (cl[3], cl[4], cl[5]),
+                );
                 lanes.set(0, k, l, row.0);
                 lanes.set(1, k, l, row.1);
                 lanes.set(2, k, l, row.2);
-                p2 = p1;
-                p1 = row;
-            }
-            cl.copy_from_slice(&[p1.0, p1.1, p1.2, p2.0, p2.1, p2.2]);
-        }
+                cl.copy_from_slice(&[row.0, row.1, row.2, p1.0, p1.1, p1.2]);
+            });
     }
 }
 
@@ -117,6 +121,7 @@ impl LineSweepKernel for SpPentaForwardKernel {
 #[derive(Debug, Clone)]
 pub struct SpTriForwardKernel {
     prob: SpProblem,
+    tables: SpTables,
     fields: [usize; 2],
 }
 
@@ -125,6 +130,7 @@ impl SpTriForwardKernel {
     pub fn new(prob: SpProblem, c_scratch: usize, rhs: usize) -> Self {
         SpTriForwardKernel {
             prob,
+            tables: SpTables::new(&prob),
             fields: [c_scratch, rhs],
         }
     }
@@ -175,23 +181,19 @@ impl LineSweepKernel for SpTriForwardKernel {
     ) {
         assert_eq!(dir, Direction::Forward);
         debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
-        let mut pos = [0; MAX_DIMS];
-        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()) {
-            let (mut cp, mut dp) = (carries[2 * l], carries[2 * l + 1]);
-            let g = ctx.start_in(&mut pos);
-            for k in 0..lanes.seg_len() {
-                g[ctx.axis] = ctx.axis_coord(k);
-                let (a, b, c) = self.prob.coefficients(g, ctx.axis);
-                let denom = b - a * cp;
+        let (nl, seg_len) = (lanes.nlanes(), lanes.seg_len());
+        let n = self.prob.eta[ctxs[0].axis];
+        self.tables
+            .for_each_lane_element(nl, seg_len, ctxs, |k, l, i, lam| {
+                let (a, b, c) = tri_row(lam, i, n);
+                let cl = &mut carries[2 * l..2 * l + 2];
+                let denom = b - a * cl[0];
                 assert!(denom != 0.0, "zero pivot");
-                cp = c / denom;
-                dp = (lanes.get(1, k, l) - a * dp) / denom;
-                lanes.set(0, k, l, cp);
-                lanes.set(1, k, l, dp);
-            }
-            carries[2 * l] = cp;
-            carries[2 * l + 1] = dp;
-        }
+                cl[0] = c / denom;
+                cl[1] = (lanes.get(1, k, l) - a * cl[1]) / denom;
+                lanes.set(0, k, l, cl[0]);
+                lanes.set(1, k, l, cl[1]);
+            });
     }
 }
 

@@ -1,20 +1,25 @@
 //! Distributed SP over a multipartitioning — the per-rank program.
 //!
-//! Field layout (indices into the rank's [`RankStore`]):
-//! `0: u` (halo 1), `1: rhs`, `2: a`, `3: b`, `4: c`, `5: forcing`.
+//! Field layout (indices into the rank's [`RankStore`], see [`fields`]):
+//! `0: u` (halo 1), `1: rhs`, `2: c` — the eliminated super-diagonal the
+//! forward sweeps leave for the backward ones — and, for pentadiagonal
+//! solves only, `3: f`, the eliminated second super-diagonal.
 //!
 //! Each iteration:
 //! 1. halo-exchange `u` (one aggregated message per neighbor per direction);
-//! 2. `compute_rhs` — local 7-point stencil into `rhs`;
-//! 3. per dimension: build `a,b,c` locally from global coordinates, then a
-//!    forward elimination sweep and a backward substitution sweep (the
-//!    multipartitioned phases of the paper);
-//! 4. `add` — `u += rhs`, local.
+//! 2. `compute_rhs` — local 7-point stencil into `rhs`, row by row over
+//!    tile storage, with the forcing generated from per-axis tables;
+//! 3. per dimension, a forward elimination sweep whose kernel generates the
+//!    system coefficients from global coordinates, then a backward
+//!    substitution sweep (the multipartitioned phases of the paper);
+//! 4. `add` — `u += rhs`, local, row by row.
 //!
-//! Results are bit-identical to [`crate::serial::SerialSp`].
+//! The kernels and tables are built once per solver, so a steady-state
+//! iteration allocates nothing on the rank thread. Results are
+//! bit-identical to [`crate::serial::SerialSp`].
 
-use crate::kernels::SpPentaForwardKernel;
-use crate::problem::{SolverKind, SpProblem};
+use crate::kernels::{SpPentaForwardKernel, SpTriForwardKernel};
+use crate::problem::{SolverKind, SpProblem, SpTables};
 use crate::serial::rhs_at;
 use mp_core::multipart::{Direction, Multipartitioning};
 use mp_grid::{FieldDef, RankStore, TileGrid};
@@ -22,7 +27,8 @@ use mp_runtime::comm::Communicator;
 use mp_sweep::compiled::SolverPlan;
 use mp_sweep::executor::{allocate_rank_store, SweepOptions};
 use mp_sweep::penta::PentaBackwardKernel;
-use mp_sweep::thomas::{ThomasBackwardKernel, ThomasForwardKernel};
+use mp_sweep::recurrence::LineSweepKernel;
+use mp_sweep::thomas::ThomasBackwardKernel;
 
 /// Field indices.
 pub mod fields {
@@ -30,26 +36,23 @@ pub mod fields {
     pub const U: usize = 0;
     /// Right-hand side / solution increment.
     pub const RHS: usize = 1;
-    /// Tridiagonal sub-diagonal workspace.
-    pub const A: usize = 2;
-    /// Tridiagonal diagonal workspace.
-    pub const B: usize = 3;
-    /// Tridiagonal super-diagonal workspace.
-    pub const C: usize = 4;
-    /// Forcing term.
-    pub const FORCING: usize = 5;
+    /// Eliminated super-diagonal, written by the forward sweeps.
+    pub const C: usize = 2;
+    /// Eliminated second super-diagonal (pentadiagonal solves only).
+    pub const F: usize = 3;
 }
 
-/// The field declarations of the SP state.
-pub fn sp_fields() -> Vec<FieldDef> {
-    vec![
+/// The field declarations of the SP state for `solver`'s line systems.
+pub fn sp_fields(solver: SolverKind) -> Vec<FieldDef> {
+    let mut defs = vec![
         FieldDef::new("u", 1),
         FieldDef::new("rhs", 0),
-        FieldDef::new("a", 0),
-        FieldDef::new("b", 0),
         FieldDef::new("c", 0),
-        FieldDef::new("forcing", 0),
-    ]
+    ];
+    if solver == SolverKind::Pentadiagonal {
+        defs.push(FieldDef::new("f", 0));
+    }
+    defs
 }
 
 /// Per-rank distributed SP state.
@@ -67,6 +70,12 @@ pub struct ParallelSp {
     pub plan: SolverPlan,
     /// Completed iterations.
     pub iters_done: usize,
+    /// Per-axis forcing factors for `compute_rhs`.
+    tables: SpTables,
+    /// The forward (elimination) and backward (substitution) kernels of
+    /// the solver kind, built once.
+    fwd: Box<dyn LineSweepKernel>,
+    bwd: Box<dyn LineSweepKernel>,
 }
 
 impl ParallelSp {
@@ -107,9 +116,23 @@ impl ParallelSp {
     ) -> Self {
         let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
         let grid = TileGrid::new(&prob.eta, &gammas);
-        let mut store = allocate_rank_store(rank, &mp, &grid, &sp_fields());
+        let mut store = allocate_rank_store(rank, &mp, &grid, &sp_fields(prob.solver));
         store.init_field(fields::U, |g| prob.initial(g));
-        store.init_field(fields::FORCING, |g| prob.forcing(g));
+        let (fwd, bwd): (Box<dyn LineSweepKernel>, Box<dyn LineSweepKernel>) = match prob.solver {
+            SolverKind::Tridiagonal => (
+                Box::new(SpTriForwardKernel::new(prob, fields::C, fields::RHS)),
+                Box::new(ThomasBackwardKernel::new(fields::C, fields::RHS)),
+            ),
+            SolverKind::Pentadiagonal => (
+                Box::new(SpPentaForwardKernel::new(
+                    prob,
+                    fields::C,
+                    fields::F,
+                    fields::RHS,
+                )),
+                Box::new(PentaBackwardKernel::new(fields::C, fields::F, fields::RHS)),
+            ),
+        };
         ParallelSp {
             prob,
             mp,
@@ -117,135 +140,45 @@ impl ParallelSp {
             store,
             plan: SolverPlan::new(sweep_opts),
             iters_done: 0,
+            tables: SpTables::new(&prob),
+            fwd,
+            bwd,
         }
     }
 
     /// One distributed ADI iteration.
     pub fn iterate<C: Communicator>(&mut self, comm: &mut C) {
-        let prob = self.prob;
-
         // 1. Halo exchange for the stencil (compiled schedule, built once).
         self.plan
             .exchange_halos(comm, &mut self.store, &self.mp, fields::U, 1, 10_000);
 
         // 2. compute_rhs (local; physical-boundary ghosts stay 0). Driver
         // stages are bracketed with named spans when telemetry is on, so a
-        // trace separates stencil/coefficient work from the sweeps proper.
+        // trace separates stencil work from the sweeps proper.
         let t_rhs = comm.tracer().is_some().then(std::time::Instant::now);
-        for tile in &mut self.store.tiles {
-            let ext = tile.field(fields::U).interior().to_vec();
-            let origin = tile.region.origin.clone();
-            let (u, rest) = tile.fields.split_first_mut().unwrap();
-            let (rhs, rest) = rest.split_first_mut().unwrap();
-            let forcing = &rest[fields::FORCING - 2];
-            let mut idx = vec![0usize; 3];
-            let mut g = vec![0usize; 3];
-            for i in 0..ext[0] {
-                for j in 0..ext[1] {
-                    for k in 0..ext[2] {
-                        idx[0] = i;
-                        idx[1] = j;
-                        idx[2] = k;
-                        g[0] = origin[0] + i;
-                        g[1] = origin[1] + j;
-                        g[2] = origin[2] + k;
-                        let sidx = [i as isize, j as isize, k as isize];
-                        let mut nb = [[0.0f64; 2]; 3];
-                        for dim in 0..3 {
-                            let mut lo = sidx;
-                            lo[dim] -= 1;
-                            let mut hi = sidx;
-                            hi[dim] += 1;
-                            nb[dim][0] = u.get(&lo);
-                            nb[dim][1] = u.get(&hi);
-                        }
-                        let v = rhs_at(
-                            &prob,
-                            u.get(&sidx),
-                            &nb,
-                            forcing.get_i(&g_local(&g, &origin)),
-                        );
-                        rhs.set_i(&idx, v);
-                    }
-                }
-            }
-        }
-
+        self.compute_rhs();
         if let (Some(t0), Some(tr)) = (t_rhs, comm.tracer()) {
             tr.stage(t0, "compute_rhs");
         }
 
         // 3. Implicit solves: two directional sweeps per dimension.
         for dim in 0..3 {
-            if prob.solver == SolverKind::Pentadiagonal {
-                // Coefficients are generated inside the kernel from global
-                // coordinates; fields A/B serve as the C/F scratch.
-                let fwd = SpPentaForwardKernel::new(prob, fields::A, fields::B, fields::RHS);
-                self.plan.sweep(
-                    comm,
-                    &mut self.store,
-                    &self.mp,
-                    dim,
-                    Direction::Forward,
-                    &fwd,
-                    20_000 + dim as u64 * 1_000,
-                );
-                let bwd = PentaBackwardKernel::new(fields::A, fields::B, fields::RHS);
-                self.plan.sweep(
-                    comm,
-                    &mut self.store,
-                    &self.mp,
-                    dim,
-                    Direction::Backward,
-                    &bwd,
-                    30_000 + dim as u64 * 1_000,
-                );
-                continue;
-            }
-            let t_coeffs = comm.tracer().is_some().then(std::time::Instant::now);
-            for tile in &mut self.store.tiles {
-                let origin = tile.region.origin.clone();
-                let ext = tile.field(fields::A).interior().to_vec();
-                let mut idx = vec![0usize; 3];
-                let mut g = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            g[0] = origin[0] + i;
-                            g[1] = origin[1] + j;
-                            g[2] = origin[2] + k;
-                            let (a, b, c) = prob.coefficients(&g, dim);
-                            tile.fields[fields::A].set_i(&idx, a);
-                            tile.fields[fields::B].set_i(&idx, b);
-                            tile.fields[fields::C].set_i(&idx, c);
-                        }
-                    }
-                }
-            }
-            if let (Some(t0), Some(tr)) = (t_coeffs, comm.tracer()) {
-                tr.stage(t0, "coeffs");
-            }
-            let fwd = ThomasForwardKernel::new(fields::A, fields::B, fields::C, fields::RHS);
             self.plan.sweep(
                 comm,
                 &mut self.store,
                 &self.mp,
                 dim,
                 Direction::Forward,
-                &fwd,
+                &*self.fwd,
                 20_000 + dim as u64 * 1_000,
             );
-            let bwd = ThomasBackwardKernel::new(fields::C, fields::RHS);
             self.plan.sweep(
                 comm,
                 &mut self.store,
                 &self.mp,
                 dim,
                 Direction::Backward,
-                &bwd,
+                &*self.bwd,
                 30_000 + dim as u64 * 1_000,
             );
         }
@@ -253,26 +186,44 @@ impl ParallelSp {
         // 4. add (local).
         let t_add = comm.tracer().is_some().then(std::time::Instant::now);
         for tile in &mut self.store.tiles {
-            let ext = tile.field(fields::U).interior().to_vec();
-            let (u, rest) = tile.fields.split_first_mut().unwrap();
-            let rhs = &rest[0];
-            let mut idx = vec![0usize; 3];
-            for i in 0..ext[0] {
-                for j in 0..ext[1] {
-                    for k in 0..ext[2] {
-                        idx[0] = i;
-                        idx[1] = j;
-                        idx[2] = k;
-                        let v = u.get_i(&idx) + rhs.get_i(&idx);
-                        u.set_i(&idx, v);
-                    }
+            let (u, rhs) = tile.two_fields_mut(fields::U, fields::RHS);
+            // `rhs` has no halo: its storage is the interior, row-major.
+            let mut rhs_rows = rhs.raw().chunks_exact(u.interior()[2]);
+            u.for_each_interior_row_mut(|_, row| {
+                for (x, r) in row.iter_mut().zip(rhs_rows.next().expect("rhs row")) {
+                    *x += r;
                 }
-            }
+            });
         }
         if let (Some(t0), Some(tr)) = (t_add, comm.tracer()) {
             tr.stage(t0, "add");
         }
         self.iters_done += 1;
+    }
+
+    /// The 7-point stencil into `rhs`, one interior row of each tile at a
+    /// time.
+    fn compute_rhs(&mut self) {
+        let prob = self.prob;
+        let inv_h2 = prob.inv_h2();
+        for tile in &mut self.store.tiles {
+            let o: [usize; 3] = tile.region.origin[..].try_into().expect("3-D tile");
+            let (u, rhs) = tile.two_fields_mut(fields::U, fields::RHS);
+            let [n0, n1, n2]: [usize; 3] = u.interior().try_into().expect("3-D tile");
+            // `rhs` has no halo: its storage is the interior, row-major.
+            let mut out_rows = rhs.raw_mut().chunks_exact_mut(n2);
+            for i in 0..n0 {
+                for j in 0..n1 {
+                    let [xlo, xhi, ylo, yhi, z] = u.stencil_rows(i, j);
+                    let (f, fz) = self.tables.forcing_row(o[0] + i, o[1] + j, o[2]..o[2] + n2);
+                    let out = out_rows.next().expect("rhs row");
+                    for (k, v) in out.iter_mut().enumerate() {
+                        let nb = [[xlo[k], xhi[k]], [ylo[k], yhi[k]], [z[k], z[k + 2]]];
+                        *v = rhs_at(&prob, &inv_h2, z[k + 1], &nb, f * fz[k]);
+                    }
+                }
+            }
+        }
     }
 
     /// Run several iterations.
@@ -313,20 +264,12 @@ impl ParallelSp {
     pub fn u_checksum(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for t in &self.store.tiles {
-            let arr = t.field(fields::U);
-            let ext = arr.interior().to_vec();
-            let mut idx = vec![0usize; 3];
-            for i in 0..ext[0] {
-                for j in 0..ext[1] {
-                    for k in 0..ext[2] {
-                        idx[0] = i;
-                        idx[1] = j;
-                        idx[2] = k;
-                        h ^= arr.get_i(&idx).to_bits();
-                        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                    }
+            t.field(fields::U).for_each_interior_row(|_, row| {
+                for v in row {
+                    h ^= v.to_bits();
+                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
                 }
-            }
+            });
         }
         h
     }
@@ -338,31 +281,17 @@ impl ParallelSp {
             .tiles
             .iter()
             .map(|t| {
-                let arr = t.field(fields::U);
-                let ext = arr.interior().to_vec();
                 let mut s = 0.0;
-                let mut idx = vec![0usize; 3];
-                for i in 0..ext[0] {
-                    for j in 0..ext[1] {
-                        for k in 0..ext[2] {
-                            idx[0] = i;
-                            idx[1] = j;
-                            idx[2] = k;
-                            let v = arr.get_i(&idx);
-                            s += v * v;
-                        }
+                t.field(fields::U).for_each_interior_row(|_, row| {
+                    for v in row {
+                        s += v * v;
                     }
-                }
+                });
                 s
             })
             .sum();
         comm.allreduce_sum(&[local])[0].sqrt()
     }
-}
-
-/// Local index of a global coordinate within a tile at `origin`.
-fn g_local(g: &[usize], origin: &[usize]) -> Vec<usize> {
-    g.iter().zip(origin.iter()).map(|(&a, &b)| a - b).collect()
 }
 
 #[cfg(test)]

@@ -13,8 +13,13 @@
 //! communication pattern, slightly less local flops).
 //!
 //! Everything is a pure function of the *global* element index, so
-//! distributed ranks can build their local coefficient tiles without
-//! communication, exactly as SP builds its systems from local state.
+//! distributed ranks generate their coefficients and forcing locally,
+//! without communication, exactly as SP builds its systems from local
+//! state. The per-axis factors are tabulated once per solver, so
+//! generating a term costs a few flops per element.
+
+use mp_sweep::recurrence::SegmentCtx;
+use std::ops::Range;
 
 /// Which line-system shape the implicit solves use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +70,15 @@ impl SpProblem {
         self.theta * self.dt / (h * h)
     }
 
+    /// `1/h²` per axis (`h = 1/(η_d+1)`): the Laplacian's weights in
+    /// `compute_rhs`.
+    pub fn inv_h2(&self) -> [f64; 3] {
+        self.eta.map(|e| {
+            let h = 1.0 / (e as f64 + 1.0);
+            1.0 / (h * h)
+        })
+    }
+
     /// Smooth spatially varying diffusivity in `(0.8, 1.2)`; cheap and
     /// deterministic.
     pub fn diffusivity(&self, g: &[usize]) -> f64 {
@@ -99,13 +113,11 @@ impl SpProblem {
     /// super-diagonal). Rows at the domain boundary have their outside
     /// coupling removed (zero Dirichlet).
     pub fn coefficients(&self, g: &[usize], dim: usize) -> (f64, f64, f64) {
-        let lam = self.lambda(dim) * self.diffusivity(g);
-        let first = g[dim] == 0;
-        let last = g[dim] == self.eta[dim] - 1;
-        let a = if first { 0.0 } else { -lam };
-        let c = if last { 0.0 } else { -lam };
-        let b = 1.0 + 2.0 * lam;
-        (a, b, c)
+        tri_row(
+            self.lambda(dim) * self.diffusivity(g),
+            g[dim],
+            self.eta[dim],
+        )
     }
 
     /// Pentadiagonal coefficients at global index `g` for the implicit
@@ -114,15 +126,134 @@ impl SpProblem {
     /// implicit operator (|e|+|a|+|c|+|f| = 1.4·λ < 2·λ); couplings that
     /// would reach outside the domain are removed.
     pub fn penta_coefficients(&self, g: &[usize], dim: usize) -> (f64, f64, f64, f64, f64) {
-        let lam = self.lambda(dim) * self.diffusivity(g);
-        let i = g[dim];
-        let n = self.eta[dim];
-        let e = if i >= 2 { 0.1 * lam } else { 0.0 };
-        let a = if i >= 1 { -0.6 * lam } else { 0.0 };
-        let c = if i + 1 < n { -0.6 * lam } else { 0.0 };
-        let f = if i + 2 < n { 0.1 * lam } else { 0.0 };
-        let d = 1.0 + 2.0 * lam;
-        (e, a, d, c, f)
+        penta_row(
+            self.lambda(dim) * self.diffusivity(g),
+            g[dim],
+            self.eta[dim],
+        )
+    }
+}
+
+/// The tridiagonal row `(a, b, c)` of local diffusion number `lam` at
+/// position `i` of a line of `n` elements.
+#[inline]
+pub(crate) fn tri_row(lam: f64, i: usize, n: usize) -> (f64, f64, f64) {
+    let a = if i == 0 { 0.0 } else { -lam };
+    let c = if i == n - 1 { 0.0 } else { -lam };
+    (a, 1.0 + 2.0 * lam, c)
+}
+
+/// The pentadiagonal row `(e, a, d, c, f)` of local diffusion number `lam`
+/// at position `i` of a line of `n` elements.
+#[inline]
+pub(crate) fn penta_row(lam: f64, i: usize, n: usize) -> (f64, f64, f64, f64, f64) {
+    let e = if i >= 2 { 0.1 * lam } else { 0.0 };
+    let a = if i >= 1 { -0.6 * lam } else { 0.0 };
+    let c = if i + 1 < n { -0.6 * lam } else { 0.0 };
+    let f = if i + 2 < n { 0.1 * lam } else { 0.0 };
+    (e, a, 1.0 + 2.0 * lam, c, f)
+}
+
+/// Per-axis tables of SP's position-dependent terms.
+///
+/// Each factor of [`SpProblem::diffusivity`] and [`SpProblem::forcing`]
+/// depends on one coordinate, so tabulating the factors per axis (with the
+/// same expressions) and combining them in the same order reproduces both
+/// functions bit for bit, at a few flops per element and without their
+/// divisions and sines. The sweep kernels generate their coefficients from
+/// these tables, and `compute_rhs` its forcing.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SpTables {
+    /// `lambda(d)` per axis.
+    lam: [f64; 3],
+    /// The diffusivity's per-axis terms: `0.2·(x − 0.5)`, `y − 0.5`,
+    /// `0.1·(z − 0.5)`.
+    diff: [Vec<f64>; 3],
+    /// The forcing's per-axis factors: `sin(2πx)`, `sin(2πy)`, `sin(πz)`.
+    sin: [Vec<f64>; 3],
+}
+
+impl SpTables {
+    /// Tabulate `prob`'s terms along every axis.
+    pub(crate) fn new(prob: &SpProblem) -> Self {
+        use std::f64::consts::PI;
+        let axis = |d: usize, f: &dyn Fn(f64) -> f64| -> Vec<f64> {
+            (0..prob.eta[d])
+                .map(|g| f((g as f64 + 1.0) / (prob.eta[d] as f64 + 1.0)))
+                .collect()
+        };
+        SpTables {
+            lam: [0, 1, 2].map(|d| prob.lambda(d)),
+            diff: [
+                axis(0, &|x| 0.2 * (x - 0.5)),
+                axis(1, &|y| y - 0.5),
+                axis(2, &|z| 0.1 * (z - 0.5)),
+            ],
+            sin: [
+                axis(0, &|x| (2.0 * PI * x).sin()),
+                axis(1, &|y| (2.0 * PI * y).sin()),
+                axis(2, &|z| (PI * z).sin()),
+            ],
+        }
+    }
+
+    /// The forcing along the dimension-2 row at `(g0, g1)` over `g2s`:
+    /// `(f, row)` such that `f * row[k]` is `prob.forcing` at
+    /// `(g0, g1, g2s.start + k)`, bit for bit.
+    #[inline]
+    pub(crate) fn forcing_row(&self, g0: usize, g1: usize, g2s: Range<usize>) -> (f64, &[f64]) {
+        let [sx, sy, sz] = &self.sin;
+        (sx[g0] * sy[g1], &sz[g2s])
+    }
+
+    /// Visit a block of line segments element-outer, lane-inner:
+    /// `f(k, l, i, lam)` for element `k` of lane `l`, where `i` is the
+    /// element's coordinate along the swept axis and `lam` its local
+    /// diffusion number, `prob.lambda(axis) * prob.diffusivity(g)` bit for
+    /// bit. `ctxs[l]` locates lane `l`; all lanes sweep the same axis.
+    ///
+    /// Lanes go in groups of 16 whose line-invariant factors are computed
+    /// once on the stack, so an element costs three flops and one table
+    /// read on top of its recurrence, and the divisions of a group's
+    /// independent lanes overlap.
+    #[inline]
+    pub(crate) fn for_each_lane_element(
+        &self,
+        nlanes: usize,
+        seg_len: usize,
+        ctxs: &[SegmentCtx],
+        mut f: impl FnMut(usize, usize, usize, f64),
+    ) {
+        const GROUP: usize = 16;
+        let [dx, dy, dz] = &self.diff;
+        for l0 in (0..nlanes).step_by(GROUP) {
+            let group = &ctxs[l0..nlanes.min(l0 + GROUP)];
+            let axis = group[0].axis;
+            let (lam, t) = (self.lam[axis], &self.diff[axis]);
+            // Per lane, the start and step along the axis and the factors
+            // `(pre, mul, add)` with diffusivity `(pre + t[i]·mul) + add`:
+            // `(1 + dx[i]·dy) + dz` along x, `(1 + dy[i]·dx) + dz` along y
+            // (a product commutes exactly) and `((1 + dx·dy) + dz[i]·1) +
+            // 0` along z (multiplying by one and adding zero to the
+            // nonzero sum are exact) — `diffusivity`'s own operations.
+            let mut line = [(0i64, 0i64, 0.0, 0.0, 0.0); GROUP];
+            for (slot, ctx) in line.iter_mut().zip(group) {
+                debug_assert_eq!(ctx.axis, axis, "lanes of one block sweep one axis");
+                let g = &ctx.global_start;
+                let (pre, mul, add) = match axis {
+                    0 => (1.0, dy[g[1]], dz[g[2]]),
+                    1 => (1.0, dx[g[0]], dz[g[2]]),
+                    _ => (1.0 + dx[g[0]] * dy[g[1]], 1.0, 0.0),
+                };
+                *slot = (g[axis] as i64, ctx.step, pre, mul, add);
+            }
+            for k in 0..seg_len {
+                for (j, &(start, step, pre, mul, add)) in line[..group.len()].iter().enumerate() {
+                    let i = (start + step * k as i64) as usize;
+                    f(k, l0 + j, i, lam * ((pre + t[i] * mul) + add));
+                }
+            }
+        }
     }
 }
 
@@ -166,6 +297,7 @@ impl SpWorkFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mp_core::multipart::Direction;
 
     fn prob() -> SpProblem {
         SpProblem::new([12, 12, 12], 0.015)
@@ -221,6 +353,51 @@ mod tests {
         let small = SpProblem::new([10, 10, 10], 0.01);
         let big = SpProblem::new([100, 100, 100], 0.01);
         assert!(big.lambda(0) > 50.0 * small.lambda(0));
+    }
+
+    #[test]
+    fn tables_reproduce_diffusion_and_forcing_bitwise() {
+        for prob in [
+            SpProblem::new([12, 12, 12], 0.015),
+            SpProblem::new([5, 9, 7], 0.001),
+            SpProblem::pentadiagonal([36, 1, 3], 0.0015),
+        ] {
+            let t = SpTables::new(&prob);
+            let [n0, n1, n2] = prob.eta;
+            for g0 in 0..n0 {
+                for g1 in 0..n1 {
+                    let (f, row) = t.forcing_row(g0, g1, 0..n2);
+                    for (g2, s) in row.iter().enumerate() {
+                        let want = prob.forcing(&[g0, g1, g2]);
+                        assert_eq!((f * s).to_bits(), want.to_bits(), "{:?}", [g0, g1, g2]);
+                    }
+                }
+            }
+            // Every line of every axis, lanes grouped past the stack
+            // group size.
+            for axis in 0..3 {
+                let n = prob.eta[axis];
+                let (a1, a2) = ((axis + 1) % 3, (axis + 2) % 3);
+                let ctxs: Vec<SegmentCtx> = (0..prob.eta[a1])
+                    .flat_map(|x| (0..prob.eta[a2]).map(move |y| (x, y)))
+                    .map(|(x, y)| {
+                        let mut g = vec![0; 3];
+                        (g[a1], g[a2]) = (x, y);
+                        SegmentCtx::new(g, axis, Direction::Forward)
+                    })
+                    .collect();
+                let mut visited = 0;
+                t.for_each_lane_element(ctxs.len(), n, &ctxs, |k, l, i, lam| {
+                    let mut g = ctxs[l].global_start.clone();
+                    g[axis] = k;
+                    assert_eq!(i, k);
+                    let want = prob.lambda(axis) * prob.diffusivity(&g);
+                    assert_eq!(lam.to_bits(), want.to_bits(), "{g:?} axis {axis}");
+                    visited += 1;
+                });
+                assert_eq!(visited, ctxs.len() * n);
+            }
+        }
     }
 
     #[test]

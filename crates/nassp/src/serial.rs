@@ -14,16 +14,22 @@ use mp_sweep::verify::serial_sweep;
 
 /// Explicit right-hand side at one element, from the 7-point Laplacian with
 /// zero Dirichlet boundary. `nb[dim][0]`/`nb[dim][1]` are the low/high
-/// neighbor values (0.0 outside the domain).
+/// neighbor values (0.0 outside the domain); `inv_h2` is
+/// [`SpProblem::inv_h2`], which callers compute once per stage.
 ///
 /// Shared by the serial and distributed implementations so the arithmetic
 /// (and hence rounding) is identical.
-pub fn rhs_at(prob: &SpProblem, center: f64, nb: &[[f64; 2]; 3], forcing: f64) -> f64 {
+#[inline]
+pub fn rhs_at(
+    prob: &SpProblem,
+    inv_h2: &[f64; 3],
+    center: f64,
+    nb: &[[f64; 2]; 3],
+    forcing: f64,
+) -> f64 {
     let mut lap = 0.0;
-    for (dim, pair) in nb.iter().enumerate() {
-        let h = 1.0 / (prob.eta[dim] as f64 + 1.0);
-        let inv_h2 = 1.0 / (h * h);
-        lap += (pair[0] + pair[1] - 2.0 * center) * inv_h2;
+    for (pair, w) in nb.iter().zip(inv_h2) {
+        lap += (pair[0] + pair[1] - 2.0 * center) * w;
     }
     prob.dt * (lap + forcing)
 }
@@ -67,6 +73,7 @@ impl SerialSp {
         let prob = self.prob;
         let u = &self.u;
         let forcing = &self.forcing;
+        let inv_h2 = prob.inv_h2();
 
         // compute_rhs
         let mut rhs = ArrayD::from_fn(&eta, |g| {
@@ -83,7 +90,7 @@ impl SerialSp {
                     pair[1] = u.get(&gg);
                 }
             }
-            rhs_at(&prob, u.get(g), &nb, forcing.get(g))
+            rhs_at(&prob, &inv_h2, u.get(g), &nb, forcing.get(g))
         });
 
         // Implicit solve along each dimension, as two directional sweeps.
@@ -189,7 +196,7 @@ mod tests {
         let prob = small_prob();
         // Element at the corner: all low neighbors are outside (0.0).
         let nb = [[0.0, 1.0]; 3];
-        let v = rhs_at(&prob, 1.0, &nb, 0.0);
+        let v = rhs_at(&prob, &prob.inv_h2(), 1.0, &nb, 0.0);
         // lap = Σ (0 + 1 − 2)·81 = 3·(−81) ⇒ rhs = dt·(−243)
         let expect = 0.001 * (-3.0 * 81.0);
         assert!((v - expect).abs() < 1e-12, "{v} vs {expect}");

@@ -1,5 +1,5 @@
 //! Randomized tests for the SP application: distributed == serial for
-//! random grids, processor counts, and solver kinds.
+//! random grids (with ragged tiles), processor counts, and solver kinds.
 
 use mp_core::cost::CostModel;
 use mp_core::multipart::Multipartitioning;
@@ -14,28 +14,40 @@ use mp_testkit::cases;
 #[test]
 fn distributed_equals_serial_random_configs() {
     cases(0x5b01, 12, |rng| {
-        let n0 = rng.usize_in(6, 10);
-        let n1 = rng.usize_in(6, 10);
-        let n2 = rng.usize_in(6, 10);
+        let mut eta = [
+            rng.usize_in(6, 10),
+            rng.usize_in(6, 10),
+            rng.usize_in(6, 10),
+        ];
         let p = rng.u64_in(2, 6);
         let dt_millis = rng.u64_in(1, 4);
-        let mut prob = SpProblem::new([n0, n1, n2], dt_millis as f64 * 1e-3);
-        if rng.bool() {
-            prob.solver = SolverKind::Pentadiagonal;
-        }
-        let eta = [n0 as u64, n1 as u64, n2 as u64];
-        let mp = Multipartitioning::optimal(p, &eta, &CostModel::origin2000_like());
+        let pentadiagonal = rng.bool();
+        let mp =
+            Multipartitioning::optimal(p, &eta.map(|e| e as u64), &CostModel::origin2000_like());
+        let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
         // Skip configurations that over-cut this (small) grid.
-        if !mp.gammas().iter().zip(eta.iter()).all(|(&g, &e)| g <= e) {
+        if !gammas.iter().zip(&eta).all(|(&g, &e)| g <= e) {
             return;
+        }
+        // Make at least one tile row ragged (η_i not divisible by γ_i).
+        if eta.iter().zip(&gammas).all(|(&e, &g)| e % g == 0) {
+            let cut = gammas
+                .iter()
+                .position(|&g| g > 1)
+                .expect("p ≥ 2 cuts a dim");
+            eta[cut] += 1;
+        }
+        let mut prob = SpProblem::new(eta, dt_millis as f64 * 1e-3);
+        if pentadiagonal {
+            prob.solver = SolverKind::Pentadiagonal;
         }
 
         let mut serial = SerialSp::new(prob);
-        serial.run(1);
+        serial.run(2);
 
         let results = run_threaded(p, |comm| {
             let mut sp = ParallelSp::new(comm.rank(), prob, mp.clone());
-            sp.run(comm, 1);
+            sp.run(comm, 2);
             sp.store
         });
         let mut global = ArrayD::zeros(&prob.eta);

@@ -899,7 +899,7 @@ impl SweepEngine {
     /// the communicator's buffer pool is pre-sized for the plan's message
     /// lengths and a `plan_build` span is recorded when tracing is on.
     #[allow(clippy::too_many_arguments)]
-    pub fn sweep<C: Communicator, K: LineSweepKernel>(
+    pub fn sweep<C: Communicator, K: LineSweepKernel + ?Sized>(
         &mut self,
         comm: &mut C,
         store: &mut RankStore,
@@ -1015,7 +1015,7 @@ impl SolverPlan {
 
     /// Execute one directional sweep through the cached engine.
     #[allow(clippy::too_many_arguments)]
-    pub fn sweep<C: Communicator, K: LineSweepKernel>(
+    pub fn sweep<C: Communicator, K: LineSweepKernel + ?Sized>(
         &mut self,
         comm: &mut C,
         store: &mut RankStore,

@@ -75,7 +75,7 @@ pub enum SpanKind {
         /// `f64` elements shipped (8 bytes each).
         elements: u64,
     },
-    /// A named driver stage (e.g. `compute_rhs`, `add`, `coeffs`).
+    /// A named driver stage (e.g. `compute_rhs`, `add`).
     Stage {
         /// Stage label, shown verbatim in the trace viewer.
         name: String,
