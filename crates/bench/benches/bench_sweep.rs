@@ -4,22 +4,17 @@
 
 use mp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mp_core::cost::CostModel;
-use mp_core::machine::MachineProfile;
 use mp_core::multipart::{Direction, Multipartitioning};
 use mp_core::partition::Partitioning;
 use mp_grid::{ArrayD, FieldDef, TileGrid};
 use mp_runtime::comm::Communicator;
 use mp_runtime::sim::SimNet;
 use mp_runtime::threaded::run_threaded;
-use mp_sweep::executor::{
-    allocate_rank_store, multipart_sweep, multipart_sweep_opts, SweepOptions,
-};
+use mp_sweep::executor::{allocate_rank_store, SweepOptions};
 use mp_sweep::recurrence::PrefixSumKernel;
-use mp_sweep::simulate::{
-    simulate_multipart_sweep, simulate_multipart_sweep_pipelined, MultipartGeometry, SweepWork,
-};
+use mp_sweep::simulate::{simulate_multipart_sweep, MultipartGeometry, SweepWork};
 use mp_sweep::verify::serial_sweep;
-use mp_sweep::{BatchedKernel, PlanShape, SweepEngine, TunedOptions};
+use mp_sweep::{CompiledSweep, PlanShape, SolverPlan, TunedOptions};
 use std::hint::black_box;
 
 fn bench_sweep(c: &mut Criterion) {
@@ -54,7 +49,8 @@ fn bench_sweep(c: &mut Criterion) {
                     let mut store =
                         allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
                     store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                    multipart_sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
+                    let mut plan = SolverPlan::new(SweepOptions::default());
+                    plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
                 })
             })
         });
@@ -82,16 +78,8 @@ fn bench_sweep(c: &mut Criterion) {
                         let mut store =
                             allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
                         store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                        multipart_sweep_opts(
-                            comm,
-                            &mut store,
-                            &mp,
-                            0,
-                            Direction::Forward,
-                            &kernel,
-                            100,
-                            &opts,
-                        );
+                        let mut plan = SolverPlan::new(opts.clone());
+                        plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
                     })
                 })
             });
@@ -99,56 +87,10 @@ fn bench_sweep(c: &mut Criterion) {
     }
     group.finish();
 
-    // One vs several carry chunks per phase at γ = 4: a slab-thin grid
-    // with a four-value carry per line, so the per-phase carry stream is
-    // large relative to block compute.
-    {
-        let p = 4u64;
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![4, 2, 2]));
-        let peta = [8usize, 64, 64];
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&peta, &gam);
-        let defs: Vec<FieldDef> = (0..4).map(|i| FieldDef::new(&format!("f{i}"), 0)).collect();
-        let kern = BatchedKernel::new((0..4).map(PrefixSumKernel::new).collect());
-        let mut group = c.benchmark_group("pipelined_sweep");
-        group.throughput(Throughput::Elements(
-            (peta.iter().product::<usize>() * 4) as u64,
-        ));
-        for (label, chunks) in [
-            ("aggregated", 1usize),
-            ("chunks2", 2),
-            ("chunks4", 4),
-            ("chunks8", 8),
-        ] {
-            let opts = SweepOptions::new(16, 1).with_pipeline_chunks(chunks);
-            group.bench_with_input(BenchmarkId::new("gamma4_8x64x64", label), &label, |b, _| {
-                b.iter(|| {
-                    run_threaded(p, |comm| {
-                        let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &defs);
-                        for f in 0..4 {
-                            store.init_field(f, |g| (g[0] + g[1] + g[2]) as f64);
-                        }
-                        multipart_sweep_opts(
-                            comm,
-                            &mut store,
-                            &mp,
-                            0,
-                            Direction::Forward,
-                            &kern,
-                            100,
-                            &opts,
-                        );
-                    })
-                })
-            });
-        }
-        group.finish();
-    }
-
     // Build-once / execute-many: ten identical sweeps through a fresh
-    // `CompiledSweep` each time (what `multipart_sweep_opts` does) vs one
-    // cached `SweepEngine` plan executed ten times. The gap is the
-    // per-sweep plan-build cost the engine amortizes away.
+    // `CompiledSweep` each time vs one cached `SolverPlan` executed ten
+    // times. The gap is the per-sweep plan-build cost the cache amortizes
+    // away.
     {
         const SWEEPS: usize = 10;
         let p = 4u64;
@@ -168,16 +110,9 @@ fn bench_sweep(c: &mut Criterion) {
                         allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
                     store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
                     for _ in 0..SWEEPS {
-                        multipart_sweep_opts(
-                            comm,
-                            &mut store,
-                            &mp,
-                            0,
-                            Direction::Forward,
-                            &kernel,
-                            100,
-                            &opts,
-                        );
+                        let fwd = Direction::Forward;
+                        CompiledSweep::build(&mp, comm.rank(), &store, 0, fwd, &kernel, 100, &opts)
+                            .execute(comm, &mut store, &kernel);
                     }
                 })
             })
@@ -188,9 +123,9 @@ fn bench_sweep(c: &mut Criterion) {
                     let mut store =
                         allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
                     store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                    let mut engine = SweepEngine::new(opts.clone());
+                    let mut plan = SolverPlan::new(opts.clone());
                     for _ in 0..SWEEPS {
-                        engine.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
+                        plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
                     }
                 })
             })
@@ -199,11 +134,11 @@ fn bench_sweep(c: &mut Criterion) {
     }
 
     // Tuned vs default A/B: the options `TunedOptions::derive` picks for
-    // this shape from a preset profile against the untuned per-line
-    // baseline, on an identical schedule. The derived knobs only change
-    // execution strategy (block width, intra-rank threads, pipeline depth)
-    // — the tuned run's output and payload are bitwise/count identical, so
-    // the gap here is exactly what auto-tuning buys on this host.
+    // this shape against the untuned per-line baseline, on an identical
+    // schedule. The derived knobs only change execution strategy (block
+    // width, intra-rank threads) — the tuned run's output and payload are
+    // bitwise/count identical, so the gap here is exactly what auto-tuning
+    // buys on this host.
     {
         const SWEEPS: usize = 6;
         let p = 4u64;
@@ -217,10 +152,8 @@ fn bench_sweep(c: &mut Criterion) {
         let shape = PlanShape {
             p,
             eta: eta.to_vec(),
-            gammas: mp.gammas().to_vec(),
-            carry_len: 1,
         };
-        let tuned = TunedOptions::derive(&MachineProfile::origin2000_like(), &shape).derived;
+        let tuned = TunedOptions::derive(&shape).derived;
         let mut group = c.benchmark_group("tuned_vs_default");
         group.throughput(Throughput::Elements(elems * SWEEPS as u64));
         group.sample_size(20);
@@ -234,19 +167,11 @@ fn bench_sweep(c: &mut Criterion) {
                         let mut store =
                             allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
                         store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                        let mut engine = SweepEngine::new(opts.clone());
+                        let mut plan = SolverPlan::new(opts.clone());
                         for _ in 0..SWEEPS {
-                            engine.sweep(
-                                comm,
-                                &mut store,
-                                &mp,
-                                0,
-                                Direction::Forward,
-                                &kernel,
-                                100,
-                            );
+                            plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
                         }
-                        black_box(engine.elements_swept())
+                        black_box(plan.elements_swept())
                     })
                 })
             });
@@ -282,7 +207,8 @@ fn bench_sweep(c: &mut Criterion) {
                         let mut store =
                             allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
                         store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                        multipart_sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
+                        let mut plan = SolverPlan::new(SweepOptions::default());
+                        plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
                         black_box(comm.trace.take().map(|t| t.events().len()))
                     })
                 })
@@ -455,27 +381,6 @@ fn bench_sweep(c: &mut Criterion) {
                 black_box(net.makespan())
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("class_b_sweep_pipelined4", p),
-            &p,
-            |b, &p| {
-                b.iter(|| {
-                    let mut net = SimNet::new(
-                        p,
-                        mp_core::machine::MachineProfile::sp_origin2000().cost_model(),
-                    );
-                    simulate_multipart_sweep_pipelined(
-                        &mut net,
-                        &geo,
-                        0,
-                        &SweepWork::default(),
-                        4,
-                        0,
-                    );
-                    black_box(net.makespan())
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -50,11 +50,10 @@ USAGE:
   mpart topo     <p> <gamma...> (--ring | --hypercube | --torus <R>x<C>)
   mpart calibrate [--fast] [--out FILE]
   mpart profile  <p> [--class S|W|A|B] [--eta <N>x<N>x<N>] [--iters N]
-                 [--block W] [--threads T] [--chunks K] [--out FILE]
-                 [--calibration FILE]
+                 [--block W] [--threads T] [--out FILE] [--calibration FILE]
   mpart chaos    <p> [--class S|W|A|B] [--eta <N>x<N>x<N>] [--runs N]
                  [--seed S] [--iters N] [--timeout-ms N] [--block W]
-                 [--threads T] [--chunks K] [--calibration FILE]
+                 [--threads T] [--calibration FILE]
 
 COMMANDS:
   analyze   full report: partitioning, per-sweep costs, drop-back advice
@@ -449,10 +448,9 @@ struct ProfileConfig {
 fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     const PROFILE_USAGE: &str = "usage: mpart profile <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--iters N] [--block W] [--threads T] \
-         [--chunks K] [--simd auto|scalar] [--out FILE] [--calibration FILE]\n\
-         (--block/--threads/--chunks/--simd default from \
-         MP_SWEEP_BLOCK / MP_SWEEP_THREADS / MP_SWEEP_PIPELINE / \
-         MP_SWEEP_SIMD; the cost \
+         [--simd auto|scalar] [--out FILE] [--calibration FILE]\n\
+         (--block/--threads/--simd default from \
+         MP_SWEEP_BLOCK / MP_SWEEP_THREADS / MP_SWEEP_SIMD; the cost \
          model from --calibration, else MP_CALIBRATION, else the preset)";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
@@ -462,15 +460,14 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     let env_opts = mp_sweep::SweepOptions::from_env();
     let mut block = env_opts.block_width;
     let mut threads = env_opts.threads;
-    let mut chunks = env_opts.pipeline_chunks;
     let mut simd = env_opts.simd;
     let mut out = String::from("mpart_trace.json");
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--class" | "--eta" | "--iters" | "--block" | "--threads" | "--chunks" | "--simd"
-            | "--out" | "--calibration" => {
+            "--class" | "--eta" | "--iters" | "--block" | "--threads" | "--simd" | "--out"
+            | "--calibration" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError(format!("{a} needs a value\n{PROFILE_USAGE}")))?;
@@ -492,7 +489,6 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
                     "--iters" => iters = parse_u64(v, "iteration count")? as usize,
                     "--block" => block = parse_u64(v, "block width")? as usize,
                     "--threads" => threads = parse_u64(v, "thread count")? as usize,
-                    "--chunks" => chunks = parse_u64(v, "pipeline chunk count")? as usize,
                     // Unlike the forgiving env knob, an explicit flag with a
                     // bogus value is an error.
                     "--simd" => {
@@ -526,9 +522,7 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
         eta,
         dt,
         iters,
-        opts: mp_sweep::SweepOptions::new(block, threads)
-            .with_pipeline_chunks(chunks)
-            .with_simd(simd),
+        opts: mp_sweep::SweepOptions::new(block, threads).with_simd(simd),
         out,
         calibration,
     })
@@ -652,11 +646,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         traces.push(trace);
     }
     let nranks = traces.len();
-    let mode = if cfg.opts.pipeline_chunks > 1 {
-        "pipelined"
-    } else {
-        "aggregated"
-    };
     // The level every compiled plan resolved to — requested mode plus what
     // the hardware actually supports.
     let simd = cfg.opts.simd.resolve();
@@ -666,25 +655,22 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         .with_meta("eta", format!("{}x{}x{}", eta[0], eta[1], eta[2]))
         .with_meta("p", p.to_string())
         .with_meta("iters", iters.to_string())
-        .with_meta("mode", mode)
         .with_meta("block_width", cfg.opts.block_width.to_string())
         .with_meta("threads", cfg.opts.threads.to_string())
-        .with_meta("pipeline_chunks", cfg.opts.pipeline_chunks.to_string())
         .with_meta("simd", simd.name());
     std::fs::write(out, tf.to_chrome_json())
         .map_err(|e| CliError(format!("cannot write '{out}': {e}")))?;
 
     let part = &mp.partitioning;
     let mut rep = format!(
-        "SP {}×{}×{} on p = {p}, {iters} iteration(s), {mode} sweeps \
-         (block_width {}, threads {}, chunks {}, simd {} [requested {}])\n\
+        "SP {}×{}×{} on p = {p}, {iters} iteration(s) \
+         (block_width {}, threads {}, simd {} [requested {}])\n\
          γ = {:?}, modulus vector m̄ = {:?}\n\n",
         eta[0],
         eta[1],
         eta[2],
         cfg.opts.block_width,
         cfg.opts.threads,
-        cfg.opts.pipeline_chunks,
         simd,
         cfg.opts.simd,
         part.gammas,
@@ -818,8 +804,7 @@ fn parse_seed(s: &str) -> Result<u64, CliError> {
 fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     const CHAOS_USAGE: &str = "usage: mpart chaos <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--runs N] [--seed S] [--iters N] \
-         [--timeout-ms N] [--block W] [--threads T] [--chunks K] \
-         [--calibration FILE]";
+         [--timeout-ms N] [--block W] [--threads T] [--calibration FILE]";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
     let mut eta_override: Option<[usize; 3]> = None;
@@ -830,13 +815,12 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     let env_opts = mp_sweep::SweepOptions::from_env();
     let mut block = env_opts.block_width;
     let mut threads = env_opts.threads;
-    let mut chunks = env_opts.pipeline_chunks;
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--class" | "--eta" | "--runs" | "--seed" | "--iters" | "--timeout-ms" | "--block"
-            | "--threads" | "--chunks" | "--calibration" => {
+            | "--threads" | "--calibration" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError(format!("{a} needs a value\n{CHAOS_USAGE}")))?;
@@ -861,7 +845,6 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
                     "--timeout-ms" => timeout_ms = parse_u64(v, "timeout in ms")?,
                     "--block" => block = parse_u64(v, "block width")? as usize,
                     "--threads" => threads = parse_u64(v, "thread count")? as usize,
-                    "--chunks" => chunks = parse_u64(v, "pipeline chunk count")? as usize,
                     "--calibration" => calibration = Some(v.clone()),
                     _ => unreachable!(),
                 }
@@ -888,7 +871,7 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
         seed,
         iters,
         timeout: std::time::Duration::from_millis(timeout_ms),
-        opts: mp_sweep::SweepOptions::new(block, threads).with_pipeline_chunks(chunks),
+        opts: mp_sweep::SweepOptions::new(block, threads),
         calibration,
     })
 }
@@ -990,7 +973,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         "chaos soak: SP {}×{}×{} on p = {p}, {iters} iteration(s)/run, \
          deadline {} ms, base seed {seed:#x}\n\
          γ = {:?} (cost model: {model_source}), \
-         block_width {}, threads {}, chunks {}\n\
+         block_width {}, threads {}\n\
          fault-free shim: checksums and counters identical to bare transport \
          on {p}/{p} ranks ✓\n\n",
         eta[0],
@@ -1000,7 +983,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         mp.partitioning.gammas,
         cfg.opts.block_width,
         cfg.opts.threads,
-        cfg.opts.pipeline_chunks,
     );
     out.push_str("  run  seed                plan                              outcome\n");
 
@@ -1196,7 +1178,7 @@ mod tests {
     fn profile_runs_and_writes_loadable_trace() {
         let dir = std::env::temp_dir().join("mpart_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile_aggregated.json");
+        let path = dir.join("profile_trace.json");
         let out = runv(&[
             "profile",
             "4",
@@ -1210,7 +1192,7 @@ mod tests {
             path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("aggregated sweeps"), "{out}");
+        assert!(out.contains("(block_width 4, threads"), "{out}");
         // The report names the resolved vectorization level — derived from
         // the same env-seeded options the command uses, so the assertion
         // holds under an MP_SWEEP_SIMD override (CI runs the whole suite
@@ -1231,7 +1213,7 @@ mod tests {
         assert!(tf.ranks.iter().all(|r| r.stats.compute_ns > 0));
         assert!(tf
             .meta
-            .contains(&("mode".to_string(), "aggregated".to_string())));
+            .contains(&("block_width".to_string(), "4".to_string())));
         assert!(tf
             .meta
             .contains(&("simd".to_string(), simd.name().to_string())));
@@ -1315,33 +1297,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_pipelined_mode_recorded_in_meta() {
-        let dir = std::env::temp_dir().join("mpart_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile_pipelined.json");
-        let out = runv(&[
-            "profile",
-            "4",
-            "--eta",
-            "8x8x8",
-            "--iters",
-            "1",
-            "--chunks",
-            "2",
-            "--out",
-            path.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(out.contains("pipelined sweeps"), "{out}");
-        assert!(out.contains("0 rebuilds"), "{out}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        let tf = mp_trace::TraceFile::parse_chrome_json(&text).unwrap();
-        assert!(tf
-            .meta
-            .contains(&("pipeline_chunks".to_string(), "2".to_string())));
-    }
-
-    #[test]
     fn profile_pooled_threads_report_zero_steady_state_spawns() {
         let dir = std::env::temp_dir().join("mpart_test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1354,8 +1309,6 @@ mod tests {
             "--iters",
             "3",
             "--threads",
-            "2",
-            "--chunks",
             "2",
             "--out",
             path.to_str().unwrap(),
@@ -1387,6 +1340,10 @@ mod tests {
         assert!(e.0.contains("unknown simd mode"));
         // In place is decided by geometry; there is no flag to force it.
         let e = runv(&["profile", "4", "--inplace", "on"]).unwrap_err();
+        assert!(e.0.contains("unknown flag"));
+        // Every sweep ships one aggregated carry message per phase
+        // boundary; there is no chunk count to set.
+        let e = runv(&["profile", "4", "--chunks", "2"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
     }
 

@@ -374,10 +374,9 @@ impl HaloArray {
     }
 }
 
-/// One direction of a compiled halo exchange: everything the per-call
-/// enumeration in the sweep layer's `exchange_halos` used to rebuild —
-/// which tiles contribute a face, which receive one, the peer ranks, and
-/// every buffer length — precomputed once from the rank's tile geometry.
+/// One direction of a compiled halo exchange: which tiles contribute a
+/// face, which receive one, the peer ranks, and every buffer length —
+/// precomputed once from the rank's tile geometry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HaloDirPlan {
     /// Dimension being exchanged.

@@ -89,30 +89,21 @@ impl ParallelBt {
         Self::with_opts(rank, prob, mp, SweepOptions::default())
     }
 
-    /// Like [`ParallelBt::new`] but with sweep options derived from a
-    /// machine profile by [`mp_sweep::tune::TunedOptions::derive`]
-    /// (explicit `MP_SWEEP_*` knobs still win). The carry length handed
-    /// to the tuner is the block-tridiagonal forward pass's
-    /// `NCOMP² + NCOMP` values per line. Results are bitwise identical
-    /// to the default-option run; only performance changes.
-    pub fn auto_tuned(
-        rank: u64,
-        prob: BtProblem,
-        mp: Multipartitioning,
-        profile: &mp_core::machine::MachineProfile,
-    ) -> Self {
+    /// Like [`ParallelBt::new`] but with sweep options derived for this
+    /// problem and host by [`mp_sweep::tune::TunedOptions::derive`]
+    /// (explicit `MP_SWEEP_*` knobs still win). Results are bitwise
+    /// identical to the default-option run; only performance changes.
+    pub fn auto_tuned(rank: u64, prob: BtProblem, mp: Multipartitioning) -> Self {
         let shape = mp_sweep::tune::PlanShape {
             p: mp.p,
             eta: prob.eta.to_vec(),
-            gammas: mp.gammas().to_vec(),
-            carry_len: NCOMP * NCOMP + NCOMP,
         };
-        let tuned = mp_sweep::tune::TunedOptions::derive(profile, &shape);
+        let tuned = mp_sweep::tune::TunedOptions::derive(&shape);
         Self::with_opts(rank, prob, mp, tuned.options)
     }
 
     /// Like [`ParallelBt::new`] but with explicit sweep execution options
-    /// (block width, intra-rank threads, pipeline chunks).
+    /// (block width, intra-rank threads, SIMD level).
     pub fn with_opts(
         rank: u64,
         prob: BtProblem,
@@ -305,33 +296,6 @@ mod tests {
                 );
             }
             assert!((results[0].1 - serial.norm()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn pipelined_sweeps_match_serial() {
-        // Block-tridiagonal sweeps carry 5-component vectors; the pipelined
-        // executor must still be bit-identical to the serial solver.
-        let prob = BtProblem::new([6, 6, 6], 0.002);
-        let mut serial = SerialBt::new(prob);
-        serial.run(1);
-        let mp = Multipartitioning::optimal(4, &[6, 6, 6], &CostModel::origin2000_like());
-        let opts = SweepOptions::new(4, 1).with_pipeline_chunks(2);
-        let results = run_threaded(4, |comm| {
-            let mut bt = ParallelBt::with_opts(comm.rank(), prob, mp.clone(), opts.clone());
-            bt.run(comm, 1);
-            bt.store
-        });
-        for c in 0..NCOMP {
-            let mut global = ArrayD::zeros(&prob.eta);
-            for store in &results {
-                store.gather_into(fields::u(c), &mut global);
-            }
-            assert_eq!(
-                global.max_abs_diff(&serial.u[c]),
-                0.0,
-                "pipelined BT component {c} diverged"
-            );
         }
     }
 

@@ -84,30 +84,21 @@ impl ParallelSp {
         Self::with_opts(rank, prob, mp, SweepOptions::default())
     }
 
-    /// Like [`ParallelSp::new`] but with sweep options derived from a
-    /// machine profile by [`mp_sweep::tune::TunedOptions::derive`]
-    /// (explicit `MP_SWEEP_*` knobs still win). The carry length handed
-    /// to the tuner is the pentadiagonal forward pass's 6 values per
-    /// line — SP's dominant sweep. Results are bitwise identical to the
-    /// default-option run; only performance changes.
-    pub fn auto_tuned(
-        rank: u64,
-        prob: SpProblem,
-        mp: Multipartitioning,
-        profile: &mp_core::machine::MachineProfile,
-    ) -> Self {
+    /// Like [`ParallelSp::new`] but with sweep options derived for this
+    /// problem and host by [`mp_sweep::tune::TunedOptions::derive`]
+    /// (explicit `MP_SWEEP_*` knobs still win). Results are bitwise
+    /// identical to the default-option run; only performance changes.
+    pub fn auto_tuned(rank: u64, prob: SpProblem, mp: Multipartitioning) -> Self {
         let shape = mp_sweep::tune::PlanShape {
             p: mp.p,
             eta: prob.eta.to_vec(),
-            gammas: mp.gammas().to_vec(),
-            carry_len: 6,
         };
-        let tuned = mp_sweep::tune::TunedOptions::derive(profile, &shape);
+        let tuned = mp_sweep::tune::TunedOptions::derive(&shape);
         Self::with_opts(rank, prob, mp, tuned.options)
     }
 
     /// Like [`ParallelSp::new`] but with explicit sweep execution options
-    /// (block width, intra-rank threads, pipeline chunks).
+    /// (block width, intra-rank threads, SIMD level).
     pub fn with_opts(
         rank: u64,
         prob: SpProblem,
@@ -362,31 +353,6 @@ mod tests {
             store.gather_into(fields::U, &mut global);
         }
         assert_eq!(global.max_abs_diff(&serial.u), 0.0);
-    }
-
-    #[test]
-    fn pipelined_sweeps_match_serial() {
-        // The full ADI iteration with every directional sweep running in
-        // pipelined mode must stay bit-identical to the serial solver.
-        let prob = SpProblem::new([8, 8, 8], 0.001);
-        let mut serial = SerialSp::new(prob);
-        serial.run(2);
-        let mp = Multipartitioning::optimal(4, &[8, 8, 8], &CostModel::origin2000_like());
-        let opts = SweepOptions::new(8, 1).with_pipeline_chunks(3);
-        let results = run_threaded(4, |comm| {
-            let mut sp = ParallelSp::with_opts(comm.rank(), prob, mp.clone(), opts.clone());
-            sp.run(comm, 2);
-            sp.store
-        });
-        let mut global = ArrayD::zeros(&prob.eta);
-        for store in &results {
-            store.gather_into(fields::U, &mut global);
-        }
-        assert_eq!(
-            global.max_abs_diff(&serial.u),
-            0.0,
-            "pipelined SP must be bit-identical to serial"
-        );
     }
 
     #[test]

@@ -118,28 +118,6 @@ pub trait Communicator {
         None
     }
 
-    /// Nonblocking receive: return a matching payload if one has already
-    /// arrived, `None` otherwise. Backends without nonblocking support keep
-    /// the default (always `None`); callers must therefore treat `None` as
-    /// "not yet" and eventually fall back to a blocking [`Communicator::recv`]
-    /// or [`Communicator::recv_into`]. The pipelined sweep executor uses
-    /// this to drain eagerly sent carry sub-messages while block computation
-    /// is still in flight.
-    fn try_recv(&mut self, _from: u64, _tag: Tag) -> Option<Vec<f64>> {
-        None
-    }
-
-    /// Blocking receive that lands the payload in `out` without copying:
-    /// the arrived buffer is swapped into `out` and `out`'s previous
-    /// allocation is recycled into the endpoint's send-buffer pool. This is
-    /// how the pipelined executor refills the slots of its double-buffered
-    /// carry store — ownership of the wire buffer transfers straight into
-    /// the store, and the store's stale buffer becomes a future send buffer.
-    fn recv_into(&mut self, from: u64, tag: Tag, out: &mut Vec<f64>) {
-        let old = std::mem::replace(out, self.recv(from, tag));
-        self.recycle(old);
-    }
-
     /// Take an empty buffer to assemble the next `send` payload in,
     /// drawing from the endpoint's recycle pool when it keeps one. The
     /// returned buffer is empty but may carry capacity from an earlier
@@ -368,49 +346,5 @@ mod tests {
     #[should_panic(expected = "only one rank")]
     fn serial_comm_send_panics() {
         SerialComm.send(0, 1, vec![]);
-    }
-
-    #[test]
-    fn serial_comm_try_recv_is_none() {
-        // The default nonblocking receive reports "nothing arrived" rather
-        // than panicking — callers fall back to blocking receives.
-        assert_eq!(SerialComm.try_recv(0, 7), None);
-    }
-
-    /// A loopback endpoint exercising the *default* `recv_into`: `recv`
-    /// pops from a queue, `recycle` counts returned buffers.
-    #[derive(Default)]
-    struct Loopback {
-        queue: Vec<Vec<f64>>,
-        recycled: usize,
-    }
-
-    impl Communicator for Loopback {
-        fn rank(&self) -> u64 {
-            0
-        }
-        fn size(&self) -> u64 {
-            2
-        }
-        fn send(&mut self, _to: u64, _tag: Tag, payload: Vec<f64>) {
-            self.queue.push(payload);
-        }
-        fn recv(&mut self, _from: u64, _tag: Tag) -> Vec<f64> {
-            self.queue.remove(0)
-        }
-        fn recycle(&mut self, _buf: Vec<f64>) {
-            self.recycled += 1;
-        }
-    }
-
-    #[test]
-    fn default_recv_into_swaps_and_recycles() {
-        let mut c = Loopback::default();
-        c.send(1, 0, vec![1.0, 2.0, 3.0]);
-        let mut out = Vec::with_capacity(64);
-        out.push(9.0);
-        c.recv_into(1, 0, &mut out);
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
-        assert_eq!(c.recycled, 1, "stale buffer must enter the recycle pool");
     }
 }

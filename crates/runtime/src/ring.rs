@@ -7,7 +7,7 @@
 //! compare-and-swap, only one release store per side. A carry send is a
 //! pointer-sized publish of the payload `Vec` into a slot; the receiver
 //! takes ownership of the very allocation the sender filled (extending the
-//! relay-by-move of the pipelined executor down into the transport).
+//! sweep executor's relay-by-move of carries down into the transport).
 //!
 //! Blocked receivers spin briefly on their rings, then park
 //! (`std::thread::park_timeout`) on a per-rank [`Doorbell`] that senders
@@ -25,9 +25,9 @@ use std::thread::Thread;
 use std::time::Duration;
 
 /// Slots per ring. Must be a power of two. Sized far above the worst-case
-/// in-flight count of any schedule in the workspace (a pipelined sweep
-/// keeps at most `γ · pipeline_chunks` messages outstanding per pair, and
-/// the collectives at most a handful); a full ring is still handled
+/// in-flight count of any schedule in the workspace (a sweep keeps at most
+/// `γ` carry messages outstanding per pair, and the collectives at most a
+/// handful); a full ring is still handled
 /// correctly — the sender yields until a slot frees — it is just counted
 /// as backpressure.
 pub(crate) const RING_CAP: usize = 256;

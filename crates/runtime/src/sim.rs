@@ -201,36 +201,6 @@ impl SimNet {
         self.stats.elements += elements;
     }
 
-    /// Send `elements` as `chunks` back-to-back sub-messages on the same
-    /// `(from, to, tag)` edge, splitting the payload with the pipelined
-    /// executor's chunk rule (`chunk j` = elements `[j·n/k, (j+1)·n/k)`).
-    ///
-    /// This is how the cost model prices pipelined carries: each
-    /// sub-message pays its own α (the per-message cost `K2`), but the
-    /// payload transfers overlap — sub-message `j`'s wire time starts as
-    /// soon as its α is charged, so the last arrival is
-    /// `t₀ + k·α + (n/k)·K3` instead of the aggregated `t₀ + α + n·K3`.
-    /// Chunking therefore wins exactly when the saved serial payload
-    /// `(1 − 1/k)·n·K3` exceeds the extra latency `(k − 1)·α` — the
-    /// aggregation-vs-pipelining tradeoff from the paper's §3.1 model.
-    ///
-    /// `chunks = 1` degenerates to a single [`SimNet::send`].
-    pub fn send_chunked(&mut self, from: u64, to: u64, tag: u64, elements: u64, chunks: u64) {
-        let k = chunks.max(1);
-        for j in 0..k {
-            let lo = j * elements / k;
-            let hi = (j + 1) * elements / k;
-            self.send(from, to, tag, hi - lo);
-        }
-    }
-
-    /// Receive the `chunks` sub-messages of a [`SimNet::send_chunked`]
-    /// transfer, blocking to each arrival in order; returns the total
-    /// element count.
-    pub fn recv_chunked(&mut self, to: u64, from: u64, tag: u64, chunks: u64) -> u64 {
-        (0..chunks.max(1)).map(|_| self.recv(to, from, tag)).sum()
-    }
-
     /// Receive the oldest matching message; blocks (advances the clock) to
     /// its arrival time. Returns the element count.
     ///
@@ -525,63 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_send_splits_payload_with_chunk_rule() {
-        let mut net = SimNet::new(2, simple_machine());
-        // 10 elements in 3 chunks: [0,3), [3,6), [6,10) → 3+3+4.
-        net.send_chunked(0, 1, 0, 10, 3);
-        assert_eq!(net.stats.messages, 3);
-        assert_eq!(net.stats.elements, 10);
-        assert_eq!(net.recv(1, 0, 0), 3);
-        assert_eq!(net.recv(1, 0, 0), 3);
-        assert_eq!(net.recv(1, 0, 0), 4);
-        assert!(net.all_delivered());
-    }
-
-    #[test]
-    fn chunked_one_equals_aggregated() {
-        let mut a = SimNet::new(2, simple_machine());
-        a.send(0, 1, 0, 100);
-        a.recv(1, 0, 0);
-        let mut b = SimNet::new(2, simple_machine());
-        b.send_chunked(0, 1, 0, 100, 1);
-        assert_eq!(b.recv_chunked(1, 0, 0, 1), 100);
-        assert_eq!(a.clock(1), b.clock(1));
-        assert_eq!(a.stats.messages, b.stats.messages);
-    }
-
-    #[test]
-    fn chunked_transfer_overlaps_payload() {
-        // Bandwidth-dominated transfer: n·K3 = 1000·0.5 = 500 ≫ α = 10.
-        // Aggregated arrival: α + n·K3 = 510. Chunked (k=4): the last
-        // sub-message's α is charged at 4·α = 40 and its payload is
-        // 250·0.5 = 125 → 165. Extra latency 3·α = 30 ≪ saved 375.
-        let mut agg = SimNet::new(2, simple_machine());
-        agg.send(0, 1, 0, 1000);
-        agg.recv(1, 0, 0);
-        let mut pip = SimNet::new(2, simple_machine());
-        pip.send_chunked(0, 1, 0, 1000, 4);
-        assert_eq!(pip.recv_chunked(1, 0, 0, 4), 1000);
-        assert_eq!(agg.clock(1), 510.0);
-        assert_eq!(pip.clock(1), 165.0);
-        // Same bytes, more messages — K2 paid per chunk.
-        assert_eq!(pip.stats.elements, agg.stats.elements);
-        assert_eq!(pip.stats.messages, 4);
-    }
-
-    #[test]
-    fn chunked_transfer_loses_when_latency_dominates() {
-        // Latency-dominated: n·K3 = 4·0.5 = 2 ≪ α = 10. Chunking pays
-        // (k−1)·α = 30 extra for ≤ 2 of payload overlap.
-        let mut agg = SimNet::new(2, simple_machine());
-        agg.send(0, 1, 0, 4);
-        agg.recv(1, 0, 0);
-        let mut pip = SimNet::new(2, simple_machine());
-        pip.send_chunked(0, 1, 0, 4, 4);
-        pip.recv_chunked(1, 0, 0, 4);
-        assert!(pip.clock(1) > agg.clock(1));
-    }
-
-    #[test]
     fn utilization_and_csv() {
         let mut net = SimNet::new(2, simple_machine());
         net.enable_trace();
@@ -682,8 +595,12 @@ mod tests {
         let mut net = SimNet::new(2, simple_machine());
         net.enable_trace();
         net.compute(0, 10);
-        net.send_chunked(0, 1, 0, 10, 3);
-        assert_eq!(net.recv_chunked(1, 0, 0, 3), 10);
+        for n in [3, 3, 4] {
+            net.send(0, 1, 0, n);
+        }
+        for n in [3, 3, 4] {
+            assert_eq!(net.recv(1, 0, 0), n);
+        }
         let tf = net.trace_file();
         assert_eq!(tf.ranks.len(), 2);
         // Recorder-side per-peer counters match the simulator's own stats

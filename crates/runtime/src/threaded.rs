@@ -360,19 +360,6 @@ impl Communicator for ThreadedComm {
         }
     }
 
-    fn try_recv(&mut self, from: u64, tag: Tag) -> Option<Vec<f64>> {
-        if let Some(q) = self.stash.get_mut(&(from, tag)) {
-            if let Some(p) = q.pop_front() {
-                return Some(p);
-            }
-        }
-        // One pass over the sender's ring — a nonblocking probe never
-        // spins: callers (the pipelined drain) treat `None` as "not yet"
-        // and go back to useful work or a blocking receive.
-        let ring = self.net.ring(from as usize, self.rank as usize);
-        ring_take(ring, from, tag, &mut self.stash)
-    }
-
     fn tracer(&mut self) -> Option<&mut SweepRecorder> {
         self.trace.as_mut()
     }
@@ -826,56 +813,6 @@ mod tests {
             }
         });
         assert_eq!(res.len(), 2);
-    }
-
-    #[test]
-    fn try_recv_nonblocking_then_some() {
-        let res = run_threaded(2, |comm| {
-            if comm.rank() == 0 {
-                // Nothing sent yet — must be None, not a hang.
-                assert!(comm.try_recv(1, 5).is_none());
-                comm.send(1, 3, vec![1.0]); // release rank 1
-                let got = loop {
-                    if let Some(p) = comm.try_recv(1, 5) {
-                        break p;
-                    }
-                    std::thread::yield_now();
-                };
-                got[0]
-            } else {
-                let _ = comm.recv(0, 3);
-                comm.send(0, 5, vec![42.0]);
-                0.0
-            }
-        });
-        assert_eq!(res[0], 42.0);
-    }
-
-    #[test]
-    fn try_recv_stashes_mismatches_in_order() {
-        let res = run_threaded(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(1, 8, vec![1.0]);
-                comm.send(1, 8, vec![2.0]);
-                comm.send(1, 9, vec![3.0]);
-                0.0
-            } else {
-                // Wait for the tag-9 message via try_recv; the two tag-8
-                // messages arrive first and must be stashed FIFO.
-                let nine = loop {
-                    if let Some(p) = comm.try_recv(0, 9) {
-                        break p;
-                    }
-                    std::thread::yield_now();
-                };
-                assert_eq!(nine, vec![3.0]);
-                assert_eq!(comm.try_recv(0, 8), Some(vec![1.0]));
-                assert_eq!(comm.recv(0, 8), vec![2.0]);
-                assert_eq!(comm.try_recv(0, 8), None);
-                1.0
-            }
-        });
-        assert_eq!(res[1], 1.0);
     }
 
     #[test]

@@ -129,7 +129,8 @@ impl<K: LineSweepKernel> LineSweepKernel for BatchedKernel<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{allocate_rank_store, multipart_sweep};
+    use crate::compiled::SolverPlan;
+    use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use crate::verify::serial_sweep;
     use mp_core::cost::CostModel;
@@ -193,25 +194,20 @@ mod tests {
                 FirstOrderKernel::new(1, 0.5),
                 FirstOrderKernel::new(2, 0.5),
             ]);
-            multipart_sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 10);
+            let mut plan = SolverPlan::new(SweepOptions::default());
+            plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 10);
             (store, comm.sent_messages)
         });
 
         // Separate runs.
         let separate = run_threaded(p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+            let mut plan = SolverPlan::new(SweepOptions::default());
             for f in 0..3 {
                 store.init_field(f, init(f));
                 let k = FirstOrderKernel::new(f, 0.5);
-                multipart_sweep(
-                    comm,
-                    &mut store,
-                    &mp,
-                    0,
-                    Direction::Forward,
-                    &k,
-                    100 * (f as u64 + 1),
-                );
+                let tag = 100 * (f as u64 + 1);
+                plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, tag);
             }
             (store, comm.sent_messages)
         });

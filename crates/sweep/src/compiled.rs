@@ -3,33 +3,38 @@
 //! The paper's §5 compiler view is that a multipartitioned sweep is
 //! *static*: tile ownership, slab order, the unique neighbor per phase, and
 //! every message size are fully determined by `(Multipartitioning, dim,
-//! direction)` before the first timestep runs. The one-shot executor
-//! ([`crate::executor::multipart_sweep_opts`]) re-derives all of it on
-//! every call; NAS SP/BT run the same six directional sweeps for hundreds
-//! of timesteps. This module hoists that work into a [`CompiledSweep`] —
-//! built once per `(mp, dim, direction, kernel shape, options)` — that owns
-//! the precomputed slab order, upstream/downstream peer ranks, per-phase
-//! tile metadata and block-job tables, expected carry-message lengths, the
-//! pipelined chunk spans, and long-lived scratch arenas. Executing a
-//! compiled sweep only refreshes the per-field raw pointers (storage may
-//! move between calls) and runs the communication/compute loop.
+//! direction)` before the first timestep runs; NAS SP/BT run the same six
+//! directional sweeps for hundreds of timesteps. This module hoists that
+//! work into a [`CompiledSweep`] — built once per `(mp, dim, direction,
+//! kernel shape, options)` — that owns the precomputed slab order,
+//! upstream/downstream peer ranks, per-phase tile metadata and block-job
+//! tables, the expected carry-message length of every phase, and
+//! long-lived scratch arenas. Executing a compiled sweep only refreshes
+//! the per-field raw pointers (storage may move between calls) and runs
+//! the communication/compute loop.
 //!
-//! **Contract.** `execute` produces bitwise-identical results and a
-//! byte-identical communication schedule to the per-call path for every
-//! option setting — the plan caches *metadata*, never data. The plan is
-//! valid as long as the multipartitioning, store geometry (tile set and
-//! extents), kernel shape (field list + carry length), tag base, and
-//! options are unchanged; [`SweepEngine`] re-keys on all of those except
-//! store geometry, which is fixed per engine (allocate a new engine per
-//! grid).
+//! **The schedule is the paper's.** Every phase boundary ships exactly one
+//! aggregated carry message from each rank to its unique downstream
+//! neighbor, so the wire depends only on `(multipartitioning, dim,
+//! direction, kernel shape)` — never on an option: block width, threads
+//! and SIMD level change how a phase computes, not what it sends. The
+//! carry buffer is relayed by ownership: received, evolved in place by
+//! the phase's block jobs and sent onward by move, so no carry is ever
+//! copied.
+//!
+//! **Contract.** The plan caches *metadata*, never data. It is valid as
+//! long as the multipartitioning, store geometry (tile set and extents),
+//! kernel shape (field list + carry length), tag base, and options are
+//! unchanged; [`SolverPlan`] re-keys on all of those except store
+//! geometry, which is fixed per plan (allocate a new one per grid).
 //!
 //! In debug builds every `CompiledSweep` is cross-checked against
 //! [`mp_core::plan::SweepPlan`] at build time, making the schedule module
 //! the source of truth for the executor rather than documentation-only.
 
 use crate::executor::{
-    exchange_halos_planned, make_workers, BlockJob, FieldMeta, RawParts, SharedPhase, SweepOptions,
-    WorkerScratch,
+    exchange_halos_planned, make_workers, run_jobs, BlockJob, FieldMeta, RawParts, SharedPhase,
+    SweepOptions, WorkerScratch,
 };
 use crate::pool::WorkerPool;
 use crate::recurrence::LineSweepKernel;
@@ -39,7 +44,6 @@ use mp_core::plan::SweepPlan;
 use mp_grid::{HaloPlan, RankStore};
 use mp_runtime::comm::{CommError, Communicator, Tag};
 use mp_runtime::panic_payload_message;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,7 +85,7 @@ impl SweepError {
     }
 }
 
-/// What a [`CompiledSweep`] was built for — compared by [`SweepEngine`] to
+/// What a [`CompiledSweep`] was built for — compared by [`SolverPlan`] to
 /// decide when a cached plan can be reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanKey {
@@ -101,30 +105,13 @@ pub struct PlanKey {
     pub carry_len: usize,
     /// Lines per block job.
     pub block_width: usize,
-    /// Carry sub-messages per phase boundary (1 = aggregated).
-    pub pipeline_chunks: usize,
     /// Requested SIMD dispatch mode (resolved to a concrete level once at
     /// build time — see [`CompiledSweep::simd_level`]).
     pub simd: SimdMode,
 }
 
-/// One pipelined chunk: a contiguous job range and its carry element span
-/// within the phase's carry stream. With `pipeline_chunks = 1` each phase
-/// has a single chunk covering everything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkSpan {
-    /// First job of the chunk.
-    pub jlo: usize,
-    /// One past the last job.
-    pub jhi: usize,
-    /// First carry element (phase-global).
-    pub elo: usize,
-    /// One past the last carry element.
-    pub ehi: usize,
-}
-
-/// Everything one phase needs that `PhaseScratch::prepare_slab` used to
-/// rebuild per call: tile metadata in store order and the carved job table.
+/// Everything one phase needs, computed once at build time: tile metadata
+/// in store order, the carved job table and its per-worker spans.
 /// Raw field pointers are *not* here — storage may move between executes,
 /// so they are refreshed into the plan's `FieldMeta` arena each phase.
 #[derive(Debug)]
@@ -143,21 +130,20 @@ struct PhasePlan {
     base_offs: Vec<usize>,
     /// Per-(tile, field) stride along the swept dimension, same layout.
     stride_dims: Vec<usize>,
-    /// Block jobs covering the phase's carry stream contiguously.
+    /// Block jobs covering the phase's carry message contiguously.
     jobs: Vec<BlockJob>,
-    /// Pipelined chunk spans (`pipeline_chunks = 1` → one chunk).
-    chunks: Vec<ChunkSpan>,
-    /// Per-chunk per-worker job spans, width-balanced by line count at
-    /// build time so steady-state dispatch does no span arithmetic and no
-    /// allocation.
-    chunk_wspans: Vec<Vec<(usize, usize)>>,
+    /// Per-worker job spans, balanced by line count at build time so
+    /// steady-state dispatch does no span arithmetic and no allocation.
+    wspans: Vec<(usize, usize)>,
+    /// Elements in the phase's carry message (lines × kernel carry length).
+    carry_len: usize,
     /// Run this phase's jobs in place on tile storage instead of
     /// gather/scatter through block scratch. Decided once at build time
     /// from the phase geometry.
     inplace: bool,
 }
 
-/// Split `jobs[lo..hi]` into at most `nworkers` contiguous spans balanced
+/// Split `jobs` into at most `nworkers` contiguous spans balanced
 /// by **line weight** (`BlockJob::nlines`), not job count. The last job of
 /// a tile is usually narrower than `block_width`, so the old
 /// `wi · njobs / nworkers` split by count could hand one worker a run of
@@ -166,25 +152,25 @@ struct PhasePlan {
 /// are closed greedily when their cumulative weight crosses the
 /// proportional target (choosing the nearer side of the boundary job),
 /// while always leaving at least one job for each remaining worker.
-fn balanced_spans(jobs: &[BlockJob], lo: usize, hi: usize, nworkers: usize) -> Vec<(usize, usize)> {
-    let njobs = hi.saturating_sub(lo);
+fn balanced_spans(jobs: &[BlockJob], nworkers: usize) -> Vec<(usize, usize)> {
+    let njobs = jobs.len();
     if njobs == 0 {
         return Vec::new();
     }
     let nw = nworkers.max(1).min(njobs);
     if nw == 1 {
-        return vec![(lo, hi)];
+        return vec![(0, njobs)];
     }
-    let total: usize = jobs[lo..hi].iter().map(|j| j.nlines).sum();
+    let total: usize = jobs.iter().map(|j| j.nlines).sum();
     let mut spans: Vec<(usize, usize)> = Vec::with_capacity(nw);
-    let mut start = lo;
+    let mut start = 0;
     let mut cum = 0usize;
-    for j in lo..hi {
+    for j in 0..njobs {
         cum += jobs[j].nlines;
         if spans.len() + 1 == nw {
             break; // everything left belongs to the last span
         }
-        let jobs_left = hi - (j + 1);
+        let jobs_left = njobs - (j + 1);
         let workers_left = nw - spans.len() - 1;
         if jobs_left == 0 {
             break;
@@ -201,7 +187,7 @@ fn balanced_spans(jobs: &[BlockJob], lo: usize, hi: usize, nworkers: usize) -> V
             start = j + 1;
         }
     }
-    spans.push((start, hi));
+    spans.push((start, njobs));
     spans
 }
 
@@ -223,20 +209,12 @@ pub struct CompiledSweep {
     /// Per-worker block buffers, reused across phases and executes.
     workers: Vec<WorkerScratch>,
     /// Persistent worker pool for phase dispatch (`None` when running
-    /// single-threaded). Shared across an engine's plans via
+    /// single-threaded). Shared across a [`SolverPlan`]'s sweeps via
     /// [`CompiledSweep::build_on_pool`].
     pool: Option<Arc<WorkerPool>>,
     /// SIMD level resolved once at build time from `key.simd` and the
     /// hardware — steady-state execution never re-detects features.
     simd: SimdLevel,
-    /// Received carry chunks of the current phase (see `execute`).
-    cur: VecDeque<Vec<f64>>,
-    /// Eagerly drained carry chunks of the next phase.
-    next: VecDeque<Vec<f64>>,
-    /// Self-neighbor hand-off chunks of the current phase.
-    local_cur: VecDeque<Vec<f64>>,
-    /// Self-neighbor hand-off chunks produced for the next phase.
-    local_next: VecDeque<Vec<f64>>,
 }
 
 impl CompiledSweep {
@@ -251,7 +229,7 @@ impl CompiledSweep {
     ///
     /// # Panics
     /// Panics if the store does not hold exactly this rank's tiles for
-    /// every slab (same check the per-call executor performs).
+    /// every slab.
     #[allow(clippy::too_many_arguments)]
     pub fn build<K: LineSweepKernel + ?Sized>(
         mp: &Multipartitioning,
@@ -268,7 +246,7 @@ impl CompiledSweep {
     }
 
     /// [`CompiledSweep::build`] with an explicit (possibly shared) worker
-    /// pool — [`SweepEngine`] uses this so all of its plans dispatch onto
+    /// pool — [`SolverPlan`] uses this so all of its sweeps dispatch onto
     /// one pool instead of spawning `threads − 1` workers per plan. The
     /// pool must be `Some` whenever `opts.threads > 1`.
     #[allow(clippy::too_many_arguments)]
@@ -293,7 +271,7 @@ impl CompiledSweep {
         let clen = kernel.carry_len();
         let nfields = kernel.fields().len();
         let bw = opts.block_width.max(1);
-        let kmax = opts.pipeline_chunks.max(1);
+        let threads = opts.threads.max(1);
         let simd_level = opts.simd.resolve();
 
         let mut phases = Vec::with_capacity(slab_order.len());
@@ -307,8 +285,8 @@ impl CompiledSweep {
                 base_offs: Vec::new(),
                 stride_dims: Vec::new(),
                 jobs: Vec::new(),
-                chunks: Vec::new(),
-                chunk_wspans: Vec::new(),
+                wspans: Vec::new(),
+                carry_len: 0,
                 inplace: false,
             };
             for (ti, tile) in store.tiles.iter().enumerate() {
@@ -339,7 +317,7 @@ impl CompiledSweep {
             );
 
             // Carve the slab's lines into jobs of at most `bw` lines each,
-            // with carry offsets relative to the phase's whole carry stream.
+            // with carry offsets into the phase's carry message.
             let ntiles = pp.tiles.len();
             let mut line_base = 0usize;
             for t in 0..ntiles {
@@ -357,30 +335,8 @@ impl CompiledSweep {
                 }
                 line_base += nl_t;
             }
-
-            // Chunk layout (identical on sender and receiver — see the
-            // shift argument in [`crate::pipeline`]).
-            let njobs = pp.jobs.len();
-            let k_eff = kmax.min(njobs).max(1);
-            for j in 0..k_eff {
-                let jlo = j * njobs / k_eff;
-                let jhi = ((j + 1) * njobs / k_eff).max(jlo);
-                let (elo, ehi) = if jlo == jhi {
-                    (0, 0) // empty slab: one empty chunk
-                } else {
-                    let last = &pp.jobs[jhi - 1];
-                    (pp.jobs[jlo].carry_off, last.carry_off + last.nlines * clen)
-                };
-                pp.chunks.push(ChunkSpan { jlo, jhi, elo, ehi });
-            }
-            // Precompute the per-worker job spans (line-weight balanced) so
-            // steady-state phases dispatch with zero span arithmetic.
-            let threads = opts.threads.max(1);
-            pp.chunk_wspans = pp
-                .chunks
-                .iter()
-                .map(|c| balanced_spans(&pp.jobs, c.jlo, c.jhi, threads))
-                .collect();
+            pp.carry_len = line_base * clen;
+            pp.wspans = balanced_spans(&pp.jobs, threads);
 
             // The phase runs in place when its swept dimension is not the
             // tile's last (unit-stride) axis — lines contiguous along the
@@ -388,18 +344,15 @@ impl CompiledSweep {
             // every field's last-axis stride really is 1 (row-major
             // storage; checked, not assumed). Along the last axis the
             // lines *are* the unit-stride axis, and gathering them is the
-            // transpose that gives the kernels unit-stride lanes. The
-            // job/chunk tables above are mode-independent, so the wire
-            // schedule cannot change.
+            // transpose that gives the kernels unit-stride lanes. The job
+            // table above is mode-independent, so the wire schedule cannot
+            // change.
             let lane_unit =
                 (0..pp.tiles.len() * nfields).all(|s| pp.fm_strides[s * d + (d - 1)] == 1);
             pp.inplace = dim + 1 < d && lane_unit;
             phases.push(pp);
         }
 
-        // Carry queues hold at most one phase's chunks; sizing them now
-        // means no execute ever grows them, however the arrivals race.
-        let max_chunks = phases.iter().map(|pp| pp.chunks.len()).max().unwrap_or(0);
         let cs = CompiledSweep {
             key: PlanKey {
                 p: mp.p,
@@ -410,12 +363,11 @@ impl CompiledSweep {
                 fields: kernel.fields().to_vec(),
                 carry_len: clen,
                 block_width: bw,
-                pipeline_chunks: kmax,
                 simd: opts.simd,
             },
             rank,
             d,
-            threads: opts.threads.max(1),
+            threads,
             upstream: mp.neighbor_rank(rank, dim, -step),
             downstream: mp.neighbor_rank(rank, dim, step),
             phases,
@@ -423,10 +375,6 @@ impl CompiledSweep {
             workers: make_workers(opts.threads, nfields),
             pool,
             simd: simd_level,
-            cur: VecDeque::with_capacity(max_chunks),
-            next: VecDeque::with_capacity(max_chunks),
-            local_cur: VecDeque::with_capacity(max_chunks),
-            local_next: VecDeque::with_capacity(max_chunks),
         };
         #[cfg(debug_assertions)]
         cs.validate_against(mp, store)
@@ -474,7 +422,6 @@ impl CompiledSweep {
             && self.key.fields == kernel.fields()
             && self.key.carry_len == kernel.carry_len()
             && self.key.block_width == opts.block_width.max(1)
-            && self.key.pipeline_chunks == opts.pipeline_chunks.max(1)
             && self.key.simd == opts.simd
             && self.threads == opts.threads.max(1)
     }
@@ -483,11 +430,11 @@ impl CompiledSweep {
     /// pre-sizing a communicator's buffer pool
     /// ([`Communicator::reserve_buffers`]).
     pub fn message_lens(&self) -> Vec<usize> {
-        let mut lens = Vec::new();
         let nphases = self.phases.len();
-        for pp in self.phases.iter().take(nphases.saturating_sub(1)) {
-            lens.extend(pp.chunks.iter().map(|c| c.ehi - c.elo));
-        }
+        let mut lens: Vec<usize> = self.phases[..nphases.saturating_sub(1)]
+            .iter()
+            .map(|pp| pp.carry_len)
+            .collect();
         lens.sort_unstable();
         lens.dedup();
         lens
@@ -567,19 +514,18 @@ impl CompiledSweep {
     }
 
     /// Execute the compiled sweep: refresh the per-field raw views from
-    /// `store` and run the phase loop. Bitwise-identical results and a
-    /// byte-identical communication schedule to the per-call executor.
-    ///
-    /// One loop serves every `pipeline_chunks` value: each phase's
-    /// precompiled chunk spans ship eagerly (see [`crate::pipeline`]), and
-    /// `pipeline_chunks = 1` — one chunk per phase — is the paper's
-    /// aggregated schedule. A chunk's carry buffer is received, evolved in
-    /// place by the chunk's jobs and sent on by move, so no carry is ever
-    /// copied; only first-phase buffers are drawn from the communicator.
+    /// `store` and run the paper's phase loop. Each phase takes its carry
+    /// buffer — a fresh one filled with the kernel's initial carries at
+    /// phase 0, else the one the previous phase handed over on this rank
+    /// (self-neighbor) or received from the upstream rank — evolves it in
+    /// place through the phase's block jobs, and passes it on by move:
+    /// one aggregated message to the downstream rank per phase boundary,
+    /// back to the communicator's buffer pool after the last phase.
     ///
     /// # Panics
     /// Panics if `comm`'s rank or the kernel's shape differ from what the
-    /// plan was built for.
+    /// plan was built for, or if a received carry message has the wrong
+    /// length.
     pub fn execute<C: Communicator, K: LineSweepKernel + ?Sized>(
         &mut self,
         comm: &mut C,
@@ -600,126 +546,65 @@ impl CompiledSweep {
             workers,
             pool,
             simd,
-            cur,
-            next,
-            local_cur,
-            local_next,
             ..
         } = self;
         let clen = key.carry_len;
-        let dir = key.direction;
-        let tag_base = key.tag_base;
         let nphases = phases.len();
-        // An execute that unwound mid-sweep (see `try_execute`) may have
-        // left chunks queued; they belong to no later sweep.
-        for q in [&mut *cur, &mut *next, &mut *local_cur, &mut *local_next] {
-            q.clear();
-        }
+        // The carry a self-neighbor boundary hands to the next phase.
+        let mut held: Option<Vec<f64>> = None;
 
-        for phase in 0..nphases {
-            let pp = &phases[phase];
-            let k_eff = pp.chunks.len();
-            let last_phase = phase + 1 == nphases;
-            let tag_in = tag_base + phase as u64;
-            let tag_out = tag_base + phase as u64 + 1;
-            // Exact sub-message count the *next* phase will consume. The
-            // drain below must not pull more than this: sweeps reusing the
-            // same tag base (solvers re-execute the plan every timestep)
-            // put next-sweep chunks behind this phase's on the same tag,
-            // and an over-eager drain would swallow them a sweep early.
-            let next_k_eff = if last_phase {
-                0
-            } else {
-                phases[phase + 1].chunks.len()
-            };
-
-            // Double-buffered carry store: sub-messages for the current
-            // phase pop from `cur`; eager next-phase arrivals drain into
-            // `next`. The queues live in the plan, so steady-state
-            // executes reuse their capacity.
-            std::mem::swap(cur, next);
-            std::mem::swap(local_cur, local_next);
-            debug_assert!(next.is_empty() && local_next.is_empty());
-
+        for (phase, pp) in phases.iter().enumerate() {
+            let tag = key.tag_base + phase as u64;
             refresh_fms(fms, pp, store, &key.fields);
             let shared = shared_phase(pp, fms, kernel, key, *d, *simd);
 
-            for (j, span) in pp.chunks.iter().enumerate() {
-                let ChunkSpan { jlo, jhi, elo, ehi } = *span;
-
-                // 1. Obtain the chunk's carry buffer.
-                let mut cbuf: Vec<f64> = if phase == 0 {
-                    let mut b = comm.take_send_buffer();
-                    b.clear();
-                    b.resize(ehi - elo, 0.0);
-                    if clen > 0 {
-                        for c in b.chunks_exact_mut(clen) {
-                            kernel.fill_initial_carry(dir, c);
-                        }
-                    }
-                    b
-                } else if upstream == rank {
-                    local_cur
-                        .pop_front()
-                        .expect("self-neighbor chunk hand-off out of sync")
-                } else if let Some(b) = cur.pop_front() {
-                    b
-                } else {
-                    comm.recv(upstream, tag_in)
-                };
-                assert_eq!(
-                    cbuf.len(),
-                    ehi - elo,
-                    "carry sub-message length mismatch (phase {phase}, chunk {j} of {k_eff}): \
-                     ranks must run the same block_width and pipeline_chunks"
-                );
-
-                // 2. Evolve the chunk's carries in place through its jobs —
-                //    inline, or spread over the worker pool.
-                let t_run = comm.tracer().is_some().then(Instant::now);
-                crate::executor::run_jobs(
-                    &shared,
-                    &pp.chunk_wspans[j],
-                    RawParts::of(&mut cbuf),
-                    elo,
-                    workers,
-                    pool.as_deref(),
-                );
-                if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
-                    tr.compute(
-                        t0,
-                        phase as u64,
-                        (jhi - jlo) as u64,
-                        ((ehi - elo) / clen.max(1)) as u64,
-                    );
-                }
-
-                // 3. Eagerly ship the finished chunk downstream by move.
-                if last_phase {
-                    comm.recycle(cbuf);
-                } else if downstream == rank {
-                    local_next.push_back(cbuf);
-                } else {
-                    comm.send(downstream, tag_out, cbuf);
-                }
-
-                // 4. Opportunistically drain next-phase arrivals while
-                //    chunks of this phase remain to compute. After the
-                //    last chunk the next phase's receive does the same.
-                if j + 1 < k_eff && !last_phase && upstream != rank {
-                    while next.len() < next_k_eff {
-                        match comm.try_recv(upstream, tag_out) {
-                            Some(m) => next.push_back(m),
-                            None => break,
-                        }
+            let mut cbuf: Vec<f64> = if phase == 0 {
+                let mut b = comm.take_send_buffer();
+                b.clear();
+                b.resize(pp.carry_len, 0.0);
+                if clen > 0 {
+                    for c in b.chunks_exact_mut(clen) {
+                        kernel.fill_initial_carry(key.direction, c);
                     }
                 }
-            }
-            assert!(
-                cur.is_empty() && local_cur.is_empty(),
-                "phase {phase}: more sub-messages arrived than chunks exist \
-                 (ranks disagree on pipeline_chunks?)"
+                b
+            } else if upstream == rank {
+                held.take()
+                    .expect("self-neighbor carry hand-off out of sync")
+            } else {
+                comm.recv(upstream, tag)
+            };
+            assert_eq!(
+                cbuf.len(),
+                pp.carry_len,
+                "carry message length mismatch (phase {phase}): sender and receiver \
+                 disagree on the kernel shape or the multipartitioning"
             );
+
+            let t_run = comm.tracer().is_some().then(Instant::now);
+            run_jobs(
+                &shared,
+                &pp.wspans,
+                RawParts::of(&mut cbuf),
+                workers,
+                pool.as_deref(),
+            );
+            if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
+                tr.compute(
+                    t0,
+                    phase as u64,
+                    pp.jobs.len() as u64,
+                    (pp.carry_len / clen.max(1)) as u64,
+                );
+            }
+
+            if phase + 1 == nphases {
+                comm.recycle(cbuf);
+            } else if downstream == rank {
+                held = Some(cbuf);
+            } else {
+                comm.send(downstream, tag + 1, cbuf);
+            }
         }
     }
 
@@ -822,39 +707,69 @@ fn shared_phase<'a, K: LineSweepKernel + ?Sized>(
     }
 }
 
-/// A cache of one [`CompiledSweep`] per `(dim, direction)`, rebuilt only
-/// when the key changes (multipartitioning shape, kernel shape, tag base,
-/// or options). This is the build-once / execute-many entry point the
-/// solver drivers use; build cost and count are tracked so callers can
-/// report amortization and assert zero steady-state rebuilds.
-pub struct SweepEngine {
+/// A per-rank solver plan: one cached [`CompiledSweep`] per `(dim,
+/// direction)` plus the compiled [`HaloPlan`] for stencil exchanges —
+/// everything a timestepping driver (NAS SP/BT) builds up front and reuses
+/// across timesteps. A sweep plan is rebuilt only when its key changes
+/// (multipartitioning shape, kernel shape, tag base, or options); build
+/// cost and count are tracked so callers can report amortization and
+/// assert zero steady-state rebuilds.
+pub struct SolverPlan {
     opts: SweepOptions,
     /// Slot `dim * 2 + dir_idx` (`Forward` = 0, `Backward` = 1).
     slots: Vec<Option<CompiledSweep>>,
-    /// One persistent worker pool shared by every plan in the engine,
-    /// created lazily on the first multi-threaded build.
+    /// One persistent worker pool shared by every sweep plan, created
+    /// lazily on the first multi-threaded build.
     pool: Option<Arc<WorkerPool>>,
+    halo: Option<HaloPlan>,
     builds: u64,
     build_ns: u64,
     elements_swept: u64,
 }
 
-impl SweepEngine {
-    /// An empty engine executing with `opts`.
+impl SolverPlan {
+    /// An empty plan executing sweeps with `opts`.
     pub fn new(opts: SweepOptions) -> Self {
-        SweepEngine {
+        SolverPlan {
             opts,
             slots: Vec::new(),
             pool: None,
+            halo: None,
             builds: 0,
             build_ns: 0,
             elements_swept: 0,
         }
     }
 
-    /// Worker threads the engine's persistent pool holds (0 when running
-    /// single-threaded). Flat across steady
-    /// state: sweeps after warm-up spawn no threads.
+    /// Plans built so far (sweep plans + halo plans). A steady-state run
+    /// settles at one per distinct `(dim, direction)` swept plus one halo
+    /// plan, and never rebuilds.
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// Total nanoseconds spent building plans (sweeps + halos).
+    pub fn build_ns(&self) -> u64 {
+        self.build_ns
+    }
+
+    /// Elements swept so far across every [`SolverPlan::sweep`] call
+    /// (exact, from [`CompiledSweep::elements_per_execute`]). Pairs with
+    /// traced compute time to report `k1 · elements` model error.
+    pub fn elements_swept(&self) -> u64 {
+        self.elements_swept
+    }
+
+    /// The currently cached sweep plans, in slot order (`dim * 2 + dir`).
+    /// `mpart profile` walks these to report each plan's per-phase
+    /// execution mode ([`CompiledSweep::phase_inplace`]).
+    pub fn plans(&self) -> impl Iterator<Item = &CompiledSweep> {
+        self.slots.iter().filter_map(|s| s.as_ref())
+    }
+
+    /// Worker threads the persistent pool holds (0 when running
+    /// single-threaded). Flat across steady state: sweeps after warm-up
+    /// spawn no threads.
     pub fn pool_threads_spawned(&self) -> usize {
         self.pool.as_ref().map_or(0, |p| p.threads_spawned())
     }
@@ -862,36 +777,6 @@ impl SweepEngine {
     /// Phases dispatched through the persistent pool so far.
     pub fn pool_dispatches(&self) -> u64 {
         self.pool.as_ref().map_or(0, |p| p.dispatches())
-    }
-
-    /// The options every sweep runs with.
-    pub fn opts(&self) -> &SweepOptions {
-        &self.opts
-    }
-
-    /// Plans built so far (a steady-state run settles at one per distinct
-    /// `(dim, direction)` used).
-    pub fn builds(&self) -> u64 {
-        self.builds
-    }
-
-    /// Total nanoseconds spent building plans.
-    pub fn build_ns(&self) -> u64 {
-        self.build_ns
-    }
-
-    /// Elements swept so far across every [`SweepEngine::sweep`] call
-    /// (exact, from [`CompiledSweep::elements_per_execute`]). Pairs with
-    /// traced compute time to report `k1 · elements` model error.
-    pub fn elements_swept(&self) -> u64 {
-        self.elements_swept
-    }
-
-    /// The currently cached plans, in slot order (`dim * 2 + dir`).
-    /// `mpart profile` walks these to report each plan's per-phase
-    /// execution mode ([`CompiledSweep::phase_inplace`]).
-    pub fn plans(&self) -> impl Iterator<Item = &CompiledSweep> {
-        self.slots.iter().filter_map(|s| s.as_ref())
     }
 
     /// Execute one directional sweep, compiling it first if the cached
@@ -952,82 +837,6 @@ impl SweepEngine {
         self.elements_swept += cs.elements_per_execute();
         cs.execute(comm, store, kernel);
     }
-}
-
-/// A per-rank solver plan: the [`SweepEngine`] for all directional sweeps
-/// plus the compiled [`HaloPlan`] for stencil exchanges — everything a
-/// timestepping driver (NAS SP/BT) builds up front and reuses across
-/// timesteps.
-pub struct SolverPlan {
-    engine: SweepEngine,
-    halo: Option<HaloPlan>,
-    halo_builds: u64,
-    halo_build_ns: u64,
-}
-
-impl SolverPlan {
-    /// An empty plan executing sweeps with `opts`.
-    pub fn new(opts: SweepOptions) -> Self {
-        SolverPlan {
-            engine: SweepEngine::new(opts),
-            halo: None,
-            halo_builds: 0,
-            halo_build_ns: 0,
-        }
-    }
-
-    /// The options every sweep runs with.
-    pub fn opts(&self) -> &SweepOptions {
-        self.engine.opts()
-    }
-
-    /// Plans built so far (sweep plans + halo plans). A steady-state run
-    /// settles at `2·d` sweeps + 1 halo plan and never rebuilds.
-    pub fn builds(&self) -> u64 {
-        self.engine.builds() + self.halo_builds
-    }
-
-    /// Total nanoseconds spent building plans (sweeps + halos).
-    pub fn build_ns(&self) -> u64 {
-        self.engine.build_ns() + self.halo_build_ns
-    }
-
-    /// Elements swept so far (see [`SweepEngine::elements_swept`]).
-    pub fn elements_swept(&self) -> u64 {
-        self.engine.elements_swept()
-    }
-
-    /// The currently cached sweep plans (see [`SweepEngine::plans`]).
-    pub fn plans(&self) -> impl Iterator<Item = &CompiledSweep> {
-        self.engine.plans()
-    }
-
-    /// Worker threads the engine's persistent pool holds (see
-    /// [`SweepEngine::pool_threads_spawned`]).
-    pub fn pool_threads_spawned(&self) -> usize {
-        self.engine.pool_threads_spawned()
-    }
-
-    /// Phases dispatched through the persistent pool so far.
-    pub fn pool_dispatches(&self) -> u64 {
-        self.engine.pool_dispatches()
-    }
-
-    /// Execute one directional sweep through the cached engine.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sweep<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        mp: &Multipartitioning,
-        dim: usize,
-        dir: Direction,
-        kernel: &K,
-        tag_base: Tag,
-    ) {
-        self.engine
-            .sweep(comm, store, mp, dim, dir, kernel, tag_base);
-    }
 
     /// Exchange `width` ghost layers of `field` using the compiled halo
     /// schedule, building it on first use (or if `width` changes). One
@@ -1049,8 +858,8 @@ impl SolverPlan {
             let plan = HaloPlan::build(store, mp.gammas(), width, |dm, st| {
                 mp.neighbor_rank(rank, dm, st)
             });
-            self.halo_builds += 1;
-            self.halo_build_ns += t0.elapsed().as_nanos() as u64;
+            self.builds += 1;
+            self.build_ns += t0.elapsed().as_nanos() as u64;
             comm.reserve_buffers(&[plan.max_send_len()]);
             if let Some(tr) = comm.tracer() {
                 tr.plan_build(t0);
@@ -1065,7 +874,7 @@ impl SolverPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::{allocate_rank_store, multipart_sweep_opts};
+    use crate::executor::allocate_rank_store;
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use mp_core::cost::CostModel;
     use mp_core::partition::Partitioning;
@@ -1087,7 +896,7 @@ mod tests {
         )
     }
 
-    /// 10 sweeps through a cached engine vs 10 fresh per-call sweeps:
+    /// 10 sweeps through a cached plan vs 10 freshly built ones:
     /// bitwise-identical fields, identical message/element counters, and
     /// exactly one plan build.
     #[test]
@@ -1096,26 +905,17 @@ mod tests {
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
         let fields = [FieldDef::new("u", 0)];
-        for opts in [
-            SweepOptions::new(4, 1),
-            SweepOptions::new(32, 2).with_pipeline_chunks(3),
-        ] {
+        for opts in [SweepOptions::new(4, 1), SweepOptions::new(32, 2)] {
             let grid = grid_for(&mp, &eta);
             let o = opts.clone();
             let fresh = run_threaded(mp.p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
                 store.init_field(0, init_value);
                 for _ in 0..10 {
-                    multipart_sweep_opts(
-                        comm,
-                        &mut store,
-                        &mp,
-                        1,
-                        Direction::Forward,
-                        &k,
-                        1000,
-                        &o,
-                    );
+                    let rank = comm.rank();
+                    let fwd = Direction::Forward;
+                    CompiledSweep::build(&mp, rank, &store, 1, fwd, &k, 1000, &o)
+                        .execute(comm, &mut store, &k);
                 }
                 (store, comm.sent_messages, comm.sent_elements)
             });
@@ -1123,11 +923,11 @@ mod tests {
             let cached = run_threaded(mp.p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
                 store.init_field(0, init_value);
-                let mut engine = SweepEngine::new(o.clone());
+                let mut plan = SolverPlan::new(o.clone());
                 for _ in 0..10 {
-                    engine.sweep(comm, &mut store, &mp, 1, Direction::Forward, &k, 1000);
+                    plan.sweep(comm, &mut store, &mp, 1, Direction::Forward, &k, 1000);
                 }
-                assert_eq!(engine.builds(), 1, "engine rebuilt a cached plan");
+                assert_eq!(plan.builds(), 1, "solver plan rebuilt a cached sweep");
                 (store, comm.sent_messages, comm.sent_elements)
             });
             let mut a = ArrayD::zeros(&eta);
@@ -1150,7 +950,7 @@ mod tests {
     fn elements_swept_counts_whole_domain_per_execute() {
         // Each execute touches every interior point of the rank's tiles
         // exactly once, so the per-execute counts summed across ranks must
-        // equal the domain size, and the engine counter must scale
+        // equal the domain size, and the plan's counter must scale
         // linearly with the number of sweeps.
         let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
         let eta = [12usize, 13, 11];
@@ -1170,12 +970,12 @@ mod tests {
         let counted = run_threaded(mp.p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init_value);
-            let mut engine = SweepEngine::new(SweepOptions::new(8, 1));
+            let mut plan = SolverPlan::new(SweepOptions::new(8, 1));
             for _ in 0..3 {
-                engine.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
-                engine.sweep(comm, &mut store, &mp, 1, Direction::Backward, &k, 2000);
+                plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
+                plan.sweep(comm, &mut store, &mp, 1, Direction::Backward, &k, 2000);
             }
-            engine.elements_swept()
+            plan.elements_swept()
         });
         assert_eq!(counted.iter().sum::<u64>(), 3 * 2 * domain);
     }
@@ -1230,20 +1030,20 @@ mod tests {
         let mut comm = mp_runtime::comm::SerialComm;
         let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
         store.init_field(0, init_value);
-        let mut engine = SweepEngine::new(SweepOptions::new(4, 1));
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
-        assert_eq!(engine.builds(), 1);
+        let mut plan = SolverPlan::new(SweepOptions::new(4, 1));
+        plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
+        plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
+        assert_eq!(plan.builds(), 1);
         // Different direction → its own slot.
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Backward, &k, 0);
-        assert_eq!(engine.builds(), 2);
+        plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Backward, &k, 0);
+        assert_eq!(plan.builds(), 2);
         // Different tag base → rebuild in place.
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 7);
-        assert_eq!(engine.builds(), 3);
+        plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 7);
+        assert_eq!(plan.builds(), 3);
         // A different kernel of the *same shape* (fields + carry length)
         // reuses the plan — plans depend only on the shape.
-        engine.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k2, 7);
-        assert_eq!(engine.builds(), 3);
+        plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k2, 7);
+        assert_eq!(plan.builds(), 3);
         // Different kernel shape (field list) → rebuild.
         let mut store2 = allocate_rank_store(
             0,
@@ -1253,50 +1053,30 @@ mod tests {
         );
         store2.init_field(1, init_value);
         let k3 = PrefixSumKernel::new(1);
-        engine.sweep(&mut comm, &mut store2, &mp, 0, Direction::Forward, &k3, 7);
-        assert_eq!(engine.builds(), 4);
+        plan.sweep(&mut comm, &mut store2, &mp, 0, Direction::Forward, &k3, 7);
+        assert_eq!(plan.builds(), 4);
         // Steady state again.
-        engine.sweep(&mut comm, &mut store2, &mp, 0, Direction::Forward, &k3, 7);
-        assert_eq!(engine.builds(), 4);
-        assert!(engine.build_ns() > 0);
+        plan.sweep(&mut comm, &mut store2, &mp, 0, Direction::Forward, &k3, 7);
+        assert_eq!(plan.builds(), 4);
+        assert!(plan.build_ns() > 0);
         // threads = 1 → no worker pool at all.
-        assert_eq!(engine.pool_threads_spawned(), 0);
-        assert_eq!(engine.pool_dispatches(), 0);
+        assert_eq!(plan.pool_threads_spawned(), 0);
+        assert_eq!(plan.pool_dispatches(), 0);
     }
 
     #[test]
     fn message_lens_cover_the_wire() {
-        // Aggregated: one length per phase boundary; pipelined: the chunk
-        // spans. Both must sum (over phases) to the same payload.
+        // One aggregated message per phase boundary, whatever the options.
         let mp = Multipartitioning::from_partitioning(4, Partitioning::new(vec![2, 2, 2]));
         let grid = grid_for(&mp, &[8, 8, 8]);
         let k = PrefixSumKernel::new(0);
         let store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
-        let agg = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &SweepOptions::new(1, 1),
-        );
-        let lens = agg.message_lens();
-        // γ_0 = 2 → one boundary; each rank owns 1 tile of 4×4×4 per slab
-        // → 16 lines, clen 1 → one 16-element message.
-        assert_eq!(lens, vec![16]);
-        let pip = CompiledSweep::build(
-            &mp,
-            0,
-            &store,
-            0,
-            Direction::Forward,
-            &k,
-            0,
-            &SweepOptions::new(1, 1).with_pipeline_chunks(4),
-        );
-        assert_eq!(pip.message_lens(), vec![4]);
+        for opts in [SweepOptions::new(1, 1), SweepOptions::new(7, 3)] {
+            let cs = CompiledSweep::build(&mp, 0, &store, 0, Direction::Forward, &k, 0, &opts);
+            // γ_0 = 2 → one boundary; each rank owns 1 tile of 4×4×4 per
+            // slab → 16 lines, clen 1 → one 16-element message.
+            assert_eq!(cs.message_lens(), vec![16], "{opts:?}");
+        }
     }
 
     #[test]
@@ -1314,7 +1094,7 @@ mod tests {
             }
             assert_eq!(plan.builds(), 1, "halo plan rebuilt");
             assert!(plan.build_ns() > 0);
-            // Ghosts filled exactly as the per-call exchange fills them.
+            // Every ghost with an interior neighbor holds its global value.
             for tile in &store.tiles {
                 let arr = tile.field(0);
                 let origin = &tile.region.origin;
@@ -1360,7 +1140,7 @@ mod tests {
 
         // Two tiles of 4 full blocks + 4 single-line remainders.
         let jobs = mk(&[32, 32, 32, 32, 1, 1, 1, 1]);
-        let spans = balanced_spans(&jobs, 0, jobs.len(), 2);
+        let spans = balanced_spans(&jobs, 2);
         assert_eq!(spans, vec![(0, 2), (2, 8)]);
         let (w0, w1) = (weight(&jobs, spans[0]), weight(&jobs, spans[1]));
         assert!(w0.abs_diff(w1) <= 32, "imbalance {w0} vs {w1}");
@@ -1376,7 +1156,7 @@ mod tests {
             (vec![32; 13], 4),
         ] {
             let jobs = mk(&nlines);
-            let spans = balanced_spans(&jobs, 0, jobs.len(), nw);
+            let spans = balanced_spans(&jobs, nw);
             assert!(spans.len() <= nw && !spans.is_empty());
             assert_eq!(spans[0].0, 0);
             assert_eq!(spans.last().unwrap().1, jobs.len());
@@ -1385,65 +1165,59 @@ mod tests {
                 assert!(w[0].0 < w[0].1, "empty span: {spans:?}");
             }
         }
-        // Sub-ranges (pipelined chunks) balance within the chunk.
-        let jobs = mk(&[8, 8, 8, 8, 8, 8]);
-        assert_eq!(balanced_spans(&jobs, 2, 6, 2), vec![(2, 4), (4, 6)]);
-        assert_eq!(balanced_spans(&jobs, 3, 3, 2), Vec::<(usize, usize)>::new());
+        assert_eq!(balanced_spans(&[], 2), Vec::<(usize, usize)>::new());
     }
 
-    /// After warm-up, sweeping through an engine spawns zero threads (pool
-    /// dispatch only) and allocates zero transport buffers (recycle pool
-    /// always hits), with one chunk per phase and with three.
+    /// After warm-up, sweeping through a solver plan spawns zero threads
+    /// (pool dispatch only) and allocates zero transport buffers (recycle
+    /// pool always hits).
     #[test]
     fn steady_state_spawns_and_allocates_nothing() {
         let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
         let fields = [FieldDef::new("u", 0)];
-        for opts in [
-            SweepOptions::new(4, 3),
-            SweepOptions::new(8, 2).with_pipeline_chunks(3),
-        ] {
+        for opts in [SweepOptions::new(4, 3), SweepOptions::new(8, 2)] {
             let grid = grid_for(&mp, &eta);
             let o = opts.clone();
             run_threaded(mp.p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
                 store.init_field(0, init_value);
-                let mut engine = SweepEngine::new(o.clone());
+                let mut plan = SolverPlan::new(o.clone());
                 // Warm-up: builds the plans (spawning the pool once) and
                 // populates the communicator's recycle pool.
                 for dim in 0..3 {
-                    engine.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
-                    engine.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
+                    plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
+                    plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
                 }
                 comm.barrier();
-                let spawned = engine.pool_threads_spawned();
-                let dispatches = engine.pool_dispatches();
+                let spawned = plan.pool_threads_spawned();
+                let dispatches = plan.pool_dispatches();
                 let misses = comm.pool_misses;
                 assert_eq!(spawned, o.threads - 1, "pool holds threads − 1 workers");
                 assert!(dispatches > 0, "warm-up phases must dispatch the pool");
                 // Steady state: 10 more timesteps of all six sweeps.
                 for _ in 0..10 {
                     for dim in 0..3 {
-                        engine.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
-                        engine.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
+                        plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
+                        plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
                     }
                 }
                 comm.barrier();
                 assert_eq!(
-                    engine.pool_threads_spawned(),
+                    plan.pool_threads_spawned(),
                     spawned,
                     "steady state spawned threads"
                 );
                 assert!(
-                    engine.pool_dispatches() > dispatches,
+                    plan.pool_dispatches() > dispatches,
                     "steady state stopped using the pool"
                 );
                 assert_eq!(
                     comm.pool_misses, misses,
                     "steady state allocated transport buffers"
                 );
-                assert_eq!(engine.builds(), 6, "steady state rebuilt plans");
+                assert_eq!(plan.builds(), 6, "steady state rebuilt plans");
             });
         }
     }

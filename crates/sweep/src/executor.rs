@@ -30,8 +30,11 @@
 //! [`crate::pool::WorkerPool`]; all scratch buffers are reused across the
 //! γ phases, so steady-state phases allocate nothing.
 //!
-//! Also provides the halo exchange used by stencil phases (e.g. SP's
-//! `compute_rhs`), with the same per-direction aggregation.
+//! The phase loop itself is [`crate::compiled::CompiledSweep::execute`];
+//! timestepping drivers run it through a cached
+//! [`crate::compiled::SolverPlan`]. This module also provides the halo
+//! exchange used by stencil phases (e.g. SP's `compute_rhs`), with the
+//! same per-direction aggregation.
 
 use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::{SimdLevel, SimdMode};
@@ -41,10 +44,10 @@ use mp_grid::{AlignedVec, HaloPlan, LaneField, Lanes, RankStore, TileGrid};
 use mp_runtime::comm::{Communicator, Tag};
 use std::time::Instant;
 
-/// Tuning knobs for [`multipart_sweep_opts`]. The defaults reproduce the
-/// byte-identical communication schedule of [`multipart_sweep`] — options
-/// only change *how* each phase's compute is organized, never what goes on
-/// the wire.
+/// Tuning knobs for the sweep executor. Options only change *how* each
+/// phase's compute is organized, never what goes on the wire: every
+/// setting produces bitwise-identical fields and the same aggregated
+/// message schedule, so ranks of one sweep may even run different options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
     /// Lines per block: each tile's cross-section is processed in chunks of
@@ -55,15 +58,6 @@ pub struct SweepOptions {
     /// Worker threads per rank for block execution within a phase. `1`
     /// runs inline on the calling thread.
     pub threads: usize,
-    /// Carry sub-messages per phase boundary (**pipelined** execution,
-    /// [`crate::pipeline`]): each phase's block jobs are split into `k`
-    /// contiguous chunks whose carries ship eagerly as soon as they are
-    /// final, overlapping carry communication with the remaining chunks'
-    /// computation. `1` is the paper's aggregated one-message-per-phase
-    /// schedule. Results are bitwise identical for every value; only the
-    /// message granularity changes (`k` sub-messages carrying the same
-    /// total payload). All ranks of one sweep must use the same value.
-    pub pipeline_chunks: usize,
     /// Which kernel vectorization level to use (see [`crate::simd`]):
     /// [`SimdMode::Auto`] (the default) resolves to the widest path the CPU
     /// supports at plan-build time, [`SimdMode::Scalar`] forces the
@@ -73,22 +67,13 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Options with an explicit block width and thread count (aggregated
-    /// single-message schedule, `pipeline_chunks = 1`).
+    /// Options with an explicit block width and thread count.
     pub fn new(block_width: usize, threads: usize) -> Self {
         SweepOptions {
             block_width: block_width.max(1),
             threads: threads.max(1),
-            pipeline_chunks: 1,
             simd: SimdMode::Auto,
         }
-    }
-
-    /// Same options with `pipeline_chunks` carry sub-messages per phase
-    /// boundary (clamped to ≥ 1).
-    pub fn with_pipeline_chunks(mut self, pipeline_chunks: usize) -> Self {
-        self.pipeline_chunks = pipeline_chunks.max(1);
-        self
     }
 
     /// Same options with an explicit kernel vectorization mode.
@@ -100,12 +85,11 @@ impl SweepOptions {
     /// Options from the environment — the single documented place every
     /// entry point (CLI, examples, benches) reads the sweep knobs from:
     ///
-    /// | variable            | meaning                           | default |
-    /// |---------------------|-----------------------------------|---------|
-    /// | `MP_SWEEP_BLOCK`    | lines per block                   | 32      |
-    /// | `MP_SWEEP_THREADS`  | worker threads per rank           | 1       |
-    /// | `MP_SWEEP_PIPELINE` | carry sub-messages per boundary   | 1       |
-    /// | `MP_SWEEP_SIMD`     | kernel path: `auto`/`scalar`      | auto    |
+    /// | variable           | meaning                      | default |
+    /// |--------------------|------------------------------|---------|
+    /// | `MP_SWEEP_BLOCK`   | lines per block              | 32      |
+    /// | `MP_SWEEP_THREADS` | worker threads per rank      | 1       |
+    /// | `MP_SWEEP_SIMD`    | kernel path: `auto`/`scalar` | auto    |
     ///
     /// Malformed or out-of-range values (empty, non-numeric, `0` for the
     /// numeric knobs, an unknown mode word) fall back to the default rather
@@ -118,7 +102,6 @@ impl SweepOptions {
             env_usize("MP_SWEEP_BLOCK", 32),
             env_usize("MP_SWEEP_THREADS", 1),
         )
-        .with_pipeline_chunks(env_usize("MP_SWEEP_PIPELINE", 1))
         .with_simd(SimdMode::from_env())
     }
 }
@@ -225,8 +208,7 @@ pub(crate) struct BlockJob {
     /// Lines in this block.
     pub(crate) nlines: usize,
     /// Start of the block's carries, in elements from the start of the
-    /// *phase's* carry stream (runners subtract their chunk's base to
-    /// address within a chunk's message buffer).
+    /// phase's carry message.
     pub(crate) carry_off: usize,
 }
 
@@ -289,8 +271,8 @@ pub(crate) struct SharedPhase<'a, K: ?Sized> {
     /// execution never re-detects CPU features.
     pub(crate) simd: SimdLevel,
     /// Run block jobs in place on tile storage (decided per phase from its
-    /// geometry at plan-build time). The job and chunk tables are identical
-    /// either way, so the wire schedule cannot change.
+    /// geometry at plan-build time). The job table is identical either
+    /// way, so the wire schedule cannot change.
     pub(crate) inplace: bool,
 }
 
@@ -365,18 +347,16 @@ fn decode_lines<K: LineSweepKernel + ?Sized>(
 }
 
 /// Run one block job in its phase's mode. The job's carries are a
-/// sub-range of `out` — one chunk's carry message, whose first element is
-/// the phase-global carry element `carry_base` — line-major, `clen` per
+/// sub-range of `out`, the phase's carry message — line-major, `clen` per
 /// line.
 #[inline]
 fn run_one<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
     out: RawParts,
-    carry_base: usize,
     w: &mut WorkerScratch,
 ) {
-    let off = job.carry_off - carry_base;
+    let off = job.carry_off;
     let len = job.nlines * sh.clen;
     debug_assert!(off + len <= out.len);
     // SAFETY: jobs' carry ranges are disjoint and `out` is not resized
@@ -537,10 +517,9 @@ struct ScratchPtr(*mut WorkerScratch);
 unsafe impl Send for ScratchPtr {}
 unsafe impl Sync for ScratchPtr {}
 
-/// Run the per-worker job spans (absolute, non-empty index ranges into
-/// `sh.jobs`, precomputed load-balanced at plan-build time) against the
-/// carry buffer `out`, whose first element is the phase-global carry
-/// element `carry_base`. A single span runs inline on the caller; multiple
+/// Run the per-worker job spans (non-empty index ranges into `sh.jobs`,
+/// precomputed load-balanced at plan-build time) against the phase's
+/// carry message `out`. A single span runs inline on the caller; multiple
 /// spans run one per worker of the persistent `pool` (zero thread spawns),
 /// which must be `Some` whenever the plan has more than one worker. Jobs
 /// touch disjoint lines and disjoint carry ranges, so spans are
@@ -549,7 +528,6 @@ pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     spans: &[(usize, usize)],
     out: RawParts,
-    carry_base: usize,
     workers: &mut [WorkerScratch],
     pool: Option<&crate::pool::WorkerPool>,
 ) {
@@ -561,7 +539,7 @@ pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
         let (lo, hi) = spans[0];
         let w = &mut workers[0];
         for job in &sh.jobs[lo..hi] {
-            run_one(sh, job, out, carry_base, w);
+            run_one(sh, job, out, w);
         }
         return;
     }
@@ -575,108 +553,20 @@ pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
         // run, so scratch slot `wi` is exclusively this worker's.
         let w = unsafe { &mut *base.0.add(wi) };
         for job in &sh.jobs[lo..hi] {
-            run_one(sh, job, out, carry_base, w);
+            run_one(sh, job, out, w);
         }
     };
     pool.run(nw, &task);
 }
 
-/// Execute one multipartitioned line sweep with default [`SweepOptions`].
-///
-/// * `comm` — this rank's endpoint (threaded backend or serial).
-/// * `store` — this rank's tiles; must have been allocated for exactly the
-///   tiles `mp.tiles_of(comm.rank())`.
-/// * `dim`/`dir` — the swept dimension and direction.
-/// * `kernel` — the per-segment recurrence.
-/// * `tag_base` — tags `tag_base + phase` are used on the wire.
-///
-/// Self-neighbor schedules (a rank owning consecutive tiles along `dim`,
-/// possible for over-cut valid partitionings) short-circuit the network and
-/// pass carries locally.
-pub fn multipart_sweep<C: Communicator, K: LineSweepKernel>(
-    comm: &mut C,
-    store: &mut RankStore,
-    mp: &Multipartitioning,
-    dim: usize,
-    dir: Direction,
-    kernel: &K,
-    tag_base: Tag,
-) {
-    multipart_sweep_opts(
-        comm,
-        store,
-        mp,
-        dim,
-        dir,
-        kernel,
-        tag_base,
-        &SweepOptions::default(),
-    );
-}
-
-/// [`multipart_sweep`] with explicit execution options. Results are
-/// identical for every option setting; `block_width` and `threads` trade
-/// only intra-rank execution strategy (the communication schedule stays
-/// byte-identical), while `pipeline_chunks` ships each phase's carries as
-/// that many eagerly sent sub-messages (see [`crate::pipeline`]; same
-/// total payload, same byte order).
-///
-/// This is now a thin build-then-execute wrapper over
-/// [`crate::compiled::CompiledSweep`]: callers that run the same sweep
-/// repeatedly should hold a [`crate::compiled::SweepEngine`] instead and
-/// amortize the build.
-#[allow(clippy::too_many_arguments)]
-pub fn multipart_sweep_opts<C: Communicator, K: LineSweepKernel>(
-    comm: &mut C,
-    store: &mut RankStore,
-    mp: &Multipartitioning,
-    dim: usize,
-    dir: Direction,
-    kernel: &K,
-    tag_base: Tag,
-    opts: &SweepOptions,
-) {
-    let mut cs = crate::compiled::CompiledSweep::build(
-        mp,
-        comm.rank(),
-        store,
-        dim,
-        dir,
-        kernel,
-        tag_base,
-        opts,
-    );
-    cs.execute(comm, store, kernel);
-}
-
-/// Exchange `width` ghost layers of `field` across all tile faces, in both
-/// directions of every dimension, with per-(dimension, direction)
-/// aggregation: each rank sends at most one message per neighbor per
-/// direction. Ghosts at the physical domain boundary are left untouched.
-///
-/// Builds a fresh [`HaloPlan`] per call; timestepping drivers should hold
-/// one in a [`crate::compiled::SolverPlan`] and reuse it via
-/// [`exchange_halos_planned`].
-pub fn exchange_halos<C: Communicator>(
-    comm: &mut C,
-    store: &mut RankStore,
-    mp: &Multipartitioning,
-    field: usize,
-    width: usize,
-    tag_base: Tag,
-) {
-    let rank = comm.rank();
-    let plan = HaloPlan::build(store, mp.gammas(), width, |dm, st| {
-        mp.neighbor_rank(rank, dm, st)
-    });
-    exchange_halos_planned(comm, store, field, tag_base, &plan);
-}
-
-/// [`exchange_halos`] against a precomputed [`HaloPlan`]: the per-call tile
-/// enumeration and buffer sizing are gone, faces are packed into a pooled
-/// buffer ([`Communicator::take_send_buffer`]), and consumed messages are
-/// recycled. The wire schedule (tags, message count, payload bytes) is
-/// identical to the unplanned path.
+/// Exchange the ghost layers of `field` across all tile faces, in both
+/// directions of every dimension, along a precomputed [`HaloPlan`] (its
+/// width is the number of layers shipped). Each rank sends at most one
+/// message per neighbor per direction; ghosts at the physical domain
+/// boundary are left untouched. Faces are packed into a pooled buffer
+/// ([`Communicator::take_send_buffer`]) and consumed messages are
+/// recycled. Timestepping drivers hold the plan in a
+/// [`crate::compiled::SolverPlan`] ([`crate::compiled::SolverPlan::exchange_halos`]).
 pub fn exchange_halos_planned<C: Communicator>(
     comm: &mut C,
     store: &mut RankStore,
@@ -746,6 +636,7 @@ pub fn allocate_rank_store(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::SolverPlan;
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use crate::verify::serial_sweep;
     use mp_core::cost::CostModel;
@@ -791,7 +682,7 @@ mod tests {
         let results = run_threaded(mp.p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), mp, &grid, &fields);
             store.init_field(0, init_value);
-            multipart_sweep_opts(comm, &mut store, mp, dim, dir, kernel, 1000, opts);
+            SolverPlan::new(opts.clone()).sweep(comm, &mut store, mp, dim, dir, kernel, 1000);
             (store, comm.sent_messages, comm.sent_elements)
         });
         let mut global = ArrayD::zeros(eta);
@@ -849,6 +740,43 @@ mod tests {
         assert_eq!(env_usize_opt("MP_SWEEP_TEST_KNOB_C", "default 4"), Some(7));
         std::env::remove_var("MP_SWEEP_TEST_KNOB_C");
         assert_eq!(env_usize_opt("MP_SWEEP_TEST_KNOB_C", "default 4"), None);
+    }
+
+    #[test]
+    fn env_knob_invalid_values_fall_back() {
+        // SweepOptions::from_env parsing: garbage and zero fall back to
+        // each knob's default instead of panicking. (Serialized with every
+        // other env-mutating test via the shared lock.)
+        let _guard = env_test_lock();
+        for bad in ["", "banana", "0", "-3", "1.5"] {
+            std::env::set_var("MP_SWEEP_THREADS", bad);
+            std::env::set_var("MP_SWEEP_BLOCK", bad);
+            let o = SweepOptions::from_env();
+            assert_eq!(o.threads, 1, "value {bad:?}");
+            assert_eq!(o.block_width, 32, "value {bad:?}");
+        }
+        std::env::set_var("MP_SWEEP_BLOCK", "16");
+        let o = SweepOptions::from_env();
+        assert_eq!(o.block_width, 16);
+        // MP_SWEEP_SIMD picks the dispatch mode; anything unrecognized
+        // (including garbage and the level name `avx2`) falls back to auto
+        // rather than erroring.
+        for (val, want) in [
+            ("scalar", SimdMode::Scalar),
+            ("AVX2", SimdMode::Auto),
+            (" auto ", SimdMode::Auto),
+            ("banana", SimdMode::Auto),
+            ("", SimdMode::Auto),
+        ] {
+            std::env::set_var("MP_SWEEP_SIMD", val);
+            assert_eq!(SweepOptions::from_env().simd, want, "value {val:?}");
+        }
+        std::env::remove_var("MP_SWEEP_THREADS");
+        std::env::remove_var("MP_SWEEP_BLOCK");
+        std::env::remove_var("MP_SWEEP_SIMD");
+        let o = SweepOptions::default(); // Default == from_env
+        assert_eq!((o.block_width, o.threads), (32, 1));
+        assert_eq!(o.simd, SimdMode::Auto, "simd defaults to auto");
     }
 
     #[test]
@@ -990,8 +918,9 @@ mod tests {
         let mut comm = SerialComm;
         let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
         store.init_field(0, init_value);
+        let mut plan = SolverPlan::new(SweepOptions::default());
         for dim in 0..3 {
-            multipart_sweep(&mut comm, &mut store, &mp, dim, Direction::Forward, &k, 0);
+            plan.sweep(&mut comm, &mut store, &mp, dim, Direction::Forward, &k, 0);
         }
         let mut global = ArrayD::zeros(&eta);
         store.gather_into(0, &mut global);
@@ -1015,7 +944,8 @@ mod tests {
         let mp1 = Multipartitioning::from_partitioning(1, Partitioning::new(vec![2, 2, 1]));
         let k = PrefixSumKernel::new(0);
         let mut comm = SerialComm;
-        multipart_sweep(&mut comm, &mut store, &mp1, 0, Direction::Forward, &k, 0);
+        let mut plan = SolverPlan::new(SweepOptions::default());
+        plan.sweep(&mut comm, &mut store, &mp1, 0, Direction::Forward, &k, 0);
     }
 
     #[test]
@@ -1029,7 +959,8 @@ mod tests {
         run_threaded(4, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, |g| (g[0] * 100 + g[1] * 10 + g[2]) as f64);
-            exchange_halos(comm, &mut store, &mp, 0, 2, 4_000);
+            SolverPlan::new(SweepOptions::default())
+                .exchange_halos(comm, &mut store, &mp, 0, 2, 4_000);
             for tile in &store.tiles {
                 let arr = tile.field(0);
                 let origin = &tile.region.origin;
@@ -1059,7 +990,8 @@ mod tests {
         run_threaded(4, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, |g| (g[0] * 100 + g[1] * 10 + g[2]) as f64);
-            exchange_halos(comm, &mut store, &mp, 0, 1, 5000);
+            SolverPlan::new(SweepOptions::default())
+                .exchange_halos(comm, &mut store, &mp, 0, 1, 5000);
             // Every interior-adjacent ghost must equal the global value.
             for tile in &store.tiles {
                 let arr = tile.field(0);
@@ -1096,7 +1028,8 @@ mod tests {
         run_threaded(8, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, |g| (g[0] * 100 + g[1] * 10 + g[2]) as f64 + 1.0);
-            exchange_halos(comm, &mut store, &mp, 0, 1, 9000);
+            SolverPlan::new(SweepOptions::default())
+                .exchange_halos(comm, &mut store, &mp, 0, 1, 9000);
             for tile in &store.tiles {
                 let arr = tile.field(0);
                 let origin = &tile.region.origin;

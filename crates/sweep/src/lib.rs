@@ -13,13 +13,11 @@
 //!   tridiagonal solve into two directional sweeps;
 //! * [`executor`] — the functional multipartitioned sweep executor
 //!   (options, blocked job runners, halo exchange);
-//! * [`compiled`] — build-once / execute-many sweep plans and the one
-//!   phase loop: [`compiled::CompiledSweep`], the per-`(dim, direction)`
-//!   cache [`compiled::SweepEngine`], and the driver-level
-//!   [`compiled::SolverPlan`];
-//! * [`pipeline`] — the chunked carry protocol: per-phase carries split
-//!   into eagerly sent sub-messages that overlap with block computation
-//!   (one chunk is the aggregated schedule);
+//! * [`compiled`] — build-once / execute-many sweep plans and the paper's
+//!   phase loop (one aggregated carry message per phase boundary):
+//!   [`compiled::CompiledSweep`] and the driver-level
+//!   [`compiled::SolverPlan`], which caches one plan per `(dim,
+//!   direction)` plus the halo schedule;
 //! * [`pool`] — the persistent per-rank [`pool::WorkerPool`] that executes
 //!   phases without per-phase thread spawns;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
@@ -42,7 +40,6 @@ pub mod block;
 pub mod compiled;
 pub mod executor;
 pub mod penta;
-pub mod pipeline;
 pub mod pool;
 pub mod recurrence;
 pub mod simd;
@@ -58,11 +55,8 @@ mod tests_trace;
 
 pub use batch::BatchedKernel;
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
-pub use compiled::{CompiledSweep, PlanKey, SolverPlan, SweepEngine, SweepError};
-pub use executor::{
-    allocate_rank_store, exchange_halos, exchange_halos_planned, multipart_sweep,
-    multipart_sweep_opts, SweepOptions,
-};
+pub use compiled::{CompiledSweep, PlanKey, SolverPlan, SweepError};
+pub use executor::{allocate_rank_store, exchange_halos_planned, SweepOptions};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
 pub use pool::WorkerPool;
 pub use recurrence::{

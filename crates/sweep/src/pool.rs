@@ -3,7 +3,7 @@
 //! The blocked executor used to spawn a fresh `std::thread::scope` of
 //! workers for *every phase of every sweep* — `γ · sweeps` thread
 //! creations per rank per timestep. A [`WorkerPool`] is created once per
-//! compiled plan (or shared across an engine's plans) and its workers park
+//! compiled plan (or shared across a solver plan's sweeps) and its workers park
 //! between phases: dispatching a phase is one mutex lock plus a condvar
 //! broadcast, and steady-state execution performs **zero thread spawns**
 //! (asserted by [`WorkerPool::threads_spawned`] staying flat while

@@ -133,53 +133,6 @@ pub fn simulate_multipart_sweep(
     }
 }
 
-/// Pipelined variant of [`simulate_multipart_sweep`], mirroring the
-/// functional [`crate::pipeline`] mode: each phase's compute is split into
-/// `chunks` pieces and a piece's carry sub-message ships as soon as that
-/// piece finishes, so the downstream rank can start its matching piece
-/// without waiting for the sender's whole slab.
-///
-/// This is where the paper's §3.1 aggregation-vs-pipelining tradeoff
-/// becomes measurable: per phase boundary the aggregated schedule pays
-/// `K2 + L·K3` of serialization after the full slab compute, while the
-/// pipelined schedule pays `K2 + (L/k)·K3` after the *last piece* only —
-/// at the price of `k` per-message overheads `K2` and `k×` the message
-/// count. `chunks = 1` issues the exact event sequence of
-/// [`simulate_multipart_sweep`].
-pub fn simulate_multipart_sweep_pipelined(
-    net: &mut SimNet,
-    geo: &MultipartGeometry,
-    dim: usize,
-    work: &SweepWork,
-    chunks: u64,
-    tag_base: u64,
-) {
-    let k = chunks.max(1);
-    let gamma = geo.gammas[dim];
-    let elem_t = net.model().k1;
-    for phase in 0..gamma {
-        for rank in 0..geo.p {
-            let upstream = geo.neighbor_bwd[rank as usize][dim];
-            let down = geo.neighbor_fwd[rank as usize][dim];
-            let vol = geo.volumes[rank as usize][dim][phase as usize];
-            let elems = geo.lines[rank as usize][dim][phase as usize] * work.carry_len;
-            for j in 0..k {
-                // A piece starts once its own sub-message has landed…
-                if phase > 0 && upstream != rank {
-                    net.recv(rank, upstream, tag_base + phase);
-                }
-                let v = (j + 1) * vol / k - j * vol / k;
-                net.compute_seconds(rank, v as f64 * work.work_per_element * elem_t);
-                // …and its carries leave before the next piece computes.
-                if phase + 1 < gamma && down != rank {
-                    let e = (j + 1) * elems / k - j * elems / k;
-                    net.send(rank, down, tag_base + phase + 1, e);
-                }
-            }
-        }
-    }
-}
-
 /// Ablation variant of [`simulate_multipart_sweep`]: ship one message **per
 /// tile** instead of one aggregated message per rank per phase — what a
 /// naive code generator would emit if it ignored the neighbor property
@@ -236,7 +189,8 @@ pub fn simulate_multipart_sweep_unaggregated(
 
 /// Simulate the halo exchange of one field over a multipartitioning (per
 /// dimension, both directions, aggregated per neighbor as in
-/// [`crate::executor::exchange_halos`]). `width` ghost layers are shipped.
+/// [`crate::executor::exchange_halos_planned`]). `width` ghost layers are
+/// shipped.
 pub fn simulate_halo_exchange(
     net: &mut SimNet,
     mp: &Multipartitioning,
@@ -503,102 +457,6 @@ mod tests {
         simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 0);
         assert_eq!(net.stats.messages, 0);
         assert!(net.makespan() > 0.0);
-    }
-
-    #[test]
-    fn pipelined_chunks_one_identical_to_aggregated() {
-        let (mp, grid) = sp_mp(16, 64);
-        let geo = MultipartGeometry::new(&mp, &grid);
-        let work = SweepWork {
-            work_per_element: 2.0,
-            carry_len: 5,
-        };
-        let mut agg = SimNet::new(16, machine());
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
-        let mut pip = SimNet::new(16, machine());
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, 1, 0);
-        assert_eq!(agg.makespan(), pip.makespan());
-        assert_eq!(agg.stats, pip.stats);
-        for r in 0..16 {
-            assert_eq!(agg.clock(r), pip.clock(r));
-        }
-    }
-
-    #[test]
-    fn pipelined_message_counts_scale_with_chunks() {
-        let (mp, grid) = sp_mp(16, 64);
-        let geo = MultipartGeometry::new(&mp, &grid);
-        let work = SweepWork::default();
-        let mut agg = SimNet::new(16, machine());
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
-        let k = 4u64;
-        let mut pip = SimNet::new(16, machine());
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, k, 0);
-        assert_eq!(pip.stats.messages, agg.stats.messages * k);
-        assert_eq!(pip.stats.elements, agg.stats.elements);
-        assert!(pip.all_delivered());
-    }
-
-    #[test]
-    fn pipelined_wins_when_payload_dominates() {
-        // γ = 4 multi-phase sweep on a bandwidth-bound machine (heavy
-        // carries, cheap α): overlapping the K3 payload with piece compute
-        // must beat the aggregated compute→send→wait chain.
-        use mp_core::cost::BandwidthScaling;
-        let mp = Multipartitioning::from_partitioning(4, Partitioning::new(vec![4, 2, 2]));
-        let grid = TileGrid::new(&[32, 32, 32], &[4, 2, 2]);
-        let geo = MultipartGeometry::new(&mp, &grid);
-        assert!(geo.gammas[0] >= 4, "test premise: γ ≥ 4 phases");
-        let m = CostModel {
-            k1: 1e-7,
-            k2: 1e-6,
-            k3: 1e-6,
-            scaling: BandwidthScaling::Fixed,
-        };
-        let work = SweepWork {
-            work_per_element: 1.0,
-            carry_len: 5,
-        };
-        let mut agg = SimNet::new(4, m);
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
-        let mut pip = SimNet::new(4, m);
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, 8, 0);
-        assert!(
-            pip.makespan() < agg.makespan(),
-            "pipelined should win when K3 payload dominates: pip={} agg={}",
-            pip.makespan(),
-            agg.makespan()
-        );
-    }
-
-    #[test]
-    fn pipelined_loses_when_latency_dominates() {
-        // Same schedule on a latency-bound machine (huge α, light
-        // carries): k× the per-message overhead must hurt.
-        use mp_core::cost::BandwidthScaling;
-        let mp = Multipartitioning::from_partitioning(4, Partitioning::new(vec![4, 2, 2]));
-        let grid = TileGrid::new(&[32, 32, 32], &[4, 2, 2]);
-        let geo = MultipartGeometry::new(&mp, &grid);
-        let m = CostModel {
-            k1: 1e-7,
-            k2: 1e-3,
-            k3: 1e-9,
-            scaling: BandwidthScaling::Fixed,
-        };
-        let work = SweepWork {
-            work_per_element: 1.0,
-            carry_len: 1,
-        };
-        let mut agg = SimNet::new(4, m);
-        simulate_multipart_sweep(&mut agg, &geo, 0, &work, 0);
-        let mut pip = SimNet::new(4, m);
-        simulate_multipart_sweep_pipelined(&mut pip, &geo, 0, &work, 8, 0);
-        assert!(
-            pip.makespan() > agg.makespan(),
-            "aggregation should win when K2 dominates: pip={} agg={}",
-            pip.makespan(),
-            agg.makespan()
-        );
     }
 
     #[test]

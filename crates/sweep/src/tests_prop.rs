@@ -515,9 +515,10 @@ fn simd_kernels_match_scalar_bitwise() {
 #[test]
 fn random_executor_configs_match_serial() {
     // End-to-end property: random domain shapes, rank counts, block widths
-    // and thread counts all produce the serial result bitwise, with the
-    // same message count and payload volume as per-line execution.
-    use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
+    // and thread counts all produce the serial result bitwise, with exactly
+    // the message count and payload volume of per-line execution.
+    use crate::compiled::SolverPlan;
+    use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::FirstOrderKernel;
     use crate::verify::serial_sweep;
     use mp_core::cost::CostModel;
@@ -554,21 +555,17 @@ fn random_executor_configs_match_serial() {
         serial_sweep(&mut [&mut want], dim, dir, &k);
 
         let mut baseline: Option<(u64, u64)> = None;
-        let per_line = SweepOptions::new(1, 1);
-        let blocked = SweepOptions::new(rng.usize_in(1, 64), rng.usize_in(1, 4));
-        // Aggregated single-message schedule spelled explicitly: chunks = 1
-        // must send exactly the baseline message counts.
-        let chunks_one =
-            SweepOptions::new(rng.usize_in(1, 64), rng.usize_in(1, 4)).with_pipeline_chunks(1);
-        // Pipelined: same payload, possibly more (never fewer) messages.
-        let pipelined = SweepOptions::new(rng.usize_in(1, 64), rng.usize_in(1, 4))
-            .with_pipeline_chunks(rng.usize_in(2, 6));
-        for opts in [&per_line, &blocked, &chunks_one, &pipelined] {
+        let mut options = vec![SweepOptions::new(1, 1)];
+        for _ in 0..3 {
+            options.push(SweepOptions::new(rng.usize_in(1, 64), rng.usize_in(1, 4)));
+        }
+        for opts in &options {
             let fields = [FieldDef::new("u", 0)];
             let results = run_threaded(p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
                 store.init_field(0, init);
-                multipart_sweep_opts(comm, &mut store, &mp, dim, dir, &k, 77, opts);
+                let mut plan = SolverPlan::new(opts.clone());
+                plan.sweep(comm, &mut store, &mp, dim, dir, &k, 77);
                 (store, comm.sent_messages, comm.sent_elements)
             });
             let mut global = ArrayD::zeros(&eta);
@@ -585,10 +582,6 @@ fn random_executor_configs_match_serial() {
             );
             match baseline {
                 None => baseline = Some((msgs, elems)),
-                Some((bm, be)) if opts.pipeline_chunks > 1 => {
-                    assert_eq!(elems, be, "payload changed: {opts:?}");
-                    assert!(msgs >= bm, "fewer messages than aggregated: {opts:?}");
-                }
                 Some(b) => assert_eq!((msgs, elems), b, "schedule changed: {opts:?}"),
             }
         }
@@ -596,125 +589,15 @@ fn random_executor_configs_match_serial() {
 }
 
 #[test]
-fn random_pipelined_configs_match_blocked_executor() {
-    // The ISSUE's pipelined property: across randomized
-    // (p, dims, block_width, threads, pipeline_chunks), pipelined execution
-    // is bitwise equal to the blocked executor, ships the same total
-    // payload, and multiplies the per-boundary message count by
-    // min(pipeline_chunks, njobs) — checked here as an exact count when
-    // every phase has at least `pipeline_chunks` jobs.
-    use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
-    use crate::recurrence::PrefixSumKernel;
-    use mp_core::multipart::Multipartitioning;
-    use mp_core::partition::Partitioning;
-    use mp_grid::{ArrayD, FieldDef, TileGrid};
-    use mp_runtime::comm::Communicator;
-    use mp_runtime::threaded::run_threaded;
-
-    cases(0x7507, 10, |rng| {
-        // Random draw from known-valid (p, γ) pairs (validity: for every
-        // dim i, p divides Π_{j≠i} γ_j), covering self-neighbor schedules
-        // ((2,[4,2,2]) along dim 0), multiple tiles per rank per slab, and
-        // γ up to 6.
-        let (p, gammas): (u64, Vec<u64>) = match rng.usize_in(0, 6) {
-            0 => (2, vec![2, 2, 1]),
-            1 => (4, vec![2, 2, 2]),
-            2 => (4, vec![4, 2, 2]),
-            3 => (8, vec![4, 4, 2]),
-            4 => (2, vec![4, 2, 2]),
-            5 => (3, vec![3, 3, 1]),
-            _ => (6, vec![6, 3, 2]),
-        };
-        let part = Partitioning::new(gammas);
-        assert!(part.is_valid(p), "test premise");
-        let mp = Multipartitioning::from_partitioning(p, part);
-        let dim = rng.usize_in(0, 2);
-        let dir = if rng.bool() {
-            Direction::Forward
-        } else {
-            Direction::Backward
-        };
-        let k = PrefixSumKernel::new(0);
-        let eta: Vec<usize> = mp
-            .gammas()
-            .iter()
-            .map(|&g| {
-                let g = g as usize;
-                g * rng.usize_in(2, 4) + rng.usize_in(0, g - 1)
-            })
-            .collect();
-        let grid = TileGrid::new(
-            &eta,
-            &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
-        );
-        let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
-        let fields = [FieldDef::new("u", 0)];
-
-        let run = |opts: &SweepOptions| {
-            let results = run_threaded(p, |comm| {
-                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init);
-                multipart_sweep_opts(comm, &mut store, &mp, dim, dir, &k, 123, opts);
-                (store, comm.sent_messages, comm.sent_elements)
-            });
-            let mut global = ArrayD::zeros(&eta);
-            let (mut msgs, mut elems) = (0u64, 0u64);
-            for (store, m, e) in &results {
-                store.gather_into(0, &mut global);
-                msgs += m;
-                elems += e;
-            }
-            (global, msgs, elems)
-        };
-
-        let (base, base_msgs, base_elems) =
-            run(&SweepOptions::new(rng.usize_in(1, 16), rng.usize_in(1, 3)));
-        let chunks = rng.usize_in(2, 5);
-        // block_width 1 guarantees njobs = lines ≥ chunks in every phase
-        // (each tile cross-section has ≥ 2·2 = 4 lines at the extents
-        // chosen above is not guaranteed — so only assert the exact ratio
-        // when block_width 1 gives enough jobs).
-        let opts = SweepOptions::new(1, rng.usize_in(1, 3)).with_pipeline_chunks(chunks);
-        let (got, msgs, elems) = run(&opts);
-        assert_eq!(
-            got.max_abs_diff(&base),
-            0.0,
-            "p={p} eta={eta:?} dim={dim} {dir:?} {opts:?} not bitwise equal"
-        );
-        assert_eq!(elems, base_elems, "payload changed: {opts:?}");
-        let min_lines_per_slab: usize = {
-            // Smallest cross-section any tile can have along `dim`: product
-            // of floor(η_k / γ_k) over the other dims, times tiles/rank/slab.
-            let mut m = 1usize;
-            for (kk, (&e, &g)) in eta.iter().zip(mp.gammas().iter()).enumerate() {
-                if kk != dim {
-                    m *= e / g as usize;
-                }
-            }
-            m * mp.tiles_per_proc_per_slab(dim) as usize
-        };
-        if min_lines_per_slab >= chunks {
-            assert_eq!(
-                msgs,
-                base_msgs * chunks as u64,
-                "p={p} eta={eta:?} dim={dim}: expected exactly {chunks}× the messages"
-            );
-        } else {
-            assert!(msgs >= base_msgs);
-        }
-    });
-}
-
-#[test]
 fn random_compiled_plans_match_per_call_path() {
     // The compiled-plan property: across randomized
-    // (p, γ, η, block_width, threads, pipeline_chunks), executing through a
-    // cached `SweepEngine` — 10 sweeps cycling every (dim, direction) — is
-    // bitwise identical to 10 fresh `multipart_sweep_opts` calls, sends
-    // exactly the same message and element counts, and compiles each
-    // distinct (dim, direction) exactly once.
-    use crate::compiled::SweepEngine;
-    use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
+    // (p, γ, η, block_width, threads), executing through a cached
+    // `SolverPlan` — 10 sweeps cycling every (dim, direction) — is bitwise
+    // identical to building a fresh `CompiledSweep` for each of the 10
+    // calls, sends exactly the same message and element counts, and
+    // compiles each distinct (dim, direction) exactly once.
+    use crate::compiled::{CompiledSweep, SolverPlan};
+    use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::PrefixSumKernel;
     use mp_core::multipart::Multipartitioning;
     use mp_core::partition::Partitioning;
@@ -746,14 +629,13 @@ fn random_compiled_plans_match_per_call_path() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 32), rng.usize_in(1, 3))
-            .with_pipeline_chunks(rng.usize_in(1, 4));
+        let opts = SweepOptions::new(rng.usize_in(1, 32), rng.usize_in(1, 3));
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
         let k = PrefixSumKernel::new(0);
         // 10 sweeps cycling all six (dim, direction) pairs. Tags are keyed
         // to (dim, direction) — the solver pattern — so revisiting a pair is
-        // a cache hit and the engine compiles each pair exactly once.
+        // a cache hit and the plan compiles each pair exactly once.
         let schedule: Vec<(usize, Direction, u64)> = (0..10)
             .map(|s| {
                 let dim = s % 3;
@@ -770,18 +652,19 @@ fn random_compiled_plans_match_per_call_path() {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init);
             for &(dim, dir, tag) in &schedule {
-                multipart_sweep_opts(comm, &mut store, &mp, dim, dir, &k, tag, &opts);
+                CompiledSweep::build(&mp, comm.rank(), &store, dim, dir, &k, tag, &opts)
+                    .execute(comm, &mut store, &k);
             }
             (store, comm.sent_messages, comm.sent_elements)
         });
         let engine = run_threaded(p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init);
-            let mut eng = SweepEngine::new(opts.clone());
+            let mut plan = SolverPlan::new(opts.clone());
             for &(dim, dir, tag) in &schedule {
-                eng.sweep(comm, &mut store, &mp, dim, dir, &k, tag);
+                plan.sweep(comm, &mut store, &mp, dim, dir, &k, tag);
             }
-            (store, comm.sent_messages, comm.sent_elements, eng.builds())
+            (store, comm.sent_messages, comm.sent_elements, plan.builds())
         });
 
         let mut want = ArrayD::zeros(&eta);
@@ -799,7 +682,7 @@ fn random_compiled_plans_match_per_call_path() {
         assert_eq!(
             got.max_abs_diff(&want),
             0.0,
-            "p={p} eta={eta:?} {opts:?}: engine path not bitwise equal"
+            "p={p} eta={eta:?} {opts:?}: cached plan not bitwise equal"
         );
         assert_eq!((em, ee), (fm, fe), "message schedule changed: {opts:?}");
     });
@@ -807,11 +690,11 @@ fn random_compiled_plans_match_per_call_path() {
 
 #[test]
 fn random_engine_reuse_sends_identical_counts() {
-    // Satellite invariant: a cached `SweepEngine` reused for 10 identical
-    // sweeps sends exactly the same message and element counts as 10 fresh
-    // per-call executions, and builds its plan exactly once.
-    use crate::compiled::SweepEngine;
-    use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
+    // A cached `SolverPlan` reused for 10 identical sweeps sends exactly
+    // the same message and element counts as 10 freshly built
+    // `CompiledSweep`s, and builds its plan exactly once.
+    use crate::compiled::{CompiledSweep, SolverPlan};
+    use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::FirstOrderKernel;
     use mp_core::cost::CostModel;
     use mp_core::multipart::Multipartitioning;
@@ -839,8 +722,7 @@ fn random_engine_reuse_sends_identical_counts() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 16), rng.usize_in(1, 3))
-            .with_pipeline_chunks(rng.usize_in(1, 3));
+        let opts = SweepOptions::new(rng.usize_in(1, 16), rng.usize_in(1, 3));
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 11) as f64 - 5.0;
         let fields = [FieldDef::new("u", 0)];
 
@@ -848,18 +730,19 @@ fn random_engine_reuse_sends_identical_counts() {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init);
             for _ in 0..10 {
-                multipart_sweep_opts(comm, &mut store, &mp, dim, dir, &k, 55, &opts);
+                CompiledSweep::build(&mp, comm.rank(), &store, dim, dir, &k, 55, &opts)
+                    .execute(comm, &mut store, &k);
             }
             (store, comm.sent_messages, comm.sent_elements)
         });
         let engine = run_threaded(p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init);
-            let mut eng = SweepEngine::new(opts.clone());
+            let mut plan = SolverPlan::new(opts.clone());
             for _ in 0..10 {
-                eng.sweep(comm, &mut store, &mp, dim, dir, &k, 55);
+                plan.sweep(comm, &mut store, &mp, dim, dir, &k, 55);
             }
-            (store, comm.sent_messages, comm.sent_elements, eng.builds())
+            (store, comm.sent_messages, comm.sent_elements, plan.builds())
         });
 
         let mut want = ArrayD::zeros(&eta);
@@ -877,7 +760,7 @@ fn random_engine_reuse_sends_identical_counts() {
         assert_eq!(
             got.max_abs_diff(&want),
             0.0,
-            "engine result not bitwise equal"
+            "cached plan result not bitwise equal"
         );
     });
 }
@@ -890,7 +773,7 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
     // bare transport — and an injected rank panic must surface on every
     // dependent rank as a typed `RankFailed` failure within the deadline
     // instead of a hang.
-    use crate::compiled::SweepEngine;
+    use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::PrefixSumKernel;
     use mp_core::multipart::Multipartitioning;
@@ -921,8 +804,7 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 24), rng.usize_in(1, 3))
-            .with_pipeline_chunks(rng.usize_in(1, 3));
+        let opts = SweepOptions::new(rng.usize_in(1, 24), rng.usize_in(1, 3));
         let k = PrefixSumKernel::new(0);
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
@@ -943,9 +825,9 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
             run_threaded_result(p, run_opts, move |comm| {
                 let mut store = allocate_rank_store(comm.rank(), mp, grid, fields);
                 store.init_field(0, init);
-                let mut eng = SweepEngine::new(opts.clone());
+                let mut plan = SolverPlan::new(opts.clone());
                 for &(dim, dir, tag) in schedule {
-                    eng.sweep(comm, &mut store, mp, dim, dir, k, tag);
+                    plan.sweep(comm, &mut store, mp, dim, dir, k, tag);
                 }
                 (
                     store,
@@ -1055,8 +937,8 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
     // End-to-end: a full multipartitioned sweep with simd = auto is bitwise
     // equal to the same sweep with simd forced scalar — same field
     // contents, same per-rank message and element counts — across random
-    // shapes, block widths, thread counts, pipeline depths, and kernels.
-    use crate::compiled::SweepEngine;
+    // shapes, block widths, thread counts, and kernels.
+    use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use crate::simd::SimdMode;
@@ -1095,9 +977,9 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
                 for (f, init) in inits.iter().enumerate() {
                     store.init_field(f, init);
                 }
-                let mut eng = SweepEngine::new(opts.clone());
+                let mut plan = SolverPlan::new(opts.clone());
                 for &(dim, dir, tag) in schedule {
-                    eng.sweep(comm, &mut store, mp, dim, dir, k, tag);
+                    plan.sweep(comm, &mut store, mp, dim, dir, k, tag);
                 }
                 (store, comm.sent_messages, comm.sent_elements)
             })
@@ -1150,8 +1032,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let base = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4))
-            .with_pipeline_chunks(rng.usize_in(1, 4));
+        let base = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4));
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
             .collect();
@@ -1249,14 +1130,14 @@ fn random_inplace_configs_match_serial_bitwise() {
     // The in-place invariant: running a phase on tile storage changes
     // *where* the kernel reads and writes, never the results. Across random
     // ragged shapes (lane runs that wrap mid-block, block tails), block
-    // widths, thread counts, pipeline depths, SIMD levels, and kernels —
+    // widths, thread counts, SIMD levels, and kernels —
     // including the block-tridiagonal pair, whose 12 fields and 12-float
     // carries run in place too — every sweep is bitwise equal to the serial
     // reference. Schedules include the last dimension, whose sweep runs
     // along the unit-stride axis and therefore packs.
     use crate::block::tests::TestCoeffs;
     use crate::block::{BlockTriBackwardKernel, BlockTriForwardKernel};
-    use crate::compiled::SweepEngine;
+    use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use crate::simd::SimdMode;
@@ -1297,11 +1178,11 @@ fn random_inplace_configs_match_serial_bitwise() {
             for (f, init) in inits.iter().enumerate() {
                 store.init_field(f, init);
             }
-            let mut eng = SweepEngine::new(opts.clone());
+            let mut plan = SolverPlan::new(opts.clone());
             for &(dim, dir, tag) in schedule {
                 match dir {
-                    Direction::Forward => eng.sweep(comm, &mut store, mp, dim, dir, fwd, tag),
-                    Direction::Backward => eng.sweep(comm, &mut store, mp, dim, dir, bwd, tag),
+                    Direction::Forward => plan.sweep(comm, &mut store, mp, dim, dir, fwd, tag),
+                    Direction::Backward => plan.sweep(comm, &mut store, mp, dim, dir, bwd, tag),
                 }
             }
             store
@@ -1356,9 +1237,7 @@ fn random_inplace_configs_match_serial_bitwise() {
         } else {
             SimdMode::Scalar
         };
-        let opts = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4))
-            .with_pipeline_chunks(rng.usize_in(1, 4))
-            .with_simd(simd);
+        let opts = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4)).with_simd(simd);
         // Every dim, including the last (packed).
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
@@ -1410,18 +1289,15 @@ fn random_inplace_configs_match_serial_bitwise() {
 
 #[test]
 fn tuned_options_never_change_results_or_schedule() {
-    // The calibrated-planning invariant: auto-tuning is a pure performance
-    // decision. Across random (p, γ, η) and random machine profiles, the
-    // tuned plan's output is bitwise equal to the default per-line plan;
-    // at the same aggregated pipeline depth the per-rank message/element
-    // counters match the default exactly (block width and thread count
-    // never touch the schedule), and a deeper tuned pipeline may only
-    // split messages — the payload is invariant.
-    use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
+    // The tuning invariant: auto-tuning is a pure performance decision.
+    // Across random (p, γ, η), the tuned plan's output is bitwise equal to
+    // the default per-line plan and every rank's message/element counters
+    // match the default exactly (block width and thread count never touch
+    // the schedule).
+    use crate::compiled::SolverPlan;
+    use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::PrefixSumKernel;
     use crate::tune::{PlanShape, TunedOptions};
-    use mp_core::cost::BandwidthScaling;
-    use mp_core::machine::{MachineProfile, Provenance, K1_DEFAULT};
     use mp_core::multipart::Multipartitioning;
     use mp_core::partition::Partitioning;
     use mp_grid::{ArrayD, FieldDef, TileGrid};
@@ -1448,34 +1324,13 @@ fn tuned_options_never_change_results_or_schedule() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-
-        // Presets plus a synthetic "measured" profile with random constants,
-        // so derivation sees latency-bound, bandwidth-bound, and arbitrary
-        // K2/K3 ratios.
-        let profile = match rng.usize_in(0, 3) {
-            0 => MachineProfile::origin2000_like(),
-            1 => MachineProfile::latency_dominated(),
-            2 => MachineProfile::bandwidth_dominated(),
-            _ => {
-                let mut prof = MachineProfile::origin2000_like();
-                prof.k1
-                    .insert(K1_DEFAULT.to_string(), rng.f64_in(1e-10, 1e-7));
-                prof.k2 = rng.f64_in(1e-8, 1e-4);
-                prof.k3 = rng.f64_in(1e-11, 1e-7);
-                prof.scaling = BandwidthScaling::Fixed;
-                prof.provenance = Provenance::Measured;
-                prof
-            }
-        };
         let shape = PlanShape {
             p,
             eta: eta.clone(),
-            gammas: mp.gammas().to_vec(),
-            carry_len: rng.usize_in(1, 12),
         };
         // `derived` (not `options`): the analytic result, untouched by any
         // MP_SWEEP_* variables other tests may be toggling in parallel.
-        let tuned = TunedOptions::derive(&profile, &shape).derived;
+        let tuned = TunedOptions::derive(&shape).derived;
 
         let dim = rng.usize_in(0, 2);
         let dir = if rng.bool() {
@@ -1490,41 +1345,22 @@ fn tuned_options_never_change_results_or_schedule() {
             run_threaded(p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
                 store.init_field(0, init);
-                multipart_sweep_opts(comm, &mut store, &mp, dim, dir, &k, 42, opts);
+                let mut plan = SolverPlan::new(opts.clone());
+                plan.sweep(comm, &mut store, &mp, dim, dir, &k, 42);
                 (store, comm.sent_messages, comm.sent_elements)
             })
         };
 
         let default_run = run(&SweepOptions::new(1, 1));
         let tuned_run = run(&tuned);
-        let tuned_agg = run(&tuned.clone().with_pipeline_chunks(1));
-
-        for (r, ((_, dm, de), (_, am, ae))) in default_run.iter().zip(tuned_agg.iter()).enumerate()
+        for (r, ((_, dm, de), (_, tm, te))) in default_run.iter().zip(tuned_run.iter()).enumerate()
         {
             assert_eq!(
-                (am, ae),
+                (tm, te),
                 (dm, de),
                 "rank {r}: tuned block/threads changed the schedule \
                  (p={p} eta={eta:?} tuned={tuned:?})"
             );
-        }
-        for (r, ((_, dm, de), (_, tm, te))) in default_run.iter().zip(tuned_run.iter()).enumerate()
-        {
-            assert_eq!(
-                te, de,
-                "rank {r}: tuned pipeline changed the payload (p={p} eta={eta:?})"
-            );
-            if tuned.pipeline_chunks == 1 {
-                assert_eq!(
-                    tm, dm,
-                    "rank {r}: aggregated tuned plan changed the message count"
-                );
-            } else {
-                assert!(
-                    tm >= dm,
-                    "rank {r}: pipelining merged messages (p={p} eta={eta:?})"
-                );
-            }
         }
 
         let mut want = ArrayD::zeros(&eta);
@@ -1539,6 +1375,98 @@ fn tuned_options_never_change_results_or_schedule() {
             got.max_abs_diff(&want),
             0.0,
             "tuned options changed the result: p={p} eta={eta:?} tuned={tuned:?}"
+        );
+    });
+}
+
+#[test]
+fn per_rank_options_leave_the_wire_unchanged() {
+    // The wire depends on no option: with every rank running its own random
+    // block width and thread count, a schedule of sweeps over every
+    // (dim, direction) matches the serial reference bitwise, and every rank
+    // sends exactly the messages and elements it sends when all ranks run
+    // the same per-line options.
+    use crate::compiled::SolverPlan;
+    use crate::executor::{allocate_rank_store, SweepOptions};
+    use crate::recurrence::FirstOrderKernel;
+    use crate::verify::serial_sweep;
+    use mp_core::multipart::Multipartitioning;
+    use mp_core::partition::Partitioning;
+    use mp_grid::{ArrayD, FieldDef, TileGrid};
+    use mp_runtime::comm::Communicator;
+    use mp_runtime::threaded::run_threaded;
+
+    cases(0x7510, 8, |rng| {
+        let (p, gammas): (u64, Vec<u64>) = match rng.usize_in(0, 4) {
+            0 => (2, vec![2, 2, 1]),
+            1 => (4, vec![2, 2, 2]),
+            2 => (2, vec![4, 2, 2]),
+            3 => (3, vec![3, 3, 1]),
+            _ => (6, vec![6, 3, 2]),
+        };
+        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas));
+        let eta: Vec<usize> = mp
+            .gammas()
+            .iter()
+            .map(|&g| {
+                let g = g as usize;
+                g * rng.usize_in(2, 4) + rng.usize_in(0, g.max(2) - 1)
+            })
+            .collect();
+        let grid = TileGrid::new(
+            &eta,
+            &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
+        );
+        let k = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
+        let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 11) as f64 - 5.0;
+        let schedule: Vec<(usize, Direction, u64)> = (0..6)
+            .map(|s| {
+                let dim = s % 3;
+                let (dir, d) = if s < 3 {
+                    (Direction::Forward, 0)
+                } else {
+                    (Direction::Backward, 1)
+                };
+                (dim, dir, (dim as u64 * 2 + d) * 1_000)
+            })
+            .collect();
+        let mixed: Vec<SweepOptions> = (0..p)
+            .map(|_| SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 3)))
+            .collect();
+
+        let run = |per_rank: &[SweepOptions]| {
+            let fields = [FieldDef::new("u", 0)];
+            run_threaded(p, |comm| {
+                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+                store.init_field(0, init);
+                let mut plan = SolverPlan::new(per_rank[comm.rank() as usize].clone());
+                for &(dim, dir, tag) in &schedule {
+                    plan.sweep(comm, &mut store, &mp, dim, dir, &k, tag);
+                }
+                (store, comm.sent_messages, comm.sent_elements)
+            })
+        };
+        let uniform = run(&vec![SweepOptions::new(1, 1); p as usize]);
+        let varied = run(&mixed);
+
+        let mut want = ArrayD::from_fn(&eta, init);
+        for &(dim, dir, _) in &schedule {
+            serial_sweep(&mut [&mut want], dim, dir, &k);
+        }
+        let mut got = ArrayD::zeros(&eta);
+        for (r, ((store, m, e), (_, um, ue))) in varied.iter().zip(&uniform).enumerate() {
+            assert_eq!(
+                (m, e),
+                (um, ue),
+                "rank {r} with {:?}: options changed what it sent (p={p} eta={eta:?})",
+                mixed[r]
+            );
+            store.gather_into(0, &mut got);
+        }
+        assert_eq!(
+            got.max_abs_diff(&want),
+            0.0,
+            "p={p} eta={eta:?} {mixed:?}: per-rank options not bitwise equal to serial"
         );
     });
 }

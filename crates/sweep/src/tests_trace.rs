@@ -2,7 +2,8 @@
 //! with the runtime's own counters in every execution mode, and enabling
 //! tracing must never change sweep results.
 
-use crate::executor::{allocate_rank_store, multipart_sweep_opts, SweepOptions};
+use crate::compiled::SolverPlan;
+use crate::executor::{allocate_rank_store, SweepOptions};
 use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
 use mp_core::cost::CostModel;
 use mp_core::multipart::{Direction, Multipartitioning};
@@ -43,7 +44,7 @@ fn run_traced(
         comm.trace = Some(SweepRecorder::with_epoch(comm.rank(), epoch));
         let mut store = allocate_rank_store(comm.rank(), mp, &grid, &fields);
         store.init_field(0, init_value);
-        multipart_sweep_opts(comm, &mut store, mp, dim, dir, kernel, 1000, opts);
+        SolverPlan::new(opts.clone()).sweep(comm, &mut store, mp, dim, dir, kernel, 1000);
         let rec = comm.trace.take().unwrap();
         (
             store,
@@ -87,48 +88,6 @@ fn aggregated_recorder_counters_match_comm() {
 }
 
 #[test]
-fn pipelined_recorder_counters_match_comm_exact_k_law() {
-    // Uniform extents: every phase has the same job count ≥ chunks, so the
-    // aggregated message count multiplies by exactly `chunks` — and the
-    // recorders must account for every sub-message.
-    let mp = Multipartitioning::from_partitioning(8, Partitioning::new(vec![4, 4, 2]));
-    let eta = [16usize, 16, 8];
-    let k = PrefixSumKernel::new(0);
-    let dim = 0;
-    let (base, base_stats) = run_traced(
-        &mp,
-        &eta,
-        dim,
-        Direction::Forward,
-        &k,
-        &SweepOptions::new(1, 1),
-    );
-    let base_msgs: u64 = base_stats.iter().map(|(_, m, _)| m).sum();
-    let base_elems: u64 = base_stats.iter().map(|(_, _, e)| e).sum();
-    let chunks = 4usize;
-    let (got, per_rank) = run_traced(
-        &mp,
-        &eta,
-        dim,
-        Direction::Forward,
-        &k,
-        &SweepOptions::new(1, 1).with_pipeline_chunks(chunks),
-    );
-    assert_eq!(got.max_abs_diff(&base), 0.0);
-    let mut msgs = 0u64;
-    let mut elems = 0u64;
-    for (rank, (stats, m, e)) in per_rank.iter().enumerate() {
-        assert_eq!(stats.sent_messages(), *m, "rank {rank}");
-        assert_eq!(stats.sent_elements(), *e, "rank {rank}");
-        msgs += m;
-        elems += e;
-    }
-    // Exact k× law, measured through the recorders alone.
-    assert_eq!(msgs, base_msgs * chunks as u64);
-    assert_eq!(elems, base_elems);
-}
-
-#[test]
 fn traced_run_exports_loadable_chrome_json() {
     // End-to-end: collect every rank's trace, export, re-parse, and check
     // the per-rank stats survive exactly.
@@ -142,19 +101,11 @@ fn traced_run_exports_loadable_chrome_json() {
         comm.trace = Some(SweepRecorder::with_epoch(comm.rank(), epoch));
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         store.init_field(0, init_value);
-        multipart_sweep_opts(
-            comm,
-            &mut store,
-            &mp,
-            0,
-            Direction::Forward,
-            &k,
-            1000,
-            &SweepOptions::new(4, 1).with_pipeline_chunks(2),
-        );
+        let mut plan = SolverPlan::new(SweepOptions::new(4, 1));
+        plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
         comm.trace.take().unwrap().into_trace()
     });
-    let tf = TraceFile::new(traces).with_meta("mode", "pipelined");
+    let tf = TraceFile::new(traces).with_meta("block_width", "4");
     let text = tf.to_chrome_json();
     let back = TraceFile::parse_chrome_json(&text).unwrap();
     assert_eq!(back, tf);
@@ -178,7 +129,7 @@ fn traced_run_exports_loadable_chrome_json() {
 #[test]
 fn tracing_never_changes_sweep_output() {
     // Property (seed 0x7508): over random configurations — rank count,
-    // swept dim, direction, block width, threads, pipeline chunks — a run
+    // swept dim, direction, block width, threads — a run
     // with recorders installed is bitwise identical to one without, and
     // sends exactly the same message counts.
     cases(0x7508, 10, |rng| {
@@ -197,8 +148,7 @@ fn tracing_never_changes_sweep_output() {
             .iter()
             .map(|&g| g as usize + rng.usize_in(0, 7))
             .collect();
-        let opts = SweepOptions::new(rng.usize_in(1, 32), rng.usize_in(1, 3))
-            .with_pipeline_chunks(rng.usize_in(1, 4));
+        let opts = SweepOptions::new(rng.usize_in(1, 32), rng.usize_in(1, 3));
         let grid = TileGrid::new(
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
@@ -214,7 +164,7 @@ fn tracing_never_changes_sweep_output() {
                 }
                 let mut store = allocate_rank_store(comm.rank(), mp, grid, fields);
                 store.init_field(0, init_value);
-                multipart_sweep_opts(comm, &mut store, mp, dim, dir, k, 77, opts);
+                SolverPlan::new(opts.clone()).sweep(comm, &mut store, mp, dim, dir, k, 77);
                 (store, comm.sent_messages, comm.sent_elements)
             });
             let mut global = ArrayD::zeros(&eta);

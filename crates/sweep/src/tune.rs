@@ -10,13 +10,11 @@
 //! to the mean of the hot solver kernels at the level the host actually
 //! dispatches.
 //!
-//! [`TunedOptions::derive`] turns a profile plus a [`PlanShape`] into
-//! concrete [`SweepOptions`]: block width, worker threads, and pipeline
-//! chunks picked analytically from the measured constants. Explicit
+//! [`TunedOptions::derive`] turns a [`PlanShape`] into concrete
+//! [`SweepOptions`]: block width and worker threads. Explicit
 //! environment knobs (`MP_SWEEP_BLOCK` / `MP_SWEEP_THREADS` /
-//! `MP_SWEEP_PIPELINE` / `MP_SWEEP_SIMD`) always win
-//! over derived values — tuning fills in what the user left unspecified,
-//! never overrides what they said.
+//! `MP_SWEEP_SIMD`) always win over derived values — tuning fills in what
+//! the user left unspecified, never overrides what they said.
 //!
 //! Because every sweep option produces bitwise-identical fields and an
 //! identical communication schedule (the engine's core invariant), tuning
@@ -179,19 +177,13 @@ pub fn calibrate_host(fast: bool) -> (MachineProfile, TransportFit) {
 }
 
 /// The geometry a tuned run will execute — everything
-/// [`TunedOptions::derive`] needs that is not in the machine profile.
+/// [`TunedOptions::derive`] needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlanShape {
     /// Ranks.
     pub p: u64,
     /// Global array extents.
     pub eta: Vec<usize>,
-    /// Cuts per dimension of the multipartitioning.
-    pub gammas: Vec<u64>,
-    /// Carry elements per line of the dominant kernel (6 for the
-    /// pentadiagonal solves of SP, `N²+N` for BT's block elimination,
-    /// 2 for plain Thomas).
-    pub carry_len: usize,
 }
 
 impl PlanShape {
@@ -209,8 +201,8 @@ impl PlanShape {
     }
 }
 
-/// Sweep options derived from a machine profile plus the explicit
-/// environment overrides — the record of *what* tuning decided and *why*,
+/// Sweep options derived from the plan shape and the host plus the
+/// explicit environment overrides — the record of *what* tuning decided and *why*,
 /// so `mpart profile` can print it.
 #[derive(Debug, Clone)]
 pub struct TunedOptions {
@@ -224,25 +216,18 @@ pub struct TunedOptions {
 }
 
 impl TunedOptions {
-    /// Pick sweep knobs for `shape` on the machine described by
-    /// `profile`:
+    /// Pick sweep knobs for `shape` on this host:
     ///
     /// * **block width** — the SIMD batch sweet spot
     ///   ([`CALIBRATION_BLOCK_WIDTH`]), shrunk to the per-phase line
     ///   count when the problem is too small to fill a block;
     /// * **threads** — hardware threads divided by ranks (every rank is
-    ///   an OS thread already), clamped to `[1, 8]`;
-    /// * **pipeline chunks** — the classic pipelining optimum
-    ///   `√(K3·m / K2)` for a per-boundary carry message of `m` elements:
-    ///   splitting into `k` chunks pays `(k−1)·K2` extra latency to
-    ///   overlap the `K3·m` serialization with downstream compute, and
-    ///   the square root balances the two. Clamped to `[1, 8]`; forced
-    ///   to 1 when no dimension has a partition boundary.
+    ///   an OS thread already), clamped to `[1, 8]`.
     ///
     /// Every knob an explicit `MP_SWEEP_*` variable sets wins over the
     /// derived value (invalid values warn once and fall back to the
     /// *tuned* value — tuning is the fallback, not the override).
-    pub fn derive(profile: &MachineProfile, shape: &PlanShape) -> TunedOptions {
+    pub fn derive(shape: &PlanShape) -> TunedOptions {
         let d = shape.eta.len();
         let lines_min = (0..d).map(|i| shape.lines_per_rank(i)).min().unwrap_or(1);
         let block = lines_min.clamp(1, CALIBRATION_BLOCK_WIDTH);
@@ -250,40 +235,19 @@ impl TunedOptions {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let threads = (hw / shape.p.max(1) as usize).clamp(1, 8);
 
-        let model = profile.cost_model();
-        let has_boundary = shape.gammas.iter().any(|&g| g > 1);
-        let msg_elems = (lines_min * shape.carry_len.max(1)) as f64;
-        let chunks = if !has_boundary {
-            1
-        } else {
-            let serial = model.k3_at(shape.p) * msg_elems;
-            if model.k2 <= 0.0 {
-                if serial > 0.0 {
-                    8
-                } else {
-                    1
-                }
-            } else {
-                ((serial / model.k2).sqrt().round() as usize).clamp(1, 8)
-            }
-        };
-
-        let derived = SweepOptions::new(block, threads).with_pipeline_chunks(chunks);
+        let derived = SweepOptions::new(block, threads);
 
         let mut notes = Vec::new();
         let block_env = env_usize_opt("MP_SWEEP_BLOCK", &format!("tuned {block}"));
         let threads_env = env_usize_opt("MP_SWEEP_THREADS", &format!("tuned {threads}"));
-        let chunks_env = env_usize_opt("MP_SWEEP_PIPELINE", &format!("tuned {chunks}"));
         notes.push(knob_note("block", block, block_env));
         notes.push(knob_note("threads", threads, threads_env));
-        notes.push(knob_note("pipeline", chunks, chunks_env));
 
         let simd = SimdMode::from_env();
         if std::env::var_os("MP_SWEEP_SIMD").is_some() {
             notes.push(format!("simd: {simd} (MP_SWEEP_SIMD)"));
         }
         let options = SweepOptions::new(block_env.unwrap_or(block), threads_env.unwrap_or(threads))
-            .with_pipeline_chunks(chunks_env.unwrap_or(chunks))
             .with_simd(simd);
 
         TunedOptions {
@@ -319,66 +283,34 @@ mod tests {
         PlanShape {
             p: 6,
             eta: vec![60, 60, 60],
-            gammas: vec![3, 2, 1],
-            carry_len: 6,
         }
     }
 
     #[test]
     fn derive_clamps_block_to_available_lines() {
-        let profile = MachineProfile::origin2000_like();
         // Tiny domain: 4×4 cross-section over 6 ranks → 3 lines per rank.
         let tiny = PlanShape {
             p: 6,
             eta: vec![4, 4, 4],
-            gammas: vec![3, 2, 1],
-            carry_len: 2,
         };
-        let t = TunedOptions::derive(&profile, &tiny);
+        let t = TunedOptions::derive(&tiny);
         assert_eq!(t.derived.block_width, 3);
         // Large domain: full block width.
-        let t = TunedOptions::derive(&profile, &shape());
+        let t = TunedOptions::derive(&shape());
         assert_eq!(t.derived.block_width, CALIBRATION_BLOCK_WIDTH);
         assert!(t.derived.threads >= 1);
     }
 
     #[test]
-    fn derive_pipeline_tracks_bandwidth_vs_latency() {
-        // Latency-dominated: splitting messages only adds K2 → 1 chunk.
-        let lat = MachineProfile::latency_dominated();
-        assert_eq!(
-            TunedOptions::derive(&lat, &shape()).derived.pipeline_chunks,
-            1
-        );
-        // Bandwidth-dominated (K2 = 0): pipeline as deep as allowed.
-        let bw = MachineProfile::bandwidth_dominated();
-        assert_eq!(
-            TunedOptions::derive(&bw, &shape()).derived.pipeline_chunks,
-            8
-        );
-        // No partition boundary in any dimension → nothing to overlap.
-        let flat = PlanShape {
-            gammas: vec![1, 1, 1],
-            ..shape()
-        };
-        assert_eq!(TunedOptions::derive(&bw, &flat).derived.pipeline_chunks, 1);
-    }
-
-    #[test]
     fn env_overrides_beat_derived_values() {
         let _guard = crate::executor::env_test_lock();
-        let profile = MachineProfile::origin2000_like();
         std::env::set_var("MP_SWEEP_BLOCK", "7");
-        std::env::set_var("MP_SWEEP_PIPELINE", "2");
-        let t = TunedOptions::derive(&profile, &shape());
+        let t = TunedOptions::derive(&shape());
         assert_eq!(t.options.block_width, 7);
-        assert_eq!(t.options.pipeline_chunks, 2);
         assert_eq!(t.derived.block_width, CALIBRATION_BLOCK_WIDTH);
         std::env::remove_var("MP_SWEEP_BLOCK");
-        std::env::remove_var("MP_SWEEP_PIPELINE");
-        let t = TunedOptions::derive(&profile, &shape());
+        let t = TunedOptions::derive(&shape());
         assert_eq!(t.options.block_width, t.derived.block_width);
-        assert_eq!(t.options.pipeline_chunks, t.derived.pipeline_chunks);
     }
 
     #[test]

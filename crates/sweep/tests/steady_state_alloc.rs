@@ -2,10 +2,9 @@
 //!
 //! A counting global allocator tallies every allocation per thread (a
 //! `const`-initialised thread-local, so the counter itself never
-//! allocates). After two warm-up sweeps — plan build, buffer-pool fill,
-//! carry-queue growth — ten more executes of the same compiled sweep must
-//! leave the rank thread's count unchanged, for one carry chunk per phase
-//! and for three. Each run repeats one `(dim, direction, tag)` sweep, so
+//! allocates). After two warm-up sweeps — plan build, buffer-pool fill —
+//! ten more executes of the same compiled sweep must leave the rank
+//! thread's count unchanged. Each run repeats one `(dim, direction, tag)` sweep, so
 //! every message a rank receives carries the tag it is waiting for and the
 //! transport never stashes: the count is deterministic.
 
@@ -16,7 +15,7 @@ use mp_runtime::{run_threaded, Communicator};
 use mp_sweep::block::{BlockCoeffs, Mat};
 use mp_sweep::{
     allocate_rank_store, BlockTriBackwardKernel, BlockTriForwardKernel, FirstOrderKernel,
-    LineSweepKernel, SweepEngine, SweepOptions,
+    LineSweepKernel, SolverPlan, SweepOptions,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -71,7 +70,6 @@ fn steady_state_allocs<K: LineSweepKernel>(
     gammas: &[u64],
     eta: &[usize],
     (dim, dir): (usize, Direction),
-    chunks: usize,
     kernel: &K,
 ) -> Vec<u64> {
     let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas.to_vec()));
@@ -79,22 +77,22 @@ fn steady_state_allocs<K: LineSweepKernel>(
     let fields: Vec<FieldDef> = (0..kernel.fields().len())
         .map(|f| FieldDef::new(&format!("f{f}"), 0))
         .collect();
-    let opts = SweepOptions::new(4, 1).with_pipeline_chunks(chunks);
+    let opts = SweepOptions::new(4, 1);
     run_threaded(p, |comm| {
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         for f in 0..fields.len() {
             store.init_field(f, |g| (g[0] * 7 + g[1] * 3 + g[2] + f) as f64 * 0.01);
         }
-        let mut engine = SweepEngine::new(opts.clone());
+        let mut plan = SolverPlan::new(opts.clone());
         let mut before = 0;
         for i in 0..12 {
             if i == 2 {
                 before = allocs(); // after two warm-up sweeps
             }
-            engine.sweep(comm, &mut store, &mp, dim, dir, kernel, 1000);
+            plan.sweep(comm, &mut store, &mp, dim, dir, kernel, 1000);
         }
         let n = allocs() - before;
-        assert_eq!(engine.builds(), 1, "steady state rebuilt the plan");
+        assert_eq!(plan.builds(), 1, "steady state rebuilt the plan");
         n
     })
 }
@@ -103,12 +101,10 @@ fn steady_state_allocs<K: LineSweepKernel>(
 fn self_neighbor_sweeps_allocate_nothing() {
     // p = 1: every phase boundary is a local hand-off on the rank thread.
     let kernel = FirstOrderKernel::new(0, 0.8);
-    for chunks in [1, 3] {
-        for dim in [0, 2] {
-            let at = (dim, Direction::Forward);
-            let counts = steady_state_allocs(1, &[3, 2, 2], &[9, 8, 8], at, chunks, &kernel);
-            assert_eq!(counts, vec![0], "dim {dim}, {chunks} chunk(s) per phase");
-        }
+    for dim in [0, 2] {
+        let at = (dim, Direction::Forward);
+        let counts = steady_state_allocs(1, &[3, 2, 2], &[9, 8, 8], at, &kernel);
+        assert_eq!(counts, vec![0], "dim {dim}");
     }
 }
 
@@ -116,12 +112,10 @@ fn self_neighbor_sweeps_allocate_nothing() {
 fn two_rank_sweeps_allocate_nothing() {
     // p = 2: carries cross the ring transport at every phase boundary.
     let kernel = FirstOrderKernel::new(0, 0.8);
-    for chunks in [1, 3] {
-        for dim in [0, 2] {
-            let at = (dim, Direction::Forward);
-            let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, chunks, &kernel);
-            assert_eq!(counts, vec![0, 0], "dim {dim}, {chunks} chunk(s) per phase");
-        }
+    for dim in [0, 2] {
+        let at = (dim, Direction::Forward);
+        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, &kernel);
+        assert_eq!(counts, vec![0, 0], "dim {dim}");
     }
 }
 
@@ -150,10 +144,10 @@ fn block_tridiagonal_sweeps_allocate_nothing() {
     let bwd = BlockTriBackwardKernel::<3>::new(&scratch, &rhs);
     for dim in [0, 2] {
         let at = (dim, Direction::Forward);
-        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, 1, &fwd);
+        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, &fwd);
         assert_eq!(counts, vec![0, 0], "forward, dim {dim}");
         let at = (dim, Direction::Backward);
-        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, 1, &bwd);
+        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, &bwd);
         assert_eq!(counts, vec![0, 0], "backward, dim {dim}");
     }
 }

@@ -28,7 +28,7 @@ pub const LANE_COMM: u64 = 1;
 pub struct TraceFile {
     /// Per-rank traces, conventionally sorted by rank.
     pub ranks: Vec<RankTrace>,
-    /// Run metadata (e.g. `("p", "16")`, `("mode", "pipelined")`).
+    /// Run metadata (e.g. `("p", "16")`, `("threads", "2")`).
     pub meta: Vec<(String, String)>,
 }
 

@@ -4,9 +4,8 @@
 //!
 //! The paper's cost model (§3.1) predicts where sweep time goes —
 //! `T_i(p) = K1·η/p + (γ_i−1)·λ_i` splits a sweep into block compute and
-//! carry-latency terms — and the pipelined executor exists to hide the
-//! latter under the former. This crate makes that overlap *observable* on
-//! real runs: each rank owns a [`SweepRecorder`] (single-writer, lock-free
+//! carry-latency terms. This crate makes that split *observable* on real
+//! runs: each rank owns a [`SweepRecorder`] (single-writer, lock-free
 //! by construction) that captures compute, comm-wait, pack/unpack and
 //! send intervals with nanosecond timestamps, aggregates them into
 //! [`SweepStats`] (per-phase compute ns, comm-wait ns, bytes/messages per

@@ -23,8 +23,7 @@ use std::time::Instant;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanKind {
     /// Block-job execution: one `run_jobs` invocation of the sweep
-    /// executor — one carry chunk of a phase (the whole phase when the
-    /// sweep runs one chunk per phase).
+    /// executor, covering all of one phase's block jobs.
     Compute {
         /// Sweep phase index (slab ordinal in sweep order).
         phase: u64,
@@ -33,7 +32,7 @@ pub enum SpanKind {
         /// Lines swept by those jobs.
         lines: u64,
     },
-    /// Blocked in `recv`/`recv_into` waiting for a message to arrive.
+    /// Blocked in `recv` waiting for a message to arrive.
     /// Covers the *whole* blocked interval; transports that wait in two
     /// stages additionally record the [`SpanKind::CommSpin`] /
     /// [`SpanKind::CommPark`] sub-spans inside it.

@@ -80,6 +80,7 @@ fn main() {
     let stores = run_threaded(p, |comm| {
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         store.init_field(U, |g| adi.initial(g));
+        let mut plan = SolverPlan::new(SweepOptions::default());
         for _step in 0..steps {
             // copy u into rhs (ADI splitting: each dim solve applied in turn)
             for tile in &mut store.tiles {
@@ -122,9 +123,9 @@ fn main() {
                     }
                 }
                 let fwd = ThomasForwardKernel::new(A, B, C, RHS);
-                multipart_sweep(comm, &mut store, &mp, dim, Direction::Forward, &fwd, 1_000);
+                plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &fwd, 1_000);
                 let bwd = ThomasBackwardKernel::new(C, RHS);
-                multipart_sweep(comm, &mut store, &mp, dim, Direction::Backward, &bwd, 2_000);
+                plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &bwd, 2_000);
             }
             // u ← rhs
             for tile in &mut store.tiles {

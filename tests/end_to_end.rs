@@ -40,7 +40,8 @@ fn check_pipeline(p: u64, eta: &[usize]) {
                     &[FieldDef::new("u", 0)],
                 );
                 store.init_field(0, init);
-                multipart_sweep(comm, &mut store, &mp, dim, dir, &kernel, 42);
+                let mut plan = SolverPlan::new(SweepOptions::default());
+                plan.sweep(comm, &mut store, &mp, dim, dir, &kernel, 42);
                 store
             });
             let mut global = ArrayD::zeros(eta);
@@ -118,7 +119,8 @@ fn halo_then_sweep_pipeline() {
             &[FieldDef::new("u", 1)],
         );
         store.init_field(0, init);
-        exchange_halos(comm, &mut store, &mp, 0, 1, 9_000);
+        let mut plan = SolverPlan::new(SweepOptions::default());
+        plan.exchange_halos(comm, &mut store, &mp, 0, 1, 9_000);
         // stencil: u += 0.1 * (sum of 6 neighbors) using ghosts
         for tile in &mut store.tiles {
             let ext = tile.field(0).interior().to_vec();
@@ -144,7 +146,7 @@ fn halo_then_sweep_pipeline() {
                 arr.set_i(&idx, v);
             }
         }
-        multipart_sweep(comm, &mut store, &mp, 1, Direction::Forward, &kernel, 77);
+        plan.sweep(comm, &mut store, &mp, 1, Direction::Forward, &kernel, 77);
         store
     });
     let mut global = ArrayD::zeros(&eta);

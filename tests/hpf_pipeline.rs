@@ -39,7 +39,8 @@ fn directives_drive_a_real_sweep() {
             &[FieldDef::new("u", 0)],
         );
         store.init_field(0, init);
-        multipart_sweep(comm, &mut store, &mp, 1, Direction::Forward, &kernel, 7);
+        let mut plan = SolverPlan::new(SweepOptions::default());
+        plan.sweep(comm, &mut store, &mp, 1, Direction::Forward, &kernel, 7);
         store
     });
     let mut global = ArrayD::zeros(&eta);

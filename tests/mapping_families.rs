@@ -76,7 +76,8 @@ fn any_legal_mapping_drives_the_executor_identically() {
                 &[FieldDef::new("u", 0)],
             );
             store.init_field(0, init);
-            multipart_sweep(comm, &mut store, &mp, 1, Direction::Forward, &kernel, 1);
+            let mut plan = SolverPlan::new(SweepOptions::default());
+            plan.sweep(comm, &mut store, &mp, 1, Direction::Forward, &kernel, 1);
             store
         });
         let mut global = ArrayD::zeros(&eta);
