@@ -14,7 +14,7 @@ use mp_sweep::executor::{allocate_rank_store, SweepOptions};
 use mp_sweep::recurrence::PrefixSumKernel;
 use mp_sweep::simulate::{simulate_multipart_sweep, MultipartGeometry, SweepWork};
 use mp_sweep::verify::serial_sweep;
-use mp_sweep::{CompiledSweep, PlanShape, SolverPlan, TunedOptions};
+use mp_sweep::{CompiledSweep, SolverPlan};
 use std::hint::black_box;
 
 fn bench_sweep(c: &mut Criterion) {
@@ -56,8 +56,8 @@ fn bench_sweep(c: &mut Criterion) {
         });
     }
 
-    // Execution-strategy sweep at p = 4: per-line vs blocked vs blocked +
-    // intra-rank threads, all with the identical communication schedule.
+    // Execution-strategy sweep at p = 4: per-line vs blocked, both with the
+    // identical communication schedule.
     {
         let p = 4u64;
         let mp = Multipartitioning::optimal(
@@ -68,9 +68,8 @@ fn bench_sweep(c: &mut Criterion) {
         let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
         let grid = TileGrid::new(&eta, &gam);
         for (label, opts) in [
-            ("bw1_t1", SweepOptions::new(1, 1)),
-            ("bw32_t1", SweepOptions::new(32, 1)),
-            ("bw32_t4", SweepOptions::new(32, 4)),
+            ("bw1", SweepOptions::new(1)),
+            ("bw32", SweepOptions::new(32)),
         ] {
             group.bench_with_input(BenchmarkId::new("opts_48_p4", label), &label, |b, _| {
                 b.iter(|| {
@@ -98,7 +97,7 @@ fn bench_sweep(c: &mut Criterion) {
         let peta = [8usize, 64, 64];
         let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
         let grid = TileGrid::new(&peta, &gam);
-        let opts = SweepOptions::new(16, 1);
+        let opts = SweepOptions::new(16);
         let mut group = c.benchmark_group("compiled_reuse");
         group.throughput(Throughput::Elements(
             (peta.iter().product::<usize>() * SWEEPS) as u64,
@@ -130,52 +129,6 @@ fn bench_sweep(c: &mut Criterion) {
                 })
             })
         });
-        group.finish();
-    }
-
-    // Tuned vs default A/B: the options `TunedOptions::derive` picks for
-    // this shape against the untuned per-line baseline, on an identical
-    // schedule. The derived knobs only change execution strategy (block
-    // width, intra-rank threads) — the tuned run's output and payload are
-    // bitwise/count identical, so the gap here is exactly what auto-tuning
-    // buys on this host.
-    {
-        const SWEEPS: usize = 6;
-        let p = 4u64;
-        let mp = Multipartitioning::optimal(
-            p,
-            &[n as u64, n as u64, n as u64],
-            &CostModel::origin2000_like(),
-        );
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&eta, &gam);
-        let shape = PlanShape {
-            p,
-            eta: eta.to_vec(),
-        };
-        let tuned = TunedOptions::derive(&shape).derived;
-        let mut group = c.benchmark_group("tuned_vs_default");
-        group.throughput(Throughput::Elements(elems * SWEEPS as u64));
-        group.sample_size(20);
-        for (label, opts) in [
-            ("default_bw1_t1", SweepOptions::new(1, 1)),
-            ("tuned", tuned),
-        ] {
-            group.bench_with_input(BenchmarkId::new("engine_48_p4", label), &label, |b, _| {
-                b.iter(|| {
-                    run_threaded(p, |comm| {
-                        let mut store =
-                            allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
-                        store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                        let mut plan = SolverPlan::new(opts.clone());
-                        for _ in 0..SWEEPS {
-                            plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
-                        }
-                        black_box(plan.elements_swept())
-                    })
-                })
-            });
-        }
         group.finish();
     }
 

@@ -50,10 +50,10 @@ USAGE:
   mpart topo     <p> <gamma...> (--ring | --hypercube | --torus <R>x<C>)
   mpart calibrate [--fast] [--out FILE]
   mpart profile  <p> [--class S|W|A|B] [--eta <N>x<N>x<N>] [--iters N]
-                 [--block W] [--threads T] [--out FILE] [--calibration FILE]
+                 [--block W] [--out FILE] [--calibration FILE]
   mpart chaos    <p> [--class S|W|A|B] [--eta <N>x<N>x<N>] [--runs N]
                  [--seed S] [--iters N] [--timeout-ms N] [--block W]
-                 [--threads T] [--calibration FILE]
+                 [--calibration FILE]
 
 COMMANDS:
   analyze   full report: partitioning, per-sweep costs, drop-back advice
@@ -447,10 +447,10 @@ struct ProfileConfig {
 
 fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     const PROFILE_USAGE: &str = "usage: mpart profile <p> [--class S|W|A|B] \
-         [--eta <N>x<N>x<N>] [--iters N] [--block W] [--threads T] \
+         [--eta <N>x<N>x<N>] [--iters N] [--block W] \
          [--simd auto|scalar] [--out FILE] [--calibration FILE]\n\
-         (--block/--threads/--simd default from \
-         MP_SWEEP_BLOCK / MP_SWEEP_THREADS / MP_SWEEP_SIMD; the cost \
+         (--block/--simd default from \
+         MP_SWEEP_BLOCK / MP_SWEEP_SIMD; the cost \
          model from --calibration, else MP_CALIBRATION, else the preset)";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
@@ -459,15 +459,13 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     // Flags override the documented MP_SWEEP_* environment knobs.
     let env_opts = mp_sweep::SweepOptions::from_env();
     let mut block = env_opts.block_width;
-    let mut threads = env_opts.threads;
     let mut simd = env_opts.simd;
     let mut out = String::from("mpart_trace.json");
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--class" | "--eta" | "--iters" | "--block" | "--threads" | "--simd" | "--out"
-            | "--calibration" => {
+            "--class" | "--eta" | "--iters" | "--block" | "--simd" | "--out" | "--calibration" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError(format!("{a} needs a value\n{PROFILE_USAGE}")))?;
@@ -488,7 +486,6 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
                     }
                     "--iters" => iters = parse_u64(v, "iteration count")? as usize,
                     "--block" => block = parse_u64(v, "block width")? as usize,
-                    "--threads" => threads = parse_u64(v, "thread count")? as usize,
                     // Unlike the forgiving env knob, an explicit flag with a
                     // bogus value is an error.
                     "--simd" => {
@@ -522,7 +519,7 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
         eta,
         dt,
         iters,
-        opts: mp_sweep::SweepOptions::new(block, threads).with_simd(simd),
+        opts: mp_sweep::SweepOptions::new(block).with_simd(simd),
         out,
         calibration,
     })
@@ -560,10 +557,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
             sp.run(comm, iters.min(1));
             let builds_first = sp.plan.builds();
             let build_ns = sp.plan.build_ns();
-            let pool_spawned_first = sp.pool_threads_spawned();
             sp.run(comm, iters.saturating_sub(1));
             let rebuilds = sp.plan.builds() - builds_first;
-            let pool_grew = sp.pool_threads_spawned() - pool_spawned_first;
             // Per-plan resolved execution modes (identical on every rank:
             // the decision depends only on geometry).
             let plan_modes: Vec<(usize, &'static str, Vec<bool>)> = sp
@@ -590,7 +585,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
                 builds_first,
                 build_ns,
                 rebuilds,
-                (pool_spawned_first, pool_grew, sp.pool_dispatches()),
                 sp.plan.elements_swept(),
                 plan_modes,
             )
@@ -602,11 +596,9 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let mut traces = Vec::with_capacity(results.len());
     let mut plan_builds = 0u64;
     let mut plan_build_ns = 0u64;
-    let mut pool_workers = 0usize;
-    let mut pool_dispatches = 0u64;
     let mut total_elements_swept = 0u64;
     let mut plan_modes: Vec<(usize, &'static str, Vec<bool>)> = Vec::new();
-    for (trace, msgs, elems, builds_first, build_ns, rebuilds, pool, swept, modes) in results {
+    for (trace, msgs, elems, builds_first, build_ns, rebuilds, swept, modes) in results {
         if trace.stats.sent_messages() != msgs || trace.stats.sent_elements() != elems {
             return err(format!(
                 "telemetry mismatch on rank {}: recorder saw {} msgs / {} elements, \
@@ -625,20 +617,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
                 trace.rank
             ));
         }
-        // Like rebuilds, steady-state thread spawns are a contract: the
-        // persistent pool is fully populated during timestep 1.
-        let (spawned_first, grew, dispatches) = pool;
-        if grew != 0 {
-            return err(format!(
-                "rank {} spawned {grew} worker thread(s) after timestep 1 \
-                 ({spawned_first} in the pool after the first)",
-                trace.rank
-            ));
-        }
         plan_builds = plan_builds.max(builds_first);
         plan_build_ns = plan_build_ns.max(build_ns);
-        pool_workers = pool_workers.max(spawned_first);
-        pool_dispatches = pool_dispatches.max(dispatches);
         total_elements_swept += swept;
         if plan_modes.is_empty() {
             plan_modes = modes;
@@ -656,7 +636,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         .with_meta("p", p.to_string())
         .with_meta("iters", iters.to_string())
         .with_meta("block_width", cfg.opts.block_width.to_string())
-        .with_meta("threads", cfg.opts.threads.to_string())
         .with_meta("simd", simd.name());
     std::fs::write(out, tf.to_chrome_json())
         .map_err(|e| CliError(format!("cannot write '{out}': {e}")))?;
@@ -664,13 +643,12 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let part = &mp.partitioning;
     let mut rep = format!(
         "SP {}×{}×{} on p = {p}, {iters} iteration(s) \
-         (block_width {}, threads {}, simd {} [requested {}])\n\
+         (block_width {}, simd {} [requested {}])\n\
          γ = {:?}, modulus vector m̄ = {:?}\n\n",
         eta[0],
         eta[1],
         eta[2],
         cfg.opts.block_width,
-        cfg.opts.threads,
         simd,
         cfg.opts.simd,
         part.gammas,
@@ -688,13 +666,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
          amortized plan-build cost: {:.3} ms/iteration\n",
         build_ms / (iters.max(1) as f64)
     ));
-    if pool_workers > 0 {
-        rep.push_str(&format!(
-            "worker pool: {pool_workers} persistent worker(s)/rank, \
-             {pool_dispatches} phase dispatches (busiest rank), \
-             0 thread spawns after timestep 1 ✓\n"
-        ));
-    }
 
     // Per-plan execution modes (decided from the geometry at build time:
     // every dim but the last runs in place) plus what packing cost. Sweeps relay carries by
@@ -804,7 +775,7 @@ fn parse_seed(s: &str) -> Result<u64, CliError> {
 fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     const CHAOS_USAGE: &str = "usage: mpart chaos <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--runs N] [--seed S] [--iters N] \
-         [--timeout-ms N] [--block W] [--threads T] [--calibration FILE]";
+         [--timeout-ms N] [--block W] [--calibration FILE]";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
     let mut eta_override: Option<[usize; 3]> = None;
@@ -814,13 +785,12 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     let mut timeout_ms = 10_000u64;
     let env_opts = mp_sweep::SweepOptions::from_env();
     let mut block = env_opts.block_width;
-    let mut threads = env_opts.threads;
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--class" | "--eta" | "--runs" | "--seed" | "--iters" | "--timeout-ms" | "--block"
-            | "--threads" | "--calibration" => {
+            | "--calibration" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError(format!("{a} needs a value\n{CHAOS_USAGE}")))?;
@@ -844,7 +814,6 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
                     "--iters" => iters = parse_u64(v, "iteration count")? as usize,
                     "--timeout-ms" => timeout_ms = parse_u64(v, "timeout in ms")?,
                     "--block" => block = parse_u64(v, "block width")? as usize,
-                    "--threads" => threads = parse_u64(v, "thread count")? as usize,
                     "--calibration" => calibration = Some(v.clone()),
                     _ => unreachable!(),
                 }
@@ -871,7 +840,7 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
         seed,
         iters,
         timeout: std::time::Duration::from_millis(timeout_ms),
-        opts: mp_sweep::SweepOptions::new(block, threads),
+        opts: mp_sweep::SweepOptions::new(block),
         calibration,
     })
 }
@@ -973,7 +942,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         "chaos soak: SP {}×{}×{} on p = {p}, {iters} iteration(s)/run, \
          deadline {} ms, base seed {seed:#x}\n\
          γ = {:?} (cost model: {model_source}), \
-         block_width {}, threads {}\n\
+         block_width {}\n\
          fault-free shim: checksums and counters identical to bare transport \
          on {p}/{p} ranks ✓\n\n",
         eta[0],
@@ -982,7 +951,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         timeout.as_millis(),
         mp.partitioning.gammas,
         cfg.opts.block_width,
-        cfg.opts.threads,
     );
     out.push_str("  run  seed                plan                              outcome\n");
 
@@ -1192,7 +1160,7 @@ mod tests {
             path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("(block_width 4, threads"), "{out}");
+        assert!(out.contains("(block_width 4, simd"), "{out}");
         // The report names the resolved vectorization level — derived from
         // the same env-seeded options the command uses, so the assertion
         // holds under an MP_SWEEP_SIMD override (CI runs the whole suite
@@ -1297,34 +1265,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_pooled_threads_report_zero_steady_state_spawns() {
-        let dir = std::env::temp_dir().join("mpart_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("profile_pooled.json");
-        let out = runv(&[
-            "profile",
-            "4",
-            "--eta",
-            "8x8x8",
-            "--iters",
-            "3",
-            "--threads",
-            "2",
-            "--out",
-            path.to_str().unwrap(),
-        ])
-        .unwrap();
-        // cmd_profile errors out if any rank spawned a worker after
-        // timestep 1, so reaching the report at all asserts the pool is
-        // persistent; the report then shows the pool accounting.
-        assert!(
-            out.contains("worker pool: 1 persistent worker(s)/rank"),
-            "{out}"
-        );
-        assert!(out.contains("0 thread spawns after timestep 1"), "{out}");
-    }
-
-    #[test]
     fn profile_validates_inputs() {
         let e = runv(&["profile"]).unwrap_err();
         assert!(e.0.contains("usage: mpart profile"));
@@ -1344,6 +1284,9 @@ mod tests {
         // Every sweep ships one aggregated carry message per phase
         // boundary; there is no chunk count to set.
         let e = runv(&["profile", "4", "--chunks", "2"]).unwrap_err();
+        assert!(e.0.contains("unknown flag"));
+        // Ranks are the only parallelism; there is no thread count to set.
+        let e = runv(&["profile", "4", "--threads", "2"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
     }
 
@@ -1417,6 +1360,8 @@ mod tests {
         let e = runv(&["chaos", "4", "--runs"]).unwrap_err();
         assert!(e.0.contains("needs a value"));
         let e = runv(&["chaos", "4", "--bogus", "1"]).unwrap_err();
+        assert!(e.0.contains("unknown flag"));
+        let e = runv(&["chaos", "4", "--threads", "2"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
     }
 

@@ -5,10 +5,9 @@
 //! the Hockney message parameters `K2` (start-up) and `K3` (per-element
 //! transfer at `p = 1`), and the bandwidth [`BandwidthScaling`] regime.
 //! Everything that prices work — the partition search
-//! ([`crate::cost::CostModel`]), the discrete-event simulator
-//! (`mp-runtime`'s `SimNet`), and the executor auto-tuner (`mp-sweep`'s
-//! `tune` module) — derives its constants from one profile, so the three
-//! can no longer drift apart.
+//! ([`crate::cost::CostModel`]) and the discrete-event simulator
+//! (`mp-runtime`'s `SimNet`) — derives its constants from one profile, so
+//! the two can no longer drift apart.
 //!
 //! Profiles come from three places, recorded in [`Provenance`]:
 //!

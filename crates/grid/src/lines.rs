@@ -7,11 +7,11 @@
 //! [`gather_line_raw`] and [`scatter_line_raw`] perform that transpose in
 //! both directions, one line at a time, with an optional reversal for
 //! backward sweeps (element 0 of the block is the line's last storage
-//! element). They take raw pointers so a parallel executor can let several
-//! workers touch *disjoint lines* of the same array without materializing
-//! overlapping `&mut` slices (which would be UB); they assert their bounds,
-//! and the caller is responsible only for pointer validity and
-//! element-level disjointness.
+//! element). They take raw pointers so the executor can address the lines
+//! of several tiles' fields at once through per-phase raw views instead of
+//! holding a `&mut` borrow per field; they assert their bounds, and the
+//! caller is responsible only for pointer validity and for no other access
+//! touching the line meanwhile.
 //!
 //! [`Lanes`] is what a kernel sees: `nlanes` unit-stride lanes per field,
 //! elements a signed stride apart. A line-minor block is one such view
@@ -138,11 +138,6 @@ pub struct LaneField {
     base: *mut f64,
     stride: isize,
 }
-
-// SAFETY: a `LaneField` is an address, not an access: it is dereferenced
-// only through a `Lanes` view, whose constructors establish that every
-// addressed element is valid and exclusively held for the view's lifetime.
-unsafe impl Send for LaneField {}
 
 /// `nlanes` parallel lanes of `seg_len` elements over one or more fields:
 /// element `k` of lane `l` of field `f` sits `k·stride_f + l` elements past

@@ -84,21 +84,8 @@ impl ParallelSp {
         Self::with_opts(rank, prob, mp, SweepOptions::default())
     }
 
-    /// Like [`ParallelSp::new`] but with sweep options derived for this
-    /// problem and host by [`mp_sweep::tune::TunedOptions::derive`]
-    /// (explicit `MP_SWEEP_*` knobs still win). Results are bitwise
-    /// identical to the default-option run; only performance changes.
-    pub fn auto_tuned(rank: u64, prob: SpProblem, mp: Multipartitioning) -> Self {
-        let shape = mp_sweep::tune::PlanShape {
-            p: mp.p,
-            eta: prob.eta.to_vec(),
-        };
-        let tuned = mp_sweep::tune::TunedOptions::derive(&shape);
-        Self::with_opts(rank, prob, mp, tuned.options)
-    }
-
     /// Like [`ParallelSp::new`] but with explicit sweep execution options
-    /// (block width, intra-rank threads, SIMD level).
+    /// (block width, SIMD level).
     pub fn with_opts(
         rank: u64,
         prob: SpProblem,
@@ -222,18 +209,6 @@ impl ParallelSp {
         for _ in 0..iterations {
             self.iterate(comm);
         }
-    }
-
-    /// Worker threads the plan's persistent pool holds (0 single-threaded).
-    /// Flat across steady-state timesteps — the zero-spawn assertion the
-    /// profile smoke checks.
-    pub fn pool_threads_spawned(&self) -> usize {
-        self.plan.pool_threads_spawned()
-    }
-
-    /// Phases dispatched through the persistent pool so far.
-    pub fn pool_dispatches(&self) -> u64 {
-        self.plan.pool_dispatches()
     }
 
     /// Run `iterations`, recording the global solution norm after each one

@@ -1,14 +1,14 @@
 //! Host calibration: measure the machine the planner plans for.
 //!
-//! The §3.1 search, the discrete-event simulator, and the executor tuner
-//! all price work with the constants of a [`MachineProfile`]. This module
+//! The §3.1 search and the discrete-event simulator price work with the
+//! constants of a [`MachineProfile`]. This module
 //! produces *measured* profiles:
 //!
 //! * **K1** — per-kernel compute time per element. The kernels live in
 //!   `mp-sweep` (which depends on this crate), so the harness is generic:
 //!   a [`Calibrator`] accepts named closures and times them with a
-//!   min-of-repetitions rule ([`measure_min_secs`]); `mp-sweep`'s `tune`
-//!   module registers the real `sweep_lanes` kernels.
+//!   min-of-repetitions rule ([`measure_min_secs`]); `mp-sweep`'s
+//!   `calibrate` module registers its `sweep_lanes` kernels.
 //! * **K2 / K3** — a ping-pong over the threaded ring transport across a
 //!   range of message sizes, least-squares fitted to the Hockney model
 //!   `t(n) = K2 + n·K3` ([`calibrate_transport`], [`fit_linear`]).
@@ -190,7 +190,7 @@ pub fn calibrate_transport(opts: &CalibrationOpts) -> TransportFit {
 
 /// Accumulates per-kernel K1 measurements into a measured
 /// [`MachineProfile`]. Kernel registration happens upstream (`mp-sweep`'s
-/// `tune::calibrate_host`) because the kernels live above this crate in
+/// `calibrate::calibrate_host`) because the kernels live above this crate in
 /// the dependency graph.
 #[derive(Debug)]
 pub struct Calibrator {

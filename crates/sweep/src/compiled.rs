@@ -16,8 +16,8 @@
 //! **The schedule is the paper's.** Every phase boundary ships exactly one
 //! aggregated carry message from each rank to its unique downstream
 //! neighbor, so the wire depends only on `(multipartitioning, dim,
-//! direction, kernel shape)` — never on an option: block width, threads
-//! and SIMD level change how a phase computes, not what it sends. The
+//! direction, kernel shape)` — never on an option: block width and SIMD
+//! level change how a phase computes, not what it sends. The
 //! carry buffer is relayed by ownership: received, evolved in place by
 //! the phase's block jobs and sent onward by move, so no carry is ever
 //! copied.
@@ -33,10 +33,8 @@
 //! the source of truth for the executor rather than documentation-only.
 
 use crate::executor::{
-    exchange_halos_planned, make_workers, run_jobs, BlockJob, FieldMeta, RawParts, SharedPhase,
-    SweepOptions, WorkerScratch,
+    exchange_halos_planned, run_jobs, BlockJob, BlockScratch, FieldMeta, SharedPhase, SweepOptions,
 };
-use crate::pool::WorkerPool;
 use crate::recurrence::LineSweepKernel;
 use crate::simd::{SimdLevel, SimdMode};
 use mp_core::multipart::{Direction, Multipartitioning};
@@ -45,7 +43,6 @@ use mp_grid::{HaloPlan, RankStore};
 use mp_runtime::comm::{CommError, Communicator, Tag};
 use mp_runtime::panic_payload_message;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A sweep that failed cleanly instead of completing: the unwind was
@@ -111,7 +108,7 @@ pub struct PlanKey {
 }
 
 /// Everything one phase needs, computed once at build time: tile metadata
-/// in store order, the carved job table and its per-worker spans.
+/// in store order and the carved job table.
 /// Raw field pointers are *not* here — storage may move between executes,
 /// so they are refreshed into the plan's `FieldMeta` arena each phase.
 #[derive(Debug)]
@@ -132,63 +129,12 @@ struct PhasePlan {
     stride_dims: Vec<usize>,
     /// Block jobs covering the phase's carry message contiguously.
     jobs: Vec<BlockJob>,
-    /// Per-worker job spans, balanced by line count at build time so
-    /// steady-state dispatch does no span arithmetic and no allocation.
-    wspans: Vec<(usize, usize)>,
     /// Elements in the phase's carry message (lines × kernel carry length).
     carry_len: usize,
     /// Run this phase's jobs in place on tile storage instead of
     /// gather/scatter through block scratch. Decided once at build time
     /// from the phase geometry.
     inplace: bool,
-}
-
-/// Split `jobs` into at most `nworkers` contiguous spans balanced
-/// by **line weight** (`BlockJob::nlines`), not job count. The last job of
-/// a tile is usually narrower than `block_width`, so the old
-/// `wi · njobs / nworkers` split by count could hand one worker a run of
-/// full-width blocks and another a run of remainders — with two tiles per
-/// slab and two workers that was a 2× compute imbalance every phase. Spans
-/// are closed greedily when their cumulative weight crosses the
-/// proportional target (choosing the nearer side of the boundary job),
-/// while always leaving at least one job for each remaining worker.
-fn balanced_spans(jobs: &[BlockJob], nworkers: usize) -> Vec<(usize, usize)> {
-    let njobs = jobs.len();
-    if njobs == 0 {
-        return Vec::new();
-    }
-    let nw = nworkers.max(1).min(njobs);
-    if nw == 1 {
-        return vec![(0, njobs)];
-    }
-    let total: usize = jobs.iter().map(|j| j.nlines).sum();
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(nw);
-    let mut start = 0;
-    let mut cum = 0usize;
-    for j in 0..njobs {
-        cum += jobs[j].nlines;
-        if spans.len() + 1 == nw {
-            break; // everything left belongs to the last span
-        }
-        let jobs_left = njobs - (j + 1);
-        let workers_left = nw - spans.len() - 1;
-        if jobs_left == 0 {
-            break;
-        }
-        // Proportional target for the spans closed so far plus this one,
-        // scaled by nw to stay in integers: close when the midpoint of
-        // adding the next job crosses it (nearest-boundary rounding).
-        let target = (spans.len() + 1) * total;
-        let next = jobs[j + 1].nlines;
-        let close = jobs_left == workers_left
-            || (jobs_left > workers_left && 2 * cum * nw + next * nw >= 2 * target);
-        if close {
-            spans.push((start, j + 1));
-            start = j + 1;
-        }
-    }
-    spans.push((start, njobs));
-    spans
 }
 
 /// A fully compiled directional sweep for one rank: schedule + metadata +
@@ -198,7 +144,6 @@ pub struct CompiledSweep {
     key: PlanKey,
     rank: u64,
     d: usize,
-    threads: usize,
     /// Rank carries arrive from (one step opposite the sweep direction).
     upstream: u64,
     /// Rank carries ship to.
@@ -206,12 +151,8 @@ pub struct CompiledSweep {
     phases: Vec<PhasePlan>,
     /// Per-(tile, field) raw views, refreshed from the store each phase.
     fms: Vec<FieldMeta>,
-    /// Per-worker block buffers, reused across phases and executes.
-    workers: Vec<WorkerScratch>,
-    /// Persistent worker pool for phase dispatch (`None` when running
-    /// single-threaded). Shared across a [`SolverPlan`]'s sweeps via
-    /// [`CompiledSweep::build_on_pool`].
-    pool: Option<Arc<WorkerPool>>,
+    /// Block buffers, reused across phases and executes.
+    scratch: BlockScratch,
     /// SIMD level resolved once at build time from `key.simd` and the
     /// hardware — steady-state execution never re-detects features.
     simd: SimdLevel,
@@ -241,26 +182,6 @@ impl CompiledSweep {
         tag_base: Tag,
         opts: &SweepOptions,
     ) -> Self {
-        let pool = new_pool(opts.threads);
-        Self::build_on_pool(mp, rank, store, dim, dir, kernel, tag_base, opts, pool)
-    }
-
-    /// [`CompiledSweep::build`] with an explicit (possibly shared) worker
-    /// pool — [`SolverPlan`] uses this so all of its sweeps dispatch onto
-    /// one pool instead of spawning `threads − 1` workers per plan. The
-    /// pool must be `Some` whenever `opts.threads > 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn build_on_pool<K: LineSweepKernel + ?Sized>(
-        mp: &Multipartitioning,
-        rank: u64,
-        store: &RankStore,
-        dim: usize,
-        dir: Direction,
-        kernel: &K,
-        tag_base: Tag,
-        opts: &SweepOptions,
-        pool: Option<Arc<WorkerPool>>,
-    ) -> Self {
         let d = mp.dims();
         let gamma = mp.gammas()[dim];
         let step = dir.step();
@@ -271,7 +192,6 @@ impl CompiledSweep {
         let clen = kernel.carry_len();
         let nfields = kernel.fields().len();
         let bw = opts.block_width.max(1);
-        let threads = opts.threads.max(1);
         let simd_level = opts.simd.resolve();
 
         let mut phases = Vec::with_capacity(slab_order.len());
@@ -285,7 +205,6 @@ impl CompiledSweep {
                 base_offs: Vec::new(),
                 stride_dims: Vec::new(),
                 jobs: Vec::new(),
-                wspans: Vec::new(),
                 carry_len: 0,
                 inplace: false,
             };
@@ -336,7 +255,6 @@ impl CompiledSweep {
                 line_base += nl_t;
             }
             pp.carry_len = line_base * clen;
-            pp.wspans = balanced_spans(&pp.jobs, threads);
 
             // The phase runs in place when its swept dimension is not the
             // tile's last (unit-stride) axis — lines contiguous along the
@@ -367,13 +285,11 @@ impl CompiledSweep {
             },
             rank,
             d,
-            threads,
             upstream: mp.neighbor_rank(rank, dim, -step),
             downstream: mp.neighbor_rank(rank, dim, step),
             phases,
             fms: Vec::with_capacity(mp.tiles_per_proc_per_slab(dim) as usize * nfields),
-            workers: make_workers(opts.threads, nfields),
-            pool,
+            scratch: BlockScratch::new(nfields),
             simd: simd_level,
         };
         #[cfg(debug_assertions)]
@@ -423,7 +339,6 @@ impl CompiledSweep {
             && self.key.carry_len == kernel.carry_len()
             && self.key.block_width == opts.block_width.max(1)
             && self.key.simd == opts.simd
-            && self.threads == opts.threads.max(1)
     }
 
     /// The distinct message lengths (in elements) this plan sends, for
@@ -543,8 +458,7 @@ impl CompiledSweep {
             d,
             phases,
             fms,
-            workers,
-            pool,
+            scratch,
             simd,
             ..
         } = self;
@@ -582,13 +496,7 @@ impl CompiledSweep {
             );
 
             let t_run = comm.tracer().is_some().then(Instant::now);
-            run_jobs(
-                &shared,
-                &pp.wspans,
-                RawParts::of(&mut cbuf),
-                workers,
-                pool.as_deref(),
-            );
+            run_jobs(&shared, &mut cbuf, scratch);
             if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
                 tr.compute(
                     t0,
@@ -609,10 +517,9 @@ impl CompiledSweep {
     }
 
     /// Like [`CompiledSweep::execute`], but any unwind inside the sweep —
-    /// a kernel assertion, a worker-pool panic, a receive deadline, or a
-    /// peer rank's failure — comes back as a typed [`SweepError`] after
-    /// aborting the surrounding run ([`Communicator::abort`]), so the
-    /// other ranks unwind with `RankFailed` instead of deadlocking on the
+    /// a kernel assertion, a receive deadline, or a peer rank's failure —
+    /// comes back as a typed [`SweepError`] after aborting the surrounding
+    /// run ([`Communicator::abort`]), so the other ranks unwind with `RankFailed` instead of deadlocking on the
     /// messages this sweep will never send.
     ///
     /// ```
@@ -651,13 +558,6 @@ impl CompiledSweep {
     }
 }
 
-/// The persistent worker pool `threads`-way execution dispatches onto:
-/// `threads − 1` parked workers (the calling rank thread is worker 0), or
-/// `None` when running single-threaded.
-fn new_pool(threads: usize) -> Option<Arc<WorkerPool>> {
-    (threads > 1).then(|| Arc::new(WorkerPool::new(threads - 1)))
-}
-
 /// Refresh the raw per-(tile, field) views from the store — the only part
 /// of the plan that cannot be cached across executes.
 fn refresh_fms(fms: &mut Vec<FieldMeta>, pp: &PhasePlan, store: &mut RankStore, fields: &[usize]) {
@@ -666,21 +566,17 @@ fn refresh_fms(fms: &mut Vec<FieldMeta>, pp: &PhasePlan, store: &mut RankStore, 
     for (t, &ti) in pp.tiles.iter().enumerate() {
         for (fi, &f) in fields.iter().enumerate() {
             let slot = t * nf + fi;
-            let raw = store.tiles[ti].field_mut(f).raw_mut();
-            fms.push(FieldMeta {
-                parts: RawParts {
-                    ptr: raw.as_mut_ptr(),
-                    len: raw.len(),
-                },
-                base_off: pp.base_offs[slot],
-                stride_dim: pp.stride_dims[slot],
-            });
+            fms.push(FieldMeta::new(
+                store.tiles[ti].field_mut(f).raw_mut(),
+                pp.base_offs[slot],
+                pp.stride_dims[slot],
+            ));
         }
     }
 }
 
-/// The shared read-only view one phase's workers run against, assembled
-/// from the precompiled metadata plus the freshly refreshed field views.
+/// The view one phase's block jobs run against, assembled from the
+/// precompiled metadata plus the freshly refreshed field views.
 fn shared_phase<'a, K: LineSweepKernel + ?Sized>(
     pp: &'a PhasePlan,
     fms: &'a [FieldMeta],
@@ -718,9 +614,6 @@ pub struct SolverPlan {
     opts: SweepOptions,
     /// Slot `dim * 2 + dir_idx` (`Forward` = 0, `Backward` = 1).
     slots: Vec<Option<CompiledSweep>>,
-    /// One persistent worker pool shared by every sweep plan, created
-    /// lazily on the first multi-threaded build.
-    pool: Option<Arc<WorkerPool>>,
     halo: Option<HaloPlan>,
     builds: u64,
     build_ns: u64,
@@ -733,7 +626,6 @@ impl SolverPlan {
         SolverPlan {
             opts,
             slots: Vec::new(),
-            pool: None,
             halo: None,
             builds: 0,
             build_ns: 0,
@@ -767,16 +659,12 @@ impl SolverPlan {
         self.slots.iter().filter_map(|s| s.as_ref())
     }
 
-    /// Worker threads the persistent pool holds (0 when running
-    /// single-threaded). Flat across steady state: sweeps after warm-up
-    /// spawn no threads.
+    /// Always 0: the engine spawns no threads, since every phase runs on
+    /// the rank's own thread. Kept only because perfbench's steady-state
+    /// check still calls it; it goes with the next change to that
+    /// benchmark.
     pub fn pool_threads_spawned(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.threads_spawned())
-    }
-
-    /// Phases dispatched through the persistent pool so far.
-    pub fn pool_dispatches(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.dispatches())
+        0
     }
 
     /// Execute one directional sweep, compiling it first if the cached
@@ -811,10 +699,7 @@ impl SolverPlan {
             // the zero-overhead telemetry contract (clock never read in
             // steady state when tracing is off) is preserved.
             let t0 = Instant::now();
-            if self.pool.is_none() {
-                self.pool = new_pool(self.opts.threads);
-            }
-            let cs = CompiledSweep::build_on_pool(
+            let cs = CompiledSweep::build(
                 mp,
                 comm.rank(),
                 store,
@@ -823,7 +708,6 @@ impl SolverPlan {
                 kernel,
                 tag_base,
                 &self.opts,
-                self.pool.clone(),
             );
             self.builds += 1;
             self.build_ns += t0.elapsed().as_nanos() as u64;
@@ -905,7 +789,7 @@ mod tests {
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
         let fields = [FieldDef::new("u", 0)];
-        for opts in [SweepOptions::new(4, 1), SweepOptions::new(32, 2)] {
+        for opts in [SweepOptions::new(4), SweepOptions::new(32)] {
             let grid = grid_for(&mp, &eta);
             let o = opts.clone();
             let fresh = run_threaded(mp.p, |comm| {
@@ -958,7 +842,7 @@ mod tests {
         let k = PrefixSumKernel::new(0);
         let fields = [FieldDef::new("u", 0)];
         let grid = grid_for(&mp, &eta);
-        let opts = SweepOptions::new(8, 1);
+        let opts = SweepOptions::new(8);
         let per_rank: u64 = (0..mp.p)
             .map(|rank| {
                 let store = allocate_rank_store(rank, &mp, &grid, &fields);
@@ -970,7 +854,7 @@ mod tests {
         let counted = run_threaded(mp.p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init_value);
-            let mut plan = SolverPlan::new(SweepOptions::new(8, 1));
+            let mut plan = SolverPlan::new(SweepOptions::new(8));
             for _ in 0..3 {
                 plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
                 plan.sweep(comm, &mut store, &mp, 1, Direction::Backward, &k, 2000);
@@ -985,7 +869,7 @@ mod tests {
     /// a plan validated against the wrong multipartitioning is rejected.
     #[test]
     fn compiled_plans_validate_against_sweep_plan() {
-        let opts = SweepOptions::new(8, 1);
+        let opts = SweepOptions::new(8);
         let k = PrefixSumKernel::new(0);
         let fields = [FieldDef::new("u", 0)];
         for (p, gammas) in [
@@ -1030,7 +914,7 @@ mod tests {
         let mut comm = mp_runtime::comm::SerialComm;
         let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
         store.init_field(0, init_value);
-        let mut plan = SolverPlan::new(SweepOptions::new(4, 1));
+        let mut plan = SolverPlan::new(SweepOptions::new(4));
         plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
         plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
         assert_eq!(plan.builds(), 1);
@@ -1059,9 +943,6 @@ mod tests {
         plan.sweep(&mut comm, &mut store2, &mp, 0, Direction::Forward, &k3, 7);
         assert_eq!(plan.builds(), 4);
         assert!(plan.build_ns() > 0);
-        // threads = 1 → no worker pool at all.
-        assert_eq!(plan.pool_threads_spawned(), 0);
-        assert_eq!(plan.pool_dispatches(), 0);
     }
 
     #[test]
@@ -1071,7 +952,7 @@ mod tests {
         let grid = grid_for(&mp, &[8, 8, 8]);
         let k = PrefixSumKernel::new(0);
         let store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
-        for opts in [SweepOptions::new(1, 1), SweepOptions::new(7, 3)] {
+        for opts in [SweepOptions::new(1), SweepOptions::new(7)] {
             let cs = CompiledSweep::build(&mp, 0, &store, 0, Direction::Forward, &k, 0, &opts);
             // γ_0 = 2 → one boundary; each rank owns 1 tile of 4×4×4 per
             // slab → 16 lines, clen 1 → one 16-element message.
@@ -1088,7 +969,7 @@ mod tests {
         run_threaded(4, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, |g| (g[0] * 100 + g[1] * 10 + g[2]) as f64);
-            let mut plan = SolverPlan::new(SweepOptions::new(8, 1));
+            let mut plan = SolverPlan::new(SweepOptions::new(8));
             for _ in 0..3 {
                 plan.exchange_halos(comm, &mut store, &mp, 0, 1, 5000);
             }
@@ -1113,89 +994,29 @@ mod tests {
         });
     }
 
-    /// The span balancer splits by line weight, not job count: with the
-    /// classic tail pattern (full blocks followed by 1-line remainders) a
-    /// count split would give one worker all the full blocks.
-    #[test]
-    fn balanced_spans_split_by_line_weight() {
-        let mk = |nlines: &[usize]| -> Vec<BlockJob> {
-            let mut off = 0;
-            nlines
-                .iter()
-                .map(|&nl| {
-                    let j = BlockJob {
-                        tile: 0,
-                        line0: 0,
-                        nlines: nl,
-                        carry_off: off,
-                    };
-                    off += nl;
-                    j
-                })
-                .collect()
-        };
-        let weight = |jobs: &[BlockJob], (lo, hi): (usize, usize)| -> usize {
-            jobs[lo..hi].iter().map(|j| j.nlines).sum()
-        };
-
-        // Two tiles of 4 full blocks + 4 single-line remainders.
-        let jobs = mk(&[32, 32, 32, 32, 1, 1, 1, 1]);
-        let spans = balanced_spans(&jobs, 2);
-        assert_eq!(spans, vec![(0, 2), (2, 8)]);
-        let (w0, w1) = (weight(&jobs, spans[0]), weight(&jobs, spans[1]));
-        assert!(w0.abs_diff(w1) <= 32, "imbalance {w0} vs {w1}");
-        // (The old count split handed worker 0 jobs 0..4 = 128 lines and
-        // worker 1 jobs 4..8 = 4 lines.)
-
-        // Spans tile the range exactly, in order, for many shapes.
-        for (nlines, nw) in [
-            (vec![10usize, 10, 10, 10], 2usize),
-            (vec![10, 10, 10], 3),
-            (vec![7], 4),
-            (vec![5, 1, 1, 1, 1, 1, 9], 3),
-            (vec![32; 13], 4),
-        ] {
-            let jobs = mk(&nlines);
-            let spans = balanced_spans(&jobs, nw);
-            assert!(spans.len() <= nw && !spans.is_empty());
-            assert_eq!(spans[0].0, 0);
-            assert_eq!(spans.last().unwrap().1, jobs.len());
-            for w in spans.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "spans not contiguous: {spans:?}");
-                assert!(w[0].0 < w[0].1, "empty span: {spans:?}");
-            }
-        }
-        assert_eq!(balanced_spans(&[], 2), Vec::<(usize, usize)>::new());
-    }
-
-    /// After warm-up, sweeping through a solver plan spawns zero threads
-    /// (pool dispatch only) and allocates zero transport buffers (recycle
-    /// pool always hits).
+    /// After warm-up, sweeping through a solver plan rebuilds no plan and
+    /// allocates zero transport buffers (recycle pool always hits).
     #[test]
     fn steady_state_spawns_and_allocates_nothing() {
         let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
         let fields = [FieldDef::new("u", 0)];
-        for opts in [SweepOptions::new(4, 3), SweepOptions::new(8, 2)] {
+        for opts in [SweepOptions::new(4), SweepOptions::new(8)] {
             let grid = grid_for(&mp, &eta);
             let o = opts.clone();
             run_threaded(mp.p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
                 store.init_field(0, init_value);
                 let mut plan = SolverPlan::new(o.clone());
-                // Warm-up: builds the plans (spawning the pool once) and
-                // populates the communicator's recycle pool.
+                // Warm-up: builds the plans and populates the
+                // communicator's recycle pool.
                 for dim in 0..3 {
                     plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
                     plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
                 }
                 comm.barrier();
-                let spawned = plan.pool_threads_spawned();
-                let dispatches = plan.pool_dispatches();
                 let misses = comm.pool_misses;
-                assert_eq!(spawned, o.threads - 1, "pool holds threads − 1 workers");
-                assert!(dispatches > 0, "warm-up phases must dispatch the pool");
                 // Steady state: 10 more timesteps of all six sweeps.
                 for _ in 0..10 {
                     for dim in 0..3 {
@@ -1204,15 +1025,6 @@ mod tests {
                     }
                 }
                 comm.barrier();
-                assert_eq!(
-                    plan.pool_threads_spawned(),
-                    spawned,
-                    "steady state spawned threads"
-                );
-                assert!(
-                    plan.pool_dispatches() > dispatches,
-                    "steady state stopped using the pool"
-                );
                 assert_eq!(
                     comm.pool_misses, misses,
                     "steady state allocated transport buffers"
@@ -1240,7 +1052,7 @@ mod tests {
         let rhs: Vec<usize> = (9..12).collect();
         let hot = ThomasForwardKernel::new(0, 1, 2, 3);
         let generated = BlockTriForwardKernel::<3, _>::new(TestCoeffs, &scratch, &rhs);
-        let opts = SweepOptions::new(1, 1);
+        let opts = SweepOptions::new(1);
         for k in [&hot as &dyn LineSweepKernel, &generated] {
             for dim in 0..3 {
                 let cs = CompiledSweep::build(&mp, 0, &store, dim, Direction::Forward, k, 0, &opts);
@@ -1270,7 +1082,7 @@ mod tests {
             Direction::Forward,
             &k,
             0,
-            &SweepOptions::new(4, 1),
+            &SweepOptions::new(4),
         );
         // Same kernel type on a different field: the shape (field list)
         // differs, so execute must refuse. (The assert fires before any

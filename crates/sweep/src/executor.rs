@@ -24,11 +24,10 @@
 //! and scatters it back after. Because the line-major
 //! carry layout *is* the wire layout, the incoming message is evolved in
 //! place and sent on by move — the communication schedule (message count,
-//! payload sizes, byte order) is identical to per-line execution. Blocks
-//! are independent, so they can additionally be spread over
-//! [`SweepOptions::threads`] workers of a persistent
-//! [`crate::pool::WorkerPool`]; all scratch buffers are reused across the
-//! γ phases, so steady-state phases allocate nothing.
+//! payload sizes, byte order) is identical to per-line execution. A phase's
+//! blocks run one after another on the rank's own thread (ranks are the
+//! engine's only parallelism), and the one block scratch is reused across
+//! the γ phases, so steady-state phases allocate nothing.
 //!
 //! The phase loop itself is [`crate::compiled::CompiledSweep::execute`];
 //! timestepping drivers run it through a cached
@@ -55,9 +54,6 @@ pub struct SweepOptions {
     /// stride. `1` degenerates to per-line execution (same results —
     /// blocked kernels are bit-identical per line at any width).
     pub block_width: usize,
-    /// Worker threads per rank for block execution within a phase. `1`
-    /// runs inline on the calling thread.
-    pub threads: usize,
     /// Which kernel vectorization level to use (see [`crate::simd`]):
     /// [`SimdMode::Auto`] (the default) resolves to the widest path the CPU
     /// supports at plan-build time, [`SimdMode::Scalar`] forces the
@@ -67,11 +63,10 @@ pub struct SweepOptions {
 }
 
 impl SweepOptions {
-    /// Options with an explicit block width and thread count.
-    pub fn new(block_width: usize, threads: usize) -> Self {
+    /// Options with an explicit block width.
+    pub fn new(block_width: usize) -> Self {
         SweepOptions {
             block_width: block_width.max(1),
-            threads: threads.max(1),
             simd: SimdMode::Auto,
         }
     }
@@ -85,24 +80,19 @@ impl SweepOptions {
     /// Options from the environment — the single documented place every
     /// entry point (CLI, examples, benches) reads the sweep knobs from:
     ///
-    /// | variable           | meaning                      | default |
-    /// |--------------------|------------------------------|---------|
-    /// | `MP_SWEEP_BLOCK`   | lines per block              | 32      |
-    /// | `MP_SWEEP_THREADS` | worker threads per rank      | 1       |
-    /// | `MP_SWEEP_SIMD`    | kernel path: `auto`/`scalar` | auto    |
+    /// | variable         | meaning                      | default |
+    /// |------------------|------------------------------|---------|
+    /// | `MP_SWEEP_BLOCK` | lines per block              | 32      |
+    /// | `MP_SWEEP_SIMD`  | kernel path: `auto`/`scalar` | auto    |
     ///
     /// Malformed or out-of-range values (empty, non-numeric, `0` for the
-    /// numeric knobs, an unknown mode word) fall back to the default rather
+    /// block width, an unknown mode word) fall back to the default rather
     /// than panicking — env knobs must never abort a run — but each such
     /// variable earns one stderr warning per process naming the rejected
     /// value and the fallback used, so a typo is visible instead of
     /// silently running untuned.
     pub fn from_env() -> Self {
-        SweepOptions::new(
-            env_usize("MP_SWEEP_BLOCK", 32),
-            env_usize("MP_SWEEP_THREADS", 1),
-        )
-        .with_simd(SimdMode::from_env())
+        SweepOptions::new(env_usize("MP_SWEEP_BLOCK", 32)).with_simd(SimdMode::from_env())
     }
 }
 
@@ -131,27 +121,20 @@ pub(crate) fn env_test_lock() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// `Some(v)` when `name` is set to a positive integer, `None` when unset
-/// — or set but invalid, which warns once via [`warn_invalid_env`] naming
-/// `fallback` as the value in force.
-pub(crate) fn env_usize_opt(name: &str, fallback: &str) -> Option<usize> {
-    match std::env::var(name) {
-        Err(_) => None,
-        Ok(s) => {
-            let v = s.trim().parse::<usize>().ok().filter(|&v| v > 0);
-            if v.is_none() {
-                warn_invalid_env(name, &s, fallback);
-            }
-            v
-        }
-    }
-}
-
 /// `default` unless `name` is set to a positive integer (see
 /// [`SweepOptions::from_env`] for the fall-back contract); a set-but-
 /// invalid value warns once via [`warn_invalid_env`].
 pub(crate) fn env_usize(name: &str, default: usize) -> usize {
-    env_usize_opt(name, &format!("default {default}")).unwrap_or(default)
+    let Ok(s) = std::env::var(name) else {
+        return default;
+    };
+    match s.trim().parse::<usize>() {
+        Ok(v) if v > 0 => v,
+        _ => {
+            warn_invalid_env(name, &s, &format!("default {default}"));
+            default
+        }
+    }
 }
 
 impl Default for SweepOptions {
@@ -161,41 +144,32 @@ impl Default for SweepOptions {
     }
 }
 
-/// A raw view of one buffer, shareable across the worker threads of one
-/// phase. Workers only dereference it through the element-disjoint
-/// line/carry accessors below, never as a whole slice.
-#[derive(Clone, Copy)]
-pub(crate) struct RawParts {
-    pub(crate) ptr: *mut f64,
-    pub(crate) len: usize,
+/// Per-(tile, field) addressing for one phase: where the field's storage
+/// lives and how to turn a line base into an element offset. Built from
+/// the store at the start of every phase, so `ptr..ptr+len` is always a
+/// whole field buffer; the pointer is dereferenced only through the
+/// bounds-checked line accessors and lane views below.
+pub(crate) struct FieldMeta {
+    /// Start of the field's raw storage (ghost layers included).
+    ptr: *mut f64,
+    /// Elements in the field's raw storage.
+    len: usize,
+    /// Offset of the interior origin in the raw buffer.
+    base_off: usize,
+    /// Stride along the swept dimension.
+    stride_dim: usize,
 }
 
-impl RawParts {
-    /// View of an owned buffer (which must outlive — and not be resized
-    /// during — any use of the view).
-    pub(crate) fn of(buf: &mut Vec<f64>) -> Self {
-        RawParts {
-            ptr: buf.as_mut_ptr(),
-            len: buf.len(),
+impl FieldMeta {
+    /// Addressing for one field's raw storage `raw` in this phase.
+    pub(crate) fn new(raw: &mut [f64], base_off: usize, stride_dim: usize) -> Self {
+        FieldMeta {
+            ptr: raw.as_mut_ptr(),
+            len: raw.len(),
+            base_off,
+            stride_dim,
         }
     }
-}
-
-// SAFETY: all access goes through `gather_line_raw` / `scatter_line_raw`,
-// in-place lane views and per-job carry ranges, which touch element sets
-// that are disjoint between concurrently running jobs (lines partition a
-// tile's interior; carry ranges are disjoint by construction).
-unsafe impl Send for RawParts {}
-unsafe impl Sync for RawParts {}
-
-/// Per-(tile, field) addressing for one phase: where the field's storage
-/// lives and how to turn a line base into an element offset.
-pub(crate) struct FieldMeta {
-    pub(crate) parts: RawParts,
-    /// Offset of the interior origin in the raw buffer.
-    pub(crate) base_off: usize,
-    /// Stride along the swept dimension.
-    pub(crate) stride_dim: usize,
 }
 
 /// One unit of work: a contiguous run of lines of one slab tile.
@@ -212,10 +186,9 @@ pub(crate) struct BlockJob {
     pub(crate) carry_off: usize,
 }
 
-/// Per-worker reusable buffers — everything a block needs that is not
-/// shared, so workers never contend and phases never allocate in steady
-/// state.
-pub(crate) struct WorkerScratch {
+/// Reusable per-block buffers — one set per compiled plan, so phases never
+/// allocate in steady state.
+pub(crate) struct BlockScratch {
     /// One line-minor block buffer per kernel field (64-byte aligned so the
     /// vectorized kernels can use aligned loads).
     bufs: Vec<AlignedVec>,
@@ -229,9 +202,9 @@ pub(crate) struct WorkerScratch {
     lane_fields: Vec<LaneField>,
 }
 
-impl WorkerScratch {
-    fn new(nfields: usize) -> Self {
-        WorkerScratch {
+impl BlockScratch {
+    pub(crate) fn new(nfields: usize) -> Self {
+        BlockScratch {
             bufs: vec![AlignedVec::new(); nfields],
             ctxs: Vec::new(),
             offsets: Vec::new(),
@@ -241,15 +214,8 @@ impl WorkerScratch {
     }
 }
 
-/// One scratch set per worker thread.
-pub(crate) fn make_workers(threads: usize, nfields: usize) -> Vec<WorkerScratch> {
-    (0..threads.max(1))
-        .map(|_| WorkerScratch::new(nfields))
-        .collect()
-}
-
-/// Everything shared read-only (or element-disjointly) by the workers of
-/// one phase.
+/// Everything the block jobs of one phase read: the compiled metadata plus
+/// the freshly refreshed field views.
 pub(crate) struct SharedPhase<'a, K: ?Sized> {
     pub(crate) jobs: &'a [BlockJob],
     pub(crate) fms: &'a [FieldMeta],
@@ -346,40 +312,15 @@ fn decode_lines<K: LineSweepKernel + ?Sized>(
     }
 }
 
-/// Run one block job in its phase's mode. The job's carries are a
-/// sub-range of `out`, the phase's carry message — line-major, `clen` per
-/// line.
-#[inline]
-fn run_one<K: LineSweepKernel + ?Sized>(
-    sh: &SharedPhase<'_, K>,
-    job: &BlockJob,
-    out: RawParts,
-    w: &mut WorkerScratch,
-) {
-    let off = job.carry_off;
-    let len = job.nlines * sh.clen;
-    debug_assert!(off + len <= out.len);
-    // SAFETY: jobs' carry ranges are disjoint and `out` is not resized
-    // while jobs run.
-    let carries = unsafe { std::slice::from_raw_parts_mut(out.ptr.add(off), len) };
-    decode_lines(sh, job, &mut w.ctxs, &mut w.offsets, &mut w.base);
-    if sh.inplace {
-        run_block_inplace(sh, job, carries, w);
-    } else {
-        run_block(sh, job, carries, w);
-    }
-}
-
-/// Run one block job packed: gather its lines into the worker's
-/// line-minor block buffers, sweep them as lanes of stride `nlines`, and
-/// scatter back.
+/// Run one block job packed: gather its lines into the line-minor block
+/// buffers, sweep them as lanes of stride `nlines`, and scatter back.
 fn run_block<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
     carries: &mut [f64],
-    w: &mut WorkerScratch,
+    w: &mut BlockScratch,
 ) {
-    let WorkerScratch {
+    let BlockScratch {
         bufs,
         ctxs,
         offsets,
@@ -396,12 +337,16 @@ fn run_block<K: LineSweepKernel + ?Sized>(
         buf.resize(seg_len * nl, 0.0);
         let fm = &sh.fms[t * nf + f];
         for l in 0..nl {
-            // SAFETY: bounds asserted inside; concurrently running jobs
-            // address disjoint lines (see `RawParts`).
+            // SAFETY: `fm` was refreshed from the store this phase, and
+            // `execute` holds the store mutably for the whole phase, so it
+            // views a live buffer of `fm.len` elements that nothing else
+            // touches while this job runs (jobs run one at a time on the
+            // rank thread). The line's bounds are asserted inside, and
+            // `buf` is a separate allocation.
             unsafe {
                 gather_line_raw(
-                    fm.parts.ptr as *const f64,
-                    fm.parts.len,
+                    fm.ptr as *const f64,
+                    fm.len,
                     offsets[l * nf + f],
                     fm.stride_dim,
                     reversed,
@@ -423,8 +368,8 @@ fn run_block<K: LineSweepKernel + ?Sized>(
             // SAFETY: as for the gather above.
             unsafe {
                 scatter_line_raw(
-                    fm.parts.ptr,
-                    fm.parts.len,
+                    fm.ptr,
+                    fm.len,
                     offsets[l * nf + f],
                     fm.stride_dim,
                     reversed,
@@ -456,9 +401,9 @@ fn run_block_inplace<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
     job: &BlockJob,
     carries: &mut [f64],
-    w: &mut WorkerScratch,
+    w: &mut BlockScratch,
 ) {
-    let WorkerScratch {
+    let BlockScratch {
         ctxs,
         offsets,
         lane_fields,
@@ -490,14 +435,15 @@ fn run_block_inplace<K: LineSweepKernel + ?Sized>(
             let sd = fm.stride_dim as isize;
             if reversed {
                 let far = fwd + (seg_len - 1) * fm.stride_dim;
-                (fm.parts.ptr, fm.parts.len, far, -sd)
+                (fm.ptr, fm.len, far, -sd)
             } else {
-                (fm.parts.ptr, fm.parts.len, fwd, sd)
+                (fm.ptr, fm.len, fwd, sd)
             }
         });
-        // SAFETY: each field's storage is live for the whole phase, and
-        // concurrently running jobs touch disjoint lines (see `RawParts`);
-        // `from_raw` checks the run's corners against each buffer.
+        // SAFETY: as in `run_block`, each field's storage is a live buffer
+        // that nothing else touches while the view lives (jobs run one at
+        // a time on the rank thread, and the carries are a separate
+        // buffer); `from_raw` checks the run's corners against each buffer.
         let mut lanes = unsafe { Lanes::from_raw(parts, run, seg_len, lane_fields) };
         sh.kernel.sweep_lanes(
             sh.simd,
@@ -510,53 +456,23 @@ fn run_block_inplace<K: LineSweepKernel + ?Sized>(
     }
 }
 
-/// Pointer to the worker scratch array, shareable with pool workers. Each
-/// worker dereferences only its own slot (`base + wi`), so slots are never
-/// aliased across threads.
-struct ScratchPtr(*mut WorkerScratch);
-unsafe impl Send for ScratchPtr {}
-unsafe impl Sync for ScratchPtr {}
-
-/// Run the per-worker job spans (non-empty index ranges into `sh.jobs`,
-/// precomputed load-balanced at plan-build time) against the phase's
-/// carry message `out`. A single span runs inline on the caller; multiple
-/// spans run one per worker of the persistent `pool` (zero thread spawns),
-/// which must be `Some` whenever the plan has more than one worker. Jobs
-/// touch disjoint lines and disjoint carry ranges, so spans are
-/// independent.
+/// Run the phase's block jobs in order on the calling rank thread, each in
+/// its phase's mode, against the phase's carry message `cbuf` (line-major,
+/// `clen` per line). A job's carries are its own sub-range of `cbuf`.
 pub(crate) fn run_jobs<K: LineSweepKernel + ?Sized>(
     sh: &SharedPhase<'_, K>,
-    spans: &[(usize, usize)],
-    out: RawParts,
-    workers: &mut [WorkerScratch],
-    pool: Option<&crate::pool::WorkerPool>,
+    cbuf: &mut [f64],
+    w: &mut BlockScratch,
 ) {
-    let nw = spans.len();
-    if nw == 0 {
-        return;
-    }
-    if nw == 1 {
-        let (lo, hi) = spans[0];
-        let w = &mut workers[0];
-        for job in &sh.jobs[lo..hi] {
-            run_one(sh, job, out, w);
+    for job in sh.jobs {
+        let carries = &mut cbuf[job.carry_off..job.carry_off + job.nlines * sh.clen];
+        decode_lines(sh, job, &mut w.ctxs, &mut w.offsets, &mut w.base);
+        if sh.inplace {
+            run_block_inplace(sh, job, carries, w);
+        } else {
+            run_block(sh, job, carries, w);
         }
-        return;
     }
-    debug_assert!(workers.len() >= nw, "fewer scratch sets than spans");
-    let pool = pool.expect("multi-worker phase without a worker pool");
-    let base = ScratchPtr(workers.as_mut_ptr());
-    let task = move |wi: usize| {
-        let base = &base;
-        let (lo, hi) = spans[wi];
-        // SAFETY: the pool dispatches each worker index exactly once per
-        // run, so scratch slot `wi` is exclusively this worker's.
-        let w = unsafe { &mut *base.0.add(wi) };
-        for job in &sh.jobs[lo..hi] {
-            run_one(sh, job, out, w);
-        }
-    };
-    pool.run(nw, &task);
 }
 
 /// Exchange the ghost layers of `field` across all tile faces, in both
@@ -730,16 +646,23 @@ mod tests {
         ));
         assert!(warn_invalid_env("MP_SWEEP_TEST_KNOB_B", "0", "default 1"));
 
-        // env_usize_opt feeds the same guard: set-but-invalid yields None
-        // (after at most one warning), unset yields None silently, valid
-        // yields Some — the tri-state tune.rs relies on for precedence.
+        // env_usize feeds the same guard: set-but-invalid yields the
+        // default after exactly one warning, valid yields the value, and
+        // unset yields the default without warning.
         std::env::set_var("MP_SWEEP_TEST_KNOB_C", "nope");
-        assert_eq!(env_usize_opt("MP_SWEEP_TEST_KNOB_C", "default 4"), None);
-        assert_eq!(env_usize_opt("MP_SWEEP_TEST_KNOB_C", "default 4"), None);
+        assert_eq!(env_usize("MP_SWEEP_TEST_KNOB_C", 4), 4);
+        assert!(!warn_invalid_env(
+            "MP_SWEEP_TEST_KNOB_C",
+            "nope",
+            "default 4"
+        ));
+        assert_eq!(env_usize("MP_SWEEP_TEST_KNOB_C", 4), 4);
         std::env::set_var("MP_SWEEP_TEST_KNOB_C", "7");
-        assert_eq!(env_usize_opt("MP_SWEEP_TEST_KNOB_C", "default 4"), Some(7));
+        assert_eq!(env_usize("MP_SWEEP_TEST_KNOB_C", 4), 7);
         std::env::remove_var("MP_SWEEP_TEST_KNOB_C");
-        assert_eq!(env_usize_opt("MP_SWEEP_TEST_KNOB_C", "default 4"), None);
+        assert_eq!(env_usize("MP_SWEEP_TEST_KNOB_C", 4), 4);
+        assert_eq!(env_usize("MP_SWEEP_TEST_KNOB_D", 4), 4);
+        assert!(warn_invalid_env("MP_SWEEP_TEST_KNOB_D", "x", "default 4"));
     }
 
     #[test]
@@ -749,10 +672,8 @@ mod tests {
         // other env-mutating test via the shared lock.)
         let _guard = env_test_lock();
         for bad in ["", "banana", "0", "-3", "1.5"] {
-            std::env::set_var("MP_SWEEP_THREADS", bad);
             std::env::set_var("MP_SWEEP_BLOCK", bad);
             let o = SweepOptions::from_env();
-            assert_eq!(o.threads, 1, "value {bad:?}");
             assert_eq!(o.block_width, 32, "value {bad:?}");
         }
         std::env::set_var("MP_SWEEP_BLOCK", "16");
@@ -771,11 +692,10 @@ mod tests {
             std::env::set_var("MP_SWEEP_SIMD", val);
             assert_eq!(SweepOptions::from_env().simd, want, "value {val:?}");
         }
-        std::env::remove_var("MP_SWEEP_THREADS");
         std::env::remove_var("MP_SWEEP_BLOCK");
         std::env::remove_var("MP_SWEEP_SIMD");
         let o = SweepOptions::default(); // Default == from_env
-        assert_eq!((o.block_width, o.threads), (32, 1));
+        assert_eq!(o.block_width, 32);
         assert_eq!(o.simd, SimdMode::Auto, "simd defaults to auto");
     }
 
@@ -827,9 +747,9 @@ mod tests {
 
     #[test]
     fn blocked_options_preserve_results_and_messages() {
-        // The ISSUE acceptance assert: any (block_width, threads) setting
-        // yields bitwise-identical fields AND an identical communication
-        // schedule — same message count, same total payload elements.
+        // Any block width yields bitwise-identical fields AND an identical
+        // communication schedule — same message count, same total payload
+        // elements.
         let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
@@ -837,14 +757,13 @@ mod tests {
             for dir in [Direction::Forward, Direction::Backward] {
                 let want = serial_reference(&eta, dim, dir, &k);
                 let (base, base_msgs, base_elems) =
-                    run_distributed_sweep_opts(&mp, &eta, dim, dir, &k, &SweepOptions::new(1, 1));
+                    run_distributed_sweep_opts(&mp, &eta, dim, dir, &k, &SweepOptions::new(1));
                 assert_eq!(base.max_abs_diff(&want), 0.0, "bw=1 dim {dim} {dir:?}");
                 assert!(base_msgs > 0, "premise: the sweep communicates");
                 for opts in [
-                    SweepOptions::new(5, 1),
-                    SweepOptions::new(32, 1),
-                    SweepOptions::new(32, 3),
-                    SweepOptions::new(1000, 2),
+                    SweepOptions::new(5),
+                    SweepOptions::new(32),
+                    SweepOptions::new(1000),
                 ] {
                     let (got, msgs, elems) =
                         run_distributed_sweep_opts(&mp, &eta, dim, dir, &k, &opts);
@@ -878,12 +797,12 @@ mod tests {
     #[test]
     fn ragged_extents_match_serial() {
         // η not divisible by γ: geometry layer spreads the remainder. Run
-        // threaded + blocked to cover uneven block tails.
+        // two block widths to cover uneven block tails.
         let mp = Multipartitioning::from_partitioning(4, Partitioning::new(vec![2, 2, 2]));
         let eta = [7usize, 9, 5];
         let k = PrefixSumKernel::new(0);
         for dim in 0..3 {
-            for opts in [SweepOptions::new(32, 1), SweepOptions::new(7, 2)] {
+            for opts in [SweepOptions::new(32), SweepOptions::new(7)] {
                 let (got, _, _) =
                     run_distributed_sweep_opts(&mp, &eta, dim, Direction::Forward, &k, &opts);
                 let want = serial_reference(&eta, dim, Direction::Forward, &k);

@@ -18,8 +18,6 @@
 //!   [`compiled::CompiledSweep`] and the driver-level
 //!   [`compiled::SolverPlan`], which caches one plan per `(dim,
 //!   direction)` plus the halo schedule;
-//! * [`pool`] — the persistent per-rank [`pool::WorkerPool`] that executes
-//!   phases without per-phase thread spawns;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
 //!   plan-time runtime dispatch, bitwise identical to the scalar paths;
 //! * [`baselines`] — the two classical alternatives the paper positions
@@ -27,9 +25,8 @@
 //!   dynamic block partitioning with transposes;
 //! * [`simulate`] — timing drivers that replay the same schedules on the
 //!   discrete-event simulator of `mp-runtime`;
-//! * [`tune`] — host calibration of the hot kernels + transport into a
-//!   measured [`mp_core::machine::MachineProfile`], and the analytic
-//!   auto-tuner that turns a profile into concrete [`SweepOptions`];
+//! * [`calibrate`] — host calibration of the kernels + transport into a
+//!   measured [`mp_core::machine::MachineProfile`];
 //! * [`verify`] — serial references for bit-exact validation.
 
 #![warn(missing_docs)]
@@ -37,15 +34,14 @@
 pub mod baselines;
 pub mod batch;
 pub mod block;
+pub mod calibrate;
 pub mod compiled;
 pub mod executor;
 pub mod penta;
-pub mod pool;
 pub mod recurrence;
 pub mod simd;
 pub mod simulate;
 pub mod thomas;
-pub mod tune;
 pub mod verify;
 
 #[cfg(test)]
@@ -55,13 +51,12 @@ mod tests_trace;
 
 pub use batch::BatchedKernel;
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
+pub use calibrate::{calibrate_host, k1_key, CALIBRATION_BLOCK_WIDTH};
 pub use compiled::{CompiledSweep, PlanKey, SolverPlan, SweepError};
 pub use executor::{allocate_rank_store, exchange_halos_planned, SweepOptions};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
-pub use pool::WorkerPool;
 pub use recurrence::{
     per_line_sweep_lanes, FirstOrderKernel, LineSweepKernel, PrefixSumKernel, SegmentCtx,
 };
 pub use simd::{SimdLevel, SimdMode};
 pub use thomas::{thomas_solve, ThomasBackwardKernel, ThomasForwardKernel};
-pub use tune::{calibrate_host, k1_key, PlanShape, TunedOptions, CALIBRATION_BLOCK_WIDTH};

@@ -514,9 +514,9 @@ fn simd_kernels_match_scalar_bitwise() {
 
 #[test]
 fn random_executor_configs_match_serial() {
-    // End-to-end property: random domain shapes, rank counts, block widths
-    // and thread counts all produce the serial result bitwise, with exactly
-    // the message count and payload volume of per-line execution.
+    // End-to-end property: random domain shapes, rank counts and block
+    // widths all produce the serial result bitwise, with exactly the
+    // message count and payload volume of per-line execution.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::FirstOrderKernel;
@@ -555,9 +555,9 @@ fn random_executor_configs_match_serial() {
         serial_sweep(&mut [&mut want], dim, dir, &k);
 
         let mut baseline: Option<(u64, u64)> = None;
-        let mut options = vec![SweepOptions::new(1, 1)];
+        let mut options = vec![SweepOptions::new(1)];
         for _ in 0..3 {
-            options.push(SweepOptions::new(rng.usize_in(1, 64), rng.usize_in(1, 4)));
+            options.push(SweepOptions::new(rng.usize_in(1, 64)));
         }
         for opts in &options {
             let fields = [FieldDef::new("u", 0)];
@@ -591,7 +591,7 @@ fn random_executor_configs_match_serial() {
 #[test]
 fn random_compiled_plans_match_per_call_path() {
     // The compiled-plan property: across randomized
-    // (p, γ, η, block_width, threads), executing through a cached
+    // (p, γ, η, block_width), executing through a cached
     // `SolverPlan` — 10 sweeps cycling every (dim, direction) — is bitwise
     // identical to building a fresh `CompiledSweep` for each of the 10
     // calls, sends exactly the same message and element counts, and
@@ -629,7 +629,7 @@ fn random_compiled_plans_match_per_call_path() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 32), rng.usize_in(1, 3));
+        let opts = SweepOptions::new(rng.usize_in(1, 32));
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
         let k = PrefixSumKernel::new(0);
@@ -722,7 +722,7 @@ fn random_engine_reuse_sends_identical_counts() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 16), rng.usize_in(1, 3));
+        let opts = SweepOptions::new(rng.usize_in(1, 16));
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 11) as f64 - 5.0;
         let fields = [FieldDef::new("u", 0)];
 
@@ -804,7 +804,7 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 24), rng.usize_in(1, 3));
+        let opts = SweepOptions::new(rng.usize_in(1, 24));
         let k = PrefixSumKernel::new(0);
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
@@ -937,7 +937,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
     // End-to-end: a full multipartitioned sweep with simd = auto is bitwise
     // equal to the same sweep with simd forced scalar — same field
     // contents, same per-rank message and element counts — across random
-    // shapes, block widths, thread counts, and kernels.
+    // shapes, block widths, and kernels.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
@@ -1032,7 +1032,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let base = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4));
+        let base = SweepOptions::new(rng.usize_in(1, 40));
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
             .collect();
@@ -1130,7 +1130,7 @@ fn random_inplace_configs_match_serial_bitwise() {
     // The in-place invariant: running a phase on tile storage changes
     // *where* the kernel reads and writes, never the results. Across random
     // ragged shapes (lane runs that wrap mid-block, block tails), block
-    // widths, thread counts, SIMD levels, and kernels —
+    // widths, SIMD levels, and kernels —
     // including the block-tridiagonal pair, whose 12 fields and 12-float
     // carries run in place too — every sweep is bitwise equal to the serial
     // reference. Schedules include the last dimension, whose sweep runs
@@ -1237,7 +1237,7 @@ fn random_inplace_configs_match_serial_bitwise() {
         } else {
             SimdMode::Scalar
         };
-        let opts = SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 4)).with_simd(simd);
+        let opts = SweepOptions::new(rng.usize_in(1, 40)).with_simd(simd);
         // Every dim, including the last (packed).
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
@@ -1288,101 +1288,9 @@ fn random_inplace_configs_match_serial_bitwise() {
 }
 
 #[test]
-fn tuned_options_never_change_results_or_schedule() {
-    // The tuning invariant: auto-tuning is a pure performance decision.
-    // Across random (p, γ, η), the tuned plan's output is bitwise equal to
-    // the default per-line plan and every rank's message/element counters
-    // match the default exactly (block width and thread count never touch
-    // the schedule).
-    use crate::compiled::SolverPlan;
-    use crate::executor::{allocate_rank_store, SweepOptions};
-    use crate::recurrence::PrefixSumKernel;
-    use crate::tune::{PlanShape, TunedOptions};
-    use mp_core::multipart::Multipartitioning;
-    use mp_core::partition::Partitioning;
-    use mp_grid::{ArrayD, FieldDef, TileGrid};
-    use mp_runtime::comm::Communicator;
-    use mp_runtime::threaded::run_threaded;
-
-    cases(0x750D, 8, |rng| {
-        let (p, gammas): (u64, Vec<u64>) = match rng.usize_in(0, 3) {
-            0 => (2, vec![2, 2, 1]),
-            1 => (4, vec![2, 2, 2]),
-            2 => (3, vec![3, 3, 1]),
-            _ => (6, vec![6, 3, 2]),
-        };
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas));
-        let eta: Vec<usize> = mp
-            .gammas()
-            .iter()
-            .map(|&g| {
-                let g = g as usize;
-                g * rng.usize_in(2, 5) + rng.usize_in(0, g.max(2) - 1)
-            })
-            .collect();
-        let grid = TileGrid::new(
-            &eta,
-            &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
-        );
-        let shape = PlanShape {
-            p,
-            eta: eta.clone(),
-        };
-        // `derived` (not `options`): the analytic result, untouched by any
-        // MP_SWEEP_* variables other tests may be toggling in parallel.
-        let tuned = TunedOptions::derive(&shape).derived;
-
-        let dim = rng.usize_in(0, 2);
-        let dir = if rng.bool() {
-            Direction::Forward
-        } else {
-            Direction::Backward
-        };
-        let k = PrefixSumKernel::new(0);
-        let init = |g: &[usize]| ((g[0] * 7 + g[1] * 3 + g[2] * 5) % 13) as f64 - 6.0;
-        let run = |opts: &SweepOptions| {
-            let fields = [FieldDef::new("u", 0)];
-            run_threaded(p, |comm| {
-                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init);
-                let mut plan = SolverPlan::new(opts.clone());
-                plan.sweep(comm, &mut store, &mp, dim, dir, &k, 42);
-                (store, comm.sent_messages, comm.sent_elements)
-            })
-        };
-
-        let default_run = run(&SweepOptions::new(1, 1));
-        let tuned_run = run(&tuned);
-        for (r, ((_, dm, de), (_, tm, te))) in default_run.iter().zip(tuned_run.iter()).enumerate()
-        {
-            assert_eq!(
-                (tm, te),
-                (dm, de),
-                "rank {r}: tuned block/threads changed the schedule \
-                 (p={p} eta={eta:?} tuned={tuned:?})"
-            );
-        }
-
-        let mut want = ArrayD::zeros(&eta);
-        let mut got = ArrayD::zeros(&eta);
-        for (store, _, _) in &default_run {
-            store.gather_into(0, &mut want);
-        }
-        for (store, _, _) in &tuned_run {
-            store.gather_into(0, &mut got);
-        }
-        assert_eq!(
-            got.max_abs_diff(&want),
-            0.0,
-            "tuned options changed the result: p={p} eta={eta:?} tuned={tuned:?}"
-        );
-    });
-}
-
-#[test]
 fn per_rank_options_leave_the_wire_unchanged() {
     // The wire depends on no option: with every rank running its own random
-    // block width and thread count, a schedule of sweeps over every
+    // block width, a schedule of sweeps over every
     // (dim, direction) matches the serial reference bitwise, and every rank
     // sends exactly the messages and elements it sends when all ranks run
     // the same per-line options.
@@ -1431,7 +1339,7 @@ fn per_rank_options_leave_the_wire_unchanged() {
             })
             .collect();
         let mixed: Vec<SweepOptions> = (0..p)
-            .map(|_| SweepOptions::new(rng.usize_in(1, 40), rng.usize_in(1, 3)))
+            .map(|_| SweepOptions::new(rng.usize_in(1, 40)))
             .collect();
 
         let run = |per_rank: &[SweepOptions]| {
@@ -1446,7 +1354,7 @@ fn per_rank_options_leave_the_wire_unchanged() {
                 (store, comm.sent_messages, comm.sent_elements)
             })
         };
-        let uniform = run(&vec![SweepOptions::new(1, 1); p as usize]);
+        let uniform = run(&vec![SweepOptions::new(1); p as usize]);
         let varied = run(&mixed);
 
         let mut want = ArrayD::from_fn(&eta, init);

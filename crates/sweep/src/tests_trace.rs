@@ -70,7 +70,7 @@ fn aggregated_recorder_counters_match_comm() {
     // Dims 0 and 1 run in place, dim 2 packed.
     for dim in 0..3 {
         let gamma = mp.gammas()[dim];
-        let opts = SweepOptions::new(4, 1);
+        let opts = SweepOptions::new(4);
         let (_, per_rank) = run_traced(&mp, &eta, dim, Direction::Forward, &k, &opts);
         for (rank, (stats, msgs, elems)) in per_rank.iter().enumerate() {
             let at = format!("rank {rank} dim {dim}");
@@ -101,7 +101,7 @@ fn traced_run_exports_loadable_chrome_json() {
         comm.trace = Some(SweepRecorder::with_epoch(comm.rank(), epoch));
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         store.init_field(0, init_value);
-        let mut plan = SolverPlan::new(SweepOptions::new(4, 1));
+        let mut plan = SolverPlan::new(SweepOptions::new(4));
         plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
         comm.trace.take().unwrap().into_trace()
     });
@@ -129,7 +129,7 @@ fn traced_run_exports_loadable_chrome_json() {
 #[test]
 fn tracing_never_changes_sweep_output() {
     // Property (seed 0x7508): over random configurations — rank count,
-    // swept dim, direction, block width, threads — a run
+    // swept dim, direction, block width — a run
     // with recorders installed is bitwise identical to one without, and
     // sends exactly the same message counts.
     cases(0x7508, 10, |rng| {
@@ -148,7 +148,7 @@ fn tracing_never_changes_sweep_output() {
             .iter()
             .map(|&g| g as usize + rng.usize_in(0, 7))
             .collect();
-        let opts = SweepOptions::new(rng.usize_in(1, 32), rng.usize_in(1, 3));
+        let opts = SweepOptions::new(rng.usize_in(1, 32));
         let grid = TileGrid::new(
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),

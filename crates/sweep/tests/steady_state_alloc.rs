@@ -77,7 +77,7 @@ fn steady_state_allocs<K: LineSweepKernel>(
     let fields: Vec<FieldDef> = (0..kernel.fields().len())
         .map(|f| FieldDef::new(&format!("f{f}"), 0))
         .collect();
-    let opts = SweepOptions::new(4, 1);
+    let opts = SweepOptions::new(4);
     run_threaded(p, |comm| {
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         for f in 0..fields.len() {

@@ -89,25 +89,27 @@ impl std::error::Error for JsonError {}
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread character.
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.src.as_bytes()
+    }
+
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             message: msg.to_string(),
@@ -116,7 +118,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -148,7 +150,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -235,7 +237,7 @@ impl<'a> Parser<'a> {
                             // Decode surrogate pairs; lone surrogates become
                             // the replacement character.
                             if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if self.bytes()[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
@@ -253,11 +255,13 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so boundaries
-                    // are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let ch = s.chars().next().unwrap();
+                    // One raw scalar, 1–4 bytes. `pos` only ever advances
+                    // past whole scalars, so it sits on a char boundary and
+                    // the slice is O(1).
+                    let ch = self.src[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peek saw a byte");
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -266,11 +270,13 @@ impl<'a> Parser<'a> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.src.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
+        let s = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("bad \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("bad \\u escape"))?;
         self.pos += 4;
         Ok(v)
@@ -299,8 +305,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let s = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        s.parse::<f64>()
+        self.src[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
     }
@@ -365,6 +371,36 @@ mod tests {
     fn surrogate_pair_round_trip() {
         let v = parse("\"\\ud83d\\ude00\"").unwrap();
         assert_eq!(v.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn parses_raw_multibyte_utf8() {
+        // Unescaped 2-, 3- and 4-byte scalars in keys and values, next to
+        // ASCII and escapes, parse to the same text and survive the writer.
+        let pairs = [("γ→😀", "é"), ("k", "a→b"), ("😀😀", "γ\n✓"), ("ü", "🦀")];
+        let mut doc = String::from("{");
+        for (i, (k, v)) in pairs.iter().enumerate() {
+            if i > 0 {
+                doc.push(',');
+            }
+            escape_into(&mut doc, k);
+            doc.push(':');
+            escape_into(&mut doc, v);
+        }
+        doc.push('}');
+        assert!(doc.contains("\"γ→😀\":\"é\""), "written raw: {doc}");
+        let v = parse(&doc).unwrap();
+        for (k, want) in pairs {
+            assert_eq!(v.get(k).and_then(JsonValue::as_str), Some(want), "{k}");
+        }
+        assert_eq!(
+            parse("[\"γ\", \"→\", \"😀\"]").unwrap(),
+            JsonValue::Array(vec![
+                JsonValue::String("γ".into()),
+                JsonValue::String("→".into()),
+                JsonValue::String("😀".into()),
+            ])
+        );
     }
 
     #[test]

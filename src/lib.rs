@@ -52,7 +52,7 @@ pub mod prelude {
     pub use mp_nassp::{Class, ParallelSp, SerialSp, SpProblem, SpVersion};
     pub use mp_runtime::{run_threaded, Communicator, SerialComm, SimNet};
     pub use mp_sweep::{
-        allocate_rank_store, FirstOrderKernel, LineSweepKernel, PlanShape, PrefixSumKernel,
-        SolverPlan, SweepOptions, TunedOptions,
+        allocate_rank_store, FirstOrderKernel, LineSweepKernel, PrefixSumKernel, SolverPlan,
+        SweepOptions,
     };
 }
