@@ -56,34 +56,6 @@ fn bench_sweep(c: &mut Criterion) {
         });
     }
 
-    // Execution-strategy sweep at p = 4: per-line vs blocked, both with the
-    // identical communication schedule.
-    {
-        let p = 4u64;
-        let mp = Multipartitioning::optimal(
-            p,
-            &[n as u64, n as u64, n as u64],
-            &CostModel::origin2000_like(),
-        );
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&eta, &gam);
-        for (label, opts) in [
-            ("bw1", SweepOptions::new(1)),
-            ("bw32", SweepOptions::new(32)),
-        ] {
-            group.bench_with_input(BenchmarkId::new("opts_48_p4", label), &label, |b, _| {
-                b.iter(|| {
-                    run_threaded(p, |comm| {
-                        let mut store =
-                            allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
-                        store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                        let mut plan = SolverPlan::new(opts.clone());
-                        plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
-                    })
-                })
-            });
-        }
-    }
     group.finish();
 
     // Build-once / execute-many: ten identical sweeps through a fresh
@@ -97,7 +69,7 @@ fn bench_sweep(c: &mut Criterion) {
         let peta = [8usize, 64, 64];
         let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
         let grid = TileGrid::new(&peta, &gam);
-        let opts = SweepOptions::new(16);
+        let opts = SweepOptions::default();
         let mut group = c.benchmark_group("compiled_reuse");
         group.throughput(Throughput::Elements(
             (peta.iter().product::<usize>() * SWEEPS) as u64,

@@ -50,9 +50,9 @@ USAGE:
   mpart topo     <p> <gamma...> (--ring | --hypercube | --torus <R>x<C>)
   mpart calibrate [--fast] [--out FILE]
   mpart profile  <p> [--class S|W|A|B] [--eta <N>x<N>x<N>] [--iters N]
-                 [--block W] [--out FILE] [--calibration FILE]
+                 [--simd auto|scalar] [--out FILE] [--calibration FILE]
   mpart chaos    <p> [--class S|W|A|B] [--eta <N>x<N>x<N>] [--runs N]
-                 [--seed S] [--iters N] [--timeout-ms N] [--block W]
+                 [--seed S] [--iters N] [--timeout-ms N]
                  [--calibration FILE]
 
 COMMANDS:
@@ -447,10 +447,9 @@ struct ProfileConfig {
 
 fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     const PROFILE_USAGE: &str = "usage: mpart profile <p> [--class S|W|A|B] \
-         [--eta <N>x<N>x<N>] [--iters N] [--block W] \
+         [--eta <N>x<N>x<N>] [--iters N] \
          [--simd auto|scalar] [--out FILE] [--calibration FILE]\n\
-         (--block/--simd default from \
-         MP_SWEEP_BLOCK / MP_SWEEP_SIMD; the cost \
+         (--simd defaults from MP_SWEEP_SIMD; the cost \
          model from --calibration, else MP_CALIBRATION, else the preset)";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
@@ -458,14 +457,13 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     let mut iters = 2usize;
     // Flags override the documented MP_SWEEP_* environment knobs.
     let env_opts = mp_sweep::SweepOptions::from_env();
-    let mut block = env_opts.block_width;
     let mut simd = env_opts.simd;
     let mut out = String::from("mpart_trace.json");
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--class" | "--eta" | "--iters" | "--block" | "--simd" | "--out" | "--calibration" => {
+            "--class" | "--eta" | "--iters" | "--simd" | "--out" | "--calibration" => {
                 let v = it
                     .next()
                     .ok_or_else(|| CliError(format!("{a} needs a value\n{PROFILE_USAGE}")))?;
@@ -485,7 +483,6 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
                         eta_override = Some([dims[0], dims[1], dims[2]]);
                     }
                     "--iters" => iters = parse_u64(v, "iteration count")? as usize,
-                    "--block" => block = parse_u64(v, "block width")? as usize,
                     // Unlike the forgiving env knob, an explicit flag with a
                     // bogus value is an error.
                     "--simd" => {
@@ -519,7 +516,7 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
         eta,
         dt,
         iters,
-        opts: mp_sweep::SweepOptions::new(block).with_simd(simd),
+        opts: env_opts.with_simd(simd),
         out,
         calibration,
     })
@@ -559,20 +556,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
             let build_ns = sp.plan.build_ns();
             sp.run(comm, iters.saturating_sub(1));
             let rebuilds = sp.plan.builds() - builds_first;
-            // Per-plan resolved execution modes (identical on every rank:
-            // the decision depends only on geometry).
-            let plan_modes: Vec<(usize, &'static str, Vec<bool>)> = sp
-                .plan
-                .plans()
-                .map(|cs| {
-                    let k = cs.key();
-                    let dir = match k.direction {
-                        mp_core::multipart::Direction::Forward => "forward",
-                        mp_core::multipart::Direction::Backward => "backward",
-                    };
-                    (k.dim, dir, cs.phase_inplace())
-                })
-                .collect();
             let trace = comm
                 .trace
                 .take()
@@ -586,7 +569,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
                 build_ns,
                 rebuilds,
                 sp.plan.elements_swept(),
-                plan_modes,
             )
         })
     };
@@ -597,8 +579,7 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let mut plan_builds = 0u64;
     let mut plan_build_ns = 0u64;
     let mut total_elements_swept = 0u64;
-    let mut plan_modes: Vec<(usize, &'static str, Vec<bool>)> = Vec::new();
-    for (trace, msgs, elems, builds_first, build_ns, rebuilds, swept, modes) in results {
+    for (trace, msgs, elems, builds_first, build_ns, rebuilds, swept) in results {
         if trace.stats.sent_messages() != msgs || trace.stats.sent_elements() != elems {
             return err(format!(
                 "telemetry mismatch on rank {}: recorder saw {} msgs / {} elements, \
@@ -620,9 +601,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         plan_builds = plan_builds.max(builds_first);
         plan_build_ns = plan_build_ns.max(build_ns);
         total_elements_swept += swept;
-        if plan_modes.is_empty() {
-            plan_modes = modes;
-        }
         traces.push(trace);
     }
     let nranks = traces.len();
@@ -635,7 +613,6 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         .with_meta("eta", format!("{}x{}x{}", eta[0], eta[1], eta[2]))
         .with_meta("p", p.to_string())
         .with_meta("iters", iters.to_string())
-        .with_meta("block_width", cfg.opts.block_width.to_string())
         .with_meta("simd", simd.name());
     std::fs::write(out, tf.to_chrome_json())
         .map_err(|e| CliError(format!("cannot write '{out}': {e}")))?;
@@ -643,16 +620,9 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let part = &mp.partitioning;
     let mut rep = format!(
         "SP {}×{}×{} on p = {p}, {iters} iteration(s) \
-         (block_width {}, simd {} [requested {}])\n\
+         (simd {} [requested {}])\n\
          γ = {:?}, modulus vector m̄ = {:?}\n\n",
-        eta[0],
-        eta[1],
-        eta[2],
-        cfg.opts.block_width,
-        simd,
-        cfg.opts.simd,
-        part.gammas,
-        mp.mapping.m
+        eta[0], eta[1], eta[2], simd, cfg.opts.simd, part.gammas, mp.mapping.m
     );
     rep.push_str(&tf.summary_table());
     rep.push_str(&format!(
@@ -667,24 +637,13 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         build_ms / (iters.max(1) as f64)
     ));
 
-    // Per-plan execution modes (decided from the geometry at build time:
-    // every dim but the last runs in place) plus what packing cost. Sweeps relay carries by
-    // move and record no pack spans, so this is halo face packing.
-    rep.push_str("\nexecution modes (resolved at plan build):\n");
-    for (dim, dir, phases) in &plan_modes {
-        let zc = phases.iter().filter(|&&b| b).count();
-        let marks: String = phases.iter().map(|&b| if b { 'z' } else { 'p' }).collect();
-        rep.push_str(&format!(
-            "  sweep dim {dim} {dir:<8} {zc}/{} phases in place  [{marks}]  \
-             (z = in place on tile storage, p = packed gather/scatter)\n",
-            phases.len()
-        ));
-    }
+    // What packing cost. Sweeps run in place and relay carries by move,
+    // recording no pack spans, so this is halo face packing alone.
     let total_pack_s = tf.ranks.iter().map(|r| r.stats.pack_ns).sum::<u64>() as f64 / 1e9;
     let total_busy_s =
         tf.ranks.iter().map(|r| r.stats.compute_ns).sum::<u64>() as f64 / 1e9 + total_pack_s;
     rep.push_str(&format!(
-        "pack time: {total_pack_s:.4e}s across all ranks — {:.1}% of busy \
+        "\nhalo pack time: {total_pack_s:.4e}s across all ranks — {:.1}% of busy \
          (compute + pack) time\n",
         if total_busy_s > 0.0 {
             total_pack_s / total_busy_s * 100.0
@@ -775,7 +734,7 @@ fn parse_seed(s: &str) -> Result<u64, CliError> {
 fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     const CHAOS_USAGE: &str = "usage: mpart chaos <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--runs N] [--seed S] [--iters N] \
-         [--timeout-ms N] [--block W] [--calibration FILE]";
+         [--timeout-ms N] [--calibration FILE]";
     let mut pos: Vec<&String> = Vec::new();
     let mut class = mp_nassp::Class::S;
     let mut eta_override: Option<[usize; 3]> = None;
@@ -783,13 +742,11 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     let mut seed = 0x750Cu64;
     let mut iters = 1usize;
     let mut timeout_ms = 10_000u64;
-    let env_opts = mp_sweep::SweepOptions::from_env();
-    let mut block = env_opts.block_width;
     let mut calibration: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--class" | "--eta" | "--runs" | "--seed" | "--iters" | "--timeout-ms" | "--block"
+            "--class" | "--eta" | "--runs" | "--seed" | "--iters" | "--timeout-ms"
             | "--calibration" => {
                 let v = it
                     .next()
@@ -813,7 +770,6 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
                     "--seed" => seed = parse_seed(v)?,
                     "--iters" => iters = parse_u64(v, "iteration count")? as usize,
                     "--timeout-ms" => timeout_ms = parse_u64(v, "timeout in ms")?,
-                    "--block" => block = parse_u64(v, "block width")? as usize,
                     "--calibration" => calibration = Some(v.clone()),
                     _ => unreachable!(),
                 }
@@ -840,7 +796,7 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
         seed,
         iters,
         timeout: std::time::Duration::from_millis(timeout_ms),
-        opts: mp_sweep::SweepOptions::new(block),
+        opts: mp_sweep::SweepOptions::from_env(),
         calibration,
     })
 }
@@ -941,8 +897,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let mut out = format!(
         "chaos soak: SP {}×{}×{} on p = {p}, {iters} iteration(s)/run, \
          deadline {} ms, base seed {seed:#x}\n\
-         γ = {:?} (cost model: {model_source}), \
-         block_width {}\n\
+         γ = {:?} (cost model: {model_source})\n\
          fault-free shim: checksums and counters identical to bare transport \
          on {p}/{p} ranks ✓\n\n",
         eta[0],
@@ -950,7 +905,6 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         eta[2],
         timeout.as_millis(),
         mp.partitioning.gammas,
-        cfg.opts.block_width,
     );
     out.push_str("  run  seed                plan                              outcome\n");
 
@@ -1154,13 +1108,10 @@ mod tests {
             "8x8x8",
             "--iters",
             "1",
-            "--block",
-            "4",
             "--out",
             path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(out.contains("(block_width 4, simd"), "{out}");
         // The report names the resolved vectorization level — derived from
         // the same env-seeded options the command uses, so the assertion
         // holds under an MP_SWEEP_SIMD override (CI runs the whole suite
@@ -1179,9 +1130,6 @@ mod tests {
         let tf = mp_trace::TraceFile::parse_chrome_json(&text).unwrap();
         assert_eq!(tf.ranks.len(), 4);
         assert!(tf.ranks.iter().all(|r| r.stats.compute_ns > 0));
-        assert!(tf
-            .meta
-            .contains(&("block_width".to_string(), "4".to_string())));
         assert!(tf
             .meta
             .contains(&("simd".to_string(), simd.name().to_string())));
@@ -1288,10 +1236,13 @@ mod tests {
         // Ranks are the only parallelism; there is no thread count to set.
         let e = runv(&["profile", "4", "--threads", "2"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
+        // Every phase runs a tile row at a time; there is no block width.
+        let e = runv(&["profile", "4", "--block", "4"]).unwrap_err();
+        assert!(e.0.contains("unknown flag"));
     }
 
     #[test]
-    fn profile_reports_execution_modes_and_pack_fraction() {
+    fn profile_reports_halo_pack_fraction() {
         let dir = std::env::temp_dir().join("mpart_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("profile_modes.json");
@@ -1306,26 +1257,10 @@ mod tests {
             path.to_str().unwrap(),
         ])
         .unwrap();
-        assert!(
-            out.contains("execution modes (resolved at plan build)"),
-            "{out}"
-        );
-        assert!(out.contains("sweep dim 0 forward"), "{out}");
-        // Dims 0 and 1 sweep across the unit-stride axis: every phase of
-        // those plans runs in place. Dim 2 sweeps along it and packs.
-        let lines: Vec<&str> = out
-            .lines()
-            .filter(|l| l.contains("phases in place"))
-            .collect();
-        assert_eq!(lines.len(), 6, "{out}");
-        for line in lines {
-            if line.contains("dim 2") {
-                assert!(line.contains(" 0/"), "{line}");
-            } else {
-                assert!(!line.contains(" 0/"), "{line}");
-            }
-        }
-        assert!(out.contains("pack time:"), "{out}");
+        // Every phase runs in place, so there are no modes to report; the
+        // only packing left is the halo faces'.
+        assert!(!out.contains("phases in place"), "{out}");
+        assert!(out.contains("halo pack time:"), "{out}");
     }
 
     #[test]
@@ -1362,6 +1297,8 @@ mod tests {
         let e = runv(&["chaos", "4", "--bogus", "1"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
         let e = runv(&["chaos", "4", "--threads", "2"]).unwrap_err();
+        assert!(e.0.contains("unknown flag"));
+        let e = runv(&["chaos", "4", "--block", "4"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
     }
 

@@ -1,16 +1,15 @@
 //! 64-byte-aligned `f64` buffers for vectorized kernels.
 //!
-//! The blocked sweep kernels ([`crate::lines`] packs lines into line-minor
-//! blocks; `mp-sweep` runs the recurrences over them) read and write the
-//! block buffers with 256-bit vector loads on AVX2 hardware. Rust's `Vec`
-//! only guarantees the allocator's 8-byte alignment for `f64`, so block
-//! scratch is held in [`AlignedVec`] instead: a growable `f64` buffer whose
+//! Packed line-minor blocks ([`crate::lines::Lanes::packed`], the layout
+//! the kernel tests, microbenchmarks and host calibration sweep) are read
+//! and written with 256-bit vector loads on AVX2 hardware. Rust's `Vec`
+//! only guarantees the allocator's 8-byte alignment for `f64`, so such
+//! blocks are held in [`AlignedVec`] instead: a growable `f64` buffer whose
 //! storage always starts on a 64-byte boundary (one cache line, and enough
 //! for any SSE/AVX/AVX-512 lane width).
 //!
 //! `AlignedVec` derefs to `[f64]`, so everything downstream of allocation —
-//! the gather/scatter packers, the kernels' slice arithmetic, the tests —
-//! works on it unchanged. Only creation, growth, and drop are custom: they
+//! the kernels' slice arithmetic, the tests — works on it unchanged. Only creation, growth, and drop are custom: they
 //! use [`std::alloc::alloc`] with an explicit 64-byte [`Layout`], keeping
 //! the crate free of external dependencies.
 

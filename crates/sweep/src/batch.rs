@@ -12,6 +12,14 @@ use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::simd::SimdLevel;
 use mp_core::multipart::Direction;
 use mp_grid::Lanes;
+use std::cell::Cell;
+
+thread_local! {
+    /// The de-interleaved member carries of [`BatchedKernel::sweep_lanes`],
+    /// kept per thread so a steady-state sweep reuses the buffer instead of
+    /// allocating one per call.
+    static MEMBER_CARRIES: Cell<Vec<f64>> = const { Cell::new(Vec::new()) };
+}
 
 /// A batch of kernels executed within a single sweep.
 ///
@@ -93,14 +101,16 @@ impl<K: LineSweepKernel> LineSweepKernel for BatchedKernel<K> {
     ) {
         // The batch's line-major carry interleaves the members' carries per
         // lane; each member's lane body wants its own carries contiguous.
-        // De-interleave into one scratch buffer, reused across members. The
-        // resolved SIMD level is forwarded to each member so a batch of
-        // Thomas/penta solves vectorizes exactly like the standalone kernels.
+        // De-interleave into one thread-local scratch buffer, reused across
+        // members and calls. The resolved SIMD level is forwarded to each
+        // member so a batch of Thomas/penta solves vectorizes exactly like
+        // the standalone kernels.
         let nl = lanes.nlanes();
         let total = self.carry_len();
         debug_assert_eq!(carries.len(), nl * total);
         let max_clen = self.members.iter().map(|k| k.carry_len()).max().unwrap();
-        let mut scratch = vec![0.0; nl * max_clen];
+        let mut scratch = MEMBER_CARRIES.take();
+        scratch.resize(nl * max_clen, 0.0);
         let (mut coff, mut foff) = (0, 0);
         for k in &self.members {
             let (clen, nf) = (k.carry_len(), k.fields().len());
@@ -123,6 +133,7 @@ impl<K: LineSweepKernel> LineSweepKernel for BatchedKernel<K> {
             coff += clen;
             foff += nf;
         }
+        MEMBER_CARRIES.set(scratch);
     }
 }
 

@@ -2,12 +2,12 @@
 //! measured [`MachineProfile`].
 //!
 //! [`calibrate_host`] times six kernels of this crate, each through
-//! [`LineSweepKernel::sweep_lanes`] on a packed block at the default plan
-//! block width ([`CALIBRATION_BLOCK_WIDTH`]): Thomas and pentadiagonal
-//! elimination and substitution over stored coefficients, and two
-//! synthetic recurrences (a prefix sum and a first-order recurrence). It
-//! then fits the ring transport's ping-pong. Per-kernel `K1` entries are
-//! keyed `"<kernel>@<simd>"` (see [`k1_key`]), and the
+//! [`LineSweepKernel::sweep_lanes`] on a packed line-minor block of 32
+//! lanes: Thomas and pentadiagonal elimination and substitution over
+//! stored coefficients, and two synthetic recurrences (a prefix sum and a
+//! first-order recurrence). It then fits the ring transport's ping-pong.
+//! Per-kernel `K1` entries are keyed `"<kernel>@<simd>"` (see
+//! [`k1_key`]), and the
 //! [`K1_DEFAULT`](mp_core::machine::K1_DEFAULT) entry is the mean of the
 //! four Thomas/penta kernels at the level the host actually dispatches.
 //!
@@ -31,10 +31,8 @@ pub fn k1_key(kernel: &str, level: SimdLevel) -> String {
     format!("{kernel}@{}", level.name())
 }
 
-/// Block width the kernel microbenchmarks run at — the default plan block
-/// width, so the measured seconds-per-element reflect the line-minor
-/// layout and lane count steady-state execution uses.
-pub const CALIBRATION_BLOCK_WIDTH: usize = 32;
+/// Lanes in the packed block each kernel microbenchmark sweeps.
+const TIMED_BLOCK_LANES: usize = 32;
 
 /// One kernel microbenchmark: name, kernel, sweep direction, and the
 /// per-field fill values (chosen diagonally dominant so repeated
@@ -148,7 +146,7 @@ pub fn calibrate_host(fast: bool) -> (MachineProfile, TransportFit) {
         CalibrationOpts::full()
     };
     let seg_len = if fast { 1024 } else { 4096 };
-    let nlines = CALIBRATION_BLOCK_WIDTH;
+    let nlines = TIMED_BLOCK_LANES;
     let mut cal = Calibrator::new(opts);
     let resolved = SimdMode::Auto.resolve();
     let mut hot_keys: Vec<String> = Vec::new();

@@ -7,20 +7,19 @@
 //! directional sweeps for hundreds of timesteps. This module hoists that
 //! work into a [`CompiledSweep`] — built once per `(mp, dim, direction,
 //! kernel shape, options)` — that owns the precomputed slab order,
-//! upstream/downstream peer ranks, per-phase tile metadata and block-job
-//! tables, the expected carry-message length of every phase, and
-//! long-lived scratch arenas. Executing a compiled sweep only refreshes
-//! the per-field raw pointers (storage may move between calls) and runs
-//! the communication/compute loop.
+//! upstream/downstream peer ranks, per-phase tile metadata, the expected
+//! carry-message length of every phase, and long-lived row scratch.
+//! Executing a compiled sweep only refreshes the per-field raw pointers
+//! (storage may move between calls) and runs the communication/compute
+//! loop.
 //!
 //! **The schedule is the paper's.** Every phase boundary ships exactly one
 //! aggregated carry message from each rank to its unique downstream
 //! neighbor, so the wire depends only on `(multipartitioning, dim,
-//! direction, kernel shape)` — never on an option: block width and SIMD
-//! level change how a phase computes, not what it sends. The
-//! carry buffer is relayed by ownership: received, evolved in place by
-//! the phase's block jobs and sent onward by move, so no carry is ever
-//! copied.
+//! direction, kernel shape)` — never on an option: the SIMD level changes
+//! how a phase computes, not what it sends. The carry buffer is relayed by
+//! ownership: received, evolved in place by the phase's rows and sent
+//! onward by move, so no carry is ever copied.
 //!
 //! **Contract.** The plan caches *metadata*, never data. It is valid as
 //! long as the multipartitioning, store geometry (tile set and extents),
@@ -33,7 +32,7 @@
 //! the source of truth for the executor rather than documentation-only.
 
 use crate::executor::{
-    exchange_halos_planned, run_jobs, BlockJob, BlockScratch, FieldMeta, SharedPhase, SweepOptions,
+    exchange_halos_planned, run_rows, FieldMeta, RowScratch, SharedPhase, SweepOptions,
 };
 use crate::recurrence::LineSweepKernel;
 use crate::simd::{SimdLevel, SimdMode};
@@ -82,33 +81,31 @@ impl SweepError {
     }
 }
 
-/// What a [`CompiledSweep`] was built for — compared by [`SolverPlan`] to
-/// decide when a cached plan can be reused.
+/// What a [`CompiledSweep`] was built for — compared by
+/// [`CompiledSweep::matches`] to decide when a cached plan can be reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanKey {
+struct PlanKey {
     /// Processor count of the multipartitioning.
-    pub p: u64,
+    p: u64,
     /// Tile-grid shape of the multipartitioning.
-    pub gammas: Vec<u64>,
+    gammas: Vec<u64>,
     /// Swept dimension.
-    pub dim: usize,
+    dim: usize,
     /// Sweep direction.
-    pub direction: Direction,
+    direction: Direction,
     /// Wire tags are `tag_base + phase` in / `tag_base + phase + 1` out.
-    pub tag_base: Tag,
+    tag_base: Tag,
     /// Kernel field indices, in kernel order.
-    pub fields: Vec<usize>,
+    fields: Vec<usize>,
     /// Kernel carry length per line.
-    pub carry_len: usize,
-    /// Lines per block job.
-    pub block_width: usize,
+    carry_len: usize,
     /// Requested SIMD dispatch mode (resolved to a concrete level once at
     /// build time — see [`CompiledSweep::simd_level`]).
-    pub simd: SimdMode,
+    simd: SimdMode,
 }
 
 /// Everything one phase needs, computed once at build time: tile metadata
-/// in store order and the carved job table.
+/// in store order.
 /// Raw field pointers are *not* here — storage may move between executes,
 /// so they are refreshed into the plan's `FieldMeta` arena each phase.
 #[derive(Debug)]
@@ -125,16 +122,8 @@ struct PhasePlan {
     fm_strides: Vec<usize>,
     /// Per-(tile, field) interior-origin offsets, flattened `tile * nf + f`.
     base_offs: Vec<usize>,
-    /// Per-(tile, field) stride along the swept dimension, same layout.
-    stride_dims: Vec<usize>,
-    /// Block jobs covering the phase's carry message contiguously.
-    jobs: Vec<BlockJob>,
     /// Elements in the phase's carry message (lines × kernel carry length).
     carry_len: usize,
-    /// Run this phase's jobs in place on tile storage instead of
-    /// gather/scatter through block scratch. Decided once at build time
-    /// from the phase geometry.
-    inplace: bool,
 }
 
 /// A fully compiled directional sweep for one rank: schedule + metadata +
@@ -144,6 +133,8 @@ pub struct CompiledSweep {
     key: PlanKey,
     rank: u64,
     d: usize,
+    /// The last axis that is not swept; the lanes of a row lie along it.
+    lane_axis: usize,
     /// Rank carries arrive from (one step opposite the sweep direction).
     upstream: u64,
     /// Rank carries ship to.
@@ -151,8 +142,8 @@ pub struct CompiledSweep {
     phases: Vec<PhasePlan>,
     /// Per-(tile, field) raw views, refreshed from the store each phase.
     fms: Vec<FieldMeta>,
-    /// Block buffers, reused across phases and executes.
-    scratch: BlockScratch,
+    /// Row scratch, reused across phases and executes.
+    scratch: RowScratch,
     /// SIMD level resolved once at build time from `key.simd` and the
     /// hardware — steady-state execution never re-detects features.
     simd: SimdLevel,
@@ -191,8 +182,10 @@ impl CompiledSweep {
         };
         let clen = kernel.carry_len();
         let nfields = kernel.fields().len();
-        let bw = opts.block_width.max(1);
         let simd_level = opts.simd.resolve();
+        // `Multipartitioning` has d ≥ 2, so a lane axis always exists.
+        let lane_axis = if dim + 1 == d { d - 2 } else { d - 1 };
+        let mut max_row = 0;
 
         let mut phases = Vec::with_capacity(slab_order.len());
         for &slab in &slab_order {
@@ -203,10 +196,7 @@ impl CompiledSweep {
                 seg_lens: Vec::new(),
                 fm_strides: Vec::new(),
                 base_offs: Vec::new(),
-                stride_dims: Vec::new(),
-                jobs: Vec::new(),
                 carry_len: 0,
-                inplace: false,
             };
             for (ti, tile) in store.tiles.iter().enumerate() {
                 if tile.coord[dim] != slab {
@@ -217,6 +207,7 @@ impl CompiledSweep {
                 {
                     let ext = tile.field(kernel.fields()[0]).interior();
                     pp.seg_lens.push(ext[dim]);
+                    max_row = max_row.max(ext[lane_axis]);
                     let ro = pp.red_exts.len();
                     pp.red_exts.extend_from_slice(ext);
                     pp.red_exts[ro + dim] = 1;
@@ -225,7 +216,6 @@ impl CompiledSweep {
                     let arr = tile.field(f);
                     pp.fm_strides.extend_from_slice(arr.strides());
                     pp.base_offs.push(arr.interior_origin_offset());
-                    pp.stride_dims.push(arr.strides()[dim]);
                 }
             }
             assert_eq!(
@@ -235,39 +225,12 @@ impl CompiledSweep {
                  (was it allocated with allocate_rank_store for this multipartitioning?)"
             );
 
-            // Carve the slab's lines into jobs of at most `bw` lines each,
-            // with carry offsets into the phase's carry message.
-            let ntiles = pp.tiles.len();
-            let mut line_base = 0usize;
-            for t in 0..ntiles {
-                let nl_t: usize = pp.red_exts[t * d..(t + 1) * d].iter().product();
-                let mut l0 = 0usize;
-                while l0 < nl_t {
-                    let nl = bw.min(nl_t - l0);
-                    pp.jobs.push(BlockJob {
-                        tile: t,
-                        line0: l0,
-                        nlines: nl,
-                        carry_off: (line_base + l0) * clen,
-                    });
-                    l0 += nl;
-                }
-                line_base += nl_t;
-            }
-            pp.carry_len = line_base * clen;
-
-            // The phase runs in place when its swept dimension is not the
-            // tile's last (unit-stride) axis — lines contiguous along the
-            // last axis then form unit-lane views of tile storage — and
-            // every field's last-axis stride really is 1 (row-major
-            // storage; checked, not assumed). Along the last axis the
-            // lines *are* the unit-stride axis, and gathering them is the
-            // transpose that gives the kernels unit-stride lanes. The job
-            // table above is mode-independent, so the wire schedule cannot
-            // change.
-            let lane_unit =
-                (0..pp.tiles.len() * nfields).all(|s| pp.fm_strides[s * d + (d - 1)] == 1);
-            pp.inplace = dim + 1 < d && lane_unit;
+            let lines: usize = pp
+                .red_exts
+                .chunks(d)
+                .map(|r| r.iter().product::<usize>())
+                .sum();
+            pp.carry_len = lines * clen;
             phases.push(pp);
         }
 
@@ -280,16 +243,16 @@ impl CompiledSweep {
                 tag_base,
                 fields: kernel.fields().to_vec(),
                 carry_len: clen,
-                block_width: bw,
                 simd: opts.simd,
             },
             rank,
             d,
+            lane_axis,
             upstream: mp.neighbor_rank(rank, dim, -step),
             downstream: mp.neighbor_rank(rank, dim, step),
             phases,
             fms: Vec::with_capacity(mp.tiles_per_proc_per_slab(dim) as usize * nfields),
-            scratch: BlockScratch::new(nfields),
+            scratch: RowScratch::new(d, dim, dir, nfields, max_row),
             simd: simd_level,
         };
         #[cfg(debug_assertions)]
@@ -298,24 +261,10 @@ impl CompiledSweep {
         cs
     }
 
-    /// What this plan was built for.
-    pub fn key(&self) -> &PlanKey {
-        &self.key
-    }
-
-    /// The SIMD level every block job runs at, resolved once at build time
+    /// The SIMD level every row runs at, resolved once at build time
     /// from the requested [`SweepOptions::simd`] mode and the hardware.
     pub fn simd_level(&self) -> SimdLevel {
         self.simd
-    }
-
-    /// The per-phase execution mode, in phase order: `true` means the
-    /// phase runs in place on tile storage (carries written directly into
-    /// the send buffer), `false` means it gathers through packed
-    /// line-minor scratch. Decided once at build time from the geometry;
-    /// `mpart profile` reports these.
-    pub fn phase_inplace(&self) -> Vec<bool> {
-        self.phases.iter().map(|pp| pp.inplace).collect()
     }
 
     /// True when the plan can serve a call with these parameters without
@@ -337,7 +286,6 @@ impl CompiledSweep {
             && self.key.tag_base == tag_base
             && self.key.fields == kernel.fields()
             && self.key.carry_len == kernel.carry_len()
-            && self.key.block_width == opts.block_width.max(1)
             && self.key.simd == opts.simd
     }
 
@@ -433,7 +381,7 @@ impl CompiledSweep {
     /// buffer — a fresh one filled with the kernel's initial carries at
     /// phase 0, else the one the previous phase handed over on this rank
     /// (self-neighbor) or received from the upstream rank — evolves it in
-    /// place through the phase's block jobs, and passes it on by move:
+    /// place through the phase's rows, and passes it on by move:
     /// one aggregated message to the downstream rank per phase boundary,
     /// back to the communicator's buffer pool after the last phase.
     ///
@@ -456,6 +404,7 @@ impl CompiledSweep {
         let CompiledSweep {
             key,
             d,
+            lane_axis,
             phases,
             fms,
             scratch,
@@ -470,7 +419,7 @@ impl CompiledSweep {
         for (phase, pp) in phases.iter().enumerate() {
             let tag = key.tag_base + phase as u64;
             refresh_fms(fms, pp, store, &key.fields);
-            let shared = shared_phase(pp, fms, kernel, key, *d, *simd);
+            let shared = shared_phase(pp, fms, kernel, key, (*d, *lane_axis), *simd);
 
             let mut cbuf: Vec<f64> = if phase == 0 {
                 let mut b = comm.take_send_buffer();
@@ -496,12 +445,12 @@ impl CompiledSweep {
             );
 
             let t_run = comm.tracer().is_some().then(Instant::now);
-            run_jobs(&shared, &mut cbuf, scratch);
+            let rows = run_rows(&shared, &mut cbuf, scratch);
             if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
                 tr.compute(
                     t0,
                     phase as u64,
-                    pp.jobs.len() as u64,
+                    rows as u64,
                     (pp.carry_len / clen.max(1)) as u64,
                 );
             }
@@ -569,24 +518,22 @@ fn refresh_fms(fms: &mut Vec<FieldMeta>, pp: &PhasePlan, store: &mut RankStore, 
             fms.push(FieldMeta::new(
                 store.tiles[ti].field_mut(f).raw_mut(),
                 pp.base_offs[slot],
-                pp.stride_dims[slot],
             ));
         }
     }
 }
 
-/// The view one phase's block jobs run against, assembled from the
-/// precompiled metadata plus the freshly refreshed field views.
+/// The view one phase's rows run against, assembled from the precompiled
+/// metadata plus the freshly refreshed field views.
 fn shared_phase<'a, K: LineSweepKernel + ?Sized>(
     pp: &'a PhasePlan,
     fms: &'a [FieldMeta],
     kernel: &'a K,
     key: &PlanKey,
-    d: usize,
+    (d, lane_axis): (usize, usize),
     simd: SimdLevel,
 ) -> SharedPhase<'a, K> {
     SharedPhase {
-        jobs: &pp.jobs,
         fms,
         fm_strides: &pp.fm_strides,
         origins: &pp.origins,
@@ -595,11 +542,11 @@ fn shared_phase<'a, K: LineSweepKernel + ?Sized>(
         kernel,
         dir: key.direction,
         dim: key.dim,
+        lane_axis,
         d,
         nfields: key.fields.len(),
         clen: key.carry_len,
         simd,
-        inplace: pp.inplace,
     }
 }
 
@@ -650,13 +597,6 @@ impl SolverPlan {
     /// traced compute time to report `k1 · elements` model error.
     pub fn elements_swept(&self) -> u64 {
         self.elements_swept
-    }
-
-    /// The currently cached sweep plans, in slot order (`dim * 2 + dir`).
-    /// `mpart profile` walks these to report each plan's per-phase
-    /// execution mode ([`CompiledSweep::phase_inplace`]).
-    pub fn plans(&self) -> impl Iterator<Item = &CompiledSweep> {
-        self.slots.iter().filter_map(|s| s.as_ref())
     }
 
     /// Always 0: the engine spawns no threads, since every phase runs on
@@ -789,45 +729,42 @@ mod tests {
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
         let fields = [FieldDef::new("u", 0)];
-        for opts in [SweepOptions::new(4), SweepOptions::new(32)] {
-            let grid = grid_for(&mp, &eta);
-            let o = opts.clone();
-            let fresh = run_threaded(mp.p, |comm| {
-                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init_value);
-                for _ in 0..10 {
-                    let rank = comm.rank();
-                    let fwd = Direction::Forward;
-                    CompiledSweep::build(&mp, rank, &store, 1, fwd, &k, 1000, &o)
-                        .execute(comm, &mut store, &k);
-                }
-                (store, comm.sent_messages, comm.sent_elements)
-            });
-            let o = opts.clone();
-            let cached = run_threaded(mp.p, |comm| {
-                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init_value);
-                let mut plan = SolverPlan::new(o.clone());
-                for _ in 0..10 {
-                    plan.sweep(comm, &mut store, &mp, 1, Direction::Forward, &k, 1000);
-                }
-                assert_eq!(plan.builds(), 1, "solver plan rebuilt a cached sweep");
-                (store, comm.sent_messages, comm.sent_elements)
-            });
-            let mut a = ArrayD::zeros(&eta);
-            let mut b = ArrayD::zeros(&eta);
-            let (mut fm, mut fe, mut cm, mut ce) = (0u64, 0u64, 0u64, 0u64);
-            for ((fs, m1, e1), (cs, m2, e2)) in fresh.iter().zip(cached.iter()) {
-                fs.gather_into(0, &mut a);
-                cs.gather_into(0, &mut b);
-                fm += m1;
-                fe += e1;
-                cm += m2;
-                ce += e2;
+        let opts = SweepOptions::default();
+        let grid = grid_for(&mp, &eta);
+        let fresh = run_threaded(mp.p, |comm| {
+            let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+            store.init_field(0, init_value);
+            for _ in 0..10 {
+                let rank = comm.rank();
+                let fwd = Direction::Forward;
+                CompiledSweep::build(&mp, rank, &store, 1, fwd, &k, 1000, &opts)
+                    .execute(comm, &mut store, &k);
             }
-            assert_eq!(a.max_abs_diff(&b), 0.0, "{opts:?} not bitwise equal");
-            assert_eq!((fm, fe), (cm, ce), "{opts:?} changed the schedule");
+            (store, comm.sent_messages, comm.sent_elements)
+        });
+        let cached = run_threaded(mp.p, |comm| {
+            let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+            store.init_field(0, init_value);
+            let mut plan = SolverPlan::new(opts.clone());
+            for _ in 0..10 {
+                plan.sweep(comm, &mut store, &mp, 1, Direction::Forward, &k, 1000);
+            }
+            assert_eq!(plan.builds(), 1, "solver plan rebuilt a cached sweep");
+            (store, comm.sent_messages, comm.sent_elements)
+        });
+        let mut a = ArrayD::zeros(&eta);
+        let mut b = ArrayD::zeros(&eta);
+        let (mut fm, mut fe, mut cm, mut ce) = (0u64, 0u64, 0u64, 0u64);
+        for ((fs, m1, e1), (cs, m2, e2)) in fresh.iter().zip(cached.iter()) {
+            fs.gather_into(0, &mut a);
+            cs.gather_into(0, &mut b);
+            fm += m1;
+            fe += e1;
+            cm += m2;
+            ce += e2;
         }
+        assert_eq!(a.max_abs_diff(&b), 0.0, "not bitwise equal");
+        assert_eq!((fm, fe), (cm, ce), "plan reuse changed the schedule");
     }
 
     #[test]
@@ -842,7 +779,7 @@ mod tests {
         let k = PrefixSumKernel::new(0);
         let fields = [FieldDef::new("u", 0)];
         let grid = grid_for(&mp, &eta);
-        let opts = SweepOptions::new(8);
+        let opts = SweepOptions::default();
         let per_rank: u64 = (0..mp.p)
             .map(|rank| {
                 let store = allocate_rank_store(rank, &mp, &grid, &fields);
@@ -854,7 +791,7 @@ mod tests {
         let counted = run_threaded(mp.p, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, init_value);
-            let mut plan = SolverPlan::new(SweepOptions::new(8));
+            let mut plan = SolverPlan::new(SweepOptions::default());
             for _ in 0..3 {
                 plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
                 plan.sweep(comm, &mut store, &mp, 1, Direction::Backward, &k, 2000);
@@ -869,7 +806,7 @@ mod tests {
     /// a plan validated against the wrong multipartitioning is rejected.
     #[test]
     fn compiled_plans_validate_against_sweep_plan() {
-        let opts = SweepOptions::new(8);
+        let opts = SweepOptions::default();
         let k = PrefixSumKernel::new(0);
         let fields = [FieldDef::new("u", 0)];
         for (p, gammas) in [
@@ -914,7 +851,7 @@ mod tests {
         let mut comm = mp_runtime::comm::SerialComm;
         let mut store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
         store.init_field(0, init_value);
-        let mut plan = SolverPlan::new(SweepOptions::new(4));
+        let mut plan = SolverPlan::new(SweepOptions::default());
         plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
         plan.sweep(&mut comm, &mut store, &mp, 0, Direction::Forward, &k, 0);
         assert_eq!(plan.builds(), 1);
@@ -947,17 +884,16 @@ mod tests {
 
     #[test]
     fn message_lens_cover_the_wire() {
-        // One aggregated message per phase boundary, whatever the options.
+        // One aggregated message per phase boundary.
         let mp = Multipartitioning::from_partitioning(4, Partitioning::new(vec![2, 2, 2]));
         let grid = grid_for(&mp, &[8, 8, 8]);
         let k = PrefixSumKernel::new(0);
         let store = allocate_rank_store(0, &mp, &grid, &[FieldDef::new("u", 0)]);
-        for opts in [SweepOptions::new(1), SweepOptions::new(7)] {
-            let cs = CompiledSweep::build(&mp, 0, &store, 0, Direction::Forward, &k, 0, &opts);
-            // γ_0 = 2 → one boundary; each rank owns 1 tile of 4×4×4 per
-            // slab → 16 lines, clen 1 → one 16-element message.
-            assert_eq!(cs.message_lens(), vec![16], "{opts:?}");
-        }
+        let opts = SweepOptions::default();
+        let cs = CompiledSweep::build(&mp, 0, &store, 0, Direction::Forward, &k, 0, &opts);
+        // γ_0 = 2 → one boundary; each rank owns 1 tile of 4×4×4 per
+        // slab → 16 lines, clen 1 → one 16-element message.
+        assert_eq!(cs.message_lens(), vec![16]);
     }
 
     #[test]
@@ -969,7 +905,7 @@ mod tests {
         run_threaded(4, |comm| {
             let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
             store.init_field(0, |g| (g[0] * 100 + g[1] * 10 + g[2]) as f64);
-            let mut plan = SolverPlan::new(SweepOptions::new(8));
+            let mut plan = SolverPlan::new(SweepOptions::default());
             for _ in 0..3 {
                 plan.exchange_halos(comm, &mut store, &mp, 0, 1, 5000);
             }
@@ -1002,68 +938,33 @@ mod tests {
         let eta = [12usize, 13, 11];
         let k = FirstOrderKernel::new(0, 0.8);
         let fields = [FieldDef::new("u", 0)];
-        for opts in [SweepOptions::new(4), SweepOptions::new(8)] {
-            let grid = grid_for(&mp, &eta);
-            let o = opts.clone();
-            run_threaded(mp.p, |comm| {
-                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init_value);
-                let mut plan = SolverPlan::new(o.clone());
-                // Warm-up: builds the plans and populates the
-                // communicator's recycle pool.
+        let grid = grid_for(&mp, &eta);
+        run_threaded(mp.p, |comm| {
+            let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+            store.init_field(0, init_value);
+            let mut plan = SolverPlan::new(SweepOptions::default());
+            // Warm-up: builds the plans and populates the
+            // communicator's recycle pool.
+            for dim in 0..3 {
+                plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
+                plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
+            }
+            comm.barrier();
+            let misses = comm.pool_misses;
+            // Steady state: 10 more timesteps of all six sweeps.
+            for _ in 0..10 {
                 for dim in 0..3 {
                     plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
                     plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
                 }
-                comm.barrier();
-                let misses = comm.pool_misses;
-                // Steady state: 10 more timesteps of all six sweeps.
-                for _ in 0..10 {
-                    for dim in 0..3 {
-                        plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &k, 1000);
-                        plan.sweep(comm, &mut store, &mp, dim, Direction::Backward, &k, 2000);
-                    }
-                }
-                comm.barrier();
-                assert_eq!(
-                    comm.pool_misses, misses,
-                    "steady state allocated transport buffers"
-                );
-                assert_eq!(plan.builds(), 6, "steady state rebuilt plans");
-            });
-        }
-    }
-
-    #[test]
-    fn geometry_alone_decides_in_place() {
-        // Every dimension but the last runs in place; the last (its lines
-        // are the unit-stride axis) packs — for a hot kernel and a
-        // generated-coefficient one alike.
-        use crate::block::tests::TestCoeffs;
-        use crate::block::BlockTriForwardKernel;
-        use crate::thomas::ThomasForwardKernel;
-        let mp = Multipartitioning::from_partitioning(1, Partitioning::new(vec![2, 2, 1]));
-        let grid = grid_for(&mp, &[4, 4, 2]);
-        let fields: Vec<FieldDef> = (0..12)
-            .map(|f| FieldDef::new(&format!("f{f}"), 0))
-            .collect();
-        let store = allocate_rank_store(0, &mp, &grid, &fields);
-        let scratch: Vec<usize> = (0..9).collect();
-        let rhs: Vec<usize> = (9..12).collect();
-        let hot = ThomasForwardKernel::new(0, 1, 2, 3);
-        let generated = BlockTriForwardKernel::<3, _>::new(TestCoeffs, &scratch, &rhs);
-        let opts = SweepOptions::new(1);
-        for k in [&hot as &dyn LineSweepKernel, &generated] {
-            for dim in 0..3 {
-                let cs = CompiledSweep::build(&mp, 0, &store, dim, Direction::Forward, k, 0, &opts);
-                let modes = cs.phase_inplace();
-                assert!(
-                    modes.iter().all(|&inplace| inplace == (dim < 2)),
-                    "{} dim {dim}: {modes:?}",
-                    k.kernel_name()
-                );
             }
-        }
+            comm.barrier();
+            assert_eq!(
+                comm.pool_misses, misses,
+                "steady state allocated transport buffers"
+            );
+            assert_eq!(plan.builds(), 6, "steady state rebuilt plans");
+        });
     }
 
     #[test]
@@ -1082,7 +983,7 @@ mod tests {
             Direction::Forward,
             &k,
             0,
-            &SweepOptions::new(4),
+            &SweepOptions::default(),
         );
         // Same kernel type on a different field: the shape (field list)
         // differs, so execute must refuse. (The assert fires before any

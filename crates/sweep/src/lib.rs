@@ -5,14 +5,13 @@
 //!
 //! * [`recurrence`] — segmented sweep kernels (prefix sums, first-order
 //!   recurrences) and the [`recurrence::LineSweepKernel`] trait, whose one
-//!   blocked method sweeps a [`mp_grid::Lanes`] view: packed line-minor
-//!   scratch, or tile storage in place for every phase whose swept
-//!   dimension is not the tile's last axis;
+//!   blocked method sweeps a [`mp_grid::Lanes`] view — in the executor,
+//!   one row of a tile in place on tile storage;
 //! * [`thomas`] — tridiagonal solvers: serial Thomas plus the forward
 //!   elimination / back substitution kernels that turn a distributed
 //!   tridiagonal solve into two directional sweeps;
 //! * [`executor`] — the functional multipartitioned sweep executor
-//!   (options, blocked job runners, halo exchange);
+//!   (options, the in-place row runner, halo exchange);
 //! * [`compiled`] — build-once / execute-many sweep plans and the paper's
 //!   phase loop (one aggregated carry message per phase boundary):
 //!   [`compiled::CompiledSweep`] and the driver-level
@@ -51,8 +50,8 @@ mod tests_trace;
 
 pub use batch::BatchedKernel;
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
-pub use calibrate::{calibrate_host, k1_key, CALIBRATION_BLOCK_WIDTH};
-pub use compiled::{CompiledSweep, PlanKey, SolverPlan, SweepError};
+pub use calibrate::{calibrate_host, k1_key};
+pub use compiled::{CompiledSweep, SolverPlan, SweepError};
 pub use executor::{allocate_rank_store, exchange_halos_planned, SweepOptions};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
 pub use recurrence::{

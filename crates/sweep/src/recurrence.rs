@@ -120,10 +120,12 @@ pub trait LineSweepKernel: Sync {
     /// elements at once — the one blocked entry point the executor calls.
     ///
     /// * Field `f` of `lanes` is `fields()[f]`; element `k` of lane `l` is
-    ///   `lanes.get(f, k, l)`, every lane already in sweep order. Lanes are
-    ///   unit-stride and elements a signed stride apart: `nlanes` for the
-    ///   executor's packed line-minor scratch, `±` the tile's stride along
-    ///   the swept dimension when a phase runs in place on tile storage.
+    ///   `lanes.get(f, k, l)`, every lane already in sweep order. The
+    ///   executor hands over one tile row in place: elements `±` the tile's
+    ///   stride along the swept dimension apart, lanes its stride along the
+    ///   row's lane axis apart (1, unless the sweep runs along the
+    ///   unit-stride axis). Tests and benchmarks also pass packed
+    ///   line-minor scratch (element stride `nlanes`, lane stride 1).
     /// * `carries` is **line-major**: lane `l`'s carry at
     ///   `carries[l·carry_len() .. (l+1)·carry_len()]` — exactly the order
     ///   in which carries travel on the wire, so the executor evolves the

@@ -1,10 +1,11 @@
 //! Lane-vectorized sweep microkernels with runtime dispatch.
 //!
-//! The kernels sweep [`Lanes`] views: consecutive lanes are adjacent in
-//! memory, so the four lanes of a 256-bit vector are four *lines* —
-//! independent recurrences. Vectorizing across lines therefore performs,
-//! per line, exactly the arithmetic of the kernel's scalar lane loop: same
-//! operations, same order, each individually IEEE-rounded. That makes the
+//! The AVX2 bodies sweep [`Lanes`] views whose consecutive lanes are
+//! adjacent in memory (lane stride 1), so the four lanes of a 256-bit
+//! vector are four *lines* — independent recurrences. Vectorizing across
+//! lines therefore performs, per line, exactly the arithmetic of the
+//! kernel's scalar lane loop: same operations, same order, each
+//! individually IEEE-rounded. That makes the
 //! AVX2 bodies here **bitwise identical** to the scalar loops (asserted by
 //! the property tests), which in turn keeps every distributed-equals-serial
 //! guarantee of the repo intact regardless of which path a rank happens to
@@ -150,9 +151,11 @@ pub fn avx2_available() -> bool {
 }
 
 /// The element stride the AVX2 bodies sweep `lanes` at: `Some` only at
-/// [`SimdLevel::Avx2`] and when every field shares one stride (the bodies
-/// address all fields with one row stride). `None` leaves every lane to
-/// the caller's scalar loop.
+/// [`SimdLevel::Avx2`] and when every field has lane stride 1 and all
+/// fields share one element stride ([`Lanes::uniform_stride`]; the bodies
+/// address lane `l` of every field as `base + k·row_stride + l`). `None`
+/// leaves every lane to the caller's scalar loop — the case for a row
+/// along the unit-stride axis, whose lanes lie a tile row apart.
 fn avx2_stride(level: SimdLevel, lanes: &Lanes<'_>) -> Option<isize> {
     if level == SimdLevel::Avx2 {
         lanes.uniform_stride()
@@ -170,8 +173,10 @@ pub(crate) fn thomas_forward(
 ) -> usize {
     match avx2_stride(level, lanes) {
         // SAFETY: `SimdLevel::Avx2` is only constructed after avx2+fma
-        // detection (`SimdMode::resolve`); the view's constructor checked
-        // every lane × element address.
+        // detection (`SimdMode::resolve`). `avx2_stride` returned `Some`
+        // only for unit lane strides and one shared element stride, so the
+        // bodies' `base + k·rs + l` addresses are exactly the view's, every
+        // one of which its constructor checked.
         #[cfg(target_arch = "x86_64")]
         Some(rs) => unsafe { avx2::thomas_forward(carries, lanes, rs) },
         _ => 0,
@@ -250,12 +255,13 @@ pub(crate) fn first_order(
 /// The AVX2 kernel bodies. Every function is `unsafe` with the same
 /// contract: the caller must have verified AVX2+FMA support (guaranteed by
 /// only reaching these through [`SimdLevel::Avx2`]), every field of `lanes`
-/// must have element stride `row_stride`, and the view must address only
-/// valid elements no other thread touches (its constructors guarantee
-/// that). Each body sweeps lanes `0..nlanes / 4 * 4` and returns that
-/// count: element `k` of lane `l` is `lanes.base(f).offset(k·row_stride +
-/// l)`, whether the view is packed scratch (`row_stride = nlanes`) or tile
-/// storage (`row_stride = ±strides[dim]`).
+/// must have lane stride 1 and element stride `row_stride` (debug-asserted
+/// on entry), and the view must address only valid elements no other
+/// thread touches (its constructors guarantee that). Each body sweeps lanes
+/// `0..nlanes / 4 * 4` and returns that count: element `k` of lane `l` is
+/// `lanes.base(f).offset(k·row_stride + l)`, whether the view is packed
+/// scratch (`row_stride = nlanes`) or a tile row across the unit-stride
+/// axis (`row_stride = ±strides[dim]`).
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use mp_grid::Lanes;
@@ -316,6 +322,7 @@ mod avx2 {
         lanes: &Lanes<'_>,
         row_stride: isize,
     ) -> usize {
+        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
         let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
         let (aa, bb, cc, dd) = (lanes.base(0), lanes.base(1), lanes.base(2), lanes.base(3));
         // Two lane groups (8 lines) advance together through the segment:
@@ -385,6 +392,7 @@ mod avx2 {
         lanes: &Lanes<'_>,
         row_stride: isize,
     ) -> usize {
+        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
         let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
         let (cc, dd) = (lanes.base(0), lanes.base(1));
         let zero = _mm256_setzero_pd();
@@ -417,6 +425,7 @@ mod avx2 {
         lanes: &Lanes<'_>,
         row_stride: isize,
     ) -> usize {
+        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
         let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
         let (ee, aa, dd) = (lanes.base(0), lanes.base(1), lanes.base(2));
         let (cc, ff, bb) = (lanes.base(3), lanes.base(4), lanes.base(5));
@@ -470,6 +479,7 @@ mod avx2 {
         lanes: &Lanes<'_>,
         row_stride: isize,
     ) -> usize {
+        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
         let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
         let (cc, ff, bb) = (lanes.base(0), lanes.base(1), lanes.base(2));
         let one = _mm256_set1_pd(1.0);
@@ -507,6 +517,7 @@ mod avx2 {
         lanes: &Lanes<'_>,
         row_stride: isize,
     ) -> usize {
+        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
         let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
         let buf = lanes.base(0);
         for l0 in (0..full).step_by(LANES) {
@@ -531,6 +542,7 @@ mod avx2 {
         lanes: &Lanes<'_>,
         row_stride: isize,
     ) -> usize {
+        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
         let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
         let buf = lanes.base(0);
         let av = _mm256_set1_pd(a);

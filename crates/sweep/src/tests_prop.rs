@@ -514,9 +514,8 @@ fn simd_kernels_match_scalar_bitwise() {
 
 #[test]
 fn random_executor_configs_match_serial() {
-    // End-to-end property: random domain shapes, rank counts and block
-    // widths all produce the serial result bitwise, with exactly the
-    // message count and payload volume of per-line execution.
+    // End-to-end property: random domain shapes and rank counts all
+    // produce the serial result bitwise.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::FirstOrderKernel;
@@ -554,44 +553,30 @@ fn random_executor_configs_match_serial() {
         let mut want = ArrayD::from_fn(&eta, init);
         serial_sweep(&mut [&mut want], dim, dir, &k);
 
-        let mut baseline: Option<(u64, u64)> = None;
-        let mut options = vec![SweepOptions::new(1)];
-        for _ in 0..3 {
-            options.push(SweepOptions::new(rng.usize_in(1, 64)));
+        let fields = [FieldDef::new("u", 0)];
+        let results = run_threaded(p, |comm| {
+            let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+            store.init_field(0, init);
+            let mut plan = SolverPlan::new(SweepOptions::default());
+            plan.sweep(comm, &mut store, &mp, dim, dir, &k, 77);
+            store
+        });
+        let mut global = ArrayD::zeros(&eta);
+        for store in &results {
+            store.gather_into(0, &mut global);
         }
-        for opts in &options {
-            let fields = [FieldDef::new("u", 0)];
-            let results = run_threaded(p, |comm| {
-                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init);
-                let mut plan = SolverPlan::new(opts.clone());
-                plan.sweep(comm, &mut store, &mp, dim, dir, &k, 77);
-                (store, comm.sent_messages, comm.sent_elements)
-            });
-            let mut global = ArrayD::zeros(&eta);
-            let (mut msgs, mut elems) = (0u64, 0u64);
-            for (store, m, e) in &results {
-                store.gather_into(0, &mut global);
-                msgs += m;
-                elems += e;
-            }
-            assert_eq!(
-                global.max_abs_diff(&want),
-                0.0,
-                "p={p} eta={eta:?} dim={dim} {dir:?} {opts:?}"
-            );
-            match baseline {
-                None => baseline = Some((msgs, elems)),
-                Some(b) => assert_eq!((msgs, elems), b, "schedule changed: {opts:?}"),
-            }
-        }
+        assert_eq!(
+            global.max_abs_diff(&want),
+            0.0,
+            "p={p} eta={eta:?} dim={dim} {dir:?}"
+        );
     });
 }
 
 #[test]
 fn random_compiled_plans_match_per_call_path() {
     // The compiled-plan property: across randomized
-    // (p, γ, η, block_width), executing through a cached
+    // (p, γ, η), executing through a cached
     // `SolverPlan` — 10 sweeps cycling every (dim, direction) — is bitwise
     // identical to building a fresh `CompiledSweep` for each of the 10
     // calls, sends exactly the same message and element counts, and
@@ -629,7 +614,7 @@ fn random_compiled_plans_match_per_call_path() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 32));
+        let opts = SweepOptions::default();
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
         let k = PrefixSumKernel::new(0);
@@ -722,7 +707,7 @@ fn random_engine_reuse_sends_identical_counts() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 16));
+        let opts = SweepOptions::default();
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 11) as f64 - 5.0;
         let fields = [FieldDef::new("u", 0)];
 
@@ -804,7 +789,7 @@ fn fault_free_shim_is_invisible_and_injected_panics_fail_cleanly() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let opts = SweepOptions::new(rng.usize_in(1, 24));
+        let opts = SweepOptions::default();
         let k = PrefixSumKernel::new(0);
         let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 13) as f64 - 6.0;
         let fields = [FieldDef::new("u", 0)];
@@ -937,7 +922,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
     // End-to-end: a full multipartitioned sweep with simd = auto is bitwise
     // equal to the same sweep with simd forced scalar — same field
     // contents, same per-rank message and element counts — across random
-    // shapes, block widths, and kernels.
+    // shapes and kernels.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
@@ -1018,7 +1003,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
             _ => (6, vec![6, 3, 2]),
         };
         let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas));
-        // Extents with deliberate remainders so block tails (nlines % 4 ≠ 0)
+        // Extents with deliberate remainders so rows with nlanes % 4 ≠ 0
         // occur inside the executor, not just in the kernel-level test.
         let eta: Vec<usize> = mp
             .gammas()
@@ -1032,7 +1017,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let base = SweepOptions::new(rng.usize_in(1, 40));
+        let base = SweepOptions::default();
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
             .collect();
@@ -1129,12 +1114,12 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
 fn random_inplace_configs_match_serial_bitwise() {
     // The in-place invariant: running a phase on tile storage changes
     // *where* the kernel reads and writes, never the results. Across random
-    // ragged shapes (lane runs that wrap mid-block, block tails), block
-    // widths, SIMD levels, and kernels —
-    // including the block-tridiagonal pair, whose 12 fields and 12-float
-    // carries run in place too — every sweep is bitwise equal to the serial
-    // reference. Schedules include the last dimension, whose sweep runs
-    // along the unit-stride axis and therefore packs.
+    // ragged shapes (rows of different lengths, nlanes % 4 ≠ 0), SIMD
+    // levels, and kernels — including the block-tridiagonal pair, whose 12
+    // fields and 12-float carries run in place too — every sweep is bitwise
+    // equal to the serial reference. Schedules include the last dimension,
+    // whose sweep runs along the unit-stride axis with lanes a tile row
+    // apart.
     use crate::block::tests::TestCoeffs;
     use crate::block::{BlockTriBackwardKernel, BlockTriForwardKernel};
     use crate::compiled::SolverPlan;
@@ -1218,8 +1203,8 @@ fn random_inplace_configs_match_serial_bitwise() {
             _ => (6, vec![6, 3, 2]),
         };
         let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas));
-        // Remainders on purpose: lane runs that wrap mid-block and block
-        // tails both have to stay bitwise.
+        // Remainders on purpose: rows of every length, including lane
+        // counts that are not a multiple of 4, have to stay bitwise.
         let eta: Vec<usize> = mp
             .gammas()
             .iter()
@@ -1237,8 +1222,8 @@ fn random_inplace_configs_match_serial_bitwise() {
         } else {
             SimdMode::Scalar
         };
-        let opts = SweepOptions::new(rng.usize_in(1, 40)).with_simd(simd);
-        // Every dim, including the last (packed).
+        let opts = SweepOptions::default().with_simd(simd);
+        // Every dim, including the last (lanes a tile row apart).
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
             .collect();
@@ -1290,13 +1275,13 @@ fn random_inplace_configs_match_serial_bitwise() {
 #[test]
 fn per_rank_options_leave_the_wire_unchanged() {
     // The wire depends on no option: with every rank running its own random
-    // block width, a schedule of sweeps over every
-    // (dim, direction) matches the serial reference bitwise, and every rank
-    // sends exactly the messages and elements it sends when all ranks run
-    // the same per-line options.
+    // SIMD mode, a schedule of sweeps over every (dim, direction) matches
+    // the serial reference bitwise, and every rank sends exactly the
+    // messages and elements it sends when all ranks run scalar.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::recurrence::FirstOrderKernel;
+    use crate::simd::SimdMode;
     use crate::verify::serial_sweep;
     use mp_core::multipart::Multipartitioning;
     use mp_core::partition::Partitioning;
@@ -1339,7 +1324,14 @@ fn per_rank_options_leave_the_wire_unchanged() {
             })
             .collect();
         let mixed: Vec<SweepOptions> = (0..p)
-            .map(|_| SweepOptions::new(rng.usize_in(1, 40)))
+            .map(|_| {
+                let simd = if rng.bool() {
+                    SimdMode::Auto
+                } else {
+                    SimdMode::Scalar
+                };
+                SweepOptions::default().with_simd(simd)
+            })
             .collect();
 
         let run = |per_rank: &[SweepOptions]| {
@@ -1354,7 +1346,8 @@ fn per_rank_options_leave_the_wire_unchanged() {
                 (store, comm.sent_messages, comm.sent_elements)
             })
         };
-        let uniform = run(&vec![SweepOptions::new(1); p as usize]);
+        let scalar = SweepOptions::default().with_simd(SimdMode::Scalar);
+        let uniform = run(&vec![scalar; p as usize]);
         let varied = run(&mixed);
 
         let mut want = ArrayD::from_fn(&eta, init);

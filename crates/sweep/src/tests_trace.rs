@@ -67,10 +67,10 @@ fn aggregated_recorder_counters_match_comm() {
     let mp = Multipartitioning::optimal(6, &[12, 12, 12], &CostModel::origin2000_like());
     let eta = [12usize, 13, 11];
     let k = FirstOrderKernel::new(0, 0.8);
-    // Dims 0 and 1 run in place, dim 2 packed.
+    // Dims 0 and 1 run rows along the last axis, dim 2 along the middle one.
     for dim in 0..3 {
         let gamma = mp.gammas()[dim];
-        let opts = SweepOptions::new(4);
+        let opts = SweepOptions::default();
         let (_, per_rank) = run_traced(&mp, &eta, dim, Direction::Forward, &k, &opts);
         for (rank, (stats, msgs, elems)) in per_rank.iter().enumerate() {
             let at = format!("rank {rank} dim {dim}");
@@ -80,8 +80,8 @@ fn aggregated_recorder_counters_match_comm() {
             // cover exactly the γ phases of this sweep.
             assert_eq!(stats.phase_compute_ns.len(), gamma as usize, "{at}");
             assert!(stats.compute_ns > 0, "{at}");
-            // Carries are relayed by move in both modes: a sweep never
-            // stages a copy, so it records no pack time.
+            // Carries are relayed by move: a sweep never stages a copy,
+            // so it records no pack time.
             assert_eq!(stats.pack_ns, 0, "{at}");
         }
     }
@@ -101,19 +101,25 @@ fn traced_run_exports_loadable_chrome_json() {
         comm.trace = Some(SweepRecorder::with_epoch(comm.rank(), epoch));
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         store.init_field(0, init_value);
-        let mut plan = SolverPlan::new(SweepOptions::new(4));
+        let mut plan = SolverPlan::new(SweepOptions::default());
         plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &k, 1000);
         comm.trace.take().unwrap().into_trace()
     });
-    let tf = TraceFile::new(traces).with_meta("block_width", "4");
+    let tf = TraceFile::new(traces).with_meta("app", "prefix-sum");
     let text = tf.to_chrome_json();
     let back = TraceFile::parse_chrome_json(&text).unwrap();
     assert_eq!(back, tf);
     assert_eq!(back.ranks.len(), 4);
     // Every rank recorded compute work; ranks that received also waited or
-    // at least logged their sends.
+    // at least logged their sends. Each rank's phase is one 4×4×4 tile:
+    // 4 rows of 4 lines along the last axis.
     for r in &back.ranks {
         assert!(r.stats.compute_ns > 0, "rank {}", r.rank);
+        for e in &r.events {
+            if let SpanKind::Compute { jobs, lines, .. } = e.kind {
+                assert_eq!((jobs, lines), (4, 16), "rank {}", r.rank);
+            }
+        }
         assert!(
             r.events
                 .iter()
@@ -129,9 +135,8 @@ fn traced_run_exports_loadable_chrome_json() {
 #[test]
 fn tracing_never_changes_sweep_output() {
     // Property (seed 0x7508): over random configurations — rank count,
-    // swept dim, direction, block width — a run
-    // with recorders installed is bitwise identical to one without, and
-    // sends exactly the same message counts.
+    // swept dim, direction — a run with recorders installed is bitwise
+    // identical to one without, and sends exactly the same message counts.
     cases(0x7508, 10, |rng| {
         let p = rng.u64_in(2, 8);
         let dim = rng.usize_in(0, 2);
@@ -148,7 +153,7 @@ fn tracing_never_changes_sweep_output() {
             .iter()
             .map(|&g| g as usize + rng.usize_in(0, 7))
             .collect();
-        let opts = SweepOptions::new(rng.usize_in(1, 32));
+        let opts = SweepOptions::default();
         let grid = TileGrid::new(
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),

@@ -14,8 +14,8 @@ use mp_grid::{FieldDef, TileGrid};
 use mp_runtime::{run_threaded, Communicator};
 use mp_sweep::block::{BlockCoeffs, Mat};
 use mp_sweep::{
-    allocate_rank_store, BlockTriBackwardKernel, BlockTriForwardKernel, FirstOrderKernel,
-    LineSweepKernel, SolverPlan, SweepOptions,
+    allocate_rank_store, BatchedKernel, BlockTriBackwardKernel, BlockTriForwardKernel,
+    FirstOrderKernel, LineSweepKernel, SolverPlan, SweepOptions,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -62,9 +62,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Per-rank allocation counts across 10 steady-state `dir` sweeps of
-/// `dim` by `kernel`, whose fields are numbered from 0. Every dim but the
-/// last runs in place on tile storage; the last gathers through packed
-/// scratch — both modes are covered.
+/// `dim` by `kernel`, whose fields are numbered from 0. Every phase runs in
+/// place on tile storage; a sweep of the last dim walks rows whose lanes
+/// lie a tile row apart.
 fn steady_state_allocs<K: LineSweepKernel>(
     p: u64,
     gammas: &[u64],
@@ -77,13 +77,12 @@ fn steady_state_allocs<K: LineSweepKernel>(
     let fields: Vec<FieldDef> = (0..kernel.fields().len())
         .map(|f| FieldDef::new(&format!("f{f}"), 0))
         .collect();
-    let opts = SweepOptions::new(4);
     run_threaded(p, |comm| {
         let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
         for f in 0..fields.len() {
             store.init_field(f, |g| (g[0] * 7 + g[1] * 3 + g[2] + f) as f64 * 0.01);
         }
-        let mut plan = SolverPlan::new(opts.clone());
+        let mut plan = SolverPlan::new(SweepOptions::default());
         let mut before = 0;
         for i in 0..12 {
             if i == 2 {
@@ -119,6 +118,21 @@ fn two_rank_sweeps_allocate_nothing() {
     }
 }
 
+#[test]
+fn batched_sweeps_allocate_nothing() {
+    // A batch de-interleaves its members' carries through scratch that is
+    // reused across calls, not allocated per row.
+    let kernel = BatchedKernel::new(vec![
+        FirstOrderKernel::new(0, 0.8),
+        FirstOrderKernel::new(1, 0.5),
+    ]);
+    for dim in [0, 2] {
+        let at = (dim, Direction::Forward);
+        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, &kernel);
+        assert_eq!(counts, vec![0, 0], "dim {dim}");
+    }
+}
+
 /// Position-dependent 3×3 blocks, diagonally dominant: BT's kernel shape
 /// at N = 3.
 struct Coeffs;
@@ -137,7 +151,8 @@ impl BlockCoeffs<3> for Coeffs {
 #[test]
 fn block_tridiagonal_sweeps_allocate_nothing() {
     // The block kernels generate their coefficients per element from the
-    // global position: dim 0 runs in place, dim 2 packed.
+    // global position, on rows along the last axis (dim 0) and along the
+    // middle one (dim 2).
     let scratch: Vec<usize> = (0..9).collect();
     let rhs: Vec<usize> = (9..12).collect();
     let fwd = BlockTriForwardKernel::<3, _>::new(Coeffs, &scratch, &rhs);

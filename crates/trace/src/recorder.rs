@@ -16,20 +16,20 @@ use std::time::Instant;
 
 /// What one recorded interval was spent on.
 ///
-/// The variants mirror the phases of a multipartitioned sweep: block
+/// The variants mirror the phases of a multipartitioned sweep: row
 /// computation, blocking on a carry/halo message, packing and unpacking
 /// message payloads, the (buffered, near-instant) send call itself, and
 /// free-form driver stages such as `compute_rhs`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpanKind {
-    /// Block-job execution: one `run_jobs` invocation of the sweep
-    /// executor, covering all of one phase's block jobs.
+    /// Sweep computation: one phase of the sweep executor, covering all of
+    /// the phase's rows.
     Compute {
         /// Sweep phase index (slab ordinal in sweep order).
         phase: u64,
-        /// Block jobs executed in this span.
+        /// Units of work executed in this span: the phase's tile rows.
         jobs: u64,
-        /// Lines swept by those jobs.
+        /// Lines swept by those rows.
         lines: u64,
     },
     /// Blocked in `recv` waiting for a message to arrive.

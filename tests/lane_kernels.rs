@@ -1,10 +1,12 @@
 //! Every in-repo line kernel's blocked body (`LineSweepKernel::sweep_lanes`)
 //! is bitwise equal to the per-line reference (`per_line_sweep_lanes`, i.e.
-//! `sweep_segment` lane by lane) — on packed line-minor scratch and on a
-//! padded tile-like layout walked forward and from the far end, at the
-//! scalar level and at the host's SIMD level, for random lane counts
-//! (including `nlanes % 4 ≠ 0`), segment lengths, carries and data. The
-//! executor runs packed and in-place phases through exactly these views.
+//! `sweep_segment` lane by lane) — on packed line-minor scratch and on the
+//! two padded tile layouts the executor's rows use, each walked forward and
+//! from the far end: lanes side by side (a sweep across the unit-stride
+//! axis) and each lane contiguous, lanes a padded row apart (a sweep along
+//! it). Every kernel runs at the scalar level and at the host's SIMD level,
+//! for random lane counts (including `nlanes % 4 ≠ 0`), segment lengths,
+//! carries and data.
 
 use mp_core::multipart::Direction;
 use mp_grid::{AlignedVec, Lanes};
@@ -61,41 +63,59 @@ fn assert_matches_reference(
         assert_eq!(got_c, want_c, "{name} {level} packed carries");
         assert_eq!(got, want, "{name} {level} packed fields");
 
-        // A tile-like layout: rows of nl + 3 elements (the padding must stay
-        // untouched), walked forward and from the far end.
-        let row = nl + 3;
-        for reversed in [false, true] {
-            let slot = |k: usize| if reversed { n - 1 - k } else { k };
-            let mut tiles: Vec<Vec<f64>> = data
-                .iter()
-                .map(|d| {
-                    let mut t = vec![f64::NAN; n * row];
+        // Two padded tile layouts, walked forward and from the far end
+        // (the padding must stay untouched):
+        // * rows of nl + 3 elements, a lane per column — the rows of a sweep
+        //   across the unit-stride axis (lane stride 1);
+        // * a lane per row of n + 3 elements — the rows of a sweep along
+        //   the unit-stride axis (element stride ±1, lanes n + 3 apart).
+        for (lane_gap, elem_gap, len) in [(1, nl + 3, n * (nl + 3)), (n + 3, 1, nl * (n + 3))] {
+            for reversed in [false, true] {
+                let slot = |k: usize| if reversed { n - 1 - k } else { k };
+                let at_kl = |k: usize, l: usize| l * lane_gap + slot(k) * elem_gap;
+                let mut tiles: Vec<Vec<f64>> = data
+                    .iter()
+                    .map(|d| {
+                        let mut t = vec![f64::NAN; len];
+                        for k in 0..n {
+                            for l in 0..nl {
+                                t[at_kl(k, l)] = d[k * nl + l];
+                            }
+                        }
+                        t
+                    })
+                    .collect();
+                let stride = if reversed {
+                    -(elem_gap as isize)
+                } else {
+                    elem_gap as isize
+                };
+                let parts = tiles.iter_mut().map(|t| {
+                    (
+                        t.as_mut_ptr(),
+                        t.len(),
+                        at_kl(0, 0),
+                        stride,
+                        lane_gap as isize,
+                    )
+                });
+                let mut got_c = carries.to_vec();
+                // SAFETY: each tile is a live Vec that only this view touches
+                // until the call returns.
+                let mut lanes = unsafe { Lanes::from_raw(parts, nl, n, &mut table) };
+                kernel.sweep_lanes(level, dir, &mut got_c, &mut lanes, ctxs);
+                let at = format!("{name} {level} lane stride {lane_gap} stride {stride}");
+                assert_eq!(got_c, want_c, "{at} carries");
+                let mut inside = vec![false; len];
+                for (f, (tile, want)) in tiles.iter().zip(&want).enumerate() {
                     for k in 0..n {
-                        t[slot(k) * row..][..nl].copy_from_slice(&d[k * nl..(k + 1) * nl]);
+                        for l in 0..nl {
+                            inside[at_kl(k, l)] = true;
+                            assert_eq!(tile[at_kl(k, l)], want[k * nl + l], "{at} field {f}");
+                        }
                     }
-                    t
-                })
-                .collect();
-            let (origin, stride) = if reversed {
-                ((n - 1) * row, -(row as isize))
-            } else {
-                (0, row as isize)
-            };
-            let parts = tiles
-                .iter_mut()
-                .map(|t| (t.as_mut_ptr(), t.len(), origin, stride));
-            let mut got_c = carries.to_vec();
-            // SAFETY: each tile is a live Vec that only this view touches
-            // until the call returns.
-            let mut lanes = unsafe { Lanes::from_raw(parts, nl, n, &mut table) };
-            kernel.sweep_lanes(level, dir, &mut got_c, &mut lanes, ctxs);
-            let at = format!("{name} {level} tile stride {stride}");
-            assert_eq!(got_c, want_c, "{at} carries");
-            for (f, (tile, want)) in tiles.iter().zip(&want).enumerate() {
-                for k in 0..n {
-                    let r = &tile[slot(k) * row..][..row];
-                    assert_eq!(&r[..nl], &want[k * nl..(k + 1) * nl], "{at} field {f}");
-                    assert!(r[nl..].iter().all(|v| v.is_nan()), "{at}: padding written");
+                    let untouched = tile.iter().zip(&inside).all(|(v, &i)| i || v.is_nan());
+                    assert!(untouched, "{at}: padding written");
                 }
             }
         }
