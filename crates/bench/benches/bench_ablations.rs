@@ -26,7 +26,7 @@ use std::sync::Once;
 static PRINT_ONCE: Once = Once::new();
 
 fn bench_ablations(c: &mut Criterion) {
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let work = SweepWork {
         work_per_element: 6.0,
         carry_len: 10,

@@ -26,7 +26,7 @@ fn bench_sp(c: &mut Criterion) {
     let mut group = c.benchmark_group("sp_simulated_cell");
     group.sample_size(10);
     let prob = SpProblem::new([102, 102, 102], 0.001);
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = mp_core::cost::CostModel::sp_origin2000();
     let factors = SpWorkFactors::default();
     for &p in &[16u64, 50, 81] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &p, |b, &p| {

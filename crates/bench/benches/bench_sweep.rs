@@ -298,10 +298,7 @@ fn bench_sweep(c: &mut Criterion) {
         let geo = MultipartGeometry::new(&mp, &grid);
         group.bench_with_input(BenchmarkId::new("class_b_sweep", p), &p, |b, &p| {
             b.iter(|| {
-                let mut net = SimNet::new(
-                    p,
-                    mp_core::machine::MachineProfile::sp_origin2000().cost_model(),
-                );
+                let mut net = SimNet::new(p, CostModel::sp_origin2000());
                 simulate_multipart_sweep(&mut net, &geo, 0, &SweepWork::default(), 0);
                 black_box(net.makespan())
             })

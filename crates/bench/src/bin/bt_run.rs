@@ -68,7 +68,7 @@ fn main() {
     }
 
     // Simulated class-A-like performance point.
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let f = BtWorkFactors::default();
     let big = BtProblem::new([64, 64, 64], 0.001);
     if let Some(r) = simulate_bt(&big, 16, &machine, &f, 1) {

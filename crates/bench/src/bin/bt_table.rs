@@ -17,7 +17,7 @@ use mp_nassp::simulate::{simulate_sp, SpVersion, TABLE1_PROCS};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let n: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(64);
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = mp_core::cost::CostModel::sp_origin2000();
     let btf = BtWorkFactors::default();
     let spf = SpWorkFactors::default();
     let bt_prob = BtProblem::new([n, n, n], 0.001);

@@ -41,7 +41,7 @@ fn main() {
 
     // (b) simulated SP iterations.
     let prob = SpProblem::new([n, n, n], 0.001);
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let factors = SpWorkFactors::default();
     let lo = cands.iter().map(|c| c.procs).min().unwrap();
     let mut sim_rows = Vec::new();

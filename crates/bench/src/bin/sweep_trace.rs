@@ -54,7 +54,7 @@ fn main() {
     let n: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(32);
     let granularity: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(16);
 
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let work = SweepWork::default();
     println!("Simulated sweep timelines, {n}³ domain, p = {p} (# compute, s send, . wait)\n");
 

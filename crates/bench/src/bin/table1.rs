@@ -26,7 +26,7 @@ fn main() {
     let iterations: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1);
 
     let prob = SpProblem::new(class.eta(), class.dt());
-    let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+    let machine = mp_core::cost::CostModel::sp_origin2000();
     let factors = SpWorkFactors::default();
 
     if csv {

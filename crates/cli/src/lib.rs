@@ -63,9 +63,9 @@ COMMANDS:
   list      all elementary partitionings of p in d dimensions
   hpf       compile PROCESSORS/TEMPLATE/ALIGN/DISTRIBUTE directives
   topo      pick the legal mapping with the fewest shift hops
-  calibrate measure THIS machine: time the hot sweep kernels and fit the
-            transport's Hockney constants; write a calibration file other
-            commands consume via --calibration FILE or MP_CALIBRATION
+  calibrate measure THIS machine: time four sweep kernels for K1 and fit
+            the transport's Hockney constants; write a calibration file
+            other commands consume via --calibration FILE or MP_CALIBRATION
   profile   run the SP solver with per-rank telemetry; write a Chrome
             trace-event JSON (load at https://ui.perfetto.dev) and print
             a compute/wait summary with §3.1 cost-model predictions and
@@ -385,28 +385,28 @@ fn cmd_calibrate(args: &[String]) -> Result<String, CliError> {
     }
 
     let t0 = std::time::Instant::now();
-    let (profile, fit) = mp_sweep::calibrate_host(fast);
+    let (model, fit) = mp_sweep::calibrate_host(fast);
     let elapsed = t0.elapsed();
-    mp_runtime::write_profile(&out, &profile)
+    mp_runtime::write_profile(&out, &model)
         .map_err(|e| CliError(format!("cannot write '{out}': {e}")))?;
 
     let mode = if fast { "fast" } else { "full" };
     let mut rep = format!(
-        "calibrated this host in {:.2} s ({mode} mode)\n\nkernel K1 (seconds/element):\n",
-        elapsed.as_secs_f64()
+        "calibrated this host in {:.2} s ({mode} mode)\n\n\
+         K1 = {:.3e} s/element (mean of Thomas and penta forward/backward, simd {})\n",
+        elapsed.as_secs_f64(),
+        model.k1,
+        mp_sweep::SimdMode::Auto.resolve()
     );
-    for (key, k1) in &profile.k1 {
-        rep.push_str(&format!("  {key:<32} {k1:.3e}\n"));
-    }
 
     rep.push_str(&format!(
         "\ntransport fit (Hockney, 2-rank ring ping-pong):\n\
          \x20 K2 (per-message latency)  = {:.3e} s\n\
          \x20 K3 (per-element transfer) = {:.3e} s",
-        profile.k2, profile.k3
+        model.k2, model.k3
     ));
-    if profile.k3 > 0.0 {
-        rep.push_str(&format!("  (~{:.1} GB/s)", 8.0 / profile.k3 / 1e9));
+    if model.k3 > 0.0 {
+        rep.push_str(&format!("  (~{:.1} GB/s)", 8.0 / model.k3 / 1e9));
     }
     rep.push_str("\n  one-way samples:\n");
     for &(n, secs) in &fit.samples {
@@ -421,12 +421,12 @@ fn cmd_calibrate(args: &[String]) -> Result<String, CliError> {
         preset.k1,
         preset.k2,
         preset.k3,
-        profile.k1_default() / preset.k1,
-        profile.k2 / preset.k2,
-        profile.k3 / preset.k3,
+        model.k1 / preset.k1,
+        model.k2 / preset.k2,
+        model.k3 / preset.k3,
     ));
     rep.push_str(&format!(
-        "\nprofile written to {out} (provenance: measured, scaling: fixed)\n\
+        "\ncalibration written to {out} (scaling: fixed)\n\
          use it:  mpart profile <p> --calibration {out}\n\
          or:      MP_CALIBRATION={out} mpart profile <p>\n"
     ));
@@ -534,9 +534,8 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let (p, iters) = (*p, *iters);
     let eta_u64: Vec<u64> = eta.iter().map(|&e| e as u64).collect();
     // Cost-model precedence: --calibration file > MP_CALIBRATION > preset.
-    let (profile, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
+    let (model, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
         .map_err(|e| CliError(e.to_string()))?;
-    let model = profile.cost_model();
     let mp = Multipartitioning::optimal(p, &eta_u64, &model);
     let prob = mp_nassp::SpProblem::new(*eta, cfg.dt);
 
@@ -677,11 +676,11 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         tf.makespan_ns() as f64 / 1e9
     ));
 
-    // Predicted-vs-measured breakdown: K1 times the elements every compiled
-    // plan actually swept, against the recorder's compute-span total; the
-    // Hockney message cost against the time ranks spent blocked on receives.
-    // With a measured calibration both rows should land within tens of
-    // percent; with a preset the error column shows how far off it is.
+    // Predicted-vs-measured breakdown. The compute row compares K1 times
+    // the elements every compiled plan actually swept with the recorder's
+    // compute-span total. The comm row compares the Hockney cost of the
+    // messages sent (messages × K2 + elements × K3(p)) with the time ranks
+    // spent blocked on receives, which includes waiting for slower peers.
     let total_compute_s = tf.ranks.iter().map(|r| r.stats.compute_ns).sum::<u64>() as f64 / 1e9;
     let total_wait_s = tf.ranks.iter().map(|r| r.stats.comm_wait_ns).sum::<u64>() as f64 / 1e9;
     let total_msgs: u64 = tf.ranks.iter().map(|r| r.stats.sent_messages()).sum();
@@ -837,9 +836,9 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
         ..
     } = cfg;
     let eta_u64: Vec<u64> = eta.iter().map(|&e| e as u64).collect();
-    let (cal_profile, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
+    let (model, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
         .map_err(|e| CliError(e.to_string()))?;
-    let mp = Multipartitioning::optimal(p, &eta_u64, &cal_profile.cost_model());
+    let mp = Multipartitioning::optimal(p, &eta_u64, &model);
     let prob = mp_nassp::SpProblem::new(eta, cfg.dt);
 
     // One soak run: SP under `fault`, every blocking receive bounded by
@@ -1167,13 +1166,21 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let cal = dir.join("calibration_cli.json");
         let out = runv(&["calibrate", "--fast", "--out", cal.to_str().unwrap()]).unwrap();
-        assert!(out.contains("kernel K1"), "{out}");
+        assert!(out.contains("K1 = "), "{out}");
         assert!(out.contains("K2 (per-message latency)"), "{out}");
         assert!(out.contains("measured/preset"), "{out}");
-        // The file must load back as a measured-on-this-host profile.
-        let profile = mp_runtime::read_profile(cal.to_str().unwrap()).unwrap();
-        assert!(profile.k1_default() > 0.0);
-        assert!(profile.k2 > 0.0);
+        // The file holds exactly the four constants and loads back as a
+        // model measured on this host.
+        let text = std::fs::read_to_string(&cal).unwrap();
+        let mp_trace::json::JsonValue::Object(fields) = mp_trace::json::parse(&text).unwrap()
+        else {
+            panic!("not a JSON object: {text}");
+        };
+        let keys: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["k1", "k2", "k3", "scaling"], "{text}");
+        let model = mp_runtime::read_profile(cal.to_str().unwrap()).unwrap();
+        assert!(model.k1 > 0.0);
+        assert!(model.k2 > 0.0);
 
         let trace = dir.join("profile_calibrated.json");
         let prof_out = runv(&[
@@ -1210,6 +1217,30 @@ mod tests {
         ])
         .unwrap_err();
         assert!(e.0.contains("cannot read"), "{}", e.0);
+    }
+
+    #[test]
+    fn bad_calibration_constant_is_a_clean_error() {
+        // An older-format file (provenance, K1 object) with a negative K2:
+        // the partition search would reject its λ weights with a panic, so
+        // loading must refuse the file first, naming the field.
+        let dir = std::env::temp_dir().join("mpart_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cal = dir.join("calibration_negative_k2.json");
+        std::fs::write(
+            &cal,
+            r#"{"provenance": "measured", "k2": -1e-3, "k3": 0, "scaling": "fixed",
+                "k1": {"default": 3.1e-9, "thomas_forward@avx2": 2.25e-9}}"#,
+        )
+        .unwrap();
+        let path = cal.to_str().unwrap();
+        let profile = ["profile", "4", "--eta", "8x8x8", "--iters", "1"];
+        let chaos = ["chaos", "4", "--eta", "8x8x8", "--runs", "1"];
+        for cmd in [&profile[..], &chaos[..]] {
+            let args = [cmd, &["--calibration", path]].concat();
+            let e = runv(&args).unwrap_err();
+            assert!(e.0.contains("`k2`"), "{args:?}: {}", e.0);
+        }
     }
 
     #[test]

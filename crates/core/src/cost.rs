@@ -17,7 +17,6 @@
 //! `Σ_i γ_i·λ_i` with `λ_i = K2 + K3(p)·η/η_i` — the **objective** minimized
 //! by the search in [`crate::search`].
 
-use crate::machine::MachineProfile;
 use crate::partition::Partitioning;
 
 /// How the per-element communication cost `K3(p)` scales with the number of
@@ -32,7 +31,11 @@ pub enum BandwidthScaling {
     Fixed,
 }
 
-/// The machine-dependent constants of the §3.1 model.
+/// The machine-dependent constants of the §3.1 model — the one machine
+/// description. The partition search and the discrete-event simulator
+/// (`mp-runtime`'s `SimNet`) both price work with it. It comes from a
+/// preset below or from a calibration file (`mpart calibrate` measures
+/// one; `mp-runtime`'s `calibrate` module writes and reads it).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Sequential compute time per element per sweep (seconds).
@@ -46,32 +49,59 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The model derived from a [`MachineProfile`] (the profile's
-    /// [`MachineProfile::k1_default`] becomes the scalar `K1`). This is
-    /// the only way constants enter the search: presets below are just
-    /// shorthand for `MachineProfile::<preset>().cost_model()`.
-    pub fn from_profile(profile: &MachineProfile) -> Self {
-        profile.cost_model()
-    }
-
-    /// The [`MachineProfile::origin2000_like`] preset's constants.
+    /// A machine resembling a c. 2002 SGI Origin 2000: ~10 µs message
+    /// start-up, ~100 MB/s per-link bandwidth on 8-byte elements, and
+    /// ~100 Mflop/s per-CPU sustained compute with a handful of flops per
+    /// element per sweep.
     pub fn origin2000_like() -> Self {
-        MachineProfile::origin2000_like().cost_model()
+        CostModel {
+            k1: 5.0e-8, // 50 ns/element/sweep ≈ a few flops at 10⁸ flop/s
+            k2: 1.0e-5, // 10 µs start-up
+            k3: 8.0e-8, // 80 ns/element ≈ 100 MB/s on f64
+            scaling: BandwidthScaling::Scalable,
+        }
     }
 
-    /// The [`MachineProfile::latency_dominated`] preset: phases are what
-    /// you pay for. With `k3 = 0` the objective degenerates to `Σ γ_i`
-    /// (the paper's first simplified form).
+    /// The model calibrated for the NAS SP reproduction.
+    ///
+    /// Identical to [`CostModel::origin2000_like`] except for a larger
+    /// per-message overhead `K2 = 150 µs`: in the real SP each
+    /// communication phase pays not just MPI latency but also
+    /// packing/unpacking of five-component boundary hyperplanes and the
+    /// synchronization stall of the slowest rank — an effective per-phase
+    /// fixed cost that sits in the 100 µs range on a c. 2002 machine. This
+    /// constant is what lets the phase-count differences between
+    /// partitionings (e.g. 5×10×10's 22 phases vs 7×7×7's 18) matter
+    /// relative to compute, as they visibly do in the paper's Table 1.
+    pub fn sp_origin2000() -> Self {
+        CostModel {
+            k2: 1.5e-4,
+            ..Self::origin2000_like()
+        }
+    }
+
+    /// A latency-dominated machine: phases are what you pay for. With
+    /// `k3 = 0` the objective degenerates to `Σ γ_i` (the paper's first
+    /// simplified form).
     pub fn latency_dominated() -> Self {
-        MachineProfile::latency_dominated().cost_model()
+        CostModel {
+            k1: 5.0e-8,
+            k2: 1.0e-4,
+            k3: 0.0,
+            scaling: BandwidthScaling::Fixed,
+        }
     }
 
-    /// The [`MachineProfile::bandwidth_dominated`] preset: with `k2 = 0`
-    /// the objective degenerates to `Σ γ_i/η_i` (the paper's second
-    /// simplified form), which favours cutting *large* dimensions into
-    /// more pieces.
+    /// A bandwidth-dominated machine: with `k2 = 0` the objective
+    /// degenerates to `Σ γ_i/η_i` (the paper's second simplified form),
+    /// which favours cutting *large* dimensions into more pieces.
     pub fn bandwidth_dominated() -> Self {
-        MachineProfile::bandwidth_dominated().cost_model()
+        CostModel {
+            k1: 5.0e-8,
+            k2: 0.0,
+            k3: 8.0e-8,
+            scaling: BandwidthScaling::Fixed,
+        }
     }
 
     /// `K3(p)` under the configured scaling regime — the effective
@@ -248,12 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn from_profile_matches_preset() {
-        use crate::machine::MachineProfile;
-        let prof = MachineProfile::sp_origin2000();
-        let m = CostModel::from_profile(&prof);
-        assert_eq!(m.k2, 1.5e-4);
-        assert_eq!(m.k1, prof.k1_default());
+    fn sp_preset_only_raises_k2() {
+        let base = CostModel::origin2000_like();
+        let sp = CostModel::sp_origin2000();
+        assert_eq!(sp.k2, 1.5e-4);
+        assert_eq!(sp.k1, base.k1);
+        assert_eq!(sp.k3, base.k3);
+        assert_eq!(sp.scaling, base.scaling);
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod cost;
 pub mod factor;
 pub mod hermite;
 pub mod latin;
-pub mod machine;
 pub mod modmap;
 pub mod multipart;
 pub mod partition;
@@ -57,7 +56,6 @@ pub mod prelude {
     pub use crate::analysis::{analyze, Analysis};
     pub use crate::cost::{BandwidthScaling, CostModel};
     pub use crate::factor::Factorization;
-    pub use crate::machine::{MachineProfile, Provenance};
     pub use crate::modmap::ModularMapping;
     pub use crate::multipart::{Direction, Multipartitioning, TileCoord};
     pub use crate::partition::{elementary_partitionings, Partitioning};

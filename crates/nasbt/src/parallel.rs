@@ -90,7 +90,7 @@ impl ParallelBt {
     }
 
     /// Like [`ParallelBt::new`] but with explicit sweep execution options
-    /// (block width, SIMD level).
+    /// (the SIMD level).
     pub fn with_opts(
         rank: u64,
         prob: BtProblem,

@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn bt_scales_class_a_like() {
         let prob = BtProblem::new([64, 64, 64], 0.001);
-        let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+        let machine = CostModel::sp_origin2000();
         let f = BtWorkFactors::default();
         let serial = serial_bt_seconds(&prob, &machine, &f, 1);
         let r16 = simulate_bt(&prob, 16, &machine, &f, 1).unwrap();
@@ -139,7 +139,7 @@ mod tests {
         // Same grid, same p, sweep phases only (no halos): BT's carries are
         // 30 + 6 floats per line per dimension vs SP's 10 + 10 — a 1.8×
         // volume at the identical message count and schedule.
-        let machine = mp_core::machine::MachineProfile::sp_origin2000().cost_model();
+        let machine = CostModel::sp_origin2000();
         let eta = [64usize, 64, 64];
         let mp = Multipartitioning::optimal(16, &[64, 64, 64], &CostModel::origin2000_like());
         let grid = TileGrid::new(&eta, &[4, 4, 4]);

@@ -85,7 +85,7 @@ impl ParallelSp {
     }
 
     /// Like [`ParallelSp::new`] but with explicit sweep execution options
-    /// (block width, SIMD level).
+    /// (the SIMD level).
     pub fn with_opts(
         rank: u64,
         prob: SpProblem,

@@ -243,7 +243,7 @@ mod tests {
     }
 
     fn machine() -> CostModel {
-        mp_core::machine::MachineProfile::sp_origin2000().cost_model()
+        CostModel::sp_origin2000()
     }
 
     #[test]

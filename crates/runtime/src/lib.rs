@@ -13,10 +13,10 @@
 //!   substitute with this model).
 //!
 //! The constants themselves come from one machine description — a
-//! [`mp_core::machine::MachineProfile`] — which can be a preset or
-//! *measured on the host* by the microbenchmarks in [`calibrate`]
-//! (`mpart calibrate` writes the result to `calibration.json`;
-//! [`calibrate::load_profile`] resolves which profile a run uses).
+//! [`mp_core::cost::CostModel`] — which can be a preset or *measured on
+//! the host* by the microbenchmarks in [`calibrate`] (`mpart calibrate`
+//! writes the result to `calibration.json`; [`calibrate::load_profile`]
+//! resolves which model a run uses).
 //!
 //! [`comm::Communicator`] is the trait the functional engines program
 //! against; collectives (barrier, allreduce, broadcast) are provided on top
@@ -50,7 +50,7 @@ pub mod threaded;
 
 pub use calibrate::{
     calibrate_transport, load_profile, profile_from_json, profile_to_json, read_profile,
-    write_profile, CalibrationError, CalibrationOpts, Calibrator, TransportFit, CALIBRATION_ENV,
+    write_profile, CalibrationError, CalibrationOpts, TransportFit, CALIBRATION_ENV,
 };
 pub use comm::{CommError, CommErrorKind, Communicator, SerialComm, Tag};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

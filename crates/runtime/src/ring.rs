@@ -13,8 +13,8 @@
 //! (`std::thread::park_timeout`) on a per-rank [`Doorbell`] that senders
 //! ring after publishing — so an idle rank costs no CPU, while a message
 //! that arrives within the spin window is picked up without a syscall. The
-//! spin budget is tunable via `MP_COMM_SPIN` (see
-//! [`crate::threaded::ThreadedComm`]).
+//! spin budget is core-aware: 200 ring-pops when every rank can have a
+//! core, none when ranks oversubscribe the host (see `crate::threaded`).
 
 use crate::comm::Tag;
 use std::cell::UnsafeCell;

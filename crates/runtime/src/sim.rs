@@ -4,12 +4,11 @@
 //! SGI Origin 2000. This repository runs in a single-core container, so
 //! wall-clock speedup is unmeasurable natively; instead, the sweep engines
 //! re-play their exact communication schedules against a virtual machine
-//! (an [`mp_core::cost::CostModel`], usually derived from a
-//! [`mp_core::machine::MachineProfile`]) and report *virtual* makespans. The
-//! schedules, message sizes, and per-phase work are identical to what the
-//! threaded backend executes, so the simulated curves inherit the real
-//! algorithmic structure (pipeline fill/drain, phase counts, aggregated
-//! message volumes).
+//! (an [`mp_core::cost::CostModel`], a preset or a calibration file) and
+//! report *virtual* makespans. The schedules, message sizes, and per-phase
+//! work are identical to what the threaded backend executes, so the
+//! simulated curves inherit the real algorithmic structure (pipeline
+//! fill/drain, phase counts, aggregated message volumes).
 //!
 //! The model is a per-rank virtual clock plus causality through messages:
 //!
@@ -113,9 +112,8 @@ pub struct SimNet {
 
 impl SimNet {
     /// New simulation with all clocks at zero, charging time with the
-    /// given §3.1 constants (derive them from a calibrated
-    /// [`mp_core::machine::MachineProfile`] via
-    /// [`mp_core::machine::MachineProfile::cost_model`]).
+    /// given §3.1 constants (a preset, or a model measured by
+    /// [`crate::calibrate`]).
     pub fn new(p: u64, model: CostModel) -> Self {
         assert!(p >= 1);
         SimNet {

@@ -8,8 +8,8 @@
 //! Messages travel over one lock-free SPSC ring per `(sender, receiver)`
 //! pair (the `ring` module): a send publishes the payload `Vec` into a
 //! pre-allocated slot (no lock, no copy, no allocation), and a blocking
-//! receive spins for [`ThreadedComm`]'s `MP_COMM_SPIN` budget before
-//! parking on a doorbell the sender rings. Delivery is FIFO per
+//! receive spins for a core-aware budget of ring-pops before parking on a
+//! doorbell the sender rings. Delivery is FIFO per
 //! `(sender, receiver, tag)`, the [`Communicator`] contract.
 
 use crate::comm::{CommError, CommErrorKind, Communicator, Tag};
@@ -27,9 +27,9 @@ use std::time::{Duration, Instant};
 /// pool captures all the reuse without pinning memory after a burst.
 const RECYCLE_POOL_CAP: usize = 8;
 
-/// Ring-pops a blocked receiver performs before parking, unless
-/// `MP_COMM_SPIN` overrides it — used when each rank can plausibly have a
-/// core to itself, so the awaited sender is genuinely making progress.
+/// Ring-pops a blocked receiver performs before parking when each rank
+/// can plausibly have a core to itself, so the awaited sender is genuinely
+/// making progress.
 const DEFAULT_SPIN: u32 = 200;
 
 /// Spin default when ranks outnumber cores: park immediately. Spinning is
@@ -39,21 +39,15 @@ const DEFAULT_SPIN: u32 = 200;
 /// delays it further.
 const OVERSUBSCRIBED_SPIN: u32 = 0;
 
-/// The spin budget for a `p`-rank run: `MP_COMM_SPIN` if set and
-/// well-formed, else [`DEFAULT_SPIN`] with at least one core per rank and
-/// [`OVERSUBSCRIBED_SPIN`] otherwise. Malformed values fall back to the
-/// same core-aware default (env knobs must never abort a run).
+/// The spin budget for a `p`-rank run: [`DEFAULT_SPIN`] with at least one
+/// core per rank, [`OVERSUBSCRIBED_SPIN`] otherwise.
 fn spin_for(p: u64) -> u32 {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let default = if (p as usize) > cores {
+    if (p as usize) > cores {
         OVERSUBSCRIBED_SPIN
     } else {
         DEFAULT_SPIN
-    };
-    std::env::var("MP_COMM_SPIN")
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(default)
+    }
 }
 
 /// `MP_COMM_TIMEOUT_MS` as a receive deadline: a positive integer bounds
@@ -175,7 +169,7 @@ pub struct ThreadedComm {
     /// ([`Communicator::take_send_buffer`]).
     pool: Vec<Vec<f64>>,
     /// Ring-pop attempts a blocking receive makes before parking
-    /// (`MP_COMM_SPIN`).
+    /// (core-aware, `spin_for`).
     spin_limit: u32,
     /// Bound on every blocking receive (`MP_COMM_TIMEOUT_MS`; `None` waits
     /// forever). [`Communicator::recv`] raises the typed [`CommError`] as
@@ -1200,24 +1194,11 @@ mod tests {
     }
 
     #[test]
-    fn spin_budget_from_env_parses() {
-        // Spin budget: explicit values always win, 0 is a valid "park at
-        // once", and the default is core-aware — full spin when every rank
-        // can have a core, park-immediately when ranks oversubscribe.
-        // (Set-and-unset in one test; the spin budget never changes what
-        // a racing run_threaded computes.)
-        std::env::set_var("MP_COMM_SPIN", "0");
-        assert_eq!(spin_for(1), 0);
-        std::env::set_var("MP_COMM_SPIN", "5000");
-        assert_eq!(spin_for(1_000_000), 5000);
+    fn spin_budget_is_core_aware() {
+        // Full spin when every rank can have a core, park-immediately when
+        // ranks oversubscribe.
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
-        for bad in ["banana", ""] {
-            std::env::set_var("MP_COMM_SPIN", bad);
-            assert_eq!(spin_for(1), DEFAULT_SPIN, "value {bad:?}");
-            assert_eq!(spin_for(cores), DEFAULT_SPIN, "value {bad:?}");
-            assert_eq!(spin_for(cores + 1), OVERSUBSCRIBED_SPIN, "value {bad:?}");
-        }
-        std::env::remove_var("MP_COMM_SPIN");
+        assert_eq!(spin_for(1), DEFAULT_SPIN);
         assert_eq!(spin_for(cores), DEFAULT_SPIN);
         assert_eq!(spin_for(cores + 1), OVERSUBSCRIBED_SPIN);
     }

@@ -25,7 +25,7 @@
 //! * [`simulate`] — timing drivers that replay the same schedules on the
 //!   discrete-event simulator of `mp-runtime`;
 //! * [`calibrate`] — host calibration of the kernels + transport into a
-//!   measured [`mp_core::machine::MachineProfile`];
+//!   measured [`mp_core::cost::CostModel`];
 //! * [`verify`] — serial references for bit-exact validation.
 
 #![warn(missing_docs)]
@@ -50,7 +50,7 @@ mod tests_trace;
 
 pub use batch::BatchedKernel;
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
-pub use calibrate::{calibrate_host, k1_key};
+pub use calibrate::calibrate_host;
 pub use compiled::{CompiledSweep, SolverPlan, SweepError};
 pub use executor::{allocate_rank_store, exchange_halos_planned, SweepOptions};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};

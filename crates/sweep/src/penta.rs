@@ -222,10 +222,6 @@ impl LineSweepKernel for PentaForwardKernel {
             }
         }
     }
-
-    fn kernel_name(&self) -> &'static str {
-        "penta_forward"
-    }
 }
 
 /// Back-substitution kernel over `[c, f, b]` (holding `C`, `F`, `B` from a
@@ -310,10 +306,6 @@ impl LineSweepKernel for PentaBackwardKernel {
                 }
             }
         }
-    }
-
-    fn kernel_name(&self) -> &'static str {
-        "penta_backward"
     }
 }
 

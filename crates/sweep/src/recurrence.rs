@@ -72,10 +72,12 @@ impl SegmentCtx {
 
 /// A kernel applied along lines of one or more fields.
 ///
-/// `fields()` lists the field indices the kernel touches; the executor
-/// passes `sweep_segment` one buffer per listed field, each holding that
-/// field's values along the tile's segment of the current line (in sweep
-/// order: index 0 is processed first for both directions).
+/// `fields()` lists the field indices the kernel touches. The executor
+/// calls [`Self::sweep_lanes`] on a tile row of lines, one lane view per
+/// listed field; [`Self::sweep_segment`] is the per-line reference, which
+/// takes one buffer per listed field holding that field's values along the
+/// tile's segment of one line (in sweep order: index 0 is processed first
+/// for both directions).
 pub trait LineSweepKernel: Sync {
     /// Indices (into the rank's field list) of the fields this kernel reads
     /// and writes.
@@ -147,13 +149,6 @@ pub trait LineSweepKernel: Sync {
         lanes: &mut Lanes<'_>,
         ctxs: &[SegmentCtx],
     );
-
-    /// Stable name for calibration lookups (the `"<kernel>@<simd>"` K1 keys
-    /// of a [`mp_core::machine::MachineProfile`]) and reports. Kernels
-    /// without a registered calibration entry keep the default.
-    fn kernel_name(&self) -> &'static str {
-        "custom"
-    }
 }
 
 /// The reference for [`LineSweepKernel::sweep_lanes`]: peel each lane into
@@ -247,10 +242,6 @@ impl LineSweepKernel for PrefixSumKernel {
             }
         }
     }
-
-    fn kernel_name(&self) -> &'static str {
-        "prefix_sum"
-    }
 }
 
 /// First-order linear recurrence `x[k] = a·x[k−1] + x[k]` — the canonical
@@ -309,10 +300,6 @@ impl LineSweepKernel for FirstOrderKernel {
                 lanes.set(0, k, l, *prev);
             }
         }
-    }
-
-    fn kernel_name(&self) -> &'static str {
-        "first_order"
     }
 }
 

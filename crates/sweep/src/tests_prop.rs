@@ -1373,26 +1373,17 @@ fn per_rank_options_leave_the_wire_unchanged() {
 }
 
 #[test]
-fn machine_profile_json_round_trips_exactly() {
+fn cost_model_json_round_trips_exactly() {
     // Calibration files carry machine constants spanning ~10 orders of
     // magnitude; the hand-rolled JSON codec must reproduce every f64 bit
-    // for bit or a reloaded profile would plan differently than the run
+    // for bit or a reloaded model would plan differently than the run
     // that wrote it.
-    use mp_core::cost::BandwidthScaling;
-    use mp_core::machine::{MachineProfile, Provenance};
+    use mp_core::cost::{BandwidthScaling, CostModel};
     use mp_runtime::{profile_from_json, profile_to_json};
-    use std::collections::BTreeMap;
 
     cases(0x750D, 64, |rng| {
-        let mut k1 = BTreeMap::new();
-        for i in 0..rng.usize_in(1, 8) {
-            k1.insert(
-                format!("kernel_{i}@lvl{}", rng.usize_in(0, 2)),
-                rng.f64_in(1e-12, 1e-3) * if rng.bool() { 1.0 } else { 1e-6 },
-            );
-        }
-        let profile = MachineProfile {
-            k1,
+        let model = CostModel {
+            k1: rng.f64_in(1e-12, 1e-3) * if rng.bool() { 1.0 } else { 1e-6 },
             k2: rng.f64_in(0.0, 1e-2),
             k3: rng.f64_in(0.0, 1e-5),
             scaling: if rng.bool() {
@@ -1400,13 +1391,8 @@ fn machine_profile_json_round_trips_exactly() {
             } else {
                 BandwidthScaling::Fixed
             },
-            provenance: match rng.usize_in(0, 2) {
-                0 => Provenance::Measured,
-                1 => Provenance::Preset,
-                _ => Provenance::File,
-            },
         };
-        let back = profile_from_json(&profile_to_json(&profile)).unwrap();
-        assert_eq!(back, profile, "profile changed across JSON round-trip");
+        let back = profile_from_json(&profile_to_json(&model)).unwrap();
+        assert_eq!(back, model, "model changed across JSON round-trip");
     });
 }

@@ -164,10 +164,6 @@ impl LineSweepKernel for ThomasForwardKernel {
             }
         }
     }
-
-    fn kernel_name(&self) -> &'static str {
-        "thomas_forward"
-    }
 }
 
 /// Back-substitution sweep kernel over fields `[c, d]` (which must hold `c'`
@@ -248,10 +244,6 @@ impl LineSweepKernel for ThomasBackwardKernel {
                 carries[2 * l + 1] = 1.0;
             }
         }
-    }
-
-    fn kernel_name(&self) -> &'static str {
-        "thomas_backward"
     }
 }
 

@@ -53,7 +53,7 @@ fn main() {
     );
 
     // Simulated cost at class-A-like scale: show BT's heavier sweeps.
-    let machine = MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     if let Some(r) = simulate_bt(
         &BtProblem::new([64, 64, 64], 0.001),
         16,

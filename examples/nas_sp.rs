@@ -68,7 +68,7 @@ fn main() {
     println!("VERIFICATION SUCCESSFUL (bit-identical) ✓");
 
     // Simulated performance at this configuration.
-    let machine = MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let factors = SpWorkFactors::default();
     if let Some(r) = simulate_sp(
         SpVersion::GeneralizedDhpf,

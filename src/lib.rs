@@ -45,7 +45,6 @@ pub use mp_sweep as sweep;
 
 /// The most commonly used items across all member crates.
 pub mod prelude {
-    pub use mp_core::machine::MachineProfile;
     pub use mp_core::prelude::*;
     pub use mp_grid::{ArrayD, FieldDef, HaloArray, RankStore, Region, Shape, Side, TileGrid};
     pub use mp_nasbt::{BtProblem, ParallelBt, SerialBt};

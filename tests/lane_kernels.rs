@@ -38,15 +38,15 @@ impl BlockCoeffs<3> for Coeffs {
 
 /// Sweep `data` (one line-minor `nl × n` block per field) through
 /// `kernel.sweep_lanes` and compare with the per-line reference.
-fn assert_matches_reference(
-    kernel: &dyn LineSweepKernel,
+fn assert_matches_reference<K: LineSweepKernel>(
+    kernel: &K,
     dir: Direction,
     (nl, n): (usize, usize),
     data: &[Vec<f64>],
     carries: &[f64],
     ctxs: &[SegmentCtx],
 ) {
-    let name = kernel.kernel_name();
+    let name = std::any::type_name::<K>();
     let packed = || -> Vec<AlignedVec> { data.iter().map(|d| AlignedVec::from_slice(d)).collect() };
     let mut want = packed();
     let mut want_c = carries.to_vec();

@@ -157,7 +157,7 @@ fn s6_table1_drop_back_anomaly() {
     assert!(t49 < t50, "analytic: {t49} !< {t50}");
 
     let prob = SpProblem::new([102, 102, 102], 0.001);
-    let machine = MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let f = SpWorkFactors::default();
     let s49 = simulate_sp(SpVersion::GeneralizedDhpf, &prob, 49, &machine, &f, 1)
         .unwrap()
@@ -175,7 +175,7 @@ fn table1_reproduction_shape() {
     //   * both versions near-linear at squares, tracking each other;
     //   * generalized near-linear at non-squares with small prime factors.
     let prob = SpProblem::new([102, 102, 102], 0.001);
-    let machine = MachineProfile::sp_origin2000().cost_model();
+    let machine = CostModel::sp_origin2000();
     let f = SpWorkFactors::default();
     let rows = table1(&prob, &machine, &f, 1, &TABLE1_PROCS);
     for row in &rows {
