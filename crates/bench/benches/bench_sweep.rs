@@ -142,21 +142,28 @@ fn bench_sweep(c: &mut Criterion) {
         group.finish();
     }
 
-    // Vectorized vs scalar sweep microkernels on identical packed
-    // line-minor blocks, per kernel and per line count. nlines = 1 is the degenerate
-    // all-tail case (pure scalar either way), 4 is one full lane group, 64
-    // and 256 are the steady-state shapes the blocked executor feeds. On
-    // hosts without AVX2+FMA only the scalar rows are emitted.
+    // Vectorized vs scalar sweep microkernels on identical inputs, per
+    // kernel and per lane count. Before a case is timed it runs once at
+    // every level, and its fields and carries must agree bit for bit: an
+    // AVX2/scalar divergence panics the bench. The recurrence rows sweep
+    // packed line-minor blocks of 64 elements: nlines = 1 is the
+    // degenerate all-tail case (pure scalar either way), 4 is one full lane
+    // group, 64 and 256 are large rows. The 5×5 block rows sweep BT lines
+    // of 24 at 4 lanes and at 12 (a bt-24-p2 tile row), packed and
+    // lane-strided (each lane contiguous, lanes a padded row apart: a
+    // sweep along the unit-stride axis). On hosts without AVX2+FMA only
+    // the scalar rows are emitted.
     {
         use mp_core::multipart::Direction;
         use mp_grid::{AlignedVec, Lanes};
+        use mp_nasbt::{BtProblem, NCOMP};
         use mp_sweep::recurrence::{LineSweepKernel, SegmentCtx};
         use mp_sweep::simd::{avx2_available, SimdLevel};
         use mp_sweep::{
-            PentaBackwardKernel, PentaForwardKernel, ThomasBackwardKernel, ThomasForwardKernel,
+            BlockTriBackwardKernel, BlockTriForwardKernel, PentaBackwardKernel, PentaForwardKernel,
+            ThomasBackwardKernel, ThomasForwardKernel,
         };
 
-        let seg_len = 64usize;
         let levels: &[SimdLevel] = if avx2_available() {
             &[SimdLevel::Avx2, SimdLevel::Scalar]
         } else {
@@ -165,125 +172,225 @@ fn bench_sweep(c: &mut Criterion) {
         let mut group = c.benchmark_group("simd_kernels");
         group.sample_size(30);
 
-        // One line-minor field buffer: element k of line l at k·nl + l.
-        let fill = |nl: usize, f: fn(usize, usize) -> f64| -> AlignedVec {
+        /// Where lane `l`'s element `k` sits in a case's field buffers:
+        /// packed line-minor (`k·nl + l`) or lane-strided (`l·(n + 3) + k`,
+        /// three padding elements per row).
+        #[derive(Clone, Copy)]
+        enum Layout {
+            Packed,
+            Strided,
+        }
+        impl Layout {
+            /// `(stride, lane_stride, buffer length)` for `nl` lanes of `n`.
+            fn geometry(self, nl: usize, n: usize) -> (isize, isize, usize) {
+                match self {
+                    Layout::Packed => (nl as isize, 1, nl * n),
+                    Layout::Strided => (1, (n + 3) as isize, nl * (n + 3)),
+                }
+            }
+        }
+
+        /// One benched configuration.
+        struct SimdCase<'a> {
+            name: String,
+            kernel: &'a dyn LineSweepKernel,
+            dir: Direction,
+            ctxs: Vec<SegmentCtx>,
+            layout: Layout,
+            nl: usize,
+            seg_len: usize,
+            fields: Vec<AlignedVec>,
+            carries: Vec<f64>,
+        }
+        impl SimdCase<'_> {
+            /// Sweep `fields` and `carries` at `level` through a view of
+            /// the case's layout; `table` is reused view scratch.
+            fn sweep(
+                &self,
+                level: SimdLevel,
+                fields: &mut [AlignedVec],
+                carries: &mut [f64],
+                table: &mut Vec<mp_grid::LaneField>,
+            ) {
+                let (stride, lane_stride, _) = self.layout.geometry(self.nl, self.seg_len);
+                let parts = fields
+                    .iter_mut()
+                    .map(|b| (b.as_mut_ptr(), b.len(), 0, stride, lane_stride));
+                // SAFETY: every buffer is exclusively borrowed for the call,
+                // and `from_raw` checks the view against its length.
+                let mut lanes = unsafe { Lanes::from_raw(parts, self.nl, self.seg_len, table) };
+                self.kernel
+                    .sweep_lanes(level, self.dir, carries, &mut lanes, &self.ctxs);
+            }
+        }
+
+        // A field buffer of the layout: element k of lane l is f(k, l),
+        // padding NaN.
+        let fill = |layout: Layout, nl: usize, n: usize, f: &dyn Fn(usize, usize) -> f64| {
+            let (stride, lane_stride, len) = layout.geometry(nl, n);
             let mut b = AlignedVec::new();
-            b.resize(seg_len * nl, 0.0);
-            for k in 0..seg_len {
+            b.resize(len, f64::NAN);
+            for k in 0..n {
                 for l in 0..nl {
-                    b[k * nl + l] = f(k, l);
+                    b[(k as isize * stride + l as isize * lane_stride) as usize] = f(k, l);
                 }
             }
             b
         };
+        let small = |k: usize, l: usize| ((k * 7 + l * 3) % 9) as f64 * 0.1 - 0.4;
+        let diag = |k: usize, l: usize| 2.0 + ((k + l) % 5) as f64 * 0.1;
+        let rhs = |k: usize, l: usize| ((k * 11 + l * 5) % 17) as f64 - 8.0;
 
+        let thomas_fwd = ThomasForwardKernel::new(0, 1, 2, 3);
+        let thomas_bwd = ThomasBackwardKernel::new(0, 1);
+        let penta_fwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
+        let penta_bwd = PentaBackwardKernel::new(0, 1, 2);
+        let prefix = PrefixSumKernel::new(0);
+        let first = mp_sweep::FirstOrderKernel::new(0, 0.8);
+        let bt = BtProblem::new([24, 24, 24], 0.0015);
+        let scratch: Vec<usize> = (0..NCOMP * NCOMP).collect();
+        let bt_rhs: Vec<usize> = (NCOMP * NCOMP..NCOMP * NCOMP + NCOMP).collect();
+        let block_fwd = BlockTriForwardKernel::<NCOMP, _>::new(bt, &scratch, &bt_rhs);
+        let block_bwd = BlockTriBackwardKernel::<NCOMP>::new(&scratch, &bt_rhs);
+
+        let mut cases: Vec<SimdCase> = Vec::new();
+        let seg_len = 64usize;
         for &nl in &[1usize, 4, 64, 256] {
-            let fctxs: Vec<SegmentCtx> = (0..nl)
-                .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-                .collect();
-            let bctxs: Vec<SegmentCtx> = (0..nl)
-                .map(|_| SegmentCtx::origin(1, 0, Direction::Backward))
-                .collect();
-            let small = |k: usize, l: usize| ((k * 7 + l * 3) % 9) as f64 * 0.1 - 0.4;
-            let diag = |k: usize, l: usize| 2.0 + ((k + l) % 5) as f64 * 0.1;
-            let rhs = |k: usize, l: usize| ((k * 11 + l * 5) % 17) as f64 - 8.0;
-            group.throughput(Throughput::Elements((seg_len * nl) as u64));
-
-            // One benched configuration: (name, kernel, dir, ctxs, block
-            // fields, line-major carries).
-            type SimdCase<'a> = (
-                &'a str,
-                &'a dyn LineSweepKernel,
-                Direction,
-                &'a [SegmentCtx],
-                Vec<AlignedVec>,
-                Vec<f64>,
+            let origin = |dir| -> Vec<SegmentCtx> {
+                (0..nl).map(|_| SegmentCtx::origin(1, 0, dir)).collect()
+            };
+            let (fwd, bwd) = (Direction::Forward, Direction::Backward);
+            let f = |g: &dyn Fn(usize, usize) -> f64| fill(Layout::Packed, nl, seg_len, g);
+            let mut case = |name: &str, kernel, dir, fields, carries| {
+                cases.push(SimdCase {
+                    name: format!("{name}_nl{nl}"),
+                    kernel,
+                    dir,
+                    ctxs: origin(dir),
+                    layout: Layout::Packed,
+                    nl,
+                    seg_len,
+                    fields,
+                    carries,
+                })
+            };
+            case(
+                "thomas_fwd",
+                &thomas_fwd,
+                fwd,
+                vec![f(&small), f(&diag), f(&small), f(&rhs)],
+                vec![0.0; nl * 2],
             );
-            let thomas_fwd = ThomasForwardKernel::new(0, 1, 2, 3);
-            let thomas_bwd = ThomasBackwardKernel::new(0, 1);
-            let penta_fwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
-            let penta_bwd = PentaBackwardKernel::new(0, 1, 2);
-            let prefix = PrefixSumKernel::new(0);
-            let first = mp_sweep::FirstOrderKernel::new(0, 0.8);
-            let cases: Vec<SimdCase> = vec![
-                (
-                    "thomas_fwd",
-                    &thomas_fwd,
-                    Direction::Forward,
-                    &fctxs,
-                    vec![
-                        fill(nl, small),
-                        fill(nl, diag),
-                        fill(nl, small),
-                        fill(nl, rhs),
-                    ],
-                    (0..nl).flat_map(|_| [0.0, 0.0]).collect(),
-                ),
-                (
-                    "thomas_bwd",
-                    &thomas_bwd,
-                    Direction::Backward,
-                    &bctxs,
-                    vec![fill(nl, small), fill(nl, rhs)],
-                    (0..nl).flat_map(|l| [0.5, (l % 2) as f64]).collect(),
-                ),
-                (
-                    "penta_fwd",
-                    &penta_fwd,
-                    Direction::Forward,
-                    &fctxs,
-                    vec![
-                        fill(nl, small),
-                        fill(nl, small),
-                        fill(nl, diag),
-                        fill(nl, small),
-                        fill(nl, small),
-                        fill(nl, rhs),
-                    ],
-                    vec![0.0; nl * 6],
-                ),
-                (
-                    "penta_bwd",
-                    &penta_bwd,
-                    Direction::Backward,
-                    &bctxs,
-                    vec![fill(nl, small), fill(nl, small), fill(nl, rhs)],
-                    (0..nl).flat_map(|l| [0.5, -0.5, (l % 3) as f64]).collect(),
-                ),
-                (
-                    "prefix_sum",
-                    &prefix,
-                    Direction::Forward,
-                    &fctxs,
-                    vec![fill(nl, rhs)],
-                    vec![0.0; nl],
-                ),
-                (
-                    "first_order",
-                    &first,
-                    Direction::Forward,
-                    &fctxs,
-                    vec![fill(nl, rhs)],
-                    vec![0.0; nl],
-                ),
-            ];
-            for (name, kern, dir, ctxs, block0, carries0) in &cases {
-                for &level in levels {
-                    group.bench_with_input(
-                        BenchmarkId::new(format!("{name}_nl{nl}"), level),
-                        &nl,
-                        |b, _| {
-                            let mut table = Vec::new();
-                            b.iter(|| {
-                                let mut block = block0.clone();
-                                let mut carries = carries0.clone();
-                                let mut lanes = Lanes::packed(&mut block, nl, seg_len, &mut table);
-                                kern.sweep_lanes(level, *dir, &mut carries, &mut lanes, ctxs);
-                                black_box(carries[0])
-                            })
-                        },
-                    );
-                }
+            case(
+                "thomas_bwd",
+                &thomas_bwd,
+                bwd,
+                vec![f(&small), f(&rhs)],
+                (0..nl).flat_map(|l| [0.5, (l % 2) as f64]).collect(),
+            );
+            case(
+                "penta_fwd",
+                &penta_fwd,
+                fwd,
+                vec![
+                    f(&small),
+                    f(&small),
+                    f(&diag),
+                    f(&small),
+                    f(&small),
+                    f(&rhs),
+                ],
+                vec![0.0; nl * 6],
+            );
+            case(
+                "penta_bwd",
+                &penta_bwd,
+                bwd,
+                vec![f(&small), f(&small), f(&rhs)],
+                (0..nl).flat_map(|l| [0.5, -0.5, (l % 3) as f64]).collect(),
+            );
+            case("prefix_sum", &prefix, fwd, vec![f(&rhs)], vec![0.0; nl]);
+            case("first_order", &first, fwd, vec![f(&rhs)], vec![0.0; nl]);
+        }
+        // BT block lines: whole lines of 24 along axis 0, lanes at distinct
+        // cross-section points (so their coupling classes differ).
+        for &nl in &[4usize, 12] {
+            for (layout, tag) in [(Layout::Packed, ""), (Layout::Strided, "_strided")] {
+                let n = 24;
+                let ctxs = |dir: Direction, first: usize| -> Vec<SegmentCtx> {
+                    (0..nl)
+                        .map(|l| SegmentCtx::new(vec![first, l, (3 * l) % 24], 0, dir))
+                        .collect()
+                };
+                let f = |g: &dyn Fn(usize, usize) -> f64| fill(layout, nl, n, g);
+                let fields = || -> Vec<AlignedVec> {
+                    (0..NCOMP * NCOMP)
+                        .map(|_| f(&small))
+                        .chain((0..NCOMP).map(|_| f(&rhs)))
+                        .collect()
+                };
+                cases.push(SimdCase {
+                    name: format!("block_fwd{tag}_nl{nl}"),
+                    kernel: &block_fwd,
+                    dir: Direction::Forward,
+                    ctxs: ctxs(Direction::Forward, 0),
+                    layout,
+                    nl,
+                    seg_len: n,
+                    fields: fields(),
+                    carries: vec![0.0; nl * (NCOMP * NCOMP + NCOMP)],
+                });
+                cases.push(SimdCase {
+                    name: format!("block_bwd{tag}_nl{nl}"),
+                    kernel: &block_bwd,
+                    dir: Direction::Backward,
+                    ctxs: ctxs(Direction::Backward, n - 1),
+                    layout,
+                    nl,
+                    seg_len: n,
+                    fields: fields(),
+                    carries: vec![0.0; nl * (NCOMP + 1)],
+                });
+            }
+        }
+
+        let bits = |fields: &[AlignedVec], carries: &[f64]| -> (Vec<Vec<u64>>, Vec<u64>) {
+            let fields = fields
+                .iter()
+                .map(|b| b.iter().map(|v| v.to_bits()).collect())
+                .collect();
+            (fields, carries.iter().map(|v| v.to_bits()).collect())
+        };
+        for case in &cases {
+            let mut table = Vec::new();
+            let outputs: Vec<_> = levels
+                .iter()
+                .map(|&level| {
+                    let (mut fields, mut carries) = (case.fields.clone(), case.carries.clone());
+                    case.sweep(level, &mut fields, &mut carries, &mut table);
+                    bits(&fields, &carries)
+                })
+                .collect();
+            assert!(
+                outputs.windows(2).all(|w| w[0] == w[1]),
+                "{}: SIMD levels disagree",
+                case.name
+            );
+            group.throughput(Throughput::Elements((case.seg_len * case.nl) as u64));
+            // Each iteration restores the inputs into buffers allocated
+            // once, so a row times the sweep plus one copy of its fields.
+            let (mut fields, mut carries) = (case.fields.clone(), case.carries.clone());
+            for &level in levels {
+                group.bench_with_input(BenchmarkId::new(&case.name, level), &level, |b, _| {
+                    b.iter(|| {
+                        for (f, f0) in fields.iter_mut().zip(&case.fields) {
+                            f.copy_from_slice(f0);
+                        }
+                        carries.copy_from_slice(&case.carries);
+                        case.sweep(level, &mut fields, &mut carries, &mut table);
+                        black_box(carries[0])
+                    })
+                });
             }
         }
         group.finish();

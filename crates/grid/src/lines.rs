@@ -170,6 +170,15 @@ impl<'a> Lanes<'a> {
         self.fields[f].base
     }
 
+    /// Field `f`'s `(stride, lane_stride)`: element `k` of lane `l` is
+    /// `base(f).offset(k·stride + l·lane_stride)`, for vector kernels that
+    /// address each field's lanes themselves.
+    #[inline]
+    pub fn strides(&self, f: usize) -> (isize, isize) {
+        let field = self.fields[f];
+        (field.stride, field.lane_stride)
+    }
+
     /// The element stride every field shares, if they all share one and
     /// every lane stride is 1: the layout in which element `k` of lane `l`
     /// is `base(f).offset(k·stride + l)` for every field.
@@ -284,6 +293,7 @@ mod tests {
         let mut table = Vec::new();
         let mut v = view(&mut src, 4, (2, 6), 4, -1, &mut table);
         assert_eq!(v.uniform_stride(), None, "lane stride 6");
+        assert_eq!(v.strides(0), (-1, 6));
         assert_eq!(v.get(0, 0, 0), 4.0);
         assert_eq!(v.get(0, 3, 0), 1.0);
         assert_eq!(v.get(0, 0, 1), 10.0);

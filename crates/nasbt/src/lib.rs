@@ -14,8 +14,9 @@
 //!
 //! * [`problem`] — the simplified BT physics and its 5×5 block coefficients;
 //! * [`serial`] / [`parallel`] — bit-identical reference and distributed
-//!   implementations (40 fields per tile: 5 components with halos, 5 right-
-//!   hand sides, 25 elimination scratch fields, 5 forcings);
+//!   implementations (35 fields per tile: 5 components with halos, 5 right-
+//!   hand sides, 25 elimination scratch fields; the distributed solver
+//!   takes its forcing from per-axis tables);
 //! * [`simulate`] — discrete-event performance runs.
 
 #![warn(missing_docs)]

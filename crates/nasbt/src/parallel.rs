@@ -1,8 +1,9 @@
 //! Distributed BT over a multipartitioning.
 //!
-//! Field layout: components `u_c` at `c` (halo 1, c in 0..5), right-hand
-//! sides at `5 + c`, the 25 block-elimination scratch fields at `10..35`,
-//! forcings at `35 + c`.
+//! Field layout (35 fields per tile): components `u_c` at `c` (halo 1,
+//! c in 0..5), right-hand sides at `5 + c` and the 25 block-elimination
+//! scratch fields at `10..35`. The forcing is not a field: `compute_rhs`
+//! combines per-axis sine tables built once per solver.
 //!
 //! Each iteration halo-exchanges every component, runs `compute_rhs` and
 //! `add` row by row over tile storage, and between them a forward and a
@@ -10,7 +11,7 @@
 //! per solver, so a steady-state iteration allocates nothing on the rank
 //! thread.
 
-use crate::problem::{BtProblem, NCOMP};
+use crate::problem::{BtForcing, BtProblem, NCOMP};
 use crate::serial::bt_rhs_at;
 use mp_core::multipart::{Direction, Multipartitioning};
 use mp_grid::{FieldDef, RankStore, TileGrid};
@@ -37,11 +38,6 @@ pub mod fields {
     pub fn scratch(k: usize) -> usize {
         2 * NCOMP + k
     }
-
-    /// Forcing of component `c`.
-    pub fn forcing(c: usize) -> usize {
-        2 * NCOMP + NCOMP * NCOMP + c
-    }
 }
 
 /// All BT field declarations.
@@ -55,9 +51,6 @@ pub fn bt_fields() -> Vec<FieldDef> {
     }
     for k in 0..NCOMP * NCOMP {
         defs.push(FieldDef::new(&format!("cw{k}"), 0));
-    }
-    for c in 0..NCOMP {
-        defs.push(FieldDef::new(&format!("forcing{c}"), 0));
     }
     defs
 }
@@ -77,6 +70,8 @@ pub struct ParallelBt {
     pub plan: SolverPlan,
     /// Completed iterations.
     pub iters_done: usize,
+    /// The forcing's per-axis factors, built once.
+    forcing: BtForcing,
     /// Block elimination and back substitution over the scratch and
     /// right-hand-side fields, built once.
     fwd: BlockTriForwardKernel<NCOMP, BtProblem>,
@@ -102,7 +97,6 @@ impl ParallelBt {
         let mut store = allocate_rank_store(rank, &mp, &grid, &bt_fields());
         for c in 0..NCOMP {
             store.init_field(fields::u(c), |g| prob.initial(g, c));
-            store.init_field(fields::forcing(c), |g| prob.forcing(g, c));
         }
         let scratch: Vec<usize> = (0..NCOMP * NCOMP).map(fields::scratch).collect();
         let rhs: Vec<usize> = (0..NCOMP).map(fields::rhs).collect();
@@ -113,6 +107,7 @@ impl ParallelBt {
             store,
             plan: SolverPlan::new(sweep_opts),
             iters_done: 0,
+            forcing: BtForcing::new(&prob),
             fwd: BlockTriForwardKernel::new(prob, &scratch, &rhs),
             bwd: BlockTriBackwardKernel::new(&scratch, &rhs),
         }
@@ -188,26 +183,24 @@ impl ParallelBt {
         let prob = self.prob;
         let h2 = prob.h2();
         for tile in &mut self.store.tiles {
+            let o: [usize; 3] = tile.region.origin[..].try_into().expect("3-D tile");
             let (u, rest) = tile.fields.split_at_mut(NCOMP);
-            let (rhs, rest) = rest.split_at_mut(NCOMP);
-            let forcing = &rest[NCOMP * NCOMP..];
+            let rhs = &mut rest[..NCOMP];
             let [n0, n1, n2]: [usize; 3] = u[0].interior().try_into().expect("3-D tile");
             for c in 0..NCOMP {
                 let (uc, next) = (&u[c], &u[(c + 1) % NCOMP]);
-                // `rhs` and `forcing` have no halo: their storage is the
-                // interior, row-major.
-                let mut rows = rhs[c]
-                    .raw_mut()
-                    .chunks_exact_mut(n2)
-                    .zip(forcing[c].raw().chunks_exact(n2));
+                // `rhs` has no halo: its storage is the interior, row-major.
+                let mut rows = rhs[c].raw_mut().chunks_exact_mut(n2);
                 for i in 0..n0 {
                     for j in 0..n1 {
                         let [xlo, xhi, ylo, yhi, z] = uc.stencil_rows(i, j);
                         let next_row = &next.stencil_rows(i, j)[4][1..n2 + 1];
-                        let (out, f) = rows.next().expect("rhs row");
+                        let (f, fz) = self.forcing.row(c, o[0] + i, o[1] + j, o[2]..o[2] + n2);
+                        let out = rows.next().expect("rhs row");
                         for (k, v) in out.iter_mut().enumerate() {
                             let nb = [[xlo[k], xhi[k]], [ylo[k], yhi[k]], [z[k], z[k + 2]]];
-                            *v = bt_rhs_at(&prob, &h2, z[k + 1], &nb, next_row[k], f[k]);
+                            let fk = f * fz[k];
+                            *v = bt_rhs_at(&prob, &h2, z[k + 1], &nb, next_row[k], fk);
                         }
                     }
                 }
@@ -300,11 +293,11 @@ mod tests {
     #[test]
     fn field_layout_consistent() {
         let defs = bt_fields();
-        assert_eq!(defs.len(), 2 * NCOMP + NCOMP * NCOMP + NCOMP);
+        assert_eq!(defs.len(), 2 * NCOMP + NCOMP * NCOMP);
         assert_eq!(defs[fields::u(3)].name, "u3");
         assert_eq!(defs[fields::rhs(0)].name, "rhs0");
         assert_eq!(defs[fields::scratch(24)].name, "cw24");
-        assert_eq!(defs[fields::forcing(4)].name, "forcing4");
+        assert_eq!(defs.last().map(|d| d.name.as_str()), Some("cw24"));
         assert_eq!(defs[fields::u(0)].halo, 1);
         assert_eq!(defs[fields::rhs(0)].halo, 0);
     }

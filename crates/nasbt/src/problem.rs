@@ -10,7 +10,8 @@
 //! magnitude heavier at the same schedule. That difference is the point of
 //! reproducing it here.
 
-use mp_sweep::block::{BlockCoeffs, Mat};
+use mp_sweep::block::{BlockCoeffs, LaneMat, Mat};
+use std::ops::Range;
 
 /// Number of coupled components (the five flow variables).
 pub const NCOMP: usize = 5;
@@ -72,6 +73,76 @@ impl BtProblem {
     }
 }
 
+/// Per-axis tables of [`BtProblem::forcing`]'s factors `sin(π·x_d)`.
+///
+/// The forcing is `(((c + 1)·0.2·sx)·sy)·sz`, one sine per coordinate, so
+/// tabulating the sines per axis (with the same expressions) and taking the
+/// products in the same order reproduces it bit for bit, without its
+/// divisions and sines. `compute_rhs` reads its forcing from here.
+#[derive(Debug)]
+pub(crate) struct BtForcing {
+    sin: [Vec<f64>; 3],
+}
+
+impl BtForcing {
+    /// Tabulate `prob`'s forcing factors along every axis.
+    pub(crate) fn new(prob: &BtProblem) -> Self {
+        let axis = |d: usize| -> Vec<f64> {
+            (0..prob.eta[d])
+                .map(|g| {
+                    let x = (g as f64 + 1.0) / (prob.eta[d] as f64 + 1.0);
+                    (std::f64::consts::PI * x).sin()
+                })
+                .collect()
+        };
+        BtForcing {
+            sin: [axis(0), axis(1), axis(2)],
+        }
+    }
+
+    /// The forcing of component `comp` along the dimension-2 row at
+    /// `(g0, g1)` over `g2s`: `(f, row)` such that `f * row[k]` is
+    /// `prob.forcing` at `(g0, g1, g2s.start + k)`, bit for bit.
+    #[inline]
+    pub(crate) fn row(
+        &self,
+        comp: usize,
+        g0: usize,
+        g1: usize,
+        g2s: Range<usize>,
+    ) -> (f64, &[f64]) {
+        let [sx, sy, sz] = &self.sin;
+        (((comp + 1) as f64) * 0.2 * sx[g0] * sy[g1], &sz[g2s])
+    }
+}
+
+/// The coupling weights of a point whose `(g0 + 2·g1 + 3·g2) mod 7` class
+/// is `class`: entry `(r, s)` of its blocks weighs `1` on the diagonal and
+/// `off[(r + 2s) mod 3]` off it.
+#[inline]
+fn coupling_mix(class: usize) -> [f64; 3] {
+    let wob = 0.02 * class as f64;
+    [0, 1, 2].map(|m| 0.08 + wob * (m as f64) * 0.1)
+}
+
+/// The `(A, B, C)` entries of weight `mix` (on the diagonal if `diag`) at
+/// row `i` of a line of `n` along an axis of diffusion number `lam`: `A`
+/// is zero on the line's first row and `C` on its last.
+#[inline]
+fn block_entry(lam: f64, mix: f64, diag: bool, i: usize, n: usize) -> [f64; 3] {
+    let outer = -lam * 0.2 * mix;
+    let a = if i > 0 { outer } else { 0.0 };
+    let c = if i + 1 < n { outer } else { 0.0 };
+    // Strong diagonal: 1 + 2λ dominates the off-diagonal mass
+    // (row sum of |off-diag| ≤ 0.2λ·(1+4·0.13)·2 + 0.05λ·4·0.13 ≪ 2λ).
+    let b = if diag {
+        1.0 + 2.0 * lam
+    } else {
+        0.05 * lam * mix
+    };
+    [a, b, c]
+}
+
 impl BlockCoeffs<NCOMP> for BtProblem {
     /// 5×5 blocks at `g` for the implicit solve along `axis`: a diffusive
     /// diagonal part plus a small position-dependent inter-component
@@ -79,32 +150,56 @@ impl BlockCoeffs<NCOMP> for BtProblem {
     /// decoupled from outside the domain.
     fn blocks(&self, g: &[usize], axis: usize) -> (Mat<NCOMP>, Mat<NCOMP>, Mat<NCOMP>) {
         let lam = self.lambda(axis);
-        let i = g[axis];
-        let n = self.eta[axis];
-        let wob = 0.02 * ((g[0] + 2 * g[1] + 3 * g[2]) % 7) as f64;
-        let mut a = [[0.0; NCOMP]; NCOMP];
-        let mut c = [[0.0; NCOMP]; NCOMP];
-        let mut b = [[0.0; NCOMP]; NCOMP];
+        let off = coupling_mix((g[0] + 2 * g[1] + 3 * g[2]) % 7);
+        let mut abc = [[[0.0; NCOMP]; NCOMP]; 3];
         for r in 0..NCOMP {
             for s in 0..NCOMP {
-                let mix = if r == s {
-                    1.0
-                } else {
-                    0.08 + wob * (((r + 2 * s) % 3) as f64) * 0.1
-                };
-                if i > 0 {
-                    a[r][s] = -lam * 0.2 * mix;
+                let mix = if r == s { 1.0 } else { off[(r + 2 * s) % 3] };
+                let e = block_entry(lam, mix, r == s, g[axis], self.eta[axis]);
+                for (m, v) in abc.iter_mut().zip(e) {
+                    m[r][s] = v;
                 }
-                if i + 1 < n {
-                    c[r][s] = -lam * 0.2 * mix;
-                }
-                b[r][s] = if r == s { 0.0 } else { 0.05 * lam * mix };
             }
-            // Strong diagonal: 1 + 2λ dominates the off-diagonal mass
-            // (row sum of |off-diag| ≤ 0.2λ·(1+4·0.13)·2 + 0.05λ·4·0.13 ≪ 2λ).
-            b[r][r] = 1.0 + 2.0 * lam;
         }
+        let [a, b, c] = abc;
         (a, b, c)
+    }
+
+    /// [`Self::blocks`] at four points, written straight into the
+    /// interleaved layout. A block has four distinct entries per lane (the
+    /// diagonal and the three off-diagonal weights of the lane's class),
+    /// so each is computed once, by `blocks`' own expressions, and copied
+    /// into place.
+    #[inline]
+    fn blocks4(&self, gs: [&[usize]; 4], axis: usize, abc: &mut [LaneMat<NCOMP>; 3]) {
+        let lam = self.lambda(axis);
+        let n = self.eta[axis];
+        // `kinds[m][0]` holds block `m`'s diagonal entry per lane,
+        // `kinds[m][1 + w]` its entries of weight `off[w]`.
+        let mut kinds = [[[0.0; 4]; 4]; 3];
+        for (l, g) in gs.into_iter().enumerate() {
+            let off = coupling_mix((g[0] + 2 * g[1] + 3 * g[2]) % 7);
+            let entries = [
+                (1.0, true),
+                (off[0], false),
+                (off[1], false),
+                (off[2], false),
+            ];
+            for (kind, (w, diag)) in entries.into_iter().enumerate() {
+                let e = block_entry(lam, w, diag, g[axis], n);
+                for (m, v) in kinds.iter_mut().zip(e) {
+                    m[kind][l] = v;
+                }
+            }
+        }
+        for r in 0..NCOMP {
+            for s in 0..NCOMP {
+                let kind = if r == s { 0 } else { 1 + (r + 2 * s) % 3 };
+                for (out, k) in abc.iter_mut().zip(&kinds) {
+                    out[r][s] = k[kind];
+                }
+            }
+        }
     }
 }
 
@@ -154,6 +249,74 @@ mod tests {
         for (rv, dv) in r.iter().zip(dd.iter()) {
             for k in 0..NCOMP {
                 assert!((rv[k] - dv[k]).abs() < 1e-10);
+            }
+        }
+    }
+
+    /// Three shapes, one with a unit extent and one uneven.
+    fn shapes() -> [BtProblem; 3] {
+        [
+            BtProblem::new([8, 8, 8], 0.002),
+            BtProblem::new([5, 9, 7], 0.01),
+            BtProblem::new([24, 1, 3], 0.0015),
+        ]
+    }
+
+    #[test]
+    fn forcing_tables_reproduce_forcing_bitwise() {
+        for prob in shapes() {
+            let t = BtForcing::new(&prob);
+            let [n0, n1, n2] = prob.eta;
+            for c in 0..NCOMP {
+                for g0 in 0..n0 {
+                    for g1 in 0..n1 {
+                        let (f, row) = t.row(c, g0, g1, 0..n2);
+                        for (g2, s) in row.iter().enumerate() {
+                            let want = prob.forcing(&[g0, g1, g2], c);
+                            assert_eq!(
+                                (f * s).to_bits(),
+                                want.to_bits(),
+                                "{:?} c {c}",
+                                [g0, g1, g2]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn four_lane_blocks_equal_blocks_bitwise() {
+        // Every point of every shape on every axis, four consecutive points
+        // (in row-major order, wrapping) per call, so the lanes of a call
+        // differ in class and in boundary rows.
+        for prob in shapes() {
+            let [n0, n1, n2] = prob.eta;
+            let points: Vec<[usize; 3]> = (0..n0)
+                .flat_map(|i| (0..n1).flat_map(move |j| (0..n2).map(move |k| [i, j, k])))
+                .collect();
+            for axis in 0..3 {
+                for (p, _) in points.iter().enumerate() {
+                    let gs: [&[usize]; 4] =
+                        std::array::from_fn(|l| &points[(p + l) % points.len()][..]);
+                    let mut abc = [[[[f64::NAN; 4]; NCOMP]; NCOMP]; 3];
+                    prob.blocks4(gs, axis, &mut abc);
+                    for (l, g) in gs.iter().enumerate() {
+                        let (a, b, c) = prob.blocks(g, axis);
+                        for (m, want) in [a, b, c].iter().enumerate() {
+                            for r in 0..NCOMP {
+                                for s in 0..NCOMP {
+                                    assert_eq!(
+                                        abc[m][r][s][l].to_bits(),
+                                        want[r][s].to_bits(),
+                                        "{g:?} axis {axis} block {m} ({r}, {s})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -17,6 +17,8 @@
 //!
 //! Small dense matrix helpers (multiply, Gauss–Jordan inverse with partial
 //! pivoting) are implemented here over const-generic `[[f64; N]; N]` blocks.
+//! Both kernels' lane loops also have 4-lane AVX2 bodies
+//! (`crate::simd`), which run these helpers' operations on lane vectors.
 
 // Kernel inner loops index several parallel buffers at the same row;
 // iterator zips would obscure the stencil structure.
@@ -206,12 +208,33 @@ pub fn block_tridiag_matvec<const N: usize>(
         .collect()
 }
 
+/// Four lanes' N×N blocks interleaved by lane: entry `(r, s)` of lane `l`'s
+/// block is `m[r][s][l]`, so each entry's four lanes load as one vector.
+pub type LaneMat<const N: usize> = [[[f64; 4]; N]; N];
+
 /// Coefficient source for generated-block kernels: produces `(A, B, C)` at a
 /// global element position for a sweep along `axis`. Boundary rows must
 /// return zero `A` (first) / zero `C` (last); the kernels do not check.
 pub trait BlockCoeffs<const N: usize>: Sync {
     /// The blocks at global position `g` for a solve along `axis`.
     fn blocks(&self, g: &[usize], axis: usize) -> (Mat<N>, Mat<N>, Mat<N>);
+
+    /// The blocks at four positions at once, for the 4-lane vector bodies:
+    /// `abc[0]`, `abc[1]` and `abc[2]` receive the `A`, `B` and `C` of
+    /// `self.blocks(gs[l], axis)` in lane `l`. The default makes four
+    /// [`Self::blocks`] calls; an override must produce the same bits.
+    fn blocks4(&self, gs: [&[usize]; 4], axis: usize, abc: &mut [LaneMat<N>; 3]) {
+        for (l, g) in gs.into_iter().enumerate() {
+            let (a, b, c) = self.blocks(g, axis);
+            for (out, m) in abc.iter_mut().zip([a, b, c]) {
+                for (orow, mrow) in out.iter_mut().zip(m) {
+                    for (o, v) in orow.iter_mut().zip(mrow) {
+                        o[l] = v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Forward block elimination with generated coefficients.
@@ -313,7 +336,7 @@ impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKerne
 
     fn sweep_lanes(
         &self,
-        _level: SimdLevel,
+        level: SimdLevel,
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
@@ -322,10 +345,10 @@ impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKerne
         assert_eq!(dir, Direction::Forward);
         let clen = N * N + N;
         debug_assert_eq!(carries.len(), lanes.nlanes() * clen);
-        // Per-element work here is an N×N inverse — lanes can't be usefully
-        // vectorized, so iterate lane-outer, one stack position per lane.
+        let l0 = crate::simd::block_forward(level, &self.coeffs, carries, lanes, ctxs);
+        // The rest lane-outer, one stack position per lane.
         let mut pos = [0; MAX_DIMS];
-        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()) {
+        for (l, ctx) in ctxs.iter().enumerate().take(lanes.nlanes()).skip(l0) {
             let carry = &mut carries[l * clen..(l + 1) * clen];
             let (mut cp, mut dp) = load_forward_carry::<N>(carry);
             let first_global = ctx.global_start[ctx.axis] == 0;
@@ -404,7 +427,7 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
 
     fn sweep_lanes(
         &self,
-        _level: SimdLevel,
+        level: SimdLevel,
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
@@ -413,7 +436,8 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
         assert_eq!(dir, Direction::Backward);
         let clen = N + 1;
         debug_assert_eq!(carries.len(), lanes.nlanes() * clen);
-        for l in 0..lanes.nlanes() {
+        let l0 = crate::simd::block_backward::<N>(level, carries, lanes);
+        for l in l0..lanes.nlanes() {
             let carry = &mut carries[l * clen..(l + 1) * clen];
             let mut x_next: VecN<N> = [0.0; N];
             x_next[..N].copy_from_slice(&carry[..N]);

@@ -1,17 +1,27 @@
 //! Lane-vectorized sweep microkernels with runtime dispatch.
 //!
-//! The AVX2 bodies sweep [`Lanes`] views whose consecutive lanes are
-//! adjacent in memory (lane stride 1), so the four lanes of a 256-bit
-//! vector are four *lines* — independent recurrences. Vectorizing across
-//! lines therefore performs, per line, exactly the arithmetic of the
-//! kernel's scalar lane loop: same operations, same order, each
-//! individually IEEE-rounded. That makes the
+//! The four lanes of a 256-bit vector are four *lines* of a tile row —
+//! independent recurrences. Vectorizing across lines therefore performs,
+//! per line, exactly the arithmetic of the kernel's scalar lane loop: same
+//! operations, same order, each individually IEEE-rounded. That makes the
 //! AVX2 bodies here **bitwise identical** to the scalar loops (asserted by
 //! the property tests), which in turn keeps every distributed-equals-serial
 //! guarantee of the repo intact regardless of which path a rank happens to
 //! dispatch to.
 //!
-//! Two deliberate consequences of the bitwise contract:
+//! There are eight bodies. The six one-value recurrences (Thomas and
+//! pentadiagonal forward and backward, prefix sum, first-order) load a
+//! lane group with one vector load, so they run only on views whose lanes
+//! are adjacent in memory (lane stride 1, [`Lanes::uniform_stride`]). The
+//! two 5×5 block-tridiagonal bodies (elimination and back substitution)
+//! address each field at its own `(stride, lane_stride)`
+//! ([`Lanes::strides`]): one vector access per lane group where the lanes
+//! are adjacent, else four scalar ones. So they also run the rows of a
+//! sweep along the unit-stride axis, whose lanes lie a tile row apart: at
+//! about a thousand flops per lane and element, the per-lane loads and
+//! stores cost little.
+//!
+//! Three deliberate consequences of the bitwise contract:
 //!
 //! * **No FMA contraction.** `b − a·c` is computed as a rounded multiply
 //!   followed by a rounded subtract (`_mm256_mul_pd` + `_mm256_sub_pd`),
@@ -20,10 +30,20 @@
 //!   part of the dispatch gate (every AVX2 CPU the kernels target has it,
 //!   and keeping the gate strict leaves room to add contracted *non-exact*
 //!   kernels later without re-detecting).
-//! * **Branchless boundary handling.** Data-dependent branches in the
-//!   scalar kernels (the Thomas back-substitution validity flag, the penta
-//!   back-substitution count) become vector compares + blends that
-//!   reproduce the scalar selects lane-for-lane.
+//! * **Branchless data-dependent branches.** The scalar kernels' selects
+//!   become vector compares and blends that reproduce them lane for lane:
+//!   the Thomas and block back-substitution validity flags (an unordered
+//!   not-equal, true on NaN like `!=`), the penta back-substitution count,
+//!   the block elimination's line starts, and the `== 0.0` skips of the
+//!   block products and inverse (a skipped term differs from an added one
+//!   where it is `0·∞`). A product or inverse row with no zero lane takes
+//!   the unblended loop, which is the same arithmetic.
+//! * **Per-lane fallback for pivoting.** The block inverse runs
+//!   Gauss–Jordan on all four lanes only while every lane keeps its
+//!   diagonal pivot. If partial pivoting would swap rows in any lane, the
+//!   group's element is inverted lane by lane with the scalar
+//!   `block::mat_inv`, on stack arrays, so no lane's choice of pivot
+//!   changes. A zero pivot panics with the scalar message.
 //!
 //! Dispatch is resolved **once at plan-build time**: [`SimdMode`] (the
 //! `SweepOptions::simd` knob / `MP_SWEEP_SIMD` env var) resolves to a
@@ -39,6 +59,8 @@
 // their arguments unused.
 #![cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 
+use crate::block::BlockCoeffs;
+use crate::recurrence::SegmentCtx;
 use mp_grid::Lanes;
 use std::fmt;
 
@@ -252,23 +274,88 @@ pub(crate) fn first_order(
     }
 }
 
+/// Block-tridiagonal forward elimination (fields `[C' row-major, d]`,
+/// carries `[C', d']`, blocks generated by `coeffs`) over the leading
+/// whole lane groups; returns the lanes swept. Runs at any lane stride.
+pub(crate) fn block_forward<const N: usize, S: BlockCoeffs<N>>(
+    level: SimdLevel,
+    coeffs: &S,
+    carries: &mut [f64],
+    lanes: &mut Lanes<'_>,
+    ctxs: &[SegmentCtx],
+) -> usize {
+    match level {
+        // SAFETY: `SimdLevel::Avx2` is only constructed after avx2+fma
+        // detection (`SimdMode::resolve`). The body addresses element `k`
+        // of lane `l` of field `f` as `base(f) + k·stride + l·lane_stride`
+        // with `k < seg_len` and `l < nlanes`, exactly the view's own
+        // addresses, every one of which its constructor checked; it indexes
+        // carries and contexts by checked slice accesses.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { avx2::block_forward(coeffs, carries, lanes, ctxs) },
+        _ => 0,
+    }
+}
+
+/// Block back substitution (fields `[C' row-major, d']`, carries
+/// `[x, valid]`) over the leading whole lane groups; returns the lanes
+/// swept. Runs at any lane stride.
+pub(crate) fn block_backward<const N: usize>(
+    level: SimdLevel,
+    carries: &mut [f64],
+    lanes: &mut Lanes<'_>,
+) -> usize {
+    match level {
+        // SAFETY: as for `block_forward`.
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 => unsafe { avx2::block_backward::<N>(carries, lanes) },
+        _ => 0,
+    }
+}
+
 /// The AVX2 kernel bodies. Every function is `unsafe` with the same
 /// contract: the caller must have verified AVX2+FMA support (guaranteed by
-/// only reaching these through [`SimdLevel::Avx2`]), every field of `lanes`
-/// must have lane stride 1 and element stride `row_stride` (debug-asserted
-/// on entry), and the view must address only valid elements no other
-/// thread touches (its constructors guarantee that). Each body sweeps lanes
-/// `0..nlanes / 4 * 4` and returns that count: element `k` of lane `l` is
-/// `lanes.base(f).offset(k·row_stride + l)`, whether the view is packed
-/// scratch (`row_stride = nlanes`) or a tile row across the unit-stride
-/// axis (`row_stride = ±strides[dim]`).
+/// only reaching these through [`SimdLevel::Avx2`]), and the view must
+/// address only valid elements no other thread touches (its constructors
+/// guarantee that). Each body sweeps lanes `0..nlanes / 4 * 4` and returns
+/// that count. The one-value bodies also need every field of `lanes` at
+/// lane stride 1 and element stride `row_stride` (debug-asserted on
+/// entry): element `k` of lane `l` is `lanes.base(f).offset(k·row_stride +
+/// l)`, whether the view is packed scratch (`row_stride = nlanes`) or a
+/// tile row across the unit-stride axis (`row_stride = ±strides[dim]`).
+/// The block bodies take each field's own strides from the view.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
+    use crate::block::{BlockCoeffs, LaneMat, Mat};
+    use crate::recurrence::{SegmentCtx, MAX_DIMS};
     use mp_grid::Lanes;
     use std::arch::x86_64::*;
 
     /// Lanes per vector iteration (`__m256d` holds 4 `f64`).
     const LANES: usize = 4;
+
+    /// Entry `j` of the line-major carries (`clen` per line) of lanes
+    /// `l0..l0+4`, as one lane vector.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn carry_entry(carries: &[f64], clen: usize, l0: usize, j: usize) -> __m256d {
+        let mut t = [0.0f64; LANES];
+        for (i, ti) in t.iter_mut().enumerate() {
+            *ti = carries[(l0 + i) * clen + j];
+        }
+        _mm256_loadu_pd(t.as_ptr())
+    }
+
+    /// Inverse of [`carry_entry`].
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn set_carry_entry(carries: &mut [f64], clen: usize, l0: usize, j: usize, v: __m256d) {
+        let mut t = [0.0f64; LANES];
+        _mm256_storeu_pd(t.as_mut_ptr(), v);
+        for (i, ti) in t.iter().enumerate() {
+            carries[(l0 + i) * clen + j] = *ti;
+        }
+    }
 
     /// Transpose the line-major carries of lanes `l0..l0+4` (carry length
     /// `C` per line) into `C` lane vectors. Done once per lane group, so
@@ -278,11 +365,7 @@ mod avx2 {
     unsafe fn load_carries<const C: usize>(carries: &[f64], l0: usize) -> [__m256d; C] {
         let mut out = [_mm256_setzero_pd(); C];
         for (j, v) in out.iter_mut().enumerate() {
-            let mut t = [0.0f64; LANES];
-            for (i, ti) in t.iter_mut().enumerate() {
-                *ti = carries[(l0 + i) * C + j];
-            }
-            *v = _mm256_loadu_pd(t.as_ptr());
+            *v = carry_entry(carries, C, l0, j);
         }
         out
     }
@@ -291,12 +374,8 @@ mod avx2 {
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
     unsafe fn store_carries<const C: usize>(carries: &mut [f64], l0: usize, v: &[__m256d; C]) {
-        for (j, vj) in v.iter().enumerate() {
-            let mut t = [0.0f64; LANES];
-            _mm256_storeu_pd(t.as_mut_ptr(), *vj);
-            for (i, ti) in t.iter().enumerate() {
-                carries[(l0 + i) * C + j] = *ti;
-            }
+        for (j, &vj) in v.iter().enumerate() {
+            set_carry_entry(carries, C, l0, j, vj);
         }
     }
 
@@ -505,6 +584,424 @@ mod avx2 {
                 count = _mm256_blendv_pd(_mm256_add_pd(count, one), count, ge2);
             }
             store_carries::<3>(carries, l0, &[x1, x2, count]);
+        }
+        full
+    }
+
+    /// An N×N block of lane vectors.
+    type VMat<const N: usize> = [[__m256d; N]; N];
+
+    /// Lanes `0..4` of a field whose lane 0 is at `p`, lanes `ls` apart:
+    /// one vector load when they are adjacent, else four scalar ones.
+    ///
+    /// # Safety
+    /// `p.offset(i·ls)` must be valid for reads for `i` in `0..4`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn gather(p: *const f64, ls: isize) -> __m256d {
+        if ls == 1 {
+            return _mm256_loadu_pd(p);
+        }
+        _mm256_set_pd(*p.offset(3 * ls), *p.offset(2 * ls), *p.offset(ls), *p)
+    }
+
+    /// Inverse of [`gather`].
+    ///
+    /// # Safety
+    /// `p.offset(i·ls)` must be valid for writes for `i` in `0..4`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn scatter(p: *mut f64, ls: isize, v: __m256d) {
+        if ls == 1 {
+            return _mm256_storeu_pd(p, v);
+        }
+        let (lo, hi) = (_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+        _mm_storel_pd(p, lo);
+        _mm_storeh_pd(p.offset(ls), lo);
+        _mm_storel_pd(p.offset(2 * ls), hi);
+        _mm_storeh_pd(p.offset(3 * ls), hi);
+    }
+
+    /// Whether any lane of any entry of `m` is `== 0.0`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn any_zero<const N: usize>(m: &VMat<N>) -> bool {
+        let zero = _mm256_setzero_pd();
+        let mut hit = zero;
+        for row in m {
+            for &v in row {
+                hit = _mm256_or_pd(hit, _mm256_cmp_pd::<_CMP_EQ_OQ>(v, zero));
+            }
+        }
+        _mm256_movemask_pd(hit) != 0
+    }
+
+    /// `block::mat_mul` per lane, into `out`. Its `a[i][k] == 0.0` skip
+    /// becomes a blend that keeps the lane's partial sum, so signed zeros
+    /// and `0·∞` come out as in the scalar code; a product whose left
+    /// factor has no zero lane takes the unblended loop, which is the same
+    /// arithmetic.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_mul<const N: usize>(a: &VMat<N>, b: &VMat<N>, out: &mut VMat<N>) {
+        let zero = _mm256_setzero_pd();
+        let blend = any_zero(a);
+        for (arow, orow) in a.iter().zip(out.iter_mut()) {
+            let mut acc = [zero; N];
+            for (&aik, brow) in arow.iter().zip(b) {
+                if blend {
+                    let skip = _mm256_cmp_pd::<_CMP_EQ_OQ>(aik, zero);
+                    for (s, &bkj) in acc.iter_mut().zip(brow) {
+                        let sum = _mm256_add_pd(*s, _mm256_mul_pd(aik, bkj));
+                        *s = _mm256_blendv_pd(sum, *s, skip);
+                    }
+                } else {
+                    for (s, &bkj) in acc.iter_mut().zip(brow) {
+                        *s = _mm256_add_pd(*s, _mm256_mul_pd(aik, bkj));
+                    }
+                }
+            }
+            *orow = acc;
+        }
+    }
+
+    /// `block::mat_vec` per lane.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_vec<const N: usize>(a: &VMat<N>, x: &[__m256d; N]) -> [__m256d; N] {
+        let mut out = [_mm256_setzero_pd(); N];
+        for (o, arow) in out.iter_mut().zip(a) {
+            let mut acc = _mm256_setzero_pd();
+            for (&aij, &xj) in arow.iter().zip(x) {
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(aij, xj));
+            }
+            *o = acc;
+        }
+        out
+    }
+
+    /// `block::mat_inv` per lane, overwriting `m` with scratch and writing
+    /// the inverse to `inv`; `false` if any lane's partial pivoting would
+    /// pick a row below the diagonal. The lanes then disagree on the row
+    /// swaps, and the caller inverts each lane with the scalar code. With
+    /// diagonal pivots the scalar elimination swaps nothing, and this is
+    /// its arithmetic on every value the inverse depends on; columns of
+    /// `m` left of the pivot are never read again, so they are not
+    /// updated. The scalar `f == 0.0` row skip becomes a blend, taken only
+    /// when some lane of the row is zero.
+    ///
+    /// # Panics
+    /// Panics with the scalar message if a lane's pivot is zero.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_inv<const N: usize>(m: &mut VMat<N>, inv: &mut VMat<N>) -> bool {
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let sign = _mm256_set1_pd(-0.0);
+        for (i, row) in inv.iter_mut().enumerate() {
+            *row = [zero; N];
+            row[i] = one;
+        }
+        for col in 0..N {
+            // The scalar search moves off the diagonal only for a row
+            // strictly larger in magnitude (an ordered compare: a NaN never
+            // wins).
+            let pivot = m[col][col];
+            let mag = _mm256_andnot_pd(sign, pivot);
+            let mut below = zero;
+            for row in &m[col + 1..] {
+                let v = _mm256_andnot_pd(sign, row[col]);
+                below = _mm256_or_pd(below, _mm256_cmp_pd::<_CMP_GT_OQ>(v, mag));
+            }
+            if _mm256_movemask_pd(below) != 0 {
+                return false;
+            }
+            if _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_EQ_OQ>(pivot, zero)) != 0 {
+                panic!("singular block in block-tridiagonal solve");
+            }
+            let scale = _mm256_div_pd(one, pivot);
+            let mut mcol = m[col];
+            let mut icol = inv[col];
+            for v in &mut mcol[col + 1..] {
+                *v = _mm256_mul_pd(*v, scale);
+            }
+            for v in icol.iter_mut() {
+                *v = _mm256_mul_pd(*v, scale);
+            }
+            m[col] = mcol;
+            inv[col] = icol;
+            for r in 0..N {
+                if r == col {
+                    continue;
+                }
+                let f = m[r][col];
+                let skip = _mm256_cmp_pd::<_CMP_EQ_OQ>(f, zero);
+                let (mrow, irow) = (&mut m[r], &mut inv[r]);
+                if _mm256_movemask_pd(skip) == 0 {
+                    for j in col + 1..N {
+                        mrow[j] = _mm256_sub_pd(mrow[j], _mm256_mul_pd(f, mcol[j]));
+                    }
+                    for (v, &c) in irow.iter_mut().zip(&icol) {
+                        *v = _mm256_sub_pd(*v, _mm256_mul_pd(f, c));
+                    }
+                } else {
+                    for j in col + 1..N {
+                        let v = _mm256_sub_pd(mrow[j], _mm256_mul_pd(f, mcol[j]));
+                        mrow[j] = _mm256_blendv_pd(v, mrow[j], skip);
+                    }
+                    for (v, &c) in irow.iter_mut().zip(&icol) {
+                        let w = _mm256_sub_pd(*v, _mm256_mul_pd(f, c));
+                        *v = _mm256_blendv_pd(w, *v, skip);
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// The pivoting fallback of [`mat_inv`]: each lane's block through the
+    /// scalar `block::mat_inv`, on stack arrays.
+    #[cold]
+    #[inline(never)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn mat_inv_per_lane<const N: usize>(a: &VMat<N>) -> VMat<N> {
+        let mut blocks: LaneMat<N> = [[[0.0; LANES]; N]; N];
+        for (out, row) in blocks.iter_mut().zip(a) {
+            for (o, v) in out.iter_mut().zip(row) {
+                _mm256_storeu_pd(o.as_mut_ptr(), *v);
+            }
+        }
+        let mut invs: LaneMat<N> = [[[0.0; LANES]; N]; N];
+        for l in 0..LANES {
+            let m: Mat<N> = std::array::from_fn(|r| std::array::from_fn(|s| blocks[r][s][l]));
+            let inv = crate::block::mat_inv(&m);
+            for r in 0..N {
+                for s in 0..N {
+                    invs[r][s][l] = inv[r][s];
+                }
+            }
+        }
+        let mut out = [[_mm256_setzero_pd(); N]; N];
+        for (orow, irow) in out.iter_mut().zip(&invs) {
+            for (o, i) in orow.iter_mut().zip(irow) {
+                *o = _mm256_loadu_pd(i.as_ptr());
+            }
+        }
+        out
+    }
+
+    /// One block elimination row for four lines — `eliminate` on lane
+    /// vectors: `(C', d')` from this row's blocks `abc` (`[A, B, C]`) and
+    /// right-hand side `d` and the previous row's `(C', d')`. Lanes set in
+    /// `start` begin their line here and skip the previous row, as the
+    /// scalar `line_start` branch does.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn block_forward_step<const N: usize>(
+        abc: &[VMat<N>; 3],
+        d: &[__m256d; N],
+        start: Option<__m256d>,
+        cp: &mut VMat<N>,
+        dp: &mut [__m256d; N],
+    ) {
+        let [a, b, c] = abc;
+        let mut denom = [[_mm256_setzero_pd(); N]; N];
+        mat_mul(a, cp, &mut denom);
+        for (drow, brow) in denom.iter_mut().zip(b) {
+            for (v, &bij) in drow.iter_mut().zip(brow) {
+                *v = _mm256_sub_pd(bij, *v);
+            }
+        }
+        let adp = mat_vec(a, dp);
+        let mut rhs = [_mm256_setzero_pd(); N];
+        for i in 0..N {
+            rhs[i] = _mm256_sub_pd(d[i], adp[i]);
+        }
+        if let Some(start) = start {
+            for (drow, brow) in denom.iter_mut().zip(b) {
+                for (v, &bij) in drow.iter_mut().zip(brow) {
+                    *v = _mm256_blendv_pd(*v, bij, start);
+                }
+            }
+            for (v, &di) in rhs.iter_mut().zip(d) {
+                *v = _mm256_blendv_pd(*v, di, start);
+            }
+        }
+        let mut inv = [[_mm256_setzero_pd(); N]; N];
+        let mut work = denom;
+        if !mat_inv(&mut work, &mut inv) {
+            inv = mat_inv_per_lane(&denom);
+        }
+        mat_mul(&inv, c, cp);
+        *dp = mat_vec(&inv, &rhs);
+    }
+
+    /// Block-tridiagonal forward elimination, 4 lines per iteration:
+    /// `BlockTriForwardKernel`'s lane loop per lane, with each element's
+    /// blocks from [`BlockCoeffs::blocks4`]. Each field is addressed at
+    /// its own strides, so rows whose lanes lie a tile row apart (a sweep
+    /// along the unit-stride axis) run here too; per element, a lane's
+    /// `N + N·N` loads and stores are small next to its ≈ 1 000 flops.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn block_forward<const N: usize, S: BlockCoeffs<N>>(
+        coeffs: &S,
+        carries: &mut [f64],
+        lanes: &Lanes<'_>,
+        ctxs: &[SegmentCtx],
+    ) -> usize {
+        let (seg_len, nl) = (lanes.seg_len(), lanes.nlanes());
+        let clen = N * N + N;
+        debug_assert_eq!(lanes.nfields(), clen, "fields [C', d]");
+        debug_assert_eq!(carries.len(), nl * clen, "one carry per lane");
+        debug_assert!(ctxs.len() >= nl, "one context per lane");
+        let full = nl / LANES * LANES;
+        let field = |f: usize| {
+            let (stride, lane_stride) = lanes.strides(f);
+            (lanes.base(f), stride, lane_stride)
+        };
+        let cpf: [[_; N]; N] = std::array::from_fn(|i| std::array::from_fn(|j| field(i * N + j)));
+        let df: [_; N] = std::array::from_fn(|i| field(N * N + i));
+        let mut abc: [LaneMat<N>; 3] = [[[[0.0; LANES]; N]; N]; 3];
+        let mut blocks = [[[_mm256_setzero_pd(); N]; N]; 3];
+        let mut pos = [[0; MAX_DIMS]; LANES];
+        for l0 in (0..full).step_by(LANES) {
+            let group = &ctxs[l0..l0 + LANES];
+            let axis = group[0].axis;
+            debug_assert!(group.iter().all(|c| c.axis == axis), "one swept axis");
+            let mut cp = [[_mm256_setzero_pd(); N]; N];
+            let mut dp = [_mm256_setzero_pd(); N];
+            for (i, (cprow, dpi)) in cp.iter_mut().zip(&mut dp).enumerate() {
+                for (j, v) in cprow.iter_mut().enumerate() {
+                    *v = carry_entry(carries, clen, l0, i * N + j);
+                }
+                *dpi = carry_entry(carries, clen, l0, N * N + i);
+            }
+            // The lanes whose line starts at the segment's first element.
+            let starts: [i64; LANES] =
+                std::array::from_fn(|i| -i64::from(group[i].global_start[axis] == 0));
+            let start = (starts != [0; LANES]).then(|| {
+                _mm256_castsi256_pd(_mm256_set_epi64x(
+                    starts[3], starts[2], starts[1], starts[0],
+                ))
+            });
+            let [p0, p1, p2, p3] = &mut pos;
+            let mut gs = [
+                group[0].start_in(p0),
+                group[1].start_in(p1),
+                group[2].start_in(p2),
+                group[3].start_in(p3),
+            ];
+            for k in 0..seg_len {
+                for (g, ctx) in gs.iter_mut().zip(group) {
+                    g[axis] = ctx.axis_coord(k);
+                }
+                coeffs.blocks4([&*gs[0], &*gs[1], &*gs[2], &*gs[3]], axis, &mut abc);
+                for (bm, am) in blocks.iter_mut().zip(&abc) {
+                    for (brow, arow) in bm.iter_mut().zip(am) {
+                        for (bv, av) in brow.iter_mut().zip(arow) {
+                            *bv = _mm256_loadu_pd(av.as_ptr());
+                        }
+                    }
+                }
+                let mut d = [_mm256_setzero_pd(); N];
+                for (di, &(base, stride, ls)) in d.iter_mut().zip(&df) {
+                    *di = gather(base.offset(k as isize * stride + l0 as isize * ls), ls);
+                }
+                let start = if k == 0 { start } else { None };
+                block_forward_step(&blocks, &d, start, &mut cp, &mut dp);
+                for (cprow, frow) in cp.iter().zip(&cpf) {
+                    for (&v, &(base, stride, ls)) in cprow.iter().zip(frow) {
+                        scatter(base.offset(k as isize * stride + l0 as isize * ls), ls, v);
+                    }
+                }
+                for (&v, &(base, stride, ls)) in dp.iter().zip(&df) {
+                    scatter(base.offset(k as isize * stride + l0 as isize * ls), ls, v);
+                }
+            }
+            for (i, (cprow, &dpi)) in cp.iter().zip(&dp).enumerate() {
+                for (j, &v) in cprow.iter().enumerate() {
+                    set_carry_entry(carries, clen, l0, i * N + j, v);
+                }
+                set_carry_entry(carries, clen, l0, N * N + i, dpi);
+            }
+        }
+        full
+    }
+
+    /// One block back-substitution row for four lines: `x = d' − C'·x_next`
+    /// in lanes whose `valid` is not `0.0`, else `x = d'` — the scalar
+    /// flag test as an unordered not-equal compare (true on NaN, like `!=`)
+    /// and a blend.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn block_backward_step<const N: usize>(
+        cp: &VMat<N>,
+        dp: &[__m256d; N],
+        valid: __m256d,
+        x: &mut [__m256d; N],
+    ) {
+        let m = _mm256_cmp_pd::<_CMP_NEQ_UQ>(valid, _mm256_setzero_pd());
+        let t = mat_vec(cp, x);
+        for i in 0..N {
+            x[i] = _mm256_blendv_pd(dp[i], _mm256_sub_pd(dp[i], t[i]), m);
+        }
+    }
+
+    /// Block back substitution, 4 lines per iteration:
+    /// `BlockTriBackwardKernel`'s lane loop per lane, fields addressed at
+    /// their own strides as in [`block_forward`]. As in the scalar loop,
+    /// every lane is valid after its first element, and the carry's flag
+    /// leaves as `1.0`.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub(super) unsafe fn block_backward<const N: usize>(
+        carries: &mut [f64],
+        lanes: &Lanes<'_>,
+    ) -> usize {
+        let (seg_len, nl) = (lanes.seg_len(), lanes.nlanes());
+        let clen = N + 1;
+        debug_assert_eq!(lanes.nfields(), N * N + N, "fields [C', d']");
+        debug_assert_eq!(carries.len(), nl * clen, "one carry per lane");
+        let full = nl / LANES * LANES;
+        let field = |f: usize| {
+            let (stride, lane_stride) = lanes.strides(f);
+            (lanes.base(f), stride, lane_stride)
+        };
+        let cpf: [[_; N]; N] = std::array::from_fn(|i| std::array::from_fn(|j| field(i * N + j)));
+        let df: [_; N] = std::array::from_fn(|i| field(N * N + i));
+        let one = _mm256_set1_pd(1.0);
+        for l0 in (0..full).step_by(LANES) {
+            let mut x = [_mm256_setzero_pd(); N];
+            for (i, xi) in x.iter_mut().enumerate() {
+                *xi = carry_entry(carries, clen, l0, i);
+            }
+            let mut valid = carry_entry(carries, clen, l0, N);
+            for k in 0..seg_len {
+                let at = |(base, stride, ls): (*mut f64, isize, isize)| {
+                    (base.offset(k as isize * stride + l0 as isize * ls), ls)
+                };
+                let mut cp = [[_mm256_setzero_pd(); N]; N];
+                for (cprow, frow) in cp.iter_mut().zip(&cpf) {
+                    for (v, &f) in cprow.iter_mut().zip(frow) {
+                        let (p, ls) = at(f);
+                        *v = gather(p, ls);
+                    }
+                }
+                let mut dp = [_mm256_setzero_pd(); N];
+                for (v, &f) in dp.iter_mut().zip(&df) {
+                    let (p, ls) = at(f);
+                    *v = gather(p, ls);
+                }
+                block_backward_step(&cp, &dp, valid, &mut x);
+                for (&v, &f) in x.iter().zip(&df) {
+                    let (p, ls) = at(f);
+                    scatter(p, ls, v);
+                }
+                valid = one;
+            }
+            for (i, &xi) in x.iter().enumerate() {
+                set_carry_entry(carries, clen, l0, i, xi);
+            }
+            set_carry_entry(carries, clen, l0, N, one);
         }
         full
     }

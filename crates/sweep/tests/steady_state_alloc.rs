@@ -133,16 +133,26 @@ fn batched_sweeps_allocate_nothing() {
     }
 }
 
-/// Position-dependent 3×3 blocks, diagonally dominant: BT's kernel shape
-/// at N = 3.
+/// Position-dependent 3×3 blocks: BT's kernel shape at N = 3. They are
+/// diagonally dominant except where the coordinates sum to a multiple of
+/// 4: there `B = 0.5·I + 3·P` (`P` a cyclic shift) makes partial pivoting
+/// swap rows, which sends the vector body's lane group to its per-lane
+/// scalar inverse.
 struct Coeffs;
 
 impl BlockCoeffs<3> for Coeffs {
     fn blocks(&self, g: &[usize], axis: usize) -> (Mat<3>, Mat<3>, Mat<3>) {
-        let w = 0.01 * (g.iter().sum::<usize>() % 5) as f64;
+        let sum = g.iter().sum::<usize>();
+        let w = 0.01 * (sum % 5) as f64;
         let mut b = [[w; 3]; 3];
         for (r, row) in b.iter_mut().enumerate() {
-            row[r] = 3.0 + g[axis] as f64 * 0.01;
+            if sum % 4 == 0 {
+                *row = [0.0; 3];
+                row[r] = 0.5;
+                row[(r + 1) % 3] = 3.0;
+            } else {
+                row[r] = 3.0 + g[axis] as f64 * 0.01;
+            }
         }
         ([[-0.1 - w; 3]; 3], b, [[-0.2 + w; 3]; 3])
     }
@@ -152,7 +162,7 @@ impl BlockCoeffs<3> for Coeffs {
 fn block_tridiagonal_sweeps_allocate_nothing() {
     // The block kernels generate their coefficients per element from the
     // global position, on rows along the last axis (dim 0) and along the
-    // middle one (dim 2).
+    // middle one (dim 2), including the pivoting fallback's elements.
     let scratch: Vec<usize> = (0..9).collect();
     let rhs: Vec<usize> = (9..12).collect();
     let fwd = BlockTriForwardKernel::<3, _>::new(Coeffs, &scratch, &rhs);

@@ -6,10 +6,14 @@
 //! axis) and each lane contiguous, lanes a padded row apart (a sweep along
 //! it). Every kernel runs at the scalar level and at the host's SIMD level,
 //! for random lane counts (including `nlanes % 4 ≠ 0`), segment lengths,
-//! carries and data.
+//! carries and data. The 5×5 block kernels also run BT's own coefficients
+//! and blocks built to take every branch of their vector bodies: signed
+//! zeros, off-diagonal pivots and lanes that start their line at
+//! different elements.
 
 use mp_core::multipart::Direction;
 use mp_grid::{AlignedVec, Lanes};
+use mp_nasbt::BtProblem;
 use mp_nassp::kernels::{SpPentaForwardKernel, SpTriForwardKernel};
 use mp_nassp::SpProblem;
 use mp_sweep::block::{BlockCoeffs, Mat};
@@ -36,6 +40,87 @@ impl BlockCoeffs<3> for Coeffs {
     }
 }
 
+/// 5×5 blocks that take the vector bodies down every branch. Each point
+/// hashes to one of four kinds:
+/// * `A` all `-0.0`: the product `A·C'` skips every term (a zero-lane blend);
+/// * `B = 0.5·I + 3·P`, `P` a cyclic shift: partial pivoting picks a row
+///   below the diagonal, so the lane's group inverts lane by lane;
+/// * `A` all `0.0` and `B` diagonal: the inverse, and with it the skips of
+///   `inv·C`, are mostly exact zeros of either sign;
+/// * otherwise diagonally dominant, with signed zeros sprinkled through
+///   all three blocks (the inverse's row-skip blends).
+struct Edgy;
+
+impl BlockCoeffs<5> for Edgy {
+    fn blocks(&self, g: &[usize], axis: usize) -> (Mat<5>, Mat<5>, Mat<5>) {
+        let h = g.iter().fold(axis as u64 + 1, |h, &x| {
+            (h ^ x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        });
+        // Entry (r, s) of block `salt`: `±w` or a signed zero, by hash bits.
+        let entry =
+            |r: usize, s: usize, salt: usize, w: f64| match (h >> ((5 * r + s + salt) % 61)) & 3 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => w,
+                _ => -w,
+            };
+        let mut a: Mat<5> = std::array::from_fn(|r| std::array::from_fn(|s| entry(r, s, 0, 0.1)));
+        let c: Mat<5> = std::array::from_fn(|r| std::array::from_fn(|s| entry(r, s, 7, 0.12)));
+        let mut b: Mat<5> = std::array::from_fn(|r| {
+            std::array::from_fn(|s| if r == s { 2.5 } else { entry(r, s, 13, 0.2) })
+        });
+        match (h >> 59) % 5 {
+            0 => a = [[-0.0; 5]; 5],
+            1 => {
+                b = [[0.0; 5]; 5];
+                for r in 0..5 {
+                    b[r][r] = 0.5;
+                    b[r][(r + 1) % 5] = 3.0;
+                }
+            }
+            2 => {
+                a = [[0.0; 5]; 5];
+                for (r, row) in b.iter_mut().enumerate() {
+                    for (s, v) in row.iter_mut().enumerate() {
+                        if r != s {
+                            *v = if (r + s) % 2 == 0 { 0.0 } else { -0.0 };
+                        }
+                    }
+                }
+            }
+            _ => {}
+        }
+        (a, b, c)
+    }
+}
+
+/// `v` with about one entry in eight replaced by `±∞`.
+fn with_infinities(rng: &mut Rng, mut v: Vec<f64>) -> Vec<f64> {
+    for x in &mut v {
+        if rng.usize_in(0, 7) == 0 {
+            *x = *rng.pick(&[f64::INFINITY, f64::NEG_INFINITY]);
+        }
+    }
+    v
+}
+
+/// `v` with about half its entries replaced by `0.0` or `-0.0`.
+fn with_zeros(rng: &mut Rng, mut v: Vec<f64>) -> Vec<f64> {
+    for x in &mut v {
+        match rng.usize_in(0, 3) {
+            0 => *x = 0.0,
+            1 => *x = -0.0,
+            _ => {}
+        }
+    }
+    v
+}
+
+/// Bit patterns, so that `0.0` and `-0.0` differ and NaNs compare.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 /// Sweep `data` (one line-minor `nl × n` block per field) through
 /// `kernel.sweep_lanes` and compare with the per-line reference.
 fn assert_matches_reference<K: LineSweepKernel>(
@@ -60,8 +145,10 @@ fn assert_matches_reference<K: LineSweepKernel>(
         let mut got_c = carries.to_vec();
         let mut lanes = Lanes::packed(&mut got, nl, n, &mut table);
         kernel.sweep_lanes(level, dir, &mut got_c, &mut lanes, ctxs);
-        assert_eq!(got_c, want_c, "{name} {level} packed carries");
-        assert_eq!(got, want, "{name} {level} packed fields");
+        assert_eq!(bits(&got_c), bits(&want_c), "{name} {level} packed carries");
+        for (f, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(bits(g), bits(w), "{name} {level} packed field {f}");
+        }
 
         // Two padded tile layouts, walked forward and from the far end
         // (the padding must stay untouched):
@@ -71,7 +158,8 @@ fn assert_matches_reference<K: LineSweepKernel>(
         //   the unit-stride axis (element stride ±1, lanes n + 3 apart).
         for (lane_gap, elem_gap, len) in [(1, nl + 3, n * (nl + 3)), (n + 3, 1, nl * (n + 3))] {
             for reversed in [false, true] {
-                let slot = |k: usize| if reversed { n - 1 - k } else { k };
+                // (An empty segment's view starts at slot 0.)
+                let slot = |k: usize| if reversed { n.saturating_sub(k + 1) } else { k };
                 let at_kl = |k: usize, l: usize| l * lane_gap + slot(k) * elem_gap;
                 let mut tiles: Vec<Vec<f64>> = data
                     .iter()
@@ -105,13 +193,14 @@ fn assert_matches_reference<K: LineSweepKernel>(
                 let mut lanes = unsafe { Lanes::from_raw(parts, nl, n, &mut table) };
                 kernel.sweep_lanes(level, dir, &mut got_c, &mut lanes, ctxs);
                 let at = format!("{name} {level} lane stride {lane_gap} stride {stride}");
-                assert_eq!(got_c, want_c, "{at} carries");
+                assert_eq!(bits(&got_c), bits(&want_c), "{at} carries");
                 let mut inside = vec![false; len];
                 for (f, (tile, want)) in tiles.iter().zip(&want).enumerate() {
                     for k in 0..n {
                         for l in 0..nl {
                             inside[at_kl(k, l)] = true;
-                            assert_eq!(tile[at_kl(k, l)], want[k * nl + l], "{at} field {f}");
+                            let (g, w) = (tile[at_kl(k, l)], want[k * nl + l]);
+                            assert_eq!(g.to_bits(), w.to_bits(), "{at} field {f}: {g} vs {w}");
                         }
                     }
                     let untouched = tile.iter().zip(&inside).all(|(v, &i)| i || v.is_nan());
@@ -237,4 +326,117 @@ fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
         ]);
         assert_matches_reference(&k, fwd, shape, &data, &c, &origin(fwd));
     });
+}
+
+#[test]
+fn block_kernels_sweep_lanes_like_the_per_line_reference() {
+    cases(0x750E, 24, |rng| {
+        let nl = rng.usize_in(1, 13);
+        // An empty segment still sets the backward carry's flag.
+        let n = rng.usize_in(0, 12);
+        let shape = (nl, n);
+        let (fwd, bwd) = (Direction::Forward, Direction::Backward);
+        // Lanes along axis 1 of a 6×32×7 domain at distinct cross-section
+        // points; each forward lane starts at the line's first row or
+        // inside it at random, so a lane group mixes line starts.
+        let ctxs = |rng: &mut Rng, dir| -> Vec<SegmentCtx> {
+            (0..nl)
+                .map(|l| {
+                    let start = if rng.bool() {
+                        0
+                    } else {
+                        rng.usize_in(1, 32 - n)
+                    };
+                    let first = if dir == fwd {
+                        start
+                    } else {
+                        start + n.saturating_sub(1)
+                    };
+                    SegmentCtx::new(vec![l % 6, first, (3 * l) % 7], 1, dir)
+                })
+                .collect()
+        };
+        let scratch: Vec<usize> = (0..25).collect();
+        let rhs: Vec<usize> = (25..30).collect();
+        let bwd_kernel = BlockTriBackwardKernel::<5>::new(&scratch, &rhs);
+        // Backward carries `[x, valid]`, the flag `1.0`, `0.0`, `-0.0` or
+        // NaN (which counts as set, like any value `!= 0.0`).
+        let bwd_carries = |rng: &mut Rng| {
+            carries(rng, nl, |r| {
+                let x = r.f64_vec(5, -1.0, 1.0);
+                let mut v = with_zeros(r, x);
+                v.push(*r.pick(&[1.0, 0.0, -0.0, f64::NAN]));
+                v
+            })
+        };
+
+        // BT's own blocks, through `BtProblem::blocks4` at the SIMD level.
+        let bt = BtProblem::new([6, 32, 7], 0.01);
+        let k = BlockTriForwardKernel::<5, _>::new(bt, &scratch, &rhs);
+        let data = blocks(rng, 30, nl, n, -1.0, 1.0);
+        let c = carries(rng, nl, |r| r.f64_vec(30, -0.1, 0.1));
+        assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
+        let c = bwd_carries(rng);
+        assert_matches_reference(&bwd_kernel, bwd, shape, &data, &c, &ctxs(rng, bwd));
+
+        // Signed zeros and pivoting lanes, in blocks, data and carries.
+        let k = BlockTriForwardKernel::<5, _>::new(Edgy, &scratch, &rhs);
+        let data: Vec<Vec<f64>> = blocks(rng, 30, nl, n, -1.0, 1.0)
+            .into_iter()
+            .map(|d| with_zeros(rng, d))
+            .collect();
+        let c = carries(rng, nl, |r| {
+            let v = r.f64_vec(30, -0.1, 0.1);
+            with_zeros(r, v)
+        });
+        assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
+        // A zero's skip differs from adding its product only where that
+        // product is NaN (`0·∞`): infinite entries in the carried `C'`
+        // make the skips of `A·C'` show, and in the lanes where `A` does
+        // not vanish they reach the inverse and `inv·C` too.
+        let c = carries(rng, nl, |r| {
+            let v = r.f64_vec(30, -0.1, 0.1);
+            let v = with_zeros(r, v);
+            with_infinities(r, v)
+        });
+        assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
+        let c = bwd_carries(rng);
+        assert_matches_reference(&bwd_kernel, bwd, shape, &data, &c, &ctxs(rng, bwd));
+    });
+}
+
+/// A block kernel over `n` elements of four lanes whose coefficients make
+/// lane 2's first block singular.
+struct Singular;
+
+impl BlockCoeffs<2> for Singular {
+    fn blocks(&self, g: &[usize], _axis: usize) -> (Mat<2>, Mat<2>, Mat<2>) {
+        let d = if g[0] == 2 { 0.0 } else { 2.0 };
+        ([[0.0; 2]; 2], [[d, 0.0], [0.0, d]], [[0.1; 2]; 2])
+    }
+}
+
+#[test]
+fn a_singular_block_panics_at_every_level() {
+    let k = BlockTriForwardKernel::<2, _>::new(Singular, &[0, 1, 2, 3], &[4, 5]);
+    let ctxs: Vec<SegmentCtx> = (0..4)
+        .map(|l| SegmentCtx::new(vec![l, 0], 1, Direction::Forward))
+        .collect();
+    for level in [SimdLevel::Scalar, SimdMode::Auto.resolve()] {
+        let result = std::panic::catch_unwind(|| {
+            let mut bufs: Vec<AlignedVec> =
+                (0..6).map(|_| AlignedVec::from_slice(&[1.0; 12])).collect();
+            let mut carries = vec![0.0; 4 * 6];
+            let mut table = Vec::new();
+            let mut lanes = Lanes::packed(&mut bufs, 4, 3, &mut table);
+            k.sweep_lanes(level, Direction::Forward, &mut carries, &mut lanes, &ctxs);
+        });
+        let payload = result.expect_err("a singular block must panic");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("singular block"), "{level}: {msg}");
+    }
 }
