@@ -3,7 +3,7 @@
 //! partitionings is cheap for realistic `p` (up to ~1000).
 
 use mp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mp_core::search::{optimal_partitioning, optimal_partitioning_fast};
+use mp_core::search::optimal_partitioning;
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
@@ -14,9 +14,6 @@ fn bench_search(c: &mut Criterion) {
         let lambdas = [1.0, 1.5, 2.5];
         group.bench_with_input(BenchmarkId::new("exhaustive_d3", p), &p, |b, &p| {
             b.iter(|| optimal_partitioning(black_box(p), black_box(&lambdas)))
-        });
-        group.bench_with_input(BenchmarkId::new("dedup_d3", p), &p, |b, &p| {
-            b.iter(|| optimal_partitioning_fast(black_box(p), black_box(&lambdas)))
         });
     }
     for &p in &[64u64, 360, 840] {

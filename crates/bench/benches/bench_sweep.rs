@@ -155,7 +155,7 @@ fn bench_sweep(c: &mut Criterion) {
     // the scalar rows are emitted.
     {
         use mp_core::multipart::Direction;
-        use mp_grid::{AlignedVec, Lanes};
+        use mp_grid::Lanes;
         use mp_nasbt::{BtProblem, NCOMP};
         use mp_sweep::recurrence::{LineSweepKernel, SegmentCtx};
         use mp_sweep::simd::{avx2_available, SimdLevel};
@@ -199,7 +199,7 @@ fn bench_sweep(c: &mut Criterion) {
             layout: Layout,
             nl: usize,
             seg_len: usize,
-            fields: Vec<AlignedVec>,
+            fields: Vec<Vec<f64>>,
             carries: Vec<f64>,
         }
         impl SimdCase<'_> {
@@ -208,7 +208,7 @@ fn bench_sweep(c: &mut Criterion) {
             fn sweep(
                 &self,
                 level: SimdLevel,
-                fields: &mut [AlignedVec],
+                fields: &mut [Vec<f64>],
                 carries: &mut [f64],
                 table: &mut Vec<mp_grid::LaneField>,
             ) {
@@ -228,8 +228,7 @@ fn bench_sweep(c: &mut Criterion) {
         // padding NaN.
         let fill = |layout: Layout, nl: usize, n: usize, f: &dyn Fn(usize, usize) -> f64| {
             let (stride, lane_stride, len) = layout.geometry(nl, n);
-            let mut b = AlignedVec::new();
-            b.resize(len, f64::NAN);
+            let mut b = vec![f64::NAN; len];
             for k in 0..n {
                 for l in 0..nl {
                     b[(k as isize * stride + l as isize * lane_stride) as usize] = f(k, l);
@@ -245,8 +244,6 @@ fn bench_sweep(c: &mut Criterion) {
         let thomas_bwd = ThomasBackwardKernel::new(0, 1);
         let penta_fwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
         let penta_bwd = PentaBackwardKernel::new(0, 1, 2);
-        let prefix = PrefixSumKernel::new(0);
-        let first = mp_sweep::FirstOrderKernel::new(0, 0.8);
         let bt = BtProblem::new([24, 24, 24], 0.0015);
         let scratch: Vec<usize> = (0..NCOMP * NCOMP).collect();
         let bt_rhs: Vec<usize> = (NCOMP * NCOMP..NCOMP * NCOMP + NCOMP).collect();
@@ -309,8 +306,6 @@ fn bench_sweep(c: &mut Criterion) {
                 vec![f(&small), f(&small), f(&rhs)],
                 (0..nl).flat_map(|l| [0.5, -0.5, (l % 3) as f64]).collect(),
             );
-            case("prefix_sum", &prefix, fwd, vec![f(&rhs)], vec![0.0; nl]);
-            case("first_order", &first, fwd, vec![f(&rhs)], vec![0.0; nl]);
         }
         // BT block lines: whole lines of 24 along axis 0, lanes at distinct
         // cross-section points (so their coupling classes differ).
@@ -323,7 +318,7 @@ fn bench_sweep(c: &mut Criterion) {
                         .collect()
                 };
                 let f = |g: &dyn Fn(usize, usize) -> f64| fill(layout, nl, n, g);
-                let fields = || -> Vec<AlignedVec> {
+                let fields = || -> Vec<Vec<f64>> {
                     (0..NCOMP * NCOMP)
                         .map(|_| f(&small))
                         .chain((0..NCOMP).map(|_| f(&rhs)))
@@ -354,7 +349,7 @@ fn bench_sweep(c: &mut Criterion) {
             }
         }
 
-        let bits = |fields: &[AlignedVec], carries: &[f64]| -> (Vec<Vec<u64>>, Vec<u64>) {
+        let bits = |fields: &[Vec<f64>], carries: &[f64]| -> (Vec<Vec<u64>>, Vec<u64>) {
             let fields = fields
                 .iter()
                 .map(|b| b.iter().map(|v| v.to_bits()).collect())

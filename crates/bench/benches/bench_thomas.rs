@@ -3,7 +3,7 @@
 
 use mp_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mp_core::multipart::Direction;
-use mp_grid::{AlignedVec, Lanes};
+use mp_grid::Lanes;
 use mp_sweep::recurrence::{per_line_sweep_lanes, LineSweepKernel, SegmentCtx};
 use mp_sweep::simd::SimdLevel;
 use mp_sweep::thomas::{thomas_solve_in_place, ThomasBackwardKernel, ThomasForwardKernel};
@@ -91,9 +91,8 @@ fn bench_thomas_blocked(c: &mut Criterion) {
     for &n in &[64usize, 256] {
         // nl interleaved diagonally dominant systems, line-minor layout.
         let (a, b0, c0, d0) = system(n);
-        let mut block0: Vec<AlignedVec> = vec![AlignedVec::new(); 4];
+        let mut block0: Vec<Vec<f64>> = vec![vec![0.0; n * nl]; 4];
         for (f, src) in [&a, &b0, &c0, &d0].iter().enumerate() {
-            block0[f].resize(n * nl, 0.0);
             for k in 0..n {
                 for l in 0..nl {
                     block0[f][k * nl + l] =

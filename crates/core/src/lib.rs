@@ -41,8 +41,6 @@
 pub mod analysis;
 pub mod cost;
 pub mod factor;
-pub mod hermite;
-pub mod latin;
 pub mod modmap;
 pub mod multipart;
 pub mod partition;

@@ -4,16 +4,6 @@
 //! By Lemma 1 it suffices to search the *elementary* partitionings, which the
 //! Figure 2 generator enumerates per prime factor; this module combines them
 //! and tracks the best candidate.
-//!
-//! Two search strategies are provided:
-//!
-//! * [`optimal_partitioning`] — the paper's algorithm verbatim: full
-//!   cartesian combination of ordered per-factor distributions.
-//! * [`optimal_partitioning_fast`] — an equivalent but cheaper search that
-//!   enumerates unordered exponent multisets per factor and assigns the
-//!   resulting `γ` multiset to dimensions by the rearrangement inequality
-//!   (largest `γ` on the smallest `λ`). Cross-checked against the exhaustive
-//!   search in the test-suite.
 
 use crate::cost::{objective, CostModel};
 use crate::partition::{elementary_partitionings, Partitioning};
@@ -78,58 +68,6 @@ pub fn optimal_for(p: u64, eta: &[u64], model: &CostModel) -> SearchResult {
     optimal_partitioning(p, &model.lambdas(p, eta))
 }
 
-/// Equivalent search that evaluates each distinct `γ` *multiset* once.
-///
-/// The exhaustive search evaluates every *ordered* elementary candidate; but
-/// the objective of a multiset is minimized by a single canonical assignment
-/// (rearrangement inequality: pair the largest `γ` with the smallest `λ`), so
-/// it suffices to collect the distinct multisets of the enumeration and
-/// evaluate each once with that assignment. Note that distinct multisets can
-/// only be found by combining *ordered* per-prime distributions (misaligned
-/// prime placements produce different γ multisets — e.g. `p = 6` yields both
-/// `{6,6,1}` and `{6,3,2}`), so generation cost is unchanged; only objective
-/// evaluations shrink.
-pub fn optimal_partitioning_fast(p: u64, lambdas: &[f64]) -> SearchResult {
-    let d = lambdas.len();
-    assert!(d >= 2);
-    assert!(lambdas.iter().all(|&l| l >= 0.0));
-
-    // λ order: asc_idx[k] = index of the k-th smallest λ.
-    let mut asc_idx: Vec<usize> = (0..d).collect();
-    asc_idx.sort_by(|&a, &b| lambdas[a].partial_cmp(&lambdas[b]).unwrap());
-
-    // Distinct γ multisets (stored sorted descending).
-    let mut multisets = std::collections::BTreeSet::new();
-    for part in elementary_partitionings(p, d) {
-        let mut g = part.gammas;
-        g.sort_unstable_by(|a, b| b.cmp(a));
-        multisets.insert(g);
-    }
-
-    let mut best: Option<(f64, Vec<u64>)> = None;
-    let candidates = multisets.len();
-    for sorted in multisets {
-        let mut assigned = vec![0u64; d];
-        for (k, &dim) in asc_idx.iter().enumerate() {
-            assigned[dim] = sorted[k];
-        }
-        let obj = objective(&assigned, lambdas);
-        let better = match &best {
-            None => true,
-            Some((bobj, bg)) => obj < *bobj || (obj == *bobj && assigned < *bg),
-        };
-        if better {
-            best = Some((obj, assigned));
-        }
-    }
-    let (obj, g) = best.unwrap();
-    SearchResult {
-        partitioning: Partitioning::new(g),
-        objective: obj,
-        candidates,
-    }
-}
-
 /// One row of a drop-back search (§6): the best partitioning at a given
 /// processor count and its *predicted total sweep time* `T(p')`.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,16 +122,6 @@ pub fn drop_back_search(p: u64, eta: &[u64], model: &CostModel) -> Vec<DropBackC
     out
 }
 
-/// The §6 recommendation in one call: the processor count `p' ≤ p` and
-/// partitioning predicted fastest for this domain and machine (possibly
-/// using fewer processors than available — e.g. 49 of 50 for SP class B).
-pub fn recommended_configuration(p: u64, eta: &[u64], model: &CostModel) -> DropBackCandidate {
-    drop_back_search(p, eta, model)
-        .into_iter()
-        .next()
-        .expect("drop-back search always yields at least one candidate")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,45 +130,6 @@ mod tests {
 
     fn cube(n: u64) -> [u64; 3] {
         [n, n, n]
-    }
-
-    #[test]
-    fn fast_matches_exhaustive_uniform_lambdas() {
-        for p in 2..=120u64 {
-            for d in 2..=4usize {
-                let lambdas = vec![1.0; d];
-                let a = optimal_partitioning(p, &lambdas);
-                let b = optimal_partitioning_fast(p, &lambdas);
-                assert!(
-                    (a.objective - b.objective).abs() < 1e-9 * a.objective.max(1.0),
-                    "p={p} d={d}: {} vs {}",
-                    a.objective,
-                    b.objective
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fast_matches_exhaustive_skewed_lambdas() {
-        let lamsets = [
-            vec![1.0, 2.0, 5.0],
-            vec![10.0, 1.0, 1.0],
-            vec![0.5, 0.5, 8.0],
-            vec![3.0, 2.0, 1.0],
-        ];
-        for p in 2..=80u64 {
-            for lambdas in &lamsets {
-                let a = optimal_partitioning(p, lambdas);
-                let b = optimal_partitioning_fast(p, lambdas);
-                assert!(
-                    (a.objective - b.objective).abs() < 1e-9 * a.objective,
-                    "p={p} λ={lambdas:?}: {} vs {}",
-                    a.objective,
-                    b.objective
-                );
-            }
-        }
     }
 
     #[test]
@@ -366,8 +255,8 @@ mod tests {
     }
 
     #[test]
-    fn recommended_configuration_drops_back_from_50() {
-        let rec = recommended_configuration(50, &cube(102), &CostModel::origin2000_like());
+    fn drop_back_best_of_50_is_7x7x7_on_49() {
+        let rec = &drop_back_search(50, &cube(102), &CostModel::origin2000_like())[0];
         assert_eq!(rec.procs, 49);
         let mut g = rec.partitioning.gammas.clone();
         g.sort_unstable();

@@ -1,7 +1,7 @@
-//! Dense row-major `d`-dimensional arrays with region pack/unpack and
-//! line access — the storage substrate for tiles and whole domains.
+//! Dense row-major `d`-dimensional arrays with line access — the storage
+//! substrate for tiles and whole domains.
 
-use crate::shape::{Region, Shape};
+use crate::shape::Shape;
 
 /// A dense row-major multi-dimensional array.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,68 +96,6 @@ impl<T: Copy + Default> ArrayD<T> {
         &mut self.data[off]
     }
 
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, mut f: impl FnMut(T) -> T) {
-        for v in self.data.iter_mut() {
-            *v = f(*v);
-        }
-    }
-
-    /// Element-wise combine with another array of the same shape:
-    /// `self[i] = f(self[i], other[i])`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn zip_with(&mut self, other: &ArrayD<T>, mut f: impl FnMut(T, T) -> T) {
-        assert_eq!(self.shape, other.shape, "shapes must match");
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a = f(*a, *b);
-        }
-    }
-
-    /// Copy the elements of `region` (in row-major region order) into a
-    /// fresh buffer — the message-packing primitive.
-    pub fn pack(&self, region: &Region) -> Vec<T> {
-        let mut out = Vec::with_capacity(region.len());
-        self.pack_into(region, &mut out);
-        out
-    }
-
-    /// [`ArrayD::pack`] without the allocation: append `region`'s elements
-    /// to `out`. Lets callers assemble multi-region messages (e.g. halo
-    /// exchanges aggregating several tile faces) in one reused buffer.
-    pub fn pack_into(&self, region: &Region, out: &mut Vec<T>) {
-        assert_eq!(region.ndim(), self.shape.ndim());
-        out.reserve(region.len());
-        region.for_each_index(|idx| out.push(self.get(idx)));
-    }
-
-    /// Inverse of [`ArrayD::pack`]: scatter `buf` into `region`.
-    ///
-    /// # Panics
-    /// Panics if `buf.len() != region.len()`.
-    pub fn unpack(&mut self, region: &Region, buf: &[T]) {
-        assert_eq!(region.ndim(), self.shape.ndim());
-        assert_eq!(buf.len(), region.len(), "buffer/region size mismatch");
-        let mut it = buf.iter();
-        region.for_each_index(|idx| {
-            self.set(idx, *it.next().unwrap());
-        });
-    }
-
-    /// Copy a whole sub-region from another array (regions must have equal
-    /// extents; origins may differ).
-    pub fn copy_region_from(&mut self, dst: &Region, src_arr: &ArrayD<T>, src: &Region) {
-        assert_eq!(dst.extent, src.extent, "region extents must match");
-        let buf = src_arr.pack(src);
-        self.unpack(dst, &buf);
-    }
-
-    /// The full-array region.
-    pub fn full_region(&self) -> Region {
-        Region::new(vec![0; self.shape.ndim()], self.shape.dims().to_vec())
-    }
-
     /// Start offset and stride for the line along `axis` passing through
     /// `base` (whose `axis` component is ignored), plus its length.
     /// Lines are the unit of 1-D recurrences.
@@ -198,13 +136,31 @@ impl<T: Copy + Default> ArrayD<T> {
 }
 
 impl ArrayD<f64> {
-    /// Max-norm difference against another array of the same shape.
+    /// Max-norm difference against another array of the same shape — the
+    /// bitwise oracle of every distributed-vs-serial check (`== 0.0`).
+    ///
+    /// A pair with equal bit patterns contributes 0, identical NaNs and
+    /// infinities included. A pair whose difference is NaN — a NaN against
+    /// any other value — contributes `f64::INFINITY`, so a run that
+    /// produced NaN never reads as agreement. Every other pair contributes
+    /// `|a − b|`.
     pub fn max_abs_diff(&self, other: &ArrayD<f64>) -> f64 {
         assert_eq!(self.shape, other.shape);
         self.data
             .iter()
             .zip(other.data.iter())
-            .map(|(a, b)| (a - b).abs())
+            .map(|(a, b)| {
+                if a.to_bits() == b.to_bits() {
+                    0.0
+                } else {
+                    let d = (a - b).abs();
+                    if d.is_nan() {
+                        f64::INFINITY
+                    } else {
+                        d
+                    }
+                }
+            })
             .fold(0.0, f64::max)
     }
 
@@ -217,7 +173,6 @@ impl ArrayD<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shape::Side;
 
     fn seq(dims: &[usize]) -> ArrayD<f64> {
         let mut c = 0.0;
@@ -249,51 +204,6 @@ mod tests {
     fn from_fn_row_major() {
         let a = ArrayD::from_fn(&[2, 3], |idx| (idx[0] * 3 + idx[1]) as f64);
         assert_eq!(a.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn map_and_zip() {
-        let mut a = seq(&[2, 3]);
-        a.map_inplace(|v| v * 2.0);
-        assert_eq!(a.get(&[0, 0]), 2.0);
-        assert_eq!(a.get(&[1, 2]), 12.0);
-        let b = seq(&[2, 3]);
-        a.zip_with(&b, |x, y| x - y);
-        // 2v − v = v
-        assert_eq!(a.as_slice(), seq(&[2, 3]).as_slice());
-    }
-
-    #[test]
-    #[should_panic(expected = "shapes must match")]
-    fn zip_shape_mismatch() {
-        let mut a = seq(&[2, 3]);
-        let b = seq(&[3, 2]);
-        a.zip_with(&b, |x, _| x);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        let a = seq(&[4, 5]);
-        let r = Region::new(vec![1, 2], vec![2, 3]);
-        let buf = a.pack(&r);
-        assert_eq!(buf.len(), 6);
-        let mut b: ArrayD<f64> = ArrayD::zeros(&[4, 5]);
-        b.unpack(&r, &buf);
-        r.for_each_index(|idx| assert_eq!(b.get(idx), a.get(idx)));
-        // Outside the region b is untouched.
-        assert_eq!(b.get(&[0, 0]), 0.0);
-        assert_eq!(b.get(&[3, 4]), 0.0);
-    }
-
-    #[test]
-    fn copy_region_between_offsets() {
-        let a = seq(&[4, 4]);
-        let mut b: ArrayD<f64> = ArrayD::zeros(&[4, 4]);
-        let src = Region::new(vec![0, 0], vec![2, 2]);
-        let dst = Region::new(vec![2, 2], vec![2, 2]);
-        b.copy_region_from(&dst, &a, &src);
-        assert_eq!(b.get(&[2, 2]), a.get(&[0, 0]));
-        assert_eq!(b.get(&[3, 3]), a.get(&[1, 1]));
     }
 
     #[test]
@@ -338,19 +248,31 @@ mod tests {
     }
 
     #[test]
-    fn face_pack_is_boundary_layer() {
-        let a = seq(&[3, 3]);
-        let face = a.full_region().face(0, Side::High, 1);
-        let buf = a.pack(&face);
-        assert_eq!(buf, vec![7.0, 8.0, 9.0]); // last row
-    }
-
-    #[test]
     fn norms() {
         let a = ArrayD::from_vec(&[2, 2], vec![3.0, 4.0, 0.0, 0.0]);
         assert!((a.l2_norm() - 5.0).abs() < 1e-12);
         let b: ArrayD<f64> = ArrayD::zeros(&[2, 2]);
         assert_eq!(a.max_abs_diff(&b), 4.0);
+    }
+
+    #[test]
+    fn max_abs_diff_sees_nan() {
+        let finite = ArrayD::from_vec(&[3], vec![1.0, 2.0, 3.0]);
+        let nan = ArrayD::full(&[3], f64::NAN);
+        assert_eq!(nan.max_abs_diff(&finite), f64::INFINITY);
+        assert_eq!(finite.max_abs_diff(&nan), f64::INFINITY);
+        let one_nan = ArrayD::from_vec(&[3], vec![1.0, f64::NAN, 3.0]);
+        assert_eq!(one_nan.max_abs_diff(&finite), f64::INFINITY);
+        // Identical bits agree, NaNs and infinities included.
+        assert_eq!(nan.max_abs_diff(&nan.clone()), 0.0);
+        let inf = ArrayD::from_vec(&[3], vec![f64::INFINITY, f64::NEG_INFINITY, 0.0]);
+        assert_eq!(inf.max_abs_diff(&inf.clone()), 0.0);
+        let flipped = ArrayD::from_vec(&[3], vec![f64::NEG_INFINITY, f64::NEG_INFINITY, -0.0]);
+        assert_eq!(inf.max_abs_diff(&flipped), f64::INFINITY);
+        // Finite differences are unchanged.
+        let shifted = ArrayD::from_vec(&[3], vec![1.5, 2.0, -1.0]);
+        assert_eq!(shifted.max_abs_diff(&finite), 4.0);
+        assert_eq!(finite.max_abs_diff(&finite.clone()), 0.0);
     }
 
     #[test]

@@ -107,16 +107,6 @@ impl RankStore {
         }
     }
 
-    /// Index of a field by name.
-    pub fn field_index(&self, name: &str) -> Option<usize> {
-        self.field_defs.iter().position(|fd| fd.name == name)
-    }
-
-    /// Find the local index of a tile by grid coordinate.
-    pub fn tile_index(&self, coord: &[u64]) -> Option<usize> {
-        self.tiles.iter().position(|t| t.coord == coord)
-    }
-
     /// Initialize a field on all tiles from a global function of the element
     /// index.
     ///
@@ -182,11 +172,6 @@ mod tests {
             assert_eq!(t.fields[0].halo(), 1);
             assert_eq!(t.fields[1].halo(), 0);
         }
-        assert_eq!(store.field_index("u"), Some(0));
-        assert_eq!(store.field_index("rhs"), Some(1));
-        assert_eq!(store.field_index("nope"), None);
-        assert_eq!(store.tile_index(&[1, 2]), Some(1));
-        assert_eq!(store.tile_index(&[2, 2]), None);
     }
 
     #[test]

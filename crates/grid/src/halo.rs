@@ -356,22 +356,6 @@ impl HaloArray {
     pub fn raw_mut(&mut self) -> &mut [f64] {
         self.data.as_mut_slice()
     }
-
-    /// Copy interior values out into a plain array.
-    pub fn to_interior_array(&self) -> ArrayD<f64> {
-        let mut data = Vec::with_capacity(self.interior.iter().product());
-        self.for_each_interior_row(|_, row| data.extend_from_slice(row));
-        ArrayD::from_vec(&self.interior, data)
-    }
-
-    /// Overwrite interior values from a plain array of matching shape.
-    pub fn set_interior_from(&mut self, src: &ArrayD<f64>) {
-        assert_eq!(src.dims(), self.interior.as_slice());
-        let mut rows = src.as_slice().chunks_exact(self.interior[self.ndim() - 1]);
-        self.for_each_interior_row_mut(|_, row| {
-            row.copy_from_slice(rows.next().expect("interior rows"));
-        });
-    }
 }
 
 /// One direction of a compiled halo exchange: which tiles contribute a
@@ -552,20 +536,6 @@ mod tests {
         assert_eq!(a.face_len(0, 1), 30);
         assert_eq!(a.face_len(1, 2), 48);
         assert_eq!(a.face_len(2, 1), 20);
-    }
-
-    #[test]
-    fn interior_array_roundtrip() {
-        let mut a = HaloArray::zeros(&[2, 2], 1);
-        a.set_i(&[0, 0], 1.0);
-        a.set_i(&[1, 1], 4.0);
-        let arr = a.to_interior_array();
-        assert_eq!(arr.get(&[0, 0]), 1.0);
-        assert_eq!(arr.get(&[1, 1]), 4.0);
-        let mut b = HaloArray::zeros(&[2, 2], 3);
-        b.set_interior_from(&arr);
-        assert_eq!(b.get_i(&[0, 0]), 1.0);
-        assert_eq!(b.get_i(&[1, 1]), 4.0);
     }
 
     #[test]

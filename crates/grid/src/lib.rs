@@ -12,7 +12,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aligned;
 pub mod array;
 pub mod codec;
 pub mod dist;
@@ -21,7 +20,6 @@ pub mod lines;
 pub mod shape;
 pub mod tile;
 
-pub use aligned::AlignedVec;
 pub use array::ArrayD;
 pub use codec::{decode_rank_store, encode_rank_store, CodecError};
 pub use dist::{FieldDef, RankStore, TileData};

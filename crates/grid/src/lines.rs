@@ -13,7 +13,6 @@
 //! `k` of lane `l` at `k·nlanes + l`), the layout the kernel tests and
 //! microbenchmarks build.
 
-use crate::AlignedVec;
 use std::marker::PhantomData;
 
 /// Where one field's lanes live: the address of lane 0, element 0 (the
@@ -52,7 +51,7 @@ impl<'a> Lanes<'a> {
     /// Panics if `nlanes == 0` or a buffer holds fewer than
     /// `nlanes·seg_len` elements.
     pub fn packed(
-        bufs: &'a mut [AlignedVec],
+        bufs: &'a mut [Vec<f64>],
         nlanes: usize,
         seg_len: usize,
         table: &'a mut Vec<LaneField>,
@@ -189,16 +188,6 @@ impl<'a> Lanes<'a> {
             .all(|f| f.stride == s && f.lane_stride == 1)
             .then_some(s)
     }
-
-    /// The sub-view of fields `range` (same lanes and elements).
-    pub fn field_range(&mut self, range: std::ops::Range<usize>) -> Lanes<'_> {
-        Lanes {
-            fields: &self.fields[range],
-            nlanes: self.nlanes,
-            seg_len: self.seg_len,
-            _data: PhantomData,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -225,7 +214,7 @@ mod tests {
         // exactly the elements a line-minor block holds for them, and a
         // packed view of that block reads them back unchanged.
         let mut src: Vec<f64> = (0..20).map(|v| v as f64).collect();
-        let mut block = AlignedVec::from_slice(&[0.0; 12]);
+        let mut block = vec![0.0; 12];
         for k in 0..4 {
             for lane in 0..3 {
                 block[k * 3 + lane] = src[2 + lane + 5 * k];
@@ -264,7 +253,7 @@ mod tests {
     #[should_panic(expected = "overruns buffer")]
     fn lane_view_overrun_detected() {
         // Two lanes of 4 elements at packed stride 2 need 8 elements.
-        let mut bufs = [AlignedVec::from_slice(&[0.0; 7])];
+        let mut bufs = [vec![0.0; 7]];
         Lanes::packed(&mut bufs, 2, 4, &mut Vec::new());
     }
 
@@ -278,7 +267,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside a 3×2 view")]
     fn lane_view_access_outside_is_rejected() {
-        let mut bufs = [AlignedVec::from_slice(&[0.0; 6])];
+        let mut bufs = [vec![0.0; 6]];
         Lanes::packed(&mut bufs, 2, 3, &mut Vec::new()).get(0, 0, 2);
     }
 

@@ -65,16 +65,6 @@ impl Shape {
         off
     }
 
-    /// Inverse of [`Shape::offset`].
-    pub fn unoffset(&self, mut off: usize) -> Vec<usize> {
-        let mut idx = vec![0usize; self.ndim()];
-        for (slot, &stride) in idx.iter_mut().zip(self.strides.iter()) {
-            *slot = off / stride;
-            off %= stride;
-        }
-        idx
-    }
-
     /// Visit every multi-index in row-major (lexicographic) order.
     pub fn for_each_index(&self, mut f: impl FnMut(&[usize])) {
         let d = self.ndim();
@@ -213,11 +203,14 @@ mod tests {
 
     #[test]
     fn offset_roundtrip() {
+        // Row-major: the k-th index `for_each_index` visits sits at offset k.
         let s = Shape::new(&[3, 4, 5]);
-        for off in 0..s.len() {
-            let idx = s.unoffset(off);
-            assert_eq!(s.offset(&idx), off);
-        }
+        let mut next = 0;
+        s.for_each_index(|idx| {
+            assert_eq!(s.offset(idx), next);
+            next += 1;
+        });
+        assert_eq!(next, s.len());
     }
 
     #[test]

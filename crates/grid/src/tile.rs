@@ -72,11 +72,6 @@ impl TileGrid {
         self.eta.len()
     }
 
-    /// Total number of tiles.
-    pub fn num_tiles(&self) -> usize {
-        self.gamma.iter().product()
-    }
-
     /// The element region of the tile at grid coordinate `coord`.
     pub fn tile_region(&self, coord: &[usize]) -> Region {
         assert_eq!(coord.len(), self.ndim());
@@ -96,37 +91,9 @@ impl TileGrid {
         Region::new(origin, extent)
     }
 
-    /// Extent of tile `t` along dimension `k`.
-    pub fn tile_extent(&self, k: usize, t: usize) -> usize {
-        self.cuts[k][t + 1] - self.cuts[k][t]
-    }
-
     /// The element-index range `[start, end)` of slab `t` along dimension `k`.
     pub fn slab_range(&self, k: usize, t: usize) -> (usize, usize) {
         (self.cuts[k][t], self.cuts[k][t + 1])
-    }
-
-    /// Which tile (along dimension `k`) contains element index `i`.
-    pub fn tile_of_element(&self, k: usize, i: usize) -> usize {
-        assert!(i < self.eta[k]);
-        // cuts[k] is sorted; find the last cut ≤ i.
-        match self.cuts[k].binary_search(&i) {
-            Ok(t) if t == self.gamma[k] => t - 1,
-            Ok(t) => t,
-            Err(ins) => ins - 1,
-        }
-    }
-
-    /// Surface area (element count) of the boundary hyperplane between two
-    /// adjacent slabs along dimension `k` — the per-phase communication
-    /// volume of a sweep: `Π_{j≠k} η_j`.
-    pub fn slab_boundary_area(&self, k: usize) -> usize {
-        self.eta
-            .iter()
-            .enumerate()
-            .filter(|&(j, _)| j != k)
-            .map(|(_, &e)| e)
-            .product()
     }
 }
 
@@ -137,7 +104,6 @@ mod tests {
     #[test]
     fn divisible_cut() {
         let g = TileGrid::new(&[12, 8], &[4, 2]);
-        assert_eq!(g.num_tiles(), 8);
         let r = g.tile_region(&[0, 0]);
         assert_eq!(r, Region::new(vec![0, 0], vec![3, 4]));
         let r = g.tile_region(&[3, 1]);
@@ -148,7 +114,12 @@ mod tests {
     fn ragged_cut_balanced() {
         // 10 elements into 4 tiles: sizes 3,3,2,2.
         let g = TileGrid::new(&[10], &[4]);
-        let sizes: Vec<usize> = (0..4).map(|t| g.tile_extent(0, t)).collect();
+        let sizes: Vec<usize> = (0..4)
+            .map(|t| {
+                let (s, e) = g.slab_range(0, t);
+                e - s
+            })
+            .collect();
         assert_eq!(sizes, vec![3, 3, 2, 2]);
         assert_eq!(sizes.iter().sum::<usize>(), 10);
     }
@@ -169,26 +140,6 @@ mod tests {
             }
         }
         assert!(covered.iter().all(|&v| v), "domain not fully covered");
-    }
-
-    #[test]
-    fn tile_of_element_inverse() {
-        let g = TileGrid::new(&[10, 12], &[3, 4]);
-        for k in 0..2 {
-            for i in 0..g.eta[k] {
-                let t = g.tile_of_element(k, i);
-                let (s, e) = g.slab_range(k, t);
-                assert!(i >= s && i < e, "k={k} i={i} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn slab_boundary_area() {
-        let g = TileGrid::new(&[10, 20, 30], &[2, 2, 2]);
-        assert_eq!(g.slab_boundary_area(0), 600);
-        assert_eq!(g.slab_boundary_area(1), 300);
-        assert_eq!(g.slab_boundary_area(2), 200);
     }
 
     #[test]

@@ -313,7 +313,6 @@ mod tests {
         // Position-dependent kernels: every lane has a different
         // SegmentCtx, so the lane bodies must thread per-line coefficients
         // exactly like the per-line reference does.
-        use mp_grid::AlignedVec;
         use mp_sweep::recurrence::{per_line_sweep_lanes, SegmentCtx};
         let nlines = 5;
         let seg_len = 8;
@@ -321,14 +320,14 @@ mod tests {
         let ctxs: Vec<SegmentCtx> = (0..nlines)
             .map(|l| SegmentCtx::new(vec![l, 2, l + 1], axis, Direction::Forward))
             .collect();
-        let vals = |s: usize| -> AlignedVec {
+        let vals = |s: usize| -> Vec<f64> {
             (0..seg_len * nlines)
                 .map(|k| ((k * 17 + s * 31) % 13) as f64 * 0.4 - 2.0)
                 .collect()
         };
         let penta = SpPentaForwardKernel::new(SpProblem::pentadiagonal([6, 11, 7], 0.01), 0, 1, 2);
         let tri = SpTriForwardKernel::new(SpProblem::new([6, 11, 7], 0.01), 0, 1);
-        let cases: [(&dyn LineSweepKernel, Vec<AlignedVec>); 2] = [
+        let cases: [(&dyn LineSweepKernel, Vec<Vec<f64>>); 2] = [
             (&penta, vec![vals(0), vals(1), vals(2)]),
             (&tri, vec![vals(3), vals(4)]),
         ];

@@ -283,39 +283,6 @@ impl SimNet {
         self.times.iter().map(|t| t.compute / span).collect()
     }
 
-    /// Export the recorded trace as CSV
-    /// (`rank,kind,start,end,peer,elements`; empty unless tracing is on).
-    pub fn trace_csv(&self) -> String {
-        let mut out = String::from("rank,kind,start,end,peer,elements\n");
-        for ev in self.events() {
-            match *ev {
-                SimEvent::Compute { rank, start, end } => {
-                    out.push_str(&format!("{rank},compute,{start:.9},{end:.9},,\n"));
-                }
-                SimEvent::Send {
-                    rank,
-                    start,
-                    end,
-                    to,
-                    elements,
-                } => {
-                    out.push_str(&format!(
-                        "{rank},send,{start:.9},{end:.9},{to},{elements}\n"
-                    ));
-                }
-                SimEvent::Wait {
-                    rank,
-                    start,
-                    end,
-                    from,
-                } => {
-                    out.push_str(&format!("{rank},wait,{start:.9},{end:.9},{from},\n"));
-                }
-            }
-        }
-        out
-    }
-
     /// True if every sent message has been received.
     pub fn all_delivered(&self) -> bool {
         self.mailbox.values().all(|q| q.is_empty())
@@ -493,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_csv() {
+    fn utilization_and_events() {
         let mut net = SimNet::new(2, simple_machine());
         net.enable_trace();
         net.compute(0, 10);
@@ -502,12 +469,27 @@ mod tests {
         let util = net.utilization();
         assert!(util[0] > 0.0 && util[0] <= 1.0);
         assert_eq!(util[1], 0.0); // rank 1 only waited
-        let csv = net.trace_csv();
-        assert!(csv.starts_with("rank,kind,start,end,peer,elements"));
-        assert!(csv.contains("0,compute,"));
-        assert!(csv.contains("0,send,"));
-        assert!(csv.contains("1,wait,"));
-        assert_eq!(csv.lines().count(), 4); // header + 3 events
+        let want = [
+            SimEvent::Compute {
+                rank: 0,
+                start: 0.0,
+                end: 10.0,
+            },
+            SimEvent::Send {
+                rank: 0,
+                start: 10.0,
+                end: 20.0, // α = 10
+                to: 1,
+                elements: 2,
+            },
+            SimEvent::Wait {
+                rank: 1,
+                start: 0.0,
+                end: 21.0, // 20 + 2·0.5 transfer
+                from: 0,
+            },
+        ];
+        assert_eq!(net.events(), &want);
     }
 
     #[test]

@@ -5,21 +5,16 @@
 //!   whole computation; sweeps along that dimension expose only wavefront
 //!   (pipelined) parallelism, with the classic tension between small
 //!   messages (short fill/drain) and large messages (low overhead), tuned
-//!   here by a `granularity` parameter (lines per pipeline chunk).
+//!   by a `granularity` parameter (lines per pipeline chunk).
 //! * **Dynamic block partitioning** — sweeps run only along locally-complete
 //!   dimensions; the array is transposed (all-to-all) between sweeps so each
 //!   dimension can be swept locally in turn.
 //!
-//! Both are implemented functionally (bit-exact against serial references)
-//! on the threaded backend; their timing behaviour is replayed on the
-//! simulator by [`crate::simulate`].
+//! This module holds their geometry; the wavefront, transpose and local
+//! drivers that replay them on the simulator live in [`crate::simulate`].
 
-use crate::recurrence::{LineSweepKernel, SegmentCtx};
-use crate::verify::serial_sweep;
-use mp_core::multipart::Direction;
 use mp_grid::shape::Shape;
-use mp_grid::{ArrayD, Region, TileGrid};
-use mp_runtime::comm::{Communicator, Tag};
+use mp_grid::TileGrid;
 
 /// A 1-D block partitioning of dimension `part_dim` of a global domain.
 #[derive(Debug, Clone)]
@@ -59,244 +54,6 @@ impl BlockUnipartition {
         d[self.part_dim] = e - s;
         d
     }
-
-    /// Allocate `rank`'s block initialized from a global function.
-    pub fn allocate_block(&self, rank: u64, init: impl Fn(&[usize]) -> f64) -> ArrayD<f64> {
-        let (s, _) = self.range_of(rank);
-        let dims = self.block_dims(rank);
-        let pd = self.part_dim;
-        ArrayD::from_fn(&dims, |local| {
-            let mut g = local.to_vec();
-            g[pd] += s;
-            init(&g)
-        })
-    }
-
-    /// Gather a rank's block into a global array.
-    pub fn gather_into(&self, rank: u64, block: &ArrayD<f64>, global: &mut ArrayD<f64>) {
-        let (s, _) = self.range_of(rank);
-        let pd = self.part_dim;
-        block.shape().clone().for_each_index(|local| {
-            let mut g = local.to_vec();
-            g[pd] += s;
-            global.set(&g, block.get(local));
-        });
-    }
-}
-
-/// Sweep along an *unpartitioned* axis: fully local.
-pub fn local_sweep(
-    fields: &mut [&mut ArrayD<f64>],
-    part: &BlockUnipartition,
-    axis: usize,
-    dir: Direction,
-    kernel: &impl LineSweepKernel,
-) {
-    assert_ne!(axis, part.part_dim, "partitioned axis needs the wavefront");
-    serial_sweep(fields, axis, dir, kernel);
-}
-
-/// Pipelined wavefront sweep along the *partitioned* axis.
-///
-/// Lines crossing all blocks are processed in chunks of `granularity` lines:
-/// a rank receives the chunk's carries from the upstream block, processes
-/// its segment of each line, and forwards the carries — so while rank `r`
-/// handles chunk `c`, rank `r−1` can proceed to chunk `c+1` (software
-/// pipeline). Small `granularity` shortens fill/drain but pays more message
-/// start-ups — exactly the trade-off the paper describes.
-pub fn wavefront_sweep<C: Communicator>(
-    comm: &mut C,
-    fields: &mut [&mut ArrayD<f64>],
-    part: &BlockUnipartition,
-    dir: Direction,
-    kernel: &impl LineSweepKernel,
-    granularity: usize,
-    tag_base: Tag,
-) {
-    assert!(granularity >= 1);
-    let rank = comm.rank();
-    let axis = part.part_dim;
-    let dims = fields[0].dims().to_vec();
-    let clen = kernel.carry_len();
-
-    // Line bases over the block's cross-section (all fields share a shape).
-    let mut bases = Vec::new();
-    fields[0].for_each_line(axis, |b| bases.push(b.to_vec()));
-    let chunks: Vec<&[Vec<usize>]> = bases.chunks(granularity).collect();
-
-    // Pipeline order: rank owning the first slab in sweep direction first.
-    let (upstream, downstream): (Option<u64>, Option<u64>) = match dir {
-        Direction::Forward => (
-            (rank > 0).then(|| rank - 1),
-            (rank + 1 < part.p).then(|| rank + 1),
-        ),
-        Direction::Backward => (
-            (rank + 1 < part.p).then(|| rank + 1),
-            (rank > 0).then(|| rank - 1),
-        ),
-    };
-
-    let n = dims[axis];
-    let nk = kernel.fields().len();
-    let mut seg: Vec<Vec<f64>> = vec![Vec::with_capacity(n); nk];
-    for (c, chunk) in chunks.iter().enumerate() {
-        let incoming: Option<Vec<f64>> = upstream.map(|up| comm.recv(up, tag_base + c as u64));
-        let mut outgoing = Vec::with_capacity(chunk.len() * clen);
-        for (li, base) in chunk.iter().enumerate() {
-            let mut carry = match &incoming {
-                None => kernel.initial_carry(dir),
-                Some(buf) => buf[li * clen..(li + 1) * clen].to_vec(),
-            };
-            // Read segments in sweep order.
-            for (s, &fi) in kernel.fields().iter().enumerate() {
-                let buf = &mut seg[s];
-                buf.clear();
-                let mut idx = base.clone();
-                match dir {
-                    Direction::Forward => {
-                        for k in 0..n {
-                            idx[axis] = k;
-                            buf.push(fields[fi].get(&idx));
-                        }
-                    }
-                    Direction::Backward => {
-                        for k in (0..n).rev() {
-                            idx[axis] = k;
-                            buf.push(fields[fi].get(&idx));
-                        }
-                    }
-                }
-            }
-            // Global coordinates: the block owns a slice of part_dim; the
-            // segment's first element in sweep order sits at the slice start
-            // (forward) or end − 1 (backward).
-            let (rs, re) = part.range_of(rank);
-            let mut gstart = base.clone();
-            gstart[axis] = match dir {
-                Direction::Forward => rs,
-                Direction::Backward => re - 1,
-            };
-            let ctx = SegmentCtx::new(gstart, axis, dir);
-            kernel.sweep_segment(dir, &mut carry, &mut seg, &ctx);
-            for (s, &fi) in kernel.fields().iter().enumerate() {
-                let mut idx = base.clone();
-                match dir {
-                    Direction::Forward => {
-                        for (k, &v) in seg[s].iter().enumerate() {
-                            idx[axis] = k;
-                            fields[fi].set(&idx, v);
-                        }
-                    }
-                    Direction::Backward => {
-                        for (k, &v) in seg[s].iter().enumerate() {
-                            idx[axis] = n - 1 - k;
-                            fields[fi].set(&idx, v);
-                        }
-                    }
-                }
-            }
-            outgoing.extend_from_slice(&carry);
-        }
-        if let Some(down) = downstream {
-            comm.send(down, tag_base + c as u64, outgoing);
-        }
-    }
-}
-
-/// Redistribute a dim-`from`-partitioned block into a dim-`to`-partitioned
-/// block (the all-to-all "transpose" of dynamic block partitioning).
-///
-/// Every rank sends to every other rank the intersection of its `from`-range
-/// with the peer's `to`-range. Returns the new local block (full extent
-/// along `from`, own slice along `to`).
-pub fn transpose_exchange<C: Communicator>(
-    comm: &mut C,
-    block: &ArrayD<f64>,
-    eta: &[usize],
-    from: usize,
-    to: usize,
-    tag: Tag,
-) -> ArrayD<f64> {
-    assert_ne!(from, to);
-    let p = comm.size();
-    let rank = comm.rank();
-    let from_cuts = TileGrid::new(&[eta[from]], &[p as usize]);
-    let to_cuts = TileGrid::new(&[eta[to]], &[p as usize]);
-    let (my_from_s, my_from_e) = from_cuts.slab_range(0, rank as usize);
-    let (my_to_s, my_to_e) = to_cuts.slab_range(0, rank as usize);
-
-    // New block: full `from` extent, own `to` slice.
-    let mut new_dims = eta.to_vec();
-    new_dims[to] = my_to_e - my_to_s;
-    let mut new_block = ArrayD::zeros(&new_dims);
-
-    // Region helpers in *local* coordinates of the old block.
-    let old_dims = block.dims().to_vec();
-    let piece_old = |to_range: (usize, usize)| -> Region {
-        let mut origin = vec![0usize; eta.len()];
-        let mut extent = old_dims.clone();
-        origin[to] = to_range.0;
-        extent[to] = to_range.1 - to_range.0;
-        Region::new(origin, extent)
-    };
-    // ... and of the new block.
-    let piece_new = |from_range: (usize, usize)| -> Region {
-        let mut origin = vec![0usize; eta.len()];
-        let mut extent = new_dims.clone();
-        origin[from] = from_range.0;
-        extent[from] = from_range.1 - from_range.0;
-        Region::new(origin, extent)
-    };
-
-    // Send to every peer; keep own piece local.
-    for s in 0..p {
-        let to_range = to_cuts.slab_range(0, s as usize);
-        let payload = block.pack(&piece_old(to_range));
-        if s == rank {
-            new_block.unpack(&piece_new((my_from_s, my_from_e)), &payload);
-        } else {
-            comm.send(s, tag, payload);
-        }
-    }
-    // Receive from every peer (per-source FIFO matching disambiguates).
-    for s in 0..p {
-        if s == rank {
-            continue;
-        }
-        let from_range = from_cuts.slab_range(0, s as usize);
-        let payload = comm.recv(s, tag);
-        new_block.unpack(&piece_new(from_range), &payload);
-    }
-    new_block
-}
-
-/// Dynamic-block sweep along the partitioned axis: transpose so the axis is
-/// local, sweep locally, transpose back. `other` is the dimension to
-/// repartition onto during the sweep (must differ from the partitioned one).
-pub fn transpose_sweep<C: Communicator>(
-    comm: &mut C,
-    block: &mut ArrayD<f64>,
-    part: &BlockUnipartition,
-    other: usize,
-    dir: Direction,
-    kernel: &impl LineSweepKernel,
-    tag_base: Tag,
-) {
-    let axis = part.part_dim;
-    assert_ne!(axis, other);
-    assert_eq!(
-        kernel.fields(),
-        &[0],
-        "transpose_sweep handles single-field kernels"
-    );
-    let mut t = transpose_exchange(comm, block, &part.eta, axis, other, tag_base);
-    serial_sweep(&mut [&mut t], axis, dir, kernel);
-    *block = transpose_exchange(comm, &t, &part.eta, other, axis, tag_base + 1);
-}
-
-/// Count the pipeline chunks a wavefront sweep of this geometry uses.
-pub fn wavefront_chunks(part: &BlockUnipartition, granularity: usize) -> usize {
-    lines_of(&part.eta, part.part_dim).div_ceil(granularity)
 }
 
 /// Total cross-section lines of a sweep along `axis`.
@@ -309,28 +66,6 @@ pub fn lines_of(eta: &[usize], axis: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
-    use mp_runtime::threaded::run_threaded;
-
-    fn init(g: &[usize]) -> f64 {
-        ((g.iter()
-            .enumerate()
-            .map(|(k, &v)| (k + 2) * v)
-            .sum::<usize>())
-            % 17) as f64
-            - 8.0
-    }
-
-    fn serial_ref(
-        eta: &[usize],
-        axis: usize,
-        dir: Direction,
-        kernel: &impl LineSweepKernel,
-    ) -> ArrayD<f64> {
-        let mut a = ArrayD::from_fn(eta, init);
-        serial_sweep(&mut [&mut a], axis, dir, kernel);
-        a
-    }
 
     #[test]
     fn block_partition_geometry() {
@@ -341,140 +76,6 @@ mod tests {
         assert_eq!(part.range_of(3), (8, 10));
         assert_eq!(part.block_dims(0), vec![3, 6]);
         assert_eq!(part.block_dims(3), vec![2, 6]);
-    }
-
-    #[test]
-    fn wavefront_matches_serial_various_granularity() {
-        let eta = [12usize, 6, 5];
-        let k = PrefixSumKernel::new(0);
-        for p in [2u64, 3, 4] {
-            for granularity in [1usize, 4, 7, 30, 1000] {
-                for dir in [Direction::Forward, Direction::Backward] {
-                    let part = BlockUnipartition::new(p, &eta, 0);
-                    let results = run_threaded(p, |comm| {
-                        let mut block = part.allocate_block(comm.rank(), init);
-                        wavefront_sweep(comm, &mut [&mut block], &part, dir, &k, granularity, 100);
-                        block
-                    });
-                    let mut global = ArrayD::zeros(&eta);
-                    for (r, b) in results.iter().enumerate() {
-                        part.gather_into(r as u64, b, &mut global);
-                    }
-                    let want = serial_ref(&eta, 0, dir, &k);
-                    assert_eq!(
-                        global.max_abs_diff(&want),
-                        0.0,
-                        "p={p} g={granularity} {dir:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wavefront_on_nonzero_partition_dim() {
-        // The block unipartition can cut any dimension; sweep along dim 1.
-        let eta = [5usize, 12, 6];
-        let k = PrefixSumKernel::new(0);
-        let part = BlockUnipartition::new(3, &eta, 1);
-        let results = run_threaded(3, |comm| {
-            let mut block = part.allocate_block(comm.rank(), init);
-            wavefront_sweep(
-                comm,
-                &mut [&mut block],
-                &part,
-                Direction::Forward,
-                &k,
-                8,
-                70,
-            );
-            block
-        });
-        let mut global = ArrayD::zeros(&eta);
-        for (r, b) in results.iter().enumerate() {
-            part.gather_into(r as u64, b, &mut global);
-        }
-        let want = serial_ref(&eta, 1, Direction::Forward, &k);
-        assert_eq!(global.max_abs_diff(&want), 0.0);
-    }
-
-    #[test]
-    fn local_sweep_on_unpartitioned_axis() {
-        let eta = [8usize, 9];
-        let part = BlockUnipartition::new(4, &eta, 0);
-        let k = FirstOrderKernel::new(0, 0.7);
-        let results = run_threaded(4, |comm| {
-            let mut block = part.allocate_block(comm.rank(), init);
-            local_sweep(&mut [&mut block], &part, 1, Direction::Forward, &k);
-            block
-        });
-        let mut global = ArrayD::zeros(&eta);
-        for (r, b) in results.iter().enumerate() {
-            part.gather_into(r as u64, b, &mut global);
-        }
-        let want = serial_ref(&eta, 1, Direction::Forward, &k);
-        assert_eq!(global.max_abs_diff(&want), 0.0);
-    }
-
-    #[test]
-    fn transpose_exchange_roundtrip() {
-        let eta = [8usize, 8, 3];
-        let part = BlockUnipartition::new(4, &eta, 0);
-        run_threaded(4, |comm| {
-            let block = part.allocate_block(comm.rank(), init);
-            let t = transpose_exchange(comm, &block, &eta, 0, 1, 50);
-            // t: full dim0, own dim1 slice
-            assert_eq!(t.dims()[0], 8);
-            assert_eq!(t.dims()[1], 2);
-            // transpose back must reproduce the original block bit-for-bit
-            let back = transpose_exchange(comm, &t, &eta, 1, 0, 60);
-            assert_eq!(back.max_abs_diff(&block), 0.0);
-        });
-    }
-
-    #[test]
-    fn transpose_contents_correct() {
-        let eta = [4usize, 4];
-        let part = BlockUnipartition::new(2, &eta, 0);
-        run_threaded(2, |comm| {
-            let block = part.allocate_block(comm.rank(), |g| (g[0] * 10 + g[1]) as f64);
-            let t = transpose_exchange(comm, &block, &eta, 0, 1, 10);
-            // rank owns dim1 slice [2r, 2r+2), full dim0
-            let r = comm.rank() as usize;
-            for i in 0..4usize {
-                for j in 0..2usize {
-                    assert_eq!(t.get(&[i, j]), (i * 10 + (j + 2 * r)) as f64);
-                }
-            }
-        });
-    }
-
-    #[test]
-    fn transpose_sweep_matches_serial() {
-        let eta = [8usize, 8, 4];
-        let k = PrefixSumKernel::new(0);
-        for dir in [Direction::Forward, Direction::Backward] {
-            let part = BlockUnipartition::new(4, &eta, 0);
-            let results = run_threaded(4, |comm| {
-                let mut block = part.allocate_block(comm.rank(), init);
-                transpose_sweep(comm, &mut block, &part, 1, dir, &k, 200);
-                block
-            });
-            let mut global = ArrayD::zeros(&eta);
-            for (r, b) in results.iter().enumerate() {
-                part.gather_into(r as u64, b, &mut global);
-            }
-            let want = serial_ref(&eta, 0, dir, &k);
-            assert_eq!(global.max_abs_diff(&want), 0.0, "{dir:?}");
-        }
-    }
-
-    #[test]
-    fn chunk_counting() {
-        let part = BlockUnipartition::new(4, &[16, 10, 10], 0);
-        assert_eq!(wavefront_chunks(&part, 100), 1);
-        assert_eq!(wavefront_chunks(&part, 10), 10);
-        assert_eq!(wavefront_chunks(&part, 7), 15); // ⌈100/7⌉
         assert_eq!(lines_of(&[16, 10, 10], 0), 100);
         assert_eq!(lines_of(&[16, 10, 10], 1), 160);
     }

@@ -708,7 +708,6 @@ pub(crate) mod tests {
         // The lane bodies must equal the per-line reference bit-for-bit,
         // with per-line contexts at different global positions.
         use crate::recurrence::per_line_sweep_lanes;
-        use mp_grid::AlignedVec;
         let nlines = 4;
         let seg_len = 6;
         let scratch_idx: Vec<usize> = (0..9).collect();
@@ -716,7 +715,7 @@ pub(crate) mod tests {
         let fwd = BlockTriForwardKernel::<3, _>::new(TestCoeffs, &scratch_idx, &rhs_idx);
         let bwd = BlockTriBackwardKernel::<3>::new(&scratch_idx, &rhs_idx);
         let mut next = rng(17);
-        let blk0: Vec<AlignedVec> = (0..12)
+        let blk0: Vec<Vec<f64>> = (0..12)
             .map(|_| (0..seg_len * nlines).map(|_| next()).collect())
             .collect();
         // Forward then backward over its result; lines start at different

@@ -19,7 +19,7 @@ use crate::simd::{SimdLevel, SimdMode};
 use crate::thomas::{ThomasBackwardKernel, ThomasForwardKernel};
 use mp_core::cost::{BandwidthScaling, CostModel};
 use mp_core::multipart::Direction;
-use mp_grid::{AlignedVec, Lanes};
+use mp_grid::Lanes;
 use mp_runtime::calibrate::{calibrate_transport, measure_min_secs, CalibrationOpts, TransportFit};
 
 /// Lanes in the packed block each kernel microbenchmark sweeps.
@@ -41,10 +41,7 @@ fn bench_kernel(
 ) -> f64 {
     let nlines = TIMED_BLOCK_LANES;
     let clen = kernel.carry_len();
-    let mut block: Vec<AlignedVec> = fills
-        .iter()
-        .map(|&v| AlignedVec::from_slice(&vec![v; nlines * seg_len]))
-        .collect();
+    let mut block: Vec<Vec<f64>> = fills.iter().map(|&v| vec![v; nlines * seg_len]).collect();
     let mut carries = vec![0.0f64; nlines * clen];
     let init = kernel.initial_carry(dir);
     let ctxs = vec![SegmentCtx::origin(3, 0, dir); nlines];

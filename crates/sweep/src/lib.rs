@@ -10,6 +10,8 @@
 //! * [`thomas`] — tridiagonal solvers: serial Thomas plus the forward
 //!   elimination / back substitution kernels that turn a distributed
 //!   tridiagonal solve into two directional sweeps;
+//! * [`penta`] and [`block`] — the same pair of sweeps for pentadiagonal
+//!   systems (SP) and 5×5 block-tridiagonal systems (BT);
 //! * [`executor`] — the functional multipartitioned sweep executor
 //!   (options, the in-place row runner, halo exchange);
 //! * [`compiled`] — build-once / execute-many sweep plans and the paper's
@@ -19,11 +21,12 @@
 //!   direction)` plus the halo schedule;
 //! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
 //!   plan-time runtime dispatch, bitwise identical to the scalar paths;
-//! * [`baselines`] — the two classical alternatives the paper positions
-//!   against: static block unipartitioning with wavefront pipelining, and
-//!   dynamic block partitioning with transposes;
-//! * [`simulate`] — timing drivers that replay the same schedules on the
-//!   discrete-event simulator of `mp-runtime`;
+//! * [`baselines`] — the geometry of the two classical alternatives the
+//!   paper positions against: static block unipartitioning (wavefront
+//!   pipelining) and dynamic block partitioning (transposes);
+//! * [`simulate`] — timing drivers that replay the multipartitioned
+//!   schedule and both baselines on the discrete-event simulator of
+//!   `mp-runtime`;
 //! * [`calibrate`] — host calibration of the kernels + transport into a
 //!   measured [`mp_core::cost::CostModel`];
 //! * [`verify`] — serial references for bit-exact validation.
@@ -31,7 +34,6 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod batch;
 pub mod block;
 pub mod calibrate;
 pub mod compiled;
@@ -48,7 +50,6 @@ mod tests_prop;
 #[cfg(test)]
 mod tests_trace;
 
-pub use batch::BatchedKernel;
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
 pub use calibrate::calibrate_host;
 pub use compiled::{CompiledSweep, SolverPlan, SweepError};

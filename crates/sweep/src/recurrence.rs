@@ -227,16 +227,15 @@ impl LineSweepKernel for PrefixSumKernel {
 
     fn sweep_lanes(
         &self,
-        level: SimdLevel,
+        _level: SimdLevel,
         _dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
         debug_assert_eq!(carries.len(), lanes.nlanes());
-        let l0 = crate::simd::prefix_sum(level, carries, lanes);
         for k in 0..lanes.seg_len() {
-            for (l, acc) in carries.iter_mut().enumerate().skip(l0) {
+            for (l, acc) in carries.iter_mut().enumerate() {
                 *acc += lanes.get(0, k, l);
                 lanes.set(0, k, l, *acc);
             }
@@ -286,16 +285,15 @@ impl LineSweepKernel for FirstOrderKernel {
 
     fn sweep_lanes(
         &self,
-        level: SimdLevel,
+        _level: SimdLevel,
         _dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
         _ctxs: &[SegmentCtx],
     ) {
         debug_assert_eq!(carries.len(), lanes.nlanes());
-        let l0 = crate::simd::first_order(level, self.a, carries, lanes);
         for k in 0..lanes.seg_len() {
-            for (l, prev) in carries.iter_mut().enumerate().skip(l0) {
+            for (l, prev) in carries.iter_mut().enumerate() {
                 *prev = lanes.get(0, k, l) + self.a * *prev;
                 lanes.set(0, k, l, *prev);
             }
@@ -306,7 +304,6 @@ impl LineSweepKernel for FirstOrderKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_grid::AlignedVec;
 
     fn ctx0() -> SegmentCtx {
         SegmentCtx::origin(1, 0, Direction::Forward)
@@ -389,11 +386,10 @@ mod tests {
     }
 
     /// Pack per-line data into a line-minor block buffer.
-    fn pack_block(lines: &[Vec<f64>]) -> AlignedVec {
+    fn pack_block(lines: &[Vec<f64>]) -> Vec<f64> {
         let nl = lines.len();
         let n = lines[0].len();
-        let mut out = AlignedVec::new();
-        out.resize(n * nl, 0.0);
+        let mut out = vec![0.0; n * nl];
         for (l, line) in lines.iter().enumerate() {
             for (k, &v) in line.iter().enumerate() {
                 out[k * nl + l] = v;

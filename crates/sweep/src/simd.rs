@@ -9,11 +9,10 @@
 //! guarantee of the repo intact regardless of which path a rank happens to
 //! dispatch to.
 //!
-//! There are eight bodies. The six one-value recurrences (Thomas and
-//! pentadiagonal forward and backward, prefix sum, first-order) load a
-//! lane group with one vector load, so they run only on views whose lanes
-//! are adjacent in memory (lane stride 1, [`Lanes::uniform_stride`]). The
-//! two 5×5 block-tridiagonal bodies (elimination and back substitution)
+//! There are six bodies. The four one-value recurrences (Thomas and
+//! pentadiagonal forward and backward) load a lane group with one vector
+//! load, so they run only on views whose lanes are adjacent in memory
+//! (lane stride 1, [`Lanes::uniform_stride`]). The two 5×5 block-tridiagonal bodies (elimination and back substitution)
 //! address each field at its own `(stride, lane_stride)`
 //! ([`Lanes::strides`]): one vector access per lane group where the lanes
 //! are adjacent, else four scalar ones. So they also run the rows of a
@@ -243,33 +242,6 @@ pub(crate) fn penta_backward(
         // SAFETY: as for `thomas_forward`.
         #[cfg(target_arch = "x86_64")]
         Some(rs) => unsafe { avx2::penta_backward(carries, lanes, rs) },
-        _ => 0,
-    }
-}
-
-/// Running prefix sum over the leading whole lane groups; returns the
-/// lanes swept.
-pub(crate) fn prefix_sum(level: SimdLevel, carries: &mut [f64], lanes: &mut Lanes<'_>) -> usize {
-    match avx2_stride(level, lanes) {
-        // SAFETY: as for `thomas_forward`.
-        #[cfg(target_arch = "x86_64")]
-        Some(rs) => unsafe { avx2::prefix_sum(carries, lanes, rs) },
-        _ => 0,
-    }
-}
-
-/// First-order recurrence `x[k] += a·x[k−1]` over the leading whole lane
-/// groups; returns the lanes swept.
-pub(crate) fn first_order(
-    level: SimdLevel,
-    a: f64,
-    carries: &mut [f64],
-    lanes: &mut Lanes<'_>,
-) -> usize {
-    match avx2_stride(level, lanes) {
-        // SAFETY: as for `thomas_forward`.
-        #[cfg(target_arch = "x86_64")]
-        Some(rs) => unsafe { avx2::first_order(a, carries, lanes, rs) },
         _ => 0,
     }
 }
@@ -1002,56 +974,6 @@ mod avx2 {
                 set_carry_entry(carries, clen, l0, i, xi);
             }
             set_carry_entry(carries, clen, l0, N, one);
-        }
-        full
-    }
-
-    /// Running prefix sum, 4 lines per iteration (`carry_len == 1`, so the
-    /// line-major carries for a lane group are already contiguous).
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn prefix_sum(
-        carries: &mut [f64],
-        lanes: &Lanes<'_>,
-        row_stride: isize,
-    ) -> usize {
-        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
-        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
-        let buf = lanes.base(0);
-        for l0 in (0..full).step_by(LANES) {
-            let mut acc = _mm256_loadu_pd(carries.as_ptr().add(l0));
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l0 as isize;
-                let v = _mm256_loadu_pd(buf.offset(r));
-                acc = _mm256_add_pd(acc, v);
-                _mm256_storeu_pd(buf.offset(r), acc);
-            }
-            _mm256_storeu_pd(carries.as_mut_ptr().add(l0), acc);
-        }
-        full
-    }
-
-    /// First-order recurrence `x[k] = x[k] + a·x[k−1]`, 4 lines per
-    /// iteration.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn first_order(
-        a: f64,
-        carries: &mut [f64],
-        lanes: &Lanes<'_>,
-        row_stride: isize,
-    ) -> usize {
-        debug_assert_eq!(lanes.uniform_stride(), Some(row_stride), "unit lane stride");
-        let (seg_len, full) = (lanes.seg_len(), lanes.nlanes() / LANES * LANES);
-        let buf = lanes.base(0);
-        let av = _mm256_set1_pd(a);
-        for l0 in (0..full).step_by(LANES) {
-            let mut prev = _mm256_loadu_pd(carries.as_ptr().add(l0));
-            for k in 0..seg_len {
-                let r = k as isize * row_stride + l0 as isize;
-                let v = _mm256_loadu_pd(buf.offset(r));
-                prev = _mm256_add_pd(v, _mm256_mul_pd(av, prev));
-                _mm256_storeu_pd(buf.offset(r), prev);
-            }
-            _mm256_storeu_pd(carries.as_mut_ptr().add(l0), prev);
         }
         full
     }

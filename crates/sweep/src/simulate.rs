@@ -1,8 +1,10 @@
 //! Timing drivers: replay sweep schedules on the discrete-event simulator.
 //!
-//! Each driver mirrors a functional engine one-to-one — same phases, same
-//! message pattern, same aggregated message sizes — but charges virtual time
-//! on a [`SimNet`] instead of moving data. This is the performance substrate
+//! The multipartitioned driver mirrors the compiled executor one-to-one —
+//! same phases, same message pattern, same aggregated message sizes — but
+//! charges virtual time on a [`SimNet`] instead of moving data. The
+//! wavefront, transpose and local drivers model the two classical baselines
+//! of §1 over a [`BlockUnipartition`]. This is the performance substrate
 //! standing in for the paper's 81-CPU Origin 2000 (see `mp-runtime::sim`).
 //!
 //! `work_per_element` scales the machine's base per-element compute time so
@@ -276,31 +278,6 @@ pub fn simulate_wavefront_sweep(
     }
 }
 
-/// Pick the pipeline granularity minimizing simulated wavefront sweep time
-/// (the tension §1 describes: small chunks shorten fill/drain, large chunks
-/// amortize per-message overhead). Scans powers of two plus the no-pipeline
-/// extreme; returns `(granularity, simulated_seconds)`.
-pub fn best_wavefront_granularity(
-    model: &mp_core::cost::CostModel,
-    part: &BlockUnipartition,
-    work: &SweepWork,
-) -> (usize, f64) {
-    let total = lines_of(&part.eta, part.part_dim);
-    let mut candidates: Vec<usize> =
-        std::iter::successors(Some(1usize), |&g| (g < total).then_some(g * 2)).collect();
-    candidates.push(total);
-    candidates.dedup();
-    candidates
-        .into_iter()
-        .map(|g| {
-            let mut net = SimNet::new(part.p, *model);
-            simulate_wavefront_sweep(&mut net, part, work, g, 0);
-            (g, net.makespan())
-        })
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .expect("at least one candidate")
-}
-
 /// Simulate a purely local sweep (unpartitioned axis of a block
 /// unipartitioning): each rank computes its whole block, no communication.
 pub fn simulate_local_sweep(net: &mut SimNet, part: &BlockUnipartition, work: &SweepWork) {
@@ -475,25 +452,6 @@ mod tests {
         assert!(
             times[1] < times[0] && times[1] < times[2],
             "expected middle granularity to win: {times:?}"
-        );
-    }
-
-    #[test]
-    fn auto_tuned_granularity_is_interior_optimum() {
-        let part = BlockUnipartition::new(8, &[64, 64, 64], 0);
-        let (g, t) = best_wavefront_granularity(&machine(), &part, &SweepWork::default());
-        // Must beat both extremes.
-        for extreme in [1usize, 64 * 64] {
-            if extreme == g {
-                continue;
-            }
-            let mut net = SimNet::new(8, machine());
-            simulate_wavefront_sweep(&mut net, &part, &SweepWork::default(), extreme, 0);
-            assert!(t <= net.makespan(), "g={g} should beat g={extreme}");
-        }
-        assert!(
-            g > 1 && g < 64 * 64,
-            "expected an interior optimum, got {g}"
         );
     }
 

@@ -7,8 +7,21 @@ use crate::recurrence::{per_line_sweep_lanes, LineSweepKernel, SegmentCtx};
 use crate::simd::{SimdLevel, SimdMode};
 use crate::thomas::{thomas_solve, tridiag_matvec, ThomasBackwardKernel, ThomasForwardKernel};
 use mp_core::multipart::Direction;
-use mp_grid::{AlignedVec, Lanes};
+use mp_grid::Lanes;
 use mp_testkit::{cases, Rng};
+
+// Field initializers of the executor tests, keeping tridiagonal and
+// pentadiagonal sweeps away from zero pivots: off-diagonals small,
+// diagonal dominant.
+fn small(g: &[usize]) -> f64 {
+    (((g[0] * 3 + g[1] * 5 + g[2] * 7) % 9) as f64 - 4.0) * 0.1
+}
+fn diagv(g: &[usize]) -> f64 {
+    2.0 + ((g[0] + g[1] + g[2]) % 5) as f64 * 0.1
+}
+fn rhsv(g: &[usize]) -> f64 {
+    ((g[0] * 11 + g[1] * 4 + g[2] * 2) % 17) as f64 - 8.0
+}
 
 /// Split `n` into segment bounds at random interior cut points.
 fn splits(rng: &mut Rng, n: usize, max_cuts: usize) -> Vec<usize> {
@@ -182,9 +195,9 @@ fn sweep_packed<K: LineSweepKernel>(
     carries: &[f64],
     block: &[Vec<f64>],
     ctxs: &[SegmentCtx],
-) -> (Vec<f64>, Vec<AlignedVec>) {
+) -> (Vec<f64>, Vec<Vec<f64>>) {
     let mut c = carries.to_vec();
-    let mut b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
+    let mut b = block.to_vec();
     let mut table = Vec::new();
     let mut lanes = Lanes::packed(&mut b, nlines, seg_len, &mut table);
     kernel.sweep_lanes(level, dir, &mut c, &mut lanes, ctxs);
@@ -207,7 +220,7 @@ fn assert_blocked_matches_reference<K: LineSweepKernel>(
     let shape = (nlines, seg_len);
     let (got_c, got_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
     let mut want_c = carries.to_vec();
-    let mut want_b: Vec<AlignedVec> = block.iter().map(|b| AlignedVec::from_slice(b)).collect();
+    let mut want_b = block.to_vec();
     let mut table = Vec::new();
     let mut lanes = Lanes::packed(&mut want_b, nlines, seg_len, &mut table);
     per_line_sweep_lanes(kernel, dir, &mut want_c, &mut lanes, ctxs);
@@ -329,40 +342,6 @@ fn blocked_thomas_penta_match_per_line_reference() {
     });
 }
 
-#[test]
-fn blocked_batched_kernel_matches_per_line_reference() {
-    cases(0x7505, 48, |rng| {
-        use crate::batch::BatchedKernel;
-        use crate::recurrence::FirstOrderKernel;
-        let nl = rng.usize_in(1, 10);
-        let n = rng.usize_in(1, 20);
-        let nmembers = rng.usize_in(1, 4);
-        let members: Vec<FirstOrderKernel> = (0..nmembers)
-            .map(|f| {
-                let a = rng.f64_in(-0.9, 0.9);
-                FirstOrderKernel::new(f, a)
-            })
-            .collect();
-        let batch = BatchedKernel::new(members);
-        let block: Vec<Vec<f64>> = (0..nmembers)
-            .map(|_| rng.f64_vec(n * nl, -10.0, 10.0))
-            .collect();
-        let carries = rng.f64_vec(nl * batch.carry_len(), -5.0, 5.0);
-        let ctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-            .collect();
-        assert_blocked_matches_reference(
-            &batch,
-            Direction::Forward,
-            nl,
-            n,
-            &carries,
-            &block,
-            &ctxs,
-        );
-    });
-}
-
 /// Run `kernel.sweep_lanes` at the level Auto resolves to on this host and
 /// at the forced scalar level on identical packed copies of random data;
 /// the results must be bitwise equal. On AVX2+FMA hardware this pits the
@@ -393,12 +372,11 @@ fn assert_simd_matches_scalar<K: LineSweepKernel>(
 
 #[test]
 fn simd_kernels_match_scalar_bitwise() {
-    // Every vectorized kernel — Thomas forward/backward, penta
-    // forward/backward, prefix sum, first-order recurrence — is bitwise
-    // equal to its scalar path across random line counts (including the
-    // nlines % 4 ≠ 0 tail cases), segment lengths, carries, and data.
+    // Every vectorized one-value kernel — Thomas forward/backward, penta
+    // forward/backward — is bitwise equal to its scalar path across random
+    // line counts (including the nlines % 4 ≠ 0 tail cases), segment
+    // lengths, carries, and data.
     cases(0x750B, 48, |rng| {
-        use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
         let nl = rng.usize_in(1, 13);
         let n = rng.usize_in(1, 24);
         let ctxs: Vec<SegmentCtx> = (0..nl)
@@ -485,30 +463,6 @@ fn simd_kernels_match_scalar_bitwise() {
             pack_lines(&lines[5]),
         ];
         assert_simd_matches_scalar(&pbwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
-
-        // Prefix sum and first-order recurrence (clen = 1).
-        let psum = PrefixSumKernel::new(0);
-        let carries = rng.f64_vec(nl, -5.0, 5.0);
-        let block = vec![rng.f64_vec(n * nl, -10.0, 10.0)];
-        assert_simd_matches_scalar(&psum, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        let fo = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
-        let carries = rng.f64_vec(nl, -5.0, 5.0);
-        let block = vec![rng.f64_vec(n * nl, -10.0, 10.0)];
-        assert_simd_matches_scalar(&fo, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        // A batch forwards the level to its members: a batched pair of
-        // first-order kernels must match its own scalar path too.
-        let batch = crate::batch::BatchedKernel::new(vec![
-            FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9)),
-            FirstOrderKernel::new(1, rng.f64_in(-0.9, 0.9)),
-        ]);
-        let carries = rng.f64_vec(nl * 2, -5.0, 5.0);
-        let block = vec![
-            rng.f64_vec(n * nl, -10.0, 10.0),
-            rng.f64_vec(n * nl, -10.0, 10.0),
-        ];
-        assert_simd_matches_scalar(&batch, Direction::Forward, nl, n, &carries, &block, &ctxs);
     });
 }
 
@@ -922,27 +876,14 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
     // End-to-end: a full multipartitioned sweep with simd = auto is bitwise
     // equal to the same sweep with simd forced scalar — same field
     // contents, same per-rank message and element counts — across random
-    // shapes and kernels.
+    // shapes and the four kernels with AVX2 bodies.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
-    use crate::recurrence::{FirstOrderKernel, PrefixSumKernel};
     use crate::simd::SimdMode;
     use mp_core::multipart::Multipartitioning;
     use mp_grid::{ArrayD, FieldDef, TileGrid};
     use mp_runtime::comm::Communicator;
     use mp_runtime::threaded::run_threaded;
-
-    // Field initializers keeping tridiagonal/pentadiagonal sweeps away
-    // from zero pivots: off-diagonals small, diagonal dominant.
-    fn small(g: &[usize]) -> f64 {
-        (((g[0] * 3 + g[1] * 5 + g[2] * 7) % 9) as f64 - 4.0) * 0.1
-    }
-    fn diagv(g: &[usize]) -> f64 {
-        2.0 + ((g[0] + g[1] + g[2]) % 5) as f64 * 0.1
-    }
-    fn rhsv(g: &[usize]) -> f64 {
-        ((g[0] * 11 + g[1] * 4 + g[2] * 2) % 17) as f64 - 8.0
-    }
 
     #[allow(clippy::too_many_arguments)]
     fn check<K: LineSweepKernel + Sync>(
@@ -1021,47 +962,43 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
         let fwd_sched: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| (s % 3, Direction::Forward, (s % 3) as u64 * 1_000))
             .collect();
-        let both_sched: Vec<(usize, Direction, u64)> = (0..8)
-            .map(|s| {
-                let dim = s % 3;
-                let (dir, d) = if (s / 3) % 2 == 0 {
-                    (Direction::Forward, 0)
-                } else {
-                    (Direction::Backward, 1)
-                };
-                (dim, dir, (dim as u64 * 2 + d) * 1_000)
-            })
+        let bwd_sched: Vec<(usize, Direction, u64)> = (0..6)
+            .map(|s| (s % 3, Direction::Backward, (s % 3) as u64 * 1_000))
             .collect();
 
         match rng.usize_in(0, 3) {
             0 => {
-                let k = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
-                let fields = [FieldDef::new("u", 0)];
+                let k = ThomasBackwardKernel::new(0, 1);
+                let fields = [FieldDef::new("c", 0), FieldDef::new("d", 0)];
                 check(
                     p,
                     &mp,
                     &grid,
                     &eta,
                     &fields,
-                    &[rhsv],
+                    &[small, rhsv],
                     &k,
                     &base,
-                    &both_sched,
+                    &bwd_sched,
                 );
             }
             1 => {
-                let k = PrefixSumKernel::new(0);
-                let fields = [FieldDef::new("u", 0)];
+                let k = PentaBackwardKernel::new(0, 1, 2);
+                let fields = [
+                    FieldDef::new("c", 0),
+                    FieldDef::new("f", 0),
+                    FieldDef::new("b", 0),
+                ];
                 check(
                     p,
                     &mp,
                     &grid,
                     &eta,
                     &fields,
-                    &[rhsv],
+                    &[small, small, rhsv],
                     &k,
                     &base,
-                    &both_sched,
+                    &bwd_sched,
                 );
             }
             2 => {
@@ -1131,16 +1068,6 @@ fn random_inplace_configs_match_serial_bitwise() {
     use mp_grid::{ArrayD, FieldDef, TileGrid};
     use mp_runtime::comm::Communicator;
     use mp_runtime::threaded::run_threaded;
-
-    fn small(g: &[usize]) -> f64 {
-        (((g[0] * 3 + g[1] * 5 + g[2] * 7) % 9) as f64 - 4.0) * 0.1
-    }
-    fn diagv(g: &[usize]) -> f64 {
-        2.0 + ((g[0] + g[1] + g[2]) % 5) as f64 * 0.1
-    }
-    fn rhsv(g: &[usize]) -> f64 {
-        ((g[0] * 11 + g[1] * 4 + g[2] * 2) % 17) as f64 - 8.0
-    }
 
     /// Run `schedule` distributed (`fwd` on forward sweeps, `bwd` on
     /// backward ones) and serially; every field must agree bitwise.
@@ -1275,12 +1202,12 @@ fn random_inplace_configs_match_serial_bitwise() {
 #[test]
 fn per_rank_options_leave_the_wire_unchanged() {
     // The wire depends on no option: with every rank running its own random
-    // SIMD mode, a schedule of sweeps over every (dim, direction) matches
-    // the serial reference bitwise, and every rank sends exactly the
-    // messages and elements it sends when all ranks run scalar.
+    // SIMD mode, a Thomas solve over every (dim, direction) — elimination
+    // forward, substitution backward, both with AVX2 bodies — matches the
+    // serial reference bitwise, and every rank sends exactly the messages
+    // and elements it sends when all ranks run scalar.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
-    use crate::recurrence::FirstOrderKernel;
     use crate::simd::SimdMode;
     use crate::verify::serial_sweep;
     use mp_core::multipart::Multipartitioning;
@@ -1288,6 +1215,10 @@ fn per_rank_options_leave_the_wire_unchanged() {
     use mp_grid::{ArrayD, FieldDef, TileGrid};
     use mp_runtime::comm::Communicator;
     use mp_runtime::threaded::run_threaded;
+
+    let inits: [fn(&[usize]) -> f64; 4] = [small, diagv, small, rhsv];
+    let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
+    let bwd = ThomasBackwardKernel::new(2, 3);
 
     cases(0x7510, 8, |rng| {
         let (p, gammas): (u64, Vec<u64>) = match rng.usize_in(0, 4) {
@@ -1310,8 +1241,6 @@ fn per_rank_options_leave_the_wire_unchanged() {
             &eta,
             &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
         );
-        let k = FirstOrderKernel::new(0, rng.f64_in(-0.9, 0.9));
-        let init = |g: &[usize]| ((g[0] * 5 + g[1] * 3 + g[2] * 7) % 11) as f64 - 5.0;
         let schedule: Vec<(usize, Direction, u64)> = (0..6)
             .map(|s| {
                 let dim = s % 3;
@@ -1335,13 +1264,22 @@ fn per_rank_options_leave_the_wire_unchanged() {
             .collect();
 
         let run = |per_rank: &[SweepOptions]| {
-            let fields = [FieldDef::new("u", 0)];
+            let fields = ["a", "b", "c", "d"].map(|name| FieldDef::new(name, 0));
             run_threaded(p, |comm| {
                 let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-                store.init_field(0, init);
+                for (f, init) in inits.iter().enumerate() {
+                    store.init_field(f, init);
+                }
                 let mut plan = SolverPlan::new(per_rank[comm.rank() as usize].clone());
                 for &(dim, dir, tag) in &schedule {
-                    plan.sweep(comm, &mut store, &mp, dim, dir, &k, tag);
+                    match dir {
+                        Direction::Forward => {
+                            plan.sweep(comm, &mut store, &mp, dim, dir, &fwd, tag)
+                        }
+                        Direction::Backward => {
+                            plan.sweep(comm, &mut store, &mp, dim, dir, &bwd, tag)
+                        }
+                    }
                 }
                 (store, comm.sent_messages, comm.sent_elements)
             })
@@ -1350,25 +1288,33 @@ fn per_rank_options_leave_the_wire_unchanged() {
         let uniform = run(&vec![scalar; p as usize]);
         let varied = run(&mixed);
 
-        let mut want = ArrayD::from_fn(&eta, init);
+        let mut want: Vec<ArrayD<f64>> = inits.iter().map(|i| ArrayD::from_fn(&eta, i)).collect();
         for &(dim, dir, _) in &schedule {
-            serial_sweep(&mut [&mut want], dim, dir, &k);
+            let mut refs: Vec<&mut ArrayD<f64>> = want.iter_mut().collect();
+            match dir {
+                Direction::Forward => serial_sweep(&mut refs, dim, dir, &fwd),
+                Direction::Backward => serial_sweep(&mut refs, dim, dir, &bwd),
+            }
         }
-        let mut got = ArrayD::zeros(&eta);
-        for (r, ((store, m, e), (_, um, ue))) in varied.iter().zip(&uniform).enumerate() {
+        for (r, ((_, m, e), (_, um, ue))) in varied.iter().zip(&uniform).enumerate() {
             assert_eq!(
                 (m, e),
                 (um, ue),
                 "rank {r} with {:?}: options changed what it sent (p={p} eta={eta:?})",
                 mixed[r]
             );
-            store.gather_into(0, &mut got);
         }
-        assert_eq!(
-            got.max_abs_diff(&want),
-            0.0,
-            "p={p} eta={eta:?} {mixed:?}: per-rank options not bitwise equal to serial"
-        );
+        let mut got = ArrayD::zeros(&eta);
+        for (f, want) in want.iter().enumerate() {
+            for (store, _, _) in &varied {
+                store.gather_into(f, &mut got);
+            }
+            assert_eq!(
+                got.max_abs_diff(want),
+                0.0,
+                "p={p} eta={eta:?} field {f} {mixed:?}: per-rank options not bitwise equal to serial"
+            );
+        }
     });
 }
 

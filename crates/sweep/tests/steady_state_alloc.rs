@@ -14,8 +14,8 @@ use mp_grid::{FieldDef, TileGrid};
 use mp_runtime::{run_threaded, Communicator};
 use mp_sweep::block::{BlockCoeffs, Mat};
 use mp_sweep::{
-    allocate_rank_store, BatchedKernel, BlockTriBackwardKernel, BlockTriForwardKernel,
-    FirstOrderKernel, LineSweepKernel, SolverPlan, SweepOptions,
+    allocate_rank_store, BlockTriBackwardKernel, BlockTriForwardKernel, FirstOrderKernel,
+    LineSweepKernel, SolverPlan, SweepOptions,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -111,21 +111,6 @@ fn self_neighbor_sweeps_allocate_nothing() {
 fn two_rank_sweeps_allocate_nothing() {
     // p = 2: carries cross the ring transport at every phase boundary.
     let kernel = FirstOrderKernel::new(0, 0.8);
-    for dim in [0, 2] {
-        let at = (dim, Direction::Forward);
-        let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, &kernel);
-        assert_eq!(counts, vec![0, 0], "dim {dim}");
-    }
-}
-
-#[test]
-fn batched_sweeps_allocate_nothing() {
-    // A batch de-interleaves its members' carries through scratch that is
-    // reused across calls, not allocated per row.
-    let kernel = BatchedKernel::new(vec![
-        FirstOrderKernel::new(0, 0.8),
-        FirstOrderKernel::new(1, 0.5),
-    ]);
     for dim in [0, 2] {
         let at = (dim, Direction::Forward);
         let counts = steady_state_allocs(2, &[2, 2, 2], &[8, 8, 8], at, &kernel);

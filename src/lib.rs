@@ -13,11 +13,16 @@
 //!   tiles, halos, per-rank storage.
 //! * [`runtime`] (`mp-runtime`) — message-passing substrate: a threaded
 //!   functional backend and a discrete-event performance simulator.
-//! * [`sweep`] (`mp-sweep`) — the line-sweep engine: tridiagonal solvers,
-//!   the multipartitioned executor, wavefront/transpose baselines, and
-//!   simulation drivers.
+//! * [`sweep`] (`mp-sweep`) — the line-sweep engine: tridiagonal,
+//!   pentadiagonal and block-tridiagonal solvers, the multipartitioned
+//!   executor, and simulation drivers for it and the wavefront/transpose
+//!   baselines.
 //! * [`nassp`] (`mp-nassp`) — a simplified NAS SP benchmark reproducing the
 //!   paper's Table 1 evaluation.
+//! * [`nasbt`] (`mp-nasbt`) — a simplified NAS BT benchmark: 5×5
+//!   block-tridiagonal line solves on the same multipartitioned engine.
+//! * [`hpf`] (`mp-hpf`) — a miniature HPF directive front-end compiled to
+//!   multipartitioning plans (the paper's §5 compiler integration).
 //!
 //! ## Quickstart
 //!

@@ -12,7 +12,7 @@
 //! different elements.
 
 use mp_core::multipart::Direction;
-use mp_grid::{AlignedVec, Lanes};
+use mp_grid::Lanes;
 use mp_nasbt::BtProblem;
 use mp_nassp::kernels::{SpPentaForwardKernel, SpTriForwardKernel};
 use mp_nassp::SpProblem;
@@ -20,9 +20,9 @@ use mp_sweep::block::{BlockCoeffs, Mat};
 use mp_sweep::recurrence::per_line_sweep_lanes;
 use mp_sweep::simd::{SimdLevel, SimdMode};
 use mp_sweep::{
-    BatchedKernel, BlockTriBackwardKernel, BlockTriForwardKernel, FirstOrderKernel,
-    LineSweepKernel, PentaBackwardKernel, PentaForwardKernel, PrefixSumKernel, SegmentCtx,
-    ThomasBackwardKernel, ThomasForwardKernel,
+    BlockTriBackwardKernel, BlockTriForwardKernel, FirstOrderKernel, LineSweepKernel,
+    PentaBackwardKernel, PentaForwardKernel, PrefixSumKernel, SegmentCtx, ThomasBackwardKernel,
+    ThomasForwardKernel,
 };
 use mp_testkit::{cases, Rng};
 
@@ -132,7 +132,7 @@ fn assert_matches_reference<K: LineSweepKernel>(
     ctxs: &[SegmentCtx],
 ) {
     let name = std::any::type_name::<K>();
-    let packed = || -> Vec<AlignedVec> { data.iter().map(|d| AlignedVec::from_slice(d)).collect() };
+    let packed = || data.to_vec();
     let mut want = packed();
     let mut want_c = carries.to_vec();
     let mut table = Vec::new();
@@ -314,17 +314,6 @@ fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
         let c = carries(rng, nl, |r| vec![r.f64_in(-0.4, 0.4), r.f64_in(-2.0, 2.0)]);
         let k = SpTriForwardKernel::new(SpProblem::new([6, 32, 7], 0.01), 0, 1);
         assert_matches_reference(&k, fwd, shape, &data[..2], &c, &placed(rng, fwd));
-
-        // A batch of Thomas eliminations: the members get sub-views.
-        let mut data = blocks(rng, 8, nl, n, -0.45, 0.45);
-        data[1] = diagonal(rng, nl, n);
-        data[5] = diagonal(rng, nl, n);
-        let c = carries(rng, nl, |r| r.f64_vec(4, -0.4, 0.4));
-        let k = BatchedKernel::new(vec![
-            ThomasForwardKernel::new(0, 1, 2, 3),
-            ThomasForwardKernel::new(4, 5, 6, 7),
-        ]);
-        assert_matches_reference(&k, fwd, shape, &data, &c, &origin(fwd));
     });
 }
 
@@ -424,8 +413,7 @@ fn a_singular_block_panics_at_every_level() {
         .collect();
     for level in [SimdLevel::Scalar, SimdMode::Auto.resolve()] {
         let result = std::panic::catch_unwind(|| {
-            let mut bufs: Vec<AlignedVec> =
-                (0..6).map(|_| AlignedVec::from_slice(&[1.0; 12])).collect();
+            let mut bufs = vec![vec![1.0; 12]; 6];
             let mut carries = vec![0.0; 4 * 6];
             let mut table = Vec::new();
             let mut lanes = Lanes::packed(&mut bufs, 4, 3, &mut table);

@@ -3,7 +3,7 @@
 use mp_testkit::{cases, Rng};
 use multipartition::core::modmap::ModularMapping;
 use multipartition::core::partition::{elementary_partitionings, factor_distributions};
-use multipartition::core::search::{optimal_partitioning, optimal_partitioning_fast};
+use multipartition::core::search::optimal_partitioning;
 use multipartition::prelude::*;
 
 /// Lemma 1 invariant: every generated factor distribution has total
@@ -53,22 +53,6 @@ fn search_returns_minimum() {
     });
 }
 
-/// The deduplicated search agrees with the exhaustive one.
-#[test]
-fn fast_search_agrees() {
-    cases(0xfa57, 64, |rng| {
-        let p = rng.u64_in(2, 149);
-        let lambdas = [
-            rng.f64_in(0.1, 10.0),
-            rng.f64_in(0.1, 10.0),
-            rng.f64_in(0.1, 10.0),
-        ];
-        let a = optimal_partitioning(p, &lambdas);
-        let b = optimal_partitioning_fast(p, &lambdas);
-        assert!((a.objective - b.objective).abs() <= 1e-9 * a.objective.max(1.0));
-    });
-}
-
 /// The Figure 3 construction yields load-balanced, neighbor-respecting
 /// mappings for random elementary partitionings.
 #[test]
@@ -83,32 +67,6 @@ fn mapping_properties_random() {
         let map = ModularMapping::construct(p, &pt.gammas);
         assert!(map.check_load_balance().is_ok());
         assert!(map.check_neighbor_property().is_ok());
-    });
-}
-
-/// Region pack → unpack is the identity on the packed region and leaves
-/// the rest untouched.
-#[test]
-fn pack_unpack_roundtrip() {
-    cases(0xbac0, 64, |rng| {
-        let (d0, d1, d2) = (rng.usize_in(2, 6), rng.usize_in(2, 6), rng.usize_in(2, 6));
-        let (o0, o1, o2) = (rng.usize_in(0, 2), rng.usize_in(0, 2), rng.usize_in(0, 2));
-        let dims = [d0 + 3, d1 + 3, d2 + 3];
-        let src = ArrayD::from_fn(&dims, |g| (g[0] * 100 + g[1] * 10 + g[2]) as f64 + 0.5);
-        let region = Region::new(vec![o0, o1, o2], vec![d0, d1, d2]);
-        let buf = src.pack(&region);
-        let mut dst = ArrayD::zeros(&dims);
-        dst.unpack(&region, &buf);
-        let mut inside_ok = true;
-        let mut outside_ok = true;
-        src.shape().clone().for_each_index(|g| {
-            if region.contains(g) {
-                inside_ok &= dst.get(g) == src.get(g);
-            } else {
-                outside_ok &= dst.get(g) == 0.0;
-            }
-        });
-        assert!(inside_ok && outside_ok);
     });
 }
 
