@@ -143,32 +143,28 @@ fn bench_sweep(c: &mut Criterion) {
     }
 
     // Vectorized vs scalar sweep microkernels on identical inputs, per
-    // kernel and per lane count. Before a case is timed it runs once at
-    // every level, and its fields and carries must agree bit for bit: an
-    // AVX2/scalar divergence panics the bench. The recurrence rows sweep
-    // packed line-minor blocks of 64 elements: nlines = 1 is the
-    // degenerate all-tail case (pure scalar either way), 4 is one full lane
-    // group, 64 and 256 are large rows. The 5×5 block rows sweep BT lines
-    // of 24 at 4 lanes and at 12 (a bt-24-p2 tile row), packed and
-    // lane-strided (each lane contiguous, lanes a padded row apart: a
-    // sweep along the unit-stride axis). On hosts without AVX2+FMA only
-    // the scalar rows are emitted.
+    // kernel and per lane count, at every level the host supports. Before a
+    // case is timed it runs once at every level, and its fields and
+    // carries must agree bit for bit: a divergence between levels panics
+    // the bench. The recurrence rows sweep blocks of 64 elements: nlines =
+    // 1 is the degenerate all-tail case (one lane at every level), 4 is one
+    // 4-lane group, 64 and 256 are large rows, packed line-minor, and 64 is
+    // also lane-strided (each lane contiguous, lanes a padded row apart: a
+    // sweep along the unit-stride axis). The 5×5 block rows sweep BT lines
+    // of 24 at 4, 8 and 12 lanes (12 is a bt-24-p2 tile row), packed and
+    // lane-strided.
     {
         use mp_core::multipart::Direction;
         use mp_grid::Lanes;
         use mp_nasbt::{BtProblem, NCOMP};
         use mp_sweep::recurrence::{LineSweepKernel, SegmentCtx};
-        use mp_sweep::simd::{avx2_available, SimdLevel};
+        use mp_sweep::simd::SimdLevel;
         use mp_sweep::{
             BlockTriBackwardKernel, BlockTriForwardKernel, PentaBackwardKernel, PentaForwardKernel,
             ThomasBackwardKernel, ThomasForwardKernel,
         };
 
-        let levels: &[SimdLevel] = if avx2_available() {
-            &[SimdLevel::Avx2, SimdLevel::Scalar]
-        } else {
-            &[SimdLevel::Scalar]
-        };
+        let levels: Vec<SimdLevel> = SimdLevel::supported().collect();
         let mut group = c.benchmark_group("simd_kernels");
         group.sample_size(30);
 
@@ -252,19 +248,26 @@ fn bench_sweep(c: &mut Criterion) {
 
         let mut cases: Vec<SimdCase> = Vec::new();
         let seg_len = 64usize;
-        for &nl in &[1usize, 4, 64, 256] {
+        let recurrence_rows = [
+            (1usize, Layout::Packed, ""),
+            (4, Layout::Packed, ""),
+            (64, Layout::Packed, ""),
+            (64, Layout::Strided, "_strided"),
+            (256, Layout::Packed, ""),
+        ];
+        for (nl, layout, tag) in recurrence_rows {
             let origin = |dir| -> Vec<SegmentCtx> {
                 (0..nl).map(|_| SegmentCtx::origin(1, 0, dir)).collect()
             };
             let (fwd, bwd) = (Direction::Forward, Direction::Backward);
-            let f = |g: &dyn Fn(usize, usize) -> f64| fill(Layout::Packed, nl, seg_len, g);
+            let f = |g: &dyn Fn(usize, usize) -> f64| fill(layout, nl, seg_len, g);
             let mut case = |name: &str, kernel, dir, fields, carries| {
                 cases.push(SimdCase {
-                    name: format!("{name}_nl{nl}"),
+                    name: format!("{name}{tag}_nl{nl}"),
                     kernel,
                     dir,
                     ctxs: origin(dir),
-                    layout: Layout::Packed,
+                    layout,
                     nl,
                     seg_len,
                     fields,
@@ -309,7 +312,7 @@ fn bench_sweep(c: &mut Criterion) {
         }
         // BT block lines: whole lines of 24 along axis 0, lanes at distinct
         // cross-section points (so their coupling classes differ).
-        for &nl in &[4usize, 12] {
+        for &nl in &[4usize, 8, 12] {
             for (layout, tag) in [(Layout::Packed, ""), (Layout::Strided, "_strided")] {
                 let n = 24;
                 let ctxs = |dir: Direction, first: usize| -> Vec<SegmentCtx> {
@@ -375,7 +378,7 @@ fn bench_sweep(c: &mut Criterion) {
             // Each iteration restores the inputs into buffers allocated
             // once, so a row times the sweep plus one copy of its fields.
             let (mut fields, mut carries) = (case.fields.clone(), case.carries.clone());
-            for &level in levels {
+            for &level in &levels {
                 group.bench_with_input(BenchmarkId::new(&case.name, level), &level, |b, _| {
                     b.iter(|| {
                         for (f, f0) in fields.iter_mut().zip(&case.fields) {

@@ -177,17 +177,6 @@ impl<'a> Lanes<'a> {
         let field = self.fields[f];
         (field.stride, field.lane_stride)
     }
-
-    /// The element stride every field shares, if they all share one and
-    /// every lane stride is 1: the layout in which element `k` of lane `l`
-    /// is `base(f).offset(k·stride + l)` for every field.
-    pub fn uniform_stride(&self) -> Option<isize> {
-        let s = self.fields.first()?.stride;
-        self.fields
-            .iter()
-            .all(|f| f.stride == s && f.lane_stride == 1)
-            .then_some(s)
-    }
 }
 
 #[cfg(test)]
@@ -223,10 +212,10 @@ mod tests {
         let mut bufs = [block];
         let mut packed_table = Vec::new();
         let packed = Lanes::packed(&mut bufs, 3, 4, &mut packed_table);
-        assert_eq!(packed.uniform_stride(), Some(3));
+        assert_eq!(packed.strides(0), (3, 1));
         let mut table = Vec::new();
         let strided = view(&mut src, 2, (3, 1), 4, 5, &mut table);
-        assert_eq!(strided.uniform_stride(), Some(5));
+        assert_eq!(strided.strides(0), (5, 1));
         for lane in 0..3 {
             for k in 0..4 {
                 let want = (2 + lane + 5 * k) as f64;
@@ -272,25 +261,24 @@ mod tests {
     }
 
     #[test]
-    fn uniform_stride_needs_unit_lane_stride() {
+    fn lane_view_walks_lane_strided_rows() {
         // Two 4-element lines lying along rows of a 2×6 array, the layout a
         // sweep along the unit-stride axis uses: each lane contiguous,
-        // lanes 6 apart, walked from the far end at stride −1. The view
-        // addresses them, but a lane stride other than 1 has no uniform
-        // stride for the vector bodies.
+        // lanes 6 apart, walked from the far end at stride −1.
         let mut src: Vec<f64> = (0..12).map(|v| v as f64).collect();
         let mut table = Vec::new();
         let mut v = view(&mut src, 4, (2, 6), 4, -1, &mut table);
-        assert_eq!(v.uniform_stride(), None, "lane stride 6");
         assert_eq!(v.strides(0), (-1, 6));
         assert_eq!(v.get(0, 0, 0), 4.0);
         assert_eq!(v.get(0, 3, 0), 1.0);
         assert_eq!(v.get(0, 0, 1), 10.0);
         v.set(0, 3, 1, -1.0);
         assert_eq!(src[7], -1.0);
+        // Lanes may run backward too.
         let mut table = Vec::new();
         let reversed_lanes = view(&mut src, 1, (2, -1), 3, 4, &mut table);
-        assert_eq!(reversed_lanes.uniform_stride(), None, "lane stride -1");
+        assert_eq!(reversed_lanes.strides(0), (4, -1));
+        assert_eq!(reversed_lanes.get(0, 2, 1), 8.0);
     }
 
     #[test]

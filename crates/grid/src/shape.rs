@@ -142,21 +142,6 @@ impl Region {
             .all(|(&i, (&o, &e))| i >= o && i < o + e)
     }
 
-    /// The face of this region at the `side` end of dimension `dim`, of the
-    /// given `width` (clamped into the region).
-    pub fn face(&self, dim: usize, side: Side, width: usize) -> Region {
-        assert!(dim < self.ndim());
-        let w = width.min(self.extent[dim]);
-        assert!(w > 0);
-        let mut origin = self.origin.clone();
-        let mut extent = self.extent.clone();
-        extent[dim] = w;
-        if side == Side::High {
-            origin[dim] = self.origin[dim] + self.extent[dim] - w;
-        }
-        Region { origin, extent }
-    }
-
     /// Visit every index of the region in row-major order.
     pub fn for_each_index(&self, mut f: impl FnMut(&[usize])) {
         let inner = Shape::new(&self.extent);
@@ -253,24 +238,6 @@ mod tests {
         assert!(r.contains(&[3, 5]));
         assert!(!r.contains(&[4, 2]));
         assert!(!r.contains(&[0, 3]));
-    }
-
-    #[test]
-    fn region_faces() {
-        let r = Region::new(vec![10, 20], vec![4, 6]);
-        let lo = r.face(0, Side::Low, 1);
-        assert_eq!(lo, Region::new(vec![10, 20], vec![1, 6]));
-        let hi = r.face(0, Side::High, 2);
-        assert_eq!(hi, Region::new(vec![12, 20], vec![2, 6]));
-        let hi1 = r.face(1, Side::High, 1);
-        assert_eq!(hi1, Region::new(vec![10, 25], vec![4, 1]));
-    }
-
-    #[test]
-    fn region_face_clamps_width() {
-        let r = Region::new(vec![0], vec![3]);
-        let f = r.face(0, Side::High, 10);
-        assert_eq!(f, Region::new(vec![0], vec![3]));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! reproducing it here.
 
 use mp_sweep::block::{BlockCoeffs, LaneMat, Mat};
+use mp_sweep::simd::MAX_LANES;
 use std::ops::Range;
 
 /// Number of coupled components (the five flow variables).
@@ -165,19 +166,19 @@ impl BlockCoeffs<NCOMP> for BtProblem {
         (a, b, c)
     }
 
-    /// [`Self::blocks`] at four points, written straight into the
+    /// [`Self::blocks`] at up to eight points, written straight into the
     /// interleaved layout. A block has four distinct entries per lane (the
     /// diagonal and the three off-diagonal weights of the lane's class),
     /// so each is computed once, by `blocks`' own expressions, and copied
     /// into place.
-    #[inline]
-    fn blocks4(&self, gs: [&[usize]; 4], axis: usize, abc: &mut [LaneMat<NCOMP>; 3]) {
+    #[inline(always)]
+    fn blocks_lanes(&self, gs: &[&[usize]], axis: usize, abc: &mut [LaneMat<NCOMP>; 3]) {
         let lam = self.lambda(axis);
         let n = self.eta[axis];
         // `kinds[m][0]` holds block `m`'s diagonal entry per lane,
         // `kinds[m][1 + w]` its entries of weight `off[w]`.
-        let mut kinds = [[[0.0; 4]; 4]; 3];
-        for (l, g) in gs.into_iter().enumerate() {
+        let mut kinds = [[[0.0; MAX_LANES]; 4]; 3];
+        for (l, g) in gs.iter().enumerate() {
             let off = coupling_mix((g[0] + 2 * g[1] + 3 * g[2]) % 7);
             let entries = [
                 (1.0, true),
@@ -287,10 +288,10 @@ mod tests {
     }
 
     #[test]
-    fn four_lane_blocks_equal_blocks_bitwise() {
-        // Every point of every shape on every axis, four consecutive points
-        // (in row-major order, wrapping) per call, so the lanes of a call
-        // differ in class and in boundary rows.
+    fn lane_blocks_equal_blocks_bitwise() {
+        // Every point of every shape on every axis, 1 to 8 consecutive
+        // points (in row-major order, wrapping) per call, so the lanes of
+        // a call differ in class and in boundary rows.
         for prob in shapes() {
             let [n0, n1, n2] = prob.eta;
             let points: Vec<[usize; 3]> = (0..n0)
@@ -298,10 +299,12 @@ mod tests {
                 .collect();
             for axis in 0..3 {
                 for (p, _) in points.iter().enumerate() {
-                    let gs: [&[usize]; 4] =
-                        std::array::from_fn(|l| &points[(p + l) % points.len()][..]);
-                    let mut abc = [[[[f64::NAN; 4]; NCOMP]; NCOMP]; 3];
-                    prob.blocks4(gs, axis, &mut abc);
+                    let width = 1 + p % MAX_LANES;
+                    let gs: Vec<&[usize]> = (0..width)
+                        .map(|l| &points[(p + l) % points.len()][..])
+                        .collect();
+                    let mut abc = [[[[f64::NAN; MAX_LANES]; NCOMP]; NCOMP]; 3];
+                    prob.blocks_lanes(&gs, axis, &mut abc);
                     for (l, g) in gs.iter().enumerate() {
                         let (a, b, c) = prob.blocks(g, axis);
                         for (m, want) in [a, b, c].iter().enumerate() {

@@ -19,8 +19,9 @@
 //!   [`compiled::CompiledSweep`] and the driver-level
 //!   [`compiled::SolverPlan`], which caches one plan per `(dim,
 //!   direction)` plus the halo schedule;
-//! * [`simd`] — lane-vectorized (AVX2) fast paths for the hot kernels with
-//!   plan-time runtime dispatch, bitwise identical to the scalar paths;
+//! * [`simd`] — the lane-vector trait the hot kernels' lane bodies are
+//!   written in, run at 1, 4 (AVX2) and 8 (AVX-512) lanes with plan-time
+//!   runtime dispatch, bitwise identical at every width;
 //! * [`baselines`] — the geometry of the two classical alternatives the
 //!   paper positions against: static block unipartitioning (wavefront
 //!   pipelining) and dynamic block partitioning (transposes);

@@ -4,7 +4,7 @@
 
 use crate::penta::{penta_matvec, penta_solve, PentaBackwardKernel, PentaForwardKernel};
 use crate::recurrence::{per_line_sweep_lanes, LineSweepKernel, SegmentCtx};
-use crate::simd::{SimdLevel, SimdMode};
+use crate::simd::SimdLevel;
 use crate::thomas::{thomas_solve, tridiag_matvec, ThomasBackwardKernel, ThomasForwardKernel};
 use mp_core::multipart::Direction;
 use mp_grid::Lanes;
@@ -204,9 +204,9 @@ fn sweep_packed<K: LineSweepKernel>(
     (c, b)
 }
 
-/// Run `kernel.sweep_lanes` (at the host's level) and the per-line
-/// reference on identical packed copies of random data; results must be
-/// bitwise equal.
+/// Run `kernel.sweep_lanes` (at every level the host supports) and the
+/// per-line reference on identical packed copies of random data; results
+/// must be bitwise equal.
 fn assert_blocked_matches_reference<K: LineSweepKernel>(
     kernel: &K,
     dir: Direction,
@@ -216,22 +216,23 @@ fn assert_blocked_matches_reference<K: LineSweepKernel>(
     block: &[Vec<f64>],
     ctxs: &[SegmentCtx],
 ) {
-    let level = SimdMode::Auto.resolve();
     let shape = (nlines, seg_len);
-    let (got_c, got_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
     let mut want_c = carries.to_vec();
     let mut want_b = block.to_vec();
     let mut table = Vec::new();
     let mut lanes = Lanes::packed(&mut want_b, nlines, seg_len, &mut table);
     per_line_sweep_lanes(kernel, dir, &mut want_c, &mut lanes, ctxs);
-    assert_eq!(
-        got_c, want_c,
-        "carries diverge at nlines={nlines} n={seg_len}"
-    );
-    assert_eq!(
-        got_b, want_b,
-        "block diverges at nlines={nlines} n={seg_len}"
-    );
+    for level in SimdLevel::supported() {
+        let (got_c, got_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
+        assert_eq!(
+            got_c, want_c,
+            "{level} carries diverge at nlines={nlines} n={seg_len}"
+        );
+        assert_eq!(
+            got_b, want_b,
+            "{level} block diverges at nlines={nlines} n={seg_len}"
+        );
+    }
 }
 
 #[test]
@@ -342,42 +343,14 @@ fn blocked_thomas_penta_match_per_line_reference() {
     });
 }
 
-/// Run `kernel.sweep_lanes` at the level Auto resolves to on this host and
-/// at the forced scalar level on identical packed copies of random data;
-/// the results must be bitwise equal. On AVX2+FMA hardware this pits the
-/// vectorized kernels against the portable ones; elsewhere it degenerates
-/// to scalar-vs-scalar (still a valid, if trivial, check).
-fn assert_simd_matches_scalar<K: LineSweepKernel>(
-    kernel: &K,
-    dir: Direction,
-    nlines: usize,
-    seg_len: usize,
-    carries: &[f64],
-    block: &[Vec<f64>],
-    ctxs: &[SegmentCtx],
-) {
-    let level = SimdMode::Auto.resolve();
-    let shape = (nlines, seg_len);
-    let (sc_c, sc_b) = sweep_packed(kernel, SimdLevel::Scalar, dir, shape, carries, block, ctxs);
-    let (v_c, v_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
-    assert_eq!(
-        v_c, sc_c,
-        "{level} carries diverge from scalar at nlines={nlines} n={seg_len}"
-    );
-    assert_eq!(
-        v_b, sc_b,
-        "{level} block diverges from scalar at nlines={nlines} n={seg_len}"
-    );
-}
-
 #[test]
 fn simd_kernels_match_scalar_bitwise() {
     // Every vectorized one-value kernel — Thomas forward/backward, penta
-    // forward/backward — is bitwise equal to its scalar path across random
-    // line counts (including the nlines % 4 ≠ 0 tail cases), segment
-    // lengths, carries, and data.
+    // forward/backward — is bitwise equal to the per-line reference at
+    // every level across random line counts (8- and 4-lane groups and tail
+    // lanes), segment lengths, carries, and data.
     cases(0x750B, 48, |rng| {
-        let nl = rng.usize_in(1, 13);
+        let nl = rng.usize_in(1, 23);
         let n = rng.usize_in(1, 24);
         let ctxs: Vec<SegmentCtx> = (0..nl)
             .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
@@ -409,7 +382,7 @@ fn simd_kernels_match_scalar_bitwise() {
             pack_lines(&lc),
             pack_lines(&ld),
         ];
-        assert_simd_matches_scalar(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
+        assert_blocked_matches_reference(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
 
         // Thomas backward, mixing boundary (valid = 0) and interior carries.
         let bwd = ThomasBackwardKernel::new(0, 1);
@@ -419,7 +392,15 @@ fn simd_kernels_match_scalar_bitwise() {
             carries.push(if rng.bool() { 1.0 } else { 0.0 });
         }
         let block = vec![pack_lines(&lc), pack_lines(&ld)];
-        assert_simd_matches_scalar(&bwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
+        assert_blocked_matches_reference(
+            &bwd,
+            Direction::Backward,
+            nl,
+            n,
+            &carries,
+            &block,
+            &bctxs,
+        );
 
         // Penta forward.
         let mut lines: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 6];
@@ -446,7 +427,7 @@ fn simd_kernels_match_scalar_bitwise() {
             }
         }
         let block: Vec<Vec<f64>> = lines.iter().map(|ls| pack_lines(ls)).collect();
-        assert_simd_matches_scalar(&pfwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
+        assert_blocked_matches_reference(&pfwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
 
         // Penta backward, covering all three back-substitution warm-up
         // states (count 0, 1, ≥ 2).
@@ -462,7 +443,15 @@ fn simd_kernels_match_scalar_bitwise() {
             pack_lines(&lines[4]),
             pack_lines(&lines[5]),
         ];
-        assert_simd_matches_scalar(&pbwd, Direction::Backward, nl, n, &carries, &block, &bctxs);
+        assert_blocked_matches_reference(
+            &pbwd,
+            Direction::Backward,
+            nl,
+            n,
+            &carries,
+            &block,
+            &bctxs,
+        );
     });
 }
 
@@ -876,7 +865,7 @@ fn random_simd_executor_configs_match_scalar_bitwise() {
     // End-to-end: a full multipartitioned sweep with simd = auto is bitwise
     // equal to the same sweep with simd forced scalar — same field
     // contents, same per-rank message and element counts — across random
-    // shapes and the four kernels with AVX2 bodies.
+    // shapes and the four one-value kernels.
     use crate::compiled::SolverPlan;
     use crate::executor::{allocate_rank_store, SweepOptions};
     use crate::simd::SimdMode;
@@ -1203,7 +1192,7 @@ fn random_inplace_configs_match_serial_bitwise() {
 fn per_rank_options_leave_the_wire_unchanged() {
     // The wire depends on no option: with every rank running its own random
     // SIMD mode, a Thomas solve over every (dim, direction) — elimination
-    // forward, substitution backward, both with AVX2 bodies — matches the
+    // forward, substitution backward, both with vector bodies — matches the
     // serial reference bitwise, and every rank sends exactly the messages
     // and elements it sends when all ranks run scalar.
     use crate::compiled::SolverPlan;
