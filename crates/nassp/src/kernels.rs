@@ -256,7 +256,11 @@ mod tests {
                 }
                 let r = penta_matvec(&e, &a, &d, &c, &f, &x);
                 for (rv, bv) in r.iter().zip(b.iter()) {
-                    worst = worst.max((rv - bv).abs());
+                    // `f64::max` drops NaN: keep it, so a NaN fails.
+                    let err = (rv - bv).abs();
+                    if err.is_nan() || err > worst {
+                        worst = err;
+                    }
                 }
             }
         }

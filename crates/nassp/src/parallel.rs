@@ -211,17 +211,6 @@ impl ParallelSp {
         }
     }
 
-    /// Run `iterations`, recording the global solution norm after each one
-    /// (one collective per iteration, as real SP's verification does).
-    pub fn run_with_norms<C: Communicator>(&mut self, comm: &mut C, iterations: usize) -> Vec<f64> {
-        (0..iterations)
-            .map(|_| {
-                self.iterate(comm);
-                self.u_norm(comm)
-            })
-            .collect()
-    }
-
     /// Deterministic checksum of this rank's interior `u` values: FNV-1a
     /// over the IEEE-754 bit patterns, tiles in store order. Two runs
     /// produced bitwise-identical local solutions iff every rank's
@@ -396,8 +385,15 @@ mod tests {
         let prob = SpProblem::new([8, 8, 8], 0.001);
         let mp = Multipartitioning::optimal(4, &[8, 8, 8], &CostModel::origin2000_like());
         let histories = run_threaded(4, |comm| {
+            // The global norm after each iteration: one collective per
+            // iteration, as real SP's verification does.
             let mut sp = ParallelSp::new(comm.rank(), prob, mp.clone());
-            sp.run_with_norms(comm, 3)
+            (0..3)
+                .map(|_| {
+                    sp.iterate(comm);
+                    sp.u_norm(comm)
+                })
+                .collect::<Vec<f64>>()
         });
         let mut serial = SerialSp::new(prob);
         let want: Vec<f64> = (0..3)

@@ -558,6 +558,31 @@ impl<const N: usize> LaneBody for BlockTriBackwardKernel<N> {
 /// An N×N block of lane vectors.
 type VMat<V, const N: usize> = [[V; N]; N];
 
+/// `for $i in 0..$n $body`, with `$i` a constant in each copy of `$body`
+/// for `$n` up to 8. LLVM keeps a [`VMat`] that a rolled loop indexes in
+/// stack memory; indexed by constants, the lane helpers' matrices stay in
+/// registers (DESIGN.md §12). A loop over the entries of one row needs no
+/// copies: LLVM unrolls it before it moves the arrays into registers. `$n`
+/// is a const generic, so each copy's test is a constant and the copies
+/// past `$n` are not compiled, in debug builds too. Above 8 the loop stays
+/// rolled: one index that is not a constant keeps the whole matrix in
+/// memory anyway.
+macro_rules! unroll {
+    ($i:ident in $n:expr => $body:block) => {
+        unroll!(@copies $i, $n, $body; 0 1 2 3 4 5 6 7)
+    };
+    (@copies $i:ident, $n:expr, $body:block; $($k:literal)*) => {
+        if const { $n > 8 } {
+            for $i in 0..$n $body
+        } else {
+            $(if const { $k < $n } {
+                let $i: usize = $k;
+                $body
+            })*
+        }
+    };
+}
+
 /// [`mat_mul`] per lane, into `out`. Its `a[i][k] == 0.0` skip becomes a
 /// select that keeps the lane's partial sum, so signed zeros and `0·∞`
 /// come out as in the scalar code; a product whose left factor has no zero
@@ -578,23 +603,24 @@ unsafe fn mat_mul_lanes<V: LaneVec, const N: usize>(
             skips |= V::any(v.eq_zero());
         }
     }
-    for (arow, orow) in a.iter().zip(out.iter_mut()) {
+    unroll!(i in N => {
         // Each row accumulates in registers and is written once.
         let mut acc = [zero; N];
-        for (&aik, brow) in arow.iter().zip(b) {
+        unroll!(k in N => {
+            let aik = a[i][k];
             if skips {
                 let skip = aik.eq_zero();
-                for (s, &bkj) in acc.iter_mut().zip(brow) {
+                for (s, &bkj) in acc.iter_mut().zip(&b[k]) {
                     *s = V::select(skip, *s, s.add(aik.mul(bkj)));
                 }
             } else {
-                for (s, &bkj) in acc.iter_mut().zip(brow) {
+                for (s, &bkj) in acc.iter_mut().zip(&b[k]) {
                     *s = s.add(aik.mul(bkj));
                 }
             }
-        }
-        *orow = acc;
-    }
+        });
+        out[i] = acc;
+    });
 }
 
 /// [`mat_vec`] per lane.
@@ -605,13 +631,13 @@ unsafe fn mat_mul_lanes<V: LaneVec, const N: usize>(
 unsafe fn mat_vec_lanes<V: LaneVec, const N: usize>(a: &VMat<V, N>, x: &[V; N]) -> [V; N] {
     let zero = V::splat(0.0);
     let mut out = [zero; N];
-    for (o, arow) in out.iter_mut().zip(a) {
+    unroll!(i in N => {
         let mut acc = zero;
-        for (&aij, &xj) in arow.iter().zip(x) {
+        for (&aij, &xj) in a[i].iter().zip(x) {
             acc = acc.add(aij.mul(xj));
         }
-        *o = acc;
-    }
+        out[i] = acc;
+    });
     out
 }
 
@@ -635,11 +661,11 @@ unsafe fn mat_inv_lanes<V: LaneVec, const N: usize>(
     inv: &mut VMat<V, N>,
 ) -> bool {
     let (zero, one) = (V::splat(0.0), V::splat(1.0));
-    for (i, row) in inv.iter_mut().enumerate() {
-        *row = [zero; N];
-        row[i] = one;
-    }
-    for col in 0..N {
+    unroll!(i in N => {
+        inv[i] = [zero; N];
+        inv[i][i] = one;
+    });
+    unroll!(col in N => {
         // The scalar search moves off the diagonal only for a row strictly
         // larger in magnitude (an ordered compare: a NaN never wins).
         let pivot = m[col][col];
@@ -663,30 +689,29 @@ unsafe fn mat_inv_lanes<V: LaneVec, const N: usize>(
         }
         m[col] = mcol;
         inv[col] = icol;
-        for r in 0..N {
-            if r == col {
-                continue;
+        unroll!(r in N => {
+            if r != col {
+                let f = m[r][col];
+                let skip = f.eq_zero();
+                let (mrow, irow) = (&mut m[r], &mut inv[r]);
+                if !V::any(skip) {
+                    for j in col + 1..N {
+                        mrow[j] = mrow[j].sub(f.mul(mcol[j]));
+                    }
+                    for (v, &c) in irow.iter_mut().zip(&icol) {
+                        *v = v.sub(f.mul(c));
+                    }
+                } else {
+                    for j in col + 1..N {
+                        mrow[j] = V::select(skip, mrow[j], mrow[j].sub(f.mul(mcol[j])));
+                    }
+                    for (v, &c) in irow.iter_mut().zip(&icol) {
+                        *v = V::select(skip, *v, v.sub(f.mul(c)));
+                    }
+                }
             }
-            let f = m[r][col];
-            let skip = f.eq_zero();
-            let (mrow, irow) = (&mut m[r], &mut inv[r]);
-            if !V::any(skip) {
-                for j in col + 1..N {
-                    mrow[j] = mrow[j].sub(f.mul(mcol[j]));
-                }
-                for (v, &c) in irow.iter_mut().zip(&icol) {
-                    *v = v.sub(f.mul(c));
-                }
-            } else {
-                for j in col + 1..N {
-                    mrow[j] = V::select(skip, mrow[j], mrow[j].sub(f.mul(mcol[j])));
-                }
-                for (v, &c) in irow.iter_mut().zip(&icol) {
-                    *v = V::select(skip, *v, v.sub(f.mul(c)));
-                }
-            }
-        }
-    }
+        });
+    });
     true
 }
 

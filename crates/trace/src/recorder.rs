@@ -168,11 +168,6 @@ impl SweepStats {
     pub fn sent_elements(&self) -> u64 {
         self.sent.values().map(|s| s.elements).sum()
     }
-
-    /// Total payload bytes sent (8 bytes per element).
-    pub fn sent_bytes(&self) -> u64 {
-        self.sent_elements() * 8
-    }
 }
 
 /// Everything recorded for one rank: the identity, the event list, and the
@@ -414,7 +409,6 @@ mod tests {
         assert_eq!(s.phase_compute_ns, vec![0, 0, 100]);
         assert_eq!(s.sent_messages(), 2);
         assert_eq!(s.sent_elements(), 42);
-        assert_eq!(s.sent_bytes(), 336);
         assert_eq!(s.sent[&1].messages, 1);
     }
 

@@ -6,11 +6,12 @@
 //! axis) and each lane contiguous, lanes a padded row apart (a sweep along
 //! it). Every kernel runs at every SIMD level the host supports, for random
 //! lane counts (up to 23, so two 8-lane groups, a 4-lane group and tail
-//! lanes can share a row), segment lengths, carries and data. The 5×5
-//! block kernels also run BT's own coefficients and blocks built to take
-//! every branch of their lane bodies: signed zeros, off-diagonal pivots
-//! (inside 8-lane groups too) and lanes that start their line at different
-//! elements.
+//! lanes can share a row), segment lengths, carries and data. The block
+//! kernels run 1×1, 3×3, 5×5 and 9×9 blocks (the lane helpers unroll their
+//! loops up to N = 8 and keep them rolled above), BT's own coefficients, and
+//! blocks built to take every branch of their lane bodies: signed zeros,
+//! off-diagonal pivots (inside 8-lane groups too) and lanes that start
+//! their line at different elements.
 
 use mp_core::multipart::Direction;
 use mp_grid::Lanes;
@@ -27,21 +28,24 @@ use mp_sweep::{
 };
 use mp_testkit::{cases, Rng};
 
-/// Position-dependent, diagonally dominant 3×3 blocks.
-struct Coeffs;
+/// Position-dependent, diagonally dominant N×N blocks: the off-diagonal
+/// entries scale with `3 / N`, so every row's sum stays well below its
+/// diagonal at any N.
+struct Coeffs<const N: usize>;
 
-impl BlockCoeffs<3> for Coeffs {
-    fn blocks(&self, g: &[usize], axis: usize) -> (Mat<3>, Mat<3>, Mat<3>) {
+impl<const N: usize> BlockCoeffs<N> for Coeffs<N> {
+    fn blocks(&self, g: &[usize], axis: usize) -> (Mat<N>, Mat<N>, Mat<N>) {
+        let s = 3.0 / N as f64;
         let w = 0.02 * (g.iter().sum::<usize>() % 5) as f64;
-        let mut b = [[w; 3]; 3];
+        let mut b = [[w * s; N]; N];
         for (r, row) in b.iter_mut().enumerate() {
             row[r] = 2.5 + 0.01 * g[axis] as f64;
         }
-        ([[-0.1 - w; 3]; 3], b, [[-0.12 + w; 3]; 3])
+        ([[(-0.1 - w) * s; N]; N], b, [[(-0.12 + w) * s; N]; N])
     }
 }
 
-/// 5×5 blocks that take the lane bodies down every branch. Each point
+/// N×N blocks that take the lane bodies down every branch. Each point
 /// hashes to one of four kinds:
 /// * `A` all `-0.0`: the product `A·C'` skips every term (a zero-lane select);
 /// * `B = 0.5·I + 3·P`, `P` a cyclic shift: partial pivoting picks a row
@@ -53,43 +57,43 @@ impl BlockCoeffs<3> for Coeffs {
 ///   `inv·C`, are mostly exact zeros of either sign;
 /// * otherwise diagonally dominant, with signed zeros sprinkled through
 ///   all three blocks (the inverse's row-skip blends).
-struct Edgy;
+struct Edgy<const N: usize>;
 
-impl BlockCoeffs<5> for Edgy {
-    fn blocks(&self, g: &[usize], axis: usize) -> (Mat<5>, Mat<5>, Mat<5>) {
+impl<const N: usize> BlockCoeffs<N> for Edgy<N> {
+    fn blocks(&self, g: &[usize], axis: usize) -> (Mat<N>, Mat<N>, Mat<N>) {
         let h = g.iter().fold(axis as u64 + 1, |h, &x| {
             (h ^ x as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         });
         // Entry (r, s) of block `salt`: `±w` or a signed zero, by hash bits.
         let entry =
-            |r: usize, s: usize, salt: usize, w: f64| match (h >> ((5 * r + s + salt) % 61)) & 3 {
+            |r: usize, s: usize, salt: usize, w: f64| match (h >> ((N * r + s + salt) % 61)) & 3 {
                 0 => 0.0,
                 1 => -0.0,
                 2 => w,
                 _ => -w,
             };
-        let mut a: Mat<5> = std::array::from_fn(|r| std::array::from_fn(|s| entry(r, s, 0, 0.1)));
-        let c: Mat<5> = std::array::from_fn(|r| std::array::from_fn(|s| entry(r, s, 7, 0.12)));
-        let mut b: Mat<5> = std::array::from_fn(|r| {
+        let mut a: Mat<N> = std::array::from_fn(|r| std::array::from_fn(|s| entry(r, s, 0, 0.1)));
+        let c: Mat<N> = std::array::from_fn(|r| std::array::from_fn(|s| entry(r, s, 7, 0.12)));
+        let mut b: Mat<N> = std::array::from_fn(|r| {
             std::array::from_fn(|s| if r == s { 2.5 } else { entry(r, s, 13, 0.2) })
         });
         let forced = g[0] == 5 && g[axis].is_multiple_of(2);
         match if forced { 1 } else { (h >> 59) % 5 } {
-            0 => a = [[-0.0; 5]; 5],
+            0 => a = [[-0.0; N]; N],
             1 => {
-                b = [[0.0; 5]; 5];
-                for r in 0..5 {
+                b = [[0.0; N]; N];
+                for r in 0..N {
                     b[r][r] = 0.5;
-                    b[r][(r + 1) % 5] = 3.0;
+                    b[r][(r + 1) % N] = 3.0;
                 }
                 if forced {
                     // `A·C'` then skips every term, so the pivoting
                     // denominator is `B` itself whatever the carry holds.
-                    a = [[0.0; 5]; 5];
+                    a = [[0.0; N]; N];
                 }
             }
             2 => {
-                a = [[0.0; 5]; 5];
+                a = [[0.0; N]; N];
                 for (r, row) in b.iter_mut().enumerate() {
                     for (s, v) in row.iter_mut().enumerate() {
                         if r != s {
@@ -265,6 +269,26 @@ fn carries(rng: &mut Rng, nl: usize, mut pattern: impl FnMut(&mut Rng) -> Vec<f6
     (0..nl).flat_map(|_| pattern(rng)).collect()
 }
 
+/// The N×N block elimination and back substitution with [`Coeffs`] against
+/// the per-line reference, on random data and carries at lanes `placed`.
+fn block_kernels_match<const N: usize>(
+    rng: &mut Rng,
+    (nl, n): (usize, usize),
+    placed: &impl Fn(&mut Rng, Direction) -> Vec<SegmentCtx>,
+) {
+    let nf = N * N + N;
+    let scratch: Vec<usize> = (0..N * N).collect();
+    let rhs: Vec<usize> = (N * N..nf).collect();
+    let (fwd, bwd) = (Direction::Forward, Direction::Backward);
+    let data = blocks(rng, nf, nl, n, -1.0, 1.0);
+    let c = carries(rng, nl, |r| r.f64_vec(nf, -0.1, 0.1));
+    let k = BlockTriForwardKernel::<N, _>::new(Coeffs, &scratch, &rhs);
+    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &placed(rng, fwd));
+    let k = BlockTriBackwardKernel::<N>::new(&scratch, &rhs);
+    let c = block_bwd_carries::<N>(rng, nl);
+    assert_matches_reference(&k, bwd, (nl, n), &data, &c, &placed(rng, bwd));
+}
+
 #[test]
 fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
     cases(0x750F, 32, |rng| {
@@ -329,20 +353,12 @@ fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
             assert_matches_reference(&k, dir, shape, &data, &c, &origin(dir));
         }
 
-        // Block-tridiagonal forward/backward with generated coefficients.
-        let scratch: Vec<usize> = (0..9).collect();
-        let rhs: Vec<usize> = (9..12).collect();
-        let data = blocks(rng, 12, nl, n, -1.0, 1.0);
-        let c = carries(rng, nl, |r| r.f64_vec(12, -0.1, 0.1));
-        let k = BlockTriForwardKernel::<3, _>::new(Coeffs, &scratch, &rhs);
-        assert_matches_reference(&k, fwd, shape, &data, &c, &placed(rng, fwd));
-        let c = carries(rng, nl, |r| {
-            let mut v = r.f64_vec(3, -1.0, 1.0);
-            v.push(r.usize_in(0, 1) as f64);
-            v
-        });
-        let k = BlockTriBackwardKernel::<3>::new(&scratch, &rhs);
-        assert_matches_reference(&k, bwd, shape, &data, &c, &placed(rng, bwd));
+        // Block-tridiagonal forward/backward with generated coefficients,
+        // at N = 1, 3 and 9: the lane helpers unroll their loops up to
+        // N = 8 and keep them rolled above.
+        block_kernels_match::<1>(rng, shape, &placed);
+        block_kernels_match::<3>(rng, shape, &placed);
+        block_kernels_match::<9>(rng, shape, &placed);
 
         // SP's generated tridiagonal and pentadiagonal eliminations.
         let data = blocks(rng, 3, nl, n, -2.0, 2.0);
@@ -385,17 +401,6 @@ fn block_kernels_sweep_lanes_like_the_per_line_reference() {
         };
         let scratch: Vec<usize> = (0..25).collect();
         let rhs: Vec<usize> = (25..30).collect();
-        let bwd_kernel = BlockTriBackwardKernel::<5>::new(&scratch, &rhs);
-        // Backward carries `[x, valid]`, the flag `1.0`, `0.0`, `-0.0` or
-        // NaN (which counts as set, like any value `!= 0.0`).
-        let bwd_carries = |rng: &mut Rng| {
-            carries(rng, nl, |r| {
-                let x = r.f64_vec(5, -1.0, 1.0);
-                let mut v = with_zeros(r, x);
-                v.push(*r.pick(&[1.0, 0.0, -0.0, f64::NAN]));
-                v
-            })
-        };
 
         // BT's own blocks, through `BtProblem::blocks_lanes` at the SIMD
         // levels.
@@ -404,33 +409,65 @@ fn block_kernels_sweep_lanes_like_the_per_line_reference() {
         let data = blocks(rng, 30, nl, n, -1.0, 1.0);
         let c = carries(rng, nl, |r| r.f64_vec(30, -0.1, 0.1));
         assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
-        let c = bwd_carries(rng);
-        assert_matches_reference(&bwd_kernel, bwd, shape, &data, &c, &ctxs(rng, bwd));
+        let k = BlockTriBackwardKernel::<5>::new(&scratch, &rhs);
+        let c = block_bwd_carries::<5>(rng, nl);
+        assert_matches_reference(&k, bwd, shape, &data, &c, &ctxs(rng, bwd));
 
-        // Signed zeros and pivoting lanes, in blocks, data and carries.
-        let k = BlockTriForwardKernel::<5, _>::new(Edgy, &scratch, &rhs);
-        let data: Vec<Vec<f64>> = blocks(rng, 30, nl, n, -1.0, 1.0)
-            .into_iter()
-            .map(|d| with_zeros(rng, d))
-            .collect();
-        let c = carries(rng, nl, |r| {
-            let v = r.f64_vec(30, -0.1, 0.1);
-            with_zeros(r, v)
-        });
-        assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
-        // A zero's skip differs from adding its product only where that
-        // product is NaN (`0·∞`): infinite entries in the carried `C'`
-        // make the skips of `A·C'` show, and in the lanes where `A` does
-        // not vanish they reach the inverse and `inv·C` too.
-        let c = carries(rng, nl, |r| {
-            let v = r.f64_vec(30, -0.1, 0.1);
-            let v = with_zeros(r, v);
-            with_infinities(r, v)
-        });
-        assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
-        let c = bwd_carries(rng);
-        assert_matches_reference(&bwd_kernel, bwd, shape, &data, &c, &ctxs(rng, bwd));
+        // Signed zeros and pivoting lanes at BT's N, at N = 1 and above the
+        // lane helpers' unrolled bound.
+        edgy_kernels_match::<5>(rng, shape, &ctxs);
+        edgy_kernels_match::<1>(rng, shape, &ctxs);
+        edgy_kernels_match::<9>(rng, shape, &ctxs);
     });
+}
+
+/// Backward block carries `[x, valid]` for `nl` lanes: signed zeros in `x`,
+/// and the flag `1.0`, `0.0`, `-0.0` or NaN (which counts as set, like any
+/// value `!= 0.0`).
+fn block_bwd_carries<const N: usize>(rng: &mut Rng, nl: usize) -> Vec<f64> {
+    carries(rng, nl, |r| {
+        let x = r.f64_vec(N, -1.0, 1.0);
+        let mut v = with_zeros(r, x);
+        v.push(*r.pick(&[1.0, 0.0, -0.0, f64::NAN]));
+        v
+    })
+}
+
+/// The N×N block kernels on [`Edgy`] blocks against the per-line reference
+/// at lanes `ctxs`: signed zeros and pivoting lanes in blocks, data and
+/// carries, then infinite forward carries.
+fn edgy_kernels_match<const N: usize>(
+    rng: &mut Rng,
+    (nl, n): (usize, usize),
+    ctxs: &impl Fn(&mut Rng, Direction) -> Vec<SegmentCtx>,
+) {
+    let nf = N * N + N;
+    let scratch: Vec<usize> = (0..N * N).collect();
+    let rhs: Vec<usize> = (N * N..nf).collect();
+    let (fwd, bwd) = (Direction::Forward, Direction::Backward);
+    let k = BlockTriForwardKernel::<N, _>::new(Edgy, &scratch, &rhs);
+    let data: Vec<Vec<f64>> = blocks(rng, nf, nl, n, -1.0, 1.0)
+        .into_iter()
+        .map(|d| with_zeros(rng, d))
+        .collect();
+    let c = carries(rng, nl, |r| {
+        let v = r.f64_vec(nf, -0.1, 0.1);
+        with_zeros(r, v)
+    });
+    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &ctxs(rng, fwd));
+    // A zero's skip differs from adding its product only where that
+    // product is NaN (`0·∞`): infinite entries in the carried `C'` make
+    // the skips of `A·C'` show, and in the lanes where `A` does not vanish
+    // they reach the inverse and `inv·C` too.
+    let c = carries(rng, nl, |r| {
+        let v = r.f64_vec(nf, -0.1, 0.1);
+        let v = with_zeros(r, v);
+        with_infinities(r, v)
+    });
+    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &ctxs(rng, fwd));
+    let k = BlockTriBackwardKernel::<N>::new(&scratch, &rhs);
+    let c = block_bwd_carries::<N>(rng, nl);
+    assert_matches_reference(&k, bwd, (nl, n), &data, &c, &ctxs(rng, bwd));
 }
 
 /// 2×2 blocks that are singular at the points with `g[0] = 2`: lane 2 of
