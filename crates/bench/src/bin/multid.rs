@@ -38,14 +38,13 @@ fn main() {
         for p in [4u64, 6, 12, 16, 24] {
             let mp = Multipartitioning::optimal(p, &eta, &model);
             let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-            if gam.iter().zip(eta_us.iter()).any(|(&g, &e)| g > e) {
-                continue;
-            }
+            let Ok(grid) = TileGrid::try_new(&eta_us, &gam) else {
+                continue; // over-cut
+            };
             // Verify on a coarse grid (brute force is exponential in tiles).
             if mp.partitioning.total_tiles() <= 50_000 {
                 mp.verify().expect("balance + neighbor");
             }
-            let grid = TileGrid::new(&eta_us, &gam);
             let geo = MultipartGeometry::new(&mp, &grid);
             let mut net = SimNet::new(p, machine);
             for dim in 0..d {

@@ -12,14 +12,22 @@
 //! ```
 //!
 //! Each benchmark is calibrated so one sample runs long enough to measure,
-//! then timed over several samples; the report prints the best sample as
-//! ns/iter plus element throughput when declared.
+//! then timed over several samples (five of 100 ms; with `--quick`, two of
+//! 10 ms); the report prints the best sample as ns/iter plus element
+//! throughput when declared.
 //!
 //! Besides the console report, every completed run is recorded and — when
 //! `main` finishes via [`criterion_main!`] — written as a machine-readable
 //! JSON report `BENCH_<name>.json` at the repository root (`<name>` is the
 //! bench target with the `bench_` prefix stripped, e.g. `BENCH_sweep.json`).
-//! CI uploads these files as artifacts so runs can be compared over time.
+//!
+//! Quick rows are smoke output, not measurements: on a shared 2-vCPU host
+//! one `--quick` row (`block_fwd_nl4/avx2`) read 12.8–31.1 µs over five
+//! runs of the same binary. CI runs `--quick` and uploads the reports as a
+//! record of what ran; the signal of its SIMD smoke step is the bitwise
+//! check across SIMD levels that `bench_sweep simd_kernels` makes before
+//! timing. Comparing timings between builds takes several interleaved full
+//! runs of each.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};

@@ -522,6 +522,16 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
     })
 }
 
+/// Refuse a partitioning that cuts some dimension into more tiles than it
+/// has elements, before any rank starts (each rank would panic cutting its
+/// tile grid).
+fn check_cut(p: u64, eta: &[usize; 3], mp: &Multipartitioning) -> Result<(), CliError> {
+    let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
+    mp_grid::TileGrid::try_new(eta, &gammas)
+        .map_err(|e| CliError(format!("p = {p} over-cuts the grid: {e}")))?;
+    Ok(())
+}
+
 fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     use mp_runtime::comm::Communicator as _;
     use mp_runtime::threaded::run_threaded;
@@ -537,6 +547,7 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let (model, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
         .map_err(|e| CliError(e.to_string()))?;
     let mp = Multipartitioning::optimal(p, &eta_u64, &model);
+    check_cut(p, eta, &mp)?;
     let prob = mp_nassp::SpProblem::new(*eta, cfg.dt);
 
     // Shared epoch: every rank's recorder measures from the same origin, so
@@ -839,6 +850,7 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
     let (model, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
         .map_err(|e| CliError(e.to_string()))?;
     let mp = Multipartitioning::optimal(p, &eta_u64, &model);
+    check_cut(p, &eta, &mp)?;
     let prob = mp_nassp::SpProblem::new(eta, cfg.dt);
 
     // One soak run: SP under `fault`, every blocking receive bounded by
@@ -1270,6 +1282,12 @@ mod tests {
         // Every phase runs a tile row at a time; there is no block width.
         let e = runv(&["profile", "4", "--block", "4"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
+        // A p whose partitioning over-cuts the grid is refused before any
+        // rank starts, naming γ and η.
+        let e = runv(&["profile", "3", "--eta", "2x2x2", "--iters", "1"]).unwrap_err();
+        assert!(e.0.contains("eta=[2, 2, 2], gamma=[1, 3, 3]"), "{}", e.0);
+        let e = runv(&["profile", "2", "--eta", "1x1x1", "--iters", "1"]).unwrap_err();
+        assert!(e.0.contains("eta=[1, 1, 1], gamma=[1, 2, 2]"), "{}", e.0);
     }
 
     #[test]
@@ -1331,6 +1349,8 @@ mod tests {
         assert!(e.0.contains("unknown flag"));
         let e = runv(&["chaos", "4", "--block", "4"]).unwrap_err();
         assert!(e.0.contains("unknown flag"));
+        let e = runv(&["chaos", "3", "--eta", "2x2x2", "--runs", "1"]).unwrap_err();
+        assert!(e.0.contains("eta=[2, 2, 2], gamma=[1, 3, 3]"), "{}", e.0);
     }
 
     #[test]

@@ -37,7 +37,6 @@ impl Factorization {
     /// use mp_core::factor::Factorization;
     /// let f = Factorization::of(30);
     /// assert_eq!(f.primes.len(), 3); // 2 · 3 · 5 — the paper's §3.2 example
-    /// assert_eq!(f.divisors(), vec![1, 2, 3, 5, 6, 10, 15, 30]);
     /// ```
     ///
     /// # Panics
@@ -62,36 +61,6 @@ impl Factorization {
             primes.push(PrimePower { prime: m, exp: 1 });
         }
         Factorization { n, primes }
-    }
-
-    /// Number of distinct prime factors (the paper's `s`).
-    pub fn distinct_primes(&self) -> usize {
-        self.primes.len()
-    }
-
-    /// Total number of prime factors counted with multiplicity, `Σ r_j` (big-Ω of n).
-    pub fn total_multiplicity(&self) -> u32 {
-        self.primes.iter().map(|pp| pp.exp).sum()
-    }
-
-    /// The largest prime factor, or `None` for `n == 1`.
-    pub fn largest_prime(&self) -> Option<u64> {
-        self.primes.last().map(|pp| pp.prime)
-    }
-
-    /// All divisors of `n`, in increasing order.
-    pub fn divisors(&self) -> Vec<u64> {
-        let mut divs = vec![1u64];
-        for pp in &self.primes {
-            let prev = divs.clone();
-            let mut pw = 1u64;
-            for _ in 0..pp.exp {
-                pw *= pp.prime;
-                divs.extend(prev.iter().map(|d| d * pw));
-            }
-        }
-        divs.sort_unstable();
-        divs
     }
 
     /// True if `n` is a perfect `k`-th power (i.e. `n^{1/k}` is integral).
@@ -124,14 +93,6 @@ pub fn gcd(mut a: u64, mut b: u64) -> u64 {
         b = t;
     }
     a
-}
-
-/// Least common multiple. Panics on overflow in debug builds.
-pub fn lcm(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    a / gcd(a, b) * b
 }
 
 /// gcd on signed integers, always non-negative.
@@ -189,7 +150,6 @@ mod tests {
     fn factor_small() {
         let f = Factorization::of(1);
         assert!(f.primes.is_empty());
-        assert_eq!(f.total_multiplicity(), 0);
 
         let f = Factorization::of(2);
         assert_eq!(f.primes, vec![PrimePower { prime: 2, exp: 1 }]);
@@ -203,9 +163,6 @@ mod tests {
                 PrimePower { prime: 5, exp: 1 },
             ]
         );
-        assert_eq!(f.distinct_primes(), 3);
-        assert_eq!(f.total_multiplicity(), 6);
-        assert_eq!(f.largest_prime(), Some(5));
     }
 
     #[test]
@@ -240,27 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn divisors_of_36() {
-        let f = Factorization::of(36);
-        assert_eq!(f.divisors(), vec![1, 2, 3, 4, 6, 9, 12, 18, 36]);
-    }
-
-    #[test]
-    fn divisors_of_prime() {
-        assert_eq!(Factorization::of(13).divisors(), vec![1, 13]);
-        assert_eq!(Factorization::of(1).divisors(), vec![1]);
-    }
-
-    #[test]
-    fn divisors_count_matches_formula() {
-        for n in 1..2000u64 {
-            let f = Factorization::of(n);
-            let expect: u64 = f.primes.iter().map(|pp| (pp.exp + 1) as u64).product();
-            assert_eq!(f.divisors().len() as u64, expect);
-        }
-    }
-
-    #[test]
     fn perfect_powers() {
         assert!(Factorization::of(16).is_perfect_power(2));
         assert_eq!(Factorization::of(16).perfect_root(2), Some(4));
@@ -275,13 +211,11 @@ mod tests {
     }
 
     #[test]
-    fn gcd_lcm_basics() {
+    fn gcd_basics() {
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(0, 5), 5);
         assert_eq!(gcd(5, 0), 5);
         assert_eq!(gcd(1, 1), 1);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 6), 0);
         assert_eq!(gcd_i64(-12, 18), 6);
     }
 

@@ -44,7 +44,6 @@ pub mod factor;
 pub mod modmap;
 pub mod multipart;
 pub mod partition;
-pub mod paving;
 pub mod plan;
 pub mod search;
 pub mod topology;
@@ -57,7 +56,7 @@ pub mod prelude {
     pub use crate::modmap::ModularMapping;
     pub use crate::multipart::{Direction, Multipartitioning, TileCoord};
     pub use crate::partition::{elementary_partitionings, Partitioning};
-    pub use crate::plan::{full_adi_plans, SweepPlan};
+    pub use crate::plan::SweepPlan;
     pub use crate::search::{drop_back_search, optimal_for, optimal_partitioning, SearchResult};
     pub use crate::topology::{
         best_mapping_for_topology, shift_hop_stats, GrayCodeMapping, Topology,

@@ -23,44 +23,11 @@
 //! direction) of one processor's tiles live on a single other processor.
 //!
 //! This module provides the construction, the paper's diagonal special case,
-//! and brute-force property verifiers used throughout the test-suite.
+//! and brute-force load-balance and neighbor checks (run by
+//! [`crate::multipart::Multipartitioning::verify`] and `mpart map
+//! --verify`).
 
-use crate::factor::{gcd, gcd_with_product};
-
-/// Why a requested partitioning cannot be turned into a multipartitioning.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InvalidPartitioning {
-    /// Multipartitioning needs at least two dimensions.
-    TooFewDimensions(usize),
-    /// A tile count of zero was supplied.
-    ZeroTileCount,
-    /// Some slab would hold a non-multiple of `p` tiles (the paper's
-    /// necessary-and-sufficient validity condition fails).
-    Unbalanceable {
-        /// The processor count.
-        p: u64,
-        /// The offending tile counts.
-        gammas: Vec<u64>,
-    },
-}
-
-impl std::fmt::Display for InvalidPartitioning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InvalidPartitioning::TooFewDimensions(d) => {
-                write!(f, "multipartitioning needs d >= 2, got {d}")
-            }
-            InvalidPartitioning::ZeroTileCount => write!(f, "tile counts must be positive"),
-            InvalidPartitioning::Unbalanceable { p, gammas } => write!(
-                f,
-                "{gammas:?} is not a valid partitioning for p = {p}: some slab's tile \
-                 count is not a multiple of p"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InvalidPartitioning {}
+use crate::factor::gcd_with_product;
 
 /// A modular tile-to-processor mapping `ī ↦ (M ī) mod m̄`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,24 +68,6 @@ impl ModularMapping {
             m[i] = g_from_i / g_after_i;
         }
         m
-    }
-
-    /// Fallible variant of [`Self::construct`] for library users who prefer
-    /// a `Result` over a panic.
-    pub fn try_construct(p: u64, b: &[u64]) -> Result<Self, InvalidPartitioning> {
-        if b.len() < 2 {
-            return Err(InvalidPartitioning::TooFewDimensions(b.len()));
-        }
-        if b.contains(&0) {
-            return Err(InvalidPartitioning::ZeroTileCount);
-        }
-        if !crate::partition::Partitioning::new(b.to_vec()).is_valid(p) {
-            return Err(InvalidPartitioning::Unbalanceable {
-                p,
-                gammas: b.to_vec(),
-            });
-        }
-        Ok(Self::construct(p, b))
     }
 
     /// The paper's Figure 3 construction for a valid partitioning `b` on
@@ -520,58 +469,6 @@ impl ModularMapping {
         }
         Ok(())
     }
-
-    /// Brute-force check that the mapping is *equally-many-to-one* from the
-    /// full tile grid onto the processor grid (every processor owns
-    /// `Π b_i / p` tiles).
-    pub fn check_equally_many_to_one(&self) -> Result<(), String> {
-        let p = self.procs();
-        let total: u64 = self.b.iter().product();
-        if !total.is_multiple_of(p) {
-            return Err(format!("{total} tiles not divisible by p = {p}"));
-        }
-        let expect = total / p;
-        let mut counts = vec![0u64; p as usize];
-        self.for_each_tile(|tile| counts[self.proc_id(tile) as usize] += 1);
-        for (proc, &c) in counts.iter().enumerate() {
-            if c != expect {
-                return Err(format!(
-                    "processor {proc} owns {c} tiles, expected {expect}"
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// `gcd` re-export check helper (kept private; used in debug assertions).
-#[allow(dead_code)]
-fn product_gcd(p: u64, xs: &[u64]) -> u64 {
-    gcd_with_product(p, xs)
-}
-
-/// True if the map is one-to-one from the box `b̄` onto the processor grid
-/// (only possible when `Π b_i == p`). Exposed for the theory tests.
-pub fn is_one_to_one(map: &ModularMapping) -> bool {
-    let total: u64 = map.b.iter().product();
-    if total != map.procs() {
-        return false;
-    }
-    let mut seen = vec![false; total as usize];
-    let mut ok = true;
-    map.for_each_tile(|tile| {
-        let id = map.proc_id(tile) as usize;
-        if seen[id] {
-            ok = false;
-        }
-        seen[id] = true;
-    });
-    ok && seen.iter().all(|&s| s)
-}
-
-/// `gcd` of two u64s, re-exported for convenience in dependent crates.
-pub fn gcd_u64(a: u64, b: u64) -> u64 {
-    gcd(a, b)
 }
 
 #[cfg(test)]
@@ -613,34 +510,10 @@ mod tests {
     }
 
     #[test]
-    fn try_construct_reports_reasons() {
-        assert!(ModularMapping::try_construct(8, &[4, 4, 2]).is_ok());
-        assert_eq!(
-            ModularMapping::try_construct(8, &[2, 2, 2]),
-            Err(InvalidPartitioning::Unbalanceable {
-                p: 8,
-                gammas: vec![2, 2, 2]
-            })
-        );
-        assert_eq!(
-            ModularMapping::try_construct(8, &[8]),
-            Err(InvalidPartitioning::TooFewDimensions(1))
-        );
-        assert_eq!(
-            ModularMapping::try_construct(8, &[8, 0]),
-            Err(InvalidPartitioning::ZeroTileCount)
-        );
-        // Display is user-readable.
-        let e = ModularMapping::try_construct(8, &[2, 2, 2]).unwrap_err();
-        assert!(e.to_string().contains("not a valid partitioning"));
-    }
-
-    #[test]
     fn construct_p16_cube() {
         let map = ModularMapping::construct(16, &[4, 4, 4]);
         map.check_load_balance().unwrap();
         map.check_neighbor_property().unwrap();
-        map.check_equally_many_to_one().unwrap();
     }
 
     #[test]
@@ -750,25 +623,6 @@ mod tests {
             }
             map.check_load_balance().unwrap();
         }
-    }
-
-    #[test]
-    fn diagonal_is_one_to_one_per_slab_only() {
-        // The full map is q-to-one in 3-D (q tiles per processor).
-        let map = ModularMapping::diagonal(4, 3);
-        assert!(!is_one_to_one(&map)); // 64 tiles on 16 procs
-        map.check_equally_many_to_one().unwrap();
-    }
-
-    #[test]
-    fn identity_is_one_to_one() {
-        // b = m = (2, 3), M = I: trivially one-to-one.
-        let map = ModularMapping {
-            b: vec![2, 3],
-            m: vec![2, 3],
-            mat: vec![vec![1, 0], vec![0, 1]],
-        };
-        assert!(is_one_to_one(&map));
     }
 
     #[test]

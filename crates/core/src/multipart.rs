@@ -168,14 +168,6 @@ impl Direction {
             Direction::Backward => -1,
         }
     }
-
-    /// The opposite direction.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Forward => Direction::Backward,
-            Direction::Backward => Direction::Forward,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -297,7 +289,5 @@ mod tests {
     fn direction_helpers() {
         assert_eq!(Direction::Forward.step(), 1);
         assert_eq!(Direction::Backward.step(), -1);
-        assert_eq!(Direction::Forward.reverse(), Direction::Backward);
-        assert_eq!(Direction::Backward.reverse(), Direction::Forward);
     }
 }

@@ -13,8 +13,8 @@
 //! that maximum is attained in at least two of the `γ_i`.
 //!
 //! This module reproduces, in safe Rust, the recursive generator the paper
-//! gives as a C program in Figure 2, plus brute-force oracles used by the
-//! test-suite to validate it.
+//! gives as a C program in Figure 2, plus a brute-force enumeration of valid
+//! partitionings that tests compare the search against.
 
 use crate::factor::{divides_product, Factorization};
 
@@ -113,47 +113,6 @@ impl Partitioning {
             .map(|(&g, &e)| g as f64 / e as f64)
             .sum()
     }
-
-    /// True if this is *elementary* for `p` in the sense of Lemma 1.
-    pub fn is_elementary(&self, p: u64) -> bool {
-        let fac = Factorization::of(p);
-        for pp in &fac.primes {
-            let exps: Vec<u32> = self
-                .gammas
-                .iter()
-                .map(|&g| multiplicity(g, pp.prime))
-                .collect();
-            let total: u32 = exps.iter().sum();
-            let m = *exps.iter().max().unwrap();
-            if total != pp.exp + m {
-                return false;
-            }
-            if exps.iter().filter(|&&e| e == m).count() < 2 {
-                return false;
-            }
-        }
-        // Elementary partitionings contain no primes outside p's support.
-        let residual: u64 = self.gammas.iter().fold(1u64, |acc, &g| {
-            let mut g = g;
-            for pp in &fac.primes {
-                while g % pp.prime == 0 {
-                    g /= pp.prime;
-                }
-            }
-            acc.saturating_mul(g)
-        });
-        residual == 1
-    }
-}
-
-/// Multiplicity of `prime` in `n`.
-pub fn multiplicity(mut n: u64, prime: u64) -> u32 {
-    let mut e = 0;
-    while n.is_multiple_of(prime) && n > 0 {
-        n /= prime;
-        e += 1;
-    }
-    e
 }
 
 /// All distributions of `r` copies of one prime factor into `d` bins that
@@ -207,62 +166,6 @@ fn gen_rec(n: u32, m: u32, c: u32, t: usize, d: usize, bins: &mut [u32], out: &m
     if n >= m {
         bins[t] = m;
         gen_rec(n - m, m, c.saturating_sub(1), t + 1, d, bins, out);
-    }
-}
-
-/// All partitions of the integer `n` into at most `max_parts` parts, each at
-/// most `max_part`, in non-increasing order — the classical object
-/// (Euler/Ramanujan; the paper adapts Sawada's generator \[16\] for
-/// Figure 2). Used to cross-check the Figure 2 output: the *multisets* of
-/// Lemma 1 distributions for multiplicity `r` are exactly the partitions of
-/// `r + m` with largest part `m` repeated at least twice, unioned over `m`.
-pub fn integer_partitions(n: u32, max_part: u32, max_parts: usize) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut cur = Vec::new();
-    fn rec(n: u32, max_part: u32, slots: usize, cur: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
-        if n == 0 {
-            out.push(cur.clone());
-            return;
-        }
-        if slots == 0 {
-            return;
-        }
-        let hi = max_part.min(n);
-        for part in (1..=hi).rev() {
-            cur.push(part);
-            rec(n - part, part, slots - 1, cur, out);
-            cur.pop();
-        }
-    }
-    rec(n, max_part, max_parts, &mut cur, &mut out);
-    out
-}
-
-/// Brute-force oracle for [`factor_distributions`]: enumerate every vector in
-/// `{0..=r}^d` and keep the ones satisfying Lemma 1 for this prime. Only used
-/// to cross-check the fast generator (exponential; keep `r`, `d` small).
-pub fn factor_distributions_bruteforce(r: u32, d: usize) -> Vec<Vec<u32>> {
-    let mut out = Vec::new();
-    let mut v = vec![0u32; d];
-    loop {
-        let total: u32 = v.iter().sum();
-        let m = *v.iter().max().unwrap();
-        if m >= 1 && total == r + m && v.iter().filter(|&&e| e == m).count() >= 2 {
-            out.push(v.clone());
-        }
-        // odometer increment over {0..=r}^d
-        let mut k = 0;
-        loop {
-            if k == d {
-                return out;
-            }
-            if v[k] < r {
-                v[k] += 1;
-                break;
-            }
-            v[k] = 0;
-            k += 1;
-        }
     }
 }
 
@@ -366,6 +269,103 @@ mod tests {
     use super::*;
     use std::collections::BTreeSet;
 
+    /// True if `pt` is *elementary* for `p` in the sense of Lemma 1.
+    fn is_elementary(pt: &Partitioning, p: u64) -> bool {
+        let fac = Factorization::of(p);
+        for pp in &fac.primes {
+            let exps: Vec<u32> = pt
+                .gammas
+                .iter()
+                .map(|&g| multiplicity(g, pp.prime))
+                .collect();
+            let total: u32 = exps.iter().sum();
+            let m = *exps.iter().max().unwrap();
+            if total != pp.exp + m {
+                return false;
+            }
+            if exps.iter().filter(|&&e| e == m).count() < 2 {
+                return false;
+            }
+        }
+        // Elementary partitionings contain no primes outside p's support.
+        let residual: u64 = pt.gammas.iter().fold(1u64, |acc, &g| {
+            let mut g = g;
+            for pp in &fac.primes {
+                while g % pp.prime == 0 {
+                    g /= pp.prime;
+                }
+            }
+            acc.saturating_mul(g)
+        });
+        residual == 1
+    }
+
+    /// Multiplicity of `prime` in `n`.
+    fn multiplicity(mut n: u64, prime: u64) -> u32 {
+        let mut e = 0;
+        while n.is_multiple_of(prime) && n > 0 {
+            n /= prime;
+            e += 1;
+        }
+        e
+    }
+
+    /// All partitions of the integer `n` into at most `max_parts` parts, each
+    /// at most `max_part`, in non-increasing order — the classical object
+    /// (Euler/Ramanujan; the paper adapts Sawada's generator \[16\] for
+    /// Figure 2). The *multisets* of Lemma 1 distributions for multiplicity
+    /// `r` are exactly the partitions of `r + m` with largest part `m`
+    /// repeated at least twice, unioned over `m`.
+    fn integer_partitions(n: u32, max_part: u32, max_parts: usize) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        let mut cur = Vec::new();
+        fn rec(n: u32, max_part: u32, slots: usize, cur: &mut Vec<u32>, out: &mut Vec<Vec<u32>>) {
+            if n == 0 {
+                out.push(cur.clone());
+                return;
+            }
+            if slots == 0 {
+                return;
+            }
+            let hi = max_part.min(n);
+            for part in (1..=hi).rev() {
+                cur.push(part);
+                rec(n - part, part, slots - 1, cur, out);
+                cur.pop();
+            }
+        }
+        rec(n, max_part, max_parts, &mut cur, &mut out);
+        out
+    }
+
+    /// Brute-force oracle for [`factor_distributions`]: enumerate every
+    /// vector in `{0..=r}^d` and keep the ones satisfying Lemma 1 for this
+    /// prime (exponential; keep `r`, `d` small).
+    fn factor_distributions_bruteforce(r: u32, d: usize) -> Vec<Vec<u32>> {
+        let mut out = Vec::new();
+        let mut v = vec![0u32; d];
+        loop {
+            let total: u32 = v.iter().sum();
+            let m = *v.iter().max().unwrap();
+            if m >= 1 && total == r + m && v.iter().filter(|&&e| e == m).count() >= 2 {
+                out.push(v.clone());
+            }
+            // odometer increment over {0..=r}^d
+            let mut k = 0;
+            loop {
+                if k == d {
+                    return out;
+                }
+                if v[k] < r {
+                    v[k] += 1;
+                    break;
+                }
+                v[k] = 0;
+                k += 1;
+            }
+        }
+    }
+
     fn as_set(v: Vec<Vec<u32>>) -> BTreeSet<Vec<u32>> {
         v.into_iter().collect()
     }
@@ -454,7 +454,7 @@ mod tests {
             for d in 2..=4usize {
                 for pt in elementary_partitionings(p, d) {
                     assert!(pt.is_valid(p), "p={p} d={d} gammas={:?}", pt.gammas);
-                    assert!(pt.is_elementary(p), "p={p} d={d} gammas={:?}", pt.gammas);
+                    assert!(is_elementary(&pt, p), "p={p} d={d} gammas={:?}", pt.gammas);
                 }
             }
         }
@@ -469,13 +469,13 @@ mod tests {
         // (4,4,2) for p=4 — a "multiple" of (2,2,1).
         let pt = Partitioning::new(vec![4, 4, 2]);
         assert!(pt.is_valid(4));
-        assert!(!pt.is_elementary(4));
+        assert!(!is_elementary(&pt, 4));
         // And (2,2,2) is elementary for p=4:
-        assert!(Partitioning::new(vec![2, 2, 2]).is_elementary(4));
+        assert!(is_elementary(&Partitioning::new(vec![2, 2, 2]), 4));
         // A partitioning with a stray prime is not elementary:
         let pt = Partitioning::new(vec![6, 2, 2]);
         assert!(pt.is_valid(4));
-        assert!(!pt.is_elementary(4));
+        assert!(!is_elementary(&pt, 4));
     }
 
     #[test]
@@ -485,7 +485,7 @@ mod tests {
             let p = q * q;
             let pt = Partitioning::new(vec![q, q, q]);
             assert!(pt.is_valid(p));
-            assert!(pt.is_elementary(p));
+            assert!(is_elementary(&pt, p));
             assert!(gamma_sets(p, 3).contains(&vec![q, q, q]));
         }
     }
@@ -496,7 +496,7 @@ mod tests {
         for p in 2..=30u64 {
             let pt = Partitioning::new(vec![p, p]);
             assert!(pt.is_valid(p));
-            assert!(pt.is_elementary(p));
+            assert!(is_elementary(&pt, p));
         }
     }
 

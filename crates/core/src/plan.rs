@@ -184,17 +184,6 @@ impl SweepPlan {
     }
 }
 
-/// Plans for a full ADI-style pass: forward and backward sweeps along every
-/// dimension.
-pub fn full_adi_plans(mp: &Multipartitioning) -> Vec<SweepPlan> {
-    let mut plans = Vec::new();
-    for dim in 0..mp.dims() {
-        plans.push(SweepPlan::build(mp, dim, Direction::Forward));
-        plans.push(SweepPlan::build(mp, dim, Direction::Backward));
-    }
-    plans
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,7 +256,12 @@ mod tests {
     #[test]
     fn full_adi_has_2d_plans() {
         let mp = mp_8_442();
-        let plans = full_adi_plans(&mp);
+        let mut plans = Vec::new();
+        for dim in 0..mp.dims() {
+            for dir in [Direction::Forward, Direction::Backward] {
+                plans.push(SweepPlan::build(&mp, dim, dir));
+            }
+        }
         assert_eq!(plans.len(), 6);
         for plan in &plans {
             plan.validate(&mp).unwrap();

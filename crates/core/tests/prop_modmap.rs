@@ -25,7 +25,6 @@ fn construction_properties_2d() {
         let map = ModularMapping::construct(p, &g);
         assert!(map.check_load_balance().is_ok());
         assert!(map.check_neighbor_property().is_ok());
-        assert!(map.check_equally_many_to_one().is_ok());
     });
 }
 

@@ -1,5 +1,5 @@
-//! Dense row-major `d`-dimensional arrays with line access — the storage
-//! substrate for tiles and whole domains.
+//! Dense row-major `d`-dimensional arrays — the storage substrate for tiles
+//! and whole domains.
 
 use crate::shape::Shape;
 
@@ -96,35 +96,6 @@ impl<T: Copy + Default> ArrayD<T> {
         &mut self.data[off]
     }
 
-    /// Start offset and stride for the line along `axis` passing through
-    /// `base` (whose `axis` component is ignored), plus its length.
-    /// Lines are the unit of 1-D recurrences.
-    pub fn line(&self, axis: usize, base: &[usize]) -> (usize, usize, usize) {
-        let mut idx = base.to_vec();
-        idx[axis] = 0;
-        let start = self.shape.offset(&idx);
-        (start, self.shape.strides()[axis], self.shape.dim(axis))
-    }
-
-    /// Copy the line along `axis` through `base` into `out`.
-    pub fn read_line(&self, axis: usize, base: &[usize], out: &mut Vec<T>) {
-        let (start, stride, len) = self.line(axis, base);
-        out.clear();
-        out.reserve(len);
-        for k in 0..len {
-            out.push(self.data[start + k * stride]);
-        }
-    }
-
-    /// Write `vals` into the line along `axis` through `base`.
-    pub fn write_line(&mut self, axis: usize, base: &[usize], vals: &[T]) {
-        let (start, stride, len) = self.line(axis, base);
-        assert_eq!(vals.len(), len);
-        for (k, &v) in vals.iter().enumerate() {
-            self.data[start + k * stride] = v;
-        }
-    }
-
     /// Visit all lines along `axis`: calls `f(base)` once per line, where
     /// `base` has `base[axis] == 0` and ranges over all other coordinates in
     /// row-major order.
@@ -174,14 +145,6 @@ impl ArrayD<f64> {
 mod tests {
     use super::*;
 
-    fn seq(dims: &[usize]) -> ArrayD<f64> {
-        let mut c = 0.0;
-        ArrayD::from_fn(dims, |_| {
-            c += 1.0;
-            c
-        })
-    }
-
     #[test]
     fn zeros_and_full() {
         let a: ArrayD<f64> = ArrayD::zeros(&[2, 3]);
@@ -204,34 +167,6 @@ mod tests {
     fn from_fn_row_major() {
         let a = ArrayD::from_fn(&[2, 3], |idx| (idx[0] * 3 + idx[1]) as f64);
         assert_eq!(a.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn line_access_axis0() {
-        let a = seq(&[3, 4]);
-        let mut buf = Vec::new();
-        a.read_line(0, &[0, 2], &mut buf);
-        // Column 2: elements (0,2), (1,2), (2,2) = 3, 7, 11
-        assert_eq!(buf, vec![3.0, 7.0, 11.0]);
-    }
-
-    #[test]
-    fn line_access_axis1_contiguous() {
-        let a = seq(&[3, 4]);
-        let (start, stride, len) = a.line(1, &[1, 0]);
-        assert_eq!((start, stride, len), (4, 1, 4));
-        let mut buf = Vec::new();
-        a.read_line(1, &[1, 3], &mut buf);
-        assert_eq!(buf, vec![5.0, 6.0, 7.0, 8.0]);
-    }
-
-    #[test]
-    fn write_line_roundtrip() {
-        let mut a: ArrayD<f64> = ArrayD::zeros(&[3, 3]);
-        a.write_line(0, &[0, 1], &[1.0, 2.0, 3.0]);
-        assert_eq!(a.get(&[0, 1]), 1.0);
-        assert_eq!(a.get(&[1, 1]), 2.0);
-        assert_eq!(a.get(&[2, 1]), 3.0);
     }
 
     #[test]

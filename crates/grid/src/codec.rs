@@ -2,13 +2,12 @@
 //!
 //! Long ADI runs on real machines checkpoint their per-rank state; this
 //! module provides a compact, versioned binary encoding for the storage
-//! types (`ArrayD<f64>`, `HaloArray`, `TileData`, `RankStore`) using plain
-//! `Vec<u8>` buffers and an explicit little-endian layout. The format is
+//! types (`HaloArray`, `TileData`, `RankStore`) using plain `Vec<u8>`
+//! buffers and an explicit little-endian layout. The format is
 //! self-describing enough to fail loudly on corruption or version mismatch,
 //! and round-trips bit-exactly (f64 payloads are stored as raw
 //! little-endian bits).
 
-use crate::array::ArrayD;
 use crate::dist::{FieldDef, RankStore, TileData};
 use crate::halo::HaloArray;
 use crate::shape::Region;
@@ -135,23 +134,6 @@ fn get_f64s(r: &mut ByteReader<'_>) -> Result<Vec<f64>, CodecError> {
         out.push(f64::from_bits(r.u64_le()?));
     }
     Ok(out)
-}
-
-/// Encode a dense array.
-pub fn encode_array(a: &ArrayD<f64>, buf: &mut Vec<u8>) {
-    put_usize_vec(buf, a.dims());
-    put_f64s(buf, a.as_slice());
-}
-
-/// Decode a dense array.
-pub fn decode_array(r: &mut ByteReader<'_>) -> Result<ArrayD<f64>, CodecError> {
-    let dims = get_usize_vec(r)?;
-    let data = get_f64s(r)?;
-    let expect: usize = dims.iter().product();
-    if dims.is_empty() || dims.contains(&0) || data.len() != expect {
-        return Err(CodecError::Corrupt("array shape/data mismatch"));
-    }
-    Ok(ArrayD::from_vec(&dims, data))
 }
 
 /// Encode a halo array (interior + ghosts, bit-exact).
@@ -305,26 +287,26 @@ mod tests {
     }
 
     #[test]
-    fn array_roundtrip() {
-        let a = ArrayD::from_fn(&[3, 4, 5], |g| (g[0] + 10 * g[1] + 100 * g[2]) as f64 + 0.5);
-        let mut buf = Vec::new();
-        encode_array(&a, &mut buf);
-        let mut r = ByteReader::new(&buf);
-        let b = decode_array(&mut r).unwrap();
-        assert_eq!(a.max_abs_diff(&b), 0.0);
-        assert_eq!(r.remaining(), 0, "all bytes consumed");
-    }
-
-    #[test]
     fn array_roundtrip_special_values() {
-        let a = ArrayD::from_vec(
-            &[5],
-            vec![f64::NEG_INFINITY, -0.0, f64::MIN_POSITIVE, f64::MAX, 1e-300],
-        );
+        let mut h = HaloArray::zeros(&[7], 1);
+        let values = [
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            f64::MAX,
+            1e-300,
+            -1e-310, // subnormal
+            f64::MIN,
+        ];
+        h.raw_mut().copy_from_slice(&values);
         let mut buf = Vec::new();
-        encode_array(&a, &mut buf);
-        let b = decode_array(&mut ByteReader::new(&buf)).unwrap();
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        encode_halo(&h, &mut buf);
+        let mut r = ByteReader::new(&buf);
+        let back = decode_halo(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0, "all bytes consumed");
+        for (x, y) in h.raw().iter().zip(back.raw()) {
             assert_eq!(x.to_bits(), y.to_bits(), "bit-exactness");
         }
     }

@@ -312,27 +312,6 @@ impl HaloArray {
             .product()
     }
 
-    /// Storage offset and stride of the interior line along `axis` passing
-    /// through interior base point `base` (its `axis` component is ignored
-    /// and treated as 0), plus the interior length. The line's element `k`
-    /// lives at `raw()[offset + k·stride]`.
-    ///
-    /// This is the executor's fast path: a line sweep touches `η_axis`
-    /// elements with one multiplication each instead of a full index
-    /// computation per element.
-    pub fn interior_line(&self, axis: usize, base: &[usize]) -> (usize, usize, usize) {
-        let strides = self.strides();
-        let offset = base
-            .iter()
-            .zip(strides)
-            .enumerate()
-            .filter(|&(k, _)| k != axis)
-            .fold(self.interior_origin_offset(), |off, (_, (&b, &s))| {
-                off + b * s
-            });
-        (offset, strides[axis], self.interior[axis])
-    }
-
     /// Row-major strides of the padded backing storage (one per dimension).
     /// Together with [`HaloArray::interior_origin_offset`] this lets callers
     /// compute line and row offsets directly.
@@ -540,6 +519,9 @@ mod tests {
 
     #[test]
     fn interior_line_matches_get_i() {
+        // The interior line along `axis` through `base` starts at
+        // `interior_origin_offset() + Σ_{k≠axis} base[k]·strides()[k]` and
+        // steps by `strides()[axis]`.
         let mut a = HaloArray::zeros(&[3, 4, 5], 2);
         for i in 0..3 {
             for j in 0..4 {
@@ -548,35 +530,21 @@ mod tests {
                 }
             }
         }
+        let base = [1usize, 2, 3];
         for axis in 0..3 {
-            let (off, stride, len) = a.interior_line(axis, &[1, 2, 3]);
-            assert_eq!(len, a.interior()[axis]);
-            for k in 0..len {
-                let mut idx = [1usize, 2, 3];
+            let s = a.strides();
+            let off = (0..3)
+                .filter(|&k| k != axis)
+                .fold(a.interior_origin_offset(), |off, k| off + base[k] * s[k]);
+            for k in 0..a.interior()[axis] {
+                let mut idx = base;
                 idx[axis] = k;
                 assert_eq!(
-                    a.raw()[off + k * stride],
+                    a.raw()[off + k * s[axis]],
                     a.get_i(&idx),
                     "axis {axis} k {k}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn strides_and_origin_offset_agree_with_interior_line() {
-        let a = HaloArray::zeros(&[3, 4, 5], 2);
-        for axis in 0..3 {
-            let base = [1usize, 2, 3];
-            let (off, stride, _) = a.interior_line(axis, &base);
-            let mut manual = a.interior_origin_offset();
-            for (k, &b) in base.iter().enumerate() {
-                if k != axis {
-                    manual += b * a.strides()[k];
-                }
-            }
-            assert_eq!(off, manual, "axis {axis}");
-            assert_eq!(stride, a.strides()[axis]);
         }
     }
 

@@ -33,16 +33,24 @@ impl TileGrid {
     /// Cut a domain of extents `eta` into `gamma[k]` tiles per dimension.
     ///
     /// # Panics
-    /// Panics if `gamma[k] > eta[k]` for some `k` (a tile would be empty) or
-    /// the vectors' lengths differ.
+    /// Panics where [`TileGrid::try_new`] returns an error.
     pub fn new(eta: &[usize], gamma: &[usize]) -> Self {
+        Self::try_new(eta, gamma).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`TileGrid::new`], or an error naming both vectors if `gamma[k] == 0`
+    /// or `gamma[k] > eta[k]` for some `k` (a tile would be empty) — the
+    /// check every entry point runs before its ranks start.
+    ///
+    /// # Panics
+    /// Panics if the vectors' lengths differ.
+    pub fn try_new(eta: &[usize], gamma: &[usize]) -> Result<Self, String> {
         assert_eq!(eta.len(), gamma.len());
-        assert!(
-            eta.iter()
-                .zip(gamma.iter())
-                .all(|(&e, &g)| g >= 1 && g <= e),
-            "need 1 <= gamma <= eta per dimension (eta={eta:?}, gamma={gamma:?})"
-        );
+        if !eta.iter().zip(gamma).all(|(&e, &g)| g >= 1 && g <= e) {
+            return Err(format!(
+                "need 1 <= gamma <= eta per dimension (eta={eta:?}, gamma={gamma:?})"
+            ));
+        }
         let cuts = eta
             .iter()
             .zip(gamma.iter())
@@ -60,11 +68,11 @@ impl TileGrid {
                 c
             })
             .collect();
-        TileGrid {
+        Ok(TileGrid {
             eta: eta.to_vec(),
             gamma: gamma.to_vec(),
             cuts,
-        }
+        })
     }
 
     /// Number of dimensions.

@@ -3,10 +3,8 @@
 //! row-walking face, ghost and interior copies against per-element
 //! indexing.
 
-use mp_grid::codec::{
-    decode_array, decode_rank_store, encode_array, encode_rank_store, ByteReader,
-};
-use mp_grid::{ArrayD, FieldDef, HaloArray, RankStore, Shape, Side, TileGrid};
+use mp_grid::codec::{decode_halo, decode_rank_store, encode_halo, encode_rank_store, ByteReader};
+use mp_grid::{FieldDef, HaloArray, RankStore, Shape, Side, TileGrid};
 use mp_testkit::{cases, Rng};
 
 fn small_dims(rng: &mut Rng) -> Vec<usize> {
@@ -18,13 +16,14 @@ fn small_dims(rng: &mut Rng) -> Vec<usize> {
 fn array_codec_roundtrip() {
     cases(0xc0de, 64, |rng| {
         let dims = small_dims(rng);
-        let a = ArrayD::from_fn(&dims, |_| {
-            f64::from_bits(rng.next_u64() & 0x7FEF_FFFF_FFFF_FFFF) // finite values
-        });
+        let mut h = HaloArray::zeros(&dims, rng.usize_in(0, 2));
+        for v in h.raw_mut() {
+            *v = f64::from_bits(rng.next_u64() & 0x7FEF_FFFF_FFFF_FFFF); // finite values
+        }
         let mut buf = Vec::new();
-        encode_array(&a, &mut buf);
-        let b = decode_array(&mut ByteReader::new(&buf)).unwrap();
-        for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
+        encode_halo(&h, &mut buf);
+        let back = decode_halo(&mut ByteReader::new(&buf)).unwrap();
+        for (x, y) in h.raw().iter().zip(back.raw()) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
     });
@@ -118,12 +117,16 @@ fn halo_line_accessor_agrees() {
             }
         }
         fill(&mut h, &shape, &mut Vec::new(), 0, &mut c);
-        let (off, stride, len) = h.interior_line(axis, &base);
-        assert_eq!(len, ext[axis]);
-        for k in 0..len {
+        // Walk the interior line along `axis` through `base` by storage
+        // offset and stride, the way row walkers address tile storage.
+        let s = h.strides();
+        let off = (0..d)
+            .filter(|&k| k != axis)
+            .fold(h.interior_origin_offset(), |off, k| off + base[k] * s[k]);
+        for k in 0..ext[axis] {
             let mut idx = base.clone();
             idx[axis] = k;
-            assert_eq!(h.raw()[off + k * stride], h.get_i(&idx));
+            assert_eq!(h.raw()[off + k * s[axis]], h.get_i(&idx));
         }
     });
 }

@@ -66,10 +66,7 @@ pub fn simulate_bt(
     let eta_u64 = [prob.eta[0] as u64, prob.eta[1] as u64, prob.eta[2] as u64];
     let mp = Multipartitioning::optimal(p, &eta_u64, &CostModel::origin2000_like());
     let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-    if gammas.iter().zip(prob.eta.iter()).any(|(&g, &e)| g > e) {
-        return None;
-    }
-    let grid = TileGrid::new(&prob.eta, &gammas);
+    let grid = TileGrid::try_new(&prob.eta, &gammas).ok()?;
     let geo = MultipartGeometry::new(&mp, &grid);
     let mut net = SimNet::new(p, *machine);
     let vol: Vec<u64> = (0..p)

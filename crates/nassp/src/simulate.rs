@@ -92,11 +92,8 @@ pub fn simulate_sp(
     let eta_u64 = [prob.eta[0] as u64, prob.eta[1] as u64, prob.eta[2] as u64];
     let mp = sp_partitioning(version, p, &eta_u64)?;
     let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-    // Guard against over-cut grids (more tiles than elements).
-    if gammas.iter().zip(prob.eta.iter()).any(|(&g, &e)| g > e) {
-        return None;
-    }
-    let grid = TileGrid::new(&prob.eta, &gammas);
+    // An over-cut grid (more tiles than elements) cannot run.
+    let grid = TileGrid::try_new(&prob.eta, &gammas).ok()?;
     let geo = MultipartGeometry::new(&mp, &grid);
     let mut net = SimNet::new(p, *machine);
 

@@ -1,7 +1,8 @@
 //! The message-passing interface the sweep engines program against.
 //!
 //! Deliberately MPI-shaped but minimal: tagged point-to-point `f64` messages
-//! plus a few collectives built on top. Payloads are `Vec<f64>` because
+//! plus the two collectives the solvers call (a barrier and a sum
+//! allreduce), built on top. Payloads are `Vec<f64>` because
 //! every message in a line-sweep code is a packed hyper-surface of field
 //! values.
 
@@ -137,13 +138,6 @@ pub trait Communicator {
     /// (in elements). Default: no-op — endpoints without a pool ignore it.
     fn reserve_buffers(&mut self, _sizes: &[usize]) {}
 
-    /// Declare this rank's part of the run failed, so peers blocked on
-    /// messages from it unwind with [`CommErrorKind::RankFailed`] instead
-    /// of hanging. Error-plumbed executors call this before returning an
-    /// `Err` from a rank callback. Default: no-op — backends without a
-    /// shared run (the serial backend) have nobody to notify.
-    fn abort(&mut self) {}
-
     /// Synchronize all ranks.
     fn barrier(&mut self) {
         // Dissemination barrier on top of send/recv: ⌈log2 p⌉ rounds.
@@ -193,114 +187,6 @@ pub trait Communicator {
             self.recv(0, tag_down)
         }
     }
-
-    /// Max across all ranks of a scalar.
-    fn allreduce_max(&mut self, value: f64) -> f64 {
-        let p = self.size();
-        let me = self.rank();
-        if p <= 1 {
-            return value;
-        }
-        let tag_up = RESERVED_TAG_BASE + 102;
-        let tag_down = RESERVED_TAG_BASE + 103;
-        if me == 0 {
-            let mut acc = value;
-            for from in 1..p {
-                let part = self.recv(from, tag_up);
-                acc = acc.max(part[0]);
-            }
-            for to in 1..p {
-                self.send(to, tag_down, vec![acc]);
-            }
-            acc
-        } else {
-            self.send(0, tag_up, vec![value]);
-            self.recv(0, tag_down)[0]
-        }
-    }
-
-    /// Gather every rank's chunk at the root (rank 0); returns `Some(chunks)`
-    /// (indexed by source rank) at the root, `None` elsewhere.
-    fn gather(&mut self, chunk: Vec<f64>) -> Option<Vec<Vec<f64>>> {
-        let p = self.size();
-        let me = self.rank();
-        let tag = RESERVED_TAG_BASE + 106;
-        if me == 0 {
-            let mut out = vec![Vec::new(); p as usize];
-            out[0] = chunk;
-            for r in 1..p {
-                out[r as usize] = self.recv(r, tag);
-            }
-            Some(out)
-        } else {
-            self.send(0, tag, chunk);
-            None
-        }
-    }
-
-    /// Scatter per-rank chunks from the root (rank 0); non-roots pass
-    /// `None`. Returns this rank's chunk.
-    fn scatter(&mut self, chunks: Option<Vec<Vec<f64>>>) -> Vec<f64> {
-        let p = self.size();
-        let me = self.rank();
-        let tag = RESERVED_TAG_BASE + 107;
-        if me == 0 {
-            let mut chunks = chunks.expect("root must supply chunks");
-            assert_eq!(chunks.len() as u64, p, "one chunk per rank");
-            for r in (1..p).rev() {
-                let c = chunks.pop().unwrap();
-                self.send(r, tag, c);
-            }
-            chunks.pop().unwrap()
-        } else {
-            assert!(chunks.is_none(), "only the root supplies chunks");
-            self.recv(0, tag)
-        }
-    }
-
-    /// Personalized all-to-all: `chunks[r]` goes to rank `r`; returns the
-    /// chunks received from every rank (index = source), with this rank's
-    /// own chunk passed through locally. The primitive behind the dynamic
-    /// block partitioning's transposes.
-    fn alltoall(&mut self, chunks: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
-        let p = self.size();
-        let me = self.rank();
-        assert_eq!(chunks.len() as u64, p, "need one chunk per rank");
-        let tag = RESERVED_TAG_BASE + 105;
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); p as usize];
-        // Post all sends first (buffered), keep own chunk.
-        for (r, chunk) in chunks.into_iter().enumerate() {
-            if r as u64 == me {
-                out[r] = chunk;
-            } else {
-                self.send(r as u64, tag, chunk);
-            }
-        }
-        for r in 0..p {
-            if r != me {
-                out[r as usize] = self.recv(r, tag);
-            }
-        }
-        out
-    }
-
-    /// Broadcast from rank 0 to everyone.
-    fn broadcast(&mut self, values: &[f64]) -> Vec<f64> {
-        let p = self.size();
-        let me = self.rank();
-        if p <= 1 {
-            return values.to_vec();
-        }
-        let tag = RESERVED_TAG_BASE + 104;
-        if me == 0 {
-            for to in 1..p {
-                self.send(to, tag, values.to_vec());
-            }
-            values.to_vec()
-        } else {
-            self.recv(0, tag)
-        }
-    }
 }
 
 /// A single-rank communicator: everything is a no-op; sending to yourself is
@@ -338,8 +224,6 @@ mod tests {
         assert_eq!(c.size(), 1);
         c.barrier(); // no-op
         assert_eq!(c.allreduce_sum(&[1.0, 2.0]), vec![1.0, 2.0]);
-        assert_eq!(c.allreduce_max(7.0), 7.0);
-        assert_eq!(c.broadcast(&[3.0]), vec![3.0]);
     }
 
     #[test]

@@ -19,15 +19,16 @@
 //! resolves which model a run uses).
 //!
 //! [`comm::Communicator`] is the trait the functional engines program
-//! against; collectives (barrier, allreduce, broadcast) are provided on top
-//! of send/recv.
+//! against; its two collectives (barrier and sum allreduce) are provided on
+//! top of send/recv.
 //!
-//! Both backends feed the unified telemetry layer in [`mp_trace`]: install
+//! Threaded runs feed the unified telemetry layer in [`mp_trace`]: install
 //! a [`mp_trace::SweepRecorder`] on a [`ThreadedComm`] (its `trace` field;
 //! sends and blocking receives are instrumented, and sweep engines add
-//! compute/pack spans through [`Communicator::tracer`]), or call
-//! [`SimNet::trace_file`] after a traced simulation. Either way yields a
-//! [`mp_trace::TraceFile`] exportable as Perfetto-loadable Chrome JSON.
+//! compute/pack spans through [`Communicator::tracer`]) to get a
+//! [`mp_trace::TraceFile`] exportable as Perfetto-loadable Chrome JSON. A
+//! traced simulation records its intervals as [`SimEvent`]s
+//! ([`SimNet::events`]).
 //!
 //! Threaded runs are failure-bounded rather than hang-prone: blocking
 //! receives honor a configurable deadline (`MP_COMM_TIMEOUT_MS`), the
@@ -54,7 +55,7 @@ pub use calibrate::{
 };
 pub use comm::{CommError, CommErrorKind, Communicator, SerialComm, Tag};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use sim::{RankTimes, SimEvent, SimNet, SimStats};
+pub use sim::{SimEvent, SimNet, SimStats};
 pub use state::RunState;
 pub use threaded::{
     deadline_from_env, panic_payload_message, run_threaded, run_threaded_result, RankFailure,

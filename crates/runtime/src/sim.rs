@@ -36,17 +36,6 @@ pub struct SimStats {
     pub barriers: u64,
 }
 
-/// Per-rank time accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RankTimes {
-    /// Seconds spent computing.
-    pub compute: f64,
-    /// Seconds of send overhead (α per message).
-    pub send_overhead: f64,
-    /// Seconds spent blocked in `recv` waiting for arrivals.
-    pub wait: f64,
-}
-
 /// One recorded interval of simulated activity (tracing must be enabled
 /// with [`SimNet::enable_trace`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -103,7 +92,8 @@ pub struct SimNet {
     model: CostModel,
     p: u64,
     clocks: Vec<f64>,
-    times: Vec<RankTimes>,
+    /// Seconds each rank spent computing (what [`SimNet::utilization`] reads).
+    compute: Vec<f64>,
     mailbox: HashMap<(u64, u64, u64), VecDeque<(f64, u64)>>,
     trace: Option<Vec<SimEvent>>,
     /// Aggregate counters.
@@ -120,7 +110,7 @@ impl SimNet {
             model,
             p,
             clocks: vec![0.0; p as usize],
-            times: vec![RankTimes::default(); p as usize],
+            compute: vec![0.0; p as usize],
             mailbox: HashMap::new(),
             trace: None,
             stats: SimStats::default(),
@@ -158,7 +148,7 @@ impl SimNet {
         assert!(seconds >= 0.0);
         let start = self.clocks[rank as usize];
         self.clocks[rank as usize] += seconds;
-        self.times[rank as usize].compute += seconds;
+        self.compute[rank as usize] += seconds;
         if seconds > 0.0 {
             if let Some(tr) = &mut self.trace {
                 tr.push(SimEvent::Compute {
@@ -180,7 +170,6 @@ impl SimNet {
         let overhead = self.model.k2;
         let start = self.clocks[from as usize];
         self.clocks[from as usize] += overhead;
-        self.times[from as usize].send_overhead += overhead;
         if let Some(tr) = &mut self.trace {
             tr.push(SimEvent::Send {
                 rank: from,
@@ -215,7 +204,6 @@ impl SimNet {
             .unwrap_or_else(|| panic!("recv({to} ← {from}, tag {tag}): queue empty"));
         let start = self.clocks[to as usize];
         if arrival > start {
-            self.times[to as usize].wait += arrival - start;
             self.clocks[to as usize] = arrival;
             if let Some(tr) = &mut self.trace {
                 tr.push(SimEvent::Wait {
@@ -240,10 +228,7 @@ impl SimNet {
         let rounds = 2 * (64 - (p - 1).leading_zeros()) as u64; // 2·⌈log2 p⌉
         let per_round = self.model.message_time(p, elements);
         let finish = self.makespan() + rounds as f64 * per_round;
-        for (c, t) in self.clocks.iter_mut().zip(self.times.iter_mut()) {
-            t.wait += finish - *c;
-            *c = finish;
-        }
+        self.clocks.fill(finish);
         self.stats.messages += rounds * p;
         self.stats.elements += rounds * p * elements;
         self.stats.barriers += 1;
@@ -252,10 +237,7 @@ impl SimNet {
     /// Synchronize: every clock jumps to the current maximum.
     pub fn barrier(&mut self) {
         let max = self.makespan();
-        for (c, t) in self.clocks.iter_mut().zip(self.times.iter_mut()) {
-            t.wait += max - *c;
-            *c = max;
-        }
+        self.clocks.fill(max);
         self.stats.barriers += 1;
     }
 
@@ -269,92 +251,18 @@ impl SimNet {
         self.clocks.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Per-rank time breakdown.
-    pub fn rank_times(&self, rank: u64) -> RankTimes {
-        self.times[rank as usize]
-    }
-
     /// Per-rank utilization: fraction of the makespan spent computing.
     pub fn utilization(&self) -> Vec<f64> {
         let span = self.makespan();
         if span == 0.0 {
             return vec![0.0; self.p as usize];
         }
-        self.times.iter().map(|t| t.compute / span).collect()
+        self.compute.iter().map(|c| c / span).collect()
     }
 
     /// True if every sent message has been received.
     pub fn all_delivered(&self) -> bool {
         self.mailbox.values().all(|q| q.is_empty())
-    }
-
-    /// Export the recorded trace in the unified [`mp_trace`] representation
-    /// (empty unless tracing is enabled with [`SimNet::enable_trace`]).
-    ///
-    /// Virtual seconds become nanoseconds, so simulated and real
-    /// ([`crate::ThreadedComm`]) runs share one file format, one summary
-    /// table, and one Perfetto workflow
-    /// ([`mp_trace::TraceFile::to_chrome_json`]). Simulated `Send` events
-    /// keep their α-overhead duration (real sends are buffered and
-    /// effectively instant); per-peer message/element counts land in each
-    /// rank's [`mp_trace::SweepStats`] exactly as in a threaded run.
-    pub fn trace_file(&self) -> mp_trace::TraceFile {
-        use mp_trace::{RankTrace, SpanKind, TraceEvent};
-        let ns = |t: f64| (t * 1e9).round().max(0.0) as u64;
-        let mut per_rank: Vec<Vec<TraceEvent>> = vec![Vec::new(); self.p as usize];
-        for ev in self.events() {
-            let (rank, event) = match *ev {
-                SimEvent::Compute { rank, start, end } => (
-                    rank,
-                    TraceEvent {
-                        start_ns: ns(start),
-                        end_ns: ns(end),
-                        kind: SpanKind::Compute {
-                            phase: 0,
-                            jobs: 0,
-                            lines: 0,
-                        },
-                    },
-                ),
-                SimEvent::Send {
-                    rank,
-                    start,
-                    end,
-                    to,
-                    elements,
-                } => (
-                    rank,
-                    TraceEvent {
-                        start_ns: ns(start),
-                        end_ns: ns(end),
-                        kind: SpanKind::Send { peer: to, elements },
-                    },
-                ),
-                SimEvent::Wait {
-                    rank,
-                    start,
-                    end,
-                    from,
-                } => (
-                    rank,
-                    TraceEvent {
-                        start_ns: ns(start),
-                        end_ns: ns(end),
-                        kind: SpanKind::CommWait { peer: from, tag: 0 },
-                    },
-                ),
-            };
-            per_rank[rank as usize].push(event);
-        }
-        mp_trace::TraceFile::new(
-            per_rank
-                .into_iter()
-                .enumerate()
-                .map(|(r, evs)| RankTrace::from_events(r as u64, evs))
-                .collect(),
-        )
-        .with_meta("source", "sim")
-        .with_meta("p", self.p.to_string())
     }
 }
 
@@ -379,7 +287,6 @@ mod tests {
         assert_eq!(net.clock(0), 5.0);
         assert_eq!(net.clock(1), 0.0);
         assert_eq!(net.makespan(), 5.0);
-        assert_eq!(net.rank_times(0).compute, 5.0);
     }
 
     #[test]
@@ -391,7 +298,6 @@ mod tests {
         let n = net.recv(1, 0, 7);
         assert_eq!(n, 4);
         assert_eq!(net.clock(1), 12.0);
-        assert_eq!(net.rank_times(1).wait, 12.0);
         assert!(net.all_delivered());
         assert_eq!(net.stats.messages, 1);
         assert_eq!(net.stats.elements, 4);
@@ -404,7 +310,6 @@ mod tests {
         net.compute(1, 100); // receiver already at 100
         net.recv(1, 0, 0);
         assert_eq!(net.clock(1), 100.0);
-        assert_eq!(net.rank_times(1).wait, 0.0);
     }
 
     #[test]
@@ -426,8 +331,6 @@ mod tests {
             assert_eq!(net.clock(r), 50.0);
         }
         assert_eq!(net.stats.barriers, 1);
-        assert_eq!(net.rank_times(1).wait, 50.0);
-        assert_eq!(net.rank_times(2).wait, 30.0);
     }
 
     #[test]
@@ -568,38 +471,6 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e, SimEvent::Wait { .. })));
-    }
-
-    #[test]
-    fn trace_file_unifies_sim_events() {
-        let mut net = SimNet::new(2, simple_machine());
-        net.enable_trace();
-        net.compute(0, 10);
-        for n in [3, 3, 4] {
-            net.send(0, 1, 0, n);
-        }
-        for n in [3, 3, 4] {
-            assert_eq!(net.recv(1, 0, 0), n);
-        }
-        let tf = net.trace_file();
-        assert_eq!(tf.ranks.len(), 2);
-        // Recorder-side per-peer counters match the simulator's own stats
-        // exactly (messages and elements).
-        let sent: u64 = tf.ranks.iter().map(|r| r.stats.sent_messages()).sum();
-        let elems: u64 = tf.ranks.iter().map(|r| r.stats.sent_elements()).sum();
-        assert_eq!(sent, net.stats.messages);
-        assert_eq!(elems, net.stats.elements);
-        // Virtual seconds → ns: rank 0 computed 10 elem · 1.0 s = 1e10 ns.
-        assert_eq!(tf.ranks[0].stats.compute_ns, 10_000_000_000);
-        // Wait time mirrors RankTimes.wait.
-        let wait_s = net.rank_times(1).wait;
-        assert_eq!(
-            tf.ranks[1].stats.comm_wait_ns,
-            (wait_s * 1e9).round() as u64
-        );
-        // And the export is loadable.
-        let back = mp_trace::TraceFile::parse_chrome_json(&tf.to_chrome_json()).unwrap();
-        assert_eq!(back, tf);
     }
 
     #[test]

@@ -404,10 +404,6 @@ impl Communicator for ThreadedComm {
             }
         }
     }
-
-    fn abort(&mut self) {
-        self.run_state.poison(self.rank);
-    }
 }
 
 /// Secondary panics carrying a typed [`CommError`] payload are controlled
@@ -699,68 +695,6 @@ mod tests {
         });
         for r in res {
             assert_eq!(r, vec![6.0, 12.0]); // 0+1+2+3, 0+2+4+6
-        }
-    }
-
-    #[test]
-    fn allreduce_max_scalar() {
-        let res = run_threaded(6, |comm| comm.allreduce_max(comm.rank() as f64 * 1.5));
-        for r in res {
-            assert_eq!(r, 7.5);
-        }
-    }
-
-    #[test]
-    fn broadcast_from_root() {
-        let res = run_threaded(3, |comm| {
-            if comm.rank() == 0 {
-                comm.broadcast(&[42.0, 43.0])
-            } else {
-                comm.broadcast(&[])
-            }
-        });
-        for r in res {
-            assert_eq!(r, vec![42.0, 43.0]);
-        }
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let res = run_threaded(4, |comm| {
-            let me = comm.rank() as f64;
-            let gathered = comm.gather(vec![me, me * me]);
-            if comm.rank() == 0 {
-                let g = gathered.unwrap();
-                assert_eq!(g[2], vec![2.0, 4.0]);
-                // scatter each rank its chunk doubled
-                let chunks = g
-                    .into_iter()
-                    .map(|c| c.into_iter().map(|v| v * 2.0).collect())
-                    .collect();
-                comm.scatter(Some(chunks))
-            } else {
-                assert!(gathered.is_none());
-                comm.scatter(None)
-            }
-        });
-        for (r, chunk) in res.iter().enumerate() {
-            let me = r as f64;
-            assert_eq!(chunk, &vec![2.0 * me, 2.0 * me * me]);
-        }
-    }
-
-    #[test]
-    fn alltoall_personalized() {
-        let res = run_threaded(4, |comm| {
-            let me = comm.rank() as f64;
-            // chunk for rank r: [me, r]
-            let chunks: Vec<Vec<f64>> = (0..4).map(|r| vec![me, r as f64]).collect();
-            comm.alltoall(chunks)
-        });
-        for (me, received) in res.iter().enumerate() {
-            for (src, chunk) in received.iter().enumerate() {
-                assert_eq!(chunk, &vec![src as f64, me as f64]);
-            }
         }
     }
 

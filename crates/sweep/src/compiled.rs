@@ -39,47 +39,8 @@ use crate::simd::{SimdLevel, SimdMode};
 use mp_core::multipart::{Direction, Multipartitioning};
 use mp_core::plan::SweepPlan;
 use mp_grid::{HaloPlan, RankStore};
-use mp_runtime::comm::{CommError, Communicator, Tag};
-use mp_runtime::panic_payload_message;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use mp_runtime::comm::{Communicator, Tag};
 use std::time::Instant;
-
-/// A sweep that failed cleanly instead of completing: the unwind was
-/// caught at the executor boundary, the surrounding run was aborted
-/// ([`Communicator::abort`]) so peer ranks fail fast instead of
-/// deadlocking, and the cause comes back as a value.
-#[derive(Debug)]
-pub struct SweepError {
-    /// Human-readable description (panic message, or the rendered
-    /// [`CommError`]).
-    pub message: String,
-    /// The typed communication error, when the failure was a bounded
-    /// receive giving up (deadline or peer failure) rather than a local
-    /// panic.
-    pub comm: Option<CommError>,
-}
-
-impl std::fmt::Display for SweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sweep failed: {}", self.message)
-    }
-}
-
-impl std::error::Error for SweepError {}
-
-impl SweepError {
-    /// Classify a caught unwind payload and abort the surrounding run.
-    fn from_unwind<C: Communicator>(
-        comm: &mut C,
-        payload: Box<dyn std::any::Any + Send>,
-    ) -> SweepError {
-        comm.abort();
-        SweepError {
-            message: panic_payload_message(payload.as_ref()),
-            comm: payload.downcast_ref::<CommError>().cloned(),
-        }
-    }
-}
 
 /// What a [`CompiledSweep`] was built for — compared by
 /// [`CompiledSweep::matches`] to decide when a cached plan can be reused.
@@ -462,47 +423,6 @@ impl CompiledSweep {
             } else {
                 comm.send(downstream, tag + 1, cbuf);
             }
-        }
-    }
-
-    /// Like [`CompiledSweep::execute`], but any unwind inside the sweep —
-    /// a kernel assertion, a receive deadline, or a peer rank's failure —
-    /// comes back as a typed [`SweepError`] after aborting the surrounding
-    /// run ([`Communicator::abort`]), so the other ranks unwind with `RankFailed` instead of deadlocking on the
-    /// messages this sweep will never send.
-    ///
-    /// ```
-    /// use mp_core::cost::CostModel;
-    /// use mp_core::multipart::{Direction, Multipartitioning};
-    /// use mp_grid::{FieldDef, TileGrid};
-    /// use mp_runtime::{run_threaded, Communicator};
-    /// use mp_sweep::{allocate_rank_store, CompiledSweep, PrefixSumKernel, SweepOptions};
-    ///
-    /// let mp = Multipartitioning::optimal(2, &[4, 4], &CostModel::origin2000_like());
-    /// let gammas: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-    /// let results = run_threaded(2, |comm| {
-    ///     let grid = TileGrid::new(&[4, 4], &gammas);
-    ///     let fields = [FieldDef::new("u", 0)];
-    ///     let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
-    ///     store.init_field(0, |_| 1.0);
-    ///     let kernel = PrefixSumKernel::new(0);
-    ///     let mut plan = CompiledSweep::build(
-    ///         &mp, comm.rank(), &store, 0, Direction::Forward,
-    ///         &kernel, 77, &SweepOptions::default(),
-    ///     );
-    ///     plan.try_execute(comm, &mut store, &kernel)
-    /// });
-    /// assert!(results.iter().all(|r| r.is_ok()));
-    /// ```
-    pub fn try_execute<C: Communicator, K: LineSweepKernel + ?Sized>(
-        &mut self,
-        comm: &mut C,
-        store: &mut RankStore,
-        kernel: &K,
-    ) -> Result<(), SweepError> {
-        match catch_unwind(AssertUnwindSafe(|| self.execute(comm, store, kernel))) {
-            Ok(()) => Ok(()),
-            Err(payload) => Err(SweepError::from_unwind(comm, payload)),
         }
     }
 }

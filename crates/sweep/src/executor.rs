@@ -83,31 +83,6 @@ impl SweepOptions {
     }
 }
 
-/// Emit (at most once per process per variable) a stderr warning that an
-/// environment knob held an invalid value and which fallback is in force.
-/// Returns whether this call emitted the warning — the one-shot guard, not
-/// the validity check, which callers do themselves.
-pub(crate) fn warn_invalid_env(name: &str, value: &str, fallback: &str) -> bool {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
-    let warned = WARNED.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut set = warned.lock().unwrap();
-    if !set.insert(name.to_string()) {
-        return false;
-    }
-    eprintln!("warning: ignoring invalid {name}={value:?}; using {fallback}");
-    true
-}
-
-/// Serializes tests that set the real `MP_SWEEP_*` variables — process
-/// environment is global, so concurrent mutation races otherwise.
-#[cfg(test)]
-pub(crate) fn env_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl Default for SweepOptions {
     /// [`SweepOptions::from_env`].
     fn default() -> Self {
@@ -407,36 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn invalid_env_warns_once_per_variable() {
-        // One stderr warning per process per variable: the first rejection
-        // of a given knob emits, every later one is suppressed, and a
-        // different knob still gets its own warning. Distinct made-up
-        // names keep this independent of the real-knob tests elsewhere.
-        assert!(warn_invalid_env(
-            "MP_SWEEP_TEST_KNOB_A",
-            "banana",
-            "default 32"
-        ));
-        assert!(!warn_invalid_env(
-            "MP_SWEEP_TEST_KNOB_A",
-            "banana",
-            "default 32"
-        ));
-        assert!(!warn_invalid_env(
-            "MP_SWEEP_TEST_KNOB_A",
-            "other",
-            "default 32"
-        ));
-        assert!(warn_invalid_env("MP_SWEEP_TEST_KNOB_B", "0", "default 1"));
-    }
-
-    #[test]
     fn env_knob_invalid_values_fall_back() {
         // SweepOptions::from_env parsing: MP_SWEEP_SIMD picks the dispatch
         // mode; anything unrecognized (including garbage and the level name
-        // `avx2`) falls back to auto rather than erroring. (Serialized with
-        // every other env-mutating test via the shared lock.)
-        let _guard = env_test_lock();
+        // `avx2`) falls back to auto rather than erroring. It is the only
+        // test that sets the variable; every setting sweeps bitwise alike,
+        // so tests reading it meanwhile are unaffected.
         for (val, want) in [
             ("scalar", SimdMode::Scalar),
             ("AVX2", SimdMode::Auto),

@@ -53,7 +53,7 @@ mod tests_trace;
 
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
 pub use calibrate::calibrate_host;
-pub use compiled::{CompiledSweep, SolverPlan, SweepError};
+pub use compiled::{CompiledSweep, SolverPlan};
 pub use executor::{allocate_rank_store, exchange_halos_planned, SweepOptions};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
 pub use recurrence::{

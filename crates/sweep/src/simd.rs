@@ -87,7 +87,10 @@ impl SimdMode {
         match std::env::var("MP_SWEEP_SIMD") {
             Err(_) => SimdMode::Auto,
             Ok(s) => SimdMode::parse(&s).unwrap_or_else(|| {
-                crate::executor::warn_invalid_env("MP_SWEEP_SIMD", &s, "auto");
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    eprintln!("warning: ignoring invalid MP_SWEEP_SIMD={s:?}; using auto")
+                });
                 SimdMode::Auto
             }),
         }

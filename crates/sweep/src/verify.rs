@@ -108,42 +108,10 @@ pub fn serial_sweep_with_origin(
     }
 }
 
-/// Solve tridiagonal systems along every `axis` line of global coefficient
-/// fields (a serial reference for the two-sweep distributed Thomas solve):
-/// after the call, `d` holds the solutions; `c` and `d` are clobbered as in
-/// [`crate::thomas::thomas_solve_in_place`].
-pub fn serial_tridiag_solve(
-    a: &ArrayD<f64>,
-    b: &ArrayD<f64>,
-    c: &mut ArrayD<f64>,
-    d: &mut ArrayD<f64>,
-    axis: usize,
-) {
-    let n = a.dims()[axis];
-    let mut bases = Vec::new();
-    a.for_each_line(axis, |bb| bases.push(bb.to_vec()));
-    let (mut la, mut lb, mut lc, mut ld) = (
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
-        Vec::with_capacity(n),
-    );
-    for base in &bases {
-        a.read_line(axis, base, &mut la);
-        b.read_line(axis, base, &mut lb);
-        c.read_line(axis, base, &mut lc);
-        d.read_line(axis, base, &mut ld);
-        crate::thomas::thomas_solve_in_place(&la, &mut lb, &mut lc, &mut ld);
-        c.write_line(axis, base, &lc);
-        d.write_line(axis, base, &ld);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::recurrence::PrefixSumKernel;
-    use crate::thomas::{ThomasBackwardKernel, ThomasForwardKernel};
 
     #[test]
     fn serial_prefix_sum_axis1() {
@@ -162,54 +130,5 @@ mod tests {
         let k = PrefixSumKernel::new(0);
         serial_sweep(&mut [&mut a], 0, Direction::Backward, &k);
         assert_eq!(a.as_slice(), &[6.0, 5.0, 3.0]);
-    }
-
-    #[test]
-    fn two_sweep_thomas_equals_direct_solve() {
-        // Set up per-line tridiagonal systems as 3-D fields and check that
-        // forward + backward kernel sweeps reproduce serial_tridiag_solve.
-        let dims = [4usize, 5, 6];
-        let a = ArrayD::from_fn(&dims, |i| {
-            if i[1] == 0 {
-                0.0
-            } else {
-                0.3 + 0.01 * (i[0] + i[2]) as f64
-            }
-        });
-        let b = ArrayD::from_fn(&dims, |i| 2.0 + 0.05 * i[1] as f64);
-        let c0 = ArrayD::from_fn(&dims, |i| {
-            if i[1] == dims[1] - 1 {
-                0.0
-            } else {
-                0.4 - 0.01 * i[2] as f64
-            }
-        });
-        let d0 = ArrayD::from_fn(&dims, |i| ((i[0] * 31 + i[1] * 7 + i[2]) % 11) as f64 - 5.0);
-
-        // Reference.
-        let mut c_ref = c0.clone();
-        let mut d_ref = d0.clone();
-        serial_tridiag_solve(&a, &b, &mut c_ref, &mut d_ref, 1);
-
-        // Two-sweep via serial_sweep with the segment kernels.
-        let mut aa = a.clone();
-        let mut bb = b.clone();
-        let mut cc = c0.clone();
-        let mut dd = d0.clone();
-        let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
-        serial_sweep(
-            &mut [&mut aa, &mut bb, &mut cc, &mut dd],
-            1,
-            Direction::Forward,
-            &fwd,
-        );
-        let bwd = ThomasBackwardKernel::new(0, 1);
-        serial_sweep(&mut [&mut cc, &mut dd], 1, Direction::Backward, &bwd);
-
-        assert!(
-            dd.max_abs_diff(&d_ref) < 1e-12,
-            "two-sweep Thomas diverges from direct solve: {}",
-            dd.max_abs_diff(&d_ref)
-        );
     }
 }
