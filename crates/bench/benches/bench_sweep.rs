@@ -394,6 +394,151 @@ fn bench_sweep(c: &mut Criterion) {
         group.finish();
     }
 
+    // BT's block sweeps as the solver runs them: a `SolverPlan` over
+    // `SerialComm` at p = 1 on BT's own field list (its `C'` fields are
+    // scratch, laid out in sweep order), forward and backward along each
+    // dimension of a 24×12×12 domain, a bt-24-p2 tile in one tile and one
+    // phase per sweep; and along dim 0 of a 1×12×12 domain, 12 rows of 12
+    // lanes and one element each, which time a row's fixed cost. Each
+    // plan runs at one SIMD mode, and `SweepOptions` has two: scalar, and
+    // auto (the widest supported level). Before timing, forward then
+    // backward along every dimension must leave the right-hand sides bit
+    // for bit alike at both. Each iteration restores the sweep's input
+    // right-hand sides, so a row times one sweep plus one copy of them.
+    {
+        use mp_nasbt::parallel::{bt_fields, fields};
+        use mp_nasbt::{BtProblem, NCOMP};
+        use mp_runtime::comm::SerialComm;
+        use mp_sweep::simd::SimdMode;
+        use mp_sweep::{BlockTriBackwardKernel, BlockTriForwardKernel};
+
+        let mut group = c.benchmark_group("bt_tile");
+        let mp = Multipartitioning::from_partitioning(1, Partitioning::new(vec![1, 1, 1]));
+        let scratch: Vec<usize> = (0..NCOMP * NCOMP).map(fields::scratch).collect();
+        let rhs: Vec<usize> = (0..NCOMP).map(fields::rhs).collect();
+        let modes: Vec<SimdMode> = [SimdMode::Scalar, SimdMode::Auto]
+            .into_iter()
+            .filter(|m| *m == SimdMode::Scalar || m.resolve() != SimdMode::Scalar.resolve())
+            .collect();
+        for (eta, shape, dims) in [([24, 12, 12], "tile", 0..3), ([1, 12, 12], "row", 0..1)] {
+            let bt = BtProblem::new(eta, 0.0015);
+            let fwd = BlockTriForwardKernel::<NCOMP, _>::new(bt, &scratch, &rhs);
+            let bwd = BlockTriBackwardKernel::<NCOMP>::new(&scratch, &rhs);
+            let grid = TileGrid::new(&eta, &[1, 1, 1]);
+            let fresh = || {
+                let mut store = allocate_rank_store(0, &mp, &grid, &bt_fields());
+                for (c, &f) in rhs.iter().enumerate() {
+                    store.init_field(f, |g| {
+                        ((g[0] * 7 + g[1] * 3 + g[2] * 5 + c) % 11) as f64 * 0.1 - 0.5
+                    });
+                }
+                store
+            };
+            let rhs_bits = |store: &mp_grid::RankStore| -> Vec<u64> {
+                rhs.iter()
+                    .flat_map(|&f| store.tiles[0].field(f).raw().iter().map(|v| v.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            let outputs: Vec<Vec<u64>> = modes
+                .iter()
+                .map(|&mode| {
+                    let mut store = fresh();
+                    let mut plan = SolverPlan::new(SweepOptions::default().with_simd(mode));
+                    for dim in dims.clone() {
+                        let tag = dim as u64 * 1_000;
+                        plan.sweep(
+                            &mut SerialComm,
+                            &mut store,
+                            &mp,
+                            dim,
+                            Direction::Forward,
+                            &fwd,
+                            tag,
+                        );
+                        plan.sweep(
+                            &mut SerialComm,
+                            &mut store,
+                            &mp,
+                            dim,
+                            Direction::Backward,
+                            &bwd,
+                            tag,
+                        );
+                    }
+                    rhs_bits(&store)
+                })
+                .collect();
+            assert!(
+                outputs.windows(2).all(|w| w[0] == w[1]),
+                "bt_tile {shape}: SIMD modes disagree"
+            );
+            group.throughput(Throughput::Elements(eta.iter().product::<usize>() as u64));
+            for &mode in &modes {
+                let level = mode.resolve();
+                let mut plan = SolverPlan::new(SweepOptions::default().with_simd(mode));
+                for dim in dims.clone() {
+                    let mut store = fresh();
+                    let saved = |store: &mp_grid::RankStore| -> Vec<Vec<f64>> {
+                        rhs.iter()
+                            .map(|&f| store.tiles[0].field(f).raw().to_vec())
+                            .collect()
+                    };
+                    let restore = |store: &mut mp_grid::RankStore, from: &[Vec<f64>]| {
+                        for (&f, v) in rhs.iter().zip(from) {
+                            store.tiles[0].field_mut(f).raw_mut().copy_from_slice(v);
+                        }
+                    };
+                    let (tf, tb) = (dim as u64 * 1_000, dim as u64 * 1_000 + 500);
+                    let input = saved(&store);
+                    let name = format!("fwd_{shape}_dim{dim}");
+                    group.bench_with_input(BenchmarkId::new(name, level), &level, |b, _| {
+                        b.iter(|| {
+                            restore(&mut store, &input);
+                            plan.sweep(
+                                &mut SerialComm,
+                                &mut store,
+                                &mp,
+                                dim,
+                                Direction::Forward,
+                                &fwd,
+                                tf,
+                            );
+                        })
+                    });
+                    // The backward sweep reads the `C'` the last forward
+                    // sweep left in the scratch fields.
+                    restore(&mut store, &input);
+                    plan.sweep(
+                        &mut SerialComm,
+                        &mut store,
+                        &mp,
+                        dim,
+                        Direction::Forward,
+                        &fwd,
+                        tf,
+                    );
+                    let input = saved(&store);
+                    let name = format!("bwd_{shape}_dim{dim}");
+                    group.bench_with_input(BenchmarkId::new(name, level), &level, |b, _| {
+                        b.iter(|| {
+                            restore(&mut store, &input);
+                            plan.sweep(
+                                &mut SerialComm,
+                                &mut store,
+                                &mp,
+                                dim,
+                                Direction::Backward,
+                                &bwd,
+                                tb,
+                            );
+                        })
+                    });
+                }
+            }
+        }
+        group.finish();
+    }
+
     // Cost of producing one simulated data point (Table 1 machinery).
     let mut group = c.benchmark_group("simulated_sweep_replay");
     for &p in &[16u64, 50, 81] {

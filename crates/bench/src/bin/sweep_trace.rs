@@ -30,12 +30,8 @@ fn render(net: &SimNet, p: u64, label: &str) {
     for ev in net.events() {
         let (rank, s, e, ch) = match *ev {
             SimEvent::Compute { rank, start, end } => (rank, start, end, '#'),
-            SimEvent::Send {
-                rank, start, end, ..
-            } => (rank, start, end, 's'),
-            SimEvent::Wait {
-                rank, start, end, ..
-            } => (rank, start, end, '.'),
+            SimEvent::Send { rank, start, end } => (rank, start, end, 's'),
+            SimEvent::Wait { rank, start, end } => (rank, start, end, '.'),
         };
         let (lo, hi) = (col(s), col(e));
         for cell in &mut lanes[rank as usize][lo..=hi] {

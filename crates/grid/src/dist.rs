@@ -16,14 +16,30 @@ pub struct FieldDef {
     pub name: String,
     /// Ghost width this field needs.
     pub halo: usize,
+    /// A scratch field holds values only from a forward sweep to the
+    /// backward sweep of the same dimension (an elimination's `C'`), and
+    /// nothing else reads it. Each compiled sweep lays its storage out in
+    /// its own order, lanes adjacent (DESIGN.md §3), so its tile-order
+    /// accessors (`get`, `gather_into`, halo exchange) do not apply.
+    pub scratch: bool,
 }
 
 impl FieldDef {
-    /// Convenience constructor.
+    /// A field stored in tile order, with `halo` ghost layers.
     pub fn new(name: &str, halo: usize) -> Self {
         FieldDef {
             name: name.to_string(),
             halo,
+            scratch: false,
+        }
+    }
+
+    /// A scratch field (the `scratch` flag): no ghost layers, laid out by
+    /// each sweep in its own order.
+    pub fn scratch(name: &str) -> Self {
+        FieldDef {
+            scratch: true,
+            ..FieldDef::new(name, 0)
         }
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Field layout (35 fields per tile): components `u_c` at `c` (halo 1,
 //! c in 0..5), right-hand sides at `5 + c` and the 25 block-elimination
-//! scratch fields at `10..35`. The forcing is not a field: `compute_rhs`
-//! combines per-axis sine tables built once per solver.
+//! scratch fields at `10..35` ([`FieldDef::scratch`]: each sweep lays them
+//! out in its own order, so every row's `C'` lanes are adjacent). The
+//! forcing is not a field: `compute_rhs` combines per-axis sine tables
+//! built once per solver.
 //!
 //! Each iteration halo-exchanges every component, runs `compute_rhs` and
 //! `add` row by row over tile storage, and between them a forward and a
@@ -50,7 +52,7 @@ pub fn bt_fields() -> Vec<FieldDef> {
         defs.push(FieldDef::new(&format!("rhs{c}"), 0));
     }
     for k in 0..NCOMP * NCOMP {
-        defs.push(FieldDef::new(&format!("cw{k}"), 0));
+        defs.push(FieldDef::scratch(&format!("cw{k}")));
     }
     defs
 }
@@ -300,5 +302,6 @@ mod tests {
         assert_eq!(defs.last().map(|d| d.name.as_str()), Some("cw24"));
         assert_eq!(defs[fields::u(0)].halo, 1);
         assert_eq!(defs[fields::rhs(0)].halo, 0);
+        assert!(defs[fields::scratch(0)].scratch && !defs[fields::rhs(4)].scratch);
     }
 }

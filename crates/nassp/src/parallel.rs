@@ -36,9 +36,11 @@ pub mod fields {
     pub const U: usize = 0;
     /// Right-hand side / solution increment.
     pub const RHS: usize = 1;
-    /// Eliminated super-diagonal, written by the forward sweeps.
+    /// Eliminated super-diagonal, written by the forward sweeps (a scratch
+    /// field: each sweep lays it out in its own order).
     pub const C: usize = 2;
-    /// Eliminated second super-diagonal (pentadiagonal solves only).
+    /// Eliminated second super-diagonal (pentadiagonal solves only; a
+    /// scratch field).
     pub const F: usize = 3;
 }
 
@@ -47,10 +49,10 @@ pub fn sp_fields(solver: SolverKind) -> Vec<FieldDef> {
     let mut defs = vec![
         FieldDef::new("u", 1),
         FieldDef::new("rhs", 0),
-        FieldDef::new("c", 0),
+        FieldDef::scratch("c"),
     ];
     if solver == SolverKind::Pentadiagonal {
-        defs.push(FieldDef::new("f", 0));
+        defs.push(FieldDef::scratch("f"));
     }
     defs
 }

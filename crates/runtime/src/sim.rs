@@ -57,10 +57,6 @@ pub enum SimEvent {
         start: f64,
         /// Interval end.
         end: f64,
-        /// Destination rank.
-        to: u64,
-        /// Elements shipped.
-        elements: u64,
     },
     /// Blocked in `recv` waiting for a message to arrive.
     Wait {
@@ -70,8 +66,6 @@ pub enum SimEvent {
         start: f64,
         /// Interval end (the message's arrival).
         end: f64,
-        /// Source rank.
-        from: u64,
     },
 }
 
@@ -175,8 +169,6 @@ impl SimNet {
                 rank: from,
                 start,
                 end: start + overhead,
-                to,
-                elements,
             });
         }
         let arrival = self.clocks[from as usize] + elements as f64 * self.model.k3_at(self.p);
@@ -210,7 +202,6 @@ impl SimNet {
                     rank: to,
                     start,
                     end: arrival,
-                    from,
                 });
             }
         }
@@ -382,14 +373,11 @@ mod tests {
                 rank: 0,
                 start: 10.0,
                 end: 20.0, // α = 10
-                to: 1,
-                elements: 2,
             },
             SimEvent::Wait {
                 rank: 1,
                 start: 0.0,
                 end: 21.0, // 20 + 2·0.5 transfer
-                from: 0,
             },
         ];
         assert_eq!(net.events(), &want);
@@ -435,8 +423,6 @@ mod tests {
         match ev[1] {
             SimEvent::Send {
                 rank: 0,
-                to: 1,
-                elements: 2,
                 start,
                 end,
             } => {
@@ -448,7 +434,6 @@ mod tests {
         match ev[2] {
             SimEvent::Wait {
                 rank: 1,
-                from: 0,
                 start,
                 end,
             } => {

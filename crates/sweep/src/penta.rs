@@ -219,7 +219,7 @@ impl LaneBody for PentaForwardKernel {
             // Row i−1 then row i−2, each `(C, F, B)`, as the scalar kernel
             // stores them.
             let [mut p1c, mut p1f, mut p1b, mut p2c, mut p2f, mut p2b] =
-                load_carries::<V, 6>(carries, l0);
+                load_carries::<V, 6>(carries, 6, l0, 0);
             for k in 0..lanes.seg_len() {
                 let e = fields[0].load::<V>(k, l0);
                 let a = fields[1].load::<V>(k, l0);
@@ -244,7 +244,7 @@ impl LaneBody for PentaForwardKernel {
                 fields[4].store(k, l0, p1f);
                 fields[5].store(k, l0, p1b);
             }
-            store_carries(carries, l0, [p1c, p1f, p1b, p2c, p2f, p2b]);
+            store_carries(carries, 6, l0, 0, [p1c, p1f, p1b, p2c, p2f, p2b]);
         }
     }
 }
@@ -334,7 +334,7 @@ impl LaneBody for PentaBackwardKernel {
         let [cf, ff, bf]: [Field; 3] = std::array::from_fn(|i| Field::of(lanes, i));
         let (one, two) = (V::splat(1.0), V::splat(2.0));
         for l0 in (lo..hi).step_by(V::W) {
-            let [mut x1, mut x2, mut count] = load_carries::<V, 3>(carries, l0);
+            let [mut x1, mut x2, mut count] = load_carries::<V, 3>(carries, 3, l0, 0);
             for k in 0..lanes.seg_len() {
                 let b = bf.load::<V>(k, l0);
                 let xa = V::select(count.ge(one), b.sub(cf.load::<V>(k, l0).mul(x1)), b);
@@ -344,7 +344,7 @@ impl LaneBody for PentaBackwardKernel {
                 x1 = x;
                 count = V::select(two.gt(count), count.add(one), count);
             }
-            store_carries(carries, l0, [x1, x2, count]);
+            store_carries(carries, 3, l0, 0, [x1, x2, count]);
         }
     }
 }

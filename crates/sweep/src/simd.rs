@@ -22,7 +22,9 @@
 //! (`Field`): one vector access per lane group where the lanes are
 //! adjacent, else one scalar access per lane. So every body also runs the
 //! rows of a sweep along the unit-stride axis, whose lanes lie a tile row
-//! apart.
+//! apart. A lane group's line-major carries move as whole vectors: `W`
+//! contiguous loads or stores and a `W×W` transpose in registers
+//! (`load_carries`, `store_carries`).
 //!
 //! Three deliberate consequences of the bitwise contract:
 //!
@@ -190,8 +192,9 @@ pub const MAX_LANES: usize = 8;
 
 /// `W` lanes of `f64`, one per line of a tile row: the operations the lane
 /// bodies are written in. Each is one instruction of the vector's width
-/// (a load or store whose lanes are not adjacent is `W` scalar ones), and
-/// every lane is rounded as the scalar operation would round it.
+/// (a load or store whose lanes are not adjacent is `W` scalar ones, and
+/// the row moves are a transpose), and every lane is rounded as the scalar
+/// operation would round it.
 ///
 /// # Safety
 /// The `__m256d` and `__m512d` methods run AVX2 and AVX-512 instructions
@@ -230,6 +233,23 @@ pub(crate) trait LaneVec: Copy {
     unsafe fn select(m: Self::Mask, t: Self, f: Self) -> Self;
     /// Whether any lane of `m` is set.
     unsafe fn any(m: Self::Mask) -> bool;
+    /// Entries `0..out.len()` of `W` rows `stride` apart, one vector per
+    /// entry: lane `i` of `out[j]` from `p.add(i·stride + j)`. Each row's
+    /// entries are adjacent, so a block of `W` entries is `W` contiguous
+    /// loads and a `W×W` transpose in registers. The last, partial block
+    /// is masked loads at 8 lanes, or one strided load per entry where
+    /// that costs less (at 4 lanes, and for one or two entries at 8).
+    ///
+    /// # Safety
+    /// As for every method, and `p.add(i·stride + j)` must be valid for
+    /// reads for `i < W`, `j < out.len()`.
+    unsafe fn load_rows(p: *const f64, stride: usize, out: &mut [Self]);
+    /// Inverse of [`LaneVec::load_rows`]: lane `i` of `v[j]` to
+    /// `p.add(i·stride + j)`, touching nothing else.
+    ///
+    /// # Safety
+    /// As for [`LaneVec::load_rows`], for writes.
+    unsafe fn store_rows(p: *mut f64, stride: usize, v: &[Self]);
 }
 
 /// [`LaneVec`]'s `add`, `sub`, `mul` and `div`, each the one operation
@@ -298,30 +318,45 @@ impl LaneVec for f64 {
     unsafe fn any(m: bool) -> bool {
         m
     }
+    #[inline(always)]
+    unsafe fn load_rows(p: *const f64, _stride: usize, out: &mut [Self]) {
+        for (j, v) in out.iter_mut().enumerate() {
+            *v = *p.add(j);
+        }
+    }
+    #[inline(always)]
+    unsafe fn store_rows(p: *mut f64, _stride: usize, v: &[Self]) {
+        for (j, &x) in v.iter().enumerate() {
+            *p.add(j) = x;
+        }
+    }
 }
 
 /// One field of a lane view as the bodies address it: lane `l` of element
 /// `k` at `base + k·stride + l·lane_stride`, for `k < seg_len` and
-/// `l < nlanes`.
+/// `l < nlanes` of the view (checked in debug builds).
 #[derive(Clone, Copy)]
 pub(crate) struct Field {
     base: *mut f64,
     stride: isize,
     lane_stride: isize,
-    seg_len: usize,
-    nlanes: usize,
+    /// The view's `(seg_len, nlanes)`, for the debug builds' bounds checks
+    /// (release builds copy three words per field, not five).
+    #[cfg(debug_assertions)]
+    bounds: (usize, usize),
 }
 
 impl Field {
     /// Field `f` of `lanes`.
+    #[inline(always)]
     pub(crate) fn of(lanes: &Lanes<'_>, f: usize) -> Field {
         let (stride, lane_stride) = lanes.strides(f);
         Field {
             base: lanes.base(f),
             stride,
             lane_stride,
-            seg_len: lanes.seg_len(),
-            nlanes: lanes.nlanes(),
+            #[cfg(debug_assertions)]
+            bounds: (lanes.seg_len(), lanes.nlanes()),
         }
     }
 
@@ -329,10 +364,13 @@ impl Field {
     /// in the view (debug-asserted).
     #[inline(always)]
     fn at(self, k: usize, l0: usize, w: usize) -> *mut f64 {
-        debug_assert!(
-            k < self.seg_len && l0 + w <= self.nlanes,
+        #[cfg(debug_assertions)]
+        assert!(
+            k < self.bounds.0 && l0 + w <= self.bounds.1,
             "outside the view"
         );
+        #[cfg(not(debug_assertions))]
+        let _ = w;
         self.base
             .wrapping_offset(k as isize * self.stride + l0 as isize * self.lane_stride)
     }
@@ -357,78 +395,106 @@ impl Field {
     pub(crate) unsafe fn store<V: LaneVec>(self, k: usize, l0: usize, v: V) {
         v.store(self.at(k, l0, V::W), self.lane_stride)
     }
+
+    /// The field from lane `l0` on: lane `l` of the result is lane
+    /// `l0 + l` of `self`. A body that takes its lane group's fields this
+    /// way adds the lane offset once per group, not at every access.
+    #[inline(always)]
+    pub(crate) fn lanes_from(self, l0: usize) -> Field {
+        Field {
+            base: self.base.wrapping_offset(l0 as isize * self.lane_stride),
+            #[cfg(debug_assertions)]
+            bounds: {
+                assert!(l0 < self.bounds.1, "outside the view");
+                (self.bounds.0, self.bounds.1 - l0)
+            },
+            ..self
+        }
+    }
+
+    /// Whether the field's lanes are adjacent (lane stride 1).
+    #[inline(always)]
+    pub(crate) fn adjacent(self) -> bool {
+        self.lane_stride == 1
+    }
+
+    /// [`Field::load`] of a field whose lanes are adjacent: one vector
+    /// load, with no test of the lane stride.
+    ///
+    /// # Safety
+    /// As for [`Field::load`], and the field must be
+    /// [`Field::adjacent`] (debug-asserted).
+    #[inline(always)]
+    pub(crate) unsafe fn load_adjacent<V: LaneVec>(self, k: usize, l0: usize) -> V {
+        debug_assert!(self.adjacent(), "lanes not adjacent");
+        V::load(self.at(k, l0, V::W), 1)
+    }
+
+    /// [`Field::store`] of a field whose lanes are adjacent.
+    ///
+    /// # Safety
+    /// As for [`Field::store`], and the field must be
+    /// [`Field::adjacent`] (debug-asserted).
+    #[inline(always)]
+    pub(crate) unsafe fn store_adjacent<V: LaneVec>(self, k: usize, l0: usize, v: V) {
+        debug_assert!(self.adjacent(), "lanes not adjacent");
+        v.store(self.at(k, l0, V::W), 1)
+    }
 }
 
-/// Entry `j` of the line-major carries (`clen` per lane) of lanes
-/// `l0..l0 + V::W`, as one vector.
+/// Entries `j0..j0 + C` of the line-major carries (`clen` per lane) of
+/// lanes `l0..l0 + V::W`, one vector per entry ([`LaneVec::load_rows`]);
+/// entries from `clen` on read as `0.0`. The vectors come back by value,
+/// so a body that keeps them in its loop state never hands that state to
+/// a slice: one index that is not a constant would keep the whole array in
+/// memory (DESIGN.md §12).
 ///
 /// # Safety
 /// `V`'s level must be available ([`LaneVec`]); the range is checked.
 #[inline(always)]
-pub(crate) unsafe fn load_carry<V: LaneVec>(
-    carries: &[f64],
-    clen: usize,
-    l0: usize,
-    j: usize,
-) -> V {
-    let at = l0 * clen + j;
-    assert!(
-        j < clen && at + (V::W - 1) * clen < carries.len(),
-        "carry outside the row"
-    );
-    V::load(carries.as_ptr().add(at), clen as isize)
-}
-
-/// Inverse of [`load_carry`].
-///
-/// # Safety
-/// As for [`load_carry`].
-#[inline(always)]
-pub(crate) unsafe fn store_carry<V: LaneVec>(
-    carries: &mut [f64],
-    clen: usize,
-    l0: usize,
-    j: usize,
-    v: V,
-) {
-    let at = l0 * clen + j;
-    assert!(
-        j < clen && at + (V::W - 1) * clen < carries.len(),
-        "carry outside the row"
-    );
-    v.store(carries.as_mut_ptr().add(at), clen as isize)
-}
-
-/// The whole carry (`C` entries per lane) of lanes `l0..l0 + V::W`, one
-/// vector per entry.
-///
-/// # Safety
-/// As for [`load_carry`].
-#[inline(always)]
 pub(crate) unsafe fn load_carries<V: LaneVec, const C: usize>(
     carries: &[f64],
+    clen: usize,
     l0: usize,
+    j0: usize,
 ) -> [V; C] {
+    assert!(
+        j0 <= clen && (l0 + V::W) * clen <= carries.len(),
+        "carry outside the row"
+    );
     let mut v = [V::splat(0.0); C];
-    for (j, vj) in v.iter_mut().enumerate() {
-        *vj = load_carry(carries, C, l0, j);
-    }
+    // SAFETY: lane `i < W`, entry `j0 + j < clen` is carry element
+    // `(l0 + i)·clen + j0 + j < (l0 + W)·clen <= carries.len()` (asserted).
+    V::load_rows(
+        carries.as_ptr().add(l0 * clen + j0),
+        clen,
+        &mut v[..C.min(clen - j0)],
+    );
     v
 }
 
-/// Inverse of [`load_carries`].
+/// Inverse of [`load_carries`]: entries from `clen` on are not stored.
 ///
 /// # Safety
-/// As for [`load_carry`].
+/// As for [`load_carries`].
 #[inline(always)]
 pub(crate) unsafe fn store_carries<V: LaneVec, const C: usize>(
     carries: &mut [f64],
+    clen: usize,
     l0: usize,
+    j0: usize,
     v: [V; C],
 ) {
-    for (j, vj) in v.into_iter().enumerate() {
-        store_carry(carries, C, l0, j, vj);
-    }
+    assert!(
+        j0 <= clen && (l0 + V::W) * clen <= carries.len(),
+        "carry outside the row"
+    );
+    // SAFETY: as in `load_carries`; `carries` is borrowed mutably.
+    V::store_rows(
+        carries.as_mut_ptr().add(l0 * clen + j0),
+        clen,
+        &v[..C.min(clen - j0)],
+    )
 }
 
 /// A kernel's lane body: its recurrence written once over [`LaneVec`],
@@ -604,6 +670,63 @@ mod x86 {
         unsafe fn any(m: Self) -> bool {
             _mm256_movemask_pd(m) != 0
         }
+        /// A partial block of entries is gathered one entry at a time:
+        /// AVX2's masked loads and stores cost more than they save here.
+        #[inline(always)]
+        unsafe fn load_rows(p: *const f64, stride: usize, out: &mut [Self]) {
+            for j0 in (0..out.len()).step_by(4) {
+                let q = p.add(j0);
+                // SAFETY (both arms): row `i < 4` reads entries
+                // `j0..j0 + 4`, or the rest of the caller's range, from
+                // `q.add(i·stride)`.
+                if out.len() - j0 >= 4 {
+                    let mut rows = [_mm256_setzero_pd(); 4];
+                    for (i, r) in rows.iter_mut().enumerate() {
+                        *r = _mm256_loadu_pd(q.add(i * stride));
+                    }
+                    out[j0..j0 + 4].copy_from_slice(&transpose4(rows));
+                } else {
+                    for (j, o) in out[j0..].iter_mut().enumerate() {
+                        *o = Self::load(q.add(j), stride as isize);
+                    }
+                }
+            }
+        }
+        #[inline(always)]
+        unsafe fn store_rows(p: *mut f64, stride: usize, v: &[Self]) {
+            for j0 in (0..v.len()).step_by(4) {
+                let q = p.add(j0);
+                // SAFETY (both arms): as in `load_rows`, for writes.
+                if v.len() - j0 >= 4 {
+                    let mut cols = [_mm256_setzero_pd(); 4];
+                    cols.copy_from_slice(&v[j0..j0 + 4]);
+                    for (i, &r) in transpose4(cols).iter().enumerate() {
+                        _mm256_storeu_pd(q.add(i * stride), r);
+                    }
+                } else {
+                    for (j, &x) in v[j0..].iter().enumerate() {
+                        x.store(q.add(j), stride as isize);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 4×4 transpose: lane `i` of the result's vector `j` is lane `j`
+    /// of `r[i]`.
+    #[inline(always)]
+    unsafe fn transpose4(r: [__m256d; 4]) -> [__m256d; 4] {
+        // Entries 0 and 2 (`lo`), 1 and 3 (`hi`) of rows 0–1 and 2–3.
+        let lo01 = _mm256_unpacklo_pd(r[0], r[1]);
+        let hi01 = _mm256_unpackhi_pd(r[0], r[1]);
+        let lo23 = _mm256_unpacklo_pd(r[2], r[3]);
+        let hi23 = _mm256_unpackhi_pd(r[2], r[3]);
+        [
+            _mm256_permute2f128_pd::<0x20>(lo01, lo23),
+            _mm256_permute2f128_pd::<0x20>(hi01, hi23),
+            _mm256_permute2f128_pd::<0x31>(lo01, lo23),
+            _mm256_permute2f128_pd::<0x31>(hi01, hi23),
+        ]
     }
 
     impl LaneVec for __m512d {
@@ -662,6 +785,100 @@ mod x86 {
         unsafe fn any(m: __mmask8) -> bool {
             m != 0
         }
+        /// A partial block of one or two entries (Thomas's carries) is
+        /// gathered one entry at a time, which costs less than a transpose
+        /// of eight masked loads.
+        #[inline(always)]
+        unsafe fn load_rows(p: *const f64, stride: usize, out: &mut [Self]) {
+            for j0 in (0..out.len()).step_by(8) {
+                let (q, n) = (p.add(j0), (out.len() - j0).min(8));
+                // SAFETY (all arms): row `i < 8` reads entries
+                // `j0..j0 + n` of the caller's range from `q.add(i·stride)`;
+                // the masked load touches only those.
+                if n <= 2 {
+                    for (j, o) in out[j0..].iter_mut().enumerate() {
+                        *o = Self::load(q.add(j), stride as isize);
+                    }
+                    continue;
+                }
+                let mut rows = [_mm512_setzero_pd(); 8];
+                if n == 8 {
+                    for (i, r) in rows.iter_mut().enumerate() {
+                        *r = _mm512_loadu_pd(q.add(i * stride));
+                    }
+                } else {
+                    let m = 0xFF >> (8 - n);
+                    for (i, r) in rows.iter_mut().enumerate() {
+                        *r = _mm512_maskz_loadu_pd(m, q.add(i * stride));
+                    }
+                }
+                for (o, c) in out[j0..].iter_mut().zip(transpose8(rows)) {
+                    *o = c;
+                }
+            }
+        }
+        #[inline(always)]
+        unsafe fn store_rows(p: *mut f64, stride: usize, v: &[Self]) {
+            for j0 in (0..v.len()).step_by(8) {
+                let (q, n) = (p.add(j0), (v.len() - j0).min(8));
+                // SAFETY (all arms): as in `load_rows`, for writes; the
+                // masked store writes only the rows' `n` entries.
+                if n <= 2 {
+                    for (j, &x) in v[j0..].iter().enumerate() {
+                        x.store(q.add(j), stride as isize);
+                    }
+                    continue;
+                }
+                let mut cols = [_mm512_setzero_pd(); 8];
+                for (c, &x) in cols.iter_mut().zip(&v[j0..]) {
+                    *c = x;
+                }
+                let rows = transpose8(cols);
+                if n == 8 {
+                    for (i, &r) in rows.iter().enumerate() {
+                        _mm512_storeu_pd(q.add(i * stride), r);
+                    }
+                } else {
+                    let m = 0xFF >> (8 - n);
+                    for (i, &r) in rows.iter().enumerate() {
+                        _mm512_mask_storeu_pd(q.add(i * stride), m, r);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The 8×8 transpose: lane `i` of the result's vector `j` is lane `j`
+    /// of `r[i]`. Three rounds of eight shuffles, each pairing 64-bit, then
+    /// 128-bit, then 256-bit pieces.
+    #[inline(always)]
+    unsafe fn transpose8(r: [__m512d; 8]) -> [__m512d; 8] {
+        // Rows 2m and 2m + 1 interleaved: entries 0, 2, 4, 6 in `t[2m]`,
+        // entries 1, 3, 5, 7 in `t[2m + 1]`.
+        let mut t = [_mm512_setzero_pd(); 8];
+        for m in 0..4 {
+            t[2 * m] = _mm512_unpacklo_pd(r[2 * m], r[2 * m + 1]);
+            t[2 * m + 1] = _mm512_unpackhi_pd(r[2 * m], r[2 * m + 1]);
+        }
+        // Rows 0–3 (`u[0..4]`) and 4–7 (`u[4..8]`), entries 0 and 4, 2 and
+        // 6, 1 and 5, 3 and 7.
+        let mut u = [_mm512_setzero_pd(); 8];
+        for h in [0, 4] {
+            u[h] = _mm512_shuffle_f64x2::<0x88>(t[h], t[h + 2]);
+            u[h + 1] = _mm512_shuffle_f64x2::<0xDD>(t[h], t[h + 2]);
+            u[h + 2] = _mm512_shuffle_f64x2::<0x88>(t[h + 1], t[h + 3]);
+            u[h + 3] = _mm512_shuffle_f64x2::<0xDD>(t[h + 1], t[h + 3]);
+        }
+        [
+            _mm512_shuffle_f64x2::<0x88>(u[0], u[4]),
+            _mm512_shuffle_f64x2::<0x88>(u[2], u[6]),
+            _mm512_shuffle_f64x2::<0x88>(u[1], u[5]),
+            _mm512_shuffle_f64x2::<0x88>(u[3], u[7]),
+            _mm512_shuffle_f64x2::<0xDD>(u[0], u[4]),
+            _mm512_shuffle_f64x2::<0xDD>(u[2], u[6]),
+            _mm512_shuffle_f64x2::<0xDD>(u[1], u[5]),
+            _mm512_shuffle_f64x2::<0xDD>(u[3], u[7]),
+        ]
     }
 }
 
@@ -687,6 +904,79 @@ mod tests {
         assert_eq!(Some(&SimdMode::Auto.resolve()), levels.last());
         // AVX-512 is only ever used on top of AVX2.
         assert!(!levels.contains(&SimdLevel::Avx512) || levels.contains(&SimdLevel::Avx2));
+    }
+
+    /// `W` rows of `clen` distinct bit patterns (quiet and signaling NaN
+    /// payloads, signed zeros, subnormals of either sign) between
+    /// sentinels, moved by `V`'s `load_rows`/`store_rows` whole and from
+    /// mid-row: lane `i` of vector `j` holds entry `j` of row `i` bit for
+    /// bit, and storing writes exactly the rows' entries back.
+    ///
+    /// # Safety
+    /// `V`'s level must be available.
+    unsafe fn rows_round_trip<V: LaneVec>(clen: usize) {
+        const PAD: usize = 9;
+        let sentinel = f64::from_bits(0x7FF4_DEAD_BEEF_0001);
+        let value = |at: usize| {
+            let a = at as u64 + 1;
+            f64::from_bits(match at % 6 {
+                0 => 0x7FF8_0000_0000_0000 | a,
+                1 => 0xFFF0_0000_0000_0000 | a,
+                2 => a,
+                3 => 0x8000_0000_0000_0000 | a,
+                4 => ((at % 12 / 6) as u64) << 63,
+                _ => (at as f64 * 1.25 - 7.0).to_bits(),
+            })
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let rows = V::W * clen;
+        let mut src = vec![sentinel; PAD + rows + PAD];
+        for at in 0..rows {
+            src[PAD + at] = value(at);
+        }
+        for j0 in [0, clen / 2] {
+            let mut v = vec![V::splat(0.0); clen - j0];
+            V::load_rows(src.as_ptr().add(PAD + j0), clen, &mut v);
+            for (j, vj) in v.iter().enumerate() {
+                let mut lanes = [0.0; MAX_LANES];
+                vj.store(lanes.as_mut_ptr(), 1);
+                for (i, lane) in lanes[..V::W].iter().enumerate() {
+                    let want = value(i * clen + j0 + j);
+                    assert_eq!(
+                        lane.to_bits(),
+                        want.to_bits(),
+                        "clen {clen} j0 {j0} row {i} entry {j}"
+                    );
+                }
+            }
+            let mut dst = vec![sentinel; src.len()];
+            V::store_rows(dst.as_mut_ptr().add(PAD + j0), clen, &v);
+            let mut want = vec![sentinel; src.len()];
+            for at in (0..rows).filter(|at| at % clen >= j0) {
+                want[PAD + at] = value(at);
+            }
+            assert_eq!(bits(&dst), bits(&want), "clen {clen} j0 {j0}: stored rows");
+        }
+    }
+
+    #[test]
+    fn rows_round_trip_bit_for_bit_at_every_level() {
+        for clen in (1..=33).chain([90]) {
+            for level in SimdLevel::supported() {
+                // SAFETY: each instance runs only at a level this CPU has.
+                unsafe {
+                    match level {
+                        SimdLevel::Scalar => rows_round_trip::<f64>(clen),
+                        #[cfg(target_arch = "x86_64")]
+                        SimdLevel::Avx2 => rows_round_trip::<std::arch::x86_64::__m256d>(clen),
+                        #[cfg(target_arch = "x86_64")]
+                        SimdLevel::Avx512 => rows_round_trip::<std::arch::x86_64::__m512d>(clen),
+                        #[cfg(not(target_arch = "x86_64"))]
+                        _ => unreachable!("only scalar runs here"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

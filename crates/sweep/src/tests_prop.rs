@@ -1331,3 +1331,125 @@ fn cost_model_json_round_trips_exactly() {
         assert_eq!(back, model, "model changed across JSON round-trip");
     });
 }
+
+#[test]
+fn scratch_fields_in_sweep_order_match_serial() {
+    // A Thomas solve whose eliminated super-diagonal `c` is a scratch field
+    // (`FieldDef::scratch`), which each compiled sweep addresses in its own
+    // order, lanes adjacent. Over random multipartitionings, ragged extents,
+    // SIMD modes and sequences of (dim, direction) steps — an elimination
+    // forward, alone or followed by the back substitution of the same
+    // dimension, the one use a scratch field allows — the right-hand side
+    // ends bitwise equal to the serial reference, and every rank sends
+    // exactly the messages and elements it sends with `c` in tile order.
+    // `c` enters every elimination holding one value everywhere, so its
+    // layout cannot change the kernel's inputs.
+    use crate::compiled::SolverPlan;
+    use crate::executor::{allocate_rank_store, SweepOptions};
+    use crate::simd::SimdMode;
+    use crate::verify::serial_sweep;
+    use mp_core::multipart::Multipartitioning;
+    use mp_core::partition::Partitioning;
+    use mp_grid::{ArrayD, FieldDef, TileGrid};
+    use mp_runtime::comm::Communicator;
+    use mp_runtime::threaded::run_threaded;
+
+    const C0: f64 = 0.3;
+    let inits: [fn(&[usize]) -> f64; 4] = [small, diagv, |_| C0, rhsv];
+    let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
+    let bwd = ThomasBackwardKernel::new(2, 3);
+
+    cases(0x7511, 10, |rng| {
+        let (p, gammas): (u64, Vec<u64>) = match rng.usize_in(0, 4) {
+            0 => (2, vec![2, 2, 1]),
+            1 => (4, vec![2, 2, 2]),
+            2 => (2, vec![4, 2, 2]),
+            3 => (3, vec![3, 3, 1]),
+            _ => (6, vec![6, 3, 2]),
+        };
+        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(gammas));
+        let eta: Vec<usize> = mp
+            .gammas()
+            .iter()
+            .map(|&g| {
+                let g = g as usize;
+                g * rng.usize_in(1, 4) + rng.usize_in(0, g.max(2) - 1)
+            })
+            .collect();
+        let grid = TileGrid::new(
+            &eta,
+            &mp.gammas().iter().map(|&g| g as usize).collect::<Vec<_>>(),
+        );
+        // Each step eliminates along `dim` and, if `back`, substitutes
+        // back along it.
+        let steps: Vec<(usize, bool)> = (0..rng.usize_in(1, 4))
+            .map(|_| (rng.usize_in(0, 2), rng.bool()))
+            .collect();
+        let simd = if rng.bool() {
+            SimdMode::Auto
+        } else {
+            SimdMode::Scalar
+        };
+        let opts = SweepOptions::default().with_simd(simd);
+
+        let run = |c: FieldDef| {
+            let fields = [
+                FieldDef::new("a", 0),
+                FieldDef::new("b", 0),
+                c,
+                FieldDef::new("d", 0),
+            ];
+            run_threaded(p, |comm| {
+                let mut store = allocate_rank_store(comm.rank(), &mp, &grid, &fields);
+                for (f, init) in inits.iter().enumerate() {
+                    store.init_field(f, init);
+                }
+                let mut plan = SolverPlan::new(opts.clone());
+                for &(dim, back) in &steps {
+                    let tag = dim as u64 * 2_000;
+                    store.init_field(2, inits[2]);
+                    plan.sweep(comm, &mut store, &mp, dim, Direction::Forward, &fwd, tag);
+                    if back {
+                        let (dir, tag) = (Direction::Backward, tag + 1_000);
+                        plan.sweep(comm, &mut store, &mp, dim, dir, &bwd, tag);
+                    }
+                }
+                (store, comm.sent_messages, comm.sent_elements)
+            })
+        };
+        let scratch = run(FieldDef::scratch("c"));
+        let tiled = run(FieldDef::new("c", 0));
+
+        let mut want: Vec<ArrayD<f64>> = inits.iter().map(|i| ArrayD::from_fn(&eta, i)).collect();
+        for &(dim, back) in &steps {
+            want[2] = ArrayD::from_fn(&eta, inits[2]);
+            let mut refs: Vec<&mut ArrayD<f64>> = want.iter_mut().collect();
+            serial_sweep(&mut refs, dim, Direction::Forward, &fwd);
+            if back {
+                serial_sweep(&mut refs, dim, Direction::Backward, &bwd);
+            }
+        }
+        let at = format!("p={p} eta={eta:?} steps={steps:?} {simd:?}");
+        for (r, ((_, m, e), (_, tm, te))) in scratch.iter().zip(&tiled).enumerate() {
+            assert_eq!(
+                (m, e),
+                (tm, te),
+                "rank {r}: scratch layout changed the wire ({at})"
+            );
+        }
+        // Every field but the scratch one, gathered in tile order.
+        for (stores, layout) in [(&scratch, "scratch"), (&tiled, "tiled")] {
+            for f in [0, 1, 3] {
+                let mut got = ArrayD::zeros(&eta);
+                for (store, _, _) in stores {
+                    store.gather_into(f, &mut got);
+                }
+                assert_eq!(
+                    got.max_abs_diff(&want[f]),
+                    0.0,
+                    "{layout} c, field {f}: not bitwise equal to serial ({at})"
+                );
+            }
+        }
+    });
+}

@@ -191,20 +191,23 @@ impl LaneBody for ThomasForwardKernel {
         // still sees its line's exact operation sequence.
         let paired = lo + (hi - lo) / (2 * w) * (2 * w);
         for l0 in (lo..paired).step_by(2 * w) {
-            let (mut c0, mut c1) = (load_carries(carries, l0), load_carries(carries, l0 + w));
+            let (mut c0, mut c1) = (
+                load_carries(carries, 2, l0, 0),
+                load_carries(carries, 2, l0 + w, 0),
+            );
             for k in 0..lanes.seg_len() {
                 forward_step::<V>(&f, k, l0, &mut c0);
                 forward_step::<V>(&f, k, l0 + w, &mut c1);
             }
-            store_carries(carries, l0, c0);
-            store_carries(carries, l0 + w, c1);
+            store_carries(carries, 2, l0, 0, c0);
+            store_carries(carries, 2, l0 + w, 0, c1);
         }
         for l0 in (paired..hi).step_by(w) {
-            let mut c = load_carries(carries, l0);
+            let mut c = load_carries(carries, 2, l0, 0);
             for k in 0..lanes.seg_len() {
                 forward_step::<V>(&f, k, l0, &mut c);
             }
-            store_carries(carries, l0, c);
+            store_carries(carries, 2, l0, 0, c);
         }
     }
 }
@@ -293,7 +296,7 @@ impl LaneBody for ThomasBackwardKernel {
         let (c, d) = (Field::of(lanes, 0), Field::of(lanes, 1));
         let one = V::splat(1.0);
         for l0 in (lo..hi).step_by(V::W) {
-            let [mut x, mut valid] = load_carries::<V, 2>(carries, l0);
+            let [mut x, mut valid] = load_carries::<V, 2>(carries, 2, l0, 0);
             for k in 0..lanes.seg_len() {
                 let dk = d.load::<V>(k, l0);
                 let cand = dk.sub(c.load::<V>(k, l0).mul(x));
@@ -301,7 +304,7 @@ impl LaneBody for ThomasBackwardKernel {
                 d.store(k, l0, x);
                 valid = one;
             }
-            store_carries(carries, l0, [x, valid]);
+            store_carries(carries, 2, l0, 0, [x, valid]);
         }
     }
 }
