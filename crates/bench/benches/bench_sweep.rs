@@ -14,7 +14,7 @@ use mp_sweep::executor::{allocate_rank_store, SweepOptions};
 use mp_sweep::recurrence::PrefixSumKernel;
 use mp_sweep::simulate::{simulate_multipart_sweep, MultipartGeometry, SweepWork};
 use mp_sweep::verify::serial_sweep;
-use mp_sweep::{CompiledSweep, SolverPlan};
+use mp_sweep::SolverPlan;
 use std::hint::black_box;
 
 fn bench_sweep(c: &mut Criterion) {
@@ -57,52 +57,6 @@ fn bench_sweep(c: &mut Criterion) {
     }
 
     group.finish();
-
-    // Build-once / execute-many: ten identical sweeps through a fresh
-    // `CompiledSweep` each time vs one cached `SolverPlan` executed ten
-    // times. The gap is the per-sweep plan-build cost the cache amortizes
-    // away.
-    {
-        const SWEEPS: usize = 10;
-        let p = 4u64;
-        let mp = Multipartitioning::from_partitioning(p, Partitioning::new(vec![4, 2, 2]));
-        let peta = [8usize, 64, 64];
-        let gam: Vec<usize> = mp.gammas().iter().map(|&g| g as usize).collect();
-        let grid = TileGrid::new(&peta, &gam);
-        let opts = SweepOptions::default();
-        let mut group = c.benchmark_group("compiled_reuse");
-        group.throughput(Throughput::Elements(
-            (peta.iter().product::<usize>() * SWEEPS) as u64,
-        ));
-        group.bench_function("fresh_build_per_sweep", |b| {
-            b.iter(|| {
-                run_threaded(p, |comm| {
-                    let mut store =
-                        allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
-                    store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                    for _ in 0..SWEEPS {
-                        let fwd = Direction::Forward;
-                        CompiledSweep::build(&mp, comm.rank(), &store, 0, fwd, &kernel, 100, &opts)
-                            .execute(comm, &mut store, &kernel);
-                    }
-                })
-            })
-        });
-        group.bench_function("engine_reuse", |b| {
-            b.iter(|| {
-                run_threaded(p, |comm| {
-                    let mut store =
-                        allocate_rank_store(comm.rank(), &mp, &grid, &[FieldDef::new("u", 0)]);
-                    store.init_field(0, |g| (g[0] + g[1] + g[2]) as f64);
-                    let mut plan = SolverPlan::new(opts.clone());
-                    for _ in 0..SWEEPS {
-                        plan.sweep(comm, &mut store, &mp, 0, Direction::Forward, &kernel, 100);
-                    }
-                })
-            })
-        });
-        group.finish();
-    }
 
     // Telemetry overhead smoke: the same p = 4 sweep with the recorder
     // absent (`trace = None`, the default — one branch per probe site, the
@@ -191,7 +145,7 @@ fn bench_sweep(c: &mut Criterion) {
             name: String,
             kernel: &'a dyn LineSweepKernel,
             dir: Direction,
-            ctxs: Vec<SegmentCtx>,
+            ctx: SegmentCtx,
             layout: Layout,
             nl: usize,
             seg_len: usize,
@@ -216,7 +170,7 @@ fn bench_sweep(c: &mut Criterion) {
                 // and `from_raw` checks the view against its length.
                 let mut lanes = unsafe { Lanes::from_raw(parts, self.nl, self.seg_len, table) };
                 self.kernel
-                    .sweep_lanes(level, self.dir, carries, &mut lanes, &self.ctxs);
+                    .sweep_lanes(level, self.dir, carries, &mut lanes, &self.ctx);
             }
         }
 
@@ -256,9 +210,6 @@ fn bench_sweep(c: &mut Criterion) {
             (256, Layout::Packed, ""),
         ];
         for (nl, layout, tag) in recurrence_rows {
-            let origin = |dir| -> Vec<SegmentCtx> {
-                (0..nl).map(|_| SegmentCtx::origin(1, 0, dir)).collect()
-            };
             let (fwd, bwd) = (Direction::Forward, Direction::Backward);
             let f = |g: &dyn Fn(usize, usize) -> f64| fill(layout, nl, seg_len, g);
             let mut case = |name: &str, kernel, dir, fields, carries| {
@@ -266,7 +217,7 @@ fn bench_sweep(c: &mut Criterion) {
                     name: format!("{name}{tag}_nl{nl}"),
                     kernel,
                     dir,
-                    ctxs: origin(dir),
+                    ctx: SegmentCtx::origin(2, 0, dir),
                     layout,
                     nl,
                     seg_len,
@@ -310,16 +261,12 @@ fn bench_sweep(c: &mut Criterion) {
                 (0..nl).flat_map(|l| [0.5, -0.5, (l % 3) as f64]).collect(),
             );
         }
-        // BT block lines: whole lines of 24 along axis 0, lanes at distinct
-        // cross-section points (so their coupling classes differ).
+        // BT block lines: whole lines of 24 along axis 0, lanes along
+        // axis 2 (the lane axis) from 0, so their coupling classes differ.
         for &nl in &[4usize, 8, 12] {
             for (layout, tag) in [(Layout::Packed, ""), (Layout::Strided, "_strided")] {
                 let n = 24;
-                let ctxs = |dir: Direction, first: usize| -> Vec<SegmentCtx> {
-                    (0..nl)
-                        .map(|l| SegmentCtx::new(vec![first, l, (3 * l) % 24], 0, dir))
-                        .collect()
-                };
+                let ctx = |dir: Direction, first: usize| SegmentCtx::new(vec![first, 0, 0], 0, dir);
                 let f = |g: &dyn Fn(usize, usize) -> f64| fill(layout, nl, n, g);
                 let fields = || -> Vec<Vec<f64>> {
                     (0..NCOMP * NCOMP)
@@ -331,7 +278,7 @@ fn bench_sweep(c: &mut Criterion) {
                     name: format!("block_fwd{tag}_nl{nl}"),
                     kernel: &block_fwd,
                     dir: Direction::Forward,
-                    ctxs: ctxs(Direction::Forward, 0),
+                    ctx: ctx(Direction::Forward, 0),
                     layout,
                     nl,
                     seg_len: n,
@@ -342,7 +289,7 @@ fn bench_sweep(c: &mut Criterion) {
                     name: format!("block_bwd{tag}_nl{nl}"),
                     kernel: &block_bwd,
                     dir: Direction::Backward,
-                    ctxs: ctxs(Direction::Backward, n - 1),
+                    ctx: ctx(Direction::Backward, n - 1),
                     layout,
                     nl,
                     seg_len: n,

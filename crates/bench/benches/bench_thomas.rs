@@ -41,7 +41,7 @@ fn bench_thomas(c: &mut Criterion) {
             bench.iter(|| {
                 let mut cc = c0.clone();
                 let mut dd = d0.clone();
-                let mut carry = fwd.initial_carry(Direction::Forward);
+                let mut carry = vec![0.0; fwd.carry_len()];
                 for w in bounds.windows(2) {
                     let mut seg = vec![
                         a[w[0]..w[1]].to_vec(),
@@ -58,7 +58,7 @@ fn bench_thomas(c: &mut Criterion) {
                     cc[w[0]..w[1]].copy_from_slice(&seg[2]);
                     dd[w[0]..w[1]].copy_from_slice(&seg[3]);
                 }
-                let mut carry = bwd.initial_carry(Direction::Backward);
+                let mut carry = vec![0.0; bwd.carry_len()];
                 for w in bounds.windows(2).rev() {
                     let mut seg = vec![
                         cc[w[0]..w[1]].iter().rev().copied().collect::<Vec<_>>(),
@@ -101,9 +101,7 @@ fn bench_thomas_blocked(c: &mut Criterion) {
             }
         }
         let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
-        let ctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-            .collect();
+        let ctx = SegmentCtx::origin(2, 0, Direction::Forward);
         group.throughput(Throughput::Elements((nl * n) as u64));
         group.bench_with_input(BenchmarkId::new("per_line", n), &n, |bench, _| {
             let mut table = Vec::new();
@@ -111,7 +109,7 @@ fn bench_thomas_blocked(c: &mut Criterion) {
                 let mut block = block0.clone();
                 let mut carries = vec![0.0; nl * 2];
                 let mut lanes = Lanes::packed(&mut block, nl, n, &mut table);
-                per_line_sweep_lanes(&fwd, Direction::Forward, &mut carries, &mut lanes, &ctxs);
+                per_line_sweep_lanes(&fwd, Direction::Forward, &mut carries, &mut lanes, &ctx);
                 black_box(carries[0])
             })
         });
@@ -122,7 +120,7 @@ fn bench_thomas_blocked(c: &mut Criterion) {
                 let mut carries = vec![0.0; nl * 2];
                 let mut lanes = Lanes::packed(&mut block, nl, n, &mut table);
                 let level = SimdLevel::Scalar;
-                fwd.sweep_lanes(level, Direction::Forward, &mut carries, &mut lanes, &ctxs);
+                fwd.sweep_lanes(level, Direction::Forward, &mut carries, &mut lanes, &ctx);
                 black_box(carries[0])
             })
         });

@@ -433,16 +433,89 @@ fn cmd_calibrate(args: &[String]) -> Result<String, CliError> {
     Ok(rep)
 }
 
-/// Everything `mpart profile` needs to know before it launches ranks.
-struct ProfileConfig {
+/// The run `mpart profile` and `mpart chaos` both set up: `<p>`, and the
+/// grid and time step of `--class` or `--eta`, planned with the cost model
+/// `--calibration` names.
+struct RunArgs {
     p: u64,
     class: mp_nassp::Class,
     eta: [usize; 3],
     dt: f64,
+    calibration: Option<String>,
+}
+
+impl RunArgs {
+    /// Parse `args` for a command whose own value flags are `flags`: `own`
+    /// takes each of them with its value. Every usage error ends with
+    /// `usage`.
+    fn parse(
+        args: &[String],
+        usage: &str,
+        flags: &[&str],
+        mut own: impl FnMut(&str, &String) -> Result<(), CliError>,
+    ) -> Result<Self, CliError> {
+        let mut pos: Vec<&String> = Vec::new();
+        let mut class = mp_nassp::Class::S;
+        let mut eta_override: Option<[usize; 3]> = None;
+        let mut calibration: Option<String> = None;
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                f if ["--class", "--eta", "--calibration"].contains(&f) || flags.contains(&f) => {
+                    let v = it
+                        .next()
+                        .ok_or_else(|| CliError(format!("{a} needs a value\n{usage}")))?;
+                    match f {
+                        "--class" => {
+                            class = mp_nassp::Class::parse(v).ok_or_else(|| {
+                                CliError(format!("unknown class '{v}' (S|W|A|B)"))
+                            })?;
+                        }
+                        "--eta" => {
+                            let dims: Vec<usize> = v
+                                .split('x')
+                                .map(|s| parse_u64(s, "extent").map(|n| n as usize))
+                                .collect::<Result<_, _>>()?;
+                            if dims.len() != 3 {
+                                return err(format!("--eta wants <N>x<N>x<N>, got '{v}'"));
+                            }
+                            eta_override = Some([dims[0], dims[1], dims[2]]);
+                        }
+                        "--calibration" => calibration = Some(v.clone()),
+                        _ => own(f, v)?,
+                    }
+                }
+                other if other.starts_with("--") => {
+                    return err(format!("unknown flag '{other}'\n{usage}"));
+                }
+                _ => pos.push(a),
+            }
+        }
+        if pos.len() != 1 {
+            return err(usage);
+        }
+        let p = parse_u64(pos[0], "processor count")?;
+        let (eta, dt) = match eta_override {
+            // A hand-picked grid gets the Custom-class time step.
+            Some(e) => (e, 0.01),
+            None => (class.eta(), class.dt()),
+        };
+        Ok(RunArgs {
+            p,
+            class,
+            eta,
+            dt,
+            calibration,
+        })
+    }
+}
+
+/// Everything `mpart profile` needs to know before it launches ranks.
+struct ProfileConfig {
+    run: RunArgs,
     iters: usize,
     opts: mp_sweep::SweepOptions,
     out: String,
-    calibration: Option<String>,
 }
 
 fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
@@ -451,74 +524,30 @@ fn parse_profile_args(args: &[String]) -> Result<ProfileConfig, CliError> {
          [--simd auto|scalar] [--out FILE] [--calibration FILE]\n\
          (--simd defaults from MP_SWEEP_SIMD; the cost \
          model from --calibration, else MP_CALIBRATION, else the preset)";
-    let mut pos: Vec<&String> = Vec::new();
-    let mut class = mp_nassp::Class::S;
-    let mut eta_override: Option<[usize; 3]> = None;
     let mut iters = 2usize;
     // Flags override the documented MP_SWEEP_* environment knobs.
     let env_opts = mp_sweep::SweepOptions::from_env();
     let mut simd = env_opts.simd;
     let mut out = String::from("mpart_trace.json");
-    let mut calibration: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--class" | "--eta" | "--iters" | "--simd" | "--out" | "--calibration" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError(format!("{a} needs a value\n{PROFILE_USAGE}")))?;
-                match a.as_str() {
-                    "--class" => {
-                        class = mp_nassp::Class::parse(v)
-                            .ok_or_else(|| CliError(format!("unknown class '{v}' (S|W|A|B)")))?;
-                    }
-                    "--eta" => {
-                        let dims: Vec<usize> = v
-                            .split('x')
-                            .map(|s| parse_u64(s, "extent").map(|n| n as usize))
-                            .collect::<Result<_, _>>()?;
-                        if dims.len() != 3 {
-                            return err(format!("--eta wants <N>x<N>x<N>, got '{v}'"));
-                        }
-                        eta_override = Some([dims[0], dims[1], dims[2]]);
-                    }
-                    "--iters" => iters = parse_u64(v, "iteration count")? as usize,
-                    // Unlike the forgiving env knob, an explicit flag with a
-                    // bogus value is an error.
-                    "--simd" => {
-                        simd = mp_sweep::SimdMode::parse(v).ok_or_else(|| {
-                            CliError(format!("unknown simd mode '{v}' (auto|scalar)"))
-                        })?;
-                    }
-                    "--out" => out = v.clone(),
-                    "--calibration" => calibration = Some(v.clone()),
-                    _ => unreachable!(),
-                }
+    let flags = ["--iters", "--simd", "--out"];
+    let run = RunArgs::parse(args, PROFILE_USAGE, &flags, |flag, v| {
+        match flag {
+            "--iters" => iters = parse_u64(v, "iteration count")? as usize,
+            // Unlike the forgiving env knob, an explicit flag with a bogus
+            // value is an error.
+            "--simd" => {
+                simd = mp_sweep::SimdMode::parse(v)
+                    .ok_or_else(|| CliError(format!("unknown simd mode '{v}' (auto|scalar)")))?;
             }
-            other if other.starts_with("--") => {
-                return err(format!("unknown flag '{other}'\n{PROFILE_USAGE}"));
-            }
-            _ => pos.push(a),
+            _ => out = v.clone(),
         }
-    }
-    if pos.len() != 1 {
-        return err(PROFILE_USAGE);
-    }
-    let p = parse_u64(pos[0], "processor count")?;
-    let (eta, dt) = match eta_override {
-        // A hand-picked grid gets the Custom-class time step.
-        Some(e) => (e, 0.01),
-        None => (class.eta(), class.dt()),
-    };
+        Ok(())
+    })?;
     Ok(ProfileConfig {
-        p,
-        class,
-        eta,
-        dt,
+        run,
         iters,
         opts: env_opts.with_simd(simd),
         out,
-        calibration,
     })
 }
 
@@ -539,16 +568,16 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
 
     let cfg = parse_profile_args(args)?;
     let ProfileConfig {
-        p, eta, iters, out, ..
+        run, iters, out, ..
     } = &cfg;
-    let (p, iters) = (*p, *iters);
+    let (p, eta, iters) = (run.p, &run.eta, *iters);
     let eta_u64: Vec<u64> = eta.iter().map(|&e| e as u64).collect();
     // Cost-model precedence: --calibration file > MP_CALIBRATION > preset.
-    let (model, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
+    let (model, model_source) = mp_runtime::load_profile(run.calibration.as_deref())
         .map_err(|e| CliError(e.to_string()))?;
     let mp = Multipartitioning::optimal(p, &eta_u64, &model);
     check_cut(p, eta, &mp)?;
-    let prob = mp_nassp::SpProblem::new(*eta, cfg.dt);
+    let prob = mp_nassp::SpProblem::new(*eta, run.dt);
 
     // Shared epoch: every rank's recorder measures from the same origin, so
     // the per-rank lanes line up in Perfetto.
@@ -619,7 +648,7 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     let simd = cfg.opts.simd.resolve();
     let tf = TraceFile::new(traces)
         .with_meta("app", "nas-sp")
-        .with_meta("class", cfg.class.to_string())
+        .with_meta("class", run.class.to_string())
         .with_meta("eta", format!("{}x{}x{}", eta[0], eta[1], eta[2]))
         .with_meta("p", p.to_string())
         .with_meta("iters", iters.to_string())
@@ -720,15 +749,12 @@ fn cmd_profile(args: &[String]) -> Result<String, CliError> {
 
 /// Everything `mpart chaos` needs before it starts injecting faults.
 struct ChaosConfig {
-    p: u64,
-    eta: [usize; 3],
-    dt: f64,
+    run: RunArgs,
     runs: usize,
     seed: u64,
     iters: usize,
     timeout: std::time::Duration,
     opts: mp_sweep::SweepOptions,
-    calibration: Option<String>,
 }
 
 /// Parse a seed that may be decimal or `0x`-prefixed hex.
@@ -745,69 +771,27 @@ fn parse_chaos_args(args: &[String]) -> Result<ChaosConfig, CliError> {
     const CHAOS_USAGE: &str = "usage: mpart chaos <p> [--class S|W|A|B] \
          [--eta <N>x<N>x<N>] [--runs N] [--seed S] [--iters N] \
          [--timeout-ms N] [--calibration FILE]";
-    let mut pos: Vec<&String> = Vec::new();
-    let mut class = mp_nassp::Class::S;
-    let mut eta_override: Option<[usize; 3]> = None;
     let mut runs = 20usize;
     let mut seed = 0x750Cu64;
     let mut iters = 1usize;
     let mut timeout_ms = 10_000u64;
-    let mut calibration: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--class" | "--eta" | "--runs" | "--seed" | "--iters" | "--timeout-ms"
-            | "--calibration" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError(format!("{a} needs a value\n{CHAOS_USAGE}")))?;
-                match a.as_str() {
-                    "--class" => {
-                        class = mp_nassp::Class::parse(v)
-                            .ok_or_else(|| CliError(format!("unknown class '{v}' (S|W|A|B)")))?;
-                    }
-                    "--eta" => {
-                        let dims: Vec<usize> = v
-                            .split('x')
-                            .map(|s| parse_u64(s, "extent").map(|n| n as usize))
-                            .collect::<Result<_, _>>()?;
-                        if dims.len() != 3 {
-                            return err(format!("--eta wants <N>x<N>x<N>, got '{v}'"));
-                        }
-                        eta_override = Some([dims[0], dims[1], dims[2]]);
-                    }
-                    "--runs" => runs = parse_u64(v, "run count")? as usize,
-                    "--seed" => seed = parse_seed(v)?,
-                    "--iters" => iters = parse_u64(v, "iteration count")? as usize,
-                    "--timeout-ms" => timeout_ms = parse_u64(v, "timeout in ms")?,
-                    "--calibration" => calibration = Some(v.clone()),
-                    _ => unreachable!(),
-                }
-            }
-            other if other.starts_with("--") => {
-                return err(format!("unknown flag '{other}'\n{CHAOS_USAGE}"));
-            }
-            _ => pos.push(a),
+    let flags = ["--runs", "--seed", "--iters", "--timeout-ms"];
+    let run = RunArgs::parse(args, CHAOS_USAGE, &flags, |flag, v| {
+        match flag {
+            "--runs" => runs = parse_u64(v, "run count")? as usize,
+            "--seed" => seed = parse_seed(v)?,
+            "--iters" => iters = parse_u64(v, "iteration count")? as usize,
+            _ => timeout_ms = parse_u64(v, "timeout in ms")?,
         }
-    }
-    if pos.len() != 1 {
-        return err(CHAOS_USAGE);
-    }
-    let p = parse_u64(pos[0], "processor count")?;
-    let (eta, dt) = match eta_override {
-        Some(e) => (e, 0.01),
-        None => (class.eta(), class.dt()),
-    };
+        Ok(())
+    })?;
     Ok(ChaosConfig {
-        p,
-        eta,
-        dt,
+        run,
         runs,
         seed,
         iters,
         timeout: std::time::Duration::from_millis(timeout_ms),
         opts: mp_sweep::SweepOptions::from_env(),
-        calibration,
     })
 }
 
@@ -838,20 +822,19 @@ fn cmd_chaos(args: &[String]) -> Result<String, CliError> {
 
     let cfg = parse_chaos_args(args)?;
     let ChaosConfig {
-        p,
-        eta,
         runs,
         seed,
         iters,
         timeout,
         ..
     } = cfg;
+    let (p, eta) = (cfg.run.p, cfg.run.eta);
     let eta_u64: Vec<u64> = eta.iter().map(|&e| e as u64).collect();
-    let (model, model_source) = mp_runtime::load_profile(cfg.calibration.as_deref())
+    let (model, model_source) = mp_runtime::load_profile(cfg.run.calibration.as_deref())
         .map_err(|e| CliError(e.to_string()))?;
     let mp = Multipartitioning::optimal(p, &eta_u64, &model);
     check_cut(p, &eta, &mp)?;
-    let prob = mp_nassp::SpProblem::new(eta, cfg.dt);
+    let prob = mp_nassp::SpProblem::new(eta, cfg.run.dt);
 
     // One soak run: SP under `fault`, every blocking receive bounded by
     // `timeout`. Per rank: (u checksum, schedule counters) on success, a

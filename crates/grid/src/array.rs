@@ -18,13 +18,6 @@ impl<T: Copy + Default> ArrayD<T> {
         ArrayD { shape, data }
     }
 
-    /// Allocate filled with a constant.
-    pub fn full(dims: &[usize], value: T) -> Self {
-        let shape = Shape::new(dims);
-        let data = vec![value; shape.len()];
-        ArrayD { shape, data }
-    }
-
     /// Build from existing storage (row-major, must match the shape's size).
     pub fn from_vec(dims: &[usize], data: Vec<T>) -> Self {
         let shape = Shape::new(dims);
@@ -56,16 +49,6 @@ impl<T: Copy + Default> ArrayD<T> {
         self.shape.dims()
     }
 
-    /// Total elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Always false (shapes have positive extents).
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Raw storage (row-major).
     pub fn as_slice(&self) -> &[T] {
         &self.data
@@ -87,13 +70,6 @@ impl<T: Copy + Default> ArrayD<T> {
     pub fn set(&mut self, idx: &[usize], value: T) {
         let off = self.shape.offset(idx);
         self.data[off] = value;
-    }
-
-    /// Mutable element reference.
-    #[inline]
-    pub fn get_mut(&mut self, idx: &[usize]) -> &mut T {
-        let off = self.shape.offset(idx);
-        &mut self.data[off]
     }
 
     /// Visit all lines along `axis`: calls `f(base)` once per line, where
@@ -148,10 +124,9 @@ mod tests {
     #[test]
     fn zeros_and_full() {
         let a: ArrayD<f64> = ArrayD::zeros(&[2, 3]);
-        assert_eq!(a.len(), 6);
-        assert!(a.as_slice().iter().all(|&v| v == 0.0));
-        let b = ArrayD::full(&[2, 2], 7.0);
-        assert!(b.as_slice().iter().all(|&v| v == 7.0));
+        assert_eq!(a.as_slice(), &[0.0; 6]);
+        let b = ArrayD::from_fn(&[2, 2], |_| 7.0);
+        assert_eq!(b.as_slice(), &[7.0; 4]);
     }
 
     #[test]
@@ -159,8 +134,9 @@ mod tests {
         let mut a: ArrayD<i64> = ArrayD::zeros(&[3, 4, 2]);
         a.set(&[2, 1, 0], 42);
         assert_eq!(a.get(&[2, 1, 0]), 42);
-        *a.get_mut(&[0, 3, 1]) = -5;
+        a.set(&[0, 3, 1], -5);
         assert_eq!(a.get(&[0, 3, 1]), -5);
+        assert_eq!(a.as_slice().iter().filter(|&&v| v != 0).count(), 2);
     }
 
     #[test]
@@ -193,7 +169,7 @@ mod tests {
     #[test]
     fn max_abs_diff_sees_nan() {
         let finite = ArrayD::from_vec(&[3], vec![1.0, 2.0, 3.0]);
-        let nan = ArrayD::full(&[3], f64::NAN);
+        let nan = ArrayD::from_vec(&[3], vec![f64::NAN; 3]);
         assert_eq!(nan.max_abs_diff(&finite), f64::INFINITY);
         assert_eq!(finite.max_abs_diff(&nan), f64::INFINITY);
         let one_nan = ArrayD::from_vec(&[3], vec![1.0, f64::NAN, 3.0]);

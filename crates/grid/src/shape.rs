@@ -33,11 +33,6 @@ impl Shape {
         &self.dims
     }
 
-    /// Extent of dimension `k`.
-    pub fn dim(&self, k: usize) -> usize {
-        self.dims[k]
-    }
-
     /// Row-major strides.
     pub fn strides(&self) -> &[usize] {
         &self.strides
@@ -111,11 +106,6 @@ impl Region {
         Region { origin, extent }
     }
 
-    /// Number of dimensions.
-    pub fn ndim(&self) -> usize {
-        self.origin.len()
-    }
-
     /// Number of elements covered.
     pub fn len(&self) -> usize {
         self.extent.iter().product()
@@ -124,34 +114,6 @@ impl Region {
     /// True if empty (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Exclusive upper corner.
-    pub fn end(&self) -> Vec<usize> {
-        self.origin
-            .iter()
-            .zip(self.extent.iter())
-            .map(|(&o, &e)| o + e)
-            .collect()
-    }
-
-    /// True if `idx` lies inside the region.
-    pub fn contains(&self, idx: &[usize]) -> bool {
-        idx.iter()
-            .zip(self.origin.iter().zip(self.extent.iter()))
-            .all(|(&i, (&o, &e))| i >= o && i < o + e)
-    }
-
-    /// Visit every index of the region in row-major order.
-    pub fn for_each_index(&self, mut f: impl FnMut(&[usize])) {
-        let inner = Shape::new(&self.extent);
-        let mut idx = vec![0usize; self.ndim()];
-        inner.for_each_index(|rel| {
-            for (k, (&r, &o)) in rel.iter().zip(self.origin.iter()).enumerate() {
-                idx[k] = r + o;
-            }
-            f(&idx);
-        });
     }
 }
 
@@ -233,19 +195,7 @@ mod tests {
     fn region_basics() {
         let r = Region::new(vec![1, 2], vec![3, 4]);
         assert_eq!(r.len(), 12);
-        assert_eq!(r.end(), vec![4, 6]);
-        assert!(r.contains(&[1, 2]));
-        assert!(r.contains(&[3, 5]));
-        assert!(!r.contains(&[4, 2]));
-        assert!(!r.contains(&[0, 3]));
-    }
-
-    #[test]
-    fn region_iteration() {
-        let r = Region::new(vec![1, 1], vec![2, 2]);
-        let mut seen = Vec::new();
-        r.for_each_index(|i| seen.push(i.to_vec()));
-        assert_eq!(seen, vec![vec![1, 1], vec![1, 2], vec![2, 1], vec![2, 2]]);
+        assert!(!r.is_empty());
     }
 
     #[test]

@@ -108,6 +108,7 @@ impl TileGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shape::Shape;
 
     #[test]
     fn divisible_cut() {
@@ -139,7 +140,10 @@ mod tests {
         for a in 0..2 {
             for b in 0..3 {
                 for c in 0..5 {
-                    g.tile_region(&[a, b, c]).for_each_index(|idx| {
+                    let r = g.tile_region(&[a, b, c]);
+                    Shape::new(&r.extent).for_each_index(|rel| {
+                        let idx: Vec<usize> =
+                            rel.iter().zip(&r.origin).map(|(i, o)| i + o).collect();
                         let lin = (idx[0] * 9 + idx[1]) * 5 + idx[2];
                         assert!(!covered[lin], "overlap at {idx:?}");
                         covered[lin] = true;

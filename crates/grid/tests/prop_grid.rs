@@ -82,8 +82,10 @@ fn tile_grid_ragged_3d_partition() {
         for a in 0..g[0] {
             for b in 0..g[1] {
                 for c in 0..g[2] {
-                    grid.tile_region(&[a, b, c]).for_each_index(|idx| {
-                        count[(idx[0] * e[1] + idx[1]) * e[2] + idx[2]] += 1;
+                    let r = grid.tile_region(&[a, b, c]);
+                    Shape::new(&r.extent).for_each_index(|rel| {
+                        let g = |k: usize| r.origin[k] + rel[k];
+                        count[(g(0) * e[1] + g(1)) * e[2] + g(2)] += 1;
                     });
                 }
             }

@@ -91,14 +91,14 @@ impl LineSweepKernel for SpPentaForwardKernel {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Forward);
         debug_assert_eq!(carries.len(), 6 * lanes.nlanes());
         let (nl, seg_len) = (lanes.nlanes(), lanes.seg_len());
-        let n = self.prob.eta[ctxs[0].axis];
+        let n = self.prob.eta[ctx.axis];
         self.tables
-            .for_each_lane_element(nl, seg_len, ctxs, |k, l, i, lam| {
+            .for_each_lane_element(nl, seg_len, ctx, |k, l, i, lam| {
                 let (e, a, d, c, f) = penta_row(lam, i, n);
                 let cl = &mut carries[6 * l..6 * l + 6];
                 let p1 = (cl[0], cl[1], cl[2]);
@@ -177,14 +177,14 @@ impl LineSweepKernel for SpTriForwardKernel {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Forward);
         debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
         let (nl, seg_len) = (lanes.nlanes(), lanes.seg_len());
-        let n = self.prob.eta[ctxs[0].axis];
+        let n = self.prob.eta[ctx.axis];
         self.tables
-            .for_each_lane_element(nl, seg_len, ctxs, |k, l, i, lam| {
+            .for_each_lane_element(nl, seg_len, ctx, |k, l, i, lam| {
                 let (a, b, c) = tri_row(lam, i, n);
                 let cl = &mut carries[2 * l..2 * l + 2];
                 let denom = b - a * cl[0];
@@ -314,16 +314,14 @@ mod tests {
 
     #[test]
     fn blocked_sp_kernels_match_per_line_bitwise() {
-        // Position-dependent kernels: every lane has a different
-        // SegmentCtx, so the lane bodies must thread per-line coefficients
-        // exactly like the per-line reference does.
+        // Position-dependent kernels: every lane lies at a different
+        // point along the lane axis, so the lane bodies must thread
+        // per-line coefficients exactly like the per-line reference does.
         use mp_sweep::recurrence::{per_line_sweep_lanes, SegmentCtx};
         let nlines = 5;
         let seg_len = 8;
         let axis = 1;
-        let ctxs: Vec<SegmentCtx> = (0..nlines)
-            .map(|l| SegmentCtx::new(vec![l, 2, l + 1], axis, Direction::Forward))
-            .collect();
+        let ctx = SegmentCtx::new(vec![3, 2, 1], axis, Direction::Forward);
         let vals = |s: usize| -> Vec<f64> {
             (0..seg_len * nlines)
                 .map(|k| ((k * 17 + s * 31) % 13) as f64 * 0.4 - 2.0)
@@ -345,14 +343,14 @@ mod tests {
                 Direction::Forward,
                 &mut got_c,
                 &mut Lanes::packed(&mut got, nlines, seg_len, &mut t1),
-                &ctxs,
+                &ctx,
             );
             per_line_sweep_lanes(
                 k,
                 Direction::Forward,
                 &mut want_c,
                 &mut Lanes::packed(&mut want, nlines, seg_len, &mut t2),
-                &ctxs,
+                &ctx,
             );
             assert_eq!(got_c, want_c);
             assert_eq!(got, want);

@@ -18,7 +18,7 @@
 //! state. The per-axis factors are tabulated once per solver, so
 //! generating a term costs a few flops per element.
 
-use mp_sweep::recurrence::SegmentCtx;
+use mp_sweep::recurrence::{lane_axis, SegmentCtx};
 use std::ops::Range;
 
 /// Which line-system shape the implicit solves use.
@@ -206,11 +206,12 @@ impl SpTables {
         (sx[g0] * sy[g1], &sz[g2s])
     }
 
-    /// Visit a block of line segments element-outer, lane-inner:
+    /// Visit a row of line segments element-outer, lane-inner:
     /// `f(k, l, i, lam)` for element `k` of lane `l`, where `i` is the
     /// element's coordinate along the swept axis and `lam` its local
     /// diffusion number, `prob.lambda(axis) * prob.diffusivity(g)` bit for
-    /// bit. `ctxs[l]` locates lane `l`; all lanes sweep the same axis.
+    /// bit. `ctx` locates lane 0; lane `l` lies `l` elements further along
+    /// the [`lane_axis`], so every lane shares the row's start and step.
     ///
     /// Lanes go in groups of 16 whose line-invariant factors are computed
     /// once on the stack, so an element costs three flops and one table
@@ -221,35 +222,36 @@ impl SpTables {
         &self,
         nlanes: usize,
         seg_len: usize,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
         mut f: impl FnMut(usize, usize, usize, f64),
     ) {
         const GROUP: usize = 16;
         let [dx, dy, dz] = &self.diff;
+        let (axis, la) = (ctx.axis, lane_axis(3, ctx.axis));
+        let (lam, t) = (self.lam[axis], &self.diff[axis]);
+        let (start, step) = (ctx.global_start[axis] as i64, ctx.step);
+        let lane0: [usize; 3] = ctx.global_start[..].try_into().expect("SP is 3-D");
         for l0 in (0..nlanes).step_by(GROUP) {
-            let group = &ctxs[l0..nlanes.min(l0 + GROUP)];
-            let axis = group[0].axis;
-            let (lam, t) = (self.lam[axis], &self.diff[axis]);
-            // Per lane, the start and step along the axis and the factors
-            // `(pre, mul, add)` with diffusivity `(pre + t[i]·mul) + add`:
-            // `(1 + dx[i]·dy) + dz` along x, `(1 + dy[i]·dx) + dz` along y
-            // (a product commutes exactly) and `((1 + dx·dy) + dz[i]·1) +
-            // 0` along z (multiplying by one and adding zero to the
-            // nonzero sum are exact) — `diffusivity`'s own operations.
-            let mut line = [(0i64, 0i64, 0.0, 0.0, 0.0); GROUP];
-            for (slot, ctx) in line.iter_mut().zip(group) {
-                debug_assert_eq!(ctx.axis, axis, "lanes of one block sweep one axis");
-                let g = &ctx.global_start;
-                let (pre, mul, add) = match axis {
+            let group = l0..nlanes.min(l0 + GROUP);
+            // Per lane, the factors `(pre, mul, add)` with diffusivity
+            // `(pre + t[i]·mul) + add`: `(1 + dx[i]·dy) + dz` along x,
+            // `(1 + dy[i]·dx) + dz` along y (a product commutes exactly)
+            // and `((1 + dx·dy) + dz[i]·1) + 0` along z (multiplying by one
+            // and adding zero to the nonzero sum are exact) —
+            // `diffusivity`'s own operations.
+            let mut line = [(0.0, 0.0, 0.0); GROUP];
+            for (slot, l) in line.iter_mut().zip(group.clone()) {
+                let mut g = lane0;
+                g[la] += l;
+                *slot = match axis {
                     0 => (1.0, dy[g[1]], dz[g[2]]),
                     1 => (1.0, dx[g[0]], dz[g[2]]),
                     _ => (1.0 + dx[g[0]] * dy[g[1]], 1.0, 0.0),
                 };
-                *slot = (g[axis] as i64, ctx.step, pre, mul, add);
             }
             for k in 0..seg_len {
-                for (j, &(start, step, pre, mul, add)) in line[..group.len()].iter().enumerate() {
-                    let i = (start + step * k as i64) as usize;
+                let i = (start + step * k as i64) as usize;
+                for (j, &(pre, mul, add)) in line[..group.len()].iter().enumerate() {
                     f(k, l0 + j, i, lam * ((pre + t[i] * mul) + add));
                 }
             }
@@ -359,7 +361,7 @@ mod tests {
     fn tables_reproduce_diffusion_and_forcing_bitwise() {
         for prob in [
             SpProblem::new([12, 12, 12], 0.015),
-            SpProblem::new([5, 9, 7], 0.001),
+            SpProblem::new([5, 9, 20], 0.001),
             SpProblem::pentadiagonal([36, 1, 3], 0.0015),
         ] {
             let t = SpTables::new(&prob);
@@ -373,29 +375,27 @@ mod tests {
                     }
                 }
             }
-            // Every line of every axis, lanes grouped past the stack
-            // group size.
+            // Every line of every axis, one row of lanes along the lane
+            // axis per point of the remaining axis; the 20-lane rows of the
+            // second problem pass the stack group size.
             for axis in 0..3 {
-                let n = prob.eta[axis];
-                let (a1, a2) = ((axis + 1) % 3, (axis + 2) % 3);
-                let ctxs: Vec<SegmentCtx> = (0..prob.eta[a1])
-                    .flat_map(|x| (0..prob.eta[a2]).map(move |y| (x, y)))
-                    .map(|(x, y)| {
-                        let mut g = vec![0; 3];
-                        (g[a1], g[a2]) = (x, y);
-                        SegmentCtx::new(g, axis, Direction::Forward)
-                    })
-                    .collect();
+                let (n, la) = (prob.eta[axis], lane_axis(3, axis));
+                let other = 3 - axis - la;
                 let mut visited = 0;
-                t.for_each_lane_element(ctxs.len(), n, &ctxs, |k, l, i, lam| {
-                    let mut g = ctxs[l].global_start.clone();
-                    g[axis] = k;
-                    assert_eq!(i, k);
-                    let want = prob.lambda(axis) * prob.diffusivity(&g);
-                    assert_eq!(lam.to_bits(), want.to_bits(), "{g:?} axis {axis}");
-                    visited += 1;
-                });
-                assert_eq!(visited, ctxs.len() * n);
+                for o in 0..prob.eta[other] {
+                    let mut g0 = vec![0; 3];
+                    g0[other] = o;
+                    let ctx = SegmentCtx::new(g0.clone(), axis, Direction::Forward);
+                    t.for_each_lane_element(prob.eta[la], n, &ctx, |k, l, i, lam| {
+                        let mut g = g0.clone();
+                        (g[axis], g[la]) = (k, l);
+                        assert_eq!(i, k);
+                        let want = prob.lambda(axis) * prob.diffusivity(&g);
+                        assert_eq!(lam.to_bits(), want.to_bits(), "{g:?} axis {axis}");
+                        visited += 1;
+                    });
+                }
+                assert_eq!(visited, prob.eta.iter().product::<usize>());
             }
         }
     }

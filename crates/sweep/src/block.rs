@@ -24,7 +24,7 @@
 // iterator zips would obscure the stencil structure.
 #![allow(clippy::needless_range_loop)]
 
-use crate::recurrence::{LineSweepKernel, SegmentCtx, MAX_DIMS};
+use crate::recurrence::{lane_axis, LineSweepKernel, SegmentCtx, MAX_DIMS};
 use crate::simd::{
     self, load_carries, store_carries, Field, LaneBody, LaneVec, SimdLevel, MAX_LANES,
 };
@@ -371,18 +371,20 @@ impl<const N: usize, S: BlockCoeffs<N>> LineSweepKernel for BlockTriForwardKerne
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Forward);
         debug_assert_eq!(carries.len(), lanes.nlanes() * (N * N + N));
-        simd::sweep(level, self, carries, lanes, ctxs);
+        simd::sweep(level, self, carries, lanes, ctx);
     }
 }
 
 impl<const N: usize, S: BlockCoeffs<N>> LaneBody for BlockTriForwardKernel<N, S> {
     /// `sweep_segment` per lane, with each element's blocks from
-    /// [`BlockCoeffs::blocks_lanes`]. A field whose lanes are not adjacent
-    /// costs `V::W` scalar accesses per element, not one vector access: a
+    /// [`BlockCoeffs::blocks_lanes`]. Every lane of the row starts its line
+    /// at the segment's first element or none does, so the line start is
+    /// one branch per row. A field whose lanes are not adjacent costs
+    /// `V::W` scalar accesses per element, not one vector access: a
     /// bt-24-p2 tile's dim-2 sweep, all 35 fields lane-strided, ran 12 %
     /// slower than its dim-1 sweep until BT's `C'` fields became scratch
     /// fields laid out in sweep order (lanes adjacent in every dimension).
@@ -391,7 +393,7 @@ impl<const N: usize, S: BlockCoeffs<N>> LaneBody for BlockTriForwardKernel<N, S>
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     ) {
@@ -402,28 +404,21 @@ impl<const N: usize, S: BlockCoeffs<N>> LaneBody for BlockTriForwardKernel<N, S>
         let mut blocks = [[[zero; N]; N]; 3];
         let mut d = [zero; N];
         let mut pos = [[0; MAX_DIMS]; MAX_LANES];
+        let (axis, dims) = (ctx.axis, ctx.global_start.len());
+        let la = lane_axis(dims, axis);
+        let line_start = ctx.global_start[axis] == 0;
         for l0 in (lo..hi).step_by(V::W) {
             let (cpg, dg) = group_fields(&cpf, &df, l0);
-            let group = &ctxs[l0..l0 + V::W];
-            let (axis, dims) = (group[0].axis, group[0].global_start.len());
-            debug_assert!(group.iter().all(|c| c.axis == axis), "one swept axis");
             let (mut cp, mut dp) =
                 load_lane_carry::<V, _>(carries, l0, ([[zero; N]; N], [zero; N]));
-            // The lanes whose line starts at the segment's first element:
-            // those whose flag is `0.0`.
-            let mut flags = [1.0; MAX_LANES];
-            for ((flag, ctx), p) in flags.iter_mut().zip(group).zip(&mut pos) {
-                if ctx.global_start[axis] == 0 {
-                    *flag = 0.0;
-                }
-                ctx.start_in(p);
+            for (i, p) in pos[..V::W].iter_mut().enumerate() {
+                ctx.start_in(p)[la] += l0 + i;
             }
-            let starts = V::load(flags.as_ptr(), 1).eq_zero();
-            let starts = V::any(starts).then_some(starts);
             for k in 0..lanes.seg_len() {
                 let mut gs: [&[usize]; MAX_LANES] = [&[]; MAX_LANES];
-                for ((g, p), ctx) in gs.iter_mut().zip(&mut pos).zip(group) {
-                    p[axis] = ctx.axis_coord(k);
+                let at = ctx.axis_coord(k);
+                for (g, p) in gs.iter_mut().zip(&mut pos[..V::W]) {
+                    p[axis] = at;
                     *g = &p[..dims];
                 }
                 self.coeffs.blocks_lanes(&gs[..V::W], axis, &mut abc);
@@ -437,8 +432,7 @@ impl<const N: usize, S: BlockCoeffs<N>> LaneBody for BlockTriForwardKernel<N, S>
                 for (di, f) in d.iter_mut().zip(&dg) {
                     *di = f.load(k, 0);
                 }
-                let start = if k == 0 { starts } else { None };
-                forward_step(&blocks, &d, start, &mut cp, &mut dp);
+                forward_step(&blocks, &d, line_start && k == 0, &mut cp, &mut dp);
                 for (cprow, frow) in cp.iter().zip(&cpg) {
                     for (&v, f) in cprow.iter().zip(frow) {
                         f.store(k, 0, v);
@@ -554,11 +548,11 @@ impl<const N: usize> LineSweepKernel for BlockTriBackwardKernel<N> {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Backward);
         debug_assert_eq!(carries.len(), lanes.nlanes() * (N + 1));
-        simd::sweep(level, self, carries, lanes, ctxs);
+        simd::sweep(level, self, carries, lanes, ctx);
     }
 }
 
@@ -575,7 +569,7 @@ impl<const N: usize> LaneBody for BlockTriBackwardKernel<N> {
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     ) {
@@ -897,9 +891,9 @@ unsafe fn mat_inv_per_lane<V: LaneVec, const N: usize>(a: &VMat<V, N>) -> VMat<V
 
 /// One block elimination row for a lane group — `eliminate` on lane
 /// vectors: `(C', d')` from this row's blocks `abc` (`[A, B, C]`) and
-/// right-hand side `d` and the previous row's `(C', d')`. Lanes set in
-/// `start` begin their line here and skip the previous row, as the scalar
-/// `line_start` branch does.
+/// right-hand side `d` and the previous row's `(C', d')`. On a `line_start`
+/// the lanes begin their line here and skip the previous row, as the
+/// scalar branch does.
 ///
 /// # Safety
 /// `V`'s level must be available ([`LaneVec`]).
@@ -907,30 +901,22 @@ unsafe fn mat_inv_per_lane<V: LaneVec, const N: usize>(a: &VMat<V, N>) -> VMat<V
 unsafe fn forward_step<V: LaneVec, const N: usize>(
     abc: &[VMat<V, N>; 3],
     d: &[V; N],
-    start: Option<V::Mask>,
+    line_start: bool,
     cp: &mut VMat<V, N>,
     dp: &mut [V; N],
 ) {
     let [a, b, c] = abc;
-    let mut denom = *b;
-    mat_mul_lanes(a, cp, &mut denom);
-    for (drow, brow) in denom.iter_mut().zip(b) {
-        for (v, &bij) in drow.iter_mut().zip(brow) {
-            *v = bij.sub(*v);
-        }
-    }
-    let mut rhs = mat_vec_lanes(a, dp);
-    for (v, &di) in rhs.iter_mut().zip(d) {
-        *v = di.sub(*v);
-    }
-    if let Some(start) = start {
+    let (mut denom, mut rhs) = (*b, *d);
+    if !line_start {
+        mat_mul_lanes(a, cp, &mut denom);
         for (drow, brow) in denom.iter_mut().zip(b) {
             for (v, &bij) in drow.iter_mut().zip(brow) {
-                *v = V::select(start, bij, *v);
+                *v = bij.sub(*v);
             }
         }
+        rhs = mat_vec_lanes(a, dp);
         for (v, &di) in rhs.iter_mut().zip(d) {
-            *v = V::select(start, di, *v);
+            *v = di.sub(*v);
         }
     }
     let (mut work, mut inv) = (denom, denom);
@@ -1145,7 +1131,7 @@ pub(crate) mod tests {
             }
         }
         let splits = [0usize, 4, 9, NLINE];
-        let mut carry = fwd.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; fwd.carry_len()];
         for w in splits.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let mut seg: Vec<Vec<f64>> = (0..12).map(|f| bufs[f][lo..hi].to_vec()).collect();
@@ -1155,7 +1141,7 @@ pub(crate) mod tests {
                 bufs[f][lo..hi].copy_from_slice(&seg[f]);
             }
         }
-        let mut carry = bwd.initial_carry(Direction::Backward);
+        let mut carry = vec![0.0; bwd.carry_len()];
         for w in splits.windows(2).rev() {
             let (lo, hi) = (w[0], w[1]);
             let mut seg: Vec<Vec<f64>> = (0..12)
@@ -1184,7 +1170,7 @@ pub(crate) mod tests {
     #[test]
     fn blocked_block_tri_matches_per_line_bitwise() {
         // The lane bodies must equal the per-line reference bit-for-bit,
-        // with per-line contexts at different global positions.
+        // with lanes at different global positions along the lane axis.
         use crate::recurrence::per_line_sweep_lanes;
         let nlines = 4;
         let seg_len = 6;
@@ -1204,9 +1190,7 @@ pub(crate) mod tests {
         ];
         let (mut got, mut want) = (blk0.clone(), blk0);
         for (k, dir, start) in kernels {
-            let ctxs: Vec<SegmentCtx> = (0..nlines)
-                .map(|l| SegmentCtx::new(vec![start, l, l + 1], 0, dir))
-                .collect();
+            let ctx = SegmentCtx::new(vec![start, 1, 1], 0, dir);
             let carry0: Vec<f64> = (0..nlines * k.carry_len()).map(|_| next() * 0.1).collect();
             let (mut got_c, mut want_c) = (carry0.clone(), carry0);
             let (mut t1, mut t2) = (Vec::new(), Vec::new());
@@ -1215,14 +1199,14 @@ pub(crate) mod tests {
                 dir,
                 &mut got_c,
                 &mut Lanes::packed(&mut got, nlines, seg_len, &mut t1),
-                &ctxs,
+                &ctx,
             );
             per_line_sweep_lanes(
                 k,
                 dir,
                 &mut want_c,
                 &mut Lanes::packed(&mut want, nlines, seg_len, &mut t2),
-                &ctxs,
+                &ctx,
             );
             assert_eq!(got_c, want_c, "{dir:?} carries");
             assert_eq!(got, want, "{dir:?} fields");

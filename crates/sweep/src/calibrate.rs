@@ -26,9 +26,9 @@ use mp_runtime::calibrate::{calibrate_transport, measure_min_secs, CalibrationOp
 const TIMED_BLOCK_LANES: usize = 32;
 
 /// Seconds per element of `kernel` at `level`, the minimum over
-/// `opts.reps` timed calls. Each call resets the carries and runs one full
+/// `opts.reps` timed calls. Each call zeroes the carries and runs one full
 /// `sweep_lanes` over a packed `TIMED_BLOCK_LANES × seg_len` block — the
-/// entry point [`crate::compiled::CompiledSweep`] executes. Field `f` is
+/// entry point a compiled sweep's rows call. Field `f` is
 /// filled with `fills[f]`, chosen diagonally dominant so repeated
 /// elimination stays pivot-safe and away from subnormals.
 fn bench_kernel(
@@ -43,15 +43,12 @@ fn bench_kernel(
     let clen = kernel.carry_len();
     let mut block: Vec<Vec<f64>> = fills.iter().map(|&v| vec![v; nlines * seg_len]).collect();
     let mut carries = vec![0.0f64; nlines * clen];
-    let init = kernel.initial_carry(dir);
-    let ctxs = vec![SegmentCtx::origin(3, 0, dir); nlines];
+    let ctx = SegmentCtx::origin(3, 0, dir);
     let mut table = Vec::new();
     let secs = measure_min_secs(opts.warmup, opts.reps, || {
-        for l in 0..nlines {
-            carries[l * clen..(l + 1) * clen].copy_from_slice(&init);
-        }
+        carries.fill(0.0);
         let mut lanes = Lanes::packed(&mut block, nlines, seg_len, &mut table);
-        kernel.sweep_lanes(level, dir, &mut carries, &mut lanes, &ctxs);
+        kernel.sweep_lanes(level, dir, &mut carries, &mut lanes, &ctx);
     });
     (secs / (nlines * seg_len) as f64).max(1e-12)
 }

@@ -5,13 +5,14 @@
 //! every message size are fully determined by `(Multipartitioning, dim,
 //! direction)` before the first timestep runs; NAS SP/BT run the same six
 //! directional sweeps for hundreds of timesteps. This module hoists that
-//! work into a [`CompiledSweep`] — built once per `(mp, dim, direction,
+//! work into a compiled sweep — built once per `(mp, dim, direction,
 //! kernel shape, options)` — that owns the precomputed slab order,
 //! upstream/downstream peer ranks, per-phase tile metadata, the expected
 //! carry-message length of every phase, and long-lived row scratch.
 //! Executing a compiled sweep only refreshes the per-field raw pointers
 //! (storage may move between calls) and runs the communication/compute
-//! loop.
+//! loop. [`SolverPlan`] caches one per `(dim, direction)` and is the one
+//! entry point: a one-off sweep is a [`SolverPlan::sweep`] call.
 //!
 //! **The schedule is the paper's.** Every phase boundary ships exactly one
 //! aggregated carry message from each rank to its unique downstream
@@ -33,14 +34,12 @@
 //! all of those except store geometry, which is fixed per plan (allocate a
 //! new one per grid and field list).
 //!
-//! In debug builds every `CompiledSweep` is cross-checked against
+//! In debug builds every compiled sweep is cross-checked against
 //! [`mp_core::plan::SweepPlan`] at build time, making the schedule module
 //! the source of truth for the executor rather than documentation-only.
 
-use crate::executor::{
-    exchange_halos_planned, run_rows, FieldMeta, RowScratch, SharedPhase, SweepOptions,
-};
-use crate::recurrence::LineSweepKernel;
+use crate::executor::{run_rows, FieldMeta, RowScratch, SweepOptions};
+use crate::recurrence::{lane_axis, LineSweepKernel};
 use crate::simd::{SimdLevel, SimdMode};
 use mp_core::multipart::{Direction, Multipartitioning};
 use mp_core::plan::SweepPlan;
@@ -51,23 +50,23 @@ use std::time::Instant;
 /// What a [`CompiledSweep`] was built for — compared by
 /// [`CompiledSweep::matches`] to decide when a cached plan can be reused.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct PlanKey {
+pub(crate) struct PlanKey {
     /// Processor count of the multipartitioning.
     p: u64,
-    /// Tile-grid shape of the multipartitioning.
-    gammas: Vec<u64>,
+    /// Tile-grid shape of the multipartitioning (one entry per dimension).
+    pub(crate) gammas: Vec<u64>,
     /// Swept dimension.
-    dim: usize,
+    pub(crate) dim: usize,
     /// Sweep direction.
-    direction: Direction,
+    pub(crate) direction: Direction,
     /// Wire tags are `tag_base + phase` in / `tag_base + phase + 1` out.
     tag_base: Tag,
     /// Kernel field indices, in kernel order.
-    fields: Vec<usize>,
+    pub(crate) fields: Vec<usize>,
     /// Kernel carry length per line.
-    carry_len: usize,
+    pub(crate) carry_len: usize,
     /// Requested SIMD dispatch mode (resolved to a concrete level once at
-    /// build time — see [`CompiledSweep::simd_level`]).
+    /// build time).
     simd: SimdMode,
 }
 
@@ -76,17 +75,17 @@ struct PlanKey {
 /// Raw field pointers are *not* here — storage may move between executes,
 /// so they are refreshed into the plan's `FieldMeta` arena each phase.
 #[derive(Debug)]
-struct PhasePlan {
+pub(crate) struct PhasePlan {
     /// Store indices of this phase's tiles, in store (= packing) order.
     tiles: Vec<usize>,
     /// Per-tile global origins, flattened `tile * d + k`.
-    origins: Vec<usize>,
+    pub(crate) origins: Vec<usize>,
     /// Per-tile cross-section extents (swept dim forced to 1), same layout.
-    red_exts: Vec<usize>,
+    pub(crate) red_exts: Vec<usize>,
     /// Per-tile segment length along the swept dimension.
-    seg_lens: Vec<usize>,
+    pub(crate) seg_lens: Vec<usize>,
     /// Per-(tile, field) strides, flattened `(tile * nf + f) * d + k`.
-    fm_strides: Vec<usize>,
+    pub(crate) fm_strides: Vec<usize>,
     /// Per-(tile, field) interior-origin offsets, flattened `tile * nf + f`.
     base_offs: Vec<usize>,
     /// Elements in the phase's carry message (lines × kernel carry length).
@@ -95,13 +94,10 @@ struct PhasePlan {
 
 /// A fully compiled directional sweep for one rank: schedule + metadata +
 /// scratch arenas. Built once with [`CompiledSweep::build`], executed many
-/// times with [`CompiledSweep::execute`].
-pub struct CompiledSweep {
+/// times with [`CompiledSweep::execute`], through [`SolverPlan`].
+pub(crate) struct CompiledSweep {
     key: PlanKey,
     rank: u64,
-    d: usize,
-    /// The last axis that is not swept; the lanes of a row lie along it.
-    lane_axis: usize,
     /// Rank carries arrive from (one step opposite the sweep direction).
     upstream: u64,
     /// Rank carries ship to.
@@ -130,7 +126,7 @@ impl CompiledSweep {
     /// Panics if the store does not hold exactly this rank's tiles for
     /// every slab.
     #[allow(clippy::too_many_arguments)]
-    pub fn build<K: LineSweepKernel + ?Sized>(
+    pub(crate) fn build<K: LineSweepKernel + ?Sized>(
         mp: &Multipartitioning,
         rank: u64,
         store: &RankStore,
@@ -149,10 +145,6 @@ impl CompiledSweep {
         };
         let clen = kernel.carry_len();
         let nfields = kernel.fields().len();
-        let simd_level = opts.simd.resolve();
-        // `Multipartitioning` has d ≥ 2, so a lane axis always exists.
-        let lane_axis = if dim + 1 == d { d - 2 } else { d - 1 };
-        let mut max_row = 0;
 
         let mut phases = Vec::with_capacity(slab_order.len());
         for &slab in &slab_order {
@@ -174,7 +166,6 @@ impl CompiledSweep {
                 {
                     let ext = tile.field(kernel.fields()[0]).interior();
                     pp.seg_lens.push(ext[dim]);
-                    max_row = max_row.max(ext[lane_axis]);
                     let ro = pp.red_exts.len();
                     pp.red_exts.extend_from_slice(ext);
                     pp.red_exts[ro + dim] = 1;
@@ -183,7 +174,7 @@ impl CompiledSweep {
                     let arr = tile.field(f);
                     if store.field_defs[f].scratch {
                         assert_eq!(arr.halo(), 0, "scratch field {f} has ghost layers");
-                        sweep_order_strides(arr.interior(), dim, lane_axis, &mut pp.fm_strides);
+                        sweep_order_strides(arr.interior(), dim, &mut pp.fm_strides);
                         pp.base_offs.push(0);
                     } else {
                         pp.fm_strides.extend_from_slice(arr.strides());
@@ -219,31 +210,24 @@ impl CompiledSweep {
                 simd: opts.simd,
             },
             rank,
-            d,
-            lane_axis,
             upstream: mp.neighbor_rank(rank, dim, -step),
             downstream: mp.neighbor_rank(rank, dim, step),
             phases,
             fms: Vec::with_capacity(mp.tiles_per_proc_per_slab(dim) as usize * nfields),
-            scratch: RowScratch::new(d, dim, dir, nfields, max_row),
-            simd: simd_level,
+            scratch: RowScratch::new(d, dim, dir, nfields),
+            simd: opts.simd.resolve(),
         };
-        #[cfg(debug_assertions)]
-        cs.validate_against(mp, store)
-            .expect("compiled sweep disagrees with SweepPlan");
+        if cfg!(debug_assertions) {
+            cs.validate_against(mp, store)
+                .expect("compiled sweep disagrees with SweepPlan");
+        }
         cs
-    }
-
-    /// The SIMD level every row runs at, resolved once at build time
-    /// from the requested [`SweepOptions::simd`] mode and the hardware.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
     }
 
     /// True when the plan can serve a call with these parameters without
     /// rebuilding: same multipartitioning shape, sweep, tags, kernel shape,
     /// and options.
-    pub fn matches<K: LineSweepKernel + ?Sized>(
+    pub(crate) fn matches<K: LineSweepKernel + ?Sized>(
         &self,
         mp: &Multipartitioning,
         dim: usize,
@@ -265,7 +249,7 @@ impl CompiledSweep {
     /// The distinct message lengths (in elements) this plan sends, for
     /// pre-sizing a communicator's buffer pool
     /// ([`Communicator::reserve_buffers`]).
-    pub fn message_lens(&self) -> Vec<usize> {
+    pub(crate) fn message_lens(&self) -> Vec<usize> {
         let nphases = self.phases.len();
         let mut lens: Vec<usize> = self.phases[..nphases.saturating_sub(1)]
             .iter()
@@ -282,8 +266,8 @@ impl CompiledSweep {
     /// tile), so it is exact — the basis for the CLI's predicted-vs-
     /// measured compute comparison (`k1 · elements` vs the traced
     /// compute-span time).
-    pub fn elements_per_execute(&self) -> u64 {
-        let d = self.d;
+    pub(crate) fn elements_per_execute(&self) -> u64 {
+        let d = self.key.gammas.len();
         let mut total = 0u64;
         for pp in &self.phases {
             for (t, &seg) in pp.seg_lens.iter().enumerate() {
@@ -299,7 +283,7 @@ impl CompiledSweep {
     /// ([`SweepPlan::validate`]), and this rank's phase rows must agree
     /// with the compiled tile order and peer ranks exactly. Run
     /// automatically at build time in debug builds.
-    pub fn validate_against(
+    pub(crate) fn validate_against(
         &self,
         mp: &Multipartitioning,
         store: &RankStore,
@@ -351,8 +335,8 @@ impl CompiledSweep {
 
     /// Execute the compiled sweep: refresh the per-field raw views from
     /// `store` and run the paper's phase loop. Each phase takes its carry
-    /// buffer — a fresh one filled with the kernel's initial carries at
-    /// phase 0, else the one the previous phase handed over on this rank
+    /// buffer — a zero-filled one at phase 0 (every line enters the domain
+    /// with a zero carry), else the one the previous phase handed over on this rank
     /// (self-neighbor) or received from the upstream rank — evolves it in
     /// place through the phase's rows, and passes it on by move:
     /// one aggregated message to the downstream rank per phase boundary,
@@ -362,7 +346,7 @@ impl CompiledSweep {
     /// Panics if `comm`'s rank or the kernel's shape differ from what the
     /// plan was built for, or if a received carry message has the wrong
     /// length.
-    pub fn execute<C: Communicator, K: LineSweepKernel + ?Sized>(
+    pub(crate) fn execute<C: Communicator, K: LineSweepKernel + ?Sized>(
         &mut self,
         comm: &mut C,
         store: &mut RankStore,
@@ -376,8 +360,6 @@ impl CompiledSweep {
         let (rank, upstream, downstream) = (self.rank, self.upstream, self.downstream);
         let CompiledSweep {
             key,
-            d,
-            lane_axis,
             phases,
             fms,
             scratch,
@@ -392,17 +374,11 @@ impl CompiledSweep {
         for (phase, pp) in phases.iter().enumerate() {
             let tag = key.tag_base + phase as u64;
             refresh_fms(fms, pp, store, &key.fields);
-            let shared = shared_phase(pp, fms, kernel, key, (*d, *lane_axis), *simd);
 
             let mut cbuf: Vec<f64> = if phase == 0 {
                 let mut b = comm.take_send_buffer();
                 b.clear();
                 b.resize(pp.carry_len, 0.0);
-                if clen > 0 {
-                    for c in b.chunks_exact_mut(clen) {
-                        kernel.fill_initial_carry(key.direction, c);
-                    }
-                }
                 b
             } else if upstream == rank {
                 held.take()
@@ -418,7 +394,7 @@ impl CompiledSweep {
             );
 
             let t_run = comm.tracer().is_some().then(Instant::now);
-            let rows = run_rows(&shared, &mut cbuf, scratch);
+            let rows = run_rows(pp, fms, key, *simd, kernel, &mut cbuf, scratch);
             if let (Some(t0), Some(tr)) = (t_run, comm.tracer()) {
                 tr.compute(
                     t0,
@@ -440,19 +416,20 @@ impl CompiledSweep {
 }
 
 /// Append the strides a scratch field ([`mp_grid::FieldDef::scratch`]) of
-/// a tile with interior extents `ext` is addressed by in a sweep of `dim`
-/// whose lanes lie along `lane_axis`: lane axis 1, swept axis the lane
-/// extent, then the remaining axes outward in row-major order, from offset
-/// 0. A row's lanes are adjacent in every dimension, and the forward and
-/// backward plans of one dimension compute the same strides, so the
-/// backward sweep reads each element where the forward sweep wrote it.
-fn sweep_order_strides(ext: &[usize], dim: usize, lane_axis: usize, out: &mut Vec<usize>) {
+/// a tile with interior extents `ext` is addressed by in a sweep of `dim`:
+/// [`lane_axis`] 1, swept axis the lane extent, then the remaining axes
+/// outward in row-major order, from offset 0. A row's lanes are adjacent
+/// in every dimension, and the forward and backward plans of one dimension
+/// compute the same strides, so the backward sweep reads each element
+/// where the forward sweep wrote it.
+fn sweep_order_strides(ext: &[usize], dim: usize, out: &mut Vec<usize>) {
     let at = out.len();
     out.resize(at + ext.len(), 0);
     let strides = &mut out[at..];
     let mut next = 1;
-    let others = (0..ext.len()).rev().filter(|&k| k != dim && k != lane_axis);
-    for k in [lane_axis, dim].into_iter().chain(others) {
+    let la = lane_axis(ext.len(), dim);
+    let others = (0..ext.len()).rev().filter(|&k| k != dim && k != la);
+    for k in [la, dim].into_iter().chain(others) {
         strides[k] = next;
         next *= ext[k];
     }
@@ -474,34 +451,7 @@ fn refresh_fms(fms: &mut Vec<FieldMeta>, pp: &PhasePlan, store: &mut RankStore, 
     }
 }
 
-/// The view one phase's rows run against, assembled from the precompiled
-/// metadata plus the freshly refreshed field views.
-fn shared_phase<'a, K: LineSweepKernel + ?Sized>(
-    pp: &'a PhasePlan,
-    fms: &'a [FieldMeta],
-    kernel: &'a K,
-    key: &PlanKey,
-    (d, lane_axis): (usize, usize),
-    simd: SimdLevel,
-) -> SharedPhase<'a, K> {
-    SharedPhase {
-        fms,
-        fm_strides: &pp.fm_strides,
-        origins: &pp.origins,
-        red_exts: &pp.red_exts,
-        seg_lens: &pp.seg_lens,
-        kernel,
-        dir: key.direction,
-        dim: key.dim,
-        lane_axis,
-        d,
-        nfields: key.fields.len(),
-        clen: key.carry_len,
-        simd,
-    }
-}
-
-/// A per-rank solver plan: one cached [`CompiledSweep`] per `(dim,
+/// A per-rank solver plan: one cached compiled sweep per `(dim,
 /// direction)` plus the compiled [`HaloPlan`] for stencil exchanges —
 /// everything a timestepping driver (NAS SP/BT) builds up front and reuses
 /// across timesteps. A sweep plan is rebuilt only when its key changes
@@ -544,7 +494,7 @@ impl SolverPlan {
     }
 
     /// Elements swept so far across every [`SolverPlan::sweep`] call
-    /// (exact, from [`CompiledSweep::elements_per_execute`]). Pairs with
+    /// (exact, from the compiled tile geometry). Pairs with
     /// traced compute time to report `k1 · elements` model error.
     pub fn elements_swept(&self) -> u64 {
         self.elements_swept
@@ -613,10 +563,15 @@ impl SolverPlan {
         cs.execute(comm, store, kernel);
     }
 
-    /// Exchange `width` ghost layers of `field` using the compiled halo
-    /// schedule, building it on first use (or if `width` changes). One
-    /// plan serves every field and tag base — the schedule depends only on
-    /// tile geometry and width.
+    /// Exchange the `width` ghost layers of `field` across all tile faces,
+    /// in both directions of every dimension, using the compiled halo
+    /// schedule, built on first use (or if `width` changes). One plan
+    /// serves every field and tag base — the schedule depends only on tile
+    /// geometry and width. Each rank sends at most one message per neighbor
+    /// per direction; ghosts at the physical domain boundary are left
+    /// untouched. Faces are packed into a pooled buffer
+    /// ([`Communicator::take_send_buffer`]) and consumed messages are
+    /// recycled.
     pub fn exchange_halos<C: Communicator>(
         &mut self,
         comm: &mut C,
@@ -642,7 +597,54 @@ impl SolverPlan {
             self.halo = Some(plan);
         }
         let plan = self.halo.as_ref().expect("halo plan just built");
-        exchange_halos_planned(comm, store, field, tag_base, plan);
+        let rank = comm.rank();
+        for dp in plan.dirs() {
+            let tag = tag_base + dp.tag_off;
+
+            let t_pack = comm.tracer().is_some().then(Instant::now);
+            let mut payload = comm.take_send_buffer();
+            payload.clear();
+            for &t in &dp.send_tiles {
+                store.tiles[t].field(field).pack_face_into(
+                    dp.dim,
+                    dp.side_send,
+                    width,
+                    &mut payload,
+                );
+            }
+            debug_assert_eq!(payload.len(), dp.send_len, "halo plan stale for store");
+            if let (Some(t0), Some(tr)) = (t_pack, comm.tracer()) {
+                tr.pack(t0);
+            }
+
+            let received: Vec<f64> = if dp.to == rank {
+                payload
+            } else {
+                comm.send(dp.to, tag, payload);
+                comm.recv(dp.from, tag)
+            };
+            assert_eq!(
+                received.len(),
+                dp.recv_len,
+                "halo message not fully consumed"
+            );
+
+            let t_unpack = comm.tracer().is_some().then(Instant::now);
+            let mut cursor = 0usize;
+            for (&t, &n) in dp.recv_tiles.iter().zip(&dp.recv_lens) {
+                store.tiles[t].field_mut(field).unpack_ghost(
+                    dp.dim,
+                    dp.side_recv,
+                    width,
+                    &received[cursor..cursor + n],
+                );
+                cursor += n;
+            }
+            if let (Some(t0), Some(tr)) = (t_unpack, comm.tracer()) {
+                tr.unpack(t0);
+            }
+            comm.recycle(received);
+        }
     }
 }
 
@@ -859,7 +861,11 @@ mod tests {
                     for pp in &cs.phases {
                         for (t, &ti) in pp.tiles.iter().enumerate() {
                             let strides = &pp.fm_strides[2 * t * 3..(2 * t + 1) * 3];
-                            assert_eq!(strides[cs.lane_axis], 1, "dim {dim}: lanes not adjacent");
+                            assert_eq!(
+                                strides[lane_axis(3, dim)],
+                                1,
+                                "dim {dim}: lanes not adjacent"
+                            );
                             let base = pp.base_offs[2 * t];
                             let ext = &store.tiles[ti].region.extent;
                             Shape::new(ext).for_each_index(|idx| {

@@ -15,33 +15,32 @@
 //! is needed on the wire.
 //!
 //! Execution within a phase runs **in place, one row at a time**. A
-//! phase's *lane axis* is the last axis of the tile it does not sweep, and
-//! a *row* is the set of a tile's lines that differ only along that axis.
-//! Each row is handed to the kernel as one lane view of tile storage
-//! ([`LineSweepKernel::sweep_lanes`]): lanes the tile's stride along the
-//! lane axis apart, elements `±` its stride along the swept dimension. Lines
+//! phase's *lane axis* is the last axis of the tile it does not sweep
+//! ([`lane_axis`]), and a *row* is the set of a tile's lines that differ
+//! only along that axis. Each row is handed to the kernel as one lane view
+//! of tile storage ([`LineSweepKernel::sweep_lanes`]), with the context of
+//! its lane 0: lanes the tile's stride along the lane axis apart, elements
+//! `±` its stride along the swept dimension. Lines
 //! are numbered row-major with the swept axis reduced to 1, so a row's
 //! lines are consecutive, and so are their carries: because the line-major
 //! carry layout *is* the wire layout, the incoming message is evolved in
 //! place and sent on by move — the communication schedule (message count,
 //! payload sizes, byte order) is identical to per-line execution. A phase's
 //! rows run one after another on the rank's own thread (ranks are the
-//! engine's only parallelism), and one row scratch, sized for the plan's
-//! longest row, is reused across the γ phases, so steady-state phases
-//! allocate nothing.
+//! engine's only parallelism), and one row scratch is reused across the γ
+//! phases, so steady-state phases allocate nothing.
 //!
-//! The phase loop itself is [`crate::compiled::CompiledSweep::execute`];
-//! timestepping drivers run it through a cached
-//! [`crate::compiled::SolverPlan`]. This module also provides the halo
-//! exchange used by stencil phases (e.g. SP's `compute_rhs`), with the
-//! same per-direction aggregation.
+//! The phase loop itself belongs to the compiled sweep
+//! ([`crate::compiled`]); every sweep, a one-off one included, runs through
+//! a [`crate::compiled::SolverPlan`], which also runs the halo exchange of
+//! stencil phases (e.g. SP's `compute_rhs`) with the same per-direction
+//! aggregation.
 
-use crate::recurrence::{LineSweepKernel, SegmentCtx};
+use crate::compiled::{PhasePlan, PlanKey};
+use crate::recurrence::{lane_axis, LineSweepKernel, SegmentCtx};
 use crate::simd::{SimdLevel, SimdMode};
 use mp_core::multipart::{Direction, Multipartitioning};
-use mp_grid::{HaloPlan, LaneField, Lanes, RankStore, TileGrid};
-use mp_runtime::comm::{Communicator, Tag};
-use std::time::Instant;
+use mp_grid::{LaneField, Lanes, RankStore, TileGrid};
 
 /// Tuning knobs for the sweep executor. Options only change *how* each
 /// phase's compute is organized, never what goes on the wire: every
@@ -114,11 +113,12 @@ impl FieldMeta {
     }
 }
 
-/// Reusable per-row buffers — one set per compiled plan, sized at build
-/// time for the plan's longest row, so phases never allocate.
+/// Reusable per-row buffers — one set per compiled plan, so phases never
+/// allocate.
 pub(crate) struct RowScratch {
-    /// Per-lane contexts of the current row, mutated in place.
-    ctxs: Vec<SegmentCtx>,
+    /// The current row's context, which locates its lane 0; mutated in
+    /// place.
+    ctx: SegmentCtx,
     /// The current row's coordinates within its tile (lane and swept axes
     /// at 0).
     coord: Vec<usize>,
@@ -127,70 +127,45 @@ pub(crate) struct RowScratch {
 }
 
 impl RowScratch {
-    /// Scratch for rows of up to `max_row` lines of a `d`-dimensional sweep
-    /// of `dim` in `dir` over `nfields` fields.
-    pub(crate) fn new(
-        d: usize,
-        dim: usize,
-        dir: Direction,
-        nfields: usize,
-        max_row: usize,
-    ) -> Self {
+    /// Scratch for the rows of a `d`-dimensional sweep of `dim` in `dir`
+    /// over `nfields` fields.
+    pub(crate) fn new(d: usize, dim: usize, dir: Direction, nfields: usize) -> Self {
         RowScratch {
-            ctxs: vec![SegmentCtx::new(vec![0; d], dim, dir); max_row],
+            ctx: SegmentCtx::new(vec![0; d], dim, dir),
             coord: vec![0; d],
             lane_fields: Vec::with_capacity(nfields),
         }
     }
 }
 
-/// Everything the rows of one phase read: the compiled metadata plus the
-/// freshly refreshed field views.
-pub(crate) struct SharedPhase<'a, K: ?Sized> {
-    pub(crate) fms: &'a [FieldMeta],
-    /// Per-(tile, field) strides, flattened `(tile * nfields + f) * d + k`.
-    pub(crate) fm_strides: &'a [usize],
-    /// Per-tile global origins, flattened `tile * d + k`.
-    pub(crate) origins: &'a [usize],
-    /// Per-tile cross-section extents (swept dim forced to 1), same layout.
-    pub(crate) red_exts: &'a [usize],
-    /// Per-tile segment length along the swept dimension.
-    pub(crate) seg_lens: &'a [usize],
-    pub(crate) kernel: &'a K,
-    pub(crate) dir: Direction,
-    pub(crate) dim: usize,
-    /// The last axis that is not swept: lanes of a row lie along it.
-    pub(crate) lane_axis: usize,
-    pub(crate) d: usize,
-    pub(crate) nfields: usize,
-    pub(crate) clen: usize,
-    /// Vectorization level resolved once at plan-build time — steady-state
-    /// execution never re-detects CPU features.
-    pub(crate) simd: SimdLevel,
-}
-
-/// Run the phase's rows, tile by tile in store order and row-major within a
-/// tile, on the calling rank thread against the phase's carry message
-/// `cbuf` (line-major, `clen` per line). Each row is one lane view of tile
-/// storage, and its carries are the next `row length · clen` elements of
-/// `cbuf`. Returns the number of rows run.
+/// Run the rows of phase `pp`, tile by tile in store order and row-major
+/// within a tile, on the calling rank thread against the phase's carry
+/// message `cbuf` (line-major, `key.carry_len` per line), over the phase's
+/// field views `fms` at the plan's SIMD level. Each row is one lane view of
+/// tile storage, and its carries are the next `row length · carry_len`
+/// elements of `cbuf`. Returns the number of rows run.
 pub(crate) fn run_rows<K: LineSweepKernel + ?Sized>(
-    sh: &SharedPhase<'_, K>,
+    pp: &PhasePlan,
+    fms: &[FieldMeta],
+    key: &PlanKey,
+    simd: SimdLevel,
+    kernel: &K,
     cbuf: &mut [f64],
     w: &mut RowScratch,
 ) -> usize {
     let RowScratch {
-        ctxs,
+        ctx,
         coord,
         lane_fields,
     } = w;
-    let (d, nf, dim, la) = (sh.d, sh.nfields, sh.dim, sh.lane_axis);
-    let reversed = sh.dir == Direction::Backward;
+    let (d, nf, dim, clen) = (key.gammas.len(), key.fields.len(), key.dim, key.carry_len);
+    let la = lane_axis(d, dim);
+    let reversed = key.direction == Direction::Backward;
     let mut carries = cbuf;
     let mut rows = 0;
-    for (t, &seg_len) in sh.seg_lens.iter().enumerate() {
-        let red = &sh.red_exts[t * d..(t + 1) * d];
-        let origin = &sh.origins[t * d..(t + 1) * d];
+    for (t, &seg_len) in pp.seg_lens.iter().enumerate() {
+        let red = &pp.red_exts[t * d..(t + 1) * d];
+        let origin = &pp.origins[t * d..(t + 1) * d];
         let ext = red[la];
         let first = if reversed {
             origin[dim] + seg_len - 1
@@ -200,17 +175,14 @@ pub(crate) fn run_rows<K: LineSweepKernel + ?Sized>(
         let nrows = red.iter().product::<usize>() / ext;
         coord.fill(0);
         for _ in 0..nrows {
-            for (l, ctx) in ctxs[..ext].iter_mut().enumerate() {
-                let g = &mut ctx.global_start;
-                for k in 0..d {
-                    g[k] = origin[k] + coord[k];
-                }
-                g[la] += l;
-                g[dim] = first;
+            // Lane 0 of the row; the lanes differ along the lane axis alone.
+            for ((g, &o), &c) in ctx.global_start.iter_mut().zip(origin).zip(coord.iter()) {
+                *g = o + c;
             }
+            ctx.global_start[dim] = first;
             let parts = (0..nf).map(|f| {
-                let fm = &sh.fms[t * nf + f];
-                let strides = &sh.fm_strides[(t * nf + f) * d..(t * nf + f + 1) * d];
+                let fm = &fms[t * nf + f];
+                let strides = &pp.fm_strides[(t * nf + f) * d..(t * nf + f + 1) * d];
                 let fwd =
                     fm.base_off + coord.iter().zip(strides).map(|(c, s)| c * s).sum::<usize>();
                 let sd = strides[dim];
@@ -229,9 +201,8 @@ pub(crate) fn run_rows<K: LineSweepKernel + ?Sized>(
             // lives; `from_raw` checks the row's corners against each
             // buffer.
             let mut lanes = unsafe { Lanes::from_raw(parts, ext, seg_len, lane_fields) };
-            let (row_carries, rest) = std::mem::take(&mut carries).split_at_mut(ext * sh.clen);
-            sh.kernel
-                .sweep_lanes(sh.simd, sh.dir, row_carries, &mut lanes, &ctxs[..ext]);
+            let (row_carries, rest) = std::mem::take(&mut carries).split_at_mut(ext * clen);
+            kernel.sweep_lanes(simd, key.direction, row_carries, &mut lanes, ctx);
             carries = rest;
             // Next row: row-major over every axis but the lane axis (the
             // swept axis has extent 1 and always wraps).
@@ -247,69 +218,6 @@ pub(crate) fn run_rows<K: LineSweepKernel + ?Sized>(
     }
     debug_assert!(carries.is_empty(), "rows did not cover the carry message");
     rows
-}
-
-/// Exchange the ghost layers of `field` across all tile faces, in both
-/// directions of every dimension, along a precomputed [`HaloPlan`] (its
-/// width is the number of layers shipped). Each rank sends at most one
-/// message per neighbor per direction; ghosts at the physical domain
-/// boundary are left untouched. Faces are packed into a pooled buffer
-/// ([`Communicator::take_send_buffer`]) and consumed messages are
-/// recycled. Timestepping drivers hold the plan in a
-/// [`crate::compiled::SolverPlan`] ([`crate::compiled::SolverPlan::exchange_halos`]).
-pub fn exchange_halos_planned<C: Communicator>(
-    comm: &mut C,
-    store: &mut RankStore,
-    field: usize,
-    tag_base: Tag,
-    plan: &HaloPlan,
-) {
-    let rank = comm.rank();
-    let width = plan.width();
-    for dp in plan.dirs() {
-        let tag = tag_base + dp.tag_off;
-
-        let t_pack = comm.tracer().is_some().then(Instant::now);
-        let mut payload = comm.take_send_buffer();
-        payload.clear();
-        for &t in &dp.send_tiles {
-            store.tiles[t]
-                .field(field)
-                .pack_face_into(dp.dim, dp.side_send, width, &mut payload);
-        }
-        debug_assert_eq!(payload.len(), dp.send_len, "halo plan stale for store");
-        if let (Some(t0), Some(tr)) = (t_pack, comm.tracer()) {
-            tr.pack(t0);
-        }
-
-        let received: Vec<f64> = if dp.to == rank {
-            payload
-        } else {
-            comm.send(dp.to, tag, payload);
-            comm.recv(dp.from, tag)
-        };
-        assert_eq!(
-            received.len(),
-            dp.recv_len,
-            "halo message not fully consumed"
-        );
-
-        let t_unpack = comm.tracer().is_some().then(Instant::now);
-        let mut cursor = 0usize;
-        for (&t, &n) in dp.recv_tiles.iter().zip(&dp.recv_lens) {
-            store.tiles[t].field_mut(field).unpack_ghost(
-                dp.dim,
-                dp.side_recv,
-                width,
-                &received[cursor..cursor + n],
-            );
-            cursor += n;
-        }
-        if let (Some(t0), Some(tr)) = (t_unpack, comm.tracer()) {
-            tr.unpack(t0);
-        }
-        comm.recycle(received);
-    }
 }
 
 /// Allocate this rank's storage for a multipartitioning.
@@ -332,6 +240,7 @@ mod tests {
     use mp_core::cost::CostModel;
     use mp_core::partition::Partitioning;
     use mp_grid::{ArrayD, FieldDef};
+    use mp_runtime::comm::Communicator;
     use mp_runtime::threaded::run_threaded;
 
     fn init_value(g: &[usize]) -> f64 {
@@ -619,7 +528,7 @@ mod tests {
             for tile in &store.tiles {
                 let arr = tile.field(0);
                 let origin = &tile.region.origin;
-                let end = tile.region.end();
+                let end: Vec<usize> = (0..3).map(|k| origin[k] + tile.region.extent[k]).collect();
                 // check all 6 ghost face centers where interior
                 for dim in 0..3 {
                     for (side, offs) in [(0, -1isize), (1, 1)] {

@@ -13,12 +13,11 @@
 //! * [`penta`] and [`block`] — the same pair of sweeps for pentadiagonal
 //!   systems (SP) and 5×5 block-tridiagonal systems (BT);
 //! * [`executor`] — the functional multipartitioned sweep executor
-//!   (options, the in-place row runner, halo exchange);
+//!   (options and the in-place row runner);
 //! * [`compiled`] — build-once / execute-many sweep plans and the paper's
-//!   phase loop (one aggregated carry message per phase boundary):
-//!   [`compiled::CompiledSweep`] and the driver-level
-//!   [`compiled::SolverPlan`], which caches one plan per `(dim,
-//!   direction)` plus the halo schedule;
+//!   phase loop (one aggregated carry message per phase boundary) behind
+//!   one entry point, [`compiled::SolverPlan`], which caches one plan per
+//!   `(dim, direction)` plus the halo schedule;
 //! * [`simd`] — the lane-vector trait the hot kernels' lane bodies are
 //!   written in, run at 1, 4 (AVX2) and 8 (AVX-512) lanes with plan-time
 //!   runtime dispatch, bitwise identical at every width;
@@ -53,8 +52,8 @@ mod tests_trace;
 
 pub use block::{block_thomas_solve, BlockCoeffs, BlockTriBackwardKernel, BlockTriForwardKernel};
 pub use calibrate::calibrate_host;
-pub use compiled::{CompiledSweep, SolverPlan};
-pub use executor::{allocate_rank_store, exchange_halos_planned, SweepOptions};
+pub use compiled::SolverPlan;
+pub use executor::{allocate_rank_store, SweepOptions};
 pub use penta::{penta_solve, PentaBackwardKernel, PentaForwardKernel};
 pub use recurrence::{
     per_line_sweep_lanes, FirstOrderKernel, LineSweepKernel, PrefixSumKernel, SegmentCtx,

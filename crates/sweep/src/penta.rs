@@ -194,11 +194,11 @@ impl LineSweepKernel for PentaForwardKernel {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Forward, "elimination runs forward");
         debug_assert_eq!(carries.len(), 6 * lanes.nlanes());
-        simd::sweep(level, self, carries, lanes, ctxs);
+        simd::sweep(level, self, carries, lanes, ctx);
     }
 }
 
@@ -210,7 +210,7 @@ impl LaneBody for PentaForwardKernel {
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     ) {
@@ -309,11 +309,11 @@ impl LineSweepKernel for PentaBackwardKernel {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Backward, "substitution runs backward");
         debug_assert_eq!(carries.len(), 3 * lanes.nlanes());
-        simd::sweep(level, self, carries, lanes, ctxs);
+        simd::sweep(level, self, carries, lanes, ctx);
     }
 }
 
@@ -327,7 +327,7 @@ impl LaneBody for PentaBackwardKernel {
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     ) {
@@ -439,7 +439,7 @@ mod tests {
         let mut ff = f.clone();
         let mut bb = b.clone();
         let splits = [0usize, 7, 19, 26, n];
-        let mut carry = fwd.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; fwd.carry_len()];
         for w in splits.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let mut seg = vec![
@@ -455,7 +455,7 @@ mod tests {
             ff[lo..hi].copy_from_slice(&seg[4]);
             bb[lo..hi].copy_from_slice(&seg[5]);
         }
-        let mut carry = bwd.initial_carry(Direction::Backward);
+        let mut carry = vec![0.0; bwd.carry_len()];
         for w in splits.windows(2).rev() {
             let (lo, hi) = (w[0], w[1]);
             let mut seg = vec![

@@ -19,10 +19,23 @@ use mp_grid::Lanes;
 /// [`SegmentCtx::start_in`].
 pub const MAX_DIMS: usize = 8;
 
+/// The lane axis of a sweep along `swept` in `d ≥ 2` dimensions: the last
+/// axis other than the swept one. A row's lanes lie along it at
+/// consecutive coordinates (DESIGN.md §7).
+pub fn lane_axis(d: usize, swept: usize) -> usize {
+    if swept + 1 == d {
+        d - 2
+    } else {
+        d - 1
+    }
+}
+
 /// Where a segment sits in the global domain — lets kernels compute
 /// position-dependent coefficients on the fly instead of storing them in
 /// fields (the pentadiagonal SP and block-tridiagonal BT kernels do this,
 /// exactly as the real NAS codes build their systems from local state).
+/// For a row of lanes it locates lane 0: lane `l` lies `l` elements further
+/// along the [`lane_axis`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SegmentCtx {
     /// Global coordinates of the segment's **first element in sweep order**
@@ -84,24 +97,8 @@ pub trait LineSweepKernel: Sync {
     fn fields(&self) -> &[usize];
 
     /// Number of `f64` values carried across a segment boundary per line.
+    /// Every line enters the domain with a carry of zeros.
     fn carry_len(&self) -> usize;
-
-    /// Write the carry entering the first segment of a line (domain
-    /// boundary) into `carry`, which holds [`Self::carry_len`] values.
-    /// The compiled executor calls this for every first-phase line, so it
-    /// must not allocate. Default: all zeros, the boundary state of every
-    /// kernel in this workspace.
-    fn fill_initial_carry(&self, _dir: Direction, carry: &mut [f64]) {
-        carry.fill(0.0);
-    }
-
-    /// The initial carry as a fresh vector (see
-    /// [`Self::fill_initial_carry`], which is what kernels override).
-    fn initial_carry(&self, dir: Direction) -> Vec<f64> {
-        let mut carry = vec![0.0; self.carry_len()];
-        self.fill_initial_carry(dir, &mut carry);
-        carry
-    }
 
     /// Process one segment: consume/update `carry`, mutate the field
     /// buffers. `seg[k]` corresponds to `fields()[k]`; all buffers have the
@@ -132,8 +129,9 @@ pub trait LineSweepKernel: Sync {
     ///   `carries[l·carry_len() .. (l+1)·carry_len()]` — exactly the order
     ///   in which carries travel on the wire, so the executor evolves the
     ///   received message in place.
-    /// * `ctxs[l]` locates lane `l` (lanes generally start at different
-    ///   global positions).
+    /// * `ctx` locates lane 0. Every lane starts at the same coordinate
+    ///   along the swept axis, and lane `l` lies `l` elements further along
+    ///   the [`lane_axis`], the only axis along which the lanes differ.
     /// * `level` is the vectorization level the plan resolved at build
     ///   time; kernels without a vector body ignore it.
     ///
@@ -147,38 +145,37 @@ pub trait LineSweepKernel: Sync {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     );
 }
 
 /// The reference for [`LineSweepKernel::sweep_lanes`]: peel each lane into
-/// per-field segments, run [`LineSweepKernel::sweep_segment`], and write
-/// the results back. Every kernel's blocked body is tested bitwise against
-/// it; it allocates, so it is a test reference, not an execution path.
+/// per-field segments, run [`LineSweepKernel::sweep_segment`] at the lane's
+/// own context (`ctx` moved `l` elements along the [`lane_axis`]), and
+/// write the results back. Every kernel's blocked body is tested bitwise
+/// against it; it allocates, so it is a test reference, not an execution
+/// path.
 pub fn per_line_sweep_lanes<K: LineSweepKernel + ?Sized>(
     kernel: &K,
     dir: Direction,
     carries: &mut [f64],
     lanes: &mut Lanes<'_>,
-    ctxs: &[SegmentCtx],
+    ctx: &SegmentCtx,
 ) {
     let clen = kernel.carry_len();
     let (nl, n) = (lanes.nlanes(), lanes.seg_len());
     assert_eq!(carries.len(), nl * clen);
-    assert_eq!(ctxs.len(), nl);
+    let la = lane_axis(ctx.global_start.len(), ctx.axis);
     let mut seg: Vec<Vec<f64>> = vec![vec![0.0; n]; lanes.nfields()];
     for l in 0..nl {
+        let mut lane = ctx.clone();
+        lane.global_start[la] += l;
         for (f, s) in seg.iter_mut().enumerate() {
             for (k, v) in s.iter_mut().enumerate() {
                 *v = lanes.get(f, k, l);
             }
         }
-        kernel.sweep_segment(
-            dir,
-            &mut carries[l * clen..(l + 1) * clen],
-            &mut seg,
-            &ctxs[l],
-        );
+        kernel.sweep_segment(dir, &mut carries[l * clen..(l + 1) * clen], &mut seg, &lane);
         for (f, s) in seg.iter().enumerate() {
             for (k, &v) in s.iter().enumerate() {
                 lanes.set(f, k, l, v);
@@ -231,7 +228,7 @@ impl LineSweepKernel for PrefixSumKernel {
         _dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
     ) {
         debug_assert_eq!(carries.len(), lanes.nlanes());
         for k in 0..lanes.seg_len() {
@@ -289,7 +286,7 @@ impl LineSweepKernel for FirstOrderKernel {
         _dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
     ) {
         debug_assert_eq!(carries.len(), lanes.nlanes());
         for k in 0..lanes.seg_len() {
@@ -306,13 +303,13 @@ mod tests {
     use super::*;
 
     fn ctx0() -> SegmentCtx {
-        SegmentCtx::origin(1, 0, Direction::Forward)
+        SegmentCtx::origin(2, 0, Direction::Forward)
     }
 
     #[test]
     fn prefix_sum_whole_line() {
         let k = PrefixSumKernel::new(0);
-        let mut carry = k.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; k.carry_len()];
         let mut seg = vec![vec![1.0, 2.0, 3.0, 4.0]];
         k.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctx0());
         assert_eq!(seg[0], vec![1.0, 3.0, 6.0, 10.0]);
@@ -325,10 +322,10 @@ mod tests {
         let line: Vec<f64> = (1..=10).map(|v| v as f64).collect();
 
         let mut whole = vec![line.clone()];
-        let mut carry = k.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; k.carry_len()];
         k.sweep_segment(Direction::Forward, &mut carry, &mut whole, &ctx0());
 
-        let mut carry2 = k.initial_carry(Direction::Forward);
+        let mut carry2 = vec![0.0; k.carry_len()];
         let mut part1 = vec![line[..4].to_vec()];
         let mut part2 = vec![line[4..7].to_vec()];
         let mut part3 = vec![line[7..].to_vec()];
@@ -348,7 +345,7 @@ mod tests {
     #[test]
     fn first_order_decay() {
         let k = FirstOrderKernel::new(0, 0.5);
-        let mut carry = k.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; k.carry_len()];
         let mut seg = vec![vec![1.0, 0.0, 0.0]];
         k.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctx0());
         assert_eq!(seg[0], vec![1.0, 0.5, 0.25]);
@@ -379,9 +376,9 @@ mod tests {
             dir: Direction,
             carries: &mut [f64],
             lanes: &mut Lanes<'_>,
-            ctxs: &[SegmentCtx],
+            ctx: &SegmentCtx,
         ) {
-            per_line_sweep_lanes(self, dir, carries, lanes, ctxs);
+            per_line_sweep_lanes(self, dir, carries, lanes, ctx);
         }
     }
 
@@ -411,7 +408,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let ctxs: Vec<SegmentCtx> = (0..nl).map(|_| ctx0()).collect();
+        let ctx = ctx0();
         let kernels: [(&dyn LineSweepKernel, f64); 3] = [
             (&FallbackPrefix, 0.25),
             (&PrefixSumKernel::new(0), 0.25),
@@ -427,12 +424,12 @@ mod tests {
                 Direction::Forward,
                 &mut carries,
                 &mut lanes,
-                &ctxs,
+                &ctx,
             );
             for l in 0..nl {
                 let mut carry = vec![c0];
                 let mut seg = vec![lines[l].clone()];
-                k.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctxs[l]);
+                k.sweep_segment(Direction::Forward, &mut carry, &mut seg, &ctx);
                 assert_eq!(carries[l], carry[0], "carry, line {l}");
                 for (kk, &want) in seg[0].iter().enumerate() {
                     assert_eq!(lanes.get(0, kk, l), want, "line {l} elem {kk}");
@@ -446,11 +443,11 @@ mod tests {
         let k = FirstOrderKernel::new(0, 0.9);
         let line: Vec<f64> = (0..32).map(|v| ((v * 7919) % 13) as f64 - 6.0).collect();
         let mut whole = vec![line.clone()];
-        let mut c = k.initial_carry(Direction::Forward);
+        let mut c = vec![0.0; k.carry_len()];
         k.sweep_segment(Direction::Forward, &mut c, &mut whole, &ctx0());
 
         for split in 1..31 {
-            let mut c2 = k.initial_carry(Direction::Forward);
+            let mut c2 = vec![0.0; k.carry_len()];
             let mut a = vec![line[..split].to_vec()];
             let mut b = vec![line[split..].to_vec()];
             k.sweep_segment(Direction::Forward, &mut c2, &mut a, &ctx0());

@@ -37,10 +37,12 @@
 //!   become compares and `select`s that reproduce them lane for lane: the
 //!   Thomas and block back-substitution validity flags (a lane is valid
 //!   unless its flag `== 0.0`, so NaN counts as set, like `!=`), the penta
-//!   back-substitution count, the block elimination's line starts, and the
-//!   `== 0.0` skips of the block products and inverse (a skipped term
-//!   differs from an added one where it is `0·∞`). A product or inverse
-//!   row with no zero lane takes the unselected loop: same arithmetic.
+//!   back-substitution count, and the `== 0.0` skips of the block products
+//!   and inverse (a skipped term differs from an added one where it is
+//!   `0·∞`). A product or inverse row with no zero lane takes the
+//!   unselected loop: same arithmetic. The block elimination's line start
+//!   stays a branch: every lane of a row starts its line at the same
+//!   element.
 //! * **Per-lane fallback for pivoting.** The block inverse runs
 //!   Gauss–Jordan on all lanes only while every lane keeps its diagonal
 //!   pivot. If partial pivoting would swap rows in any lane, the group's
@@ -506,7 +508,8 @@ pub(crate) unsafe fn store_carries<V: LaneVec, const C: usize>(
 /// the shim's features, where every lane operation becomes a call.
 pub(crate) trait LaneBody {
     /// Sweep lanes `lo..hi` of `lanes`, `V::W` at a time, evolving their
-    /// line-major carries in place (the `sweep_lanes` contract).
+    /// line-major carries in place; `ctx` locates the row's lane 0 (the
+    /// `sweep_lanes` contract).
     ///
     /// # Safety
     /// `V`'s level must be available, `lo <= hi <= lanes.nlanes()` and
@@ -515,7 +518,7 @@ pub(crate) trait LaneBody {
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     );
@@ -532,7 +535,7 @@ pub(crate) fn sweep<B: LaneBody>(
     body: &B,
     carries: &mut [f64],
     lanes: &mut Lanes<'_>,
-    ctxs: &[SegmentCtx],
+    ctx: &SegmentCtx,
 ) {
     assert!(level.detected(), "this CPU cannot run SIMD level {level}");
     let nl = lanes.nlanes();
@@ -540,14 +543,14 @@ pub(crate) fn sweep<B: LaneBody>(
         // SAFETY: the CPU has AVX2 and FMA (asserted above), which is all
         // the shim enables.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { x86::avx2(body, carries, lanes, ctxs) },
+        SimdLevel::Avx2 => unsafe { x86::avx2(body, carries, lanes, ctx) },
         // SAFETY: the CPU has AVX-512 F/DQ/VL, AVX2 and FMA (asserted
         // above), which is all the shim enables.
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx512 => unsafe { x86::avx512(body, carries, lanes, ctxs) },
+        SimdLevel::Avx512 => unsafe { x86::avx512(body, carries, lanes, ctx) },
         // SAFETY: the `f64` instance needs no instruction set, and
         // `0..nl` is every lane of the view.
-        _ => unsafe { body.sweep::<f64>(carries, lanes, ctxs, 0, nl) },
+        _ => unsafe { body.sweep::<f64>(carries, lanes, ctx, 0, nl) },
     }
 }
 
@@ -569,16 +572,16 @@ mod x86 {
         body: &B,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         let nl = lanes.nlanes();
         let n4 = nl / 4 * 4;
         // (An empty range would still pay the instance's set-up.)
         if n4 > 0 {
-            body.sweep::<__m256d>(carries, lanes, ctxs, 0, n4);
+            body.sweep::<__m256d>(carries, lanes, ctx, 0, n4);
         }
         if nl > n4 {
-            body.sweep::<f64>(carries, lanes, ctxs, n4, nl);
+            body.sweep::<f64>(carries, lanes, ctx, n4, nl);
         }
     }
 
@@ -599,19 +602,19 @@ mod x86 {
         body: &B,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         let nl = lanes.nlanes();
         let n8 = nl / 8 * 8;
         let n4 = n8 + (nl - n8) / 4 * 4;
         if n8 > 0 {
-            body.sweep::<__m512d>(carries, lanes, ctxs, 0, n8);
+            body.sweep::<__m512d>(carries, lanes, ctx, 0, n8);
         }
         if n4 > n8 {
-            body.sweep::<__m256d>(carries, lanes, ctxs, n8, n4);
+            body.sweep::<__m256d>(carries, lanes, ctx, n8, n4);
         }
         if nl > n4 {
-            body.sweep::<f64>(carries, lanes, ctxs, n4, nl);
+            body.sweep::<f64>(carries, lanes, ctx, n4, nl);
         }
     }
 

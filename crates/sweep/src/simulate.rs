@@ -191,7 +191,7 @@ pub fn simulate_multipart_sweep_unaggregated(
 
 /// Simulate the halo exchange of one field over a multipartitioning (per
 /// dimension, both directions, aggregated per neighbor as in
-/// [`crate::executor::exchange_halos_planned`]). `width` ghost layers are
+/// [`crate::compiled::SolverPlan::exchange_halos`]). `width` ghost layers are
 /// shipped.
 pub fn simulate_halo_exchange(
     net: &mut SimNet,

@@ -3,11 +3,9 @@
 //! segmentations — the invariant that makes distributed sweeps bit-exact.
 
 use crate::penta::{penta_matvec, penta_solve, PentaBackwardKernel, PentaForwardKernel};
-use crate::recurrence::{per_line_sweep_lanes, LineSweepKernel, SegmentCtx};
-use crate::simd::SimdLevel;
+use crate::recurrence::{LineSweepKernel, SegmentCtx};
 use crate::thomas::{thomas_solve, tridiag_matvec, ThomasBackwardKernel, ThomasForwardKernel};
 use mp_core::multipart::Direction;
-use mp_grid::Lanes;
 use mp_testkit::{cases, Rng};
 
 // Field initializers of the executor tests, keeping tridiagonal and
@@ -61,7 +59,7 @@ fn thomas_segmented_equals_direct() {
         let bwd = ThomasBackwardKernel::new(0, 1);
         let mut cc = c.clone();
         let mut dd = d.clone();
-        let mut carry = fwd.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; fwd.carry_len()];
         let fctx = SegmentCtx::origin(1, 0, Direction::Forward);
         for w in bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
@@ -75,7 +73,7 @@ fn thomas_segmented_equals_direct() {
             cc[lo..hi].copy_from_slice(&seg[2]);
             dd[lo..hi].copy_from_slice(&seg[3]);
         }
-        let mut carry = bwd.initial_carry(Direction::Backward);
+        let mut carry = vec![0.0; bwd.carry_len()];
         let bctx = SegmentCtx::origin(1, 0, Direction::Backward);
         for w in bounds.windows(2).rev() {
             let (lo, hi) = (w[0], w[1]);
@@ -130,7 +128,7 @@ fn penta_segmented_equals_direct() {
         let mut cc = c.clone();
         let mut ff = f.clone();
         let mut bb = b.clone();
-        let mut carry = fwd.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; fwd.carry_len()];
         let fctx = SegmentCtx::origin(1, 0, Direction::Forward);
         for w in bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
@@ -147,7 +145,7 @@ fn penta_segmented_equals_direct() {
             ff[lo..hi].copy_from_slice(&seg[4]);
             bb[lo..hi].copy_from_slice(&seg[5]);
         }
-        let mut carry = bwd.initial_carry(Direction::Backward);
+        let mut carry = vec![0.0; bwd.carry_len()];
         let bctx = SegmentCtx::origin(1, 0, Direction::Backward);
         for w in bounds.windows(2).rev() {
             let (lo, hi) = (w[0], w[1]);
@@ -168,290 +166,6 @@ fn penta_segmented_equals_direct() {
         for (rv, bv) in r.iter().zip(b.iter()) {
             assert!((rv - bv).abs() < 1e-7);
         }
-    });
-}
-
-/// Pack per-line buffers into one line-minor block buffer (element `k` of
-/// line `l` at `k·nlines + l`).
-fn pack_lines(lines: &[Vec<f64>]) -> Vec<f64> {
-    let nl = lines.len();
-    let n = lines[0].len();
-    let mut out = vec![0.0; n * nl];
-    for (l, line) in lines.iter().enumerate() {
-        for (k, &v) in line.iter().enumerate() {
-            out[k * nl + l] = v;
-        }
-    }
-    out
-}
-
-/// Run `kernel.sweep_lanes` at `level` on packed line-minor copies of
-/// `block`; returns the evolved carries and fields.
-fn sweep_packed<K: LineSweepKernel>(
-    kernel: &K,
-    level: SimdLevel,
-    dir: Direction,
-    (nlines, seg_len): (usize, usize),
-    carries: &[f64],
-    block: &[Vec<f64>],
-    ctxs: &[SegmentCtx],
-) -> (Vec<f64>, Vec<Vec<f64>>) {
-    let mut c = carries.to_vec();
-    let mut b = block.to_vec();
-    let mut table = Vec::new();
-    let mut lanes = Lanes::packed(&mut b, nlines, seg_len, &mut table);
-    kernel.sweep_lanes(level, dir, &mut c, &mut lanes, ctxs);
-    (c, b)
-}
-
-/// Run `kernel.sweep_lanes` (at every level the host supports) and the
-/// per-line reference on identical packed copies of random data; results
-/// must be bitwise equal.
-fn assert_blocked_matches_reference<K: LineSweepKernel>(
-    kernel: &K,
-    dir: Direction,
-    nlines: usize,
-    seg_len: usize,
-    carries: &[f64],
-    block: &[Vec<f64>],
-    ctxs: &[SegmentCtx],
-) {
-    let shape = (nlines, seg_len);
-    let mut want_c = carries.to_vec();
-    let mut want_b = block.to_vec();
-    let mut table = Vec::new();
-    let mut lanes = Lanes::packed(&mut want_b, nlines, seg_len, &mut table);
-    per_line_sweep_lanes(kernel, dir, &mut want_c, &mut lanes, ctxs);
-    for level in SimdLevel::supported() {
-        let (got_c, got_b) = sweep_packed(kernel, level, dir, shape, carries, block, ctxs);
-        assert_eq!(
-            got_c, want_c,
-            "{level} carries diverge at nlines={nlines} n={seg_len}"
-        );
-        assert_eq!(
-            got_b, want_b,
-            "{level} block diverges at nlines={nlines} n={seg_len}"
-        );
-    }
-}
-
-#[test]
-fn blocked_thomas_penta_match_per_line_reference() {
-    cases(0x7504, 48, |rng| {
-        let nl = rng.usize_in(1, 12);
-        let n = rng.usize_in(1, 24);
-        let ctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-            .collect();
-        let bctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Backward))
-            .collect();
-
-        // Per-line diagonally dominant tridiagonal systems.
-        let mut la = Vec::new();
-        let mut lb = Vec::new();
-        let mut lc = Vec::new();
-        let mut ld = Vec::new();
-        for _ in 0..nl {
-            let nvals = rng.usize_in(8, 19);
-            let vals = rng.f64_vec(nvals, -1.0, 1.0);
-            let (a, b, c, d) = tridiag(n, &vals);
-            la.push(a);
-            lb.push(b);
-            lc.push(c);
-            ld.push(d);
-        }
-        let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
-        let mut carries = Vec::with_capacity(nl * 2);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-0.4, 0.4));
-            carries.push(rng.f64_in(-2.0, 2.0));
-        }
-        let block = vec![
-            pack_lines(&la),
-            pack_lines(&lb),
-            pack_lines(&lc),
-            pack_lines(&ld),
-        ];
-        assert_blocked_matches_reference(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        let bwd = ThomasBackwardKernel::new(0, 1);
-        let mut carries = Vec::with_capacity(nl * 2);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(if rng.bool() { 1.0 } else { 0.0 });
-        }
-        let block = vec![pack_lines(&lc), pack_lines(&ld)];
-        assert_blocked_matches_reference(
-            &bwd,
-            Direction::Backward,
-            nl,
-            n,
-            &carries,
-            &block,
-            &bctxs,
-        );
-
-        // Pentadiagonal: random small off-diagonals, dominant diagonal.
-        let mut lines: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 6];
-        for _ in 0..nl {
-            let e = rng.f64_vec(n, -0.3, 0.3);
-            let a = rng.f64_vec(n, -0.3, 0.3);
-            let c = rng.f64_vec(n, -0.3, 0.3);
-            let f = rng.f64_vec(n, -0.3, 0.3);
-            let d: Vec<f64> = (0..n)
-                .map(|k| 1.5 + e[k].abs() + a[k].abs() + c[k].abs() + f[k].abs())
-                .collect();
-            let b = rng.f64_vec(n, -3.0, 3.0);
-            for (slot, v) in lines.iter_mut().zip([e, a, d, c, f, b]) {
-                slot.push(v);
-            }
-        }
-        let fwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
-        let mut carries = Vec::with_capacity(nl * 6);
-        for _ in 0..nl {
-            for _ in 0..2 {
-                carries.push(rng.f64_in(-0.3, 0.3));
-                carries.push(rng.f64_in(-0.3, 0.3));
-                carries.push(rng.f64_in(-2.0, 2.0));
-            }
-        }
-        let block: Vec<Vec<f64>> = lines.iter().map(|ls| pack_lines(ls)).collect();
-        assert_blocked_matches_reference(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        let bwd = PentaBackwardKernel::new(0, 1, 2);
-        let mut carries = Vec::with_capacity(nl * 3);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(rng.usize_in(0, 2) as f64);
-        }
-        let block = vec![
-            pack_lines(&lines[3]),
-            pack_lines(&lines[4]),
-            pack_lines(&lines[5]),
-        ];
-        assert_blocked_matches_reference(
-            &bwd,
-            Direction::Backward,
-            nl,
-            n,
-            &carries,
-            &block,
-            &bctxs,
-        );
-    });
-}
-
-#[test]
-fn simd_kernels_match_scalar_bitwise() {
-    // Every vectorized one-value kernel — Thomas forward/backward, penta
-    // forward/backward — is bitwise equal to the per-line reference at
-    // every level across random line counts (8- and 4-lane groups and tail
-    // lanes), segment lengths, carries, and data.
-    cases(0x750B, 48, |rng| {
-        let nl = rng.usize_in(1, 23);
-        let n = rng.usize_in(1, 24);
-        let ctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Forward))
-            .collect();
-        let bctxs: Vec<SegmentCtx> = (0..nl)
-            .map(|_| SegmentCtx::origin(1, 0, Direction::Backward))
-            .collect();
-
-        // Thomas forward: diagonally dominant per-line systems.
-        let (mut la, mut lb, mut lc, mut ld) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for _ in 0..nl {
-            let nvals = rng.usize_in(8, 19);
-            let vals = rng.f64_vec(nvals, -1.0, 1.0);
-            let (a, b, c, d) = tridiag(n, &vals);
-            la.push(a);
-            lb.push(b);
-            lc.push(c);
-            ld.push(d);
-        }
-        let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
-        let mut carries = Vec::with_capacity(nl * 2);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-0.4, 0.4));
-            carries.push(rng.f64_in(-2.0, 2.0));
-        }
-        let block = vec![
-            pack_lines(&la),
-            pack_lines(&lb),
-            pack_lines(&lc),
-            pack_lines(&ld),
-        ];
-        assert_blocked_matches_reference(&fwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        // Thomas backward, mixing boundary (valid = 0) and interior carries.
-        let bwd = ThomasBackwardKernel::new(0, 1);
-        let mut carries = Vec::with_capacity(nl * 2);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(if rng.bool() { 1.0 } else { 0.0 });
-        }
-        let block = vec![pack_lines(&lc), pack_lines(&ld)];
-        assert_blocked_matches_reference(
-            &bwd,
-            Direction::Backward,
-            nl,
-            n,
-            &carries,
-            &block,
-            &bctxs,
-        );
-
-        // Penta forward.
-        let mut lines: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 6];
-        for _ in 0..nl {
-            let e = rng.f64_vec(n, -0.3, 0.3);
-            let a = rng.f64_vec(n, -0.3, 0.3);
-            let c = rng.f64_vec(n, -0.3, 0.3);
-            let f = rng.f64_vec(n, -0.3, 0.3);
-            let d: Vec<f64> = (0..n)
-                .map(|k| 1.5 + e[k].abs() + a[k].abs() + c[k].abs() + f[k].abs())
-                .collect();
-            let b = rng.f64_vec(n, -3.0, 3.0);
-            for (slot, v) in lines.iter_mut().zip([e, a, d, c, f, b]) {
-                slot.push(v);
-            }
-        }
-        let pfwd = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
-        let mut carries = Vec::with_capacity(nl * 6);
-        for _ in 0..nl {
-            for _ in 0..2 {
-                carries.push(rng.f64_in(-0.3, 0.3));
-                carries.push(rng.f64_in(-0.3, 0.3));
-                carries.push(rng.f64_in(-2.0, 2.0));
-            }
-        }
-        let block: Vec<Vec<f64>> = lines.iter().map(|ls| pack_lines(ls)).collect();
-        assert_blocked_matches_reference(&pfwd, Direction::Forward, nl, n, &carries, &block, &ctxs);
-
-        // Penta backward, covering all three back-substitution warm-up
-        // states (count 0, 1, ≥ 2).
-        let pbwd = PentaBackwardKernel::new(0, 1, 2);
-        let mut carries = Vec::with_capacity(nl * 3);
-        for _ in 0..nl {
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(rng.f64_in(-2.0, 2.0));
-            carries.push(rng.usize_in(0, 2) as f64);
-        }
-        let block = vec![
-            pack_lines(&lines[3]),
-            pack_lines(&lines[4]),
-            pack_lines(&lines[5]),
-        ];
-        assert_blocked_matches_reference(
-            &pbwd,
-            Direction::Backward,
-            nl,
-            n,
-            &carries,
-            &block,
-            &bctxs,
-        );
     });
 }
 
@@ -843,12 +557,12 @@ fn prefix_sum_any_split_bitwise() {
         let n = line.len();
 
         let mut whole = vec![line.clone()];
-        let mut carry = k.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; k.carry_len()];
         k.sweep_segment(Direction::Forward, &mut carry, &mut whole, &ctx);
 
         let bounds = splits(rng, n, 3);
         let mut parts = line.clone();
-        let mut carry2 = k.initial_carry(Direction::Forward);
+        let mut carry2 = vec![0.0; k.carry_len()];
         for w in bounds.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let mut seg = vec![parts[lo..hi].to_vec()];

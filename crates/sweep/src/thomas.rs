@@ -110,7 +110,7 @@ impl LineSweepKernel for ThomasForwardKernel {
     }
 
     fn carry_len(&self) -> usize {
-        // [c', d'] of the previous row; the default all-zero initial carry
+        // [c', d'] of the previous row; the all-zero boundary carry
         // is c'_{-1} = d'_{-1} = 0 (no row before the first).
         2
     }
@@ -145,11 +145,11 @@ impl LineSweepKernel for ThomasForwardKernel {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Forward, "elimination runs forward");
         debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
-        simd::sweep(level, self, carries, lanes, ctxs);
+        simd::sweep(level, self, carries, lanes, ctx);
     }
 }
 
@@ -178,7 +178,7 @@ impl LaneBody for ThomasForwardKernel {
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     ) {
@@ -234,7 +234,7 @@ impl LineSweepKernel for ThomasBackwardKernel {
     }
 
     fn carry_len(&self) -> usize {
-        // [x_next, valid]; the default all-zero initial carry marks the
+        // [x_next, valid]; the all-zero boundary carry marks the
         // x_n term at the high boundary absent (valid = 0).
         2
     }
@@ -272,11 +272,11 @@ impl LineSweepKernel for ThomasBackwardKernel {
         dir: Direction,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        ctxs: &[SegmentCtx],
+        ctx: &SegmentCtx,
     ) {
         assert_eq!(dir, Direction::Backward, "substitution runs backward");
         debug_assert_eq!(carries.len(), 2 * lanes.nlanes());
-        simd::sweep(level, self, carries, lanes, ctxs);
+        simd::sweep(level, self, carries, lanes, ctx);
     }
 }
 
@@ -289,7 +289,7 @@ impl LaneBody for ThomasBackwardKernel {
         &self,
         carries: &mut [f64],
         lanes: &mut Lanes<'_>,
-        _ctxs: &[SegmentCtx],
+        _ctx: &SegmentCtx,
         lo: usize,
         hi: usize,
     ) {
@@ -393,7 +393,7 @@ mod tests {
         let mut dd = d.clone();
         let splits = [0usize, 11, 17, n];
         // forward over segments
-        let mut carry = fwd.initial_carry(Direction::Forward);
+        let mut carry = vec![0.0; fwd.carry_len()];
         for w in splits.windows(2) {
             let (lo, hi) = (w[0], w[1]);
             let mut seg = vec![
@@ -407,7 +407,7 @@ mod tests {
             dd[lo..hi].copy_from_slice(&seg[3]);
         }
         // backward over segments (reverse order, buffers reversed)
-        let mut carry = bwd.initial_carry(Direction::Backward);
+        let mut carry = vec![0.0; bwd.carry_len()];
         for w in splits.windows(2).rev() {
             let (lo, hi) = (w[0], w[1]);
             let mut cseg: Vec<f64> = cc[lo..hi].iter().rev().copied().collect();

@@ -75,7 +75,7 @@ pub fn serial_sweep_with_origin(
                 }
             }
         }
-        let mut carry = kernel.initial_carry(dir);
+        let mut carry = vec![0.0; kernel.carry_len()];
         let mut gstart: Vec<usize> = base
             .iter()
             .zip(origin.iter())

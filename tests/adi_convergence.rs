@@ -18,7 +18,7 @@ fn adi_step(u: &mut ArrayD<f64>, n: usize, dt: f64) {
     let lam = dt / (h * h);
     for dim in 0..3 {
         let mut a = ArrayD::from_fn(&eta, |g| if g[dim] == 0 { 0.0 } else { -lam });
-        let mut b = ArrayD::full(&eta, 1.0 + 2.0 * lam);
+        let mut b = ArrayD::from_fn(&eta, |_| 1.0 + 2.0 * lam);
         let mut c = ArrayD::from_fn(&eta, |g| if g[dim] == n - 1 { 0.0 } else { -lam });
         let fwd = ThomasForwardKernel::new(0, 1, 2, 3);
         serial_sweep(

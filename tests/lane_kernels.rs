@@ -12,8 +12,10 @@
 //! kernels run 1×1, 3×3, 5×5 and 9×9 blocks (the lane helpers unroll their
 //! loops up to N = 8 and keep them rolled above), BT's own coefficients, and
 //! blocks built to take every branch of their lane bodies: signed zeros,
-//! off-diagonal pivots (inside 8-lane groups too) and lanes that start
-//! their line at different elements.
+//! off-diagonal pivots (inside 8-lane groups too) and rows that start their
+//! lines at the first element or inside them. As in the executor, one
+//! context locates a row's lane 0, and lane `l` lies `l` elements further
+//! along the lane axis.
 
 use mp_core::multipart::Direction;
 use mp_grid::Lanes;
@@ -52,9 +54,9 @@ impl<const N: usize> BlockCoeffs<N> for Coeffs<N> {
 /// * `A` all `-0.0`: the product `A·C'` skips every term (a zero-lane select);
 /// * `B = 0.5·I + 3·P`, `P` a cyclic shift: partial pivoting picks a row
 ///   below the diagonal, so the lane's group inverts lane by lane. Points
-///   with `g[0] = 5` take this kind, with `A = 0`, at every even line
-///   coordinate, so lane 5 of the tests' rows forces the fallback inside an
-///   8-lane group;
+///   with `g[2] = 5` take this kind, with `A = 0`, at every even line
+///   coordinate, so lane 5 of the tests' rows (lanes along axis 2 from
+///   `g[2] = 0`) forces the fallback inside an 8-lane group;
 /// * `A` all `0.0` and `B` diagonal: the inverse, and with it the skips of
 ///   `inv·C`, are mostly exact zeros of either sign;
 /// * otherwise diagonally dominant, with signed zeros sprinkled through
@@ -79,7 +81,7 @@ impl<const N: usize> BlockCoeffs<N> for Edgy<N> {
         let mut b: Mat<N> = std::array::from_fn(|r| {
             std::array::from_fn(|s| if r == s { 2.5 } else { entry(r, s, 13, 0.2) })
         });
-        let forced = g[0] == 5 && g[axis].is_multiple_of(2);
+        let forced = g[2] == 5 && g[axis].is_multiple_of(2);
         match if forced { 1 } else { (h >> 59) % 5 } {
             0 => a = [[-0.0; N]; N],
             1 => {
@@ -154,7 +156,7 @@ fn assert_matches_reference<K: LineSweepKernel>(
     (nl, n): (usize, usize),
     data: &[Vec<f64>],
     carries: &[f64],
-    ctxs: &[SegmentCtx],
+    ctx: &SegmentCtx,
 ) {
     let name = std::any::type_name::<K>();
     let packed = || data.to_vec();
@@ -163,8 +165,8 @@ fn assert_matches_reference<K: LineSweepKernel>(
     // every layout. `None` is the per-line reference.
     let sweep = |level: Option<SimdLevel>, c: &mut [f64], lanes: &mut Lanes<'_>| {
         let run = std::panic::AssertUnwindSafe(|| match level {
-            None => per_line_sweep_lanes(kernel, dir, c, lanes, ctxs),
-            Some(level) => kernel.sweep_lanes(level, dir, c, lanes, ctxs),
+            None => per_line_sweep_lanes(kernel, dir, c, lanes, ctx),
+            Some(level) => kernel.sweep_lanes(level, dir, c, lanes, ctx),
         });
         std::panic::catch_unwind(run)
             .err()
@@ -275,17 +277,25 @@ fn diagonal(rng: &mut Rng, nl: usize, n: usize) -> Vec<f64> {
     rng.f64_vec(nl * n, 2.0, 3.0)
 }
 
+/// Zero rows `rows` of field `f` in every lane of line-minor `data`, for
+/// each `(f, rows)` in `ends`: the boundary rows of whole lines.
+fn with_boundary_rows(data: &mut [Vec<f64>], nl: usize, ends: &[(usize, std::ops::Range<usize>)]) {
+    for (f, rows) in ends {
+        data[*f][rows.start * nl..rows.end * nl].fill(0.0);
+    }
+}
+
 /// Per-lane carries: `pattern(rng)` for each lane, concatenated.
 fn carries(rng: &mut Rng, nl: usize, mut pattern: impl FnMut(&mut Rng) -> Vec<f64>) -> Vec<f64> {
     (0..nl).flat_map(|_| pattern(rng)).collect()
 }
 
 /// The N×N block elimination and back substitution with [`Coeffs`] against
-/// the per-line reference, on random data and carries at lanes `placed`.
+/// the per-line reference, on random data and carries at a row `placed`.
 fn block_kernels_match<const N: usize>(
     rng: &mut Rng,
     (nl, n): (usize, usize),
-    placed: &impl Fn(&mut Rng, Direction) -> Vec<SegmentCtx>,
+    placed: &impl Fn(&mut Rng, Direction) -> SegmentCtx,
 ) {
     let nf = N * N + N;
     let scratch: Vec<usize> = (0..N * N).collect();
@@ -306,29 +316,33 @@ fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
         let nl = rng.usize_in(1, 23);
         let n = rng.usize_in(1, 24);
         let shape = (nl, n);
-        let origin =
-            |dir| -> Vec<SegmentCtx> { (0..nl).map(|_| SegmentCtx::origin(3, 0, dir)).collect() };
-        // Lanes at different global positions, along axis 1 of a 6×32×7
-        // domain; backward segments start at their highest index.
-        let placed = |rng: &mut Rng, dir| -> Vec<SegmentCtx> {
+        let origin = |dir| SegmentCtx::origin(3, 0, dir);
+        // A row at a random point of axis 1 of a 6×32×24 domain, its lanes
+        // along axis 2 (the lane axis) from 0; backward segments start at
+        // their highest index.
+        let placed = |rng: &mut Rng, dir| -> SegmentCtx {
             let start = rng.usize_in(0, 32 - n);
             let first = if dir == Direction::Forward {
                 start
             } else {
                 start + n - 1
             };
-            (0..nl)
-                .map(|l| SegmentCtx::new(vec![l % 6, first, (3 * l) % 7], 1, dir))
-                .collect()
+            SegmentCtx::new(vec![rng.usize_in(0, 5), first, 0], 1, dir)
         };
         let (fwd, bwd) = (Direction::Forward, Direction::Backward);
 
-        // Thomas forward/backward.
+        // Thomas forward/backward, on random coefficients and on whole
+        // lines with true boundary rows (`a[0] = c[n−1] = 0`).
         let mut data = blocks(rng, 4, nl, n, -0.45, 0.45);
         data[1] = diagonal(rng, nl, n);
         let c = carries(rng, nl, |r| vec![r.f64_in(-0.4, 0.4), r.f64_in(-2.0, 2.0)]);
         let k = ThomasForwardKernel::new(0, 1, 2, 3);
         assert_matches_reference(&k, fwd, shape, &data, &c, &origin(fwd));
+        with_boundary_rows(&mut data, nl, &[(0, 0..1), (2, n - 1..n)]);
+        let zeros = vec![0.0; 2 * nl];
+        assert_matches_reference(&k, fwd, shape, &data, &zeros, &origin(fwd));
+        let k = ThomasBackwardKernel::new(2, 3);
+        assert_matches_reference(&k, bwd, shape, &data, &zeros, &origin(bwd));
         let data = blocks(rng, 2, nl, n, -2.0, 2.0);
         let c = carries(rng, nl, |r| {
             vec![r.f64_in(-2.0, 2.0), r.usize_in(0, 1) as f64]
@@ -337,12 +351,25 @@ fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
         assert_matches_reference(&k, bwd, shape, &data, &c, &origin(bwd));
 
         // Pentadiagonal forward/backward, all three back-substitution
-        // warm-up states (count 0, 1, ≥ 2).
+        // warm-up states (count 0, 1, ≥ 2), and whole lines with true
+        // boundary rows (`e[0] = e[1] = a[0] = 0`, `c[n−1] = 0`,
+        // `f[n−2] = f[n−1] = 0`).
         let mut data = blocks(rng, 6, nl, n, -0.3, 0.3);
         data[2] = diagonal(rng, nl, n);
         let c = carries(rng, nl, |r| r.f64_vec(6, -0.3, 0.3));
         let k = PentaForwardKernel::new(0, 1, 2, 3, 4, 5);
         assert_matches_reference(&k, fwd, shape, &data, &c, &origin(fwd));
+        let ends = [
+            (0, 0..n.min(2)),
+            (1, 0..1),
+            (3, n - 1..n),
+            (4, n.saturating_sub(2)..n),
+        ];
+        with_boundary_rows(&mut data, nl, &ends);
+        let zeros = vec![0.0; 6 * nl];
+        assert_matches_reference(&k, fwd, shape, &data, &zeros, &origin(fwd));
+        let k = PentaBackwardKernel::new(3, 4, 5);
+        assert_matches_reference(&k, bwd, shape, &data, &zeros[..3 * nl], &origin(bwd));
         let data = blocks(rng, 3, nl, n, -2.0, 2.0);
         let c = carries(rng, nl, |r| {
             vec![
@@ -374,10 +401,10 @@ fn every_kernel_sweeps_lanes_like_the_per_line_reference() {
         // SP's generated tridiagonal and pentadiagonal eliminations.
         let data = blocks(rng, 3, nl, n, -2.0, 2.0);
         let c = carries(rng, nl, |r| r.f64_vec(6, -0.3, 0.3));
-        let k = SpPentaForwardKernel::new(SpProblem::pentadiagonal([6, 32, 7], 0.01), 0, 1, 2);
+        let k = SpPentaForwardKernel::new(SpProblem::pentadiagonal([6, 32, 24], 0.01), 0, 1, 2);
         assert_matches_reference(&k, fwd, shape, &data, &c, &placed(rng, fwd));
         let c = carries(rng, nl, |r| vec![r.f64_in(-0.4, 0.4), r.f64_in(-2.0, 2.0)]);
-        let k = SpTriForwardKernel::new(SpProblem::new([6, 32, 7], 0.01), 0, 1);
+        let k = SpTriForwardKernel::new(SpProblem::new([6, 32, 24], 0.01), 0, 1);
         assert_matches_reference(&k, fwd, shape, &data[..2], &c, &placed(rng, fwd));
     });
 }
@@ -390,45 +417,41 @@ fn block_kernels_sweep_lanes_like_the_per_line_reference() {
         let n = rng.usize_in(0, 12);
         let shape = (nl, n);
         let (fwd, bwd) = (Direction::Forward, Direction::Backward);
-        // Lanes along axis 1 of a 6×32×7 domain at distinct cross-section
-        // points; each forward lane starts at the line's first row or
-        // inside it at random, so a lane group mixes line starts.
-        let ctxs = |rng: &mut Rng, dir| -> Vec<SegmentCtx> {
-            (0..nl)
-                .map(|l| {
-                    let start = if rng.bool() {
-                        0
-                    } else {
-                        rng.usize_in(1, 32 - n)
-                    };
-                    let first = if dir == fwd {
-                        start
-                    } else {
-                        start + n.saturating_sub(1)
-                    };
-                    SegmentCtx::new(vec![l % 6, first, (3 * l) % 7], 1, dir)
-                })
-                .collect()
+        // A row along axis 1 of a 6×32×24 domain, its lanes along axis 2
+        // from 0; the row starts at the lines' first element or inside
+        // them, at random.
+        let row = |rng: &mut Rng, dir| -> SegmentCtx {
+            let start = if rng.bool() {
+                0
+            } else {
+                rng.usize_in(1, 32 - n)
+            };
+            let first = if dir == fwd {
+                start
+            } else {
+                start + n.saturating_sub(1)
+            };
+            SegmentCtx::new(vec![rng.usize_in(0, 5), first, 0], 1, dir)
         };
         let scratch: Vec<usize> = (0..25).collect();
         let rhs: Vec<usize> = (25..30).collect();
 
         // BT's own blocks, through `BtProblem::blocks_lanes` at the SIMD
         // levels.
-        let bt = BtProblem::new([6, 32, 7], 0.01);
+        let bt = BtProblem::new([6, 32, 24], 0.01);
         let k = BlockTriForwardKernel::<5, _>::new(bt, &scratch, &rhs);
         let data = blocks(rng, 30, nl, n, -1.0, 1.0);
         let c = carries(rng, nl, |r| r.f64_vec(30, -0.1, 0.1));
-        assert_matches_reference(&k, fwd, shape, &data, &c, &ctxs(rng, fwd));
+        assert_matches_reference(&k, fwd, shape, &data, &c, &row(rng, fwd));
         let k = BlockTriBackwardKernel::<5>::new(&scratch, &rhs);
         let c = block_bwd_carries::<5>(rng, nl);
-        assert_matches_reference(&k, bwd, shape, &data, &c, &ctxs(rng, bwd));
+        assert_matches_reference(&k, bwd, shape, &data, &c, &row(rng, bwd));
 
         // Signed zeros and pivoting lanes at BT's N, at N = 1 and above the
         // lane helpers' unrolled bound.
-        edgy_kernels_match::<5>(rng, shape, &ctxs);
-        edgy_kernels_match::<1>(rng, shape, &ctxs);
-        edgy_kernels_match::<9>(rng, shape, &ctxs);
+        edgy_kernels_match::<5>(rng, shape, &row);
+        edgy_kernels_match::<1>(rng, shape, &row);
+        edgy_kernels_match::<9>(rng, shape, &row);
     });
 }
 
@@ -445,12 +468,12 @@ fn block_bwd_carries<const N: usize>(rng: &mut Rng, nl: usize) -> Vec<f64> {
 }
 
 /// The N×N block kernels on [`Edgy`] blocks against the per-line reference
-/// at lanes `ctxs`: signed zeros and pivoting lanes in blocks, data and
+/// at the rows `row` places: signed zeros and pivoting lanes in blocks, data and
 /// carries, then infinite forward carries.
 fn edgy_kernels_match<const N: usize>(
     rng: &mut Rng,
     (nl, n): (usize, usize),
-    ctxs: &impl Fn(&mut Rng, Direction) -> Vec<SegmentCtx>,
+    row: &impl Fn(&mut Rng, Direction) -> SegmentCtx,
 ) {
     let nf = N * N + N;
     let scratch: Vec<usize> = (0..N * N).collect();
@@ -465,7 +488,7 @@ fn edgy_kernels_match<const N: usize>(
         let v = r.f64_vec(nf, -0.1, 0.1);
         with_zeros(r, v)
     });
-    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &ctxs(rng, fwd));
+    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &row(rng, fwd));
     // A zero's skip differs from adding its product only where that
     // product is NaN (`0·∞`): infinite entries in the carried `C'` make
     // the skips of `A·C'` show, and in the lanes where `A` does not vanish
@@ -475,10 +498,10 @@ fn edgy_kernels_match<const N: usize>(
         let v = with_zeros(r, v);
         with_infinities(r, v)
     });
-    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &ctxs(rng, fwd));
+    assert_matches_reference(&k, fwd, (nl, n), &data, &c, &row(rng, fwd));
     let k = BlockTriBackwardKernel::<N>::new(&scratch, &rhs);
     let c = block_bwd_carries::<N>(rng, nl);
-    assert_matches_reference(&k, bwd, (nl, n), &data, &c, &ctxs(rng, bwd));
+    assert_matches_reference(&k, bwd, (nl, n), &data, &c, &row(rng, bwd));
 }
 
 /// 2×2 blocks that are singular at the points with `g[0] = 2`: lane 2 of
@@ -495,16 +518,15 @@ impl BlockCoeffs<2> for Singular {
 #[test]
 fn a_singular_block_panics_at_every_level() {
     let k = BlockTriForwardKernel::<2, _>::new(Singular, &[0, 1, 2, 3], &[4, 5]);
-    let ctxs: Vec<SegmentCtx> = (0..8)
-        .map(|l| SegmentCtx::new(vec![l, 0], 1, Direction::Forward))
-        .collect();
+    // A row along axis 1, its lanes along axis 0 from 0.
+    let ctx = SegmentCtx::origin(2, 1, Direction::Forward);
     for level in SimdLevel::supported() {
         let result = std::panic::catch_unwind(|| {
             let mut bufs = vec![vec![1.0; 8 * 3]; 6];
             let mut carries = vec![0.0; 8 * 6];
             let mut table = Vec::new();
             let mut lanes = Lanes::packed(&mut bufs, 8, 3, &mut table);
-            k.sweep_lanes(level, Direction::Forward, &mut carries, &mut lanes, &ctxs);
+            k.sweep_lanes(level, Direction::Forward, &mut carries, &mut lanes, &ctx);
         });
         let msg = panic_message(&*result.expect_err("a singular block must panic"));
         assert!(msg.contains("singular block"), "{level}: {msg}");

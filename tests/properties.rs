@@ -112,8 +112,9 @@ fn tile_grid_partitions_domain() {
         let mut count = vec![0u32; e0 * e1];
         for a in 0..g0 {
             for b in 0..g1 {
-                grid.tile_region(&[a, b]).for_each_index(|g| {
-                    count[g[0] * e1 + g[1]] += 1;
+                let r = grid.tile_region(&[a, b]);
+                Shape::new(&r.extent).for_each_index(|rel| {
+                    count[(r.origin[0] + rel[0]) * e1 + r.origin[1] + rel[1]] += 1;
                 });
             }
         }

@@ -16,7 +16,11 @@
 //!
 //! Limits: the scan matches names, not paths. A `pub fn` whose name is also
 //! some other identifier in non-test code (a local, a field, another type's
-//! method) reads as reached, so a name collision can hide an item. Trait
+//! method) reads as reached, so a name collision can hide an item; method
+//! names shared with std types (`get`, `set`, `len`, `contains`, `full`)
+//! collide most. Such an item cannot go on [`ALLOWED`] either (its entry
+//! reads as reached): mark the crate's `pub fn`s `#[deprecated]` in a
+//! scratch copy and build every non-test target to find its callers. Trait
 //! methods carry no `pub` and are not scanned; check their callers by hand.
 
 use std::collections::HashSet;
